@@ -210,7 +210,9 @@ type PerVC struct {
 	// queues maps VCI to its cell queue.
 	queues map[cell.VCI]*vcQueue
 	// byOutput maps output port to the circuits with queued cells routed
-	// to it, maintained so Eligible is O(outputs).
+	// to it, maintained so Eligible is O(outputs). A set emptied by Pop or
+	// Drop stays in the map for the next Push to refill, so a port that
+	// drains and refills every few slots does not allocate a set each time.
 	byOutput map[int]map[cell.VCI]struct{}
 	// perVCLimit bounds each circuit's queue (0 = unbounded). The paper
 	// sizes this to a link round-trip (credit allocation, §5).
@@ -337,7 +339,6 @@ func (p *PerVC) Pop(output int) (cell.Cell, bool) {
 		p.recycle(q)
 		delete(set, vc)
 		if len(set) == 0 {
-			delete(p.byOutput, output)
 			p.clearBit(output)
 		}
 	} else if q.head > 64 && q.head*2 >= len(q.cells) {
@@ -405,7 +406,6 @@ func (p *PerVC) Drop(vc cell.VCI) int {
 	if set := p.byOutput[q.output]; set != nil {
 		delete(set, vc)
 		if len(set) == 0 {
-			delete(p.byOutput, q.output)
 			p.clearBit(q.output)
 		}
 	}

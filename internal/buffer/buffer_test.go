@@ -243,3 +243,33 @@ func BenchmarkPerVCPushPop(b *testing.B) {
 		p.Pop(i % 4)
 	}
 }
+
+// TestPerVCDrainRefillAllocationFree: a circuit whose queue drains to
+// empty and refills — the light-load pattern, one cell at a time — must
+// not allocate on either edge once its queue and output set exist.
+func TestPerVCDrainRefillAllocationFree(t *testing.T) {
+	p := NewPerVC(0)
+	c := cell.Cell{VC: 7}
+	cycle := func() {
+		if !p.Push(c, 3) {
+			t.Fatal("push refused")
+		}
+		if p.Len() != 1 || p.EligibleBits()[0] != 1<<3 {
+			t.Fatalf("after push: len %d bits %b", p.Len(), p.EligibleBits())
+		}
+		if got, ok := p.Pop(3); !ok || got.VC != 7 {
+			t.Fatalf("pop = %+v, %v", got, ok)
+		}
+		if p.Len() != 0 || p.EligibleBits()[0] != 0 || len(p.Eligible()) != 0 {
+			t.Fatalf("after pop: len %d bits %b eligible %v", p.Len(), p.EligibleBits(), p.Eligible())
+		}
+	}
+	cycle() // first cycle builds the queue and the output's set
+	if allocs := testing.AllocsPerRun(100, func() {
+		p.Push(c, 3)
+		p.Pop(3)
+	}); allocs != 0 {
+		t.Fatalf("empty→non-empty→empty cycle allocates %.0f times, want 0", allocs)
+	}
+	cycle()
+}

@@ -17,9 +17,9 @@ import (
 type Violation struct {
 	// Slot is when the check failed (Horizon for end-state checks).
 	Slot int64
-	// Invariant names the check: "conservation", "credit-window",
-	// "watchdog-budget", "unconverged", "not-quiescent", "stranded",
-	// "no-delivery".
+	// Invariant names the check: "conservation", "engine-sleep",
+	// "credit-window", "watchdog-budget", "unconverged", "not-quiescent",
+	// "stranded", "no-delivery".
 	Invariant string
 	Detail    string
 }
@@ -279,6 +279,9 @@ func checkSlot(s Schedule, f *fixture, slot int64) *Violation {
 	if !snap.Conserved() {
 		return &Violation{Slot: slot, Invariant: "conservation",
 			Detail: fmt.Sprintf("cells unaccounted for: %+v", snap)}
+	}
+	if err := f.net.CheckEngineInvariant(); err != nil {
+		return &Violation{Slot: slot, Invariant: "engine-sleep", Detail: err.Error()}
 	}
 	for _, vc := range f.beVCs {
 		w, inUse, ok := f.net.IngressWindow(vc)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cell"
 	"repro/internal/reconfig"
+	"repro/internal/schedule"
 	"repro/internal/topology"
 )
 
@@ -436,5 +437,47 @@ func TestSequentialPlugPulls(t *testing.T) {
 	}
 	if pulls < 2 {
 		t.Fatalf("only %d pulls exercised", pulls)
+	}
+}
+
+// TestBestEffortRefusedThroughMissingPort: the switches of a radix-24
+// fat-tree have 24 ports, the LAN's crossbars 16. A cross-pod route into
+// pod 20 leaves its spine on port 20, which the crossbar does not have. A
+// best-effort circuit over such a route used to be admitted and then lost
+// every cell silently at that switch; it must be refused at admission with
+// the same typed error the guaranteed path returns, and leave no circuit
+// behind.
+func TestBestEffortRefusedThroughMissingPort(t *testing.T) {
+	g, info, err := topology.FatTree(topology.FatTreeConfig{Radix: 24, Pods: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lan, err := New(Config{Topology: g, FrameSlots: 32, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, dst := info.Hosts[0][0], info.Hosts[20][0]
+	if _, err := lan.OpenBestEffort(src, dst); !errors.Is(err, schedule.ErrBadPort) {
+		t.Fatalf("cross-pod best-effort open: err = %v, want schedule.ErrBadPort", err)
+	}
+	if _, err := lan.Reserve(src, dst, 1); !errors.Is(err, schedule.ErrBadPort) {
+		t.Fatalf("cross-pod guaranteed open: err = %v, want schedule.ErrBadPort", err)
+	}
+	if got := lan.Circuits(); len(got) != 0 {
+		t.Fatalf("refused opens left circuits behind: %v", got)
+	}
+	// A route that fits the crossbar is still admitted and carries traffic:
+	// the first two hosts of an edge switch sit on its ports 12 and 13.
+	a, b := info.Hosts[0][0], info.Hosts[0][1]
+	vc, err := lan.OpenBestEffort(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lan.SendPacket(vc, []byte("fits")); err != nil {
+		t.Fatal(err)
+	}
+	lan.Run(20)
+	if pkts := lan.Packets(b); len(pkts) != 1 || string(pkts[0]) != "fits" {
+		t.Fatalf("in-range circuit delivered %q", pkts)
 	}
 }

@@ -1,8 +1,6 @@
 package eventsim
 
 import (
-	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -94,84 +92,6 @@ func TestSameTimeOrderingUnderHeapChurn(t *testing.T) {
 	for i, got := range order {
 		if got != i {
 			t.Fatalf("tied events fired out of scheduling order: position %d got %d\nfull order: %v", i, got, order)
-		}
-	}
-}
-
-// TestWakeQueueOrdering: entries pop in (time, push-order); ties FIFO.
-func TestWakeQueueOrdering(t *testing.T) {
-	var q WakeQueue
-	q.Push(30, 100)
-	q.Push(10, 200)
-	q.Push(10, 201)
-	q.Push(20, 300)
-	q.Push(10, 202)
-	var got []int
-	for {
-		id, ok := q.Pop()
-		if !ok {
-			break
-		}
-		got = append(got, id)
-	}
-	want := []int{200, 201, 202, 300, 100}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pop order %v, want %v", got, want)
-		}
-	}
-}
-
-// TestWakeQueuePopDue: only entries at or before now pop; the rest stay.
-func TestWakeQueuePopDue(t *testing.T) {
-	var q WakeQueue
-	q.Push(5, 1)
-	q.Push(7, 2)
-	q.Push(9, 3)
-	if id, ok := q.PopDue(4); ok {
-		t.Fatalf("popped id %d before due time", id)
-	}
-	if id, ok := q.PopDue(7); !ok || id != 1 {
-		t.Fatalf("PopDue(7) = %d,%v want 1,true", id, ok)
-	}
-	if id, ok := q.PopDue(7); !ok || id != 2 {
-		t.Fatalf("PopDue(7) = %d,%v want 2,true", id, ok)
-	}
-	if _, ok := q.PopDue(7); ok {
-		t.Fatal("entry at t=9 popped at now=7")
-	}
-	if at, ok := q.NextAt(); !ok || at != 9 {
-		t.Fatalf("NextAt = %d,%v want 9,true", at, ok)
-	}
-	if q.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", q.Len())
-	}
-}
-
-// TestWakeQueueRandomAgainstSort: heap order must match a stable sort by
-// (time, push order) on random input.
-func TestWakeQueueRandomAgainstSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var q WakeQueue
-	type ent struct {
-		at  Time
-		id  int
-		seq int
-	}
-	var ref []ent
-	for i := 0; i < 500; i++ {
-		at := Time(rng.Intn(40))
-		q.Push(at, i)
-		ref = append(ref, ent{at: at, id: i, seq: i})
-	}
-	sort.SliceStable(ref, func(i, j int) bool { return ref[i].at < ref[j].at })
-	for i, want := range ref {
-		id, ok := q.Pop()
-		if !ok {
-			t.Fatalf("queue empty at %d", i)
-		}
-		if id != want.id {
-			t.Fatalf("pop %d = id %d, want %d", i, id, want.id)
 		}
 	}
 }

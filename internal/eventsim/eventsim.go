@@ -8,8 +8,7 @@
 // broken by scheduling order (FIFO): every push takes a monotonic sequence
 // number, the heaps order by (time, sequence), and no two entries ever
 // compare equal — so same-time events fire in exactly the order they were
-// scheduled, on every run. WakeQueue (the slot engine's wake-set index)
-// honors the same contract.
+// scheduled, on every run.
 package eventsim
 
 import (
@@ -195,105 +194,4 @@ func (e *Engine) Drain(maxEvents int64) bool {
 		}
 	}
 	return e.Pending() == 0
-}
-
-// WakeEntry is one pending wake-up in a WakeQueue: opaque id becomes due at
-// time At.
-type WakeEntry struct {
-	At Time
-	ID int
-
-	seq uint64
-}
-
-// WakeQueue is a lightweight min-heap of (time, id) wake-ups — the index a
-// wake-set slot engine keeps over its sleeping entities (simnet uses one
-// per network, with switchOrder positions as ids). It is the Engine heap's
-// contract without the callback machinery: entries pop in (At, push order),
-// pushes and pops never allocate once the backing array has grown, and
-// duplicate ids are permitted (waking an already-awake entity must be a
-// no-op for the caller). Not safe for concurrent use.
-type WakeQueue struct {
-	entries []WakeEntry
-	seq     uint64
-}
-
-// Len returns the number of queued wake-ups.
-func (q *WakeQueue) Len() int { return len(q.entries) }
-
-// Push queues id to become due at time at.
-func (q *WakeQueue) Push(at Time, id int) {
-	q.entries = append(q.entries, WakeEntry{At: at, ID: id, seq: q.seq})
-	q.seq++
-	// Sift up.
-	i := len(q.entries) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !q.less(i, p) {
-			break
-		}
-		q.entries[i], q.entries[p] = q.entries[p], q.entries[i]
-		i = p
-	}
-}
-
-func (q *WakeQueue) less(i, j int) bool {
-	a, b := q.entries[i], q.entries[j]
-	if a.At != b.At {
-		return a.At < b.At
-	}
-	return a.seq < b.seq
-}
-
-// PopDue removes and returns the earliest entry if it is due at or before
-// now. ok is false when the queue is empty or the earliest entry is still
-// in the future.
-func (q *WakeQueue) PopDue(now Time) (id int, ok bool) {
-	if len(q.entries) == 0 || q.entries[0].At > now {
-		return 0, false
-	}
-	return q.pop(), true
-}
-
-// Pop removes and returns the earliest entry regardless of time. ok is
-// false when the queue is empty.
-func (q *WakeQueue) Pop() (id int, ok bool) {
-	if len(q.entries) == 0 {
-		return 0, false
-	}
-	return q.pop(), true
-}
-
-// NextAt returns the due time of the earliest entry; ok is false when the
-// queue is empty.
-func (q *WakeQueue) NextAt() (at Time, ok bool) {
-	if len(q.entries) == 0 {
-		return 0, false
-	}
-	return q.entries[0].At, true
-}
-
-func (q *WakeQueue) pop() int {
-	id := q.entries[0].ID
-	last := len(q.entries) - 1
-	q.entries[0] = q.entries[last]
-	q.entries = q.entries[:last]
-	// Sift down.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(q.entries) && q.less(l, small) {
-			small = l
-		}
-		if r < len(q.entries) && q.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		q.entries[i], q.entries[small] = q.entries[small], q.entries[i]
-		i = small
-	}
-	return id
 }

@@ -20,9 +20,9 @@ import (
 // pods 0-1 in every fabric, so the only variable is fabric size: scoped
 // cost — messages, participants, convergence — must stay flat (O(pod))
 // while global cost grows with the fabric, and the spine epoch must never
-// move for an intra-pod fault. The idle-skipped column is the
-// pod-sharded simulator's matching win: quiescent pods advance through
-// the O(1) path.
+// move for an intra-pod fault. The idle-skipped column is the simulator's
+// matching win: the switches of quiescent pods sleep and are never
+// stepped.
 
 func init() {
 	register(&Experiment{
@@ -58,14 +58,10 @@ type e30Row struct {
 // runE30One recovers one leaf crash on a radix-8 fat-tree with the given
 // pod count, hierarchically scoped or global.
 func runE30One(seed int64, pods int, hier bool) (*e30Row, error) {
-	// EventDriven: the wake-set engine is byte-identical to flat stepping
-	// (the E30 tables pinned in BENCH_6 were produced flat and must not
-	// move), and quiescent pods here sleep instead of idle-stepping.
 	n, err := fabric.NewNet(fabric.NetConfig{
 		Fabric:        topology.FatTreeConfig{Radix: 8, Pods: pods, HostsPerEdge: 1},
 		Switch:        switchnode.Config{FrameSlots: 32, Discipline: switchnode.DisciplinePerVC, Seed: seed},
 		IngressWindow: 16,
-		EventDriven:   true,
 	})
 	if err != nil {
 		return nil, err

@@ -15,14 +15,16 @@ import (
 	"repro/internal/topology"
 )
 
-// E31: the event-driven stepping ablation. The flat engine visits every
-// switch every slot — cheap per visit (the O(1) idle step) but an
-// O(#switches) floor per slot. The wake-set engine steps only non-
-// quiescent switches and settles sleeping clocks lazily, so the per-slot
-// cost tracks the *active* switch count. Table 1 times both engines over
-// identical CBR workloads on a line, a torus, and two fat-trees at
-// different active fractions, and cross-checks that both trajectories end
-// byte-identical (the engines differ in wall clock only). Table 2
+// E31: what a slot costs. simnet steps only non-quiescent switches and
+// settles sleeping clocks lazily, so the per-slot cost should track the
+// *active* switch count, not the topology's size. Table 1 times CBR
+// workloads on a line, a torus and a 720-switch fat-tree at very different
+// active fractions and reports, next to slots/sec, the measured share of
+// switch-slots that ran a full Step and the host time per stepped switch
+// port (a Step scans its crossbar's ports, and the three fabrics use 4-, 6-
+// and 24-port switches) — which does not grow from 24 switches to 720. (The
+// flat sweep this engine replaced is gone; BENCH_7.json keeps the 5.3–6.9×
+// flat-vs-wake measurement taken while both existed.) Table 2
 // quantifies flow-level fast-forward: everything counter-like is exact by
 // construction (asserted), and the one documented approximation — obs
 // ring-buffer series receive no samples for skipped slots — is bounded by
@@ -31,20 +33,20 @@ import (
 func init() {
 	register(&Experiment{
 		ID:    "E31",
-		Title: "Wake-set stepping scales with active switches; fast-forward is exact where promised",
-		Claim: "Stepping only non-quiescent switches turns the per-slot cost from O(fabric) into O(active) with byte-identical results; on a 720-switch fat-tree at <10% activity the wake-set engine exceeds 5x the flat engine's slots/sec, and flow-level fast-forward reproduces exact per-VC delivered counts",
+		Title: "A slot costs what its awake switches cost; fast-forward is exact where promised",
+		Claim: "Stepping only non-quiescent switches makes the per-slot cost O(active), not O(fabric): the stepped share of switch-slots equals the active fraction and host time per stepped switch port does not grow from a 24-switch line to a 720-switch fat-tree at <1% activity; flow-level fast-forward reproduces exact per-VC delivered counts",
 		Run:   runE31,
 		Quick: true,
 	})
 }
 
-// speedNet is one built workload: the network plus the observables the
-// exactness cross-check compares.
+// speedNet is one built workload: the network, how many of its switches
+// lie on a circuit path, how many it has, and their port count.
 type speedNet struct {
 	n      *simnet.Network
-	vcs    []cell.VCI
 	active int
 	total  int
+	ports  int
 }
 
 // cbrPair opens a guaranteed CBR circuit over path and tracks its
@@ -63,8 +65,8 @@ func cbrPair(n *simnet.Network, vc cell.VCI, path []topology.NodeID, cpf int, ac
 }
 
 // buildLine: every switch of a 24-switch line is on the circuit path —
-// the 100%-active case where the wake engine can win nothing.
-func buildLine(seed int64, eventDriven bool, workers int) (*speedNet, error) {
+// the 100%-active case, where nothing sleeps.
+func buildLine(seed int64) (*speedNet, error) {
 	g, err := topology.Line(24, 1)
 	if err != nil {
 		return nil, err
@@ -78,10 +80,8 @@ func buildLine(seed int64, eventDriven bool, workers int) (*speedNet, error) {
 		return nil, err
 	}
 	n, err := simnet.New(simnet.Config{
-		Topology:    g,
-		Switch:      switchnode.Config{N: 4, Discipline: switchnode.DisciplinePerVC, FrameSlots: 16, Seed: seed},
-		Workers:     workers,
-		EventDriven: eventDriven,
+		Topology: g,
+		Switch:   switchnode.Config{N: 4, Discipline: switchnode.DisciplinePerVC, FrameSlots: 16, Seed: seed},
 	})
 	if err != nil {
 		return nil, err
@@ -95,12 +95,12 @@ func buildLine(seed int64, eventDriven bool, workers int) (*speedNet, error) {
 	if err := cbrPair(n, 10, path, 4, active); err != nil {
 		return nil, err
 	}
-	return &speedNet{n: n, vcs: []cell.VCI{10}, active: len(active), total: 24}, nil
+	return &speedNet{n: n, active: len(active), total: 24, ports: 4}, nil
 }
 
 // buildTorus: a 12x12 torus (144 switches) with one short CBR circuit in
 // a corner — a low-activity regular fabric.
-func buildTorus(seed int64, eventDriven bool, workers int) (*speedNet, error) {
+func buildTorus(seed int64) (*speedNet, error) {
 	g, err := topology.Torus(12, 12, 1)
 	if err != nil {
 		return nil, err
@@ -114,10 +114,8 @@ func buildTorus(seed int64, eventDriven bool, workers int) (*speedNet, error) {
 		return nil, err
 	}
 	n, err := simnet.New(simnet.Config{
-		Topology:    g,
-		Switch:      switchnode.Config{N: 6, Discipline: switchnode.DisciplinePerVC, FrameSlots: 16, Seed: seed},
-		Workers:     workers,
-		EventDriven: eventDriven,
+		Topology: g,
+		Switch:   switchnode.Config{N: 6, Discipline: switchnode.DisciplinePerVC, FrameSlots: 16, Seed: seed},
 	})
 	if err != nil {
 		return nil, err
@@ -134,19 +132,17 @@ func buildTorus(seed int64, eventDriven bool, workers int) (*speedNet, error) {
 	if err := cbrPair(n, 10, path, 4, active); err != nil {
 		return nil, err
 	}
-	return &speedNet{n: n, vcs: []cell.VCI{10}, active: len(active), total: 144}, nil
+	return &speedNet{n: n, active: len(active), total: 144, ports: 6}, nil
 }
 
 // buildFatTree: a fat-tree with CBR circuits confined to pods 0 and 1 —
 // one intra-pod, one cross-pod — leaving the rest of the fabric
 // quiescent. radix 24 with default dimensioning yields the 720-switch
 // fabric of the headline claim.
-func buildFatTree(seed int64, radix, pods int, eventDriven bool, workers int) (*speedNet, error) {
+func buildFatTree(seed int64, radix, pods int) (*speedNet, error) {
 	n, err := fabric.NewNet(fabric.NetConfig{
-		Fabric:      topology.FatTreeConfig{Radix: radix, Pods: pods},
-		Switch:      switchnode.Config{FrameSlots: 16, Discipline: switchnode.DisciplinePerVC, Seed: seed},
-		Workers:     workers,
-		EventDriven: eventDriven,
+		Fabric: topology.FatTreeConfig{Radix: radix, Pods: pods},
+		Switch: switchnode.Config{FrameSlots: 16, Discipline: switchnode.DisciplinePerVC, Seed: seed},
 	})
 	if err != nil {
 		return nil, err
@@ -157,7 +153,6 @@ func buildFatTree(seed int64, radix, pods int, eventDriven bool, workers int) (*
 	}
 	h := func(pod, i int) topology.NodeID { return n.Info.Hosts[pod][i] }
 	active := map[topology.NodeID]bool{}
-	var vcs []cell.VCI
 	for i, pr := range [][2]topology.NodeID{
 		{h(0, 0), h(0, 1)}, // intra-pod
 		{h(0, 2), h(1, 0)}, // cross-pod, through one spine
@@ -166,13 +161,11 @@ func buildFatTree(seed int64, radix, pods int, eventDriven bool, workers int) (*
 		if err != nil {
 			return nil, err
 		}
-		vc := cell.VCI(10 + i)
-		if err := cbrPair(n.Sim, vc, path, 4, active); err != nil {
+		if err := cbrPair(n.Sim, cell.VCI(10+i), path, 4, active); err != nil {
 			return nil, err
 		}
-		vcs = append(vcs, vc)
 	}
-	return &speedNet{n: n.Sim, vcs: vcs, active: len(active), total: len(n.G.Switches())}, nil
+	return &speedNet{n: n.Sim, active: len(active), total: len(n.G.Switches()), ports: radix}, nil
 }
 
 // timeRun advances the net timedSlots slots reps times and returns the
@@ -192,38 +185,27 @@ func timeRun(n *simnet.Network, timedSlots int64, reps int) float64 {
 	return float64(timedSlots) / best.Seconds()
 }
 
-// runSpeedCase warms both engines, times them over the same slot span,
-// and cross-checks the final trajectories byte-identical.
-func runSpeedCase(t *metrics.Table, name string, timedSlots int64, workers int,
-	build func(eventDriven bool) (*speedNet, error)) error {
+// runSpeedCase warms the network, times it over the slot span, and
+// reports the share of switch-slots that ran a full Step (from
+// NetStats.IdleStepsSkipped over the timed span) beside the rate.
+func runSpeedCase(t *metrics.Table, name string, timedSlots int64, build func() (*speedNet, error)) error {
 	const warm, reps = 64, 3
-	flat, err := build(false)
+	sn, err := build()
 	if err != nil {
 		return err
 	}
-	wake, err := build(true)
-	if err != nil {
-		return err
-	}
-	flat.n.Run(warm)
-	wake.n.Run(warm)
-	flatRate := timeRun(flat.n, timedSlots, reps)
-	wakeRate := timeRun(wake.n, timedSlots, reps)
-	ReportSlots(2 * (warm + timedSlots*reps))
+	sn.n.Run(warm)
+	idle0 := sn.n.Stats().IdleStepsSkipped
+	rate := timeRun(sn.n, timedSlots, reps)
+	ReportSlots(warm + timedSlots*reps)
 
-	ok := "yes"
-	if flat.n.Stats() != wake.n.Stats() {
-		return fmt.Errorf("E31 %s: engines diverged: flat %+v vs wake %+v",
-			name, flat.n.Stats(), wake.n.Stats())
-	}
-	for _, vc := range flat.vcs {
-		if a, b := flat.n.DeliveredByVC(vc), wake.n.DeliveredByVC(vc); a != b {
-			return fmt.Errorf("E31 %s: vc %d delivered %d flat vs %d wake", name, vc, a, b)
-		}
-	}
-	t.AddRow(name, flat.total, fmt.Sprintf("%.1f%%", 100*float64(flat.active)/float64(flat.total)),
-		workers, fmt.Sprintf("%.3g", flatRate), fmt.Sprintf("%.3g", wakeRate),
-		fmt.Sprintf("%.2f", wakeRate/flatRate), ok)
+	switchSlots := float64(int64(sn.total) * timedSlots * reps)
+	stepped := 1 - float64(sn.n.Stats().IdleStepsSkipped-idle0)/switchSlots
+	t.AddRow(name, sn.total, sn.ports,
+		fmt.Sprintf("%.1f%%", 100*float64(sn.active)/float64(sn.total)),
+		fmt.Sprintf("%.1f%%", 100*stepped),
+		fmt.Sprintf("%.3g", rate),
+		fmt.Sprintf("%.0f", 1e9/rate/(stepped*float64(sn.total*sn.ports))))
 	return nil
 }
 
@@ -261,7 +243,7 @@ func runE31FastForward(seed int64) (*metrics.Table, error) {
 		if err := cbrPair(n, 10, path, 4, active); err != nil {
 			return nil, nil, err
 		}
-		return &speedNet{n: n, vcs: []cell.VCI{10}, active: len(active), total: 6}, reg, nil
+		return &speedNet{n: n, active: len(active), total: 6, ports: 4}, reg, nil
 	}
 	// Warm both nets through the fill transient slot by slot, so the
 	// sparse run's samples are steady-state like the full run's and the
@@ -342,22 +324,18 @@ func runE31FastForward(seed int64) (*metrics.Table, error) {
 
 func runE31(seed int64) ([]*metrics.Table, error) {
 	t1 := metrics.NewTable(
-		"E31a — flat vs wake-set stepping, identical CBR workloads, best of 3 timed runs",
-		"topology", "switches", "active", "workers", "flat slots/s", "wake slots/s", "speedup", "identical")
-	cases := []struct {
-		name    string
-		slots   int64
-		workers int
-		build   func(bool) (*speedNet, error)
+		"E31a — per-slot cost tracks the active switches, CBR workloads, best of 3 timed runs",
+		"topology", "switches", "ports", "on a circuit", "switch-slots stepped", "slots/s", "ns/stepped port")
+	for _, c := range []struct {
+		name  string
+		slots int64
+		build func() (*speedNet, error)
 	}{
-		{"line-24 (all active)", 4000, 1, func(ev bool) (*speedNet, error) { return buildLine(seed, ev, 1) }},
-		{"torus-12x12", 4000, 1, func(ev bool) (*speedNet, error) { return buildTorus(seed, ev, 1) }},
-		{"fat-tree r8/p8", 4000, 1, func(ev bool) (*speedNet, error) { return buildFatTree(seed, 8, 8, ev, 1) }},
-		{"fat-tree r24/p24", 1500, 1, func(ev bool) (*speedNet, error) { return buildFatTree(seed, 24, 24, ev, 1) }},
-		{"fat-tree r24/p24", 1500, 4, func(ev bool) (*speedNet, error) { return buildFatTree(seed, 24, 24, ev, 4) }},
-	}
-	for _, c := range cases {
-		if err := runSpeedCase(t1, c.name, c.slots, c.workers, c.build); err != nil {
+		{"line-24 (all active)", 4000, func() (*speedNet, error) { return buildLine(seed) }},
+		{"torus-12x12", 4000, func() (*speedNet, error) { return buildTorus(seed) }},
+		{"fat-tree r24/p24", 4000, func() (*speedNet, error) { return buildFatTree(seed, 24, 24) }},
+	} {
+		if err := runSpeedCase(t1, c.name, c.slots, c.build); err != nil {
 			return nil, err
 		}
 	}

@@ -46,7 +46,8 @@ const e34BaselineAllocs = 9.0
 
 // e34Flows keeps the two throughput arms short enough to run back to
 // back while still amortizing startup across tens of thousands of flows.
-const e34Flows = 20_000
+// A variable only so the package's -short test run can shrink it.
+var e34Flows = 20_000
 
 func runE34(seed int64) ([]*metrics.Table, error) {
 	disabled, err := e34AllocsPerPair(seed, false, false, false)

@@ -1,6 +1,6 @@
 // Package fabric is the datacenter-scale composition layer: it ties the
-// fat-tree generator (topology.FatTree), the pod-sharded simulator
-// (simnet.Config.StepGroups) and hierarchical reconfiguration
+// fat-tree generator (topology.FatTree), the simulator (simnet, whose
+// wake-set engine makes idle pods free) and hierarchical reconfiguration
 // (reconfig.RunUnreliableScoped driven per pod, with a separate spine
 // epoch) into one subsystem. The organizing idea is the paper's §2 scoping
 // argument taken to datacenter size: a fault whose triggers stay inside
@@ -96,17 +96,6 @@ func (p *Partition) PodOf(n topology.NodeID) int {
 
 // IsSpine reports whether n is a spine switch.
 func (p *Partition) IsSpine(n topology.NodeID) bool { return p.spine[n] }
-
-// StepGroups is the simnet partition: one group per pod plus one spine
-// group. Handing this to simnet.Config.StepGroups makes the simulator
-// fan work out pod-by-pod and skip quiescent pods wholesale.
-func (p *Partition) StepGroups() [][]topology.NodeID {
-	groups := make([][]topology.NodeID, 0, len(p.pods)+1)
-	for _, pod := range p.pods {
-		groups = append(groups, pod)
-	}
-	return append(groups, p.spines)
-}
 
 // InterPod reports whether the link crosses pod boundaries. In a fat-tree
 // every link is intra-pod (edge-agg), agg-spine, or a host link, so

@@ -15,19 +15,15 @@ type NetConfig struct {
 	// Switch configures every switch. N defaults to the fabric radix so
 	// the crossbar matches the port count.
 	Switch switchnode.Config
-	// IngressWindow / Workers / Tracer / Obs / EventDriven pass through
-	// to simnet. EventDriven selects the wake-set slot engine: quiescent
-	// switches sleep instead of idle-stepping, byte-identical results.
+	// IngressWindow / Tracer / Obs pass through to simnet.
 	IngressWindow int
-	Workers       int
 	Tracer        simnet.Tracer
 	Obs           *obs.Registry
-	EventDriven   bool
 }
 
-// Net is a fat-tree running on a pod-sharded simulator: the generated
-// graph, its pod/spine partition (which is also the simnet step
-// partition), and the live network.
+// Net is a fat-tree on the simulator: the generated graph, its pod/spine
+// partition (the scope rule of hierarchical reconfiguration), and the live
+// network.
 type Net struct {
 	G    *topology.Graph
 	Info *topology.FatTreeInfo
@@ -36,9 +32,8 @@ type Net struct {
 }
 
 // NewNet generates the fat-tree, derives its partition, and boots a
-// simnet.Network stepping pod-by-pod (StepGroups = pods + spines), so
-// quiescent pods cost O(switches-in-pod) pointer checks per slot instead
-// of full crossbar work.
+// simnet.Network over it. Quiescent pods cost nothing per slot: their
+// switches sleep (see simnet's wake-set engine).
 func NewNet(cfg NetConfig) (*Net, error) {
 	g, info, err := topology.FatTree(cfg.Fabric)
 	if err != nil {
@@ -55,11 +50,8 @@ func NewNet(cfg NetConfig) (*Net, error) {
 		Topology:      g,
 		Switch:        cfg.Switch,
 		IngressWindow: cfg.IngressWindow,
-		Workers:       cfg.Workers,
 		Tracer:        cfg.Tracer,
 		Obs:           cfg.Obs,
-		EventDriven:   cfg.EventDriven,
-		StepGroups:    part.StepGroups(),
 	})
 	if err != nil {
 		return nil, err

@@ -7,17 +7,18 @@
 //
 //   - This package is single-goroutine and exact. Its types keep every
 //     sample, so quantiles are true order statistics — but nothing here
-//     may be touched from inside simnet.Network.Step, whose worker pool
-//     steps switches in parallel. Experiments record into metrics only
-//     after Step returns (or after goroutines join), which is why every
-//     experiment table is built post-hoc.
+//     may be shared between goroutines. Experiments record into metrics
+//     only from the goroutine that steps the simulation (or after the
+//     goroutines they started join), which is why every experiment table
+//     is built post-hoc.
 //
-//   - Package obs is the live, shard-per-worker collector. Its Registry
-//     hands out cache-line-padded sharded counters/gauges/histograms that
-//     workers update concurrently (each switch writes its own shard, reads
-//     sum all shards), plus slot-clock ring-buffer series, at the price of
-//     power-of-two histogram resolution. It is safe under the parallel
-//     stepper and free when disabled (nil registry, single-branch no-ops).
+//   - Package obs is the live, sharded collector. Its Registry hands out
+//     cache-line-padded sharded counters/gauges/histograms that writers
+//     update concurrently (each writer its own shard, reads sum all
+//     shards), plus slot-clock ring-buffer series, at the price of
+//     power-of-two histogram resolution. It is safe to scrape from another
+//     goroutine while the simulation runs and free when disabled (nil
+//     registry, single-branch no-ops).
 //
 // Rule of thumb: inside the simulation, obs; after it, metrics.
 package metrics

@@ -4,7 +4,7 @@
 //
 // The first is a Registry of labeled counters, gauges, histograms and
 // slot-clock ring-buffer time series. Counters and histograms are sharded:
-// each writer (a simnet worker goroutine, a switch, a control loop) adds
+// each writer (a switch, a control loop, a service session) adds
 // into its own cache-line-padded slot with a single atomic, so the hot
 // path never contends, and export sums the shards. The whole registry is
 // optional — a nil *Registry hands out nil instrument handles, and every

@@ -18,7 +18,7 @@ import (
 // A nil *Registry is the disabled state: every constructor on it returns a
 // nil instrument handle, and every method on a nil handle is a no-op
 // guarded by a single pointer check. Instrument updates are safe under
-// concurrent writers (the simnet worker pool) and concurrent readers (a
+// concurrent writers (service sessions, control loops) and concurrent readers (a
 // live HTTP exporter): counters and histograms add atomically into
 // per-shard padded slots, series take a small mutex.
 type Registry struct {

@@ -244,10 +244,12 @@ func (n *Network) steadySignature() *steadySig {
 // through the fabric make the state signature differ across the probe,
 // which defers the skip until they are gone. Faults need no check — a
 // steady faulty state is periodic too (the same cells drop each frame)
-// and replicates exactly.
+// and replicates exactly. Nor do sleeping switches: one woken during the
+// probe was woken by a cell landing on an empty frame, a best-effort
+// cell, whose matching marks the probe unsteady (see ffDiff).
 func (n *Network) ffEligible() bool {
 	for _, c := range n.circOrder {
-		if len(c.pending) > 0 {
+		if c.queued() > 0 {
 			return false
 		}
 	}
@@ -309,11 +311,6 @@ func (n *Network) FastForward(slots int64) (skipped int64) {
 			slots--
 			continue
 		}
-		if n.eventDriven {
-			// Early wakes are observation-neutral; an empty wake queue
-			// means no catch-up span can straddle the skip.
-			n.drainAllWakes()
-		}
 		sig0 := n.steadySignature()
 		probe := n.ffCapture()
 		for i := int64(0); i < p; i++ {
@@ -369,9 +366,9 @@ func (n *Network) ffApply(d *ffDelta, m, p int64) {
 	n.obsDelivered.Add(0, d.obsDel*m)
 
 	// Switches: counters replicate; buffered cells shift. Sleeping
-	// switches (wake engine) have zero deltas and empty buffers — their
-	// clocks settle from the enlarged [sleepSince, slot) span at the next
-	// wake, and Stats() already folds the pending span in.
+	// switches have zero deltas and empty buffers — their clocks settle
+	// from the enlarged [sleepSince, slot) span at the next wake, and
+	// Stats() already folds the pending span in.
 	seqShift := func(vc cell.VCI) uint64 { return shift[vc] }
 	for i, sw := range n.switchByIdx {
 		sw.ApplySteady(d.sw[i], m)

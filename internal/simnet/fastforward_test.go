@@ -112,26 +112,24 @@ func requireFFEqual(t *testing.T, want, got ffObservables, wantPackets bool, ctx
 // stats including every latency histogram sample, snapshot accounting —
 // as stepping every slot, and must actually skip most of the span.
 func TestFastForwardExactCBR(t *testing.T) {
-	for _, ev := range []bool{false, true} {
-		a, ah0, ah1 := cbrNet(t, Config{EventDriven: ev})
-		a.Run(2000)
-		b, bh0, bh1 := cbrNet(t, Config{EventDriven: ev})
-		skipped := b.FastForward(2000)
-		if skipped == 0 {
-			t.Fatalf("eventDriven=%v: steady CBR phase never fast-forwarded", ev)
-		}
-		if skipped < 1000 {
-			t.Errorf("eventDriven=%v: only %d of 2000 slots skipped — steady detection too weak", ev, skipped)
-		}
-		requireFFEqual(t, observe(a, ah0, ah1), observe(b, bh0, bh1), false,
-			"run vs fastforward")
-		// Continuing slot-by-slot from the fast-forwarded state must stay
-		// exact: the resumed simulation is indistinguishable.
-		a.Run(100)
-		b.Run(100)
-		requireFFEqual(t, observe(a, ah0, ah1), observe(b, bh0, bh1), false,
-			"post-resume run")
+	a, ah0, ah1 := cbrNet(t, Config{})
+	a.Run(2000)
+	b, bh0, bh1 := cbrNet(t, Config{})
+	skipped := b.FastForward(2000)
+	if skipped == 0 {
+		t.Fatal("steady CBR phase never fast-forwarded")
 	}
+	if skipped < 1000 {
+		t.Errorf("only %d of 2000 slots skipped — steady detection too weak", skipped)
+	}
+	requireFFEqual(t, observe(a, ah0, ah1), observe(b, bh0, bh1), false,
+		"run vs fastforward")
+	// Continuing slot-by-slot from the fast-forwarded state must stay
+	// exact: the resumed simulation is indistinguishable.
+	a.Run(100)
+	b.Run(100)
+	requireFFEqual(t, observe(a, ah0, ah1), observe(b, bh0, bh1), false,
+		"post-resume run")
 }
 
 // TestFastForwardUnderSteadyFault: a dead link mid-path makes every cell

@@ -44,7 +44,8 @@ func TestPacketLatencyMeasured(t *testing.T) {
 // Fuzz-style invariant test: random small networks, random circuits,
 // random traffic, and random link kills/restores. Invariants: cells are
 // conserved (delivered + dropped + in-network <= injected), never
-// reordered within a circuit, and packets never reassemble corrupt.
+// reordered within a circuit, packets never reassemble corrupt, and the
+// stepping engine's sleep invariant holds after every slot.
 func TestRandomFaultsPreserveInvariants(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		seed := int64(1000 + trial)
@@ -111,6 +112,7 @@ func TestRandomFaultsPreserveInvariants(t *testing.T) {
 				}
 			}
 			n.Step()
+			requireEngineInvariant(t, n)
 		}
 		// Restore everything and drain.
 		for _, l := range links {
@@ -155,7 +157,7 @@ func pendingAtSources(n *Network, vcs []cell.VCI) int64 {
 		if ci, ok := n.circuits[vc]; ok {
 			// pending cells wait at the source; inUse is window
 			// bookkeeping for cells already accounted elsewhere.
-			total += int64(len(ci.pending))
+			total += int64(ci.queued())
 		}
 	}
 	return total

@@ -3,12 +3,11 @@
 // latency, with hosts injecting and absorbing cells over virtual circuits.
 //
 // Time is globally slotted; one Step advances the network by one cell
-// slot, stepping the non-quiescent switches (by default every live switch
-// is visited; with Config.EventDriven quiescent switches sleep on a wake
-// queue, are skipped entirely, and have their slot clocks settled in batch
-// when a cell, reservation, or fault next touches them — see wakeset.go;
-// results are byte-identical either way). Guaranteed circuits are paced at
-// the source to their reserved
+// slot and costs what its cells and its awake switches cost, not what the
+// topology's size costs: quiescent switches sleep, are skipped entirely,
+// and have their slot clocks settled in batch when a cell, reservation, or
+// fault next touches them (see wakeset.go).
+// Guaranteed circuits are paced at the source to their reserved
 // rate (the paper's rate-matching, §5) and ride the frame schedules
 // installed at each switch; best-effort circuits are windowed at the
 // ingress (credit flow control against the first switch — the full
@@ -26,15 +25,12 @@ package simnet
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cell"
-	"repro/internal/eventsim"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/schedule"
 	"repro/internal/switchnode"
 	"repro/internal/topology"
 )
@@ -70,30 +66,6 @@ type Config struct {
 	// writer shard) and with any control loops watching the same network.
 	// Nil disables all of it at the cost of one pointer check per site.
 	Obs *obs.Registry
-	// Workers bounds the worker pool that steps switches in parallel
-	// within each slot. 0 picks min(GOMAXPROCS, switch count); 1 forces
-	// sequential stepping. Results are byte-identical at any setting:
-	// switches share no state during a slot, and departures are applied
-	// in canonical (ascending NodeID) order behind a slot barrier.
-	Workers int
-	// StepGroups, when non-nil, partitions the switches for pod-sharded
-	// stepping: each inner slice is one locality group (a fat-tree pod,
-	// or the spine set) and workers claim whole groups instead of single
-	// switches, so one pod's switches — typically id-contiguous and
-	// cache-warm — stay on one worker. Every switch must appear exactly
-	// once. Grouping changes scheduling only; results remain
-	// byte-identical to the ungrouped path at any worker count.
-	// Quiescent switches (no buffered cell, empty frame) are advanced
-	// with the O(1) idle step on every path, grouped or not.
-	StepGroups [][]topology.NodeID
-	// EventDriven replaces the per-slot sweep over all switches with the
-	// wake-set engine: quiescent switches sleep on a wake queue, a slot
-	// only steps switches that are non-quiescent or have an arrival due,
-	// and sleeping switches' slot clocks are advanced lazily in batch on
-	// wake. Results — traces, stats, buffer states — are byte-identical
-	// to the flat engine at any Workers/StepGroups setting; only wall
-	// clock changes. See wakeset.go for the invariants.
-	EventDriven bool
 }
 
 // Circuit is an established virtual circuit.
@@ -109,16 +81,24 @@ type Circuit struct {
 	hops map[topology.NodeID]hop
 
 	// ingress credit window state (best-effort).
-	window  int
-	inUse   int
-	pending []cell.Cell
+	window int
+	inUse  int
+	// pending holds the cells queued at the source host; pendHead is the
+	// index of the oldest, so injection pops without reslicing away
+	// capacity.
+	pending  []cell.Cell
+	pendHead int
 
 	// source pacing state (guaranteed).
 	nextSeq uint64
 
-	// firstIdx is the switchOrder position of Path[1], cached for wake
-	// pushes on injection.
-	firstIdx int
+	// firstIdx is the switchOrder position of Path[1]; firstLink and
+	// firstLatency describe the host link Path[0]–Path[1]. All three are
+	// resolved at open/reroute so injection and first-hop credit return
+	// touch no graph lookup.
+	firstIdx     int
+	firstLink    topology.LinkID
+	firstLatency int64
 
 	// cbr marks a guaranteed circuit as a constant-bit-rate synthetic
 	// source (SetCBR): when pending is empty at a pacing slot, the
@@ -184,8 +164,8 @@ type flight struct {
 	to     topology.NodeID
 	link   topology.LinkID
 	isHost bool
-	// toIdx is to's switchOrder position (-1 for hosts), cached so the
-	// wake engine can wake the receiver without a map lookup.
+	// toIdx is to's switchOrder position (-1 for hosts), cached so
+	// delivery reaches the receiver without a map lookup.
 	toIdx int
 }
 
@@ -231,34 +211,26 @@ type Network struct {
 	// indexed by the dense LinkID.
 	linkCells []int64
 
-	// workers is the per-slot switch-stepping parallelism (resolved from
-	// Config.Workers at build time); stepDeps collects each switch's
-	// departures by switchOrder position so they can be applied in
-	// canonical order after the slot barrier.
-	workers  int
+	// stepDeps collects each stepped switch's departures by switchOrder
+	// position so they can be applied in canonical order once every awake
+	// switch has stepped.
 	stepDeps [][]switchnode.Departure
-	// groups maps Config.StepGroups to switchOrder indexes (nil when
-	// ungrouped).
-	groups [][]int
 	// orderIdx maps NodeID to switchOrder position; switchByIdx is the
 	// positional mirror of the switches map.
 	orderIdx    map[topology.NodeID]int
 	switchByIdx []*switchnode.Switch
 
-	// Wake-set engine state (Config.EventDriven; see wakeset.go). swState
-	// tracks awake/asleep/dead per switchOrder position; sleepSince is the
-	// first skipped slot of a sleeping switch; active is the sorted list
-	// of awake positions; wantSleep is worker scratch; groupOf/groupAwake
-	// support pod-sharded skipping; wakeQ indexes due arrivals for
-	// sleeping switches.
-	eventDriven bool
-	swState     []uint8
-	sleepSince  []int64
-	active      []int
-	wantSleep   []bool
-	groupOf     []int
-	groupAwake  []int
-	wakeQ       eventsim.WakeQueue
+	// Wake-set engine state (see wakeset.go). swState tracks
+	// awake/asleep/dead per switchOrder position; sleepSince is the first
+	// skipped slot of a sleeping switch; active is the sorted list of awake
+	// positions; asleep and sleepSum (the count of sleeping switches and
+	// the sum of their sleepSince) make the idle slots not yet credited an
+	// O(1) read.
+	swState    []uint8
+	sleepSince []int64
+	active     []int
+	asleep     int64
+	sleepSum   int64
 
 	stats NetStats
 
@@ -289,16 +261,15 @@ type NetStats struct {
 	DroppedInFlight int64 // cells lost to link/switch failures
 	DroppedReroute  int64 // cells discarded when a circuit was rerouted
 	Slots           int64
-	// IdleStepsSkipped counts switch-slots advanced by the O(1) idle
-	// path instead of a full Step (quiescent switches: empty buffers and
-	// frame). Deterministic — identical at any worker count.
+	// IdleStepsSkipped counts the switch-slots a live switch spent
+	// quiescent (empty buffers and frame) and so never ran a full Step:
+	// the slots it slept through plus the one in which it dozed off.
 	IdleStepsSkipped int64
 }
 
 // Errors.
 var (
 	ErrNoTopology    = errors.New("simnet: nil topology")
-	ErrBadGroups     = errors.New("simnet: StepGroups must partition the switches")
 	ErrBadPath       = errors.New("simnet: invalid circuit path")
 	ErrDupCircuit    = errors.New("simnet: circuit already open")
 	ErrNoCircuit     = errors.New("simnet: no such circuit")
@@ -328,42 +299,10 @@ func New(cfg Config) (*Network, error) {
 		lastNodeChange: make(map[topology.NodeID]int64),
 		linkCells:      make([]int64, cfg.Topology.NumLinks()),
 	}
-	n.workers = cfg.Workers
-	if n.workers <= 0 {
-		n.workers = runtime.GOMAXPROCS(0)
-	}
-	if n.workers > len(n.switchOrder) {
-		n.workers = len(n.switchOrder)
-	}
 	n.stepDeps = make([][]switchnode.Departure, len(n.switchOrder))
 	n.orderIdx = make(map[topology.NodeID]int, len(n.switchOrder))
 	for idx, s := range n.switchOrder {
 		n.orderIdx[s] = idx
-	}
-	if cfg.StepGroups != nil {
-		orderIdx := n.orderIdx
-		seen := make(map[topology.NodeID]bool, len(n.switchOrder))
-		n.groups = make([][]int, 0, len(cfg.StepGroups))
-		for gi, grp := range cfg.StepGroups {
-			idxs := make([]int, 0, len(grp))
-			for _, s := range grp {
-				idx, ok := orderIdx[s]
-				if !ok {
-					return nil, fmt.Errorf("%w: group %d names non-switch node %d", ErrBadGroups, gi, s)
-				}
-				if seen[s] {
-					return nil, fmt.Errorf("%w: switch %d appears twice", ErrBadGroups, s)
-				}
-				seen[s] = true
-				idxs = append(idxs, idx)
-			}
-			if len(idxs) > 0 {
-				n.groups = append(n.groups, idxs)
-			}
-		}
-		if len(seen) != len(n.switchOrder) {
-			return nil, fmt.Errorf("%w: %d of %d switches grouped", ErrBadGroups, len(seen), len(n.switchOrder))
-		}
 	}
 	n.switchByIdx = make([]*switchnode.Switch, len(n.switchOrder))
 	for idx, s := range n.switchOrder {
@@ -418,34 +357,30 @@ func New(cfg Config) (*Network, error) {
 		n.obsCredit = make(map[cell.VCI]*obs.Series)
 		n.obsMatch = reg.Series("net_match_iterations_per_slot", 0)
 	}
-	if cfg.EventDriven {
-		n.initWake()
-	}
+	n.initWake()
 	return n, nil
 }
 
 // Slot returns the current slot.
 func (n *Network) Slot() int64 { return n.slot }
 
-// Stats returns network counters. Under the wake-set engine, idle slots
-// accrued by still-sleeping switches are folded in non-mutatingly, so the
-// totals equal flat stepping's at any observation point.
+// Stats returns network counters. Idle slots accrued by still-sleeping
+// switches are folded in non-mutatingly, so IdleStepsSkipped is exact at
+// any observation point, not only after a wake.
 func (n *Network) Stats() NetStats {
 	s := n.stats
-	if n.eventDriven {
-		s.IdleStepsSkipped += n.pendingIdle()
-	}
+	s.IdleStepsSkipped += n.pendingIdle()
 	return s
 }
 
 // Switch exposes a switch (for reservations inspection in tests, and for
-// control planes installing frames). Under the wake-set engine the switch
-// is woken first, so its slot clock is settled and any mutation the
-// caller performs (SetFrame, Reserve) happens on an awake switch — the
-// asleep ⇒ quiescent invariant survives external access.
+// control planes installing frames). The switch is woken first, so its
+// slot clock is settled and any mutation the caller performs (SetFrame,
+// Reserve) happens on an awake switch — the asleep ⇒ quiescent invariant
+// survives external access.
 func (n *Network) Switch(id topology.NodeID) (*switchnode.Switch, bool) {
 	sw, ok := n.switches[id]
-	if ok && n.eventDriven && !n.deadNodes[id] {
+	if ok && !n.deadNodes[id] {
 		n.wakeNode(id)
 	}
 	return sw, ok
@@ -487,48 +422,63 @@ func (n *Network) removeCircuit(vc cell.VCI) {
 	}
 }
 
-// validatePath checks the path alternates host, switches..., host along
-// live links, and resolves the per-switch ports.
-func (n *Network) resolve(path []topology.NodeID) (map[topology.NodeID]hop, error) {
+// route is a resolved circuit path: the port usage at each switch and the
+// host link the source injects on.
+type route struct {
+	hops  map[topology.NodeID]hop
+	first topology.Link
+}
+
+// resolve checks the path alternates host, switches..., host along live
+// links, and resolves the per-switch ports. A path through a port the
+// switch's crossbar does not have is refused here, for either class: a
+// guaranteed reservation would be refused by the frame schedule with the
+// same schedule.ErrBadPort, and a best-effort cell enqueued on such a port
+// would be lost silently.
+func (n *Network) resolve(path []topology.NodeID) (route, error) {
 	if len(path) < 3 {
-		return nil, fmt.Errorf("%w: need host-switch...-host, got %d nodes", ErrBadPath, len(path))
+		return route{}, fmt.Errorf("%w: need host-switch...-host, got %d nodes", ErrBadPath, len(path))
 	}
 	first, last := path[0], path[len(path)-1]
 	if _, ok := n.hosts[first]; !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNotHost, first)
+		return route{}, fmt.Errorf("%w: %d", ErrNotHost, first)
 	}
 	if _, ok := n.hosts[last]; !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNotHost, last)
+		return route{}, fmt.Errorf("%w: %d", ErrNotHost, last)
 	}
-	hops := make(map[topology.NodeID]hop)
-	for i := 1; i+1 <= len(path)-1; i++ {
+	r := route{hops: make(map[topology.NodeID]hop)}
+	for i := 1; i < len(path)-1; i++ {
 		s := path[i]
-		if i == len(path)-1 {
-			break
-		}
-		if _, ok := n.switches[s]; !ok {
-			return nil, fmt.Errorf("%w: %d is not a switch", ErrBadPath, s)
+		sw, ok := n.switches[s]
+		if !ok {
+			return route{}, fmt.Errorf("%w: %d is not a switch", ErrBadPath, s)
 		}
 		if n.deadNodes[s] {
-			return nil, fmt.Errorf("%w: switch %d", ErrDeadElement, s)
+			return route{}, fmt.Errorf("%w: switch %d", ErrDeadElement, s)
 		}
 		inLink, ok := n.g.LinkBetween(path[i-1], s)
 		if !ok {
-			return nil, fmt.Errorf("%w: no link %d-%d", ErrBadPath, path[i-1], s)
+			return route{}, fmt.Errorf("%w: no link %d-%d", ErrBadPath, path[i-1], s)
 		}
 		outLink, ok := n.g.LinkBetween(s, path[i+1])
 		if !ok {
-			return nil, fmt.Errorf("%w: no link %d-%d", ErrBadPath, s, path[i+1])
+			return route{}, fmt.Errorf("%w: no link %d-%d", ErrBadPath, s, path[i+1])
 		}
 		if n.deadLinks[inLink.ID] || n.deadLinks[outLink.ID] {
-			return nil, fmt.Errorf("%w: link on path", ErrDeadElement)
+			return route{}, fmt.Errorf("%w: link on path", ErrDeadElement)
+		}
+		if in, out := inLink.PortAt(s), outLink.PortAt(s); in >= sw.N() || out >= sw.N() {
+			return route{}, fmt.Errorf("simnet: switch %d has %d ports: %w: %d->%d", s, sw.N(), schedule.ErrBadPort, in, out)
+		}
+		if i == 1 {
+			r.first = inLink
 		}
 		_, nextIsHost := n.hosts[path[i+1]]
 		nextIdx := -1
 		if !nextIsHost {
 			nextIdx = n.orderIdx[path[i+1]]
 		}
-		hops[s] = hop{
+		r.hops[s] = hop{
 			inPort:      inLink.PortAt(s),
 			outPort:     outLink.PortAt(s),
 			next:        path[i+1],
@@ -538,7 +488,16 @@ func (n *Network) resolve(path []topology.NodeID) (map[topology.NodeID]hop, erro
 			nextIdx:     nextIdx,
 		}
 	}
-	return hops, nil
+	return r, nil
+}
+
+// bind points the circuit at a resolved route.
+func (n *Network) bind(c *Circuit, path []topology.NodeID, r route) {
+	c.Path = append([]topology.NodeID(nil), path...)
+	c.hops = r.hops
+	c.firstIdx = n.orderIdx[path[1]]
+	c.firstLink = r.first.ID
+	c.firstLatency = r.first.Latency
 }
 
 // OpenBestEffort establishes a best-effort circuit along path (host,
@@ -547,18 +506,12 @@ func (n *Network) OpenBestEffort(vc cell.VCI, path []topology.NodeID) (*Circuit,
 	if _, dup := n.circuits[vc]; dup {
 		return nil, fmt.Errorf("%w: %d", ErrDupCircuit, vc)
 	}
-	hops, err := n.resolve(path)
+	r, err := n.resolve(path)
 	if err != nil {
 		return nil, err
 	}
-	c := &Circuit{
-		VC:       vc,
-		Class:    cell.BestEffort,
-		Path:     append([]topology.NodeID(nil), path...),
-		hops:     hops,
-		window:   n.cfg.IngressWindow,
-		firstIdx: n.orderIdx[path[1]],
-	}
+	c := &Circuit{VC: vc, Class: cell.BestEffort, window: n.cfg.IngressWindow}
+	n.bind(c, path, r)
 	n.circuits[vc] = c
 	n.insertCircuit(c)
 	n.trace(TraceOpen, vc, path[0], -1, 0)
@@ -577,10 +530,11 @@ func (n *Network) OpenGuaranteed(vc cell.VCI, path []topology.NodeID, cellsPerFr
 	if cellsPerFrame < 1 {
 		return nil, fmt.Errorf("simnet: cells/frame %d", cellsPerFrame)
 	}
-	hops, err := n.resolve(path)
+	r, err := n.resolve(path)
 	if err != nil {
 		return nil, err
 	}
+	hops := r.hops
 	var done []topology.NodeID
 	for s, h := range hops {
 		// Reserving breaks quiescence; sleeping switches must settle
@@ -595,14 +549,8 @@ func (n *Network) OpenGuaranteed(vc cell.VCI, path []topology.NodeID, cellsPerFr
 		}
 		done = append(done, s)
 	}
-	c := &Circuit{
-		VC:            vc,
-		Class:         cell.Guaranteed,
-		Path:          append([]topology.NodeID(nil), path...),
-		CellsPerFrame: cellsPerFrame,
-		hops:          hops,
-		firstIdx:      n.orderIdx[path[1]],
-	}
+	c := &Circuit{VC: vc, Class: cell.Guaranteed, CellsPerFrame: cellsPerFrame}
+	n.bind(c, path, r)
 	n.circuits[vc] = c
 	n.insertCircuit(c)
 	n.trace(TraceOpen, vc, path[0], -1, 0)
@@ -644,9 +592,24 @@ func (n *Network) Send(vc cell.VCI, payload [cell.PayloadSize]byte) error {
 		Stamp:   cell.Stamp{EnqueuedAt: n.slot, Seq: c.nextSeq},
 	}
 	c.nextSeq++
-	c.pending = append(c.pending, cl)
+	c.queue(cl)
 	return nil
 }
+
+// queue appends a cell to the source host's send queue. When the backing
+// array is full, the consumed prefix is reclaimed before growing, so a
+// source that keeps a bounded backlog stops allocating.
+func (c *Circuit) queue(cl cell.Cell) {
+	if c.pendHead > 0 && len(c.pending) == cap(c.pending) {
+		k := copy(c.pending, c.pending[c.pendHead:])
+		c.pending = c.pending[:k]
+		c.pendHead = 0
+	}
+	c.pending = append(c.pending, cl)
+}
+
+// queued returns the number of cells waiting at the source host.
+func (c *Circuit) queued() int { return len(c.pending) - c.pendHead }
 
 // SendPacket segments a packet into cells and queues them on the circuit.
 func (n *Network) SendPacket(vc cell.VCI, packet []byte) error {
@@ -661,7 +624,7 @@ func (n *Network) SendPacket(vc cell.VCI, packet []byte) error {
 	for _, cl := range cells {
 		cl.Stamp = cell.Stamp{EnqueuedAt: n.slot, Seq: c.nextSeq}
 		c.nextSeq++
-		c.pending = append(c.pending, cl)
+		c.queue(cl)
 	}
 	return nil
 }
@@ -708,18 +671,12 @@ func (n *Network) KillSwitch(id topology.NodeID) {
 	}
 	n.deadNodes[id] = true
 	n.lastNodeChange[id] = n.slot
-	if n.eventDriven {
-		// Settle a sleeping switch's clock up to the kill (flat stepping
-		// would have idle-stepped it through this slot), then take it out
-		// of the active set: dead clocks freeze.
-		idx := n.orderIdx[id]
-		n.wakeIdx(idx)
-		n.swState[idx] = swDead
-		n.removeActive(idx)
-		if n.groupAwake != nil {
-			n.groupAwake[n.groupOf[idx]]--
-		}
-	}
+	// Settle a sleeping switch's clock up to the kill, then take it out of
+	// the active set: dead clocks freeze.
+	idx := n.orderIdx[id]
+	n.wakeIdx(idx)
+	n.swState[idx] = swDead
+	n.removeActive(idx)
 	n.trace(TraceKillNode, 0, id, -1, 0)
 	if purged := sw.Purge(); purged > 0 {
 		n.stats.DroppedInFlight += int64(purged)
@@ -750,19 +707,12 @@ func (n *Network) RestoreSwitch(id topology.NodeID) {
 	}
 	delete(n.deadNodes, id)
 	n.lastNodeChange[id] = n.slot
-	if n.eventDriven {
-		// Rejoin awake with no idle credit: the dead span never advanced
-		// the clock in flat stepping either. The switch sleeps itself
-		// after its first quiescent slot if nothing is replayed below.
-		idx := n.orderIdx[id]
-		if n.swState[idx] == swDead {
-			n.swState[idx] = swAwake
-			n.insertActive(idx)
-			if n.groupAwake != nil {
-				n.groupAwake[n.groupOf[idx]]++
-			}
-		}
-	}
+	// Rejoin awake with no idle credit: a dead switch's clock does not
+	// advance. The switch sleeps itself after its first quiescent slot if
+	// nothing is replayed below.
+	idx := n.orderIdx[id]
+	n.swState[idx] = swAwake
+	n.insertActive(idx)
 	n.trace(TraceRestoreNode, 0, id, -1, 0)
 	for _, c := range n.circOrder {
 		if c.Class != cell.Guaranteed {
@@ -803,10 +753,11 @@ func (n *Network) Reroute(vc cell.VCI, newPath []topology.NodeID) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoCircuit, vc)
 	}
-	hops, err := n.resolve(newPath)
+	r, err := n.resolve(newPath)
 	if err != nil {
 		return err
 	}
+	hops := r.hops
 	if c.Class == cell.Guaranteed {
 		var done []topology.NodeID
 		for _, s := range pathSwitches(newPath) {
@@ -853,9 +804,7 @@ func (n *Network) Reroute(vc cell.VCI, newPath []topology.NodeID) error {
 	}
 	n.inflight = kept
 	n.trace(TraceReroute, vc, -1, -1, 0)
-	c.Path = append([]topology.NodeID(nil), newPath...)
-	c.hops = hops
-	c.firstIdx = n.orderIdx[newPath[1]]
+	n.bind(c, newPath, r)
 	// Reset ingress window accounting: outstanding cells were dropped.
 	// (Callers modeling the credit protocol follow up with ResyncIngress.)
 	c.inUse = 0
@@ -865,12 +814,6 @@ func (n *Network) Reroute(vc cell.VCI, newPath []topology.NodeID) error {
 // Step advances the whole network one cell slot.
 func (n *Network) Step() {
 	now := n.slot
-
-	// 0. (Event-driven) Wake switches whose queued arrivals are due, so
-	// delivery below finds them awake with settled slot clocks.
-	if n.eventDriven {
-		n.drainDueWakes(now)
-	}
 
 	// 1. Ingress credits return to source hosts.
 	keptCr := n.credits[:0]
@@ -921,13 +864,10 @@ func (n *Network) Step() {
 			n.stats.DroppedReroute++
 			continue
 		}
-		// Defensive wake: an arrival ends quiescence, so a sleeping
-		// receiver settles its clock before the cell lands. Normally the
-		// wakeQ entry pushed at departure already woke it this slot.
-		if n.eventDriven && f.toIdx >= 0 {
-			n.wakeIdx(f.toIdx)
-		}
-		sw := n.switches[f.to]
+		// An arrival ends quiescence: a sleeping receiver settles its
+		// clock before the cell lands.
+		n.wakeIdx(f.toIdx)
+		sw := n.switchByIdx[f.toIdx]
 		if c.Class == cell.Guaranteed {
 			sw.EnqueueGuaranteed(h.inPort, f.c, h.outPort)
 		} else {
@@ -936,25 +876,12 @@ func (n *Network) Step() {
 	}
 	n.inflight = keptFl
 
-	// 4. Step the live, non-sleeping switches — in parallel when the
-	// worker pool allows it — then route departures onto links in
-	// canonical (ascending NodeID) order. The flat engine visits every
-	// live switch (quiescent ones via the O(1) idle step); the wake-set
-	// engine visits only the awake set and retires newly quiescent
-	// switches to the wake queue. Switches share no state during a slot,
-	// so parallel stepping with ordered application is byte-identical to
-	// sequential, and both engines produce identical results.
-	if n.eventDriven {
-		n.stepSwitchesWake()
-		n.sleepSweep(now)
-		for _, idx := range n.active {
-			n.applyDepartures(idx, now)
-		}
-	} else {
-		n.stepSwitches()
-		for idx := range n.switchOrder {
-			n.applyDepartures(idx, now)
-		}
+	// 4. Step the awake switches, retiring the quiescent ones to sleep,
+	// then route departures onto links in canonical (ascending NodeID)
+	// order.
+	n.stepAwake(now)
+	for _, idx := range n.active {
+		n.applyDepartures(idx, now)
 	}
 
 	n.slot++
@@ -965,9 +892,9 @@ func (n *Network) Step() {
 }
 
 // applyDepartures routes the departures the switch at switchOrder
-// position idx produced this slot onto its outgoing links. Callers invoke
-// it in ascending idx order — the canonical application order both engines
-// share. It consumes (and nils) stepDeps[idx].
+// position idx produced this slot onto its outgoing links. Step invokes it
+// in ascending idx order, the canonical application order. It consumes (and
+// nils) stepDeps[idx].
 func (n *Network) applyDepartures(idx int, now int64) {
 	deps := n.stepDeps[idx]
 	if deps == nil {
@@ -999,18 +926,14 @@ func (n *Network) applyDepartures(idx int, now int64) {
 			isHost: h.nextIsHost,
 			toIdx:  h.nextIdx,
 		})
-		if n.eventDriven && h.nextIdx >= 0 && n.swState[h.nextIdx] == swAsleep {
-			n.wakeQ.Push(eventsim.Time(now+h.linkLatency), h.nextIdx)
-		}
 		n.linkCells[h.linkID]++
 		if n.cfg.TraceHops {
 			n.trace(TraceHop, d.Cell.VC, s, h.linkID, d.Cell.Stamp.Seq)
 		}
 		// First-switch departure returns an ingress credit.
 		if c.Class == cell.BestEffort && c.window > 0 && s == c.Path[1] {
-			firstLink, _ := n.g.LinkBetween(c.Path[0], c.Path[1])
 			n.credits = append(n.credits, ingressCredit{
-				arrive: now + firstLink.Latency,
+				arrive: now + c.firstLatency,
 				vc:     c.VC,
 			})
 		}
@@ -1061,103 +984,15 @@ func (n *Network) observeSlot(now int64) {
 	}
 }
 
-// stepSwitches advances every live switch one slot, filling stepDeps by
-// switchOrder position. With more than one worker the per-switch Step
-// calls are fanned across a bounded pool; the WaitGroup is the slot
-// barrier. Each switch owns all state its Step touches (buffers, crossbar,
-// scheduler RNG), so work-stealing the index order is safe: only the
-// deterministic application order in Step matters for results. The
-// departure slices are scratch owned by each switch, valid until that
-// switch's next Step — i.e. for the rest of this slot.
-func (n *Network) stepSwitches() {
-	if n.workers <= 1 || len(n.switchOrder) < 2 {
-		var skipped int64
-		if n.groups != nil {
-			for _, grp := range n.groups {
-				for _, idx := range grp {
-					skipped += n.stepOne(idx)
-				}
-			}
-		} else {
-			for idx := range n.switchOrder {
-				skipped += n.stepOne(idx)
-			}
-		}
-		n.stats.IdleStepsSkipped += skipped
-		return
-	}
-	var next int64 = -1
-	var skipped int64
-	var wg sync.WaitGroup
-	wg.Add(n.workers)
-	for w := 0; w < n.workers; w++ {
-		go func() {
-			defer wg.Done()
-			var local int64
-			if n.groups != nil {
-				// Pod-sharded fan-out: workers claim whole groups, so a
-				// pod's (id-contiguous, cache-warm) switches stay on one
-				// worker and a fully quiescent pod costs one claim.
-				for {
-					gi := int(atomic.AddInt64(&next, 1))
-					if gi >= len(n.groups) {
-						break
-					}
-					for _, idx := range n.groups[gi] {
-						local += n.stepOne(idx)
-					}
-				}
-			} else {
-				for {
-					idx := int(atomic.AddInt64(&next, 1))
-					if idx >= len(n.switchOrder) {
-						break
-					}
-					local += n.stepOne(idx)
-				}
-			}
-			if local > 0 {
-				atomic.AddInt64(&skipped, local)
-			}
-		}()
-	}
-	wg.Wait()
-	n.stats.IdleStepsSkipped += skipped
-}
-
-// stepOne advances the switch at switchOrder position idx: dead switches
-// do nothing, quiescent switches take the O(1) idle step (observably
-// identical to a full Step — see switchnode.Quiescent), the rest run a
-// full Step. It returns 1 when the idle path was taken.
-func (n *Network) stepOne(idx int) int64 {
-	s := n.switchOrder[idx]
-	if n.deadNodes[s] {
-		n.stepDeps[idx] = nil
-		return 0
-	}
-	sw := n.switches[s]
-	if sw.Quiescent() {
-		sw.StepIdle()
-		n.stepDeps[idx] = nil
-		return 1
-	}
-	n.stepDeps[idx] = sw.Step()
-	return 0
-}
-
 // inject moves source-pending cells onto the first link. CBR circuits
 // (SetCBR) synthesize a cell at every pacing slot their pending queue
 // cannot cover, so a constant-bit-rate source never goes idle.
 func (n *Network) inject(c *Circuit, now int64) {
-	if len(c.pending) == 0 && !c.cbr {
+	if c.queued() == 0 && !c.cbr {
 		return
 	}
 	first := c.Path[1]
-	if n.deadNodes[first] {
-		return
-	}
-	link, ok := n.g.LinkBetween(c.Path[0], first)
-	if !ok || n.deadLinks[link.ID] {
+	if n.deadNodes[first] || n.deadLinks[c.firstLink] {
 		return
 	}
 	budget := 1 // host link carries one cell per slot per circuit
@@ -1179,9 +1014,12 @@ func (n *Network) inject(c *Circuit, now int64) {
 	}
 	for b := 0; b < budget; b++ {
 		var cl cell.Cell
-		if len(c.pending) > 0 {
-			cl = c.pending[0]
-			c.pending = c.pending[1:]
+		if c.queued() > 0 {
+			cl = c.pending[c.pendHead]
+			c.pendHead++
+			if c.pendHead == len(c.pending) {
+				c.pending, c.pendHead = c.pending[:0], 0
+			}
 		} else if c.cbr {
 			// Synthesize the circuit's CBR cell: fresh sequence number,
 			// stamped at this injection like any other cell.
@@ -1203,19 +1041,16 @@ func (n *Network) inject(c *Circuit, now int64) {
 			h.stats.CellsSent++
 		}
 		n.inflight = append(n.inflight, flight{
-			arrive: now + link.Latency,
+			arrive: now + c.firstLatency,
 			c:      cl,
 			to:     first,
-			link:   link.ID,
+			link:   c.firstLink,
 			isHost: false,
 			toIdx:  c.firstIdx,
 		})
-		if n.eventDriven && n.swState[c.firstIdx] == swAsleep {
-			n.wakeQ.Push(eventsim.Time(now+link.Latency), c.firstIdx)
-		}
-		n.linkCells[link.ID]++
+		n.linkCells[c.firstLink]++
 		n.obsInjected.Inc(0)
-		n.trace(TraceInject, cl.VC, first, link.ID, cl.Stamp.Seq)
+		n.trace(TraceInject, cl.VC, first, c.firstLink, cl.Stamp.Seq)
 	}
 }
 

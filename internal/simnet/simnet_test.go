@@ -40,6 +40,15 @@ func lineNet(t *testing.T, k int, linkLatency int64, cfg Config) (*Network, topo
 	return n, h0, h1, path
 }
 
+// requireEngineInvariant fails the test if the stepping engine's per-slot
+// invariant (CheckEngineInvariant) does not hold.
+func requireEngineInvariant(t *testing.T, n *Network) {
+	t.Helper()
+	if err := n.CheckEngineInvariant(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestValidation(t *testing.T) {
 	if _, err := New(Config{}); !errors.Is(err, ErrNoTopology) {
 		t.Fatalf("err = %v", err)

@@ -1,23 +1,20 @@
 package simnet
 
 import (
+	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
-	"repro/internal/eventsim"
 	"repro/internal/topology"
 )
 
-// Wake-set slot engine (Config.EventDriven).
+// Wake-set slot engine — the only stepping engine.
 //
-// The flat engine visits every switch every slot; with the O(1) idle step
-// that visit is cheap but still O(#switches). The wake-set engine removes
-// the floor: a switch that finishes a slot quiescent (see
-// switchnode.Quiescent) is put to sleep — dropped from the active list and
-// skipped entirely — and its slot clock is settled lazily, in one batch
-// AdvanceIdle call, when something next touches it. The invariant making
-// this byte-identical to flat stepping is
+// A switch that finishes a slot quiescent (see switchnode.Quiescent) is put
+// to sleep — dropped from the active list and skipped entirely — and its
+// slot clock is settled lazily, in one batch AdvanceIdle call, when
+// something next touches it. A slot therefore costs O(awake switches +
+// cells in motion), whatever the topology's size. The invariant that makes
+// this indistinguishable from visiting every switch every slot is
 //
 //	asleep ⇒ quiescent for the whole sleeping span,
 //
@@ -25,45 +22,31 @@ import (
 // only an external event — a cell arriving off a link, a reservation
 // installed by circuit setup/reroute/restore, a fault transition, or a
 // direct mutation through the Switch accessor — can end quiescence, and
-// every one of those paths wakes the switch first. Cell arrivals are
-// indexed in wakeQ (an eventsim.WakeQueue keyed by arrival slot, pushed
-// only when the target is asleep) and popped at the top of each Step; the
-// enqueue in Step's delivery phase also wakes defensively, so a stale or
-// missing queue entry can cost a spurious wake but never a missed one.
-// Spurious wakes are observation-neutral: the switch re-sleeps at the end
-// of the slot with identical counters.
+// every one of those paths wakes the switch first. Cells on links belong
+// to the network, not to a switch, and Step's delivery phase is the single
+// point where one enters a switch, so that is where arrivals wake their
+// target; no index of pending arrivals is kept. A wake that turns out to be
+// unnecessary is observation-neutral: the switch re-sleeps at the end of
+// the slot with identical counters. CheckEngineInvariant states the
+// invariant as a per-slot check.
 //
-// All wake/sleep transitions happen on the Step goroutine; workers only
-// read swState and write wantSleep at distinct indexes, so the engine
-// composes with Config.Workers and Config.StepGroups unchanged (a fully
-// sleeping pod costs one groupAwake check per slot).
+// Stepping is sequential on the caller's goroutine. Fanning switches out
+// across a worker pool was measured slower at every fabric size tried
+// (DESIGN.md §13), so no goroutine is ever spawned per slot.
 const (
 	swAwake uint8 = iota
 	swAsleep
 	swDead
 )
 
-// initWake switches the network into event-driven stepping. Every live
-// switch starts awake and sleeps itself at the end of its first quiescent
-// slot.
+// initWake starts every live switch awake; each sleeps itself at the end
+// of its first quiescent slot.
 func (n *Network) initWake() {
-	n.eventDriven = true
 	n.swState = make([]uint8, len(n.switchOrder))
 	n.sleepSince = make([]int64, len(n.switchOrder))
-	n.wantSleep = make([]bool, len(n.switchOrder))
-	n.active = make([]int, 0, len(n.switchOrder))
-	for idx := range n.switchOrder {
-		n.active = append(n.active, idx)
-	}
-	if n.groups != nil {
-		n.groupOf = make([]int, len(n.switchOrder))
-		n.groupAwake = make([]int, len(n.groups))
-		for gi, grp := range n.groups {
-			n.groupAwake[gi] = len(grp)
-			for _, idx := range grp {
-				n.groupOf[idx] = gi
-			}
-		}
+	n.active = make([]int, len(n.switchOrder))
+	for idx := range n.active {
+		n.active[idx] = idx
 	}
 }
 
@@ -88,10 +71,8 @@ func (n *Network) removeActive(idx int) {
 
 // wakeIdx wakes the switch at switchOrder position idx: the skipped span
 // [sleepSince, n.slot) is settled in one AdvanceIdle batch and credited to
-// IdleStepsSkipped — exactly what per-slot idle stepping would have
-// accumulated — and the switch rejoins the active list for the current
-// slot. Waking an awake or dead switch is a no-op. Must run on the Step
-// goroutine.
+// IdleStepsSkipped, and the switch rejoins the active list for the current
+// slot. Waking an awake or dead switch is a no-op.
 func (n *Network) wakeIdx(idx int) {
 	if n.swState[idx] != swAsleep {
 		return
@@ -100,167 +81,84 @@ func (n *Network) wakeIdx(idx int) {
 		n.switchByIdx[idx].AdvanceIdle(k)
 		n.stats.IdleStepsSkipped += k
 	}
+	n.asleep--
+	n.sleepSum -= n.sleepSince[idx]
 	n.swState[idx] = swAwake
 	n.insertActive(idx)
-	if n.groupAwake != nil {
-		n.groupAwake[n.groupOf[idx]]++
-	}
 }
 
-// wakeNode is wakeIdx keyed by NodeID; safe to call in flat mode or for
-// non-switch nodes (no-op).
+// wakeNode is wakeIdx keyed by NodeID; a no-op for non-switch nodes.
 func (n *Network) wakeNode(id topology.NodeID) {
-	if !n.eventDriven {
-		return
-	}
 	if idx, ok := n.orderIdx[id]; ok {
 		n.wakeIdx(idx)
 	}
 }
 
-// drainDueWakes wakes every switch whose queued arrival slot is due. Run
-// at the top of each Step so arrivals delivered this slot find their
-// switch awake with a settled clock.
-func (n *Network) drainDueWakes(now int64) {
-	for {
-		idx, ok := n.wakeQ.PopDue(eventsim.Time(now))
-		if !ok {
-			return
-		}
-		n.wakeIdx(idx)
-	}
-}
-
-// drainAllWakes empties the wake queue regardless of due time, waking
-// every queued switch. Early wakes are observation-neutral; fast-forward
-// uses this so no pending catch-up spans the skipped region.
-func (n *Network) drainAllWakes() {
-	for {
-		idx, ok := n.wakeQ.Pop()
-		if !ok {
-			return
-		}
-		n.wakeIdx(idx)
-	}
-}
-
-// sleepSweep retires the switches stepSwitchesWake marked quiescent this
-// slot: they leave the active list with sleepSince = now (this slot is the
-// first of the skipped span — flat stepping would have idle-stepped it).
-// Runs after the slot barrier, before departures are applied, so departure
-// routing sees the updated sleep states when deciding to push wakeQ
-// entries.
-func (n *Network) sleepSweep(now int64) {
+// stepAwake advances the awake switches one slot, filling stepDeps by
+// switchOrder position. A quiescent switch is put to sleep instead: it
+// leaves the active list with sleepSince = now — this slot is the first of
+// the skipped span, settled with the rest when the switch next wakes. The
+// departure slices are scratch owned by each switch, valid until that
+// switch's next Step — i.e. for the rest of this slot.
+func (n *Network) stepAwake(now int64) {
 	kept := n.active[:0]
 	for _, idx := range n.active {
-		if !n.wantSleep[idx] {
-			kept = append(kept, idx)
+		sw := n.switchByIdx[idx]
+		if sw.Quiescent() {
+			n.swState[idx] = swAsleep
+			n.sleepSince[idx] = now
+			n.asleep++
+			n.sleepSum += now
 			continue
 		}
-		n.wantSleep[idx] = false
-		n.swState[idx] = swAsleep
-		n.sleepSince[idx] = now
-		if n.groupAwake != nil {
-			n.groupAwake[n.groupOf[idx]]--
-		}
+		n.stepDeps[idx] = sw.Step()
+		kept = append(kept, idx)
 	}
 	n.active = kept
 }
 
-// stepOneWake is stepOne for the wake engine: a quiescent switch is marked
-// for sleep instead of idle-stepped (its clock catches up at wake), dead
-// switches cannot appear (they are never in the active set).
-func (n *Network) stepOneWake(idx int) {
-	sw := n.switchByIdx[idx]
-	if sw.Quiescent() {
-		n.wantSleep[idx] = true
-		n.stepDeps[idx] = nil
-		return
-	}
-	n.stepDeps[idx] = sw.Step()
-}
-
-// smallActive is the active-set size below which the wake engine steps
-// sequentially even with a worker pool: spawning workers costs more than
-// stepping a handful of switches, and scheduling never affects results.
-const smallActive = 32
-
-// stepSwitchesWake advances the awake switches only. Ungrouped workers
-// claim positions in the sorted active list; grouped workers claim whole
-// groups and skip fully sleeping ones in O(1) via groupAwake.
-func (n *Network) stepSwitchesWake() {
-	if n.groups != nil {
-		if n.workers <= 1 || len(n.active) < smallActive {
-			for gi, grp := range n.groups {
-				if n.groupAwake[gi] == 0 {
-					continue
-				}
-				for _, idx := range grp {
-					if n.swState[idx] == swAwake {
-						n.stepOneWake(idx)
-					}
-				}
-			}
-			return
-		}
-		var next int64 = -1
-		var wg sync.WaitGroup
-		wg.Add(n.workers)
-		for w := 0; w < n.workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					gi := int(atomic.AddInt64(&next, 1))
-					if gi >= len(n.groups) {
-						return
-					}
-					if n.groupAwake[gi] == 0 {
-						continue
-					}
-					for _, idx := range n.groups[gi] {
-						if n.swState[idx] == swAwake {
-							n.stepOneWake(idx)
-						}
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		return
-	}
-	if n.workers <= 1 || len(n.active) < smallActive {
-		for _, idx := range n.active {
-			n.stepOneWake(idx)
-		}
-		return
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	wg.Add(n.workers)
-	for w := 0; w < n.workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(n.active) {
-					return
-				}
-				n.stepOneWake(n.active[i])
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // pendingIdle returns the idle slots accrued by still-sleeping switches
-// that have not yet been folded into stats.IdleStepsSkipped, so Stats()
-// reports the same total as flat stepping at any observation point.
+// that have not yet been folded into stats.IdleStepsSkipped:
+// Σ(slot − sleepSince) over the sleeping set, kept as a running count and
+// sum so reading it does not visit the switches.
 func (n *Network) pendingIdle() int64 {
-	var pending int64
+	return n.asleep*n.slot - n.sleepSum
+}
+
+// CheckEngineInvariant verifies, between slots, what the single engine
+// rests on: every sleeping switch is quiescent; the active list is exactly
+// the awake switches, sorted and duplicate-free; and the running sleep
+// totals match the per-switch states. It reads only — calling it never
+// wakes a switch or perturbs a trajectory.
+func (n *Network) CheckEngineInvariant() error {
+	var asleep, sleepSum int64
+	awake := 0
 	for idx, st := range n.swState {
-		if st == swAsleep {
-			pending += n.slot - n.sleepSince[idx]
+		switch st {
+		case swAsleep:
+			if !n.switchByIdx[idx].Quiescent() {
+				return fmt.Errorf("simnet: slot %d: switch %d asleep but not quiescent", n.slot, n.switchOrder[idx])
+			}
+			asleep++
+			sleepSum += n.sleepSince[idx]
+		case swAwake:
+			awake++
 		}
 	}
-	return pending
+	if asleep != n.asleep || sleepSum != n.sleepSum {
+		return fmt.Errorf("simnet: slot %d: sleep totals (%d, %d) drifted from switch states (%d, %d)",
+			n.slot, n.asleep, n.sleepSum, asleep, sleepSum)
+	}
+	if len(n.active) != awake {
+		return fmt.Errorf("simnet: slot %d: active list has %d entries, %d switches awake", n.slot, len(n.active), awake)
+	}
+	for i, idx := range n.active {
+		if n.swState[idx] != swAwake {
+			return fmt.Errorf("simnet: slot %d: active list holds switch %d, which is not awake", n.slot, n.switchOrder[idx])
+		}
+		if i > 0 && n.active[i-1] >= idx {
+			return fmt.Errorf("simnet: slot %d: active list unsorted or duplicated at position %d", n.slot, i)
+		}
+	}
+	return nil
 }

@@ -1,0 +1,67 @@
+package simnet
+
+import (
+	"testing"
+
+	"repro/internal/cell"
+	"repro/internal/switchnode"
+)
+
+// TestIdleNetworkSleepsAndCountsEverySlot: with no traffic every switch
+// dozes off in slot 0 and is never stepped again, yet IdleStepsSkipped
+// reads switches × slots at any moment — the count per-slot idle stepping
+// would have produced — without a wake to settle it.
+func TestIdleNetworkSleepsAndCountsEverySlot(t *testing.T) {
+	n, _, _, _ := lineNet(t, 3, 1, Config{Switch: switchnode.Config{N: 4, FrameSlots: 8}})
+	for slots := int64(1); slots <= 50; slots++ {
+		n.Step()
+		requireEngineInvariant(t, n)
+		if got := n.Stats().IdleStepsSkipped; got != 3*slots {
+			t.Fatalf("after %d idle slots IdleStepsSkipped = %d, want %d", slots, got, 3*slots)
+		}
+	}
+	if len(n.active) != 0 {
+		t.Fatalf("%d switches still awake on an idle network", len(n.active))
+	}
+	// A wake settles the sleeper's own clock to the network's.
+	sw, _ := n.Switch(0)
+	if sw.Slot() != n.Slot() {
+		t.Fatalf("woken switch clock %d, network slot %d", sw.Slot(), n.Slot())
+	}
+	requireEngineInvariant(t, n)
+}
+
+// TestEngineInvariantCatchesViolations breaks the engine's bookkeeping one
+// way at a time and requires CheckEngineInvariant to notice, so the
+// per-slot checks in the fuzz and chaos harnesses are not vacuous.
+func TestEngineInvariantCatchesViolations(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(n *Network)
+	}{
+		{"cell in a sleeping switch", func(n *Network) {
+			n.switchByIdx[1].EnqueueBestEffort(0, cell.Cell{VC: 1}, 1)
+		}},
+		{"sleeper left on the active list", func(n *Network) { n.active = append(n.active, 1) }},
+		{"awake switch missing from the active list", func(n *Network) {
+			n.wakeIdx(1)
+			n.active = n.active[:0]
+		}},
+		{"active list out of order", func(n *Network) {
+			n.wakeIdx(0)
+			n.wakeIdx(2)
+			n.active[0], n.active[1] = n.active[1], n.active[0]
+		}},
+		{"sleep totals drifted", func(n *Network) { n.sleepSum++ }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, _, _, _ := lineNet(t, 3, 1, Config{Switch: switchnode.Config{N: 4, FrameSlots: 8}})
+			n.Run(4)
+			requireEngineInvariant(t, n)
+			tc.mutate(n)
+			if err := n.CheckEngineInvariant(); err == nil {
+				t.Fatal("violation went undetected")
+			}
+		})
+	}
+}

@@ -337,19 +337,17 @@ func (s *Switch) Buffered() int { return s.buffered }
 // guaranteed frame is empty. In that state phase 1 makes no connection and
 // updates no counter (GuaranteedSlotsFree counts only reserved slots), and
 // phase 2 raises no request, so the matcher — and its private randomness —
-// is never invoked. Pod-sharded simulation uses this to skip idle
-// switches while preserving byte-identical results.
+// is never invoked.
 //
-// Quiescence is also the wake-set engine's sleep invariant. A quiescent
-// switch stays quiescent until an external event touches it — a cell or
-// credit arrival (EnqueueBestEffort/EnqueueGuaranteed), a reservation
-// (Reserve/SetFrame), or fault repair — because Step itself never creates
-// work on an empty switch. The simnet wake-set engine therefore puts
-// quiescent switches to sleep, skips them entirely during Step, and calls
-// AdvanceIdle to settle the skipped span when one of those events wakes
-// the switch: any interleaving of sleeps and wakes yields the same state
-// as stepping every slot, as long as every mutating entry point wakes the
-// switch first.
+// Quiescence is the simnet engine's sleep invariant. A quiescent switch
+// stays quiescent until an external event touches it — a cell arrival
+// (EnqueueBestEffort/EnqueueGuaranteed), a reservation (Reserve/SetFrame),
+// or fault repair — because Step itself never creates work on an empty
+// switch. simnet therefore puts quiescent switches to sleep, skips them
+// entirely during its Step, and calls AdvanceIdle to settle the skipped
+// span when one of those events wakes the switch: any interleaving of
+// sleeps and wakes yields the same state as stepping every slot, as long
+// as every mutating entry point wakes the switch first.
 func (s *Switch) Quiescent() bool { return s.buffered == 0 && s.frame.Cells() == 0 }
 
 // StepIdle advances the slot clock exactly as a full Step of a quiescent
@@ -361,8 +359,8 @@ func (s *Switch) StepIdle() {
 }
 
 // AdvanceIdle advances the slot clock by k slots in one call — the batch
-// form of StepIdle the wake-set engine uses to settle a sleeping switch's
-// skipped span when it wakes. Callers must ensure the switch was quiescent
+// form of StepIdle simnet uses to settle a sleeping switch's skipped span
+// when it wakes. Callers must ensure the switch was quiescent
 // for the whole span (see Quiescent); k <= 0 is a no-op.
 func (s *Switch) AdvanceIdle(k int64) {
 	if k <= 0 {

@@ -48,8 +48,7 @@ type FatTreeConfig struct {
 // FatTreeInfo describes the generated fabric: the resolved configuration,
 // the derived layer sizes, and the node-id layout. Pod switch ids are
 // contiguous (edges then aggs per pod) and spines follow the last pod, so
-// pod p's switches occupy one dense NodeID range — the property the
-// pod-sharded simulator relies on.
+// pod p's switches occupy one dense NodeID range.
 type FatTreeInfo struct {
 	Config FatTreeConfig
 
