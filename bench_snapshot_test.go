@@ -37,337 +37,170 @@ func loadSnapshot(t *testing.T, path string) map[string]benchSnapshot {
 	return out
 }
 
-// TestBenchTrajectoryNoE2Regression compares the committed an2bench
-// snapshots across PRs: the observability layer (BENCH_5) must not have
-// changed E2's measured results at all, and must not have slowed the
-// experiment by more than 5% — the hot path carries only nil-checked
-// instrument handles when obs is disabled, which an2bench's default run
-// is.
+// rows flattens a record's two-column tables into label -> value.
+func (r benchSnapshot) rows() map[string]string {
+	out := make(map[string]string)
+	for _, tab := range r.Tables {
+		for _, row := range tab.Rows {
+			if len(row) >= 2 {
+				out[row[0]] = row[1]
+			}
+		}
+	}
+	return out
+}
+
+// benchTrajectory lists the committed an2bench snapshots in PR order with
+// the experiments each one introduced. The next snapshot is one more row.
+var benchTrajectory = []struct {
+	pr   int
+	adds []string
+}{
+	{2, nil},
+	{5, []string{"E27", "E28", "E29"}}, // recovery, chaos, observability
+	{6, []string{"E30"}},               // the fabric subsystem
+	{7, []string{"E31"}},               // wake-set stepping
+	{8, []string{"E32"}},               // service mode
+	{9, []string{"E33"}},               // survivable service
+	{10, []string{"E34"}},              // cross-process tracing
+}
+
+// benchHeadlines are the per-experiment promises, each checked in the
+// snapshots from pr through until (0 = every later one).
+var benchHeadlines = []struct {
+	pr, until int
+	id        string
+	check     func(t *testing.T, where string, rec benchSnapshot)
+}{
+	// E31: a ≥5× measured wake-set speedup, byte-identical to flat
+	// stepping, on the 720-switch radix-24 fat-tree at <1% activity.
+	{7, 7, "E31", func(t *testing.T, where string, rec benchSnapshot) {
+		best, found := 0.0, false
+		for _, row := range rec.Tables[0].Rows {
+			// topology | switches | active | workers | flat | wake | speedup | identical
+			if len(row) < 8 || !strings.Contains(row[0], "r24") {
+				continue
+			}
+			found = true
+			if row[7] != "yes" {
+				t.Errorf("%s: E31 radix-24 row not byte-identical: %v", where, row)
+			}
+			sp, err := strconv.ParseFloat(row[6], 64)
+			if err != nil {
+				t.Errorf("%s: E31 radix-24 speedup column unparseable: %v", where, row)
+			}
+			best = max(best, sp)
+		}
+		if !found {
+			t.Errorf("%s: E31 has no radix-24 fat-tree rows", where)
+		} else if best < 5.0 {
+			t.Errorf("%s: E31 radix-24 wake-set speedup %.2fx below the promised 5x", where, best)
+		}
+	}},
+	// E32: the loopback run actually completed its ≥10⁵ flows.
+	{8, 0, "E32", func(t *testing.T, where string, rec benchSnapshot) {
+		row := rec.rows()["flows completed"]
+		if n, err := strconv.ParseInt(row, 10, 64); err != nil || n < 100_000 {
+			t.Errorf("%s: E32 flows completed = %q, below the promised 1e5", where, row)
+		}
+	}},
+	// E33: every live tenant re-attached after the mid-churn
+	// kill+restart, and no orphan VC survives lease expiry.
+	{9, 0, "E33", func(t *testing.T, where string, rec benchSnapshot) {
+		r := rec.rows()
+		if live, re := r["live tenants"], r["tenants re-attached"]; live == "" || live != re {
+			t.Errorf("%s: E33 tenants re-attached (%q) != live tenants (%q) — the fleet did not fully recover", where, re, live)
+		}
+		if orphans := r["orphan VCs after lease expiry"]; orphans != "0" {
+			t.Errorf("%s: E33 orphan VCs after lease expiry = %q, want 0", where, orphans)
+		}
+	}},
+	// E33: jittered backoff's peak retransmit rate strictly below fixed
+	// pacing's.
+	{9, 9, "E33", func(t *testing.T, where string, rec benchSnapshot) {
+		r := rec.rows()
+		fixed, err1 := strconv.ParseInt(r["peak retransmits per 20ms (fixed pacing)"], 10, 64)
+		jitter, err2 := strconv.ParseInt(r["peak retransmits per 20ms (jittered backoff)"], 10, 64)
+		if err1 != nil || err2 != nil {
+			t.Errorf("%s: E33 herd peak rows unparseable: fixed=%q jittered=%q", where,
+				r["peak retransmits per 20ms (fixed pacing)"], r["peak retransmits per 20ms (jittered backoff)"])
+		} else if jitter >= fixed {
+			t.Errorf("%s: E33 jittered backoff peak %d not below fixed-pacing peak %d", where, jitter, fixed)
+		}
+	}},
+	// E33: the unavailability window reconstructed from merged spans alone
+	// lands within ±10% of ground truth.
+	{10, 0, "E33", func(t *testing.T, where string, rec benchSnapshot) {
+		row := rec.rows()["trace window error (%)"]
+		if e, err := strconv.ParseFloat(row, 64); err != nil || e < 0 || e > 10.0 {
+			t.Errorf("%s: E33 trace window error = %q, want within 10%% of ground truth", where, row)
+		}
+	}},
+	// E34: tracing disabled adds exactly 0 allocs to the request hot path.
+	{10, 0, "E34", func(t *testing.T, where string, rec benchSnapshot) {
+		r := rec.rows()
+		if added := r["added allocs/op (tracing disabled)"]; added != "0.00" {
+			t.Errorf("%s: E34 tracing disabled added %q allocs/op to the request hot path, want exactly 0.00", where, added)
+		}
+		if _, err := strconv.ParseFloat(r["throughput overhead (%)"], 64); err != nil {
+			t.Errorf("%s: E34 throughput-overhead row unparseable: %q", where, r["throughput overhead (%)"])
+		}
+	}},
+}
+
+// TestBenchTrajectoryNoE2Regression walks the committed an2bench snapshots
+// in PR order. In every one, E2's measured results are exactly BENCH_2's
+// and its wall time within 5% of BENCH_2's (nothing added since — obs
+// handles, the transport abstraction, leases, span plumbing — may touch
+// the default data plane); no experiment of the previous snapshot has
+// vanished and the ones the PR introduced are present; E30's tables stay
+// byte-identical from the snapshot that introduced them (BENCH_6 ran them
+// on flat stepping, BENCH_7 on the wake set: the engine-equivalence
+// proof); and each headline promise holds where it was made.
 func TestBenchTrajectoryNoE2Regression(t *testing.T) {
-	old := loadSnapshot(t, "BENCH_2.json")
-	cur := loadSnapshot(t, "BENCH_5.json")
-	prev, ok := old["E2"]
-	if !ok {
-		t.Fatal("BENCH_2.json has no E2 record")
-	}
-	now, ok := cur["E2"]
-	if !ok {
-		t.Fatal("BENCH_5.json has no E2 record")
-	}
-	if !reflect.DeepEqual(prev.Tables, now.Tables) {
-		t.Errorf("E2 tables changed between snapshots:\nold: %+v\nnew: %+v", prev.Tables, now.Tables)
-	}
-	if limit := prev.WallMillis + prev.WallMillis/20; now.WallMillis > limit {
-		t.Errorf("E2 wall time regressed: %d ms -> %d ms (limit %d)", prev.WallMillis, now.WallMillis, limit)
-	}
-	// The new snapshot must be a superset: every earlier experiment still
-	// present, plus the recovery/chaos/observability additions.
-	for id := range old {
-		if _, ok := cur[id]; !ok {
-			t.Errorf("experiment %s vanished from BENCH_5.json", id)
+	var first, prev map[string]benchSnapshot
+	for _, s := range benchTrajectory {
+		where := "BENCH_" + strconv.Itoa(s.pr) + ".json"
+		cur := loadSnapshot(t, where)
+		e2, ok := cur["E2"]
+		if !ok {
+			t.Fatalf("%s has no E2 record", where)
 		}
-	}
-	for _, id := range []string{"E27", "E28", "E29"} {
-		if _, ok := cur[id]; !ok {
-			t.Errorf("experiment %s missing from BENCH_5.json", id)
-		}
-	}
-
-	// BENCH_6 (the fabric subsystem PR) extends the same trajectory: E2
-	// still bit-identical to the original snapshot and within the wall
-	// budget, nothing lost since BENCH_5, and the fabric experiment
-	// present — its numbers are the regression floor for the next PR.
-	fab := loadSnapshot(t, "BENCH_6.json")
-	now6, ok := fab["E2"]
-	if !ok {
-		t.Fatal("BENCH_6.json has no E2 record")
-	}
-	if !reflect.DeepEqual(prev.Tables, now6.Tables) {
-		t.Errorf("E2 tables changed in BENCH_6.json:\nold: %+v\nnew: %+v", prev.Tables, now6.Tables)
-	}
-	if limit := prev.WallMillis + prev.WallMillis/20; now6.WallMillis > limit {
-		t.Errorf("E2 wall time regressed in BENCH_6: %d ms -> %d ms (limit %d)", prev.WallMillis, now6.WallMillis, limit)
-	}
-	for id := range cur {
-		if _, ok := fab[id]; !ok {
-			t.Errorf("experiment %s vanished from BENCH_6.json", id)
-		}
-	}
-	if _, ok := fab["E30"]; !ok {
-		t.Error("experiment E30 missing from BENCH_6.json")
-	}
-
-	// BENCH_7 (the event-driven stepping PR): E2 still on trajectory, and
-	// — the engine-equivalence proof — E30's tables byte-identical to
-	// BENCH_6's even though the experiment now runs on the wake-set engine
-	// (the BENCH_6 tables were produced by flat stepping). E31 must be
-	// present with a ≥5× measured speedup on the 720-switch radix-24
-	// fat-tree at <1% activity.
-	ev := loadSnapshot(t, "BENCH_7.json")
-	now7, ok := ev["E2"]
-	if !ok {
-		t.Fatal("BENCH_7.json has no E2 record")
-	}
-	if !reflect.DeepEqual(prev.Tables, now7.Tables) {
-		t.Errorf("E2 tables changed in BENCH_7.json:\nold: %+v\nnew: %+v", prev.Tables, now7.Tables)
-	}
-	if limit := prev.WallMillis + prev.WallMillis/20; now7.WallMillis > limit {
-		t.Errorf("E2 wall time regressed in BENCH_7: %d ms -> %d ms (limit %d)", prev.WallMillis, now7.WallMillis, limit)
-	}
-	for id := range fab {
-		if _, ok := ev[id]; !ok {
-			t.Errorf("experiment %s vanished from BENCH_7.json", id)
-		}
-	}
-	e30old, e30new := fab["E30"], ev["E30"]
-	if !reflect.DeepEqual(e30old.Tables, e30new.Tables) {
-		t.Errorf("E30 tables changed between BENCH_6 (flat stepping) and BENCH_7 (wake-set engine) — the engines are supposed to be byte-identical:\nold: %+v\nnew: %+v",
-			e30old.Tables, e30new.Tables)
-	}
-	e31, ok := ev["E31"]
-	if !ok {
-		t.Fatal("experiment E31 missing from BENCH_7.json")
-	}
-	if len(e31.Tables) == 0 {
-		t.Fatal("E31 has no tables in BENCH_7.json")
-	}
-	best, found := 0.0, false
-	for _, row := range e31.Tables[0].Rows {
-		// topology | switches | active | workers | flat | wake | speedup | identical
-		if len(row) < 8 || !strings.Contains(row[0], "r24") {
+		if first == nil {
+			first, prev = cur, cur
 			continue
 		}
-		found = true
-		if row[7] != "yes" {
-			t.Errorf("E31 radix-24 row not byte-identical: %v", row)
+		base := first["E2"]
+		if !reflect.DeepEqual(base.Tables, e2.Tables) {
+			t.Errorf("E2 tables changed in %s:\nold: %+v\nnew: %+v", where, base.Tables, e2.Tables)
 		}
-		sp, err := strconv.ParseFloat(row[6], 64)
-		if err != nil {
-			t.Errorf("E31 radix-24 speedup column unparseable: %v", row)
-			continue
+		if limit := base.WallMillis + base.WallMillis/20; e2.WallMillis > limit {
+			t.Errorf("E2 wall time regressed in %s: %d ms -> %d ms (limit %d)", where, base.WallMillis, e2.WallMillis, limit)
 		}
-		if sp > best {
-			best = sp
-		}
-	}
-	if !found {
-		t.Error("E31 snapshot has no radix-24 fat-tree rows")
-	} else if best < 5.0 {
-		t.Errorf("E31 radix-24 wake-set speedup %.2fx below the promised 5x", best)
-	}
-
-	// BENCH_8 (the service-mode PR): E2 still on trajectory — the
-	// control-plane transport abstraction must leave the default
-	// in-memory path byte-identical — nothing lost since BENCH_7, E30
-	// still byte-identical (the fabric runs were untouched), and E32
-	// present having actually completed its ≥10⁵-flow loopback run.
-	svc := loadSnapshot(t, "BENCH_8.json")
-	now8, ok := svc["E2"]
-	if !ok {
-		t.Fatal("BENCH_8.json has no E2 record")
-	}
-	if !reflect.DeepEqual(prev.Tables, now8.Tables) {
-		t.Errorf("E2 tables changed in BENCH_8.json:\nold: %+v\nnew: %+v", prev.Tables, now8.Tables)
-	}
-	if limit := prev.WallMillis + prev.WallMillis/20; now8.WallMillis > limit {
-		t.Errorf("E2 wall time regressed in BENCH_8: %d ms -> %d ms (limit %d)", prev.WallMillis, now8.WallMillis, limit)
-	}
-	for id := range ev {
-		if _, ok := svc[id]; !ok {
-			t.Errorf("experiment %s vanished from BENCH_8.json", id)
-		}
-	}
-	e30svc := svc["E30"]
-	if !reflect.DeepEqual(e30new.Tables, e30svc.Tables) {
-		t.Errorf("E30 tables changed between BENCH_7 and BENCH_8 — the transport refactor must not perturb the fabric runs:\nold: %+v\nnew: %+v",
-			e30new.Tables, e30svc.Tables)
-	}
-	e32, ok := svc["E32"]
-	if !ok {
-		t.Fatal("experiment E32 missing from BENCH_8.json")
-	}
-	if len(e32.Tables) == 0 {
-		t.Fatal("E32 has no tables in BENCH_8.json")
-	}
-	flowsOK := false
-	for _, row := range e32.Tables[0].Rows {
-		if len(row) < 2 || row[0] != "flows completed" {
-			continue
-		}
-		n, err := strconv.ParseInt(row[1], 10, 64)
-		if err != nil {
-			t.Errorf("E32 flows-completed row unparseable: %v", row)
-			continue
-		}
-		if n < 100_000 {
-			t.Errorf("E32 completed %d flows, below the promised 1e5", n)
-		}
-		flowsOK = true
-	}
-	if !flowsOK {
-		t.Error("E32 snapshot has no flows-completed row")
-	}
-
-	// BENCH_9 (the survivable-service PR): E2 still on trajectory — the
-	// lease/incarnation machinery lives entirely in the service layer —
-	// nothing lost since BENCH_8, E30 still byte-identical, E32 still at
-	// ≥10⁵ flows, and E33 present with its three headline invariants:
-	// every live tenant re-attached after the mid-churn kill+restart,
-	// orphan VCs exactly 0 after lease expiry, and jittered backoff's
-	// peak retransmit rate strictly below fixed pacing's.
-	srv := loadSnapshot(t, "BENCH_9.json")
-	now9, ok := srv["E2"]
-	if !ok {
-		t.Fatal("BENCH_9.json has no E2 record")
-	}
-	if !reflect.DeepEqual(prev.Tables, now9.Tables) {
-		t.Errorf("E2 tables changed in BENCH_9.json:\nold: %+v\nnew: %+v", prev.Tables, now9.Tables)
-	}
-	if limit := prev.WallMillis + prev.WallMillis/20; now9.WallMillis > limit {
-		t.Errorf("E2 wall time regressed in BENCH_9: %d ms -> %d ms (limit %d)", prev.WallMillis, now9.WallMillis, limit)
-	}
-	for id := range svc {
-		if _, ok := srv[id]; !ok {
-			t.Errorf("experiment %s vanished from BENCH_9.json", id)
-		}
-	}
-	e30srv := srv["E30"]
-	if !reflect.DeepEqual(e30svc.Tables, e30srv.Tables) {
-		t.Errorf("E30 tables changed between BENCH_8 and BENCH_9 — the survivability work must not perturb the fabric runs:\nold: %+v\nnew: %+v",
-			e30svc.Tables, e30srv.Tables)
-	}
-	e32srv, ok := srv["E32"]
-	if !ok {
-		t.Fatal("experiment E32 missing from BENCH_9.json")
-	}
-	flowsOK = false
-	for _, row := range e32srv.Tables[0].Rows {
-		if len(row) < 2 || row[0] != "flows completed" {
-			continue
-		}
-		if n, err := strconv.ParseInt(row[1], 10, 64); err != nil || n < 100_000 {
-			t.Errorf("E32 flows-completed regressed in BENCH_9: %v", row)
-		}
-		flowsOK = true
-	}
-	if !flowsOK {
-		t.Error("E32 in BENCH_9.json has no flows-completed row")
-	}
-	e33, ok := srv["E33"]
-	if !ok {
-		t.Fatal("experiment E33 missing from BENCH_9.json")
-	}
-	if len(e33.Tables) == 0 {
-		t.Fatal("E33 has no tables in BENCH_9.json")
-	}
-	e33rows := make(map[string]string)
-	for _, tab := range e33.Tables {
-		for _, row := range tab.Rows {
-			if len(row) >= 2 {
-				e33rows[row[0]] = row[1]
+		for id := range prev {
+			if _, ok := cur[id]; !ok {
+				t.Errorf("experiment %s vanished from %s", id, where)
 			}
 		}
-	}
-	if live, re := e33rows["live tenants"], e33rows["tenants re-attached"]; live == "" || live != re {
-		t.Errorf("E33: tenants re-attached (%q) != live tenants (%q) — the fleet did not fully recover", re, live)
-	}
-	if orphans := e33rows["orphan VCs after lease expiry"]; orphans != "0" {
-		t.Errorf("E33: orphan VCs after lease expiry = %q, want 0", orphans)
-	}
-	fixed, err1 := strconv.ParseInt(e33rows["peak retransmits per 20ms (fixed pacing)"], 10, 64)
-	jitter, err2 := strconv.ParseInt(e33rows["peak retransmits per 20ms (jittered backoff)"], 10, 64)
-	if err1 != nil || err2 != nil {
-		t.Errorf("E33 herd peak rows unparseable: fixed=%q jittered=%q",
-			e33rows["peak retransmits per 20ms (fixed pacing)"], e33rows["peak retransmits per 20ms (jittered backoff)"])
-	} else if jitter >= fixed {
-		t.Errorf("E33: jittered backoff peak %d not below fixed-pacing peak %d", jitter, fixed)
-	}
-
-	// BENCH_10 (the tracing PR): E2 still on trajectory — span plumbing
-	// must not perturb the data plane — nothing lost since BENCH_9, E30
-	// still byte-identical, E32 still at ≥10⁵ flows, E33's invariants
-	// intact plus its new trace-merge validation (the unavailability
-	// window reconstructed from spans alone within ±10% of ground truth),
-	// and E34 present proving tracing-disabled adds exactly 0 allocs to
-	// the request hot path.
-	obs := loadSnapshot(t, "BENCH_10.json")
-	now10, ok := obs["E2"]
-	if !ok {
-		t.Fatal("BENCH_10.json has no E2 record")
-	}
-	if !reflect.DeepEqual(prev.Tables, now10.Tables) {
-		t.Errorf("E2 tables changed in BENCH_10.json:\nold: %+v\nnew: %+v", prev.Tables, now10.Tables)
-	}
-	if limit := prev.WallMillis + prev.WallMillis/20; now10.WallMillis > limit {
-		t.Errorf("E2 wall time regressed in BENCH_10: %d ms -> %d ms (limit %d)", prev.WallMillis, now10.WallMillis, limit)
-	}
-	for id := range srv {
-		if _, ok := obs[id]; !ok {
-			t.Errorf("experiment %s vanished from BENCH_10.json", id)
-		}
-	}
-	e30obs := obs["E30"]
-	if !reflect.DeepEqual(e30srv.Tables, e30obs.Tables) {
-		t.Errorf("E30 tables changed between BENCH_9 and BENCH_10 — the tracing work must not perturb the fabric runs:\nold: %+v\nnew: %+v",
-			e30srv.Tables, e30obs.Tables)
-	}
-	e32obs, ok := obs["E32"]
-	if !ok {
-		t.Fatal("experiment E32 missing from BENCH_10.json")
-	}
-	flowsOK = false
-	for _, row := range e32obs.Tables[0].Rows {
-		if len(row) < 2 || row[0] != "flows completed" {
-			continue
-		}
-		if n, err := strconv.ParseInt(row[1], 10, 64); err != nil || n < 100_000 {
-			t.Errorf("E32 flows-completed regressed in BENCH_10: %v", row)
-		}
-		flowsOK = true
-	}
-	if !flowsOK {
-		t.Error("E32 in BENCH_10.json has no flows-completed row")
-	}
-	e33obs, ok := obs["E33"]
-	if !ok {
-		t.Fatal("experiment E33 missing from BENCH_10.json")
-	}
-	e33r := make(map[string]string)
-	for _, tab := range e33obs.Tables {
-		for _, row := range tab.Rows {
-			if len(row) >= 2 {
-				e33r[row[0]] = row[1]
+		for _, id := range s.adds {
+			if _, ok := cur[id]; !ok {
+				t.Errorf("experiment %s missing from %s", id, where)
 			}
 		}
-	}
-	if live, re := e33r["live tenants"], e33r["tenants re-attached"]; live == "" || live != re {
-		t.Errorf("E33 in BENCH_10: tenants re-attached (%q) != live tenants (%q)", re, live)
-	}
-	if orphans := e33r["orphan VCs after lease expiry"]; orphans != "0" {
-		t.Errorf("E33 in BENCH_10: orphan VCs after lease expiry = %q, want 0", orphans)
-	}
-	traceErr, err := strconv.ParseFloat(e33r["trace window error (%)"], 64)
-	if err != nil {
-		t.Errorf("E33 trace-window-error row unparseable: %q", e33r["trace window error (%)"])
-	} else if traceErr < 0 || traceErr > 10.0 {
-		t.Errorf("E33: unavailability window from merged traces off by %.1f%%, want within 10%% of ground truth", traceErr)
-	}
-	e34, ok := obs["E34"]
-	if !ok {
-		t.Fatal("experiment E34 missing from BENCH_10.json")
-	}
-	e34rows := make(map[string]string)
-	for _, tab := range e34.Tables {
-		for _, row := range tab.Rows {
-			if len(row) >= 2 {
-				e34rows[row[0]] = row[1]
+		if old, ok := prev["E30"]; ok && !reflect.DeepEqual(old.Tables, cur["E30"].Tables) {
+			t.Errorf("E30 tables changed in %s — the fabric runs are supposed to be byte-identical:\nold: %+v\nnew: %+v",
+				where, old.Tables, cur["E30"].Tables)
+		}
+		for _, h := range benchHeadlines {
+			if s.pr < h.pr || (h.until != 0 && s.pr > h.until) {
+				continue
+			}
+			if rec, ok := cur[h.id]; !ok || len(rec.Tables) == 0 {
+				t.Errorf("%s: experiment %s missing or without tables", where, h.id)
+			} else {
+				h.check(t, where, rec)
 			}
 		}
-	}
-	if added := e34rows["added allocs/op (tracing disabled)"]; added != "0.00" {
-		t.Errorf("E34: tracing disabled added %q allocs/op to the request hot path, want exactly 0.00", added)
-	}
-	if _, err := strconv.ParseFloat(e34rows["throughput overhead (%)"], 64); err != nil {
-		t.Errorf("E34 throughput-overhead row unparseable: %q", e34rows["throughput overhead (%)"])
+		prev = cur
 	}
 }

@@ -3,16 +3,17 @@
 // that control messages share the same failure-prone links as data cells:
 // they can be lost, duplicated, delayed, reordered, or corrupted in flight,
 // and a link or switch failure partitions the control plane exactly as it
-// partitions the data plane. Package reconfig's goroutine runner delivers
-// every message reliably and in order — fine for measuring fault-free
-// convergence, a fiction for arguing robustness. This package supplies the
-// missing fault model: a deterministic, seeded injector that a runner
-// threads every encoded wire message through.
+// partitions the data plane. Delivering every message once, on time and in
+// order — what reconfig.Run does, and what this package's zero Config
+// does — is fine for measuring fault-free convergence, a fiction for
+// arguing robustness. This package supplies the fault model: a
+// deterministic, seeded injector that a runner threads every encoded wire
+// message through.
 //
 // Faults are decided per message from a single *rand.Rand, so a run is
 // exactly reproducible from its seed as long as messages are presented in
-// a deterministic order (reconfig's unreliable runner is single-threaded
-// for precisely this reason). Supported faults:
+// a deterministic order (reconfig's event loop is single-threaded for
+// precisely this reason). Supported faults:
 //
 //   - Drop: the message vanishes (lost control packet).
 //   - Duplicate: a second copy arrives a little later (link-level retry

@@ -3,7 +3,7 @@ package ctrlnet
 import "repro/internal/topology"
 
 // Transport is the pluggable control-plane channel: the surface a
-// protocol runner (package reconfig's unreliable runner, the multi-tenant
+// protocol runner (package reconfig's event loop, the multi-tenant
 // VC service in package svc) uses to move encoded wire messages between
 // named nodes without knowing whether the bytes cross a Go data structure
 // or a kernel socket.

@@ -30,7 +30,7 @@ import (
 //	bytes 10-17 virtual arrival time (µs)
 //
 // The envelope carries the sender's virtual arrival stamp so a
-// virtual-time driver (reconfig's unreliable runner) sees coherent AtUS
+// virtual-time driver (reconfig's event loop) sees coherent AtUS
 // values whichever transport is plugged in; wall-clock consumers (the VC
 // service) simply ignore it. The transport itself injects no faults — UDP
 // supplies real loss, reordering, and duplication on real networks, and

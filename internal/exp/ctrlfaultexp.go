@@ -55,13 +55,16 @@ func runE28(seed int64) ([]*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			faults := ctrlnet.Config{
+			chn, err := ctrlnet.New(ctrlnet.Config{
 				DropProb:    float64(lossPct) / 100,
 				DupProb:     0.10,
 				ReorderProb: 0.10,
 				Seed:        seed*1000 + int64(lossPct)*37 + int64(i),
+			})
+			if err != nil {
+				return nil, err
 			}
-			ur, err := runner.RunUnreliable(triggers, faults, reconfig.Hardening{})
+			ur, err := runner.RunOver(triggers, nil, chn, reconfig.Hardening{})
 			if err != nil {
 				return nil, err
 			}

@@ -32,7 +32,7 @@ type ControllerStats struct {
 // Controller runs hierarchical reconfiguration over a partitioned fabric:
 // each pod carries its own configuration epoch, and a separate spine
 // epoch moves only when a fault touches the inter-pod layer. Rounds run
-// on the unreliable control channel (reconfig.RunUnreliableScoped) with
+// on the unreliable control channel (reconfig.RunOver) with
 // participation chosen by Partition.Scope, so a leaf failure is a
 // pod-local round — O(pod) messages and participants — while the rest of
 // the fabric's epochs stand still.
@@ -107,7 +107,11 @@ func (c *Controller) React(deadLinks map[topology.LinkID]bool, deadNodes map[top
 	faults := c.cfg.Faults
 	faults.Seed = roundSeed(faults.Seed, c.rounds)
 	c.rounds++
-	ur, err := runner.RunUnreliableScoped(triggers, region, faults, c.cfg.Hardening)
+	chn, err := ctrlnet.New(faults)
+	if err != nil {
+		return nil, spine, err
+	}
+	ur, err := runner.RunOver(triggers, region, chn, c.cfg.Hardening)
 	if err != nil {
 		return nil, spine, err
 	}

@@ -1,7 +1,7 @@
 // Package fabric is the datacenter-scale composition layer: it ties the
 // fat-tree generator (topology.FatTree), the simulator (simnet, whose
 // wake-set engine makes idle pods free) and hierarchical reconfiguration
-// (reconfig.RunUnreliableScoped driven per pod, with a separate spine
+// (reconfig.RunOver driven per pod, with a separate spine
 // epoch) into one subsystem. The organizing idea is the paper's §2 scoping
 // argument taken to datacenter size: a fault whose triggers stay inside
 // one pod involves only that pod's switches — O(pod), not O(fabric) — and

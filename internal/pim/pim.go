@@ -15,21 +15,16 @@
 // retained, and repetition to quiescence yields a maximal matching. AN2's
 // hardware budget allows three iterations per slot.
 //
-// The package provides two engines that implement the same algorithm:
-//
-//   - Sequential: a deterministic single-goroutine engine, used by the
-//     slotted simulator (fast, reproducible under a seed).
-//   - Concurrent: one goroutine per input and per output, with the
-//     request/grant/accept signals carried on dedicated channels exactly as
-//     the hardware uses dedicated wires. It exists to demonstrate that the
-//     algorithm is genuinely distributed, and is cross-checked against the
-//     sequential engine in the tests.
+// The package provides one engine, Sequential: deterministic under a seed
+// and allocation-free on the slotted simulator's hot path. The port
+// decisions are independent within a step, so evaluating them in a fixed
+// order on one goroutine computes exactly what the hardware's parallel
+// ports do.
 package pim
 
 import (
 	"math/bits"
 	"math/rand"
-	"sync"
 
 	"repro/internal/matching"
 )
@@ -165,141 +160,6 @@ func (s *Sequential) iterate(r *matching.Requests, m matching.Matching) int {
 		added++
 	}
 	return added
-}
-
-// Concurrent runs the same protocol with one goroutine per input port and
-// one per output port. The request/grant/accept signals travel on dedicated
-// channels, one in each direction between each input and output, mirroring
-// the dedicated wires of the AN2 switch.
-type Concurrent struct {
-	n    int
-	seed int64
-}
-
-// NewConcurrent creates a concurrent engine for an n×n switch. Each Match
-// call spins up 2n goroutines and joins them before returning; seed makes
-// the port-local random choices reproducible.
-func NewConcurrent(n int, seed int64) *Concurrent {
-	return &Concurrent{n: n, seed: seed}
-}
-
-// portMsg is one signal on a wire. Request and accept wires carry just the
-// sender; grant wires carry granted=true/false so inputs can count
-// responses without timing assumptions.
-type portMsg struct {
-	from    int
-	granted bool
-}
-
-// Match runs maxIter iterations (must be >= 1) and returns the matching.
-// The protocol per iteration is a barrier-synchronized exchange: every
-// input sends exactly one message (request or no-request) to every output
-// and vice versa, so no goroutine can run ahead.
-func (c *Concurrent) Match(r *matching.Requests, maxIter int) Result {
-	n := c.n
-	if maxIter < 1 {
-		maxIter = 1
-	}
-	// wires[i][j] carries input i -> output j; back[j][i] carries output j
-	// -> input i. Buffered size 1: each wire holds at most one signal per
-	// phase.
-	toOut := make([][]chan portMsg, n)
-	toIn := make([][]chan portMsg, n)
-	for i := 0; i < n; i++ {
-		toOut[i] = make([]chan portMsg, n)
-		toIn[i] = make([]chan portMsg, n)
-		for j := 0; j < n; j++ {
-			toOut[i][j] = make(chan portMsg, 1)
-			toIn[i][j] = make(chan portMsg, 1)
-		}
-	}
-
-	m := matching.NewMatching(n)
-	var mu sync.Mutex // guards m; written only by input goroutines
-	var wg sync.WaitGroup
-
-	// Input port process.
-	input := func(i int) {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(c.seed + int64(i)))
-		matchedTo := -1
-		wants := r.Outputs(i)
-		for iter := 0; iter < maxIter; iter++ {
-			// Phase 1: request every wanted output (or send no-request).
-			for j := 0; j < n; j++ {
-				req := false
-				if matchedTo < 0 {
-					for _, w := range wants {
-						if w == j {
-							req = true
-							break
-						}
-					}
-				}
-				toOut[i][j] <- portMsg{from: i, granted: req}
-			}
-			// Phase 2: collect grants from every output.
-			var grants []int
-			for j := 0; j < n; j++ {
-				g := <-toIn[j][i]
-				if g.granted {
-					grants = append(grants, j)
-				}
-			}
-			// Phase 3: accept one grant (random), tell every output.
-			accepted := -1
-			if matchedTo < 0 && len(grants) > 0 {
-				accepted = grants[rng.Intn(len(grants))]
-				matchedTo = accepted
-				mu.Lock()
-				m[i] = accepted
-				mu.Unlock()
-			}
-			for j := 0; j < n; j++ {
-				toOut[i][j] <- portMsg{from: i, granted: j == accepted}
-			}
-		}
-	}
-
-	// Output port process.
-	output := func(j int) {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(c.seed + int64(c.n) + int64(j)))
-		matched := false
-		for iter := 0; iter < maxIter; iter++ {
-			// Phase 1: receive request/no-request from every input.
-			var reqs []int
-			for i := 0; i < n; i++ {
-				msg := <-toOut[i][j]
-				if msg.granted && !matched {
-					reqs = append(reqs, msg.from)
-				}
-			}
-			// Phase 2: grant one randomly; notify every input.
-			grantTo := -1
-			if len(reqs) > 0 {
-				grantTo = reqs[rng.Intn(len(reqs))]
-			}
-			for i := 0; i < n; i++ {
-				toIn[j][i] <- portMsg{from: j, granted: i == grantTo}
-			}
-			// Phase 3: learn whether the grant was accepted.
-			for i := 0; i < n; i++ {
-				msg := <-toOut[i][j]
-				if msg.granted {
-					matched = true
-				}
-			}
-		}
-	}
-
-	wg.Add(2 * n)
-	for i := 0; i < n; i++ {
-		go input(i)
-		go output(i)
-	}
-	wg.Wait()
-	return Result{Match: m, Iterations: maxIter}
 }
 
 // IterationStats runs PIM to quiescence `trials` times over request

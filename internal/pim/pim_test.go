@@ -133,40 +133,6 @@ func TestPIMConvergenceBound(t *testing.T) {
 	}
 }
 
-func TestConcurrentMatchesSequentialSemantics(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		n := 4 + rng.Intn(12)
-		r := uniformRequests(rng, n, 0.4)
-		eng := NewConcurrent(n, rng.Int63())
-		res := eng.Match(r, n) // n iterations guarantee maximality
-		if err := res.Match.Legal(r); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !res.Match.Maximal(r) {
-			t.Fatalf("trial %d: concurrent matching not maximal after n iterations", trial)
-		}
-	}
-}
-
-func TestConcurrentOneIterationLegal(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	r := uniformRequests(rng, 16, 0.7)
-	eng := NewConcurrent(16, 99)
-	res := eng.Match(r, 1)
-	if err := res.Match.Legal(r); err != nil {
-		t.Fatal(err)
-	}
-	if res.Match.Size() == 0 {
-		t.Fatal("dense requests matched nothing in one iteration")
-	}
-	// maxIter < 1 is clamped.
-	res = eng.Match(r, 0)
-	if res.Iterations != 1 {
-		t.Fatalf("Iterations = %d, want clamped 1", res.Iterations)
-	}
-}
-
 // No starvation: under the paper's adversarial pattern (input 0 always
 // wants outputs 1 and 2; input 3 always wants output 2), PIM's randomness
 // serves every (input, output) pair. This is the complement of experiment
@@ -266,13 +232,5 @@ func BenchmarkSequentialPIM16x3(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		seq.Match(r, DefaultIterations)
-	}
-}
-
-func BenchmarkConcurrentPIM16x3(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	r := uniformRequests(rng, 16, 0.4)
-	for i := 0; i < b.N; i++ {
-		NewConcurrent(16, int64(i)).Match(r, DefaultIterations)
 	}
 }

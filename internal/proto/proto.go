@@ -8,7 +8,7 @@
 // encoded messages cross are NOT reliable — package ctrlnet injects loss,
 // duplication, reordering, and bit corruption — so the trailing CRC is
 // load-bearing: a corrupted-in-flight image must fail Unmarshal, and the
-// unreliable runner counts each rejection.
+// event loop counts each rejection.
 //
 // Wire format (big-endian):
 //

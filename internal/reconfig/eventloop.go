@@ -2,7 +2,9 @@ package reconfig
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -10,18 +12,22 @@ import (
 	"repro/internal/topology"
 )
 
-// This file runs the reconfiguration protocol over an UNRELIABLE control
-// channel (package ctrlnet): messages are dropped, duplicated, reordered,
-// delayed, bit-corrupted, and partitioned according to a seeded fault
-// model, exactly as the paper's §2/§6 control plane — which shares links
-// with the data plane — can misbehave. Where the goroutine runner
-// (reconfig.go) trades determinism for concurrency, this runner is a
-// single-threaded virtual-time event simulation: events are processed in
-// (time, sequence) order and every fault decision comes from one seeded
-// RNG, so a run is exactly reproducible — the property the chaos harness's
-// shrinking depends on.
+// This file is the protocol's one runner: a single-threaded virtual-time
+// event simulation. Events are processed in (time, sequence) order, so
+// "the first invitation a switch receives" is decided by virtual arrival
+// time — with uniform link delays the propagation-order tree IS a
+// breadth-first tree — and a run is exactly reproducible: the property
+// core.New's up*/down* orientation, the chaos harness's shrinking and the
+// experiment tables all depend on. Leaving arrival order to the host — a
+// goroutine per switch, say — measured 4× to 12× deeper than BFS on a
+// radix-24 fat-tree, differently every run (DESIGN.md §6).
 //
-// Protocol hardening on top of the pure machine:
+// Run and RunScoped use a private loss-free channel. RunOver threads every
+// message through a caller's transport — package ctrlnet's fault injector
+// drops, duplicates, reorders, delays, bit-corrupts and partitions them
+// from one seeded RNG, exactly as the paper's §2/§6 control plane, which
+// shares links with the data plane, can misbehave — and layers protocol
+// hardening on top of the pure machine:
 //
 //   - Retransmission: while a node is obligated (invites unacked, children
 //     unreported, or a report awaiting its distribute) a retransmission
@@ -176,9 +182,11 @@ func retxPhase(mc *machine) int {
 	return phaseNone
 }
 
-// unode is one switch's runtime state under the unreliable runner.
+// unode is one switch's runtime state under the event loop.
 type unode struct {
+	id     topology.NodeID
 	mc     *machine
+	emit   emitFunc // the machine's way out, built once per run (emitFor)
 	vclock int64
 	// retxAt is the armed retransmission deadline (-1 when disarmed);
 	// retxTimeout is the current backoff value; retxFor is the (tag,
@@ -194,62 +202,238 @@ type unode struct {
 	lastView   *View
 }
 
-// RunUnreliable executes the protocol over the fault-injected control
-// channel among every live switch.
-func (r *Runner) RunUnreliable(triggers []Trigger, faults ctrlnet.Config, h Hardening) (*UnreliableResult, error) {
-	chn, err := ctrlnet.New(faults)
+// Run executes the protocol among every live switch: the triggers fire (in
+// AtUS order), the switches exchange messages until the event queue
+// drains, and the final views are returned. The channel is private and
+// loss-free — every message arrives once, on time and in order — so no
+// retransmission or watchdog timer is armed and Messages is the
+// protocol's own count.
+func (r *Runner) Run(triggers []Trigger) (*Result, error) {
+	return r.runLossFree(triggers, nil)
+}
+
+func (r *Runner) runLossFree(triggers []Trigger, region Region) (*Result, error) {
+	chn, err := ctrlnet.New(ctrlnet.Config{}) // the zero Config loses nothing
 	if err != nil {
 		return nil, err
 	}
-	return r.runUnreliable(triggers, nil, chn, h)
-}
-
-// RunUnreliableScoped is RunUnreliable restricted to a region (the §2
-// "switches near the failing component" optimization under the same fault
-// model). Every trigger must lie inside the region.
-func (r *Runner) RunUnreliableScoped(triggers []Trigger, region Region, faults ctrlnet.Config, h Hardening) (*UnreliableResult, error) {
-	chn, err := ctrlnet.New(faults)
+	// A run that cannot lose a message terminates on its own: no bounds.
+	h := Hardening{MaxVirtualUS: math.MaxInt64, MaxEvents: math.MaxInt}
+	ur, err := r.run(triggers, region, chn, h, false)
 	if err != nil {
 		return nil, err
 	}
-	return r.runUnreliableScoped(triggers, region, chn, h)
+	return &ur.Result, nil
 }
 
-// RunUnreliableOver executes the protocol over a caller-supplied
-// transport — the in-memory fault injector for reproducible simulation,
-// or a socket transport (ctrlnet.UDP) when this process hosts only some
-// of the switches and the rest answer from across real sockets. The
-// runner keeps its virtual clocks (socket envelopes carry the sender's
-// virtual stamps), drains asynchronous arrivals every event step, and
-// treats an empty Flush as quiescence. Channel stats are populated only
-// when the transport keeps them (the in-memory Net); the transport is NOT
-// closed — the caller owns its lifecycle.
-func (r *Runner) RunUnreliableOver(triggers []Trigger, tr ctrlnet.Transport, h Hardening) (*UnreliableResult, error) {
-	return r.runUnreliable(triggers, nil, tr, h)
+// RunOver executes the protocol over a caller-supplied transport among
+// the given region (nil = every live switch; every trigger must lie
+// inside it) — the in-memory fault injector (ctrlnet.New) for reproducible
+// simulation of a lossy control plane, or a socket transport
+// (ctrlnet.UDP) when this process hosts only some of the switches and the
+// rest answer from across real sockets. The runner keeps its virtual
+// clocks (socket envelopes carry the sender's virtual stamps), drains
+// asynchronous arrivals every event step, and treats an empty Flush as
+// quiescence. Channel stats are populated only when the transport keeps
+// them (the in-memory Net); the transport is NOT closed — the caller owns
+// its lifecycle.
+func (r *Runner) RunOver(triggers []Trigger, region Region, tr ctrlnet.Transport, h Hardening) (*UnreliableResult, error) {
+	return r.run(triggers, region, tr, h, true)
 }
 
-// RunUnreliableScopedOver is RunUnreliableOver restricted to a region.
-func (r *Runner) RunUnreliableScopedOver(triggers []Trigger, region Region, tr ctrlnet.Transport, h Hardening) (*UnreliableResult, error) {
-	return r.runUnreliableScoped(triggers, region, tr, h)
+// evloop is the state of one run: the participants, the event queue and
+// the result being accumulated.
+type evloop struct {
+	r   *Runner
+	chn ctrlnet.Transport
+	h   Hardening
+	// repair arms the retransmission and watchdog timers. Run and
+	// RunScoped leave it off: their channel cannot lose a message, and a
+	// timer that fires anyway (the invite timeout is shorter than a
+	// high-radix neighbor's processing queue) would only add messages.
+	repair bool
+	nodes  map[topology.NodeID]*unode
+	order  []topology.NodeID // the participants, sorted
+	events ueventHeap
+	seq    int64
+	res    *UnreliableResult
+	// codecErr is the first message the wire codec refused to encode. That
+	// is a bug in this package, not line noise, so the run returns it.
+	codecErr error
 }
 
-func (r *Runner) runUnreliableScoped(triggers []Trigger, region Region, tr ctrlnet.Transport, h Hardening) (*UnreliableResult, error) {
-	if len(region) == 0 {
-		return nil, fmt.Errorf("reconfig: empty region")
-	}
-	for _, t := range triggers {
-		if !region[t.Node] {
-			return nil, fmt.Errorf("%w: %d outside region", ErrBadTrigger, t.Node)
+func (lp *evloop) push(ev *uevent) {
+	ev.seq = lp.seq
+	lp.seq++
+	heap.Push(&lp.events, ev)
+}
+
+// deliver schedules what the transport handed back; images addressed to a
+// switch outside the run are dropped.
+func (lp *evloop) deliver(ds []ctrlnet.Delivery) {
+	for _, d := range ds {
+		if _, ok := lp.nodes[d.To]; ok {
+			lp.push(&uevent{atUS: d.AtUS, kind: uevDeliver, node: d.To, wire: d.Wire})
 		}
 	}
-	return r.runUnreliable(triggers, region, tr, h)
 }
 
-func (r *Runner) runUnreliable(triggers []Trigger, region Region, chn ctrlnet.Transport, h Hardening) (*UnreliableResult, error) {
+// emitFor builds the machine's emit callback for one node: encode, offer
+// to the channel, schedule the deliveries. Every protocol message crosses
+// the wire codec (package proto), exactly as the line-card software would
+// serialize it, so the byte counter reflects real control-plane traffic.
+func (lp *evloop) emitFor(st *unode) emitFunc {
+	return func(to topology.NodeID, m message) {
+		if _, ok := lp.nodes[to]; !ok {
+			return // out-of-region or dead neighbor: the link is down
+		}
+		m.from = st.id
+		m.vtime = st.vclock + lp.r.cfg.LinkDelayUS
+		wire, err := encodeMessage(m)
+		if err != nil {
+			if lp.codecErr == nil {
+				lp.codecErr = fmt.Errorf("reconfig: switch %d -> %d: %w (bug)", st.id, to, err)
+			}
+			return
+		}
+		lp.res.Bytes += int64(len(wire))
+		ds, err := lp.chn.Send(st.id, to, wire, m.vtime)
+		if err != nil {
+			// A structural send failure (closed socket, unknown peer)
+			// is a loss to the protocol; retransmission owns repair.
+			return
+		}
+		lp.deliver(ds)
+	}
+}
+
+// handle advances the node's clock past the event and the processing
+// delay, runs the machine on m, and settles views and timers.
+func (lp *evloop) handle(st *unode, atUS int64, m message) {
+	if atUS > st.vclock {
+		st.vclock = atUS
+	}
+	st.vclock += lp.r.cfg.ProcessDelayUS
+	st.mc.handle(m, st.emit)
+	lp.postHandle(st)
+}
+
+// postHandle runs after a node handles anything: publish a fresh view
+// (stamped with the local virtual clock — the machine itself is
+// clock-free) and arm the timers.
+func (lp *evloop) postHandle(st *unode) {
+	if st.mc.view != st.lastView {
+		st.lastView = st.mc.view
+		v := *st.mc.view
+		v.CompletedAtUS = st.vclock
+		lp.res.Views[st.id] = &v
+	}
+	if !lp.repair {
+		return
+	}
+	if !st.mc.obligated() {
+		st.retxAt = -1
+		st.watchAt = -1
+		return
+	}
+	tag := st.mc.active.tag
+	if st.watchAt < 0 || st.watchTag != tag {
+		st.watchTag = tag
+		st.watchAt = st.vclock + lp.h.WatchdogUS
+		lp.push(&uevent{atUS: st.watchAt, kind: uevWatchdog, node: st.id})
+	}
+	// Re-arm the retransmission timer whenever the wait changes: a new
+	// configuration or a new phase gets a fresh timeout on that phase's
+	// timescale; an unchanged wait keeps its armed deadline (and its
+	// backoff).
+	ph := retxPhase(st.mc)
+	if st.retxAt >= 0 && st.retxForTag == tag && st.retxForPhase == ph {
+		return
+	}
+	st.retxForTag = tag
+	st.retxForPhase = ph
+	switch ph {
+	case phaseInvite:
+		st.retxTimeout = lp.h.RetxTimeoutUS
+	case phaseReport:
+		st.retxTimeout = lp.h.ReportRetxUS
+	default:
+		// phaseChildren: the children's own timers repair their
+		// subtrees; nothing for this node to retransmit.
+		st.retxAt = -1
+		return
+	}
+	st.retxAt = st.vclock + st.retxTimeout
+	lp.push(&uevent{atUS: st.retxAt, kind: uevRetx, node: st.id})
+}
+
+// run executes the protocol among region (nil = every live switch) over
+// chn.
+func (r *Runner) run(triggers []Trigger, region Region, chn ctrlnet.Transport, h Hardening, repair bool) (*UnreliableResult, error) {
+	lp, err := r.newLoop(triggers, region, chn, h, repair)
+	if err != nil {
+		return nil, err
+	}
+	return lp.run()
+}
+
+// newLoop builds the participants' machines and queues the triggers.
+func (r *Runner) newLoop(triggers []Trigger, region Region, chn ctrlnet.Transport, h Hardening, repair bool) (*evloop, error) {
 	if len(triggers) == 0 {
-		return nil, fmt.Errorf("reconfig: no triggers")
+		return nil, errors.New("reconfig: no triggers")
 	}
 	h = h.withDefaults()
+	lp := &evloop{
+		r: r, chn: chn, h: h, repair: repair,
+		nodes: make(map[topology.NodeID]*unode),
+		res:   &UnreliableResult{Result: Result{Views: make(map[topology.NodeID]*View)}},
+	}
+	for _, s := range r.switches {
+		if region != nil && !region[s] {
+			continue
+		}
+		node, _ := r.cfg.Topology.Node(s)
+		// The machine's adjacency is filtered to participants: in a
+		// scoped reconfiguration, out-of-region neighbors are not
+		// invited (their links are still reported as facts via own).
+		var adj []topology.NodeID
+		for _, nb := range r.adj[s] {
+			if region == nil || region[nb] {
+				adj = append(adj, nb)
+			}
+		}
+		st := &unode{
+			id: s,
+			mc: &machine{
+				id:          s,
+				uid:         node.UID,
+				adj:         adj,
+				own:         r.own[s],
+				stored:      Tag{Epoch: r.cfg.BaseEpoch},
+				dupGuardOff: h.UnsafeNoDupGuard,
+			},
+			retxAt:  -1,
+			watchAt: -1,
+		}
+		st.emit = lp.emitFor(st)
+		lp.nodes[s] = st
+		lp.order = append(lp.order, s)
+	}
+	sort.Slice(lp.order, func(i, j int) bool { return lp.order[i] < lp.order[j] })
+
+	for _, tr := range triggers {
+		if _, ok := lp.nodes[tr.Node]; !ok {
+			return nil, fmt.Errorf("%w: %d", ErrBadTrigger, tr.Node)
+		}
+		lp.push(&uevent{atUS: tr.AtUS, kind: uevTrigger, node: tr.Node})
+	}
+	return lp, nil
+}
+
+// run processes events until the queue and the channel are both empty (or
+// a bound in Hardening is hit) and sums up the result.
+func (lp *evloop) run() (*UnreliableResult, error) {
+	r, chn, h := lp.r, lp.chn, lp.h
 	// A blocking transport means real messages with real latencies: the
 	// virtual clock must not outrun the wall clock, or the runner would
 	// burn its retransmission timers (and the whole MaxVirtualUS budget)
@@ -263,138 +447,15 @@ func (r *Runner) runUnreliable(triggers []Trigger, region Region, chn ctrlnet.Tr
 		wallStart = time.Now()
 	}
 
-	nodes := make(map[topology.NodeID]*unode)
-	var order []topology.NodeID
-	for _, s := range r.switches {
-		if region != nil && !region[s] {
-			continue
-		}
-		node, _ := r.cfg.Topology.Node(s)
-		var adj []topology.NodeID
-		for _, nb := range r.adj[s] {
-			if region == nil || region[nb] {
-				adj = append(adj, nb)
-			}
-		}
-		nodes[s] = &unode{
-			mc: &machine{
-				id:          s,
-				uid:         node.UID,
-				adj:         adj,
-				own:         r.own[s],
-				stored:      Tag{Epoch: r.cfg.BaseEpoch},
-				dupGuardOff: h.UnsafeNoDupGuard,
-			},
-			retxAt:  -1,
-			watchAt: -1,
-		}
-		order = append(order, s)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-
-	ur := &UnreliableResult{Result: Result{Views: make(map[topology.NodeID]*View)}}
-	var (
-		events ueventHeap
-		seq    int64
-	)
-	push := func(ev *uevent) {
-		ev.seq = seq
-		seq++
-		heap.Push(&events, ev)
-	}
-
-	for _, tr := range triggers {
-		if _, ok := nodes[tr.Node]; !ok {
-			return nil, fmt.Errorf("%w: %d", ErrBadTrigger, tr.Node)
-		}
-		push(&uevent{atUS: tr.AtUS, kind: uevTrigger, node: tr.Node})
-	}
-
-	// emitFor builds the machine's emit callback for one node: encode,
-	// inject faults, schedule deliveries.
-	emitFor := func(id topology.NodeID, st *unode) emitFunc {
-		return func(to topology.NodeID, m message) {
-			if _, ok := nodes[to]; !ok {
-				return // out-of-region or dead neighbor: the link is down
-			}
-			m.from = id
-			m.vtime = st.vclock + r.cfg.LinkDelayUS
-			wire, err := encodeMessage(m)
-			if err != nil {
-				// Unencodable messages indicate a bug, as in the
-				// goroutine runner.
-				ur.CRCRejects++
-				return
-			}
-			ur.Bytes += int64(len(wire))
-			ds, err := chn.Send(id, to, wire, m.vtime)
-			if err != nil {
-				// A structural send failure (closed socket, unknown peer)
-				// is a loss to the protocol; retransmission owns repair.
-				return
-			}
-			for _, d := range ds {
-				push(&uevent{atUS: d.AtUS, kind: uevDeliver, node: to, wire: d.Wire})
-			}
-		}
-	}
-
-	// after a node handles anything: publish fresh views, arm timers.
-	postHandle := func(id topology.NodeID, st *unode) {
-		if st.mc.view != st.lastView {
-			st.lastView = st.mc.view
-			v := *st.mc.view
-			v.CompletedAtUS = st.vclock
-			ur.Views[id] = &v
-		}
-		if !st.mc.obligated() {
-			st.retxAt = -1
-			st.watchAt = -1
-			return
-		}
-		tag := st.mc.active.tag
-		if st.watchAt < 0 || st.watchTag != tag {
-			st.watchTag = tag
-			st.watchAt = st.vclock + h.WatchdogUS
-			push(&uevent{atUS: st.watchAt, kind: uevWatchdog, node: id})
-		}
-		// Re-arm the retransmission timer whenever the wait changes: a new
-		// configuration or a new phase gets a fresh timeout on that phase's
-		// timescale; an unchanged wait keeps its armed deadline (and its
-		// backoff).
-		ph := retxPhase(st.mc)
-		if st.retxAt >= 0 && st.retxForTag == tag && st.retxForPhase == ph {
-			return
-		}
-		st.retxForTag = tag
-		st.retxForPhase = ph
-		switch ph {
-		case phaseInvite:
-			st.retxTimeout = h.RetxTimeoutUS
-		case phaseReport:
-			st.retxTimeout = h.ReportRetxUS
-		default:
-			// phaseChildren: the children's own timers repair their
-			// subtrees; nothing for this node to retransmit.
-			st.retxAt = -1
-			return
-		}
-		st.retxAt = st.vclock + st.retxTimeout
-		push(&uevent{atUS: st.retxAt, kind: uevRetx, node: id})
-	}
-
+	ur := lp.res
 	processed := 0
-	for {
+	for lp.codecErr == nil {
 		// Asynchronous transports surface arrivals between events; drain
 		// them every step so socket traffic interleaves with local timers.
 		// (The in-memory Net's Poll is always nil — its deliveries came
 		// back from Send.)
-		for _, d := range chn.Poll() {
-			if _, ok := nodes[d.To]; ok {
-				push(&uevent{atUS: d.AtUS, kind: uevDeliver, node: d.To, wire: d.Wire})
-			}
-		}
-		if len(events) == 0 {
+		lp.deliver(chn.Poll())
+		if len(lp.events) == 0 {
 			// Release whatever the transport still holds — reordered
 			// messages behind the in-memory injector, or datagrams still
 			// crossing the kernel; if nothing surfaces, the run has
@@ -403,25 +464,17 @@ func (r *Runner) runUnreliable(triggers []Trigger, region Region, chn ctrlnet.Tr
 			if len(ds) == 0 {
 				break
 			}
-			for _, d := range ds {
-				if _, ok := nodes[d.To]; ok {
-					push(&uevent{atUS: d.AtUS, kind: uevDeliver, node: d.To, wire: d.Wire})
-				}
-			}
+			lp.deliver(ds)
 			continue
 		}
-		ev := heap.Pop(&events).(*uevent)
+		ev := heap.Pop(&lp.events).(*uevent)
 		if realtime && (ev.kind == uevRetx || ev.kind == uevWatchdog) {
 			if ahead := time.Duration(ev.atUS)*time.Microsecond - time.Since(wallStart); ahead > 0 {
 				if ds := waiter.Wait(ahead); len(ds) > 0 {
 					// Real arrivals supersede the timer: requeue it (its
 					// seq keeps heap order stable) and handle them first.
-					heap.Push(&events, ev)
-					for _, d := range ds {
-						if _, ok := nodes[d.To]; ok {
-							push(&uevent{atUS: d.AtUS, kind: uevDeliver, node: d.To, wire: d.Wire})
-						}
-					}
+					heap.Push(&lp.events, ev)
+					lp.deliver(ds)
 					continue
 				}
 			}
@@ -430,16 +483,11 @@ func (r *Runner) runUnreliable(triggers []Trigger, region Region, chn ctrlnet.Tr
 		if ev.atUS > h.MaxVirtualUS || processed > h.MaxEvents {
 			break
 		}
-		st := nodes[ev.node]
+		st := lp.nodes[ev.node]
 		switch ev.kind {
 		case uevTrigger:
-			if ev.atUS > st.vclock {
-				st.vclock = ev.atUS
-			}
-			st.vclock += r.cfg.ProcessDelayUS
-			st.mc.handle(message{kind: kindTrigger}, emitFor(ev.node, st))
 			ur.Messages++
-			postHandle(ev.node, st)
+			lp.handle(st, ev.atUS, message{kind: kindTrigger})
 		case uevDeliver:
 			m, err := decodeMessage(ev.wire)
 			if err != nil {
@@ -449,13 +497,8 @@ func (r *Runner) runUnreliable(triggers []Trigger, region Region, chn ctrlnet.Tr
 			if m.vtime > st.vclock {
 				st.vclock = m.vtime
 			}
-			if ev.atUS > st.vclock {
-				st.vclock = ev.atUS
-			}
-			st.vclock += r.cfg.ProcessDelayUS
-			st.mc.handle(m, emitFor(ev.node, st))
 			ur.Messages++
-			postHandle(ev.node, st)
+			lp.handle(st, ev.atUS, m)
 		case uevRetx:
 			if st.retxAt != ev.atUS {
 				continue // superseded timer
@@ -466,11 +509,11 @@ func (r *Runner) runUnreliable(triggers []Trigger, region Region, chn ctrlnet.Tr
 			}
 			if !st.mc.obligated() || st.mc.active.tag != st.retxForTag ||
 				retxPhase(st.mc) != st.retxForPhase {
-				postHandle(ev.node, st)
+				lp.postHandle(st)
 				continue
 			}
 			ur.Retransmits++
-			st.mc.retransmit(emitFor(ev.node, st))
+			st.mc.retransmit(st.emit)
 			st.retxTimeout *= 2
 			maxTO := h.RetxMaxUS
 			if st.retxForPhase == phaseReport {
@@ -480,14 +523,14 @@ func (r *Runner) runUnreliable(triggers []Trigger, region Region, chn ctrlnet.Tr
 				st.retxTimeout = maxTO
 			}
 			st.retxAt = st.vclock + st.retxTimeout
-			push(&uevent{atUS: st.retxAt, kind: uevRetx, node: ev.node})
+			lp.push(&uevent{atUS: st.retxAt, kind: uevRetx, node: ev.node})
 		case uevWatchdog:
 			if st.watchAt != ev.atUS {
 				continue // superseded watchdog
 			}
 			st.watchAt = -1
 			if !st.mc.obligated() || st.mc.active.tag != st.watchTag {
-				postHandle(ev.node, st)
+				lp.postHandle(st)
 				continue
 			}
 			if st.retriggers >= h.MaxRetriggersPerNode {
@@ -495,13 +538,11 @@ func (r *Runner) runUnreliable(triggers []Trigger, region Region, chn ctrlnet.Tr
 			}
 			st.retriggers++
 			ur.Retriggers++
-			if ev.atUS > st.vclock {
-				st.vclock = ev.atUS
-			}
-			st.vclock += r.cfg.ProcessDelayUS
-			st.mc.handle(message{kind: kindTrigger}, emitFor(ev.node, st))
-			postHandle(ev.node, st)
+			lp.handle(st, ev.atUS, message{kind: kindTrigger})
 		}
+	}
+	if lp.codecErr != nil {
+		return nil, lp.codecErr
 	}
 
 	if st, ok := chn.(ctrlnet.Stater); ok {
@@ -521,14 +562,14 @@ func (r *Runner) runUnreliable(triggers []Trigger, region Region, chn ctrlnet.Tr
 			ur.TreeDepth = v.Depth
 		}
 	}
-	ur.Converged = r.convergedAmong(order, ur.Views, region)
+	ur.Converged = r.convergedAmong(lp.order, ur.Views)
 	return ur, nil
 }
 
 // convergedAmong checks that, within every connected component of the
 // participant set that contains at least one completed switch, every
 // participant completed the same configuration with identical links.
-func (r *Runner) convergedAmong(participants []topology.NodeID, views map[topology.NodeID]*View, region Region) bool {
+func (r *Runner) convergedAmong(participants []topology.NodeID, views map[topology.NodeID]*View) bool {
 	inRun := make(map[topology.NodeID]bool, len(participants))
 	for _, s := range participants {
 		inRun[s] = true

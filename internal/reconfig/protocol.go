@@ -9,10 +9,9 @@ import (
 // machine is the pure protocol state machine of one switch: the three
 // phases, the epoch-tag rules, and nothing else. It performs no I/O —
 // every outgoing message goes through the emit callback — and keeps no
-// clocks, so the same code runs under the goroutine runtime (process),
-// under the deterministic unreliable runner (unreliable.go), and under
-// the exhaustive model checker (modelcheck_test.go), which explores every
-// message interleaving, including bounded loss and duplication. The paper
+// clocks, so the same code runs under the event loop (eventloop.go) and
+// under the exhaustive model checker (modelcheck_test.go), which explores
+// every message interleaving, including bounded loss and duplication. The paper
 // notes that program verification caught flaws in early versions of this
 // algorithm; the model checker is this reproduction's version of that
 // discipline.
@@ -23,7 +22,7 @@ import (
 // re-sends the accept (the original ack may have been lost), a duplicate
 // report arriving after completion re-sends the distribute (the original
 // may have been lost), and retransmit re-sends everything unacknowledged.
-// Timers live in the runners; the machine only exposes what to retransmit
+// Timers live in the event loop; the machine only exposes what to retransmit
 // and whether it is still obligated.
 type machine struct {
 	id  topology.NodeID
@@ -217,7 +216,7 @@ func (cs *configState) isChild(n topology.NodeID) bool {
 // obligated reports whether the machine still has protocol work pending —
 // invitations awaiting acknowledgment, children yet to report, or (as a
 // non-root with a complete subtree) a report awaiting its implicit ack,
-// the parent's distribute. The runners keep a retransmission timer armed
+// the parent's distribute. The event loop keeps a retransmission timer armed
 // exactly while this holds, and the model checker treats a state as
 // quiescent only when no machine is obligated (an obligated machine can
 // always fire a timeout).
@@ -228,8 +227,8 @@ func (mc *machine) obligated() bool {
 // retransmit re-sends everything unacknowledged in the active
 // configuration: invites still awaiting an ack, and — once this node's
 // subtree is complete — the report awaiting the parent's distribute.
-// Reliable delivery never needs it; the unreliable runner and the model
-// checker drive it via timeouts. Receipt is idempotent (see onInvite,
+// Loss-free delivery never needs it; RunOver and the model checker drive
+// it via timeouts. Receipt is idempotent (see onInvite,
 // onAck, onReport), so retransmission is always safe.
 func (mc *machine) retransmit(emit emitFunc) {
 	cs := mc.active

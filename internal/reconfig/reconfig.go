@@ -21,30 +21,27 @@
 // The protocol logic lives in a pure, I/O-free machine (protocol.go) that
 // is hardened for an unreliable control plane: receipt is idempotent, so
 // duplicates and stale epochs are no-ops and retransmission is always
-// safe. Two runners drive it. This file's goroutine runner models each
-// switch as its own process with links as messages between inboxes —
-// delivery there happens to be reliable and in order, which measures
-// fault-free convergence but is NOT a protocol assumption. The
-// deterministic runner in unreliable.go threads every message through
-// package ctrlnet's fault injector (loss, duplication, reordering, delay,
-// corruption, partition) and layers on retransmission with backoff plus a
-// stall watchdog; the model checker (modelcheck_test.go) explores message
-// interleavings exhaustively, including bounded loss and duplication.
+// safe. One runner drives it (eventloop.go): a single-threaded
+// virtual-time event loop, exactly reproducible. Run and RunScoped give it
+// a private loss-free channel, which measures fault-free convergence but
+// is NOT a protocol assumption; RunOver threads every message through a
+// caller's transport — package ctrlnet's fault injector (loss,
+// duplication, reordering, delay, corruption, partition) or real sockets
+// — and layers on retransmission with backoff plus a stall watchdog. The
+// model checker (modelcheck_test.go) explores message interleavings
+// exhaustively, including bounded loss and duplication.
 //
 // Latency is tracked with virtual timestamps: a message carries the
 // sender's virtual clock plus link delay, and a receiver advances its
 // clock to max(local, message) plus a processing delay — giving a
-// deterministic-in-shape estimate of real convergence time that
-// corresponds to the paper's sub-200 ms pull-the-plug demo.
+// deterministic estimate of real convergence time that corresponds to the
+// paper's sub-200 ms pull-the-plug demo.
 package reconfig
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/proto"
 	"repro/internal/topology"
@@ -120,8 +117,6 @@ type Config struct {
 	// LinkDelayUS is the control-message latency of one hop (default
 	// 10 µs — propagation plus serialization).
 	LinkDelayUS int64
-	// WallTimeout bounds the real-time duration of Run (default 10 s).
-	WallTimeout time.Duration
 	// BaseEpoch initializes every switch's stored epoch. Real switches
 	// remember the largest tag they have seen across reconfigurations;
 	// callers that model a long-lived network pass the last winning
@@ -209,9 +204,6 @@ func New(cfg Config) (*Runner, error) {
 	if cfg.LinkDelayUS == 0 {
 		cfg.LinkDelayUS = 10
 	}
-	if cfg.WallTimeout == 0 {
-		cfg.WallTimeout = 10 * time.Second
-	}
 	r := &Runner{
 		cfg: cfg,
 		adj: make(map[topology.NodeID][]topology.NodeID),
@@ -245,22 +237,6 @@ func (r *Runner) LiveSwitches() []topology.NodeID {
 	return append([]topology.NodeID(nil), r.switches...)
 }
 
-// process is the per-switch goroutine wrapper around the pure protocol
-// machine: it owns the inbox, the virtual clock, and the wire codec, and
-// delegates every protocol decision to the machine (protocol.go), which is
-// the same code the model checker verifies exhaustively.
-type process struct {
-	id     topology.NodeID
-	inbox  chan message
-	r      *Runner
-	run    *runState
-	vclock int64
-
-	mc *machine
-	// lastView detects a fresh completion after each handled message.
-	lastView *View
-}
-
 type configState struct {
 	tag       Tag
 	parent    topology.NodeID
@@ -270,51 +246,6 @@ type configState struct {
 	children  []topology.NodeID
 	collected map[LinkRec]bool
 	done      bool
-}
-
-// runState is shared bookkeeping for one Run.
-type runState struct {
-	inflight  *quiesce
-	messages  atomic.Int64
-	bytes     atomic.Int64
-	codecErrs atomic.Int64
-	procs     map[topology.NodeID]*process
-	mu        sync.Mutex
-	views     map[topology.NodeID]*View
-	quit      chan struct{}
-}
-
-// send dispatches a message to a live neighbor, accounting in-flight count
-// and link latency. Messages to dead or unknown nodes vanish (the link is
-// down). Every protocol message is round-tripped through the wire codec
-// (package proto), exactly as the line-card software would serialize it —
-// so nothing travels that could not be encoded, and the byte counter
-// reflects real control-plane traffic.
-func (p *process) send(to topology.NodeID, m message) {
-	dst, ok := p.run.procs[to]
-	if !ok {
-		return
-	}
-	m.from = p.id
-	m.vtime = p.vclock + p.r.cfg.LinkDelayUS
-	wire, err := encodeMessage(m)
-	if err != nil {
-		// Unencodable messages indicate a bug; drop loudly via counter.
-		p.run.codecErrs.Add(1)
-		return
-	}
-	decoded, err := decodeMessage(wire)
-	if err != nil {
-		p.run.codecErrs.Add(1)
-		return
-	}
-	p.run.bytes.Add(int64(len(wire)))
-	p.run.inflight.Add(1)
-	select {
-	case dst.inbox <- decoded:
-	case <-p.run.quit:
-		p.run.inflight.Add(-1)
-	}
 }
 
 // encodeMessage maps the in-memory message onto the wire format.
@@ -376,38 +307,6 @@ func decodeMessage(wire []byte) (message, error) {
 	return m, nil
 }
 
-// loop is the goroutine body: handle messages until the run ends.
-func (p *process) loop() {
-	for {
-		select {
-		case m := <-p.inbox:
-			p.handle(m)
-			p.run.inflight.Add(-1)
-			p.run.messages.Add(1)
-		case <-p.run.quit:
-			return
-		}
-	}
-}
-
-func (p *process) handle(m message) {
-	if m.vtime > p.vclock {
-		p.vclock = m.vtime
-	}
-	p.vclock += p.r.cfg.ProcessDelayUS
-	p.mc.handle(m, p.send)
-	// A fresh completion gets stamped with the local virtual clock and
-	// published (the machine itself is clock-free).
-	if p.mc.view != p.lastView {
-		p.lastView = p.mc.view
-		v := *p.mc.view
-		v.CompletedAtUS = p.vclock
-		p.run.mu.Lock()
-		p.run.views[p.id] = &v
-		p.run.mu.Unlock()
-	}
-}
-
 func recSet(set map[LinkRec]bool) []LinkRec {
 	out := make([]LinkRec, 0, len(set))
 	for rec := range set {
@@ -422,122 +321,8 @@ func recSet(set map[LinkRec]bool) []LinkRec {
 	return out
 }
 
-// ErrTimeout reports that the run did not quiesce within WallTimeout.
-var ErrTimeout = errors.New("reconfig: run did not quiesce before timeout")
-
 // ErrBadTrigger reports a trigger at a dead or unknown switch.
 var ErrBadTrigger = errors.New("reconfig: trigger at dead or unknown switch")
-
-// Run executes the protocol: the triggers fire (in AtUS order), the
-// processes exchange messages until global quiescence, and the final views
-// are returned.
-func (r *Runner) Run(triggers []Trigger) (*Result, error) {
-	return r.run(triggers, nil)
-}
-
-// run executes the protocol among the given region (nil = every live
-// switch).
-func (r *Runner) run(triggers []Trigger, region Region) (*Result, error) {
-	if len(triggers) == 0 {
-		return nil, errors.New("reconfig: no triggers")
-	}
-	run := &runState{
-		inflight: newQuiesce(),
-		procs:    make(map[topology.NodeID]*process),
-		views:    make(map[topology.NodeID]*View),
-		quit:     make(chan struct{}),
-	}
-	var wg sync.WaitGroup
-	for _, s := range r.switches {
-		if region != nil && !region[s] {
-			continue
-		}
-		node, _ := r.cfg.Topology.Node(s)
-		// The machine's adjacency is filtered to participants: in a
-		// scoped reconfiguration, out-of-region neighbors are not
-		// invited (their links are still reported as facts via own).
-		var adj []topology.NodeID
-		for _, nb := range r.adj[s] {
-			if region == nil || region[nb] {
-				adj = append(adj, nb)
-			}
-		}
-		p := &process{
-			id: s, r: r, run: run,
-			mc: &machine{
-				id:     s,
-				uid:    node.UID,
-				adj:    adj,
-				own:    r.own[s],
-				stored: Tag{Epoch: r.cfg.BaseEpoch},
-			},
-			// Inbox capacity: each concurrent configuration can put a
-			// handful of messages per neighbor in flight (invite, ack,
-			// report, distribute, plus churn when configurations
-			// supersede each other). Sizing by neighbors × triggers keeps
-			// senders from ever blocking into a full inbox, which with
-			// many concurrent triggers could otherwise cycle-block.
-			inbox: make(chan message, 4*(len(r.adj[s])+2)*(len(triggers)+2)+16),
-		}
-		run.procs[s] = p
-	}
-	for _, p := range run.procs {
-		wg.Add(1)
-		go func(p *process) {
-			defer wg.Done()
-			p.loop()
-		}(p)
-	}
-
-	sorted := append([]Trigger(nil), triggers...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].AtUS < sorted[j].AtUS })
-	for _, tr := range sorted {
-		p, ok := run.procs[tr.Node]
-		if !ok {
-			close(run.quit)
-			wg.Wait()
-			return nil, fmt.Errorf("%w: %d", ErrBadTrigger, tr.Node)
-		}
-		run.inflight.Add(1)
-		p.inbox <- message{kind: kindTrigger, vtime: tr.AtUS}
-	}
-
-	// Wait for global quiescence: no message in flight and all inboxes
-	// drained. The in-flight gauge is incremented before each send and
-	// decremented only after the receiver fully handled the message
-	// (including any sends it performed), so 0 means quiescent. The wait
-	// is condition-signaled — no polling — and WallTimeout is a stall
-	// backstop: it fires only after that long with no gauge movement at
-	// all, so a loaded machine that keeps making progress cannot time out
-	// spuriously (see quiesce.go).
-	if !run.inflight.Wait(r.cfg.WallTimeout) {
-		close(run.quit)
-		wg.Wait()
-		return nil, ErrTimeout
-	}
-	close(run.quit)
-	wg.Wait()
-
-	if n := run.codecErrs.Load(); n > 0 {
-		return nil, fmt.Errorf("reconfig: %d messages failed the wire codec (bug)", n)
-	}
-	res := &Result{Views: run.views, Messages: run.messages.Load(), Bytes: run.bytes.Load()}
-	var winner Tag
-	for _, v := range run.views {
-		if winner.Less(v.Tag) {
-			winner = v.Tag
-		}
-	}
-	for _, v := range run.views {
-		if v.CompletedAtUS > res.MaxCompletionUS {
-			res.MaxCompletionUS = v.CompletedAtUS
-		}
-		if v.Tag == winner && v.Depth > res.TreeDepth {
-			res.TreeDepth = v.Depth
-		}
-	}
-	return res, nil
-}
 
 // Agreement checks that every switch in the same live component as a
 // completed switch completed with the same tag and identical topology. It

@@ -1,7 +1,7 @@
 package reconfig
 
 import (
-	"fmt"
+	"errors"
 
 	"repro/internal/topology"
 )
@@ -56,14 +56,9 @@ func (r *Runner) RegionOf(triggers []Trigger, radius int) Region {
 // links included, so the region splices cleanly into a global view).
 func (r *Runner) RunScoped(triggers []Trigger, region Region) (*Result, error) {
 	if len(region) == 0 {
-		return nil, fmt.Errorf("reconfig: empty region")
+		return nil, errors.New("reconfig: empty region")
 	}
-	for _, tr := range triggers {
-		if !region[tr.Node] {
-			return nil, fmt.Errorf("%w: %d outside region", ErrBadTrigger, tr.Node)
-		}
-	}
-	return r.run(triggers, region)
+	return r.runLossFree(triggers, region)
 }
 
 // MergePatch folds a scoped reconfiguration's regional view into a stale

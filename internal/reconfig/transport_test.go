@@ -34,7 +34,7 @@ func TestReconfigOverUDPLoopback(t *testing.T) {
 	}
 	defer tr.Close()
 
-	ur, err := r.RunUnreliableOver([]Trigger{{Node: r.LiveSwitches()[0]}}, tr, Hardening{})
+	ur, err := r.RunOver([]Trigger{{Node: r.LiveSwitches()[0]}}, nil, tr, Hardening{})
 	if err != nil {
 		t.Fatal(err)
 	}

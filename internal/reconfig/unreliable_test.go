@@ -30,46 +30,14 @@ func chaosFaults(seed int64) ctrlnet.Config {
 	}
 }
 
-func TestUnreliableMatchesReliableWhenFaultFree(t *testing.T) {
-	g := torus33(t)
-	r, err := New(Config{Topology: g})
+// faulty builds the seeded in-memory fault injector for one run.
+func faulty(t *testing.T, cfg ctrlnet.Config) *ctrlnet.Net {
+	t.Helper()
+	chn, err := ctrlnet.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.Run([]Trigger{{Node: 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ur, err := r.RunUnreliable([]Trigger{{Node: 0}}, ctrlnet.Config{Seed: 1}, Hardening{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ur.Converged {
-		t.Fatal("fault-free unreliable run did not converge")
-	}
-	if ur.Retransmits != 0 || ur.Retriggers != 0 || ur.CRCRejects != 0 {
-		t.Fatalf("fault-free run did repair work: retx=%d retrig=%d crc=%d",
-			ur.Retransmits, ur.Retriggers, ur.CRCRejects)
-	}
-	// Same winning tag and identical topology views as the reliable run.
-	var relTag Tag
-	for _, v := range res.Views {
-		if relTag.Less(v.Tag) {
-			relTag = v.Tag
-		}
-	}
-	want := r.ExpectedLinks()
-	for n, v := range ur.Views {
-		if v.Tag != relTag {
-			t.Fatalf("switch %d finished %v; reliable runner finished %v", n, v.Tag, relTag)
-		}
-		if !equalRecs(v.Links, want) {
-			t.Fatalf("switch %d learned wrong topology", n)
-		}
-	}
-	if len(ur.Views) != len(res.Views) {
-		t.Fatalf("completed %d switches, reliable run completed %d", len(ur.Views), len(res.Views))
-	}
+	return chn
 }
 
 func TestUnreliableConvergesUnderChaosMix(t *testing.T) {
@@ -80,7 +48,7 @@ func TestUnreliableConvergesUnderChaosMix(t *testing.T) {
 	}
 	want := r.ExpectedLinks()
 	for seed := int64(0); seed < 25; seed++ {
-		ur, err := r.RunUnreliable([]Trigger{{Node: 0}}, chaosFaults(seed), Hardening{})
+		ur, err := r.RunOver([]Trigger{{Node: 0}}, nil, faulty(t, chaosFaults(seed)), Hardening{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,9 +74,9 @@ func TestUnreliableConcurrentTriggersUnderLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 10; seed++ {
-		ur, err := r.RunUnreliable(
-			[]Trigger{{Node: 0}, {Node: 8, AtUS: 3}},
-			chaosFaults(1000+seed), Hardening{})
+		ur, err := r.RunOver(
+			[]Trigger{{Node: 0}, {Node: 8, AtUS: 3}}, nil,
+			faulty(t, chaosFaults(1000+seed)), Hardening{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +93,7 @@ func TestUnreliableDeterministicReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() *UnreliableResult {
-		ur, err := r.RunUnreliable([]Trigger{{Node: 4}}, chaosFaults(7), Hardening{})
+		ur, err := r.RunOver([]Trigger{{Node: 4}}, nil, faulty(t, chaosFaults(7)), Hardening{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,8 +123,8 @@ func TestUnreliableRetransmitsUnderLoss(t *testing.T) {
 	}
 	var retx int64
 	for seed := int64(0); seed < 5; seed++ {
-		ur, err := r.RunUnreliable([]Trigger{{Node: 0}},
-			ctrlnet.Config{DropProb: 0.3, Seed: seed}, Hardening{})
+		ur, err := r.RunOver([]Trigger{{Node: 0}}, nil,
+			faulty(t, ctrlnet.Config{DropProb: 0.3, Seed: seed}), Hardening{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,8 +144,8 @@ func TestUnreliableCorruptionCountsCRCRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ur, err := r.RunUnreliable([]Trigger{{Node: 0}},
-		ctrlnet.Config{CorruptProb: 0.25, Seed: 3}, Hardening{})
+	ur, err := r.RunOver([]Trigger{{Node: 0}}, nil,
+		faulty(t, ctrlnet.Config{CorruptProb: 0.25, Seed: 3}), Hardening{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +170,11 @@ func TestUnreliableWatchdogRecoversFromBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ur, err := r.RunUnreliable([]Trigger{{Node: 0}},
-		ctrlnet.Config{
+	ur, err := r.RunOver([]Trigger{{Node: 0}}, nil,
+		faulty(t, ctrlnet.Config{
 			Bursts: []ctrlnet.Window{{FromUS: 30, ToUS: 4000}},
 			Seed:   1,
-		},
+		}),
 		Hardening{WatchdogUS: 1500})
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +195,7 @@ func TestUnreliableScopedRegionConverges(t *testing.T) {
 	}
 	triggers := []Trigger{{Node: 4}}
 	region := r.RegionOf(triggers, 1)
-	ur, err := r.RunUnreliableScoped(triggers, region, chaosFaults(11), Hardening{})
+	ur, err := r.RunOver(triggers, region, faulty(t, chaosFaults(11)), Hardening{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,12 +226,12 @@ func TestDupGuardRemovalForcesWatchdogRetriggers(t *testing.T) {
 	var withGuard, withoutGuard int64
 	for seed := int64(0); seed < 10; seed++ {
 		faults := ctrlnet.Config{DropProb: 0.25, Seed: seed}
-		ok, err := r.RunUnreliable([]Trigger{{Node: 0}}, faults, Hardening{})
+		ok, err := r.RunOver([]Trigger{{Node: 0}}, nil, faulty(t, faults), Hardening{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		withGuard += ok.Retriggers
-		bad, err := r.RunUnreliable([]Trigger{{Node: 0}}, faults, Hardening{UnsafeNoDupGuard: true})
+		bad, err := r.RunOver([]Trigger{{Node: 0}}, nil, faulty(t, faults), Hardening{UnsafeNoDupGuard: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,12 @@
 package recovery
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/cell"
 	"repro/internal/ctrlnet"
+	"repro/internal/topology"
 )
 
 // The full autonomous loop with the control plane itself degraded: 20%
@@ -49,11 +52,17 @@ func TestLoopRecoversWithUnreliableControlPlane(t *testing.T) {
 }
 
 // The same Loop run twice from the same seed must do byte-for-byte the
-// same control-plane work: the chaos harness's replay depends on it.
-func TestLoopCtrlFaultsDeterministic(t *testing.T) {
-	run := func() Stats {
+// same work — the chaos harness's replay depends on it — whether rounds
+// run over the fault-injected channel or (CtrlFaults nil) the loss-free
+// one.
+func TestLoopDeterministic(t *testing.T) {
+	type outcome struct {
+		stats     Stats
+		incidents []Incident
+		paths     map[cell.VCI][]topology.NodeID
+	}
+	run := func(faults *ctrlnet.Config) outcome {
 		n, a, b, _, _, _, _ := testNet(t)
-		faults := &ctrlnet.Config{DropProb: 0.25, DupProb: 0.15, ReorderProb: 0.1, CorruptProb: 0.05, Seed: 7}
 		loop, err := New(Config{
 			Net: n, SlotUS: 10, Skeptic: fastSkeptic, ReconfigRadius: -1,
 			CtrlFaults: faults,
@@ -64,20 +73,37 @@ func TestLoopCtrlFaultsDeterministic(t *testing.T) {
 		link, _ := n.Topology().LinkBetween(a, b)
 		inj := NewInjector([]FaultEvent{CutLink(100, link.ID), HealLink(700, link.ID)})
 		drive(t, n, loop, inj, 1500)
-		s := loop.Stats()
-		return s
+		out := outcome{stats: loop.Stats(), incidents: loop.Incidents(), paths: make(map[cell.VCI][]topology.NodeID)}
+		for _, c := range n.Circuits() {
+			out.paths[c.VC] = c.Path
+		}
+		return out
 	}
-	s1, s2 := run(), run()
-	if s1 != s2 {
-		t.Fatalf("stats diverged across identical runs:\n%+v\n%+v", s1, s2)
-	}
-	if s1.CtrlRetransmits == 0 && s1.CtrlDropped == 0 {
-		t.Fatal("fault model apparently idle — determinism test is vacuous")
-	}
+	t.Run("loss-free", func(t *testing.T) {
+		o1, o2 := run(nil), run(nil)
+		if !reflect.DeepEqual(o1, o2) {
+			t.Fatalf("identical runs diverged:\n%+v\n%+v", o1, o2)
+		}
+		if o1.stats.ReconfigRounds == 0 || o1.stats.MaxReconfigUS == 0 {
+			t.Fatal("no reconfiguration round ran — determinism test is vacuous")
+		}
+	})
+	t.Run("faulty", func(t *testing.T) {
+		faults := func() *ctrlnet.Config {
+			return &ctrlnet.Config{DropProb: 0.25, DupProb: 0.15, ReorderProb: 0.1, CorruptProb: 0.05, Seed: 7}
+		}
+		o1, o2 := run(faults()), run(faults())
+		if !reflect.DeepEqual(o1, o2) {
+			t.Fatalf("identical runs diverged:\n%+v\n%+v", o1, o2)
+		}
+		if o1.stats.CtrlRetransmits == 0 && o1.stats.CtrlDropped == 0 {
+			t.Fatal("fault model apparently idle — determinism test is vacuous")
+		}
+	})
 }
 
-// A fault-free CtrlFaults config must behave exactly like the reliable
-// runner: same repair outcome, zero fault accounting.
+// A fault-free CtrlFaults config must behave exactly like the loss-free
+// channel: same repair outcome, zero fault accounting.
 func TestLoopCtrlFaultsZeroIsFaultFree(t *testing.T) {
 	n, a, b, _, _, _, _ := testNet(t)
 	loop, err := New(Config{

@@ -72,8 +72,8 @@ type Config struct {
 	// believed-live switch for that repair pass.
 	Root topology.NodeID
 	// CtrlFaults, when non-nil, runs every reconfiguration round over the
-	// fault-injected control channel (package ctrlnet) instead of the
-	// reliable goroutine runner. Each round derives its own seed from
+	// fault-injected control channel (package ctrlnet) instead of a
+	// loss-free one. Each round derives its own seed from
 	// CtrlFaults.Seed and the round count, so a Loop run is reproducible
 	// from one seed. The pointed-to config is re-read at every round
 	// launch, so a caller (the chaos harness) may vary rates between
@@ -478,34 +478,27 @@ func (l *Loop) runReconfig(triggers []reconfig.Trigger) int64 {
 	if err != nil {
 		return 0
 	}
-	region, scoped, spine := l.scopeRegion(runner, triggers)
+	region, spine := l.scopeRegion(runner, triggers)
 	var res *reconfig.Result
-	ctrlRetries := int64(-1) // >= 0 marks a round run over the faulty channel
-	if l.cfg.CtrlTransport != nil || l.cfg.CtrlFaults != nil {
-		var ur *reconfig.UnreliableResult
-		if tr := l.cfg.CtrlTransport; tr != nil {
-			// Caller-supplied transport: its behavior IS the fault model.
-			if scoped {
-				ur, err = runner.RunUnreliableScopedOver(triggers, region, tr, l.cfg.CtrlHardening)
-			} else {
-				ur, err = runner.RunUnreliableOver(triggers, tr, l.cfg.CtrlHardening)
-			}
-		} else {
-			// Unreliable control plane: re-read the shared fault config
-			// (the chaos harness varies rates between ticks) and give the
-			// round its own deterministic seed.
-			faults := *l.cfg.CtrlFaults
-			faults.Seed = roundSeed(faults.Seed, l.stats.ReconfigRounds)
-			if faults.Obs == nil {
-				faults.Obs = l.cfg.Obs // control-plane loss lands in the shared registry
-			}
-			if scoped {
-				ur, err = runner.RunUnreliableScoped(triggers, region, faults, l.cfg.CtrlHardening)
-			} else {
-				ur, err = runner.RunUnreliable(triggers, faults, l.cfg.CtrlHardening)
-			}
+	ctrlRetries := int64(-1)  // >= 0 marks a round run over the faulty channel
+	tr := l.cfg.CtrlTransport // caller-supplied: its behavior IS the fault model
+	if tr == nil && l.cfg.CtrlFaults != nil {
+		// Unreliable control plane: re-read the shared fault config (the
+		// chaos harness varies rates between ticks) and give the round its
+		// own deterministic seed.
+		faults := *l.cfg.CtrlFaults
+		faults.Seed = roundSeed(faults.Seed, l.stats.ReconfigRounds)
+		if faults.Obs == nil {
+			faults.Obs = l.cfg.Obs // control-plane loss lands in the shared registry
 		}
-		if err != nil || ur == nil {
+		if tr, err = ctrlnet.New(faults); err != nil {
+			return 0
+		}
+	}
+	switch {
+	case tr != nil:
+		var ur *reconfig.UnreliableResult
+		if ur, err = runner.RunOver(triggers, region, tr, l.cfg.CtrlHardening); err != nil {
 			return 0
 		}
 		l.stats.CtrlDropped += ur.Channel.Lost()
@@ -517,9 +510,9 @@ func (l *Loop) runReconfig(triggers []reconfig.Trigger) int64 {
 		}
 		ctrlRetries = ur.Retransmits + ur.Retriggers
 		res = &ur.Result
-	} else if scoped {
+	case region != nil:
 		res, err = runner.RunScoped(triggers, region)
-	} else {
+	default:
 		res, err = runner.Run(triggers)
 	}
 	if err != nil || res == nil {
@@ -562,9 +555,9 @@ func (l *Loop) runReconfig(triggers []reconfig.Trigger) int64 {
 }
 
 // scopeRegion picks this round's participant set: hierarchical (Scoper),
-// radius-based (ReconfigRadius >= 0), or global. scoped=false means run an
-// unscoped round; spine reports hierarchical escalation.
-func (l *Loop) scopeRegion(runner *reconfig.Runner, triggers []reconfig.Trigger) (region reconfig.Region, scoped, spine bool) {
+// radius-based (ReconfigRadius >= 0), or — a nil region — every live
+// switch. spine reports hierarchical escalation.
+func (l *Loop) scopeRegion(runner *reconfig.Runner, triggers []reconfig.Trigger) (region reconfig.Region, spine bool) {
 	if l.cfg.Scoper != nil {
 		nodes := make([]topology.NodeID, len(triggers))
 		for i, t := range triggers {
@@ -582,12 +575,12 @@ func (l *Loop) scopeRegion(runner *reconfig.Runner, triggers []reconfig.Trigger)
 		for _, t := range triggers {
 			region[t.Node] = true
 		}
-		return region, true, esc
+		return region, esc
 	}
 	if l.cfg.ReconfigRadius >= 0 {
-		return runner.RegionOf(triggers, l.cfg.ReconfigRadius), true, false
+		return runner.RegionOf(triggers, l.cfg.ReconfigRadius), false
 	}
-	return nil, false, false
+	return nil, false
 }
 
 // roundSeed derives a per-round channel seed from the base seed, so every
