@@ -3,10 +3,9 @@
 //
 // The library lives under internal/ (see README.md for the architecture
 // map); this root package carries the module documentation plus the
-// end-to-end integration tests and the benchmark harness that regenerates
-// every experiment in DESIGN.md (E1–E23):
+// end-to-end integration tests:
 //
-//	go run ./cmd/an2bench          # every experiment, as tables
-//	go test -bench=. -benchmem     # the same experiments as benchmarks
+//	go run ./cmd/an2bench          # every experiment in DESIGN.md, as tables
+//	go run ./bench                 # the performance ledger
 //	go run ./examples/pullplug     # the paper's favorite demo
 package repro

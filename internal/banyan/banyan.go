@@ -29,7 +29,7 @@ type Banyan struct {
 	// scratch, reused across slots.
 	value  []int
 	alive  []bool
-	owners map[int][]int
+	owners [][]int // owners[wire] = inputs contending for it this stage
 
 	stats Stats
 }
@@ -53,7 +53,7 @@ func New(n int, seed int64) (*Banyan, error) {
 		rng:    rand.New(rand.NewSource(seed)),
 		value:  make([]int, n),
 		alive:  make([]bool, n),
-		owners: make(map[int][]int),
+		owners: make([][]int, n),
 	}, nil
 }
 
@@ -91,8 +91,8 @@ func (b *Banyan) Route(dest []int) []bool {
 		// After stage s the wire is identified by the current value with
 		// bit (stages-1-s) replaced by the destination's bit.
 		bit := b.stages - 1 - s
-		for k := range b.owners {
-			delete(b.owners, k)
+		for w := range b.owners {
+			b.owners[w] = b.owners[w][:0]
 		}
 		for i := 0; i < b.n; i++ {
 			if !b.alive[i] {
@@ -102,6 +102,7 @@ func (b *Banyan) Route(dest []int) []bool {
 			b.value[i] = v
 			b.owners[v] = append(b.owners[v], i)
 		}
+		// Ascending wire order: the RNG draws in the same sequence every run.
 		for _, group := range b.owners {
 			if len(group) < 2 {
 				continue

@@ -14,6 +14,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/bwcentral"
 	"repro/internal/cell"
@@ -216,7 +217,8 @@ func (l *LAN) Reconfigure(triggers []reconfig.Trigger) (*reconfig.Result, error)
 	// its accounting reflects reality: each circuit is re-registered on
 	// the exact path it is actually using. Circuits whose path died are
 	// re-admitted later by the reroute step.
-	for _, ci := range l.circuits {
+	for _, vc := range l.Circuits() {
+		ci := l.circuits[vc]
 		if ci.class != cell.Guaranteed {
 			continue
 		}
@@ -336,12 +338,13 @@ func (l *LAN) LinkUtilization() map[topology.LinkID]float64 {
 	return l.net.LinkUtilization()
 }
 
-// Circuits returns the open circuit ids.
+// Circuits returns the open circuit ids in ascending order.
 func (l *LAN) Circuits() []cell.VCI {
 	out := make([]cell.VCI, 0, len(l.circuits))
 	for vc := range l.circuits {
 		out = append(out, vc)
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -392,8 +395,10 @@ func (l *LAN) PullPlug(victim topology.NodeID) (*PlugReport, error) {
 	}
 	report := &PlugReport{Victim: victim, ReconfigTimeUS: res.MaxCompletionUS}
 
-	// Reroute circuits that crossed the victim.
-	for vc, ci := range l.circuits {
+	// Reroute circuits that crossed the victim, in VCI order: admission on
+	// shared links and the trace depend on who moves first.
+	for _, vc := range l.Circuits() {
+		ci := l.circuits[vc]
 		crosses := false
 		for _, n := range ci.path {
 			if l.deadNodes[n] {

@@ -29,6 +29,17 @@ func renderAll(t *testing.T, ids []string) string {
 	return sb.String()
 }
 
+// checkGolden fails unless the seed-42 tables of the experiments hash to
+// golden.
+func checkGolden(t *testing.T, golden string, ids ...string) {
+	t.Helper()
+	out := renderAll(t, ids)
+	sum := sha256.Sum256([]byte(out))
+	if h := hex.EncodeToString(sum[:16]); h != golden {
+		t.Fatalf("%v tables hash %s, golden %s:\n%s", ids, h, golden, out)
+	}
+}
+
 // TestPublishedTablesGolden pins the experiments the paper's throughput
 // and fairness claims rest on — E2–E5 plus the scheduler comparisons
 // E25/E26 — to the tables the flat engine printed: the hash was captured at
@@ -40,10 +51,14 @@ func TestPublishedTablesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping multi-experiment golden in -short mode")
 	}
-	const golden = "105368011634ac43763ca476a2c1a631"
-	out := renderAll(t, []string{"E2", "E3", "E4", "E5", "E25", "E26"})
-	sum := sha256.Sum256([]byte(out))
-	if h := hex.EncodeToString(sum[:16]); h != golden {
-		t.Fatalf("published tables hash %s, golden %s:\n%s", h, golden, out)
-	}
+	checkGolden(t, "105368011634ac43763ca476a2c1a631", "E2", "E3", "E4", "E5", "E25", "E26")
+}
+
+// TestFabricTablesGolden pins E30 — hierarchical recovery on the fat-tree:
+// pod-scoped vs global rounds, message counts, convergence times — at seed
+// 42. The tables were byte-identical in every committed an2bench snapshot
+// from the PR that introduced them (flat stepping) to the last one (the
+// wake set); the hash is of today's output, checked equal to that record.
+func TestFabricTablesGolden(t *testing.T) {
+	checkGolden(t, "3e548df6ba441a002a377fd1af6e34ae", "E30")
 }

@@ -1,10 +1,8 @@
-// Package exp implements the paper-reproduction experiments (E1–E29 in
+// Package exp implements the paper-reproduction experiments (E1–E34 in
 // DESIGN.md): each function regenerates one of the paper's figures, worked
 // examples, or quantitative claims as a metrics.Table, so the experiment
 // output reads like the rows a paper's evaluation section reports.
-//
-// The same functions back cmd/an2bench (human-facing) and the repository's
-// testing.B benchmarks.
+// cmd/an2bench runs them.
 package exp
 
 import (

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -30,6 +31,39 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// headlines are the promises the loopback-service experiments make about
+// the run itself, checked on the tables of every run (label → value of the
+// two-column tables): whatever size the run, the fleet recovers completely
+// and a disabled tracer is free.
+var headlines = map[string]func(t *testing.T, rows map[string]string){
+	// E32: the loopback run completed every flow of its 1e5 budget.
+	"E32": func(t *testing.T, rows map[string]string) {
+		if n, err := strconv.Atoi(rows["flows completed"]); err != nil || n < e32Flows {
+			t.Errorf("E32 flows completed = %q, below the promised %d", rows["flows completed"], e32Flows)
+		}
+	},
+	// E33: every live tenant re-attached after the mid-churn kill+restart,
+	// no orphan VC survives lease expiry, and the unavailability window
+	// rebuilt from merged spans alone lands within 10% of ground truth.
+	"E33": func(t *testing.T, rows map[string]string) {
+		if live, re := rows["live tenants"], rows["tenants re-attached"]; live == "" || live != re {
+			t.Errorf("E33 tenants re-attached (%q) != live tenants (%q)", re, live)
+		}
+		if orphans := rows["orphan VCs after lease expiry"]; orphans != "0" {
+			t.Errorf("E33 orphan VCs after lease expiry = %q, want 0", orphans)
+		}
+		if e, err := strconv.ParseFloat(rows["trace window error (%)"], 64); err != nil || e < 0 || e > 10 {
+			t.Errorf("E33 trace window error = %q, want within 10%% of ground truth", rows["trace window error (%)"])
+		}
+	},
+	// E34: tracing disabled adds exactly 0 allocs to the request hot path.
+	"E34": func(t *testing.T, rows map[string]string) {
+		if added := rows["added allocs/op (tracing disabled)"]; added != "0.00" {
+			t.Errorf("E34 tracing disabled added %q allocs/op, want exactly 0.00", added)
+		}
+	},
+}
+
 // Every experiment must run to completion and produce non-empty tables.
 // The assertions on the *values* live in the per-package tests; this is
 // the harness-level smoke check that an2bench depends on.
@@ -37,7 +71,8 @@ func TestRegistryComplete(t *testing.T) {
 // Under -short the two loopback-service experiments that dominate the
 // package's run time (E33, E34) churn a quarter of their flows; without
 // -short — tier-1 and CI's full run — every experiment runs at the size
-// an2bench runs it.
+// an2bench runs it. Either way the headlines above are checked on the
+// tables the run produced.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		// Restored by Cleanup, not defer: the parallel subtests run after
@@ -66,16 +101,28 @@ func TestAllExperimentsRun(t *testing.T) {
 					t.Errorf("%s: table suspiciously empty:\n%s", e.ID, out)
 				}
 			}
+			if check, ok := headlines[e.ID]; ok {
+				rows := make(map[string]string)
+				for _, tb := range tables {
+					for _, row := range tb.Rows() {
+						if len(row) >= 2 {
+							rows[row[0]] = row[1]
+						}
+					}
+				}
+				check(t, rows)
+			}
 		})
 	}
 }
 
 // Experiments are deterministic under a fixed seed — including the ones
 // that run the reconfiguration protocol (E1, E13, E14, E19 directly; E22
-// and E27 through the fault-management and recovery loops).
+// and E27 through the recovery loop) and E23, whose banyan draws its
+// conflict winners in wire order.
 func TestQuickExperimentsDeterministic(t *testing.T) {
 	for _, id := range []string{"E1", "E3", "E5", "E6", "E7", "E10", "E11", "E13", "E14", "E15", "E16", "E17",
-		"E19", "E20", "E21", "E22", "E27"} {
+		"E19", "E20", "E21", "E22", "E23", "E27"} {
 		e, ok := Lookup(id)
 		if !ok {
 			t.Fatalf("missing %s", id)

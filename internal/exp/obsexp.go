@@ -18,7 +18,7 @@ import (
 // E29: what does watching the network cost? The observability layer
 // promises that its instruments are free when disabled (nil registry →
 // single-branch no-ops, validated by internal/obs's micro-benchmarks and
-// the BENCH_*.json trajectory) and cheap when enabled. This experiment
+// bench's svc_traced workload) and cheap when enabled. This experiment
 // measures the whole-path ablation: the E2 fixture (a saturated 16×16
 // per-VC switch) with instruments off vs on, and a 3×3-torus network run
 // with instruments off / counters only / full JSONL tracing including

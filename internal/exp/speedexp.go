@@ -23,8 +23,8 @@ import (
 // switch-slots that ran a full Step and the host time per stepped switch
 // port (a Step scans its crossbar's ports, and the three fabrics use 4-, 6-
 // and 24-port switches) — which does not grow from 24 switches to 720. (The
-// flat sweep this engine replaced is gone; BENCH_7.json keeps the 5.3–6.9×
-// flat-vs-wake measurement taken while both existed.) Table 2
+// flat sweep this engine replaced is gone; the 5.3–6.9× flat-vs-wake
+// speedup was measured once, while both existed.) Table 2
 // quantifies flow-level fast-forward: everything counter-like is exact by
 // construction (asserted), and the one documented approximation — obs
 // ring-buffer series receive no samples for skipped slots — is bounded by

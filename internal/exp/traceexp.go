@@ -21,7 +21,7 @@ import (
 // in every control frame, a flight recorder in both processes, JSONL
 // emission) must cost NOTHING until it is switched on: with tracing
 // disabled the request hot path must allocate exactly what it did before
-// the tracing PR (the BENCH_9-era baseline, pinned at 9 allocs per
+// the tracing PR (the PR 9 baseline, pinned at 9 allocs per
 // open+close pair by svc's hot-path test), and the E32 setup-rate harness
 // must run at full speed. With tracing fully on, the overhead is measured
 // and reported — the operator's price list, not a claim.
@@ -41,7 +41,7 @@ func init() {
 }
 
 // e34BaselineAllocs is the pre-tracing open+close allocation count, from
-// the BENCH_9-era hot path (pinned by svc.TestRequestHotPathAllocsUnchanged).
+// the PR 9 hot path (pinned by svc.TestRequestHotPathAllocsUnchanged).
 const e34BaselineAllocs = 9.0
 
 // e34Flows keeps the two throughput arms short enough to run back to
@@ -69,7 +69,7 @@ func runE34(seed int64) ([]*metrics.Table, error) {
 
 	t1 := metrics.NewTable("E34a — request hot path, allocations per open+close pair",
 		"metric", "value")
-	t1.AddRow("pre-tracing baseline (BENCH_9 era)", fmt.Sprintf("%.2f", e34BaselineAllocs))
+	t1.AddRow("pre-tracing baseline (PR 9)", fmt.Sprintf("%.2f", e34BaselineAllocs))
 	t1.AddRow("tracing disabled", fmt.Sprintf("%.2f", disabled))
 	t1.AddRow("added allocs/op (tracing disabled)", fmt.Sprintf("%.2f", added))
 	t1.AddRow("flight recorder armed, untraced frames", fmt.Sprintf("%.2f", recorderOnly))

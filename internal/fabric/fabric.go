@@ -1,8 +1,8 @@
 // Package fabric is the datacenter-scale composition layer: it ties the
 // fat-tree generator (topology.FatTree), the simulator (simnet, whose
 // wake-set engine makes idle pods free) and hierarchical reconfiguration
-// (reconfig.RunOver driven per pod, with a separate spine
-// epoch) into one subsystem. The organizing idea is the paper's §2 scoping
+// (a recovery.Loop scoping its rounds by the pod/spine Partition) into one
+// subsystem. The organizing idea is the paper's §2 scoping
 // argument taken to datacenter size: a fault whose triggers stay inside
 // one pod involves only that pod's switches — O(pod), not O(fabric) — and
 // only faults touching the spine layer (inter-pod links, spine switches,

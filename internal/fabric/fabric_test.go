@@ -5,11 +5,13 @@ import (
 	"encoding/hex"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cell"
 	"repro/internal/ctrlnet"
 	"repro/internal/monitor"
+	"repro/internal/reconfig"
 	"repro/internal/recovery"
 	"repro/internal/simnet"
 	"repro/internal/switchnode"
@@ -98,10 +100,12 @@ func TestScopeRule(t *testing.T) {
 	}
 }
 
-// TestControllerHierarchicalEpochs drives the controller directly: a leaf
-// failure moves only its pod's epoch; an inter-pod fault moves the spine
-// epoch; the uninvolved pods' epochs never move.
-func TestControllerHierarchicalEpochs(t *testing.T) {
+// TestScopedRoundSize runs the protocol directly over the regions Scope
+// picks: a leaf death is a pod-sized round — O(pod) participants, not
+// O(fabric) — and an agg–spine cut escalates to the touched pod plus the
+// spines. (The pod/spine round tally of a whole recovery is asserted
+// through recovery.Stats in the leaf-kill and inter-pod scenarios below.)
+func TestScopedRoundSize(t *testing.T) {
 	g, info, err := topology.FatTree(topology.FatTreeConfig{Radix: 8, Pods: 4, NoHosts: true})
 	if err != nil {
 		t.Fatal(err)
@@ -110,48 +114,55 @@ func TestControllerHierarchicalEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewController(g, part, ControllerConfig{Faults: ctrlnet.Config{Seed: 11}})
-
-	// Leaf (edge switch) death in pod 0: triggers are pod 0's aggs.
 	victim := info.Edges[0][0]
-	dead := map[topology.NodeID]bool{victim: true}
-	ur, spine, err := c.React(nil, dead, info.Aggs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spine {
-		t.Fatal("leaf death escalated to the spine")
-	}
-	if !ur.Converged {
-		t.Fatal("pod round did not converge")
-	}
-	// Participants = pod 0 minus the victim: O(pod), not O(fabric).
-	if want := len(part.Pod(0)) - 1; len(ur.Views) != want {
-		t.Fatalf("pod round had %d participants, want %d", len(ur.Views), want)
-	}
-	if c.PodEpoch(0) != 1 || c.PodEpoch(1) != 0 || c.SpineEpoch() != 0 {
-		t.Fatalf("epochs after leaf death: pod0=%d pod1=%d spine=%d", c.PodEpoch(0), c.PodEpoch(1), c.SpineEpoch())
-	}
-
-	// Agg-spine link cut: escalates, spine epoch bumps, pod 3 untouched.
 	link, ok := g.LinkBetween(info.Aggs[1][0], info.Spines[0])
 	if !ok {
 		t.Fatal("no agg-spine link where expected")
 	}
-	deadLinks := map[topology.LinkID]bool{link.ID: true}
-	ur, spine, err = c.React(deadLinks, dead, []topology.NodeID{info.Aggs[1][0], info.Spines[0]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !spine || !ur.Converged {
-		t.Fatalf("inter-pod fault: spine=%v converged=%v", spine, ur.Converged)
-	}
-	if c.SpineEpoch() != 1 || c.PodEpoch(1) != 1 || c.PodEpoch(3) != 0 {
-		t.Fatalf("epochs after spine fault: spine=%d pod1=%d pod3=%d", c.SpineEpoch(), c.PodEpoch(1), c.PodEpoch(3))
-	}
-	st := c.Stats()
-	if st.PodRounds != 1 || st.SpineRounds != 1 {
-		t.Fatalf("round tally: %+v", st)
+	for _, c := range []struct {
+		name      string
+		deadLinks map[topology.LinkID]bool
+		triggers  []topology.NodeID
+		spine     bool
+		views     int
+	}{
+		// Edge switch p0e0 dies: pod 0's aggs notice.
+		{"leaf death", nil, info.Aggs[0], false, len(part.Pod(0)) - 1},
+		// Agg-spine link cut with the leaf still dead: pod 1 + every spine.
+		{"agg-spine cut", map[topology.LinkID]bool{link.ID: true},
+			[]topology.NodeID{info.Aggs[1][0], info.Spines[0]}, true, len(part.Pod(1)) + len(part.Spines())},
+	} {
+		runner, err := reconfig.New(reconfig.Config{
+			Topology: g, DeadLinks: c.deadLinks, DeadNodes: map[topology.NodeID]bool{victim: true},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		picked, spine := part.Scope(c.triggers)
+		region := make(reconfig.Region, len(picked))
+		for _, s := range picked {
+			if s != victim {
+				region[s] = true
+			}
+		}
+		var triggers []reconfig.Trigger
+		for _, n := range c.triggers {
+			triggers = append(triggers, reconfig.Trigger{Node: n})
+		}
+		chn, err := ctrlnet.New(ctrlnet.Config{Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ur, err := runner.RunOver(triggers, region, chn, reconfig.Hardening{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spine != c.spine || !ur.Converged {
+			t.Fatalf("%s: spine=%v converged=%v, want spine=%v converged", c.name, spine, ur.Converged, c.spine)
+		}
+		if len(ur.Views) != c.views {
+			t.Fatalf("%s: round had %d participants, want %d", c.name, len(ur.Views), c.views)
+		}
 	}
 }
 
@@ -321,7 +332,11 @@ func (r fabricRun) hash() string {
 	for _, ev := range r.events {
 		fmt.Fprintf(h, "%+v\n", ev)
 	}
-	fmt.Fprintf(h, "net %+v\nloop %+v\n", r.net, r.loop)
+	// The golden predates Stats.ReconfigUS; leave that one field out of the
+	// digest (every round's convergence time is already in it, as the Seq
+	// of the reconfig trace events above).
+	loop := strings.Replace(fmt.Sprintf("%+v", r.loop), fmt.Sprintf(" ReconfigUS:%d", r.loop.ReconfigUS), "", 1)
+	fmt.Fprintf(h, "net %+v\nloop %s\n", r.net, loop)
 	for _, inc := range r.incidents {
 		fmt.Fprintf(h, "%+v\n", inc)
 	}

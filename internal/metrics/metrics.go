@@ -1,7 +1,7 @@
 // Package metrics provides the post-hoc measurement primitives used by
 // the AN2 simulator's experiments: counters, latency histograms with
-// exact percentiles, throughput meters, and fixed-width table rendering
-// for experiment output.
+// exact percentiles, and fixed-width table rendering for experiment
+// output.
 //
 // The repo's instrumentation is split in two by concurrency contract:
 //
@@ -227,32 +227,6 @@ func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.2f min=%d p50=%d p99=%d max=%d sd=%.2f",
 		s.Count, s.Mean, s.Min, s.P50, s.P99, s.Max, s.StdDev)
 }
-
-// Meter measures a rate: events per unit of simulated time.
-type Meter struct {
-	events int64
-	slots  int64
-}
-
-// Record adds n events observed over the given number of slots.
-func (m *Meter) Record(events, slots int64) {
-	m.events += events
-	m.slots += slots
-}
-
-// Rate returns events per slot, or 0 if no time has been recorded.
-func (m *Meter) Rate() float64 {
-	if m.slots == 0 {
-		return 0
-	}
-	return float64(m.events) / float64(m.slots)
-}
-
-// Events returns the total event count.
-func (m *Meter) Events() int64 { return m.events }
-
-// Slots returns the total observed slots.
-func (m *Meter) Slots() int64 { return m.slots }
 
 // Table renders experiment results as a fixed-width text table, in the
 // style of the rows a paper's evaluation section reports.

@@ -102,21 +102,6 @@ func TestSummary(t *testing.T) {
 	}
 }
 
-func TestMeter(t *testing.T) {
-	var m Meter
-	if m.Rate() != 0 {
-		t.Fatal("empty meter rate should be 0")
-	}
-	m.Record(50, 100)
-	m.Record(25, 100)
-	if got := m.Rate(); math.Abs(got-0.375) > 1e-12 {
-		t.Fatalf("Rate = %v, want 0.375", got)
-	}
-	if m.Events() != 75 || m.Slots() != 200 {
-		t.Fatalf("Events=%d Slots=%d", m.Events(), m.Slots())
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Throughput", "scheduler", "load", "tput")
 	tb.AddRow("FIFO", 1.0, 0.5858)

@@ -32,7 +32,7 @@ import (
 // timeout transition lets any still-obligated machine fire its
 // retransmission timer. Timeouts are enabled only once the network has
 // drained — the standard abstraction that timers are much slower than
-// links, which is exactly how the unreliable runner tunes them. Under
+// links, which is exactly how the event loop's Hardening tunes them. Under
 // faults, a state is terminal only when the network is drained AND no
 // machine is obligated (an obligated machine can always time out), so the
 // contract above must survive EVERY bounded loss/duplication interleaving.

@@ -184,6 +184,7 @@ type Stats struct {
 	FailedReroutes int64 // no path or admission refused (will retry)
 	Resyncs        int64 // ingress credit resyncs issued
 	UnroutedAtEnd  int   // circuits still crossing dead elements
+	ReconfigUS     int64 // summed convergence time of every round
 	MaxReconfigUS  int64 // slowest round's convergence time
 
 	// Hierarchical scope accounting; populated only when Config.Scoper is
@@ -528,6 +529,7 @@ func (l *Loop) runReconfig(triggers []reconfig.Trigger) int64 {
 	}
 	l.stats.ReconfigMsgs += res.Messages
 	l.stats.ReconfigBytes += res.Bytes
+	l.stats.ReconfigUS += res.MaxCompletionUS
 	if res.MaxCompletionUS > l.stats.MaxReconfigUS {
 		l.stats.MaxReconfigUS = res.MaxCompletionUS
 	}

@@ -335,10 +335,6 @@ func (n *Network) FastForward(slots int64) (skipped int64) {
 	return skipped
 }
 
-// RunFast is the drop-in Run replacement: advance slots slots, skipping
-// steady frames where possible. It returns the analytically covered count.
-func (n *Network) RunFast(slots int64) int64 { return n.FastForward(slots) }
-
 // ffApply replicates one steady frame's deltas m times and shifts the
 // surviving state m×p slots into the future.
 func (n *Network) ffApply(d *ffDelta, m, p int64) {

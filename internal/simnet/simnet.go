@@ -1195,9 +1195,6 @@ func (n *Network) Circuits() []*Circuit {
 	return append([]*Circuit(nil), n.circOrder...)
 }
 
-// InFlightCells returns the number of cells currently on links.
-func (n *Network) InFlightCells() int { return len(n.inflight) }
-
 // DeliveredByVC returns the number of cells delivered to the destination
 // host on circuit vc over the run so far (0 for unknown circuits).
 func (n *Network) DeliveredByVC(vc cell.VCI) int64 { return n.deliveredVC[vc] }

@@ -37,7 +37,7 @@ const (
 	TracePurge       = obs.KindPurge       // buffered cells drained (Seq = count)
 	TraceResync      = obs.KindResync      // ingress credit window resynced
 	// TraceRecovery event family: emitted by the recovery control loop
-	// (internal/recovery) via EmitTrace/EmitEvent, so a single trace stream
+	// (internal/recovery) via EmitEvent, so a single trace stream
 	// shows hardware faults, the loop's beliefs, and the data-plane
 	// consequences on one timeline.
 	TraceRecoveryDetect   = obs.KindRecoveryDetect   // skeptic believed a transition
@@ -107,15 +107,10 @@ func (t *CollectTracer) Count(kind string) int {
 	return n
 }
 
-// EmitTrace lets cooperating control-plane packages (the recovery loop)
-// stamp their own events into the network's trace stream at the current
-// slot, keeping one totally ordered timeline across planes.
-func (n *Network) EmitTrace(kind string, vc cell.VCI, node topology.NodeID, link topology.LinkID, seq uint64) {
-	n.trace(kind, vc, node, link, seq)
-}
-
-// EmitEvent stamps a fully formed event — including the span correlation
-// fields Epoch, Incident and Dur — into the trace stream. The event's
+// EmitEvent lets cooperating control-plane packages (the recovery loop)
+// stamp a fully formed event — including the span correlation fields
+// Epoch, Incident and Dur — into the trace stream, keeping one totally
+// ordered timeline across planes. The event's
 // Slot is overwritten with the network's current slot so the stream stays
 // totally ordered.
 func (n *Network) EmitEvent(ev TraceEvent) {

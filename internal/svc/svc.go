@@ -405,12 +405,10 @@ func NewServer(cfg Config) (*Server, error) {
 		s.roster = append(s.roster, proto.LinkRec{A: int32(h), B: int32(h)})
 	}
 	s.stats.RefusedBy = make(map[int32]int64)
-	// Adopt what the previous incarnation left in the fabric. Sorted so
-	// virtual-time replays do identical work.
-	inherited := cfg.LAN.Circuits()
-	sort.Slice(inherited, func(i, j int) bool { return inherited[i] < inherited[j] })
+	// Adopt what the previous incarnation left in the fabric (ascending
+	// VCI, so virtual-time replays do identical work).
 	deadline := cfg.Now().Add(cfg.OrphanGrace)
-	for _, vc := range inherited {
+	for _, vc := range cfg.LAN.Circuits() {
 		s.orphans[vc] = deadline
 		s.stats.OrphansAdopted++
 	}
