@@ -3,7 +3,7 @@
 // the paper's figures, worked examples, and quantitative claims, printed
 // as tables. E30 exercises the datacenter-fabric layer — fat-trees from
 // topology.FatTree recovered hierarchically via fabric.Partition; E31
-// measures the wake-set slot engine and flow-level fast-forward.
+// measures the wake-set slot engine.
 //
 // Usage:
 //

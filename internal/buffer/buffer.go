@@ -14,11 +14,7 @@
 // disciplines.
 package buffer
 
-import (
-	"sort"
-
-	"repro/internal/cell"
-)
+import "repro/internal/cell"
 
 // InputBuffer is an input-side cell store on a line card.
 type InputBuffer interface {
@@ -52,21 +48,6 @@ type InputBuffer interface {
 	// DropAll discards every buffered cell (a crashed line card losing its
 	// memory), returning how many were discarded.
 	DropAll() int
-	// ForEach visits every buffered cell with its output port in a
-	// deterministic order (FIFO: queue order; PerVC: ascending VCI, then
-	// queue order within a circuit). The buffer must not be mutated during
-	// the walk. Fast-forward uses this to take state signatures.
-	ForEach(fn func(c cell.Cell, output int))
-	// ForEachRR visits the per-output round-robin pointers in ascending
-	// output order. FIFO has none and never calls fn. The pointers persist
-	// after a circuit's queue drains and still bias future service order,
-	// so any state signature must include them.
-	ForEachRR(fn func(output int, vc cell.VCI))
-	// ShiftStamps advances every buffered cell's timestamp by dt slots and
-	// its sequence number by seqShift(vc) — how fast-forward relocates a
-	// steady-state buffer occupancy k·period slots into the future without
-	// replaying the slots in between. A nil seqShift leaves Seq untouched.
-	ShiftStamps(dt int64, seqShift func(vc cell.VCI) uint64)
 }
 
 // queued pairs a cell with its output port.
@@ -182,26 +163,6 @@ func (f *FIFO) DropAll() int {
 	f.q = f.q[:0]
 	f.head = 0
 	return n
-}
-
-// ForEach implements InputBuffer: queue order, head first.
-func (f *FIFO) ForEach(fn func(c cell.Cell, output int)) {
-	for _, it := range f.q[f.head:] {
-		fn(it.c, it.output)
-	}
-}
-
-// ForEachRR implements InputBuffer: a FIFO has no round-robin state.
-func (f *FIFO) ForEachRR(fn func(output int, vc cell.VCI)) {}
-
-// ShiftStamps implements InputBuffer.
-func (f *FIFO) ShiftStamps(dt int64, seqShift func(vc cell.VCI) uint64) {
-	for i := f.head; i < len(f.q); i++ {
-		f.q[i].c.Stamp.EnqueuedAt += dt
-		if seqShift != nil {
-			f.q[i].c.Stamp.Seq += seqShift(f.q[i].c.VC)
-		}
-	}
 }
 
 // PerVC is the AN2-style random-access buffer: one queue per virtual
@@ -411,48 +372,6 @@ func (p *PerVC) Drop(vc cell.VCI) int {
 	}
 	p.recycle(q)
 	return n
-}
-
-// ForEach implements InputBuffer: circuits in ascending VCI order, cells
-// in queue order within each circuit.
-func (p *PerVC) ForEach(fn func(c cell.Cell, output int)) {
-	vcs := make([]cell.VCI, 0, len(p.queues))
-	for vc := range p.queues {
-		vcs = append(vcs, vc)
-	}
-	sort.Slice(vcs, func(i, j int) bool { return vcs[i] < vcs[j] })
-	for _, vc := range vcs {
-		q := p.queues[vc]
-		for _, it := range q.cells[q.head:] {
-			fn(it.c, it.output)
-		}
-	}
-}
-
-// ForEachRR implements InputBuffer: pointers in ascending output order.
-func (p *PerVC) ForEachRR(fn func(output int, vc cell.VCI)) {
-	outs := make([]int, 0, len(p.rr))
-	for o := range p.rr {
-		outs = append(outs, o)
-	}
-	sort.Ints(outs)
-	for _, o := range outs {
-		fn(o, p.rr[o])
-	}
-}
-
-// ShiftStamps implements InputBuffer.
-func (p *PerVC) ShiftStamps(dt int64, seqShift func(vc cell.VCI) uint64) {
-	for vc, q := range p.queues {
-		var ds uint64
-		if seqShift != nil {
-			ds = seqShift(vc)
-		}
-		for i := q.head; i < len(q.cells); i++ {
-			q.cells[i].c.Stamp.EnqueuedAt += dt
-			q.cells[i].c.Stamp.Seq += ds
-		}
-	}
 }
 
 // DropAll implements InputBuffer.

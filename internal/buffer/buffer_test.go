@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -272,4 +273,176 @@ func TestPerVCDrainRefillAllocationFree(t *testing.T) {
 		t.Fatalf("empty→non-empty→empty cycle allocates %.0f times, want 0", allocs)
 	}
 	cycle()
+}
+
+// refPerVC is the map-based per-VC buffer that PerVC replaced (PR 21), kept
+// verbatim in behaviour as the reference model: a queue per VCI, a set of
+// queued circuits per output, and the round-robin pointer per output — the
+// next VCI above the last one served, wrapping — that survives drains,
+// Drop and DropAll.
+type refPerVC struct {
+	queues     map[cell.VCI]*refQueue
+	byOutput   map[int]map[cell.VCI]struct{}
+	rr         map[int]cell.VCI
+	perVCLimit int
+	total      int
+}
+
+type refQueue struct {
+	cells  []cell.Cell
+	output int
+}
+
+func newRefPerVC(limit int) *refPerVC {
+	return &refPerVC{
+		queues:     map[cell.VCI]*refQueue{},
+		byOutput:   map[int]map[cell.VCI]struct{}{},
+		rr:         map[int]cell.VCI{},
+		perVCLimit: limit,
+	}
+}
+
+func (p *refPerVC) Push(c cell.Cell, output int) bool {
+	q := p.queues[c.VC]
+	if q == nil {
+		q = &refQueue{output: output}
+		p.queues[c.VC] = q
+	}
+	if p.perVCLimit > 0 && len(q.cells) >= p.perVCLimit {
+		return false
+	}
+	q.cells = append(q.cells, c)
+	p.total++
+	if p.byOutput[output] == nil {
+		p.byOutput[output] = map[cell.VCI]struct{}{}
+	}
+	p.byOutput[output][c.VC] = struct{}{}
+	return true
+}
+
+func (p *refPerVC) Pop(output int) (cell.Cell, bool) {
+	set := p.byOutput[output]
+	if len(set) == 0 {
+		return cell.Cell{}, false
+	}
+	last, served := p.rr[output]
+	var best, wrap cell.VCI
+	haveBest, haveWrap := false, false
+	for vc := range set {
+		if !haveWrap || vc < wrap {
+			wrap, haveWrap = vc, true
+		}
+		if served && vc <= last {
+			continue
+		}
+		if !haveBest || vc < best {
+			best, haveBest = vc, true
+		}
+	}
+	vc := wrap
+	if haveBest {
+		vc = best
+	}
+	q := p.queues[vc]
+	c := q.cells[0]
+	q.cells = q.cells[1:]
+	p.total--
+	if len(q.cells) == 0 {
+		delete(p.queues, vc)
+		delete(set, vc)
+	}
+	p.rr[output] = vc
+	return c, true
+}
+
+func (p *refPerVC) Drop(vc cell.VCI) int {
+	q := p.queues[vc]
+	if q == nil {
+		return 0
+	}
+	p.total -= len(q.cells)
+	delete(p.queues, vc)
+	delete(p.byOutput[q.output], vc)
+	return len(q.cells)
+}
+
+func (p *refPerVC) DropAll() int {
+	n := p.total
+	p.queues = map[cell.VCI]*refQueue{}
+	p.byOutput = map[int]map[cell.VCI]struct{}{}
+	p.total = 0
+	return n
+}
+
+func (p *refPerVC) CountVC(vc cell.VCI) int {
+	if q := p.queues[vc]; q != nil {
+		return len(q.cells)
+	}
+	return 0
+}
+
+// eligible returns the reference's eligible-output set as one bitset word.
+func (p *refPerVC) eligible() uint64 {
+	var bits uint64
+	for o, set := range p.byOutput {
+		if len(set) > 0 {
+			bits |= 1 << uint(o)
+		}
+	}
+	return bits
+}
+
+// TestPerVCMatchesReferenceModel drives PerVC and the map-based reference
+// with the same seeded stream of Push/Pop/Drop/DropAll over 16 outputs and
+// 40 circuits and requires identical results at every step: the cell each
+// Pop returns (so the round-robin choice, which feeds PIM's request matrix
+// and with it every switch's random draws), EligibleBits, Len and CountVC.
+func TestPerVCMatchesReferenceModel(t *testing.T) {
+	const outputs, vcs, ops = 16, 40, 120000
+	// A circuit keeps one output while it has cells queued; the first few
+	// outputs carry several circuits each so round-robin has work to do.
+	outputOf := func(vc cell.VCI) int {
+		if vc < 24 {
+			return int(vc) % 4
+		}
+		return int(vc) % outputs
+	}
+	for _, limit := range []int{0, 3} {
+		p, ref := NewPerVC(limit), newRefPerVC(limit)
+		rng := rand.New(rand.NewSource(int64(21 + limit)))
+		for i := 0; i < ops; i++ {
+			vc := cell.VCI(rng.Intn(vcs))
+			switch r := rng.Intn(1000); {
+			case r < 480:
+				c := mk(vc, uint64(i))
+				if got, want := p.Push(c, outputOf(vc)), ref.Push(c, outputOf(vc)); got != want {
+					t.Fatalf("limit %d op %d: Push(vc %d) = %v, reference %v", limit, i, vc, got, want)
+				}
+			case r < 960:
+				o := rng.Intn(outputs)
+				got, ok := p.Pop(o)
+				want, wantOK := ref.Pop(o)
+				if ok != wantOK || got != want {
+					t.Fatalf("limit %d op %d: Pop(%d) = vc %d seq %d %v, reference vc %d seq %d %v",
+						limit, i, o, got.VC, got.Stamp.Seq, ok, want.VC, want.Stamp.Seq, wantOK)
+				}
+			case r < 998:
+				if got, want := p.Drop(vc), ref.Drop(vc); got != want {
+					t.Fatalf("limit %d op %d: Drop(vc %d) = %d, reference %d", limit, i, vc, got, want)
+				}
+			default:
+				if got, want := p.DropAll(), ref.DropAll(); got != want {
+					t.Fatalf("limit %d op %d: DropAll = %d, reference %d", limit, i, got, want)
+				}
+			}
+			var bits uint64
+			if b := p.EligibleBits(); len(b) > 0 {
+				bits = b[0]
+			}
+			if bits != ref.eligible() || p.Len() != ref.total || p.CountVC(vc) != ref.CountVC(vc) {
+				t.Fatalf("limit %d op %d: bits %016b len %d count(vc %d) %d, reference %016b %d %d",
+					limit, i, bits, p.Len(), vc, p.CountVC(vc), ref.eligible(), ref.total, ref.CountVC(vc))
+			}
+		}
+	}
 }

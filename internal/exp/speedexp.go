@@ -2,13 +2,11 @@ package exp
 
 import (
 	"fmt"
-	"reflect"
 	"time"
 
 	"repro/internal/cell"
 	"repro/internal/fabric"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/routing"
 	"repro/internal/simnet"
 	"repro/internal/switchnode"
@@ -24,17 +22,13 @@ import (
 // port (a Step scans its crossbar's ports, and the three fabrics use 4-, 6-
 // and 24-port switches) — which does not grow from 24 switches to 720. (The
 // flat sweep this engine replaced is gone; the 5.3–6.9× flat-vs-wake
-// speedup was measured once, while both existed.) Table 2
-// quantifies flow-level fast-forward: everything counter-like is exact by
-// construction (asserted), and the one documented approximation — obs
-// ring-buffer series receive no samples for skipped slots — is bounded by
-// comparing mean switch occupancy with and without skipping.
+// speedup was measured once, while both existed.)
 
 func init() {
 	register(&Experiment{
 		ID:    "E31",
-		Title: "A slot costs what its awake switches cost; fast-forward is exact where promised",
-		Claim: "Stepping only non-quiescent switches makes the per-slot cost O(active), not O(fabric): the stepped share of switch-slots equals the active fraction and host time per stepped switch port does not grow from a 24-switch line to a 720-switch fat-tree at <1% activity; flow-level fast-forward reproduces exact per-VC delivered counts",
+		Title: "A slot costs what its awake switches cost",
+		Claim: "Stepping only non-quiescent switches makes the per-slot cost O(active), not O(fabric): the stepped share of switch-slots equals the active fraction and host time per stepped switch port does not grow from a 24-switch line to a 720-switch fat-tree at <1% activity",
 		Run:   runE31,
 		Quick: true,
 	})
@@ -49,14 +43,31 @@ type speedNet struct {
 	ports  int
 }
 
-// cbrPair opens a guaranteed CBR circuit over path and tracks its
-// interior switches in activeSet.
+// Every E31 fabric has speedFrame-slot frames and runs speedWarm warm-up
+// slots, then speedReps timed repeats of speedTimed slots.
+const (
+	speedFrame = 16
+	speedWarm  = 64
+	speedReps  = 3
+	speedTimed = 4000
+)
+
+// cbrPair opens a guaranteed circuit over path, queues at its source one
+// single-cell packet for every pacing slot of the run — a constant-bit-rate
+// source: rate matching releases them one per interval — and tracks the
+// circuit's interior switches in activeSet.
 func cbrPair(n *simnet.Network, vc cell.VCI, path []topology.NodeID, cpf int, activeSet map[topology.NodeID]bool) error {
 	if _, err := n.OpenGuaranteed(vc, path, cpf); err != nil {
 		return err
 	}
-	if err := n.SetCBR(vc, byte(vc)); err != nil {
-		return err
+	var pkt [40]byte // 40 + 8-byte trailer = one 48-byte payload
+	for i := range pkt {
+		pkt[i] = byte(vc)
+	}
+	for k := 0; k <= (speedWarm+speedReps*speedTimed)*cpf/speedFrame; k++ {
+		if err := n.SendPacket(vc, pkt[:]); err != nil {
+			return err
+		}
 	}
 	for _, s := range path[1 : len(path)-1] {
 		activeSet[s] = true
@@ -81,7 +92,7 @@ func buildLine(seed int64) (*speedNet, error) {
 	}
 	n, err := simnet.New(simnet.Config{
 		Topology: g,
-		Switch:   switchnode.Config{N: 4, Discipline: switchnode.DisciplinePerVC, FrameSlots: 16, Seed: seed},
+		Switch:   switchnode.Config{N: 4, Discipline: switchnode.DisciplinePerVC, FrameSlots: speedFrame, Seed: seed},
 	})
 	if err != nil {
 		return nil, err
@@ -115,7 +126,7 @@ func buildTorus(seed int64) (*speedNet, error) {
 	}
 	n, err := simnet.New(simnet.Config{
 		Topology: g,
-		Switch:   switchnode.Config{N: 6, Discipline: switchnode.DisciplinePerVC, FrameSlots: 16, Seed: seed},
+		Switch:   switchnode.Config{N: 6, Discipline: switchnode.DisciplinePerVC, FrameSlots: speedFrame, Seed: seed},
 	})
 	if err != nil {
 		return nil, err
@@ -142,7 +153,7 @@ func buildTorus(seed int64) (*speedNet, error) {
 func buildFatTree(seed int64, radix, pods int) (*speedNet, error) {
 	n, err := fabric.NewNet(fabric.NetConfig{
 		Fabric: topology.FatTreeConfig{Radix: radix, Pods: pods},
-		Switch: switchnode.Config{FrameSlots: 16, Discipline: switchnode.DisciplinePerVC, Seed: seed},
+		Switch: switchnode.Config{FrameSlots: speedFrame, Discipline: switchnode.DisciplinePerVC, Seed: seed},
 	})
 	if err != nil {
 		return nil, err
@@ -188,8 +199,8 @@ func timeRun(n *simnet.Network, timedSlots int64, reps int) float64 {
 // runSpeedCase warms the network, times it over the slot span, and
 // reports the share of switch-slots that ran a full Step (from
 // NetStats.IdleStepsSkipped over the timed span) beside the rate.
-func runSpeedCase(t *metrics.Table, name string, timedSlots int64, build func() (*speedNet, error)) error {
-	const warm, reps = 64, 3
+func runSpeedCase(t *metrics.Table, name string, build func() (*speedNet, error)) error {
+	const warm, reps, timedSlots = speedWarm, speedReps, int64(speedTimed)
 	sn, err := build()
 	if err != nil {
 		return err
@@ -209,139 +220,21 @@ func runSpeedCase(t *metrics.Table, name string, timedSlots int64, build func() 
 	return nil
 }
 
-// runE31FastForward builds table 2: fast-forward a pure-CBR line and
-// compare against slot-by-slot stepping. Counters, per-VC deliveries and
-// bucketed latency histograms must be exactly equal (errors otherwise);
-// the sparse-series approximation is quantified as the relative error of
-// mean switch occupancy.
-func runE31FastForward(seed int64) (*metrics.Table, error) {
-	const slots = 4000
-	build := func() (*speedNet, *obs.Registry, error) {
-		g, err := topology.Line(6, 1)
-		if err != nil {
-			return nil, nil, err
-		}
-		h0 := g.AddHost("h0")
-		h1 := g.AddHost("h1")
-		if _, err := g.Connect(h0, 0, 1); err != nil {
-			return nil, nil, err
-		}
-		if _, err := g.Connect(h1, topology.NodeID(5), 1); err != nil {
-			return nil, nil, err
-		}
-		reg := obs.NewRegistry(1)
-		n, err := simnet.New(simnet.Config{
-			Topology: g,
-			Switch:   switchnode.Config{N: 4, Discipline: switchnode.DisciplinePerVC, FrameSlots: 16, Seed: seed},
-			Obs:      reg,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		path := []topology.NodeID{h0, 0, 1, 2, 3, 4, 5, h1}
-		active := map[topology.NodeID]bool{}
-		if err := cbrPair(n, 10, path, 4, active); err != nil {
-			return nil, nil, err
-		}
-		return &speedNet{n: n, active: len(active), total: 6, ports: 4}, reg, nil
-	}
-	// Warm both nets through the fill transient slot by slot, so the
-	// sparse run's samples are steady-state like the full run's and the
-	// series comparison measures sparse sampling, not startup bias.
-	const warm = 256
-	stepped, regA, err := build()
-	if err != nil {
-		return nil, err
-	}
-	stepped.n.Run(warm)
-	stepped.n.Run(slots)
-	ffwd, regB, err := build()
-	if err != nil {
-		return nil, err
-	}
-	ffwd.n.Run(warm)
-	skipped := ffwd.n.FastForward(slots)
-	if skipped == 0 {
-		return nil, fmt.Errorf("E31: steady CBR phase never fast-forwarded")
-	}
-	ReportSlots(2 * slots)
-
-	if a, b := stepped.n.Stats(), ffwd.n.Stats(); a != b {
-		return nil, fmt.Errorf("E31: fast-forward diverged: %+v vs %+v", a, b)
-	}
-	delivA := stepped.n.DeliveredByVC(10)
-	if b := ffwd.n.DeliveredByVC(10); delivA != b {
-		return nil, fmt.Errorf("E31: per-VC delivered diverged: %d vs %d", delivA, b)
-	}
-	histA := regA.Histogram("net_latency_slots", "class", "guaranteed")
-	histB := regB.Histogram("net_latency_slots", "class", "guaranteed")
-	if !reflect.DeepEqual(histA.Buckets(), histB.Buckets()) || histA.Sum() != histB.Sum() {
-		return nil, fmt.Errorf("E31: latency histogram diverged under fast-forward")
-	}
-
-	// The documented approximation: series are sparse across skipped
-	// slots. Bound it on mean switch occupancy across the path switches.
-	var maxErr float64
-	for s := 0; s < 6; s++ {
-		mean := func(reg *obs.Registry) float64 {
-			_, vals := reg.Series("switch_occupancy_cells", 0, "node", fmt.Sprint(s)).Samples()
-			if len(vals) == 0 {
-				return 0
-			}
-			var sum int64
-			for _, v := range vals {
-				sum += v
-			}
-			return float64(sum) / float64(len(vals))
-		}
-		ma, mb := mean(regA), mean(regB)
-		if ma == 0 && mb == 0 {
-			continue
-		}
-		err := (mb - ma) / ma
-		if err < 0 {
-			err = -err
-		}
-		if err > maxErr {
-			maxErr = err
-		}
-	}
-
-	t := metrics.NewTable(
-		"E31b — flow-level fast-forward vs slot stepping, 6-switch line, pure CBR, 4000 slots",
-		"metric", "stepped", "fast-forwarded", "exact")
-	t.AddRow("slots simulated", slots, slots-skipped, "n/a (skip is the point)")
-	t.AddRow("delivered cells (vc 10)", delivA, ffwd.n.DeliveredByVC(10), "yes")
-	t.AddRow("net stats", fmt.Sprintf("%+v", stepped.n.Stats()), "identical", "yes")
-	t.AddRow("obs latency buckets", histA.Count(), histB.Count(), "yes")
-	t.AddRow("mean occupancy rel. error", "0",
-		fmt.Sprintf("%.2f%%", 100*maxErr), "approximate (series sparse across skips)")
-	if maxErr > 0.25 {
-		return nil, fmt.Errorf("E31: sparse-series occupancy error %.1f%% exceeds the 25%% bound", 100*maxErr)
-	}
-	return t, nil
-}
-
 func runE31(seed int64) ([]*metrics.Table, error) {
 	t1 := metrics.NewTable(
 		"E31a — per-slot cost tracks the active switches, CBR workloads, best of 3 timed runs",
 		"topology", "switches", "ports", "on a circuit", "switch-slots stepped", "slots/s", "ns/stepped port")
 	for _, c := range []struct {
 		name  string
-		slots int64
 		build func() (*speedNet, error)
 	}{
-		{"line-24 (all active)", 4000, func() (*speedNet, error) { return buildLine(seed) }},
-		{"torus-12x12", 4000, func() (*speedNet, error) { return buildTorus(seed) }},
-		{"fat-tree r24/p24", 4000, func() (*speedNet, error) { return buildFatTree(seed, 24, 24) }},
+		{"line-24 (all active)", func() (*speedNet, error) { return buildLine(seed) }},
+		{"torus-12x12", func() (*speedNet, error) { return buildTorus(seed) }},
+		{"fat-tree r24/p24", func() (*speedNet, error) { return buildFatTree(seed, 24, 24) }},
 	} {
-		if err := runSpeedCase(t1, c.name, c.slots, c.build); err != nil {
+		if err := runSpeedCase(t1, c.name, c.build); err != nil {
 			return nil, err
 		}
 	}
-	t2, err := runE31FastForward(seed)
-	if err != nil {
-		return nil, err
-	}
-	return []*metrics.Table{t1, t2}, nil
+	return []*metrics.Table{t1}, nil
 }

@@ -164,8 +164,8 @@ func (h *Histogram) Merge(other *Histogram) {
 
 // Tail returns a copy of the samples recorded at index from or later, in
 // recording order. Note Quantile sorts the samples in place, so callers
-// pairing Tail with a recorded start index (fast-forward's probe capture)
-// must not interleave Quantile calls between the capture and the read.
+// pairing Tail with a recorded start index must not interleave Quantile
+// calls between the capture and the read.
 func (h *Histogram) Tail(from int) []int64 {
 	if from < 0 {
 		from = 0
@@ -174,30 +174,6 @@ func (h *Histogram) Tail(from int) []int64 {
 		return nil
 	}
 	return append([]int64(nil), h.samples[from:]...)
-}
-
-// ReplaySince re-observes every sample recorded at index from or later,
-// times more times. Fast-forward uses it to replicate one steady period's
-// samples over the skipped periods: because the histogram keeps raw
-// samples, the result is exactly what observing the repeated values live
-// would have produced (order of same-valued samples aside, which no
-// accessor can distinguish). A from at or past Count, or times <= 0, is a
-// no-op.
-func (h *Histogram) ReplaySince(from int, times int64) {
-	if from < 0 {
-		from = 0
-	}
-	if from >= len(h.samples) || times <= 0 {
-		return
-	}
-	// Copy the tail first: Observe appends to the slice being iterated.
-	tail := make([]int64, len(h.samples)-from)
-	copy(tail, h.samples[from:])
-	for t := int64(0); t < times; t++ {
-		for _, v := range tail {
-			h.Observe(v)
-		}
-	}
 }
 
 // Summary is a compact snapshot of a histogram for reporting.

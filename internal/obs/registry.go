@@ -282,20 +282,6 @@ func (h *Histogram) Exemplar(bucket int) (trace uint64, v int64, ok bool) {
 	return e.trace, e.v, true
 }
 
-// ObserveN records n identical samples of value v in one call — the batch
-// form fast-forward uses to replicate a steady period's observations over
-// skipped slots. Bucketed state after ObserveN(shard, v, n) is identical
-// to n calls of Observe(shard, v). No-op on a nil handle or n <= 0.
-func (h *Histogram) ObserveN(shard int, v, n int64) {
-	if h == nil || n <= 0 {
-		return
-	}
-	s := &h.slots[shard&h.mask]
-	atomic.AddInt64(&s.count, n)
-	atomic.AddInt64(&s.sum, v*n)
-	atomic.AddInt64(&s.buckets[bucketOf(v)], n)
-}
-
 // Count sums the sample counts across shards (0 on a nil handle).
 func (h *Histogram) Count() int64 {
 	if h == nil {

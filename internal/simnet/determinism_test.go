@@ -318,7 +318,10 @@ func radix16Scenario(t *testing.T) trajectory {
 // had pinned flat, wake-set, grouped and parallel stepping byte-identical
 // on exactly these scenarios. The single engine must land on the same
 // traces, NetStats (IdleStepsSkipped included), per-VC delivered counts,
-// host stats and link utilization.
+// host stats and link utilization. The fourth scenario (mixedlatency_test.go)
+// was captured the same way at parent commit 8180892 (PR 20), before links
+// became arrival-slot calendars: it is the one where send order and arrival
+// order differ.
 func TestGoldenTrajectories(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -330,6 +333,7 @@ func TestGoldenTrajectories(t *testing.T) {
 		{"line-mixed-linkfault", lineScenario, "c07b4580a5b296673924a9dd21420c49", 0},
 		{"fattree-r6-idle-pod", podIdleScenario, "c32f643ae808106c4f254367ea067f04", 1},
 		{"fattree-r16-kill-reroute-restore", radix16Scenario, "fad8173e232ee3048642f301133b9ee5", 1},
+		{"torus-mixed-latency-faults", mixedLatencyScenario, "b2eb2c88e1745c58f19396bf39f215c4", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := tc.run(t)

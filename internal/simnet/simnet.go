@@ -99,13 +99,6 @@ type Circuit struct {
 	firstIdx     int
 	firstLink    topology.LinkID
 	firstLatency int64
-
-	// cbr marks a guaranteed circuit as a constant-bit-rate synthetic
-	// source (SetCBR): when pending is empty at a pacing slot, the
-	// network synthesizes cbrCell (fresh stamp/seq) instead of going
-	// idle. The steady traffic fast-forward exploits.
-	cbr     bool
-	cbrCell cell.Cell
 }
 
 // hop is the circuit's port usage at one switch.
@@ -195,7 +188,7 @@ type Network struct {
 	slot      int64
 
 	// deliveredVC counts cells delivered to the destination host per
-	// circuit — the per-VC exactness witness fast-forward tests pin.
+	// circuit.
 	deliveredVC map[cell.VCI]int64
 
 	deadLinks map[topology.LinkID]bool
@@ -269,13 +262,12 @@ type NetStats struct {
 
 // Errors.
 var (
-	ErrNoTopology    = errors.New("simnet: nil topology")
-	ErrBadPath       = errors.New("simnet: invalid circuit path")
-	ErrDupCircuit    = errors.New("simnet: circuit already open")
-	ErrNoCircuit     = errors.New("simnet: no such circuit")
-	ErrNotHost       = errors.New("simnet: endpoint is not a host")
-	ErrDeadElement   = errors.New("simnet: path uses a dead link or switch")
-	ErrNotGuaranteed = errors.New("simnet: circuit is not guaranteed")
+	ErrNoTopology  = errors.New("simnet: nil topology")
+	ErrBadPath     = errors.New("simnet: invalid circuit path")
+	ErrDupCircuit  = errors.New("simnet: circuit already open")
+	ErrNoCircuit   = errors.New("simnet: no such circuit")
+	ErrNotHost     = errors.New("simnet: endpoint is not a host")
+	ErrDeadElement = errors.New("simnet: path uses a dead link or switch")
 )
 
 // New creates a network. Every switch in the topology gets a switchnode
@@ -984,11 +976,9 @@ func (n *Network) observeSlot(now int64) {
 	}
 }
 
-// inject moves source-pending cells onto the first link. CBR circuits
-// (SetCBR) synthesize a cell at every pacing slot their pending queue
-// cannot cover, so a constant-bit-rate source never goes idle.
+// inject moves source-pending cells onto the first link.
 func (n *Network) inject(c *Circuit, now int64) {
-	if c.queued() == 0 && !c.cbr {
+	if c.queued() == 0 {
 		return
 	}
 	first := c.Path[1]
@@ -1012,22 +1002,11 @@ func (n *Network) inject(c *Circuit, now int64) {
 	} else if c.window > 0 && c.inUse >= c.window {
 		return
 	}
-	for b := 0; b < budget; b++ {
-		var cl cell.Cell
-		if c.queued() > 0 {
-			cl = c.pending[c.pendHead]
-			c.pendHead++
-			if c.pendHead == len(c.pending) {
-				c.pending, c.pendHead = c.pending[:0], 0
-			}
-		} else if c.cbr {
-			// Synthesize the circuit's CBR cell: fresh sequence number,
-			// stamped at this injection like any other cell.
-			cl = c.cbrCell
-			cl.Stamp.Seq = c.nextSeq
-			c.nextSeq++
-		} else {
-			break
+	for b := 0; b < budget && c.queued() > 0; b++ {
+		cl := c.pending[c.pendHead]
+		c.pendHead++
+		if c.pendHead == len(c.pending) {
+			c.pending, c.pendHead = c.pending[:0], 0
 		}
 		// Latency is measured from network entry: the paper's bounds
 		// cover the network, not the host's own send queue (guaranteed

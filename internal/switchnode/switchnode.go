@@ -370,68 +370,6 @@ func (s *Switch) AdvanceIdle(k int64) {
 	s.stats.Slots += k
 }
 
-// ApplySteady replays m periods of steady-state activity whose per-period
-// counter delta is d (as measured by differencing Stats around a probe
-// period): every Stats field advances by m×d and the slot clock by
-// m×d.Slots, exactly as m further probe periods would have left them.
-// Fast-forward uses this after proving the switch state is periodic; it is
-// meaningless otherwise. Observability counters fed by Step (departed
-// cells) are replayed too; the matcher histograms need no replay because a
-// steady guaranteed-only phase never invokes the matcher.
-func (s *Switch) ApplySteady(d Stats, m int64) {
-	if m <= 0 {
-		return
-	}
-	s.slot += d.Slots * m
-	s.stats.ArrivedBestEffort += d.ArrivedBestEffort * m
-	s.stats.ArrivedGuaranteed += d.ArrivedGuaranteed * m
-	s.stats.DroppedBestEffort += d.DroppedBestEffort * m
-	s.stats.DroppedGuaranteed += d.DroppedGuaranteed * m
-	s.stats.DepartedBestEffort += d.DepartedBestEffort * m
-	s.stats.DepartedGuaranteed += d.DepartedGuaranteed * m
-	s.stats.Slots += d.Slots * m
-	s.stats.PIMIterationsTotal += d.PIMIterationsTotal * m
-	s.stats.GuaranteedSlotsFree += d.GuaranteedSlotsFree * m
-	s.stats.GuaranteedSlotsFired += d.GuaranteedSlotsFired * m
-	if dep := (d.DepartedBestEffort + d.DepartedGuaranteed) * m; dep > 0 {
-		s.obsDeparted.Add(s.obsShard, dep)
-	}
-}
-
-// ShiftStamps advances the timestamps (and, via seqShift, the sequence
-// numbers) of every buffered cell by dt slots — fast-forward relocating a
-// periodic buffer occupancy into the future. See buffer.InputBuffer.
-func (s *Switch) ShiftStamps(dt int64, seqShift func(vc cell.VCI) uint64) {
-	for i := 0; i < s.n; i++ {
-		s.gtd[i].ShiftStamps(dt, seqShift)
-		s.be[i].ShiftStamps(dt, seqShift)
-	}
-}
-
-// ForEachBuffered visits every buffered cell in a deterministic order:
-// inputs ascending, guaranteed pool before best-effort, buffer-defined
-// order within each (see buffer.InputBuffer.ForEach). Fast-forward uses
-// this to fingerprint switch state.
-func (s *Switch) ForEachBuffered(fn func(input int, guaranteed bool, c cell.Cell, output int)) {
-	for i := 0; i < s.n; i++ {
-		in := i
-		s.gtd[i].ForEach(func(c cell.Cell, output int) { fn(in, true, c, output) })
-		s.be[i].ForEach(func(c cell.Cell, output int) { fn(in, false, c, output) })
-	}
-}
-
-// ForEachRR visits every per-output round-robin service pointer in a
-// deterministic order (inputs ascending, guaranteed pool before
-// best-effort, outputs ascending). The pointers persist after queues drain
-// and bias future service order, so state fingerprints must include them.
-func (s *Switch) ForEachRR(fn func(input int, guaranteed bool, output int, vc cell.VCI)) {
-	for i := 0; i < s.n; i++ {
-		in := i
-		s.gtd[i].ForEachRR(func(output int, vc cell.VCI) { fn(in, true, output, vc) })
-		s.be[i].ForEachRR(func(output int, vc cell.VCI) { fn(in, false, output, vc) })
-	}
-}
-
 // Step advances the switch one cell slot and returns the departures.
 //
 // The slot proceeds in the order the paper gives: the frame schedule's
