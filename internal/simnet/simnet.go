@@ -152,7 +152,11 @@ type host struct {
 // flight is a cell in transit on a link.
 type flight struct {
 	arrive int64
-	c      cell.Cell
+	// seq numbers every send network-wide. Slots never need it — a calendar
+	// bucket is in send order already — but a fault or reroute that takes
+	// cells out of several buckets traces its casualties in send order.
+	seq uint64
+	c   cell.Cell
 	// to is the receiving node; port its input port there (switches).
 	to     topology.NodeID
 	link   topology.LinkID
@@ -162,11 +166,15 @@ type flight struct {
 	toIdx int
 }
 
+func (f flight) due() int64 { return f.arrive }
+
 // ingressCredit is a window token returning to the source host.
 type ingressCredit struct {
 	arrive int64
 	vc     cell.VCI
 }
+
+func (cr ingressCredit) due() int64 { return cr.arrive }
 
 // Network is the simulated network.
 type Network struct {
@@ -183,9 +191,12 @@ type Network struct {
 	// circOrder holds the open circuits sorted by VCI; source injection
 	// follows it so cross-circuit interleaving is reproducible run to run.
 	circOrder []*Circuit
-	inflight  []flight
-	credits   []ingressCredit
-	slot      int64
+	// flights and credits are what is on the links, filed by arrival slot
+	// (see calendar.go); sendSeq numbers the flights.
+	flights calendar[flight]
+	credits calendar[ingressCredit]
+	sendSeq uint64
+	slot    int64
 
 	// deliveredVC counts cells delivered to the destination host per
 	// circuit.
@@ -289,8 +300,8 @@ func New(cfg Config) (*Network, error) {
 		deadNodes:      make(map[topology.NodeID]bool),
 		lastLinkChange: make(map[topology.LinkID]int64),
 		lastNodeChange: make(map[topology.NodeID]int64),
-		linkCells:      make([]int64, cfg.Topology.NumLinks()),
 	}
+	n.sizeLinks()
 	n.stepDeps = make([][]switchnode.Departure, len(n.switchOrder))
 	n.orderIdx = make(map[topology.NodeID]int, len(n.switchOrder))
 	for idx, s := range n.switchOrder {
@@ -351,6 +362,40 @@ func New(cfg Config) (*Network, error) {
 	}
 	n.initWake()
 	return n, nil
+}
+
+// sizeLinks sizes what is indexed by link — the per-link counters and the
+// calendars' ring, one bucket per slot of the longest link plus one — to the
+// topology as it stands. New calls it; resolve calls it again if links were
+// added to the graph since.
+func (n *Network) sizeLinks() {
+	links := n.g.Links()
+	n.linkCells = append(n.linkCells, make([]int64, len(links)-len(n.linkCells))...)
+	var maxLatency int64
+	for _, l := range links {
+		maxLatency = max(maxLatency, l.Latency)
+	}
+	n.flights.grow(maxLatency)
+	n.credits.grow(maxLatency)
+}
+
+// send puts a cell on a link.
+func (n *Network) send(f flight) {
+	f.seq = n.sendSeq
+	n.sendSeq++
+	n.flights.add(f)
+	n.linkCells[f.link]++
+}
+
+// dropFlights takes the in-flight cells drop selects off the links, counts
+// each in *counter and traces it as kind, in send order.
+func (n *Network) dropFlights(drop func(*flight) bool, counter *int64, kind string) {
+	gone := n.flights.remove(drop)
+	sort.Slice(gone, func(i, j int) bool { return gone[i].seq < gone[j].seq })
+	for _, f := range gone {
+		*counter++
+		n.trace(kind, f.c.VC, f.to, f.link, f.c.Stamp.Seq)
+	}
 }
 
 // Slot returns the current slot.
@@ -430,6 +475,9 @@ type route struct {
 func (n *Network) resolve(path []topology.NodeID) (route, error) {
 	if len(path) < 3 {
 		return route{}, fmt.Errorf("%w: need host-switch...-host, got %d nodes", ErrBadPath, len(path))
+	}
+	if n.g.NumLinks() != len(n.linkCells) {
+		n.sizeLinks()
 	}
 	first, last := path[0], path[len(path)-1]
 	if _, ok := n.hosts[first]; !ok {
@@ -630,16 +678,7 @@ func (n *Network) KillLink(id topology.LinkID) {
 	n.deadLinks[id] = true
 	n.lastLinkChange[id] = n.slot
 	n.trace(TraceKillLink, 0, -1, id, 0)
-	kept := n.inflight[:0]
-	for _, f := range n.inflight {
-		if f.link == id {
-			n.stats.DroppedInFlight++
-			n.trace(TraceDropFault, f.c.VC, f.to, f.link, f.c.Stamp.Seq)
-			continue
-		}
-		kept = append(kept, f)
-	}
-	n.inflight = kept
+	n.dropFlights(func(f *flight) bool { return f.link == id }, &n.stats.DroppedInFlight, TraceDropFault)
 }
 
 // RestoreLink revives a link. Restoring a live link is a no-op.
@@ -675,16 +714,7 @@ func (n *Network) KillSwitch(id topology.NodeID) {
 		n.trace(TracePurge, 0, id, -1, uint64(purged))
 	}
 	sw.ResetFrame()
-	kept := n.inflight[:0]
-	for _, f := range n.inflight {
-		if f.to == id {
-			n.stats.DroppedInFlight++
-			n.trace(TraceDropFault, f.c.VC, f.to, f.link, f.c.Stamp.Seq)
-			continue
-		}
-		kept = append(kept, f)
-	}
-	n.inflight = kept
+	n.dropFlights(func(f *flight) bool { return f.to == id }, &n.stats.DroppedInFlight, TraceDropFault)
 }
 
 // RestoreSwitch revives a dead switch, the pair to RestoreLink. The switch
@@ -785,16 +815,7 @@ func (n *Network) Reroute(vc cell.VCI, newPath []topology.NodeID) error {
 		}
 	}
 	// In-flight cells of this circuit cannot follow the new ports either.
-	kept := n.inflight[:0]
-	for _, f := range n.inflight {
-		if f.c.VC == vc {
-			n.stats.DroppedReroute++
-			n.trace(TraceDropRoute, f.c.VC, f.to, f.link, f.c.Stamp.Seq)
-			continue
-		}
-		kept = append(kept, f)
-	}
-	n.inflight = kept
+	n.dropFlights(func(f *flight) bool { return f.c.VC == vc }, &n.stats.DroppedReroute, TraceDropRoute)
 	n.trace(TraceReroute, vc, -1, -1, 0)
 	n.bind(c, newPath, r)
 	// Reset ingress window accounting: outstanding cells were dropped.
@@ -808,17 +829,11 @@ func (n *Network) Step() {
 	now := n.slot
 
 	// 1. Ingress credits return to source hosts.
-	keptCr := n.credits[:0]
-	for _, cr := range n.credits {
-		if cr.arrive <= now {
-			if c, ok := n.circuits[cr.vc]; ok && c.inUse > 0 {
-				c.inUse--
-			}
-		} else {
-			keptCr = append(keptCr, cr)
+	for _, cr := range n.credits.take(now) {
+		if c, ok := n.circuits[cr.vc]; ok && c.inUse > 0 {
+			c.inUse--
 		}
 	}
-	n.credits = keptCr
 
 	// 2. Source injection: each circuit moves pending cells into its
 	// first switch, subject to the ingress window (best-effort) or the
@@ -829,13 +844,10 @@ func (n *Network) Step() {
 		n.inject(c, now)
 	}
 
-	// 3. Deliver in-flight cells arriving now.
-	keptFl := n.inflight[:0]
-	for _, f := range n.inflight {
-		if f.arrive > now {
-			keptFl = append(keptFl, f)
-			continue
-		}
+	// 3. Deliver the in-flight cells arriving now, in send order.
+	due := n.flights.take(now)
+	for i := range due {
+		f := &due[i]
 		if n.deadLinks[f.link] || n.deadNodes[f.to] {
 			n.stats.DroppedInFlight++
 			continue
@@ -866,7 +878,6 @@ func (n *Network) Step() {
 			sw.EnqueueBestEffort(h.inPort, f.c, h.outPort)
 		}
 	}
-	n.inflight = keptFl
 
 	// 4. Step the awake switches, retiring the quiescent ones to sleep,
 	// then route departures onto links in canonical (ascending NodeID)
@@ -910,7 +921,7 @@ func (n *Network) applyDepartures(idx int, now int64) {
 			n.stats.DroppedInFlight++
 			continue
 		}
-		n.inflight = append(n.inflight, flight{
+		n.send(flight{
 			arrive: now + h.linkLatency,
 			c:      d.Cell,
 			to:     h.next,
@@ -918,13 +929,12 @@ func (n *Network) applyDepartures(idx int, now int64) {
 			isHost: h.nextIsHost,
 			toIdx:  h.nextIdx,
 		})
-		n.linkCells[h.linkID]++
 		if n.cfg.TraceHops {
 			n.trace(TraceHop, d.Cell.VC, s, h.linkID, d.Cell.Stamp.Seq)
 		}
 		// First-switch departure returns an ingress credit.
 		if c.Class == cell.BestEffort && c.window > 0 && s == c.Path[1] {
-			n.credits = append(n.credits, ingressCredit{
+			n.credits.add(ingressCredit{
 				arrive: now + c.firstLatency,
 				vc:     c.VC,
 			})
@@ -945,7 +955,7 @@ func (n *Network) observeSlot(now int64) {
 		n.obsPrevDropR += d
 	}
 	n.obsSlot.Set(n.slot)
-	n.obsInFlight.Set(int64(len(n.inflight)))
+	n.obsInFlight.Set(int64(n.flights.count))
 	var iters int64
 	for idx, s := range n.switchOrder {
 		if n.deadNodes[s] {
@@ -1019,7 +1029,7 @@ func (n *Network) inject(c *Circuit, now int64) {
 		if h, ok := n.hosts[c.Path[0]]; ok {
 			h.stats.CellsSent++
 		}
-		n.inflight = append(n.inflight, flight{
+		n.send(flight{
 			arrive: now + c.firstLatency,
 			c:      cl,
 			to:     first,
@@ -1027,7 +1037,6 @@ func (n *Network) inject(c *Circuit, now int64) {
 			isHost: false,
 			toIdx:  c.firstIdx,
 		})
-		n.linkCells[c.firstLink]++
 		n.obsInjected.Inc(0)
 		n.trace(TraceInject, cl.VC, first, c.firstLink, cl.Stamp.Seq)
 	}
@@ -1209,21 +1218,14 @@ func (n *Network) ResyncIngress(vc cell.VCI) error {
 	if c.Class != cell.BestEffort || c.window <= 0 {
 		return nil
 	}
-	kept := n.credits[:0]
-	for _, cr := range n.credits {
-		if cr.vc == vc {
-			continue
-		}
-		kept = append(kept, cr)
-	}
-	n.credits = kept
+	n.credits.remove(func(cr *ingressCredit) bool { return cr.vc == vc })
 	outstanding := 0
 	first := c.Path[1]
-	for _, f := range n.inflight {
+	n.flights.each(func(f *flight) {
 		if f.c.VC == vc && !f.isHost && f.to == first {
 			outstanding++
 		}
-	}
+	})
 	c.inUse = outstanding
 	n.trace(TraceResync, vc, -1, -1, uint64(outstanding))
 	return nil
@@ -1281,6 +1283,6 @@ func (n *Network) Snapshot() Snapshot {
 		DroppedInFlight: n.stats.DroppedInFlight,
 		DroppedReroute:  n.stats.DroppedReroute,
 		Buffered:        int64(n.TotalBufferedCells()),
-		InFlight:        int64(len(n.inflight)),
+		InFlight:        int64(n.flights.count),
 	}
 }

@@ -446,3 +446,41 @@ func TestGuaranteedUnaffectedByBestEffortLoad(t *testing.T) {
 		t.Fatalf("guaranteed latency %d under best-effort load exceeds %d", g.Max(), bound)
 	}
 }
+
+// TestLinkAddedAfterNewGrowsCalendar: a link connected after the network was
+// built, longer than any it was built with, is carried — the per-link
+// counters and the calendars' ring are re-sized when a path first names it,
+// with cells already in flight keeping their arrival slots.
+func TestLinkAddedAfterNewGrowsCalendar(t *testing.T) {
+	n, _, h1, path := lineNet(t, 3, 1, Config{Switch: switchnode.Config{N: 4, FrameSlots: 8}})
+	if _, err := n.OpenBestEffort(1, path); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Send(1, [cell.PayloadSize]byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	n.Step() // the cell is on the first link when the ring grows
+	long, err := n.g.Connect(path[1], path[3], 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.OpenBestEffort(2, []topology.NodeID{path[0], path[1], path[3], path[4]}); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(n.flights.ring); got != 6 {
+		t.Fatalf("calendar ring has %d buckets after a 5-slot link joined, want 6", got)
+	}
+	if err := n.Send(2, [cell.PayloadSize]byte{2}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		n.Step()
+		requireEngineInvariant(t, n)
+	}
+	if hs, _ := n.HostStats(h1); hs.CellsReceived != 2 {
+		t.Fatalf("delivered %d of 2 cells", hs.CellsReceived)
+	}
+	if u := n.LinkUtilization()[long]; u == 0 {
+		t.Fatal("the added link carried nothing")
+	}
+}

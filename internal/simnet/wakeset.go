@@ -127,8 +127,9 @@ func (n *Network) pendingIdle() int64 {
 
 // CheckEngineInvariant verifies, between slots, what the single engine
 // rests on: every sleeping switch is quiescent; the active list is exactly
-// the awake switches, sorted and duplicate-free; and the running sleep
-// totals match the per-switch states. It reads only — calling it never
+// the awake switches, sorted and duplicate-free; the running sleep totals
+// match the per-switch states; and everything on a link is filed under its
+// arrival slot, within the calendar's reach, and counted. It reads only — calling it never
 // wakes a switch or perturbs a trajectory.
 func (n *Network) CheckEngineInvariant() error {
 	var asleep, sleepSum int64
@@ -160,5 +161,8 @@ func (n *Network) CheckEngineInvariant() error {
 			return fmt.Errorf("simnet: slot %d: active list unsorted or duplicated at position %d", n.slot, i)
 		}
 	}
-	return nil
+	if err := n.flights.check("cell", n.slot); err != nil {
+		return err
+	}
+	return n.credits.check("credit", n.slot)
 }

@@ -53,6 +53,18 @@ func TestEngineInvariantCatchesViolations(t *testing.T) {
 			n.active[0], n.active[1] = n.active[1], n.active[0]
 		}},
 		{"sleep totals drifted", func(n *Network) { n.sleepSum++ }},
+		{"cell filed under the wrong arrival slot", func(n *Network) {
+			b := &n.flights.ring[n.slot%int64(len(n.flights.ring))]
+			*b = append(*b, flight{arrive: n.slot + 1})
+			n.flights.count++
+		}},
+		{"cell due beyond the calendar's reach", func(n *Network) {
+			n.flights.add(flight{arrive: n.slot + int64(len(n.flights.ring))})
+		}},
+		{"credit already overdue", func(n *Network) {
+			n.credits.add(ingressCredit{arrive: n.slot - int64(len(n.credits.ring))})
+		}},
+		{"in-flight count drifted", func(n *Network) { n.flights.count++ }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n, _, _, _ := lineNet(t, 3, 1, Config{Switch: switchnode.Config{N: 4, FrameSlots: 8}})
