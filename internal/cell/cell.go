@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 const (
@@ -95,6 +96,13 @@ type Stamp struct {
 	// Seq is a per-circuit sequence number, used to verify in-order
 	// delivery.
 	Seq uint64
+	// Circ and Hop locate the cell for the simulator that routes it: the
+	// index of its circuit in the network's circuit table and the position
+	// on the circuit's path of the switch the cell is at or heading for.
+	// Real AN2 indexes a per-port routing table by VCI at every hop; the
+	// simulator carries the resolved index instead of looking the VCI up.
+	Circ int32
+	Hop  int32
 }
 
 // header flag bits (byte 3 of the encoded header).
@@ -172,36 +180,48 @@ func Unmarshal(b []byte) (Cell, error) {
 // slice for a valid packet: a zero-length packet still produces one cell
 // carrying only the trailer.
 func Segment(vc VCI, class Class, packet []byte) ([]Cell, error) {
-	if len(packet) > MaxPacketLen {
-		return nil, fmt.Errorf("cell: packet length %d exceeds max %d", len(packet), MaxPacketLen)
-	}
-	if vc > maxVCI {
-		return nil, fmt.Errorf("%w: %d", ErrVCIRange, vc)
-	}
-	// Build payload = packet + pad + trailer, a multiple of PayloadSize,
-	// with the trailer occupying the last bytes of the last cell.
-	total := len(packet) + trailerSize
-	nCells := (total + PayloadSize - 1) / PayloadSize
-	body := make([]byte, nCells*PayloadSize)
-	copy(body, packet)
-	trailer := body[len(body)-trailerSize:]
-	binary.BigEndian.PutUint16(trailer[0:2], uint16(len(packet)))
-	binary.BigEndian.PutUint32(trailer[4:8], crc32.ChecksumIEEE(packet))
-
-	cells := make([]Cell, nCells)
-	for i := range cells {
-		cells[i].VC = vc
-		cells[i].Class = class
-		copy(cells[i].Payload[:], body[i*PayloadSize:])
-	}
-	cells[nCells-1].EndOfPacket = true
-	return cells, nil
+	return AppendSegments(nil, vc, class, packet)
 }
 
-// Reassembler rebuilds packets from cells, per virtual circuit. The zero
-// value is ready to use.
+// AppendSegments is Segment writing the packet's cells onto the end of dst
+// (a sender's queue) instead of into a fresh slice; it returns the extended
+// slice, or dst unchanged with an error.
+func AppendSegments(dst []Cell, vc VCI, class Class, packet []byte) ([]Cell, error) {
+	if len(packet) > MaxPacketLen {
+		return dst, fmt.Errorf("cell: packet length %d exceeds max %d", len(packet), MaxPacketLen)
+	}
+	if vc > maxVCI {
+		return dst, fmt.Errorf("%w: %d", ErrVCIRange, vc)
+	}
+	// The cells' payloads are packet + pad + trailer, the trailer occupying
+	// the last bytes of the last cell.
+	nCells := CellsForPacketLen(len(packet))
+	dst = slices.Grow(dst, nCells)
+	for off := 0; off < nCells*PayloadSize; off += PayloadSize {
+		dst = append(dst, Cell{VC: vc, Class: class})
+		if off < len(packet) {
+			copy(dst[len(dst)-1].Payload[:], packet[off:])
+		}
+	}
+	last := &dst[len(dst)-1]
+	last.EndOfPacket = true
+	trailer := last.Payload[PayloadSize-trailerSize:]
+	binary.BigEndian.PutUint16(trailer[0:2], uint16(len(packet)))
+	binary.BigEndian.PutUint32(trailer[4:8], crc32.ChecksumIEEE(packet))
+	return dst, nil
+}
+
+// maxReassemblyLen is the payload of the longest packet Segment produces:
+// a reassembly that reaches it without an end-of-packet cell can never
+// complete.
+const maxReassemblyLen = (MaxPacketLen + trailerSize + PayloadSize - 1) / PayloadSize * PayloadSize
+
+// Reassembler rebuilds the packets of one virtual circuit from its cells,
+// which must arrive in order (AN2 virtual circuits deliver in order); a
+// receiver keeps one per circuit. The zero value is ready to use, and its
+// buffer is reused from packet to packet.
 type Reassembler struct {
-	partial map[VCI][]byte
+	buf []byte
 }
 
 // reassembly errors.
@@ -210,24 +230,28 @@ var (
 	// trailer CRC.
 	ErrBadCRC = errors.New("cell: reassembled packet CRC mismatch")
 	// ErrBadLength reports a trailer length inconsistent with the number
-	// of cells received.
+	// of cells received, or cells that ran past the longest packet without
+	// an end-of-packet mark.
 	ErrBadLength = errors.New("cell: reassembled packet length out of range")
 )
 
-// Add feeds one cell to the reassembler. When the cell completes a packet,
-// Add returns the packet and done=true. Cells from different circuits may
-// be freely interleaved; cells within one circuit must arrive in order
-// (AN2 virtual circuits deliver in order).
+// Add feeds the circuit's next cell to the reassembler. When the cell
+// completes a packet, Add returns the packet and done=true; the packet
+// aliases the reassembler's buffer and is valid until the next Add. A
+// reassembly that reaches the longest packet's cell count with no
+// end-of-packet cell (a sender that never marks one) is abandoned: done=true
+// with ErrBadLength, and the next cell starts afresh.
 func (r *Reassembler) Add(c Cell) (packet []byte, done bool, err error) {
-	if r.partial == nil {
-		r.partial = make(map[VCI][]byte)
-	}
-	buf := append(r.partial[c.VC], c.Payload[:]...)
+	buf := append(r.buf, c.Payload[:]...)
 	if !c.EndOfPacket {
-		r.partial[c.VC] = buf
+		if len(buf) >= maxReassemblyLen {
+			r.buf = buf[:0]
+			return nil, true, fmt.Errorf("%w: %d cells and no end of packet", ErrBadLength, len(buf)/PayloadSize)
+		}
+		r.buf = buf
 		return nil, false, nil
 	}
-	delete(r.partial, c.VC)
+	r.buf = buf[:0]
 	trailer := buf[len(buf)-trailerSize:]
 	n := int(binary.BigEndian.Uint16(trailer[0:2]))
 	if n > len(buf)-trailerSize || len(buf)-n-trailerSize >= PayloadSize {
@@ -240,20 +264,13 @@ func (r *Reassembler) Add(c Cell) (packet []byte, done bool, err error) {
 	return pkt, true, nil
 }
 
-// Pending reports the number of circuits with partially reassembled packets.
-func (r *Reassembler) Pending() int { return len(r.partial) }
+// Partial reports whether a packet is partially reassembled (i.e. the next
+// cell continues a packet rather than starting one).
+func (r *Reassembler) Partial() bool { return len(r.buf) > 0 }
 
-// HasPartial reports whether circuit vc has a partially reassembled
-// packet (i.e. the next cell on vc continues a packet rather than
-// starting one).
-func (r *Reassembler) HasPartial(vc VCI) bool {
-	_, ok := r.partial[vc]
-	return ok
-}
-
-// Reset discards all partial reassembly state (used when circuits are torn
-// down or rerouted).
-func (r *Reassembler) Reset() { r.partial = nil }
+// Reset discards the partial packet (used when the circuit is torn down or
+// rerouted).
+func (r *Reassembler) Reset() { r.buf = r.buf[:0] }
 
 // CellsForPacketLen reports how many cells Segment will produce for a
 // packet of n bytes. It is useful for sizing buffers and for workload math.

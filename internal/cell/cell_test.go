@@ -126,14 +126,15 @@ func TestReassemblerInterleavesCircuits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var r Reassembler
+	// One reassembler per circuit, as a receiver keeps them.
+	var rs [2]Reassembler
 	var got [][]byte
 	for i := 0; i < len(cellsA) || i < len(cellsB); i++ {
-		for _, src := range [][]Cell{cellsA, cellsB} {
+		for k, src := range [][]Cell{cellsA, cellsB} {
 			if i >= len(src) {
 				continue
 			}
-			pkt, done, err := r.Add(src[i])
+			pkt, done, err := rs[k].Add(src[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,8 +146,38 @@ func TestReassemblerInterleavesCircuits(t *testing.T) {
 	if len(got) != 2 || !bytes.Equal(got[0], pktA) || !bytes.Equal(got[1], pktB) {
 		t.Fatalf("interleaved reassembly produced %d packets", len(got))
 	}
-	if r.Pending() != 0 {
-		t.Errorf("Pending = %d after completion, want 0", r.Pending())
+	if rs[0].Partial() || rs[1].Partial() {
+		t.Error("a reassembler is still partial after its packet completed")
+	}
+}
+
+// TestReassemblerBoundsUnmarkedCells: a circuit whose sender never marks an
+// end of packet cannot grow the buffer past the longest packet — the run of
+// cells is abandoned as a bad length and the next cell starts afresh.
+func TestReassemblerBoundsUnmarkedCells(t *testing.T) {
+	var r Reassembler
+	maxCells := CellsForPacketLen(MaxPacketLen)
+	for round := 0; round < 2; round++ {
+		for i := 1; i <= maxCells; i++ {
+			_, done, err := r.Add(Cell{VC: 3})
+			if i < maxCells && (done || err != nil) {
+				t.Fatalf("round %d cell %d: done=%v err=%v before the bound", round, i, done, err)
+			}
+			if i == maxCells && (!done || !errors.Is(err, ErrBadLength)) {
+				t.Fatalf("round %d: cell %d gave done=%v err=%v, want an abandoned reassembly", round, i, done, err)
+			}
+		}
+		if r.Partial() || cap(r.buf) > 2*maxReassemblyLen {
+			t.Fatalf("round %d: partial=%v cap=%d after the bound", round, r.Partial(), cap(r.buf))
+		}
+	}
+	// A well-formed packet right after is reassembled normally.
+	cells, err := Segment(3, BestEffort, []byte("after"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pkt, done, err := r.Add(cells[0]); !done || err != nil || string(pkt) != "after" {
+		t.Fatalf("packet after the bound: %q done=%v err=%v", pkt, done, err)
 	}
 }
 
@@ -198,12 +229,12 @@ func TestReassemblerReset(t *testing.T) {
 	if _, _, err := r.Add(cells[0]); err != nil {
 		t.Fatal(err)
 	}
-	if r.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", r.Pending())
+	if !r.Partial() {
+		t.Fatal("not partial after the first of several cells")
 	}
 	r.Reset()
-	if r.Pending() != 0 {
-		t.Fatalf("Pending after Reset = %d, want 0", r.Pending())
+	if r.Partial() {
+		t.Fatal("still partial after Reset")
 	}
 }
 

@@ -154,7 +154,7 @@ func TestRandomFaultsPreserveInvariants(t *testing.T) {
 func pendingAtSources(n *Network, vcs []cell.VCI) int64 {
 	var total int64
 	for _, vc := range vcs {
-		if ci, ok := n.circuits[vc]; ok {
+		if ci, err := n.find(vc); err == nil {
 			// pending cells wait at the source; inUse is window
 			// bookkeeping for cells already accounted elsewhere.
 			total += int64(ci.queued())

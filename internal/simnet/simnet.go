@@ -23,8 +23,10 @@
 package simnet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cell"
@@ -68,7 +70,10 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// Circuit is an established virtual circuit.
+// Circuit is an established virtual circuit: its route, its source-side
+// queue and window, and what its destination host knows about it. The
+// record lives exactly as long as the circuit is open; CloseCircuit frees
+// all of it.
 type Circuit struct {
 	VC    cell.VCI
 	Class cell.Class
@@ -77,8 +82,16 @@ type Circuit struct {
 	// CellsPerFrame is the reservation for guaranteed circuits.
 	CellsPerFrame int
 
-	// hops[i] describes the circuit at Path[i+1]... see hop.
-	hops map[topology.NodeID]hop
+	// hops[k] is the circuit at its k-th switch, Path[k+1].
+	hops []hop
+	// slot is the circuit's index in Network.slots, the handle each of its
+	// cells carries (cell.Stamp.Circ) so that no per-cell step looks the
+	// VCI up. Slots are recycled at close — VCIs are not dense (core
+	// allocates them monotonically) — so a holder of a slot index confirms
+	// it with the VCI before trusting it.
+	slot int32
+	// ready marks membership of Network.ready.
+	ready bool
 
 	// ingress credit window state (best-effort).
 	window int
@@ -92,30 +105,45 @@ type Circuit struct {
 	// source pacing state (guaranteed).
 	nextSeq uint64
 
-	// firstIdx is the switchOrder position of Path[1]; firstLink and
-	// firstLatency describe the host link Path[0]–Path[1]. All three are
-	// resolved at open/reroute so injection and first-hop credit return
-	// touch no graph lookup.
-	firstIdx     int
+	// src is the sending host; firstLink and firstLatency describe its link
+	// to the first switch. Resolved at open/reroute so injection and
+	// first-hop credit return touch no graph lookup.
+	src          *host
 	firstLink    topology.LinkID
 	firstLatency int64
+
+	// Destination side: the receiving host, its latency histogram for this
+	// circuit's class, and the per-circuit receive state — cells delivered,
+	// the last sequence number seen, the packet being reassembled and the
+	// injection slot of its first cell.
+	dst       *host
+	lat       *metrics.Histogram
+	delivered int64
+	gotAny    bool
+	lastSeq   uint64
+	reasm     cell.Reassembler
+	pktStart  int64
+
+	// obsCredit is the circuit's credit-window time series (lazily
+	// registered; nil without Config.Obs or for unwindowed circuits).
+	obsCredit *obs.Series
 }
 
 // hop is the circuit's port usage at one switch.
 type hop struct {
+	// node is the switch and idx its switchOrder position.
+	node    topology.NodeID
+	idx     int
 	inPort  int
 	outPort int
-	// next is the node the circuit proceeds to after this switch.
-	next topology.NodeID
-	// nextIsHost marks delivery on the next hop.
-	nextIsHost bool
-	// linkLatency is the latency of the outgoing link.
-	linkLatency int64
-	// linkID is the outgoing link.
-	linkID topology.LinkID
-	// nextIdx is next's switchOrder position (-1 when next is a host),
-	// cached for wake pushes on departure.
+	// next is the node the circuit proceeds to after this switch, and
+	// nextIdx its switchOrder position (-1 when next is the destination
+	// host).
+	next    topology.NodeID
 	nextIdx int
+	// linkID and linkLatency describe the outgoing link.
+	linkID      topology.LinkID
+	linkLatency int64
 }
 
 // HostStats aggregates what a host observed.
@@ -135,18 +163,12 @@ type HostStats struct {
 	PacketsCorrupt int64
 }
 
-// host is the endpoint state.
+// host is the endpoint state that is not per circuit (that lives in
+// Circuit): counters and the reassembled packets awaiting Packets.
 type host struct {
-	id    topology.NodeID
-	stats HostStats
-	// lastSeq per circuit for order verification.
-	lastSeq map[cell.VCI]uint64
-	gotAny  map[cell.VCI]bool
-	reasm   cell.Reassembler
+	id      topology.NodeID
+	stats   HostStats
 	packets [][]byte
-	// pktStart records, per circuit, the injection slot of the first
-	// cell of the packet currently being reassembled.
-	pktStart map[cell.VCI]int64
 }
 
 // flight is a cell in transit on a link.
@@ -156,14 +178,15 @@ type flight struct {
 	// bucket is in send order already — but a fault or reroute that takes
 	// cells out of several buckets traces its casualties in send order.
 	seq uint64
-	c   cell.Cell
-	// to is the receiving node; port its input port there (switches).
-	to     topology.NodeID
-	link   topology.LinkID
-	isHost bool
-	// toIdx is to's switchOrder position (-1 for hosts), cached so
-	// delivery reaches the receiver without a map lookup.
+	// c carries its circuit's slot and, in Stamp.Hop, the position on the
+	// circuit's path of the switch it lands at (len(hops) for the
+	// destination host).
+	c cell.Cell
+	// to is the receiving node and toIdx its switchOrder position (-1 for
+	// a host).
+	to    topology.NodeID
 	toIdx int
+	link  topology.LinkID
 }
 
 func (f flight) due() int64 { return f.arrive }
@@ -172,6 +195,7 @@ func (f flight) due() int64 { return f.arrive }
 type ingressCredit struct {
 	arrive int64
 	vc     cell.VCI
+	circ   int32 // the circuit's slot
 }
 
 func (cr ingressCredit) due() int64 { return cr.arrive }
@@ -185,12 +209,24 @@ type Network struct {
 	// time so every per-switch loop (stepping, occupancy, backlog) is
 	// deterministic instead of following map iteration order.
 	switchOrder []topology.NodeID
-	phase       map[topology.NodeID]int64
-	hosts       map[topology.NodeID]*host
-	circuits    map[cell.VCI]*Circuit
-	// circOrder holds the open circuits sorted by VCI; source injection
-	// follows it so cross-circuit interleaving is reproducible run to run.
+	// phase is each switch's frame phase offset, by switchOrder position.
+	phase []int64
+	hosts map[topology.NodeID]*host
+	// circOrder holds the open circuits sorted by VCI, and vcis their VCIs
+	// in the same order: the index a caller's VCI is looked up in (a binary
+	// search over one dense array, not over a circuit per probe). slots is
+	// the table cells find their circuit in (Circuit.slot; nil entries are
+	// free and listed in freeSlots, reused last-freed first).
 	circOrder []*Circuit
+	vcis      []cell.VCI
+	slots     []*Circuit
+	freeSlots []int32
+	// ready holds, in ascending VCI, exactly the circuits with cells queued
+	// at their source — the only ones a slot's injection phase visits, in
+	// the order that makes the interleaving of cells sharing a link
+	// reproducible run to run. A circuit joins in Send/SendPacket and
+	// leaves in the slot its queue empties.
+	ready []*Circuit
 	// flights and credits are what is on the links, filed by arrival slot
 	// (see calendar.go); sendSeq numbers the flights.
 	flights calendar[flight]
@@ -198,12 +234,10 @@ type Network struct {
 	sendSeq uint64
 	slot    int64
 
-	// deliveredVC counts cells delivered to the destination host per
-	// circuit.
-	deliveredVC map[cell.VCI]int64
-
-	deadLinks map[topology.LinkID]bool
-	deadNodes map[topology.NodeID]bool
+	// deadLinks and deadNodes mark failed elements, indexed by the dense
+	// LinkID and NodeID.
+	deadLinks []bool
+	deadNodes []bool
 
 	// lastLinkChange / lastNodeChange record the slot of each element's
 	// most recent kill or restore — the hardware-truth timestamps the
@@ -252,7 +286,6 @@ type Network struct {
 	obsSlot      *obs.Gauge
 	obsInFlight  *obs.Gauge
 	obsOcc       []*obs.Series // by switchOrder index
-	obsCredit    map[cell.VCI]*obs.Series
 	obsMatch     *obs.Series
 	obsPrevDropF int64
 	obsPrevDropR int64
@@ -292,12 +325,7 @@ func New(cfg Config) (*Network, error) {
 		g:              cfg.Topology,
 		switches:       make(map[topology.NodeID]*switchnode.Switch),
 		switchOrder:    cfg.Topology.Switches(), // ascending NodeID
-		phase:          make(map[topology.NodeID]int64),
 		hosts:          make(map[topology.NodeID]*host),
-		circuits:       make(map[cell.VCI]*Circuit),
-		deliveredVC:    make(map[cell.VCI]int64),
-		deadLinks:      make(map[topology.LinkID]bool),
-		deadNodes:      make(map[topology.NodeID]bool),
 		lastLinkChange: make(map[topology.LinkID]int64),
 		lastNodeChange: make(map[topology.NodeID]int64),
 	}
@@ -308,6 +336,7 @@ func New(cfg Config) (*Network, error) {
 		n.orderIdx[s] = idx
 	}
 	n.switchByIdx = make([]*switchnode.Switch, len(n.switchOrder))
+	n.phase = make([]int64, len(n.switchOrder))
 	for idx, s := range n.switchOrder {
 		sc := cfg.Switch
 		sc.Seed = cfg.Switch.Seed + int64(s)*7919
@@ -319,22 +348,16 @@ func New(cfg Config) (*Network, error) {
 		}
 		n.switches[s] = sw
 		n.switchByIdx[idx] = sw
-		if cfg.FramePhase != nil {
-			n.phase[s] = cfg.FramePhase[s]
-			// Pre-step the empty switch so its frame position is offset
-			// from the global slot counter — the unsynchronized-clock
-			// model.
-			for k := int64(0); k < n.phase[s]; k++ {
-				sw.Step()
-			}
+		// Pre-step the empty switch so its frame position is offset from
+		// the global slot counter — the unsynchronized-clock model.
+		n.phase[idx] = cfg.FramePhase[s]
+		for k := int64(0); k < n.phase[idx]; k++ {
+			sw.Step()
 		}
 	}
 	for _, h := range cfg.Topology.Hosts() {
 		n.hosts[h] = &host{
-			id:       h,
-			lastSeq:  make(map[cell.VCI]uint64),
-			gotAny:   make(map[cell.VCI]bool),
-			pktStart: make(map[cell.VCI]int64),
+			id: h,
 			stats: HostStats{
 				LatencyByClass: map[cell.Class]*metrics.Histogram{
 					cell.BestEffort: {},
@@ -357,20 +380,22 @@ func New(cfg Config) (*Network, error) {
 			n.obsOcc[idx] = reg.Series("switch_occupancy_cells", 0,
 				"node", fmt.Sprint(int64(s)))
 		}
-		n.obsCredit = make(map[cell.VCI]*obs.Series)
 		n.obsMatch = reg.Series("net_match_iterations_per_slot", 0)
 	}
 	n.initWake()
 	return n, nil
 }
 
-// sizeLinks sizes what is indexed by link — the per-link counters and the
-// calendars' ring, one bucket per slot of the longest link plus one — to the
-// topology as it stands. New calls it; resolve calls it again if links were
-// added to the graph since.
+// sizeLinks sizes what is indexed by the dense link and node ids — the
+// fault marks, the per-link counters — and the calendars' ring, one bucket
+// per slot of the longest link plus one, to the topology as it stands. New
+// calls it; resolve and knownLink call it again if links were added to the
+// graph since.
 func (n *Network) sizeLinks() {
 	links := n.g.Links()
 	n.linkCells = append(n.linkCells, make([]int64, len(links)-len(n.linkCells))...)
+	n.deadLinks = append(n.deadLinks, make([]bool, len(links)-len(n.deadLinks))...)
+	n.deadNodes = append(n.deadNodes, make([]bool, n.g.NumNodes()-len(n.deadNodes))...)
 	var maxLatency int64
 	for _, l := range links {
 		maxLatency = max(maxLatency, l.Latency)
@@ -443,26 +468,37 @@ func (n *Network) Packets(id topology.NodeID) [][]byte {
 	return out
 }
 
-// insertCircuit adds c to the VCI-sorted injection order.
-func (n *Network) insertCircuit(c *Circuit) {
-	i := sort.Search(len(n.circOrder), func(k int) bool { return n.circOrder[k].VC >= c.VC })
-	n.circOrder = append(n.circOrder, nil)
-	copy(n.circOrder[i+1:], n.circOrder[i:])
-	n.circOrder[i] = c
+// readyAt finds vc in the ready list: its position, or where it would be
+// inserted.
+func (n *Network) readyAt(vc cell.VCI) int {
+	i, _ := slices.BinarySearchFunc(n.ready, vc, func(c *Circuit, vc cell.VCI) int { return cmp.Compare(c.VC, vc) })
+	return i
 }
 
-// removeCircuit drops vc from the injection order.
-func (n *Network) removeCircuit(vc cell.VCI) {
-	i := sort.Search(len(n.circOrder), func(k int) bool { return n.circOrder[k].VC >= vc })
-	if i < len(n.circOrder) && n.circOrder[i].VC == vc {
-		n.circOrder = append(n.circOrder[:i], n.circOrder[i+1:]...)
+// find returns the open circuit with the given VCI.
+func (n *Network) find(vc cell.VCI) (*Circuit, error) {
+	i, ok := slices.BinarySearch(n.vcis, vc)
+	if !ok {
+		return nil, fmt.Errorf("%w: %d", ErrNoCircuit, vc)
 	}
+	return n.circOrder[i], nil
 }
 
-// route is a resolved circuit path: the port usage at each switch and the
-// host link the source injects on.
+// circuitOf returns the open circuit a cell inside the network belongs to:
+// the one in the slot the cell carries, if that is still the cell's VC. Nil
+// means the circuit was closed (and its slot perhaps reused) since the cell
+// was injected.
+func (n *Network) circuitOf(cl *cell.Cell) *Circuit {
+	if c := n.slots[cl.Stamp.Circ]; c != nil && c.VC == cl.VC {
+		return c
+	}
+	return nil
+}
+
+// route is a resolved circuit path: the port usage at each switch, in path
+// order, and the host link the source injects on.
 type route struct {
-	hops  map[topology.NodeID]hop
+	hops  []hop
 	first topology.Link
 }
 
@@ -486,7 +522,7 @@ func (n *Network) resolve(path []topology.NodeID) (route, error) {
 	if _, ok := n.hosts[last]; !ok {
 		return route{}, fmt.Errorf("%w: %d", ErrNotHost, last)
 	}
-	r := route{hops: make(map[topology.NodeID]hop)}
+	r := route{hops: make([]hop, 0, len(path)-2)}
 	for i := 1; i < len(path)-1; i++ {
 		s := path[i]
 		sw, ok := n.switches[s]
@@ -513,49 +549,96 @@ func (n *Network) resolve(path []topology.NodeID) (route, error) {
 		if i == 1 {
 			r.first = inLink
 		}
-		_, nextIsHost := n.hosts[path[i+1]]
-		nextIdx := -1
-		if !nextIsHost {
-			nextIdx = n.orderIdx[path[i+1]]
+		nextIdx, isSwitch := n.orderIdx[path[i+1]]
+		if !isSwitch {
+			nextIdx = -1
 		}
-		r.hops[s] = hop{
+		r.hops = append(r.hops, hop{
+			node:        s,
+			idx:         n.orderIdx[s],
 			inPort:      inLink.PortAt(s),
 			outPort:     outLink.PortAt(s),
 			next:        path[i+1],
-			nextIsHost:  nextIsHost,
-			linkLatency: outLink.Latency,
-			linkID:      outLink.ID,
 			nextIdx:     nextIdx,
-		}
+			linkID:      outLink.ID,
+			linkLatency: outLink.Latency,
+		})
 	}
 	return r, nil
+}
+
+// reserve installs k cells/frame at every hop in path order. A refused
+// admission unwinds the hops already reserved and reports the refusing
+// switch.
+func (n *Network) reserve(hops []hop, k int) error {
+	for i, h := range hops {
+		// Reserving breaks quiescence; sleeping switches must settle
+		// their clocks before the frame changes.
+		n.wakeIdx(h.idx)
+		if err := n.switchByIdx[h.idx].Reserve(h.inPort, h.outPort, k); err != nil {
+			n.unreserve(hops[:i], k)
+			return fmt.Errorf("admission failed at switch %d: %w", h.node, err)
+		}
+	}
+	return nil
+}
+
+// unreserve releases k cells/frame at every hop whose switch is alive (a
+// dead switch's frame state was lost at the crash).
+func (n *Network) unreserve(hops []hop, k int) {
+	for _, h := range hops {
+		if !n.deadNodes[h.node] {
+			n.switchByIdx[h.idx].Unreserve(h.inPort, h.outPort, k)
+		}
+	}
 }
 
 // bind points the circuit at a resolved route.
 func (n *Network) bind(c *Circuit, path []topology.NodeID, r route) {
 	c.Path = append([]topology.NodeID(nil), path...)
 	c.hops = r.hops
-	c.firstIdx = n.orderIdx[path[1]]
+	c.src = n.hosts[path[0]]
 	c.firstLink = r.first.ID
 	c.firstLatency = r.first.Latency
+	c.dst = n.hosts[path[len(path)-1]]
+	c.lat = c.dst.stats.LatencyByClass[c.Class]
 }
 
-// OpenBestEffort establishes a best-effort circuit along path (host,
-// switches..., host).
-func (n *Network) OpenBestEffort(vc cell.VCI, path []topology.NodeID) (*Circuit, error) {
-	if _, dup := n.circuits[vc]; dup {
-		return nil, fmt.Errorf("%w: %d", ErrDupCircuit, vc)
+// open resolves path and enters c, otherwise complete, into the circuit
+// tables; guaranteed circuits are admitted at every switch first.
+func (n *Network) open(c *Circuit, path []topology.NodeID) (*Circuit, error) {
+	at, dup := slices.BinarySearch(n.vcis, c.VC)
+	if dup {
+		return nil, fmt.Errorf("%w: %d", ErrDupCircuit, c.VC)
 	}
 	r, err := n.resolve(path)
 	if err != nil {
 		return nil, err
 	}
-	c := &Circuit{VC: vc, Class: cell.BestEffort, window: n.cfg.IngressWindow}
+	if c.Class == cell.Guaranteed {
+		if err := n.reserve(r.hops, c.CellsPerFrame); err != nil {
+			return nil, fmt.Errorf("simnet: %w", err)
+		}
+	}
 	n.bind(c, path, r)
-	n.circuits[vc] = c
-	n.insertCircuit(c)
-	n.trace(TraceOpen, vc, path[0], -1, 0)
+	if k := len(n.freeSlots); k > 0 {
+		c.slot = n.freeSlots[k-1]
+		n.freeSlots = n.freeSlots[:k-1]
+		n.slots[c.slot] = c
+	} else {
+		c.slot = int32(len(n.slots))
+		n.slots = append(n.slots, c)
+	}
+	n.circOrder = slices.Insert(n.circOrder, at, c)
+	n.vcis = slices.Insert(n.vcis, at, c.VC)
+	n.trace(TraceOpen, c.VC, path[0], -1, 0)
 	return c, nil
+}
+
+// OpenBestEffort establishes a best-effort circuit along path (host,
+// switches..., host).
+func (n *Network) OpenBestEffort(vc cell.VCI, path []topology.NodeID) (*Circuit, error) {
+	return n.open(&Circuit{VC: vc, Class: cell.BestEffort, window: n.cfg.IngressWindow}, path)
 }
 
 // OpenGuaranteed establishes a guaranteed circuit along path and installs
@@ -564,56 +647,35 @@ func (n *Network) OpenBestEffort(vc cell.VCI, path []topology.NodeID) (*Circuit,
 // the reservation, the whole setup is rolled back and an error returned —
 // the admission decision bandwidth central would have made.
 func (n *Network) OpenGuaranteed(vc cell.VCI, path []topology.NodeID, cellsPerFrame int) (*Circuit, error) {
-	if _, dup := n.circuits[vc]; dup {
-		return nil, fmt.Errorf("%w: %d", ErrDupCircuit, vc)
-	}
 	if cellsPerFrame < 1 {
 		return nil, fmt.Errorf("simnet: cells/frame %d", cellsPerFrame)
 	}
-	r, err := n.resolve(path)
-	if err != nil {
-		return nil, err
-	}
-	hops := r.hops
-	var done []topology.NodeID
-	for s, h := range hops {
-		// Reserving breaks quiescence; sleeping switches must settle
-		// their clocks before the frame changes.
-		n.wakeNode(s)
-		if err := n.switches[s].Reserve(h.inPort, h.outPort, cellsPerFrame); err != nil {
-			for _, u := range done {
-				hu := hops[u]
-				n.switches[u].Unreserve(hu.inPort, hu.outPort, cellsPerFrame)
-			}
-			return nil, fmt.Errorf("simnet: admission failed at switch %d: %w", s, err)
-		}
-		done = append(done, s)
-	}
-	c := &Circuit{VC: vc, Class: cell.Guaranteed, CellsPerFrame: cellsPerFrame}
-	n.bind(c, path, r)
-	n.circuits[vc] = c
-	n.insertCircuit(c)
-	n.trace(TraceOpen, vc, path[0], -1, 0)
-	return c, nil
+	return n.open(&Circuit{VC: vc, Class: cell.Guaranteed, CellsPerFrame: cellsPerFrame}, path)
 }
 
-// CloseCircuit tears a circuit down, releasing reservations. Cells still
-// buffered inside the network for it are NOT dropped; they drain normally
-// (AN2 drains before reusing a VC).
+// CloseCircuit tears a circuit down, releasing its reservations, the cells
+// still queued at its source, its slot and everything its destination knew
+// about it. Cells of the circuit still inside the network are not hunted
+// down: each is discarded where it next surfaces — leaving a switch or
+// landing off a link, the last link included — and counted in
+// DroppedReroute.
 func (n *Network) CloseCircuit(vc cell.VCI) error {
-	c, ok := n.circuits[vc]
+	at, ok := slices.BinarySearch(n.vcis, vc)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoCircuit, vc)
 	}
+	c := n.circOrder[at]
 	if c.Class == cell.Guaranteed {
-		for s, h := range c.hops {
-			if sw, live := n.switches[s]; live {
-				sw.Unreserve(h.inPort, h.outPort, c.CellsPerFrame)
-			}
-		}
+		n.unreserve(c.hops, c.CellsPerFrame)
 	}
-	delete(n.circuits, vc)
-	n.removeCircuit(vc)
+	n.circOrder = slices.Delete(n.circOrder, at, at+1)
+	n.vcis = slices.Delete(n.vcis, at, at+1)
+	if c.ready {
+		i := n.readyAt(vc)
+		n.ready = slices.Delete(n.ready, i, i+1)
+	}
+	n.slots[c.slot] = nil
+	n.freeSlots = append(n.freeSlots, c.slot)
 	n.trace(TraceClose, vc, -1, -1, 0)
 	return nil
 }
@@ -621,58 +683,71 @@ func (n *Network) CloseCircuit(vc cell.VCI) error {
 // Send queues one best-effort cell on the circuit at its source host. For
 // guaranteed circuits, use PaceGuaranteed (sources are rate-matched).
 func (n *Network) Send(vc cell.VCI, payload [cell.PayloadSize]byte) error {
-	c, ok := n.circuits[vc]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoCircuit, vc)
+	c, err := n.find(vc)
+	if err != nil {
+		return err
 	}
-	cl := cell.Cell{
-		VC:      vc,
-		Class:   c.Class,
-		Payload: payload,
-		Stamp:   cell.Stamp{EnqueuedAt: n.slot, Seq: c.nextSeq},
-	}
-	c.nextSeq++
-	c.queue(cl)
+	c.reclaim(1)
+	c.pending = append(c.pending, cell.Cell{VC: vc, Class: c.Class, Payload: payload})
+	n.stamp(c, 1)
 	return nil
 }
 
-// queue appends a cell to the source host's send queue. When the backing
-// array is full, the consumed prefix is reclaimed before growing, so a
-// source that keeps a bounded backlog stops allocating.
-func (c *Circuit) queue(cl cell.Cell) {
-	if c.pendHead > 0 && len(c.pending) == cap(c.pending) {
-		k := copy(c.pending, c.pending[c.pendHead:])
-		c.pending = c.pending[:k]
+// SendPacket segments a packet into cells, straight into the circuit's
+// source queue.
+func (n *Network) SendPacket(vc cell.VCI, packet []byte) error {
+	c, err := n.find(vc)
+	if err != nil {
+		return err
+	}
+	cells := cell.CellsForPacketLen(len(packet))
+	c.reclaim(cells)
+	if c.pending, err = cell.AppendSegments(c.pending, vc, c.Class, packet); err != nil {
+		return fmt.Errorf("simnet: %w", err)
+	}
+	n.stamp(c, cells)
+	return nil
+}
+
+// reclaim makes room for k more cells in the source queue without growing
+// it when the consumed prefix would do, so a source that keeps a bounded
+// backlog stops allocating.
+func (c *Circuit) reclaim(k int) {
+	if c.pendHead > 0 && len(c.pending)+k > cap(c.pending) {
+		c.pending = c.pending[:copy(c.pending, c.pending[c.pendHead:])]
 		c.pendHead = 0
 	}
-	c.pending = append(c.pending, cl)
+}
+
+// stamp marks the k cells just appended to c's source queue with their
+// sequence numbers and circuit slot, and puts the circuit on the ready list.
+func (n *Network) stamp(c *Circuit, k int) {
+	for i := len(c.pending) - k; i < len(c.pending); i++ {
+		c.pending[i].Stamp = cell.Stamp{EnqueuedAt: n.slot, Seq: c.nextSeq, Circ: c.slot}
+		c.nextSeq++
+	}
+	if !c.ready {
+		c.ready = true
+		n.ready = slices.Insert(n.ready, n.readyAt(c.VC), c)
+	}
 }
 
 // queued returns the number of cells waiting at the source host.
 func (c *Circuit) queued() int { return len(c.pending) - c.pendHead }
 
-// SendPacket segments a packet into cells and queues them on the circuit.
-func (n *Network) SendPacket(vc cell.VCI, packet []byte) error {
-	c, ok := n.circuits[vc]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoCircuit, vc)
+// knownLink reports whether id names a link of the topology, first sizing
+// the per-link state to a graph that has grown since New.
+func (n *Network) knownLink(id topology.LinkID) bool {
+	if n.g.NumLinks() != len(n.linkCells) {
+		n.sizeLinks()
 	}
-	cells, err := cell.Segment(vc, c.Class, packet)
-	if err != nil {
-		return fmt.Errorf("simnet: %w", err)
-	}
-	for _, cl := range cells {
-		cl.Stamp = cell.Stamp{EnqueuedAt: n.slot, Seq: c.nextSeq}
-		c.nextSeq++
-		c.queue(cl)
-	}
-	return nil
+	return id >= 0 && int(id) < len(n.linkCells)
 }
 
 // KillLink fails a link: cells and credits in flight on it are lost.
 // Killing an already-dead link is a no-op.
 func (n *Network) KillLink(id topology.LinkID) {
-	if n.deadLinks[id] {
+	if !n.knownLink(id) || n.deadLinks[id] {
 		return
 	}
 	n.deadLinks[id] = true
@@ -683,10 +758,10 @@ func (n *Network) KillLink(id topology.LinkID) {
 
 // RestoreLink revives a link. Restoring a live link is a no-op.
 func (n *Network) RestoreLink(id topology.LinkID) {
-	if !n.deadLinks[id] {
+	if !n.knownLink(id) || !n.deadLinks[id] {
 		return
 	}
-	delete(n.deadLinks, id)
+	n.deadLinks[id] = false
 	n.lastLinkChange[id] = n.slot
 	n.trace(TraceRestore, 0, -1, id, 0)
 }
@@ -727,7 +802,7 @@ func (n *Network) RestoreSwitch(id topology.NodeID) {
 	if !ok || !n.deadNodes[id] {
 		return
 	}
-	delete(n.deadNodes, id)
+	n.deadNodes[id] = false
 	n.lastNodeChange[id] = n.slot
 	// Rejoin awake with no idle credit: a dead switch's clock does not
 	// advance. The switch sleeps itself after its first quiescent slot if
@@ -740,21 +815,14 @@ func (n *Network) RestoreSwitch(id topology.NodeID) {
 		if c.Class != cell.Guaranteed {
 			continue
 		}
-		if h, onPath := c.hops[id]; onPath {
-			// The frame is empty and held these reservations before the
-			// crash, so re-insertion cannot fail.
-			_ = sw.Reserve(h.inPort, h.outPort, c.CellsPerFrame)
+		for _, h := range c.hops {
+			if h.node == id {
+				// The frame is empty and held these reservations before
+				// the crash, so re-insertion cannot fail.
+				_ = sw.Reserve(h.inPort, h.outPort, c.CellsPerFrame)
+			}
 		}
 	}
-}
-
-// pathSwitches returns the switch portion of a host-switch...-host path,
-// in path order — the deterministic iteration order for per-hop work.
-func pathSwitches(path []topology.NodeID) []topology.NodeID {
-	if len(path) < 3 {
-		return nil
-	}
-	return path[1 : len(path)-1]
 }
 
 // Reroute moves a circuit to a new path (the paper's local-repair
@@ -771,47 +839,30 @@ func pathSwitches(path []topology.NodeID) []topology.NodeID {
 // surviving switches. A switch shared by both paths therefore briefly
 // holds both reservations, so admission is conservative there.
 func (n *Network) Reroute(vc cell.VCI, newPath []topology.NodeID) error {
-	c, ok := n.circuits[vc]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoCircuit, vc)
+	c, err := n.find(vc)
+	if err != nil {
+		return err
 	}
 	r, err := n.resolve(newPath)
 	if err != nil {
 		return err
 	}
-	hops := r.hops
 	if c.Class == cell.Guaranteed {
-		var done []topology.NodeID
-		for _, s := range pathSwitches(newPath) {
-			h := hops[s]
-			n.wakeNode(s) // reserving breaks quiescence
-			if err := n.switches[s].Reserve(h.inPort, h.outPort, c.CellsPerFrame); err != nil {
-				for _, u := range done {
-					hu := hops[u]
-					n.switches[u].Unreserve(hu.inPort, hu.outPort, c.CellsPerFrame)
-				}
-				return fmt.Errorf("simnet: reroute admission failed at switch %d: %w", s, err)
-			}
-			done = append(done, s)
+		if err := n.reserve(r.hops, c.CellsPerFrame); err != nil {
+			return fmt.Errorf("simnet: reroute %w", err)
 		}
-		for _, s := range pathSwitches(c.Path) {
-			if n.deadNodes[s] {
-				continue // a dead switch's frame state was lost at the crash
-			}
-			h := c.hops[s]
-			n.switches[s].Unreserve(h.inPort, h.outPort, c.CellsPerFrame)
-		}
+		n.unreserve(c.hops, c.CellsPerFrame)
 	}
 	// Purge the circuit's stale cells from old-path switch buffers: they
 	// can no longer follow the circuit's ports and must not linger to
 	// inflate backlog or chase dead hops.
-	for _, s := range pathSwitches(c.Path) {
-		if n.deadNodes[s] {
+	for _, h := range c.hops {
+		if n.deadNodes[h.node] {
 			continue // purged and counted when the switch died
 		}
-		if purged := n.switches[s].PurgeVC(vc); purged > 0 {
+		if purged := n.switchByIdx[h.idx].PurgeVC(vc); purged > 0 {
 			n.stats.DroppedReroute += int64(purged)
-			n.trace(TracePurge, vc, s, -1, uint64(purged))
+			n.trace(TracePurge, vc, h.node, -1, uint64(purged))
 		}
 	}
 	// In-flight cells of this circuit cannot follow the new ports either.
@@ -830,21 +881,32 @@ func (n *Network) Step() {
 
 	// 1. Ingress credits return to source hosts.
 	for _, cr := range n.credits.take(now) {
-		if c, ok := n.circuits[cr.vc]; ok && c.inUse > 0 {
+		if c := n.slots[cr.circ]; c != nil && c.VC == cr.vc && c.inUse > 0 {
 			c.inUse--
 		}
 	}
 
-	// 2. Source injection: each circuit moves pending cells into its
-	// first switch, subject to the ingress window (best-effort) or the
+	// 2. Source injection: each circuit with cells queued moves one into
+	// its first switch, subject to the ingress window (best-effort) or the
 	// reserved rate (guaranteed: CellsPerFrame cells per frame, evenly
-	// paced). Circuits inject in ascending VCI order so the interleaving
-	// of cells sharing a link is reproducible run to run.
-	for _, c := range n.circOrder {
+	// paced). The ready list is in ascending VCI order, so the
+	// interleaving of cells sharing a link is reproducible run to run; a
+	// circuit whose queue empties leaves it.
+	kept := n.ready[:0]
+	for _, c := range n.ready {
 		n.inject(c, now)
+		if c.queued() > 0 {
+			kept = append(kept, c)
+		} else {
+			c.ready = false
+		}
 	}
+	clear(n.ready[len(kept):])
+	n.ready = kept
 
-	// 3. Deliver the in-flight cells arriving now, in send order.
+	// 3. Deliver the in-flight cells arriving now, in send order. A cell
+	// whose circuit was closed while it travelled is a reroute casualty,
+	// whichever hop it was on.
 	due := n.flights.take(now)
 	for i := range due {
 		f := &due[i]
@@ -852,22 +914,21 @@ func (n *Network) Step() {
 			n.stats.DroppedInFlight++
 			continue
 		}
-		if f.isHost {
-			n.deliver(f.to, f.c, now)
-			continue
-		}
-		c, ok := n.circuits[f.c.VC]
-		if !ok {
-			// Circuit vanished mid-flight (closed): drop silently as a
-			// reroute casualty.
+		c := n.circuitOf(&f.c)
+		if c == nil {
 			n.stats.DroppedReroute++
 			continue
 		}
-		h, ok := c.hops[f.to]
-		if !ok {
+		if f.toIdx < 0 {
+			n.deliver(c, &f.c, now)
+			continue
+		}
+		k := int(f.c.Stamp.Hop)
+		if k >= len(c.hops) || c.hops[k].idx != f.toIdx {
 			n.stats.DroppedReroute++
 			continue
 		}
+		h := &c.hops[k]
 		// An arrival ends quiescence: a sleeping receiver settles its
 		// clock before the cell lands.
 		n.wakeIdx(f.toIdx)
@@ -904,39 +965,39 @@ func (n *Network) applyDepartures(idx int, now int64) {
 		return
 	}
 	n.stepDeps[idx] = nil
-	s := n.switchOrder[idx]
-	for _, d := range deps {
-		c, ok := n.circuits[d.Cell.VC]
-		if !ok {
+	for i := range deps {
+		d := &deps[i]
+		c := n.circuitOf(&d.Cell)
+		k := int(d.Cell.Stamp.Hop)
+		if c == nil || k >= len(c.hops) || c.hops[k].idx != idx || c.hops[k].outPort != d.Output {
+			// The circuit was closed, or closed and its VCI reopened on
+			// another route, while the cell was buffered here.
 			n.stats.DroppedReroute++
 			continue
 		}
-		h, ok := c.hops[s]
-		if !ok || h.outPort != d.Output {
-			// Stale cell from before a reroute.
-			n.stats.DroppedReroute++
-			continue
-		}
+		h := &c.hops[k]
 		if n.deadLinks[h.linkID] {
 			n.stats.DroppedInFlight++
 			continue
 		}
-		n.send(flight{
+		f := flight{
 			arrive: now + h.linkLatency,
 			c:      d.Cell,
 			to:     h.next,
-			link:   h.linkID,
-			isHost: h.nextIsHost,
 			toIdx:  h.nextIdx,
-		})
+			link:   h.linkID,
+		}
+		f.c.Stamp.Hop++
+		n.send(f)
 		if n.cfg.TraceHops {
-			n.trace(TraceHop, d.Cell.VC, s, h.linkID, d.Cell.Stamp.Seq)
+			n.trace(TraceHop, d.Cell.VC, h.node, h.linkID, d.Cell.Stamp.Seq)
 		}
 		// First-switch departure returns an ingress credit.
-		if c.Class == cell.BestEffort && c.window > 0 && s == c.Path[1] {
+		if k == 0 && c.Class == cell.BestEffort && c.window > 0 {
 			n.credits.add(ingressCredit{
 				arrive: now + c.firstLatency,
 				vc:     c.VC,
+				circ:   c.slot,
 			})
 		}
 	}
@@ -976,30 +1037,26 @@ func (n *Network) observeSlot(now int64) {
 		if c.Class != cell.BestEffort || c.window <= 0 {
 			continue
 		}
-		s, ok := n.obsCredit[c.VC]
-		if !ok {
-			s = n.cfg.Obs.Series("circuit_credit_in_use", 0,
+		if c.obsCredit == nil {
+			c.obsCredit = n.cfg.Obs.Series("circuit_credit_in_use", 0,
 				"vc", fmt.Sprint(uint32(c.VC)))
-			n.obsCredit[c.VC] = s
 		}
-		s.Record(now, int64(c.inUse))
+		c.obsCredit.Record(now, int64(c.inUse))
 	}
 }
 
-// inject moves source-pending cells onto the first link.
+// inject moves the circuit's oldest source-pending cell onto the first
+// link, if the first hop is alive and the window or the reserved rate
+// allows: a host link carries one cell per slot per circuit.
 func (n *Network) inject(c *Circuit, now int64) {
-	if c.queued() == 0 {
+	first := &c.hops[0]
+	if n.deadNodes[first.node] || n.deadLinks[c.firstLink] {
 		return
 	}
-	first := c.Path[1]
-	if n.deadNodes[first] || n.deadLinks[c.firstLink] {
-		return
-	}
-	budget := 1 // host link carries one cell per slot per circuit
 	if c.Class == cell.Guaranteed {
 		// Rate matching: send only in this circuit's share of the frame.
-		frame := int64(n.switches[first].Frame().Slots())
-		pos := (now + n.phase[first]) % frame
+		frame := int64(n.switchByIdx[first.idx].Frame().Slots())
+		pos := (now + n.phase[first.idx]) % frame
 		// Evenly paced: one cell each frame/CellsPerFrame slots, and never
 		// more than CellsPerFrame per frame (rate matching, §5).
 		interval := frame / int64(c.CellsPerFrame)
@@ -1009,68 +1066,58 @@ func (n *Network) inject(c *Circuit, now int64) {
 		if pos%interval != 0 || pos/interval >= int64(c.CellsPerFrame) {
 			return
 		}
-	} else if c.window > 0 && c.inUse >= c.window {
-		return
+	} else if c.window > 0 {
+		if c.inUse >= c.window {
+			return
+		}
+		c.inUse++
 	}
-	for b := 0; b < budget && c.queued() > 0; b++ {
-		cl := c.pending[c.pendHead]
-		c.pendHead++
-		if c.pendHead == len(c.pending) {
-			c.pending, c.pendHead = c.pending[:0], 0
-		}
-		// Latency is measured from network entry: the paper's bounds
-		// cover the network, not the host's own send queue (guaranteed
-		// sources are rate-matched, so a bursty application queues at the
-		// host, not in the network).
-		cl.Stamp.EnqueuedAt = now
-		if c.Class == cell.BestEffort && c.window > 0 {
-			c.inUse++
-		}
-		if h, ok := n.hosts[c.Path[0]]; ok {
-			h.stats.CellsSent++
-		}
-		n.send(flight{
-			arrive: now + c.firstLatency,
-			c:      cl,
-			to:     first,
-			link:   c.firstLink,
-			isHost: false,
-			toIdx:  c.firstIdx,
-		})
-		n.obsInjected.Inc(0)
-		n.trace(TraceInject, cl.VC, first, c.firstLink, cl.Stamp.Seq)
+	f := flight{
+		arrive: now + c.firstLatency,
+		c:      c.pending[c.pendHead],
+		to:     first.node,
+		toIdx:  first.idx,
+		link:   c.firstLink,
 	}
+	c.pendHead++
+	if c.pendHead == len(c.pending) {
+		c.pending, c.pendHead = c.pending[:0], 0
+	}
+	// Latency is measured from network entry: the paper's bounds cover the
+	// network, not the host's own send queue (guaranteed sources are
+	// rate-matched, so a bursty application queues at the host, not in the
+	// network).
+	f.c.Stamp.EnqueuedAt = now
+	c.src.stats.CellsSent++
+	n.send(f)
+	n.obsInjected.Inc(0)
+	n.trace(TraceInject, c.VC, first.node, c.firstLink, f.c.Stamp.Seq)
 }
 
-// deliver hands a cell to its destination host.
-func (n *Network) deliver(to topology.NodeID, cl cell.Cell, now int64) {
-	h, ok := n.hosts[to]
-	if !ok {
-		return
-	}
+// deliver hands a cell to the destination host of its circuit.
+func (n *Network) deliver(c *Circuit, cl *cell.Cell, now int64) {
+	h := c.dst
 	h.stats.CellsReceived++
 	n.stats.DeliveredCells++
-	n.deliveredVC[cl.VC]++
+	c.delivered++
 	n.obsDelivered.Inc(0)
-	if cl.Class == cell.Guaranteed {
-		n.obsLatG.Observe(0, now-cl.Stamp.EnqueuedAt)
+	latency := now - cl.Stamp.EnqueuedAt
+	if c.Class == cell.Guaranteed {
+		n.obsLatG.Observe(0, latency)
 	} else {
-		n.obsLatBE.Observe(0, now-cl.Stamp.EnqueuedAt)
+		n.obsLatBE.Observe(0, latency)
 	}
-	n.trace(TraceDeliver, cl.VC, to, -1, cl.Stamp.Seq)
-	if hist := h.stats.LatencyByClass[cl.Class]; hist != nil {
-		hist.Observe(now - cl.Stamp.EnqueuedAt)
-	}
-	if h.gotAny[cl.VC] && cl.Stamp.Seq != h.lastSeq[cl.VC]+1 {
+	n.trace(TraceDeliver, c.VC, h.id, -1, cl.Stamp.Seq)
+	c.lat.Observe(latency)
+	if c.gotAny && cl.Stamp.Seq != c.lastSeq+1 {
 		h.stats.OutOfOrder++
 	}
-	h.gotAny[cl.VC] = true
-	h.lastSeq[cl.VC] = cl.Stamp.Seq
-	if !h.reasm.HasPartial(cl.VC) {
+	c.gotAny, c.lastSeq = true, cl.Stamp.Seq
+	if !c.reasm.Partial() {
 		// First cell of a new packet on this circuit.
-		h.pktStart[cl.VC] = cl.Stamp.EnqueuedAt
+		c.pktStart = cl.Stamp.EnqueuedAt
 	}
-	pkt, done, err := h.reasm.Add(cl)
+	pkt, done, err := c.reasm.Add(*cl)
 	if !done {
 		return
 	}
@@ -1078,9 +1125,11 @@ func (n *Network) deliver(to topology.NodeID, cl cell.Cell, now int64) {
 		h.stats.PacketsCorrupt++
 		return
 	}
+	// The copy is the one allocation of the receive path: the packet
+	// outlives the reassembler's buffer, which the next cell reuses.
 	h.packets = append(h.packets, append([]byte(nil), pkt...))
 	h.stats.PacketsReassembled++
-	h.stats.PacketLatency.Observe(now - h.pktStart[cl.VC])
+	h.stats.PacketLatency.Observe(now - c.pktStart)
 }
 
 // Run advances the network the given number of slots.
@@ -1150,10 +1199,10 @@ func (n *Network) Topology() *topology.Graph { return n.g }
 // a switch death reads as every one of its links failing — exactly the
 // signal the skeptics consume). Probing an unknown link reports false.
 func (n *Network) ProbeLink(id topology.LinkID) bool {
-	l, ok := n.g.Link(id)
-	if !ok || n.deadLinks[id] {
+	if !n.knownLink(id) || n.deadLinks[id] {
 		return false
 	}
+	l, _ := n.g.Link(id)
 	return !n.deadNodes[l.A] && !n.deadNodes[l.B]
 }
 
@@ -1184,8 +1233,14 @@ func (n *Network) Circuits() []*Circuit {
 }
 
 // DeliveredByVC returns the number of cells delivered to the destination
-// host on circuit vc over the run so far (0 for unknown circuits).
-func (n *Network) DeliveredByVC(vc cell.VCI) int64 { return n.deliveredVC[vc] }
+// host on the open circuit vc so far (0 for unknown circuits: the count is
+// freed with the circuit).
+func (n *Network) DeliveredByVC(vc cell.VCI) int64 {
+	if c, err := n.find(vc); err == nil {
+		return c.delivered
+	}
+	return 0
+}
 
 // TotalBufferedCells returns every cell buffered inside live switches,
 // both classes. Dead switches hold nothing: their buffers were purged and
@@ -1211,18 +1266,17 @@ func (n *Network) TotalBufferedCells() int {
 // source and its first switch. Without this the window would trust
 // pre-failure credits and could overshoot or stall.
 func (n *Network) ResyncIngress(vc cell.VCI) error {
-	c, ok := n.circuits[vc]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoCircuit, vc)
+	c, err := n.find(vc)
+	if err != nil {
+		return err
 	}
 	if c.Class != cell.BestEffort || c.window <= 0 {
 		return nil
 	}
 	n.credits.remove(func(cr *ingressCredit) bool { return cr.vc == vc })
 	outstanding := 0
-	first := c.Path[1]
 	n.flights.each(func(f *flight) {
-		if f.c.VC == vc && !f.isHost && f.to == first {
+		if f.c.VC == vc && f.toIdx == c.hops[0].idx {
 			outstanding++
 		}
 	})
@@ -1237,8 +1291,8 @@ func (n *Network) ResyncIngress(vc cell.VCI) error {
 // 0 <= inUse <= window at every slot — a violation means credits were
 // minted or leaked across a fault path.
 func (n *Network) IngressWindow(vc cell.VCI) (window, inUse int, ok bool) {
-	c, found := n.circuits[vc]
-	if !found || c.Class != cell.BestEffort || c.window <= 0 {
+	c, err := n.find(vc)
+	if err != nil || c.Class != cell.BestEffort || c.window <= 0 {
 		return 0, 0, false
 	}
 	return c.window, c.inUse, true

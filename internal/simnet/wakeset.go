@@ -128,8 +128,10 @@ func (n *Network) pendingIdle() int64 {
 // CheckEngineInvariant verifies, between slots, what the single engine
 // rests on: every sleeping switch is quiescent; the active list is exactly
 // the awake switches, sorted and duplicate-free; the running sleep totals
-// match the per-switch states; and everything on a link is filed under its
-// arrival slot, within the calendar's reach, and counted. It reads only — calling it never
+// match the per-switch states; the ready list is exactly the circuits with
+// cells queued at their source, ascending; and everything on a link is filed
+// under its arrival slot, within the calendar's reach, and counted. It reads
+// only — calling it never
 // wakes a switch or perturbs a trajectory.
 func (n *Network) CheckEngineInvariant() error {
 	var asleep, sleepSum int64
@@ -159,6 +161,31 @@ func (n *Network) CheckEngineInvariant() error {
 		}
 		if i > 0 && n.active[i-1] >= idx {
 			return fmt.Errorf("simnet: slot %d: active list unsorted or duplicated at position %d", n.slot, i)
+		}
+	}
+	// The ready list is exactly the open circuits with cells queued at
+	// their source, in ascending VCI (so duplicate-free), each in its slot.
+	queued := 0
+	for i, c := range n.circOrder {
+		if n.vcis[i] != c.VC || n.slots[c.slot] != c {
+			return fmt.Errorf("simnet: slot %d: circuit %d is not where the circuit tables say (slot %d)", n.slot, c.VC, c.slot)
+		}
+		if c.ready != (c.queued() > 0) {
+			return fmt.Errorf("simnet: slot %d: circuit %d has %d cells queued but ready=%v", n.slot, c.VC, c.queued(), c.ready)
+		}
+		if c.ready {
+			queued++
+		}
+	}
+	if len(n.ready) != queued {
+		return fmt.Errorf("simnet: slot %d: ready list has %d entries, %d circuits have cells queued", n.slot, len(n.ready), queued)
+	}
+	for i, c := range n.ready {
+		if open, _ := n.find(c.VC); open != c || !c.ready {
+			return fmt.Errorf("simnet: slot %d: ready list holds circuit %d, which is not an open circuit with cells queued", n.slot, c.VC)
+		}
+		if i > 0 && n.ready[i-1].VC >= c.VC {
+			return fmt.Errorf("simnet: slot %d: ready list unsorted or duplicated at position %d", n.slot, i)
 		}
 	}
 	if err := n.flights.check("cell", n.slot); err != nil {

@@ -65,10 +65,27 @@ func TestEngineInvariantCatchesViolations(t *testing.T) {
 			n.credits.add(ingressCredit{arrive: n.slot - int64(len(n.credits.ring))})
 		}},
 		{"in-flight count drifted", func(n *Network) { n.flights.count++ }},
+		{"queued circuit missing from the ready list", func(n *Network) { n.ready = n.ready[:0] }},
+		{"ready list holds an idle circuit", func(n *Network) { n.ready = append(n.ready, n.circOrder[2]) }},
+		{"ready list out of order", func(n *Network) { n.ready[0], n.ready[1] = n.ready[1], n.ready[0] }},
+		{"ready list duplicated", func(n *Network) { n.ready = append(n.ready, n.ready[1]) }},
+		{"circuit outside its slot", func(n *Network) { n.slots[n.circOrder[0].slot] = nil }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			n, _, _, _ := lineNet(t, 3, 1, Config{Switch: switchnode.Config{N: 4, FrameSlots: 8}})
+			n, _, _, path := lineNet(t, 3, 1, Config{Switch: switchnode.Config{N: 4, FrameSlots: 8}})
 			n.Run(4)
+			// Three circuits, two of them with a cell queued at the source
+			// (nothing is stepped again, so no switch wakes).
+			for vc := cell.VCI(1); vc <= 3; vc++ {
+				if _, err := n.OpenBestEffort(vc, path); err != nil {
+					t.Fatal(err)
+				}
+				if vc < 3 {
+					if err := n.Send(vc, [cell.PayloadSize]byte{}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 			requireEngineInvariant(t, n)
 			tc.mutate(n)
 			if err := n.CheckEngineInvariant(); err == nil {
