@@ -166,35 +166,43 @@ func (f *FIFO) DropAll() int {
 }
 
 // PerVC is the AN2-style random-access buffer: one queue per virtual
-// circuit. Create with NewPerVC.
+// circuit, grouped by the output port the circuit leaves through — the
+// shape of the hardware, where a cell's VCI selects its queue and each
+// output has its own arbiter. Nothing is keyed by hash: an output's queues
+// are a slice in ascending VCI, found by binary search, and outputs and
+// queues come into being when a cell first needs them, so an idle line card
+// costs one small struct. Create with NewPerVC.
 type PerVC struct {
-	// queues maps VCI to its cell queue.
-	queues map[cell.VCI]*vcQueue
-	// byOutput maps output port to the circuits with queued cells routed
-	// to it, maintained so Eligible is O(outputs). A set emptied by Pop or
-	// Drop stays in the map for the next Push to refill, so a port that
-	// drains and refills every few slots does not allocate a set each time.
-	byOutput map[int]map[cell.VCI]struct{}
+	// outs[o] serves output o; it grows to the highest output used.
+	outs []outQueues
 	// perVCLimit bounds each circuit's queue (0 = unbounded). The paper
 	// sizes this to a link round-trip (credit allocation, §5).
 	perVCLimit int
 	total      int
-	// rr tracks the last circuit served per output, for round-robin
-	// fairness among circuits sharing an output.
-	rr map[int]cell.VCI
-	// bits mirrors byOutput as a bitset (bit o set iff some circuit has a
-	// cell queued for output o), maintained incrementally so EligibleBits
-	// is O(1) with no allocation.
+	// bits has bit o set iff some circuit has a cell queued for output o,
+	// maintained incrementally so EligibleBits is O(1) with no allocation.
 	bits []uint64
-	// free pools emptied vcQueues so a circuit draining and refilling
-	// every few slots does not allocate a fresh queue each time.
-	free []*vcQueue
+	// free pools the cell storage of emptied queues so a circuit draining
+	// and refilling every few slots does not allocate each time.
+	free [][]cell.Cell
 }
 
+// outQueues is one output's arbiter state.
+type outQueues struct {
+	// qs holds the non-empty queues routed to this output, ascending VCI.
+	qs []vcQueue
+	// last is the circuit served most recently (valid once served): the
+	// round-robin pointer. It outlives the circuit's queue, Drop and
+	// DropAll, and still decides who is served next.
+	last   cell.VCI
+	served bool
+}
+
+// vcQueue is one circuit's cells, oldest at head.
 type vcQueue struct {
-	cells  []queued
-	head   int
-	output int
+	vc    cell.VCI
+	cells []cell.Cell
+	head  int
 }
 
 func (q *vcQueue) len() int { return len(q.cells) - q.head }
@@ -204,43 +212,47 @@ var _ InputBuffer = (*PerVC)(nil)
 // NewPerVC creates a per-virtual-circuit random-access buffer. perVCLimit
 // bounds each circuit's queue; 0 means unbounded.
 func NewPerVC(perVCLimit int) *PerVC {
-	return &PerVC{
-		queues:     make(map[cell.VCI]*vcQueue),
-		byOutput:   make(map[int]map[cell.VCI]struct{}),
-		perVCLimit: perVCLimit,
-		rr:         make(map[int]cell.VCI),
-	}
+	return &PerVC{perVCLimit: perVCLimit}
 }
 
-// Push implements InputBuffer. Cells of one circuit must all use the same
-// output (a circuit has a single route through the switch); Push tracks the
-// output of the most recent cell, which the route tables guarantee is
-// constant between reroutes.
-func (p *PerVC) Push(c cell.Cell, output int) bool {
-	q := p.queues[c.VC]
-	if q == nil {
-		if k := len(p.free); k > 0 {
-			q = p.free[k-1]
-			p.free = p.free[:k-1]
-			q.output = output
+// search finds circuit vc among the output's queues: its position, or where
+// it would be inserted.
+func (o *outQueues) search(vc cell.VCI) (int, bool) {
+	lo, hi := 0, len(o.qs)
+	for lo < hi {
+		if mid := (lo + hi) / 2; o.qs[mid].vc < vc {
+			lo = mid + 1
 		} else {
-			q = &vcQueue{output: output}
+			hi = mid
 		}
-		p.queues[c.VC] = q
 	}
-	if p.perVCLimit > 0 && q.len() >= p.perVCLimit {
+	return lo, lo < len(o.qs) && o.qs[lo].vc == vc
+}
+
+// Push implements InputBuffer. A circuit has a single route through the
+// switch, so all its queued cells share one output (the route tables keep it
+// constant between reroutes, and a reroute purges the circuit first).
+func (p *PerVC) Push(c cell.Cell, output int) bool {
+	for len(p.outs) <= output {
+		p.outs = append(p.outs, outQueues{})
+	}
+	o := &p.outs[output]
+	i, found := o.search(c.VC)
+	if !found {
+		var cells []cell.Cell
+		if k := len(p.free); k > 0 {
+			cells, p.free = p.free[k-1], p.free[:k-1]
+		}
+		o.qs = append(o.qs, vcQueue{})
+		copy(o.qs[i+1:], o.qs[i:])
+		o.qs[i] = vcQueue{vc: c.VC, cells: cells}
+		p.setBit(output)
+	} else if p.perVCLimit > 0 && o.qs[i].len() >= p.perVCLimit {
 		return false
 	}
-	q.cells = append(q.cells, queued{c: c, output: output})
-	q.output = output
+	q := &o.qs[i]
+	q.cells = append(q.cells, c)
 	p.total++
-	set := p.byOutput[output]
-	if set == nil {
-		set = make(map[cell.VCI]struct{})
-		p.byOutput[output] = set
-	}
-	set[c.VC] = struct{}{}
-	p.setBit(output)
 	return true
 }
 
@@ -253,26 +265,27 @@ func (p *PerVC) setBit(o int) {
 	p.bits[w] |= 1 << (uint(o) % 64)
 }
 
-// clearBit unmarks output o.
-func (p *PerVC) clearBit(o int) {
-	if w := o / 64; w < len(p.bits) {
-		p.bits[w] &^= 1 << (uint(o) % 64)
+// remove takes the emptied (or dropped) queue at position i off output o,
+// pooling its storage and clearing the output's eligible bit when it was the
+// last.
+func (p *PerVC) remove(output, i int) {
+	o := &p.outs[output]
+	p.free = append(p.free, o.qs[i].cells[:0])
+	last := len(o.qs) - 1
+	copy(o.qs[i:], o.qs[i+1:])
+	o.qs[last] = vcQueue{}
+	o.qs = o.qs[:last]
+	if last == 0 {
+		p.bits[output/64] &^= 1 << (uint(output) % 64)
 	}
 }
 
-// recycle resets an emptied queue and returns it to the free pool.
-func (p *PerVC) recycle(q *vcQueue) {
-	q.cells = q.cells[:0]
-	q.head = 0
-	p.free = append(p.free, q)
-}
-
 // Eligible implements InputBuffer: every output with at least one queued
-// circuit.
+// circuit, ascending.
 func (p *PerVC) Eligible() []int {
-	out := make([]int, 0, len(p.byOutput))
-	for o, set := range p.byOutput {
-		if len(set) > 0 {
+	var out []int
+	for o := range p.outs {
+		if len(p.outs[o].qs) > 0 {
 			out = append(out, o)
 		}
 	}
@@ -283,109 +296,93 @@ func (p *PerVC) Eligible() []int {
 // bitset, equal bit-for-bit to Eligible.
 func (p *PerVC) EligibleBits() []uint64 { return p.bits }
 
-// Pop implements InputBuffer. Among the circuits queued for the output it
-// serves them round-robin, so one busy circuit cannot monopolize the port.
-func (p *PerVC) Pop(output int) (cell.Cell, bool) {
-	set := p.byOutput[output]
-	if len(set) == 0 {
-		return cell.Cell{}, false
-	}
-	vc := p.pickRR(output, set)
-	q := p.queues[vc]
-	item := q.cells[q.head]
-	q.head++
-	p.total--
-	if q.len() == 0 {
-		delete(p.queues, vc)
-		p.recycle(q)
-		delete(set, vc)
-		if len(set) == 0 {
-			p.clearBit(output)
-		}
-	} else if q.head > 64 && q.head*2 >= len(q.cells) {
-		n := copy(q.cells, q.cells[q.head:])
-		q.cells = q.cells[:n]
-		q.head = 0
-	}
-	p.rr[output] = vc
-	return item.c, true
+// Queued reports whether a cell is queued for the output, i.e. whether Pop
+// would succeed.
+func (p *PerVC) Queued(output int) bool {
+	return output < len(p.outs) && len(p.outs[output].qs) > 0
 }
 
-// pickRR returns the next circuit after the last-served one in ascending
-// VCI order (wrapping), giving round-robin service.
-func (p *PerVC) pickRR(output int, set map[cell.VCI]struct{}) cell.VCI {
-	last, served := p.rr[output]
-	var best, wrap cell.VCI
-	haveBest, haveWrap := false, false
-	for vc := range set {
-		if !haveWrap || vc < wrap {
-			wrap = vc
-			haveWrap = true
-		}
-		if served && vc <= last {
-			continue
-		}
-		if !haveBest || vc < best {
-			best = vc
-			haveBest = true
+// Pop implements InputBuffer. Among the circuits queued for the output it
+// serves them round-robin — the next VCI above the last one served,
+// wrapping to the lowest — so one busy circuit cannot monopolize the port.
+func (p *PerVC) Pop(output int) (cell.Cell, bool) {
+	if !p.Queued(output) {
+		return cell.Cell{}, false
+	}
+	o := &p.outs[output]
+	i := 0
+	if o.served {
+		if i, _ = o.search(o.last + 1); i == len(o.qs) {
+			i = 0
 		}
 	}
-	if haveBest {
-		return best
+	q := &o.qs[i]
+	c := q.cells[q.head]
+	q.head++
+	o.last, o.served = q.vc, true
+	p.total--
+	if q.len() == 0 {
+		p.remove(output, i)
+	} else if q.head > 64 && q.head*2 >= len(q.cells) {
+		q.cells = q.cells[:copy(q.cells, q.cells[q.head:])]
+		q.head = 0
 	}
-	return wrap
+	return c, true
 }
 
 // Len implements InputBuffer.
 func (p *PerVC) Len() int { return p.total }
 
+// locate finds circuit vc's queue, whichever output it is routed to.
+func (p *PerVC) locate(vc cell.VCI) (output, i int, found bool) {
+	for output := range p.outs {
+		if i, found := p.outs[output].search(vc); found {
+			return output, i, true
+		}
+	}
+	return 0, 0, false
+}
+
 // QueueLen returns the number of cells queued for circuit vc.
 func (p *PerVC) QueueLen(vc cell.VCI) int {
-	q := p.queues[vc]
-	if q == nil {
-		return 0
+	if o, i, found := p.locate(vc); found {
+		return p.outs[o].qs[i].len()
 	}
-	return q.len()
+	return 0
 }
 
 // CountVC implements InputBuffer.
 func (p *PerVC) CountVC(vc cell.VCI) int { return p.QueueLen(vc) }
 
 // Circuits returns the number of circuits with queued cells.
-func (p *PerVC) Circuits() int { return len(p.queues) }
+func (p *PerVC) Circuits() int {
+	n := 0
+	for o := range p.outs {
+		n += len(p.outs[o].qs)
+	}
+	return n
+}
 
 // Drop discards all cells of circuit vc (used on teardown/page-out),
 // returning how many were discarded.
 func (p *PerVC) Drop(vc cell.VCI) int {
-	q := p.queues[vc]
-	if q == nil {
+	o, i, found := p.locate(vc)
+	if !found {
 		return 0
 	}
-	n := q.len()
+	n := p.outs[o].qs[i].len()
 	p.total -= n
-	delete(p.queues, vc)
-	if set := p.byOutput[q.output]; set != nil {
-		delete(set, vc)
-		if len(set) == 0 {
-			p.clearBit(q.output)
-		}
-	}
-	p.recycle(q)
+	p.remove(o, i)
 	return n
 }
 
 // DropAll implements InputBuffer.
 func (p *PerVC) DropAll() int {
 	n := p.total
-	for vc, q := range p.queues {
-		delete(p.queues, vc)
-		p.recycle(q)
-	}
-	for o := range p.byOutput {
-		delete(p.byOutput, o)
-	}
-	for w := range p.bits {
-		p.bits[w] = 0
+	for o := range p.outs {
+		for i := len(p.outs[o].qs) - 1; i >= 0; i-- {
+			p.remove(o, i)
+		}
 	}
 	p.total = 0
 	return n

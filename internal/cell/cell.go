@@ -237,21 +237,26 @@ var (
 
 // Add feeds the circuit's next cell to the reassembler. When the cell
 // completes a packet, Add returns the packet and done=true; the packet
-// aliases the reassembler's buffer and is valid until the next Add. A
-// reassembly that reaches the longest packet's cell count with no
-// end-of-packet cell (a sender that never marks one) is abandoned: done=true
-// with ErrBadLength, and the next cell starts afresh.
-func (r *Reassembler) Add(c Cell) (packet []byte, done bool, err error) {
-	buf := append(r.buf, c.Payload[:]...)
-	if !c.EndOfPacket {
-		if len(buf) >= maxReassemblyLen {
-			r.buf = buf[:0]
-			return nil, true, fmt.Errorf("%w: %d cells and no end of packet", ErrBadLength, len(buf)/PayloadSize)
+// aliases the reassembler's buffer — or, for a packet of one cell, the cell
+// itself, which is verified where it lies — and is valid until the next Add
+// or until the cell is overwritten. A reassembly that reaches the longest
+// packet's cell count with no end-of-packet cell (a sender that never marks
+// one) is abandoned: done=true with ErrBadLength, and the next cell starts
+// afresh.
+func (r *Reassembler) Add(c *Cell) (packet []byte, done bool, err error) {
+	buf := c.Payload[:]
+	if len(r.buf) > 0 || !c.EndOfPacket {
+		buf = append(r.buf, buf...)
+		if !c.EndOfPacket {
+			if len(buf) >= maxReassemblyLen {
+				r.buf = buf[:0]
+				return nil, true, fmt.Errorf("%w: %d cells and no end of packet", ErrBadLength, len(buf)/PayloadSize)
+			}
+			r.buf = buf
+			return nil, false, nil
 		}
-		r.buf = buf
-		return nil, false, nil
+		r.buf = buf[:0]
 	}
-	r.buf = buf[:0]
 	trailer := buf[len(buf)-trailerSize:]
 	n := int(binary.BigEndian.Uint16(trailer[0:2]))
 	if n > len(buf)-trailerSize || len(buf)-n-trailerSize >= PayloadSize {

@@ -86,7 +86,7 @@ func TestSegmentReassembleRoundTrip(t *testing.T) {
 			t.Errorf("Segment(%d bytes) = %d cells, want %d", n, len(cells), want)
 		}
 		for i, c := range cells {
-			got, done, err := r.Add(c)
+			got, done, err := r.Add(&c)
 			if err != nil {
 				t.Fatalf("Add cell %d of %d-byte packet: %v", i, n, err)
 			}
@@ -134,7 +134,7 @@ func TestReassemblerInterleavesCircuits(t *testing.T) {
 			if i >= len(src) {
 				continue
 			}
-			pkt, done, err := rs[k].Add(src[i])
+			pkt, done, err := rs[k].Add(&src[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,7 +159,7 @@ func TestReassemblerBoundsUnmarkedCells(t *testing.T) {
 	maxCells := CellsForPacketLen(MaxPacketLen)
 	for round := 0; round < 2; round++ {
 		for i := 1; i <= maxCells; i++ {
-			_, done, err := r.Add(Cell{VC: 3})
+			_, done, err := r.Add(&Cell{VC: 3})
 			if i < maxCells && (done || err != nil) {
 				t.Fatalf("round %d cell %d: done=%v err=%v before the bound", round, i, done, err)
 			}
@@ -176,7 +176,7 @@ func TestReassemblerBoundsUnmarkedCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pkt, done, err := r.Add(cells[0]); !done || err != nil || string(pkt) != "after" {
+	if pkt, done, err := r.Add(&cells[0]); !done || err != nil || string(pkt) != "after" {
 		t.Fatalf("packet after the bound: %q done=%v err=%v", pkt, done, err)
 	}
 }
@@ -190,7 +190,7 @@ func TestReassemblerDetectsCorruptPayload(t *testing.T) {
 	var r Reassembler
 	var lastErr error
 	for _, c := range cells {
-		_, done, err := r.Add(c)
+		_, done, err := r.Add(&c)
 		if done {
 			lastErr = err
 		}
@@ -211,7 +211,7 @@ func TestReassemblerDetectsBogusLength(t *testing.T) {
 	last.Payload[PayloadSize-trailerSize] = 0xff
 	last.Payload[PayloadSize-trailerSize+1] = 0xff
 	var r Reassembler
-	_, done, err := r.Add(*last)
+	_, done, err := r.Add(last)
 	if !done {
 		t.Fatal("single-cell packet should complete")
 	}
@@ -226,7 +226,7 @@ func TestReassemblerReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	var r Reassembler
-	if _, _, err := r.Add(cells[0]); err != nil {
+	if _, _, err := r.Add(&cells[0]); err != nil {
 		t.Fatal(err)
 	}
 	if !r.Partial() {
@@ -260,7 +260,7 @@ func TestQuickSegmentIdentity(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			pkt, done, err := r.Add(back)
+			pkt, done, err := r.Add(&back)
 			if i == len(cells)-1 {
 				return done && err == nil && bytes.Equal(pkt, data)
 			}

@@ -140,7 +140,7 @@ func (c *Crossbar) InputFree(input int) bool {
 
 // Transfer moves a cell from input to output, which must be connected this
 // slot. It returns the output port the cell left on.
-func (c *Crossbar) Transfer(input int, cl cell.Cell) (int, error) {
+func (c *Crossbar) Transfer(input int, cl *cell.Cell) (int, error) {
 	if input < 0 || input >= c.n || c.config[input] < 0 {
 		return -1, fmt.Errorf("%w: input %d", ErrNotConnected, input)
 	}

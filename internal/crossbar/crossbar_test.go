@@ -29,11 +29,11 @@ func TestConfigureAndTransfer(t *testing.T) {
 	if xb.InputFree(0) || !xb.InputFree(1) {
 		t.Fatal("InputFree wrong")
 	}
-	out, err := xb.Transfer(0, cell.Cell{VC: 1})
+	out, err := xb.Transfer(0, &cell.Cell{VC: 1})
 	if err != nil || out != 2 {
 		t.Fatalf("Transfer = %d, %v", out, err)
 	}
-	if _, err := xb.Transfer(1, cell.Cell{}); !errors.Is(err, ErrNotConnected) {
+	if _, err := xb.Transfer(1, &cell.Cell{}); !errors.Is(err, ErrNotConnected) {
 		t.Fatalf("unconnected transfer err = %v", err)
 	}
 	if xb.Transferred() != 1 {
@@ -99,7 +99,7 @@ func TestSlotParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		out, err := xb.Transfer(i, cell.Cell{})
+		out, err := xb.Transfer(i, &cell.Cell{})
 		if err != nil || out != perm[i] {
 			t.Fatalf("input %d: out=%d err=%v want %d", i, out, err, perm[i])
 		}

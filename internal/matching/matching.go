@@ -88,6 +88,20 @@ func (r *Requests) Row(i int) []uint64 {
 // the switch's phase-2 hot path: one word-wise operation per line card
 // instead of a per-output loop.
 func (r *Requests) SetRowAndNot(i int, elig, busy []uint64) bool {
+	if r.words == 1 {
+		// Up to 64 ports — every switch this repository builds: one word,
+		// no loops.
+		var v uint64
+		if len(elig) > 0 {
+			v = elig[0]
+		}
+		if len(busy) > 0 {
+			v &^= busy[0]
+		}
+		v &= ^uint64(0) >> uint(wordBits-r.n)
+		r.bits[i] = v
+		return v != 0
+	}
 	row := r.bits[i*r.words : (i+1)*r.words]
 	for w := range row {
 		var v uint64

@@ -78,8 +78,9 @@ func BenchmarkNetworkStep(b *testing.B) {
 // steady state: the saturated line with every slot's cells queued at the
 // sources beforehand, so the measured call is Step alone — injection,
 // delivery, eight busy switches, departures and credit return. With packets
-// instead of raw cells the destination also reassembles, and the one
-// allocation allowed per reassembled packet is the copy Packets hands out.
+// instead of raw cells the destination also reassembles; the allocation
+// allowed per reassembled packet is the copy Packets hands out (in practice
+// far fewer: the copies share slabs).
 func TestStepAllocationFree(t *testing.T) {
 	for _, packets := range []bool{false, true} {
 		n, fill := saturatedLine(t, packets)
@@ -114,7 +115,7 @@ func BenchmarkNetworkStepIdleCircuits(b *testing.B) {
 			n, _ := saturatedLine(b, false)
 			n.Run(512) // drain the warm-up backlog
 			for i := 0; i < idle; i++ {
-				if _, err := n.OpenBestEffort(cell.VCI(100+i), n.circOrder[0].Path); err != nil {
+				if _, err := n.OpenBestEffort(cell.VCI(100+i), n.circOrder[0].c.Path); err != nil {
 					b.Fatal(err)
 				}
 			}

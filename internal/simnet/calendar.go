@@ -30,16 +30,18 @@ func (c *calendar[T]) grow(maxLatency int64) {
 	c.ring = make([][]T, maxLatency+1)
 	c.count = 0
 	for _, b := range old {
-		for _, v := range b {
-			c.add(v)
+		for i := range b {
+			c.add(b[i].due(), &b[i])
 		}
 	}
 }
 
-// add files v under its arrival slot.
-func (c *calendar[T]) add(v T) {
-	b := &c.ring[v.due()%int64(len(c.ring))]
-	*b = append(*b, v)
+// add files *v under its arrival slot at, which must be v.due(). (Slot and
+// pointer are passed so that filing a cell in flight, a hundred-odd bytes,
+// costs the one copy into its bucket and no call through T's method table.)
+func (c *calendar[T]) add(at int64, v *T) {
+	b := &c.ring[at%int64(len(c.ring))]
+	*b = append(*b, *v)
 	c.count++
 }
 

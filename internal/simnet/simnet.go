@@ -23,10 +23,8 @@
 package simnet
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/cell"
@@ -169,6 +167,21 @@ type host struct {
 	id      topology.NodeID
 	stats   HostStats
 	packets [][]byte
+	// slab is where reassembled packets are copied to be handed out: one
+	// allocation holds many packets, each a full slice expression so that
+	// appending to one cannot reach its neighbour.
+	slab []byte
+}
+
+// keep copies a reassembled packet out of the reassembler's buffer (which
+// the circuit's next cell reuses) into the host's slab.
+func (h *host) keep(pkt []byte) {
+	if len(pkt) > cap(h.slab)-len(h.slab) {
+		h.slab = make([]byte, 0, max(4096, len(pkt)))
+	}
+	at := len(h.slab)
+	h.slab = append(h.slab, pkt...)
+	h.packets = append(h.packets, h.slab[at:len(h.slab):len(h.slab)])
 }
 
 // flight is a cell in transit on a link.
@@ -212,13 +225,11 @@ type Network struct {
 	// phase is each switch's frame phase offset, by switchOrder position.
 	phase []int64
 	hosts map[topology.NodeID]*host
-	// circOrder holds the open circuits sorted by VCI, and vcis their VCIs
-	// in the same order: the index a caller's VCI is looked up in (a binary
-	// search over one dense array, not over a circuit per probe). slots is
-	// the table cells find their circuit in (Circuit.slot; nil entries are
-	// free and listed in freeSlots, reused last-freed first).
-	circOrder []*Circuit
-	vcis      []cell.VCI
+	// circOrder holds the open circuits sorted by VCI: the index a caller's
+	// VCI is looked up in. slots is the table cells find their circuit in
+	// (Circuit.slot; nil entries are free and listed in freeSlots, reused
+	// last-freed first).
+	circOrder vcList
 	slots     []*Circuit
 	freeSlots []int32
 	// ready holds, in ascending VCI, exactly the circuits with cells queued
@@ -226,7 +237,7 @@ type Network struct {
 	// the order that makes the interleaving of cells sharing a link
 	// reproducible run to run. A circuit joins in Send/SendPacket and
 	// leaves in the slot its queue empties.
-	ready []*Circuit
+	ready vcList
 	// flights and credits are what is on the links, filed by arrival slot
 	// (see calendar.go); sendSeq numbers the flights.
 	flights calendar[flight]
@@ -405,10 +416,10 @@ func (n *Network) sizeLinks() {
 }
 
 // send puts a cell on a link.
-func (n *Network) send(f flight) {
+func (n *Network) send(f *flight) {
 	f.seq = n.sendSeq
 	n.sendSeq++
-	n.flights.add(f)
+	n.flights.add(f.arrive, f)
 	n.linkCells[f.link]++
 }
 
@@ -468,20 +479,59 @@ func (n *Network) Packets(id topology.NodeID) [][]byte {
 	return out
 }
 
-// readyAt finds vc in the ready list: its position, or where it would be
-// inserted.
-func (n *Network) readyAt(vc cell.VCI) int {
-	i, _ := slices.BinarySearchFunc(n.ready, vc, func(c *Circuit, vc cell.VCI) int { return cmp.Compare(c.VC, vc) })
-	return i
+// vcList is a list of circuits in ascending VCI. Each entry carries its VCI
+// beside the pointer, so a search reads one dense array instead of a circuit
+// per probe.
+type vcList []vcEntry
+
+type vcEntry struct {
+	vc cell.VCI
+	c  *Circuit
+}
+
+// search finds vc: its position, or where it would be inserted. VCIs are
+// usually handed out in increasing order, which puts an entry of a list with
+// no gaps at its distance from the first; that position is tried before the
+// binary search.
+func (l vcList) search(vc cell.VCI) (int, bool) {
+	if len(l) > 0 {
+		if d := int(vc) - int(l[0].vc); d >= 0 && d < len(l) && l[d].vc == vc {
+			return d, true
+		}
+	}
+	lo, hi := 0, len(l)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); l[mid].vc < vc {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(l) && l[lo].vc == vc
+}
+
+// insert adds c at position at, which search returned for c.VC.
+func (l *vcList) insert(at int, c *Circuit) {
+	*l = append(*l, vcEntry{})
+	copy((*l)[at+1:], (*l)[at:])
+	(*l)[at] = vcEntry{c.VC, c}
+}
+
+// remove deletes the entry at position at.
+func (l *vcList) remove(at int) {
+	last := len(*l) - 1
+	copy((*l)[at:], (*l)[at+1:])
+	(*l)[last] = vcEntry{}
+	*l = (*l)[:last]
 }
 
 // find returns the open circuit with the given VCI.
 func (n *Network) find(vc cell.VCI) (*Circuit, error) {
-	i, ok := slices.BinarySearch(n.vcis, vc)
+	i, ok := n.circOrder.search(vc)
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrNoCircuit, vc)
 	}
-	return n.circOrder[i], nil
+	return n.circOrder[i].c, nil
 }
 
 // circuitOf returns the open circuit a cell inside the network belongs to:
@@ -607,7 +657,7 @@ func (n *Network) bind(c *Circuit, path []topology.NodeID, r route) {
 // open resolves path and enters c, otherwise complete, into the circuit
 // tables; guaranteed circuits are admitted at every switch first.
 func (n *Network) open(c *Circuit, path []topology.NodeID) (*Circuit, error) {
-	at, dup := slices.BinarySearch(n.vcis, c.VC)
+	at, dup := n.circOrder.search(c.VC)
 	if dup {
 		return nil, fmt.Errorf("%w: %d", ErrDupCircuit, c.VC)
 	}
@@ -629,8 +679,7 @@ func (n *Network) open(c *Circuit, path []topology.NodeID) (*Circuit, error) {
 		c.slot = int32(len(n.slots))
 		n.slots = append(n.slots, c)
 	}
-	n.circOrder = slices.Insert(n.circOrder, at, c)
-	n.vcis = slices.Insert(n.vcis, at, c.VC)
+	n.circOrder.insert(at, c)
 	n.trace(TraceOpen, c.VC, path[0], -1, 0)
 	return c, nil
 }
@@ -660,19 +709,18 @@ func (n *Network) OpenGuaranteed(vc cell.VCI, path []topology.NodeID, cellsPerFr
 // landing off a link, the last link included — and counted in
 // DroppedReroute.
 func (n *Network) CloseCircuit(vc cell.VCI) error {
-	at, ok := slices.BinarySearch(n.vcis, vc)
+	at, ok := n.circOrder.search(vc)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoCircuit, vc)
 	}
-	c := n.circOrder[at]
+	c := n.circOrder[at].c
 	if c.Class == cell.Guaranteed {
 		n.unreserve(c.hops, c.CellsPerFrame)
 	}
-	n.circOrder = slices.Delete(n.circOrder, at, at+1)
-	n.vcis = slices.Delete(n.vcis, at, at+1)
+	n.circOrder.remove(at)
 	if c.ready {
-		i := n.readyAt(vc)
-		n.ready = slices.Delete(n.ready, i, i+1)
+		i, _ := n.ready.search(vc)
+		n.ready.remove(i)
 	}
 	n.slots[c.slot] = nil
 	n.freeSlots = append(n.freeSlots, c.slot)
@@ -728,7 +776,8 @@ func (n *Network) stamp(c *Circuit, k int) {
 	}
 	if !c.ready {
 		c.ready = true
-		n.ready = slices.Insert(n.ready, n.readyAt(c.VC), c)
+		at, _ := n.ready.search(c.VC)
+		n.ready.insert(at, c)
 	}
 }
 
@@ -811,7 +860,8 @@ func (n *Network) RestoreSwitch(id topology.NodeID) {
 	n.swState[idx] = swAwake
 	n.insertActive(idx)
 	n.trace(TraceRestoreNode, 0, id, -1, 0)
-	for _, c := range n.circOrder {
+	for _, e := range n.circOrder {
+		c := e.c
 		if c.Class != cell.Guaranteed {
 			continue
 		}
@@ -893,12 +943,12 @@ func (n *Network) Step() {
 	// interleaving of cells sharing a link is reproducible run to run; a
 	// circuit whose queue empties leaves it.
 	kept := n.ready[:0]
-	for _, c := range n.ready {
-		n.inject(c, now)
-		if c.queued() > 0 {
-			kept = append(kept, c)
+	for _, e := range n.ready {
+		n.inject(e.c, now)
+		if e.c.queued() > 0 {
+			kept = append(kept, e)
 		} else {
-			c.ready = false
+			e.c.ready = false
 		}
 	}
 	clear(n.ready[len(kept):])
@@ -988,17 +1038,14 @@ func (n *Network) applyDepartures(idx int, now int64) {
 			link:   h.linkID,
 		}
 		f.c.Stamp.Hop++
-		n.send(f)
+		n.send(&f)
 		if n.cfg.TraceHops {
 			n.trace(TraceHop, d.Cell.VC, h.node, h.linkID, d.Cell.Stamp.Seq)
 		}
 		// First-switch departure returns an ingress credit.
 		if k == 0 && c.Class == cell.BestEffort && c.window > 0 {
-			n.credits.add(ingressCredit{
-				arrive: now + c.firstLatency,
-				vc:     c.VC,
-				circ:   c.slot,
-			})
+			at := now + c.firstLatency
+			n.credits.add(at, &ingressCredit{arrive: at, vc: c.VC, circ: c.slot})
 		}
 	}
 }
@@ -1033,7 +1080,8 @@ func (n *Network) observeSlot(now int64) {
 	}
 	n.obsMatch.Record(now, iters-n.obsPrevIters)
 	n.obsPrevIters = iters
-	for _, c := range n.circOrder {
+	for _, e := range n.circOrder {
+		c := e.c
 		if c.Class != cell.BestEffort || c.window <= 0 {
 			continue
 		}
@@ -1089,7 +1137,7 @@ func (n *Network) inject(c *Circuit, now int64) {
 	// network).
 	f.c.Stamp.EnqueuedAt = now
 	c.src.stats.CellsSent++
-	n.send(f)
+	n.send(&f)
 	n.obsInjected.Inc(0)
 	n.trace(TraceInject, c.VC, first.node, c.firstLink, f.c.Stamp.Seq)
 }
@@ -1117,7 +1165,7 @@ func (n *Network) deliver(c *Circuit, cl *cell.Cell, now int64) {
 		// First cell of a new packet on this circuit.
 		c.pktStart = cl.Stamp.EnqueuedAt
 	}
-	pkt, done, err := c.reasm.Add(*cl)
+	pkt, done, err := c.reasm.Add(cl)
 	if !done {
 		return
 	}
@@ -1125,9 +1173,7 @@ func (n *Network) deliver(c *Circuit, cl *cell.Cell, now int64) {
 		h.stats.PacketsCorrupt++
 		return
 	}
-	// The copy is the one allocation of the receive path: the packet
-	// outlives the reassembler's buffer, which the next cell reuses.
-	h.packets = append(h.packets, append([]byte(nil), pkt...))
+	h.keep(pkt)
 	h.stats.PacketsReassembled++
 	h.stats.PacketLatency.Observe(now - c.pktStart)
 }
@@ -1229,7 +1275,11 @@ func (n *Network) LastSwitchChangeSlot(id topology.NodeID) (int64, bool) {
 // Circuits returns the open circuits in ascending VCI order (a copy of
 // the order, sharing the circuit structs).
 func (n *Network) Circuits() []*Circuit {
-	return append([]*Circuit(nil), n.circOrder...)
+	out := make([]*Circuit, len(n.circOrder))
+	for i, e := range n.circOrder {
+		out[i] = e.c
+	}
+	return out
 }
 
 // DeliveredByVC returns the number of cells delivered to the destination

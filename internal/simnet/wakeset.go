@@ -166,8 +166,9 @@ func (n *Network) CheckEngineInvariant() error {
 	// The ready list is exactly the open circuits with cells queued at
 	// their source, in ascending VCI (so duplicate-free), each in its slot.
 	queued := 0
-	for i, c := range n.circOrder {
-		if n.vcis[i] != c.VC || n.slots[c.slot] != c {
+	for _, e := range n.circOrder {
+		c := e.c
+		if e.vc != c.VC || n.slots[c.slot] != c {
 			return fmt.Errorf("simnet: slot %d: circuit %d is not where the circuit tables say (slot %d)", n.slot, c.VC, c.slot)
 		}
 		if c.ready != (c.queued() > 0) {
@@ -180,11 +181,11 @@ func (n *Network) CheckEngineInvariant() error {
 	if len(n.ready) != queued {
 		return fmt.Errorf("simnet: slot %d: ready list has %d entries, %d circuits have cells queued", n.slot, len(n.ready), queued)
 	}
-	for i, c := range n.ready {
-		if open, _ := n.find(c.VC); open != c || !c.ready {
-			return fmt.Errorf("simnet: slot %d: ready list holds circuit %d, which is not an open circuit with cells queued", n.slot, c.VC)
+	for i, e := range n.ready {
+		if open, _ := n.find(e.vc); open != e.c || !e.c.ready {
+			return fmt.Errorf("simnet: slot %d: ready list holds circuit %d, which is not an open circuit with cells queued", n.slot, e.vc)
 		}
-		if i > 0 && n.ready[i-1].VC >= c.VC {
+		if i > 0 && n.ready[i-1].vc >= e.vc {
 			return fmt.Errorf("simnet: slot %d: ready list unsorted or duplicated at position %d", n.slot, i)
 		}
 	}

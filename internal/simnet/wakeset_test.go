@@ -59,17 +59,19 @@ func TestEngineInvariantCatchesViolations(t *testing.T) {
 			n.flights.count++
 		}},
 		{"cell due beyond the calendar's reach", func(n *Network) {
-			n.flights.add(flight{arrive: n.slot + int64(len(n.flights.ring))})
+			at := n.slot + int64(len(n.flights.ring))
+			n.flights.add(at, &flight{arrive: at})
 		}},
 		{"credit already overdue", func(n *Network) {
-			n.credits.add(ingressCredit{arrive: n.slot - int64(len(n.credits.ring))})
+			at := n.slot - int64(len(n.credits.ring))
+			n.credits.add(at, &ingressCredit{arrive: at})
 		}},
 		{"in-flight count drifted", func(n *Network) { n.flights.count++ }},
 		{"queued circuit missing from the ready list", func(n *Network) { n.ready = n.ready[:0] }},
 		{"ready list holds an idle circuit", func(n *Network) { n.ready = append(n.ready, n.circOrder[2]) }},
 		{"ready list out of order", func(n *Network) { n.ready[0], n.ready[1] = n.ready[1], n.ready[0] }},
 		{"ready list duplicated", func(n *Network) { n.ready = append(n.ready, n.ready[1]) }},
-		{"circuit outside its slot", func(n *Network) { n.slots[n.circOrder[0].slot] = nil }},
+		{"circuit outside its slot", func(n *Network) { n.slots[n.circOrder[0].c.slot] = nil }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n, _, _, path := lineNet(t, 3, 1, Config{Switch: switchnode.Config{N: 4, FrameSlots: 8}})

@@ -122,8 +122,9 @@ type Switch struct {
 	// maintained at every enqueue/pop/purge so Quiescent is O(1).
 	buffered int
 	reqs     *matching.Requests
-	// hold keeps the cell chosen for each connected input this slot.
-	hold []holdSlot
+	// from records, for each input the crossbar connected this slot, which
+	// pool its cell leaves from (fromNone when unconnected).
+	from []uint8
 	// deps backs the slice returned by Step, reused across slots.
 	deps []Departure
 
@@ -135,11 +136,11 @@ type Switch struct {
 	obsMatched   *obs.Histogram
 }
 
-type holdSlot struct {
-	valid      bool
-	c          cell.Cell
-	guaranteed bool
-}
+const (
+	fromNone uint8 = iota
+	fromGuaranteed
+	fromBestEffort
+)
 
 // New creates a switch.
 func New(cfg Config) (*Switch, error) {
@@ -177,7 +178,7 @@ func New(cfg Config) (*Switch, error) {
 		matcher: cfg.Scheduler,
 		frame:   frame,
 		reqs:    matching.NewRequests(cfg.N),
-		hold:    make([]holdSlot, cfg.N),
+		from:    make([]uint8, cfg.N),
 		deps:    make([]Departure, 0, cfg.N),
 
 		obsShard:     cfg.Shard,
@@ -384,28 +385,26 @@ func (s *Switch) AdvanceIdle(k int64) {
 // keeps the slot loop allocation-free.
 func (s *Switch) Step() []Departure {
 	s.xb.Reset()
-	for i := range s.hold {
-		s.hold[i] = holdSlot{}
-	}
+	clear(s.from)
 	framePos := int(s.slot % int64(s.frame.Slots()))
 
-	// Phase 1: guaranteed schedule.
+	// Phase 1: guaranteed schedule. The cells themselves stay in their
+	// buffers until phase 3 moves each straight into the departure list.
 	for i := 0; i < s.n; i++ {
 		j := s.frame.At(framePos, i)
 		if j < 0 {
 			continue
 		}
-		if c, ok := s.gtd[i].Pop(j); ok {
-			s.buffered--
-			// Hardware invariant: the schedule is a partial permutation,
-			// so ConnectOne cannot fail.
-			if err := s.xb.ConnectOne(i, j); err == nil {
-				s.hold[i] = holdSlot{valid: true, c: c, guaranteed: true}
-				s.stats.GuaranteedSlotsFired++
-			}
-		} else {
+		if !s.gtd[i].Queued(j) {
 			// No guaranteed cell waiting: slot lent to best-effort.
 			s.stats.GuaranteedSlotsFree++
+			continue
+		}
+		// Hardware invariant: the schedule is a partial permutation, so
+		// ConnectOne cannot fail.
+		if err := s.xb.ConnectOne(i, j); err == nil {
+			s.from[i] = fromGuaranteed
+			s.stats.GuaranteedSlotsFired++
 		}
 	}
 
@@ -417,7 +416,7 @@ func (s *Switch) Step() []Departure {
 	busy := s.xb.OutputBusyWords()
 	any := false
 	for i := 0; i < s.n; i++ {
-		if !s.xb.InputFree(i) {
+		if s.from[i] != fromNone {
 			continue
 		}
 		if s.reqs.SetRowAndNot(i, s.be[i].EligibleBits(), busy) {
@@ -430,33 +429,39 @@ func (s *Switch) Step() []Departure {
 		s.obsMatchIter.Observe(s.obsShard, int64(res.Iterations))
 		s.obsMatched.Observe(s.obsShard, int64(res.Matched))
 		for i, j := range res.Match {
-			if j < 0 {
-				continue
+			// ConnectOne cannot fail: the matching is legal.
+			if j >= 0 && s.xb.ConnectOne(i, j) == nil {
+				s.from[i] = fromBestEffort
 			}
-			c, ok := s.be[i].Pop(j)
-			if !ok {
-				continue // cannot happen: requests mirror buffer state
-			}
-			s.buffered--
-			if err := s.xb.ConnectOne(i, j); err != nil {
-				continue // cannot happen: matching is legal
-			}
-			s.hold[i] = holdSlot{valid: true, c: c}
 		}
 	}
 
-	// Phase 3: transfer.
+	// Phase 3: transfer, in input order.
 	out := s.deps[:0]
-	for i := 0; i < s.n; i++ {
-		if !s.hold[i].valid {
+	for i, from := range s.from {
+		if from == fromNone {
 			continue
 		}
-		j, err := s.xb.Transfer(i, s.hold[i].c)
-		if err != nil {
+		j := s.xb.Connected(i)
+		out = append(out, Departure{Output: j, Guaranteed: from == fromGuaranteed})
+		d := &out[len(out)-1]
+		var ok bool
+		if d.Guaranteed {
+			d.Cell, ok = s.gtd[i].Pop(j)
+		} else {
+			d.Cell, ok = s.be[i].Pop(j)
+		}
+		if ok {
+			_, err := s.xb.Transfer(i, &d.Cell)
+			ok = err == nil
+		}
+		if !ok {
+			// Cannot happen: the connections mirror buffer state.
+			out = out[:len(out)-1]
 			continue
 		}
-		out = append(out, Departure{Output: j, Cell: s.hold[i].c, Guaranteed: s.hold[i].guaranteed})
-		if s.hold[i].guaranteed {
+		s.buffered--
+		if d.Guaranteed {
 			s.stats.DepartedGuaranteed++
 		} else {
 			s.stats.DepartedBestEffort++
