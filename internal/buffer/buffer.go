@@ -18,9 +18,11 @@ import "repro/internal/cell"
 
 // InputBuffer is an input-side cell store on a line card.
 type InputBuffer interface {
-	// Push enqueues a cell with its destination output port. It reports
-	// false if the buffer rejected (dropped) the cell for lack of space.
-	Push(c cell.Cell, output int) bool
+	// Push enqueues a copy of *c with its destination output port. It
+	// reports false if the buffer rejected (dropped) the cell for lack of
+	// space. (Cells go in and out through pointers so that each is copied
+	// once per move, not once per call frame.)
+	Push(c *cell.Cell, output int) bool
 	// Eligible returns the set of output ports for which this input has a
 	// cell eligible for transmission this slot. For FIFO that is just the
 	// head cell's output; for per-VC buffers it is every output with a
@@ -34,9 +36,10 @@ type InputBuffer interface {
 	// path: the switch ANDs it word-wise into the request matrix with no
 	// per-output iteration and no allocation.
 	EligibleBits() []uint64
-	// Pop removes and returns an eligible cell destined to the given
-	// output. ok is false if no eligible cell for that output exists.
-	Pop(output int) (c cell.Cell, ok bool)
+	// Pop removes an eligible cell destined to the given output into *into.
+	// It reports false, leaving *into alone, if no eligible cell for that
+	// output exists.
+	Pop(output int, into *cell.Cell) bool
 	// Len returns the number of buffered cells.
 	Len() int
 	// CountVC returns the number of buffered cells belonging to circuit vc.
@@ -74,11 +77,11 @@ func NewFIFO(limit int) *FIFO {
 }
 
 // Push implements InputBuffer.
-func (f *FIFO) Push(c cell.Cell, output int) bool {
+func (f *FIFO) Push(c *cell.Cell, output int) bool {
 	if f.limit > 0 && f.Len() >= f.limit {
 		return false
 	}
-	f.q = append(f.q, queued{c: c, output: output})
+	f.q = append(f.q, queued{c: *c, output: output})
 	return true
 }
 
@@ -111,11 +114,11 @@ func (f *FIFO) EligibleBits() []uint64 {
 
 // Pop implements InputBuffer: only the head cell may leave, and only
 // toward its own output.
-func (f *FIFO) Pop(output int) (cell.Cell, bool) {
+func (f *FIFO) Pop(output int, into *cell.Cell) bool {
 	if f.head >= len(f.q) || f.q[f.head].output != output {
-		return cell.Cell{}, false
+		return false
 	}
-	c := f.q[f.head].c
+	*into = f.q[f.head].c
 	f.head++
 	// Compact occasionally so memory stays bounded.
 	if f.head > 64 && f.head*2 >= len(f.q) {
@@ -123,7 +126,7 @@ func (f *FIFO) Pop(output int) (cell.Cell, bool) {
 		f.q = f.q[:n]
 		f.head = 0
 	}
-	return c, true
+	return true
 }
 
 // Len implements InputBuffer.
@@ -232,7 +235,7 @@ func (o *outQueues) search(vc cell.VCI) (int, bool) {
 // Push implements InputBuffer. A circuit has a single route through the
 // switch, so all its queued cells share one output (the route tables keep it
 // constant between reroutes, and a reroute purges the circuit first).
-func (p *PerVC) Push(c cell.Cell, output int) bool {
+func (p *PerVC) Push(c *cell.Cell, output int) bool {
 	for len(p.outs) <= output {
 		p.outs = append(p.outs, outQueues{})
 	}
@@ -251,7 +254,7 @@ func (p *PerVC) Push(c cell.Cell, output int) bool {
 		return false
 	}
 	q := &o.qs[i]
-	q.cells = append(q.cells, c)
+	q.cells = append(q.cells, *c)
 	p.total++
 	return true
 }
@@ -305,9 +308,9 @@ func (p *PerVC) Queued(output int) bool {
 // Pop implements InputBuffer. Among the circuits queued for the output it
 // serves them round-robin — the next VCI above the last one served,
 // wrapping to the lowest — so one busy circuit cannot monopolize the port.
-func (p *PerVC) Pop(output int) (cell.Cell, bool) {
+func (p *PerVC) Pop(output int, into *cell.Cell) bool {
 	if !p.Queued(output) {
-		return cell.Cell{}, false
+		return false
 	}
 	o := &p.outs[output]
 	i := 0
@@ -317,7 +320,7 @@ func (p *PerVC) Pop(output int) (cell.Cell, bool) {
 		}
 	}
 	q := &o.qs[i]
-	c := q.cells[q.head]
+	*into = q.cells[q.head]
 	q.head++
 	o.last, o.served = q.vc, true
 	p.total--
@@ -327,7 +330,7 @@ func (p *PerVC) Pop(output int) (cell.Cell, bool) {
 		q.cells = q.cells[:copy(q.cells, q.cells[q.head:])]
 		q.head = 0
 	}
-	return c, true
+	return true
 }
 
 // Len implements InputBuffer.

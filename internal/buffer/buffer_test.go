@@ -12,19 +12,27 @@ func mk(vc cell.VCI, seq uint64) cell.Cell {
 	return cell.Cell{VC: vc, Stamp: cell.Stamp{Seq: seq}}
 }
 
+// push and pop drive a buffer with cell values.
+func push(b InputBuffer, c cell.Cell, output int) bool { return b.Push(&c, output) }
+
+func pop(b InputBuffer, output int) (c cell.Cell, ok bool) {
+	ok = b.Pop(output, &c)
+	return c, ok
+}
+
 func TestFIFOOrderAndHoL(t *testing.T) {
 	f := NewFIFO(0)
-	f.Push(mk(1, 0), 3) // head, wants output 3
-	f.Push(mk(2, 1), 5) // behind, wants output 5
+	push(f, mk(1, 0), 3) // head, wants output 3
+	push(f, mk(2, 1), 5) // behind, wants output 5
 	if got := f.Eligible(); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("Eligible = %v, want [3]", got)
 	}
 	// Head-of-line blocking: cell for output 5 cannot leave while head
 	// wants 3.
-	if _, ok := f.Pop(5); ok {
+	if _, ok := pop(f, 5); ok {
 		t.Fatal("HoL-blocked cell escaped the FIFO")
 	}
-	c, ok := f.Pop(3)
+	c, ok := pop(f, 3)
 	if !ok || c.VC != 1 {
 		t.Fatalf("Pop(3) = %+v, %v", c, ok)
 	}
@@ -38,14 +46,14 @@ func TestFIFOOrderAndHoL(t *testing.T) {
 
 func TestFIFOLimit(t *testing.T) {
 	f := NewFIFO(2)
-	if !f.Push(mk(1, 0), 0) || !f.Push(mk(1, 1), 0) {
+	if !push(f, mk(1, 0), 0) || !push(f, mk(1, 1), 0) {
 		t.Fatal("pushes under limit rejected")
 	}
-	if f.Push(mk(1, 2), 0) {
+	if push(f, mk(1, 2), 0) {
 		t.Fatal("push over limit accepted")
 	}
-	f.Pop(0)
-	if !f.Push(mk(1, 3), 0) {
+	pop(f, 0)
+	if !push(f, mk(1, 3), 0) {
 		t.Fatal("push after drain rejected")
 	}
 }
@@ -53,10 +61,10 @@ func TestFIFOLimit(t *testing.T) {
 func TestFIFOCompaction(t *testing.T) {
 	f := NewFIFO(0)
 	for i := 0; i < 500; i++ {
-		f.Push(mk(1, uint64(i)), 0)
+		push(f, mk(1, uint64(i)), 0)
 	}
 	for i := 0; i < 400; i++ {
-		c, ok := f.Pop(0)
+		c, ok := pop(f, 0)
 		if !ok || c.Stamp.Seq != uint64(i) {
 			t.Fatalf("pop %d: got seq %d ok=%v", i, c.Stamp.Seq, ok)
 		}
@@ -66,7 +74,7 @@ func TestFIFOCompaction(t *testing.T) {
 	}
 	// Remaining cells still in order.
 	for i := 400; i < 500; i++ {
-		c, ok := f.Pop(0)
+		c, ok := pop(f, 0)
 		if !ok || c.Stamp.Seq != uint64(i) {
 			t.Fatalf("post-compact pop: seq %d ok=%v, want %d", c.Stamp.Seq, ok, i)
 		}
@@ -78,26 +86,26 @@ func TestFIFOEmpty(t *testing.T) {
 	if got := f.Eligible(); got != nil {
 		t.Fatalf("empty Eligible = %v", got)
 	}
-	if _, ok := f.Pop(0); ok {
+	if _, ok := pop(f, 0); ok {
 		t.Fatal("popped from empty FIFO")
 	}
 }
 
 func TestPerVCNoHoLBlocking(t *testing.T) {
 	p := NewPerVC(0)
-	p.Push(mk(1, 0), 3) // circuit 1 → output 3
-	p.Push(mk(2, 0), 5) // circuit 2 → output 5
+	push(p, mk(1, 0), 3) // circuit 1 → output 3
+	push(p, mk(2, 0), 5) // circuit 2 → output 5
 	elig := p.Eligible()
 	if len(elig) != 2 {
 		t.Fatalf("Eligible = %v, want both outputs", elig)
 	}
 	// The defining property: the second circuit's cell is NOT blocked by
 	// the first.
-	c, ok := p.Pop(5)
+	c, ok := pop(p, 5)
 	if !ok || c.VC != 2 {
 		t.Fatalf("Pop(5) = %+v, %v", c, ok)
 	}
-	c, ok = p.Pop(3)
+	c, ok = pop(p, 3)
 	if !ok || c.VC != 1 {
 		t.Fatalf("Pop(3) = %+v, %v", c, ok)
 	}
@@ -109,10 +117,10 @@ func TestPerVCNoHoLBlocking(t *testing.T) {
 func TestPerVCFIFOWithinCircuit(t *testing.T) {
 	p := NewPerVC(0)
 	for i := 0; i < 10; i++ {
-		p.Push(mk(7, uint64(i)), 2)
+		push(p, mk(7, uint64(i)), 2)
 	}
 	for i := 0; i < 10; i++ {
-		c, ok := p.Pop(2)
+		c, ok := pop(p, 2)
 		if !ok || c.Stamp.Seq != uint64(i) {
 			t.Fatalf("within-circuit order broken at %d: seq=%d", i, c.Stamp.Seq)
 		}
@@ -122,13 +130,13 @@ func TestPerVCFIFOWithinCircuit(t *testing.T) {
 func TestPerVCRoundRobinAcrossCircuits(t *testing.T) {
 	p := NewPerVC(0)
 	for i := 0; i < 3; i++ {
-		p.Push(mk(10, uint64(i)), 1)
-		p.Push(mk(20, uint64(i)), 1)
-		p.Push(mk(30, uint64(i)), 1)
+		push(p, mk(10, uint64(i)), 1)
+		push(p, mk(20, uint64(i)), 1)
+		push(p, mk(30, uint64(i)), 1)
 	}
 	var order []cell.VCI
 	for i := 0; i < 9; i++ {
-		c, ok := p.Pop(1)
+		c, ok := pop(p, 1)
 		if !ok {
 			t.Fatal("pop failed")
 		}
@@ -148,14 +156,14 @@ func TestPerVCRoundRobinAcrossCircuits(t *testing.T) {
 
 func TestPerVCLimitIsPerCircuit(t *testing.T) {
 	p := NewPerVC(2)
-	if !p.Push(mk(1, 0), 0) || !p.Push(mk(1, 1), 0) {
+	if !push(p, mk(1, 0), 0) || !push(p, mk(1, 1), 0) {
 		t.Fatal("under-limit push rejected")
 	}
-	if p.Push(mk(1, 2), 0) {
+	if push(p, mk(1, 2), 0) {
 		t.Fatal("over-limit push accepted")
 	}
 	// Another circuit has its own independent allocation.
-	if !p.Push(mk(2, 0), 0) {
+	if !push(p, mk(2, 0), 0) {
 		t.Fatal("independent circuit rejected")
 	}
 	if p.QueueLen(1) != 2 || p.QueueLen(2) != 1 || p.QueueLen(99) != 0 {
@@ -166,9 +174,9 @@ func TestPerVCLimitIsPerCircuit(t *testing.T) {
 func TestPerVCDrop(t *testing.T) {
 	p := NewPerVC(0)
 	for i := 0; i < 5; i++ {
-		p.Push(mk(4, uint64(i)), 2)
+		push(p, mk(4, uint64(i)), 2)
 	}
-	p.Push(mk(5, 0), 2)
+	push(p, mk(5, 0), 2)
 	if n := p.Drop(4); n != 5 {
 		t.Fatalf("Drop = %d, want 5", n)
 	}
@@ -186,7 +194,7 @@ func TestPerVCDrop(t *testing.T) {
 
 func TestPerVCPopEmptyOutput(t *testing.T) {
 	p := NewPerVC(0)
-	if _, ok := p.Pop(9); ok {
+	if _, ok := pop(p, 9); ok {
 		t.Fatal("popped from empty output")
 	}
 }
@@ -194,9 +202,9 @@ func TestPerVCPopEmptyOutput(t *testing.T) {
 func TestPerVCLongRunCompaction(t *testing.T) {
 	p := NewPerVC(0)
 	for i := 0; i < 1000; i++ {
-		p.Push(mk(1, uint64(i)), 0)
+		push(p, mk(1, uint64(i)), 0)
 		if i%2 == 1 {
-			if _, ok := p.Pop(0); !ok {
+			if _, ok := pop(p, 0); !ok {
 				t.Fatal("pop failed")
 			}
 		}
@@ -216,10 +224,10 @@ func TestQuickPerVCInOrderPerCircuit(t *testing.T) {
 		for _, op := range ops {
 			vc := cell.VCI(op % 4)
 			if op&0x80 == 0 {
-				p.Push(mk(vc, nextSeq[vc]), int(vc))
+				push(p, mk(vc, nextSeq[vc]), int(vc))
 				nextSeq[vc]++
 			} else {
-				c, ok := p.Pop(int(vc))
+				c, ok := pop(p, int(vc))
 				if !ok {
 					continue
 				}
@@ -240,8 +248,8 @@ func BenchmarkPerVCPushPop(b *testing.B) {
 	p := NewPerVC(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.Push(mk(cell.VCI(i%8), uint64(i)), i%4)
-		p.Pop(i % 4)
+		push(p, mk(cell.VCI(i%8), uint64(i)), i%4)
+		pop(p, i%4)
 	}
 }
 
@@ -252,13 +260,13 @@ func TestPerVCDrainRefillAllocationFree(t *testing.T) {
 	p := NewPerVC(0)
 	c := cell.Cell{VC: 7}
 	cycle := func() {
-		if !p.Push(c, 3) {
+		if !push(p, c, 3) {
 			t.Fatal("push refused")
 		}
 		if p.Len() != 1 || p.EligibleBits()[0] != 1<<3 {
 			t.Fatalf("after push: len %d bits %b", p.Len(), p.EligibleBits())
 		}
-		if got, ok := p.Pop(3); !ok || got.VC != 7 {
+		if got, ok := pop(p, 3); !ok || got.VC != 7 {
 			t.Fatalf("pop = %+v, %v", got, ok)
 		}
 		if p.Len() != 0 || p.EligibleBits()[0] != 0 || len(p.Eligible()) != 0 {
@@ -267,8 +275,8 @@ func TestPerVCDrainRefillAllocationFree(t *testing.T) {
 	}
 	cycle() // first cycle builds the queue and the output's set
 	if allocs := testing.AllocsPerRun(100, func() {
-		p.Push(c, 3)
-		p.Pop(3)
+		push(p, c, 3)
+		pop(p, 3)
 	}); allocs != 0 {
 		t.Fatalf("empty→non-empty→empty cycle allocates %.0f times, want 0", allocs)
 	}
@@ -415,12 +423,12 @@ func TestPerVCMatchesReferenceModel(t *testing.T) {
 			switch r := rng.Intn(1000); {
 			case r < 480:
 				c := mk(vc, uint64(i))
-				if got, want := p.Push(c, outputOf(vc)), ref.Push(c, outputOf(vc)); got != want {
+				if got, want := p.Push(&c, outputOf(vc)), ref.Push(c, outputOf(vc)); got != want {
 					t.Fatalf("limit %d op %d: Push(vc %d) = %v, reference %v", limit, i, vc, got, want)
 				}
 			case r < 960:
 				o := rng.Intn(outputs)
-				got, ok := p.Pop(o)
+				got, ok := pop(p, o)
 				want, wantOK := ref.Pop(o)
 				if ok != wantOK || got != want {
 					t.Fatalf("limit %d op %d: Pop(%d) = vc %d seq %d %v, reference vc %d seq %d %v",

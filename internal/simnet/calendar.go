@@ -31,18 +31,25 @@ func (c *calendar[T]) grow(maxLatency int64) {
 	c.count = 0
 	for _, b := range old {
 		for i := range b {
-			c.add(b[i].due(), &b[i])
+			*c.file(b[i].due()) = b[i]
 		}
 	}
 }
 
-// add files *v under its arrival slot at, which must be v.due(). (Slot and
-// pointer are passed so that filing a cell in flight, a hundred-odd bytes,
-// costs the one copy into its bucket and no call through T's method table.)
-func (c *calendar[T]) add(at int64, v *T) {
+// file makes room for one more entry landing in slot at and returns it for
+// the caller to fill in completely, due() == at included: the bucket's spare
+// capacity holds stale entries, not zeroes. (A cell in flight is a
+// hundred-odd bytes; built in place it is copied once.)
+func (c *calendar[T]) file(at int64) *T {
 	b := &c.ring[at%int64(len(c.ring))]
-	*b = append(*b, *v)
+	if k := len(*b); k < cap(*b) {
+		*b = (*b)[:k+1]
+	} else {
+		var zero T
+		*b = append(*b, zero)
+	}
 	c.count++
+	return &(*b)[len(*b)-1]
 }
 
 // take empties the bucket of slot now and returns its entries in send

@@ -415,12 +415,15 @@ func (n *Network) sizeLinks() {
 	n.credits.grow(maxLatency)
 }
 
-// send puts a cell on a link.
-func (n *Network) send(f *flight) {
-	f.seq = n.sendSeq
+// send puts the cell *cl on a link, to land at slot arrive; the caller
+// finishes the flight's copy of the cell (its stamp).
+func (n *Network) send(arrive int64, cl *cell.Cell, to topology.NodeID, toIdx int, link topology.LinkID) *flight {
+	f := n.flights.file(arrive)
+	f.arrive, f.seq, f.to, f.toIdx, f.link = arrive, n.sendSeq, to, toIdx, link
+	f.c = *cl
 	n.sendSeq++
-	n.flights.add(f.arrive, f)
-	n.linkCells[f.link]++
+	n.linkCells[link]++
+	return f
 }
 
 // dropFlights takes the in-flight cells drop selects off the links, counts
@@ -471,11 +474,13 @@ func (n *Network) HostStats(id topology.NodeID) (*HostStats, bool) {
 // Packets returns and clears the packets reassembled at a host.
 func (n *Network) Packets(id topology.NodeID) [][]byte {
 	h, ok := n.hosts[id]
-	if !ok {
+	if !ok || len(h.packets) == 0 {
 		return nil
 	}
 	out := h.packets
-	h.packets = nil
+	// A host polled regularly collects about as many packets each time:
+	// start the next batch at this one's size instead of regrowing to it.
+	h.packets = make([][]byte, 0, len(out))
 	return out
 }
 
@@ -982,12 +987,7 @@ func (n *Network) Step() {
 		// An arrival ends quiescence: a sleeping receiver settles its
 		// clock before the cell lands.
 		n.wakeIdx(f.toIdx)
-		sw := n.switchByIdx[f.toIdx]
-		if c.Class == cell.Guaranteed {
-			sw.EnqueueGuaranteed(h.inPort, f.c, h.outPort)
-		} else {
-			sw.EnqueueBestEffort(h.inPort, f.c, h.outPort)
-		}
+		n.switchByIdx[f.toIdx].Enqueue(h.inPort, &f.c, h.outPort)
 	}
 
 	// 4. Step the awake switches, retiring the quiescent ones to sleep,
@@ -1030,22 +1030,14 @@ func (n *Network) applyDepartures(idx int, now int64) {
 			n.stats.DroppedInFlight++
 			continue
 		}
-		f := flight{
-			arrive: now + h.linkLatency,
-			c:      d.Cell,
-			to:     h.next,
-			toIdx:  h.nextIdx,
-			link:   h.linkID,
-		}
-		f.c.Stamp.Hop++
-		n.send(&f)
+		n.send(now+h.linkLatency, &d.Cell, h.next, h.nextIdx, h.linkID).c.Stamp.Hop++
 		if n.cfg.TraceHops {
 			n.trace(TraceHop, d.Cell.VC, h.node, h.linkID, d.Cell.Stamp.Seq)
 		}
 		// First-switch departure returns an ingress credit.
 		if k == 0 && c.Class == cell.BestEffort && c.window > 0 {
 			at := now + c.firstLatency
-			n.credits.add(at, &ingressCredit{arrive: at, vc: c.VC, circ: c.slot})
+			*n.credits.file(at) = ingressCredit{arrive: at, vc: c.VC, circ: c.slot}
 		}
 	}
 }
@@ -1120,13 +1112,7 @@ func (n *Network) inject(c *Circuit, now int64) {
 		}
 		c.inUse++
 	}
-	f := flight{
-		arrive: now + c.firstLatency,
-		c:      c.pending[c.pendHead],
-		to:     first.node,
-		toIdx:  first.idx,
-		link:   c.firstLink,
-	}
+	f := n.send(now+c.firstLatency, &c.pending[c.pendHead], first.node, first.idx, c.firstLink)
 	c.pendHead++
 	if c.pendHead == len(c.pending) {
 		c.pending, c.pendHead = c.pending[:0], 0
@@ -1137,7 +1123,6 @@ func (n *Network) inject(c *Circuit, now int64) {
 	// network).
 	f.c.Stamp.EnqueuedAt = now
 	c.src.stats.CellsSent++
-	n.send(&f)
 	n.obsInjected.Inc(0)
 	n.trace(TraceInject, c.VC, first.node, c.firstLink, f.c.Stamp.Seq)
 }

@@ -60,11 +60,11 @@ func TestEngineInvariantCatchesViolations(t *testing.T) {
 		}},
 		{"cell due beyond the calendar's reach", func(n *Network) {
 			at := n.slot + int64(len(n.flights.ring))
-			n.flights.add(at, &flight{arrive: at})
+			n.flights.file(at).arrive = at
 		}},
 		{"credit already overdue", func(n *Network) {
 			at := n.slot - int64(len(n.credits.ring))
-			n.credits.add(at, &ingressCredit{arrive: at})
+			n.credits.file(at).arrive = at
 		}},
 		{"in-flight count drifted", func(n *Network) { n.flights.count++ }},
 		{"queued circuit missing from the ready list", func(n *Network) { n.ready = n.ready[:0] }},
