@@ -11,18 +11,21 @@
 //     (§5).
 //
 // Both implement InputBuffer so the switch and the experiments can swap
-// disciplines.
+// disciplines. Neither hashes anything: a per-VC buffer is, per output, a
+// short VCI-sorted slice of queues, the software shape of a table indexed by
+// VCI (buffer_test.go keeps the map-based form it replaced as the reference
+// model of a differential test).
 package buffer
 
 import "repro/internal/cell"
 
 // InputBuffer is an input-side cell store on a line card.
 type InputBuffer interface {
-	// Push enqueues a copy of *c with its destination output port. It
-	// reports false if the buffer rejected (dropped) the cell for lack of
-	// space. (Cells go in and out through pointers so that each is copied
-	// once per move, not once per call frame.)
-	Push(c *cell.Cell, output int) bool
+	// Push enqueues a cell with its destination output port. It reports
+	// false if the buffer rejected (dropped) the cell for lack of space.
+	// (By value: a pointer handed to an interface method escapes, which
+	// would cost callers holding a cell on their stack an allocation.)
+	Push(c cell.Cell, output int) bool
 	// Eligible returns the set of output ports for which this input has a
 	// cell eligible for transmission this slot. For FIFO that is just the
 	// head cell's output; for per-VC buffers it is every output with a
@@ -36,9 +39,10 @@ type InputBuffer interface {
 	// path: the switch ANDs it word-wise into the request matrix with no
 	// per-output iteration and no allocation.
 	EligibleBits() []uint64
-	// Pop removes an eligible cell destined to the given output into *into.
-	// It reports false, leaving *into alone, if no eligible cell for that
-	// output exists.
+	// Pop removes an eligible cell destined to the given output into *into
+	// (the switch pops straight into its departure list, so the cell is
+	// copied once). It reports false, leaving *into alone, if no eligible
+	// cell for that output exists.
 	Pop(output int, into *cell.Cell) bool
 	// Len returns the number of buffered cells.
 	Len() int
@@ -77,11 +81,11 @@ func NewFIFO(limit int) *FIFO {
 }
 
 // Push implements InputBuffer.
-func (f *FIFO) Push(c *cell.Cell, output int) bool {
+func (f *FIFO) Push(c cell.Cell, output int) bool {
 	if f.limit > 0 && f.Len() >= f.limit {
 		return false
 	}
-	f.q = append(f.q, queued{c: *c, output: output})
+	f.q = append(f.q, queued{c: c, output: output})
 	return true
 }
 
@@ -235,7 +239,7 @@ func (o *outQueues) search(vc cell.VCI) (int, bool) {
 // Push implements InputBuffer. A circuit has a single route through the
 // switch, so all its queued cells share one output (the route tables keep it
 // constant between reroutes, and a reroute purges the circuit first).
-func (p *PerVC) Push(c *cell.Cell, output int) bool {
+func (p *PerVC) Push(c cell.Cell, output int) bool {
 	for len(p.outs) <= output {
 		p.outs = append(p.outs, outQueues{})
 	}
@@ -254,7 +258,7 @@ func (p *PerVC) Push(c *cell.Cell, output int) bool {
 		return false
 	}
 	q := &o.qs[i]
-	q.cells = append(q.cells, *c)
+	q.cells = append(q.cells, c)
 	p.total++
 	return true
 }

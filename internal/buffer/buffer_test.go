@@ -12,9 +12,7 @@ func mk(vc cell.VCI, seq uint64) cell.Cell {
 	return cell.Cell{VC: vc, Stamp: cell.Stamp{Seq: seq}}
 }
 
-// push and pop drive a buffer with cell values.
-func push(b InputBuffer, c cell.Cell, output int) bool { return b.Push(&c, output) }
-
+// pop takes a cell out of a buffer by value.
 func pop(b InputBuffer, output int) (c cell.Cell, ok bool) {
 	ok = b.Pop(output, &c)
 	return c, ok
@@ -22,8 +20,8 @@ func pop(b InputBuffer, output int) (c cell.Cell, ok bool) {
 
 func TestFIFOOrderAndHoL(t *testing.T) {
 	f := NewFIFO(0)
-	push(f, mk(1, 0), 3) // head, wants output 3
-	push(f, mk(2, 1), 5) // behind, wants output 5
+	f.Push(mk(1, 0), 3) // head, wants output 3
+	f.Push(mk(2, 1), 5) // behind, wants output 5
 	if got := f.Eligible(); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("Eligible = %v, want [3]", got)
 	}
@@ -46,14 +44,14 @@ func TestFIFOOrderAndHoL(t *testing.T) {
 
 func TestFIFOLimit(t *testing.T) {
 	f := NewFIFO(2)
-	if !push(f, mk(1, 0), 0) || !push(f, mk(1, 1), 0) {
+	if !f.Push(mk(1, 0), 0) || !f.Push(mk(1, 1), 0) {
 		t.Fatal("pushes under limit rejected")
 	}
-	if push(f, mk(1, 2), 0) {
+	if f.Push(mk(1, 2), 0) {
 		t.Fatal("push over limit accepted")
 	}
 	pop(f, 0)
-	if !push(f, mk(1, 3), 0) {
+	if !f.Push(mk(1, 3), 0) {
 		t.Fatal("push after drain rejected")
 	}
 }
@@ -61,7 +59,7 @@ func TestFIFOLimit(t *testing.T) {
 func TestFIFOCompaction(t *testing.T) {
 	f := NewFIFO(0)
 	for i := 0; i < 500; i++ {
-		push(f, mk(1, uint64(i)), 0)
+		f.Push(mk(1, uint64(i)), 0)
 	}
 	for i := 0; i < 400; i++ {
 		c, ok := pop(f, 0)
@@ -93,8 +91,8 @@ func TestFIFOEmpty(t *testing.T) {
 
 func TestPerVCNoHoLBlocking(t *testing.T) {
 	p := NewPerVC(0)
-	push(p, mk(1, 0), 3) // circuit 1 → output 3
-	push(p, mk(2, 0), 5) // circuit 2 → output 5
+	p.Push(mk(1, 0), 3) // circuit 1 → output 3
+	p.Push(mk(2, 0), 5) // circuit 2 → output 5
 	elig := p.Eligible()
 	if len(elig) != 2 {
 		t.Fatalf("Eligible = %v, want both outputs", elig)
@@ -117,7 +115,7 @@ func TestPerVCNoHoLBlocking(t *testing.T) {
 func TestPerVCFIFOWithinCircuit(t *testing.T) {
 	p := NewPerVC(0)
 	for i := 0; i < 10; i++ {
-		push(p, mk(7, uint64(i)), 2)
+		p.Push(mk(7, uint64(i)), 2)
 	}
 	for i := 0; i < 10; i++ {
 		c, ok := pop(p, 2)
@@ -130,9 +128,9 @@ func TestPerVCFIFOWithinCircuit(t *testing.T) {
 func TestPerVCRoundRobinAcrossCircuits(t *testing.T) {
 	p := NewPerVC(0)
 	for i := 0; i < 3; i++ {
-		push(p, mk(10, uint64(i)), 1)
-		push(p, mk(20, uint64(i)), 1)
-		push(p, mk(30, uint64(i)), 1)
+		p.Push(mk(10, uint64(i)), 1)
+		p.Push(mk(20, uint64(i)), 1)
+		p.Push(mk(30, uint64(i)), 1)
 	}
 	var order []cell.VCI
 	for i := 0; i < 9; i++ {
@@ -156,14 +154,14 @@ func TestPerVCRoundRobinAcrossCircuits(t *testing.T) {
 
 func TestPerVCLimitIsPerCircuit(t *testing.T) {
 	p := NewPerVC(2)
-	if !push(p, mk(1, 0), 0) || !push(p, mk(1, 1), 0) {
+	if !p.Push(mk(1, 0), 0) || !p.Push(mk(1, 1), 0) {
 		t.Fatal("under-limit push rejected")
 	}
-	if push(p, mk(1, 2), 0) {
+	if p.Push(mk(1, 2), 0) {
 		t.Fatal("over-limit push accepted")
 	}
 	// Another circuit has its own independent allocation.
-	if !push(p, mk(2, 0), 0) {
+	if !p.Push(mk(2, 0), 0) {
 		t.Fatal("independent circuit rejected")
 	}
 	if p.QueueLen(1) != 2 || p.QueueLen(2) != 1 || p.QueueLen(99) != 0 {
@@ -174,9 +172,9 @@ func TestPerVCLimitIsPerCircuit(t *testing.T) {
 func TestPerVCDrop(t *testing.T) {
 	p := NewPerVC(0)
 	for i := 0; i < 5; i++ {
-		push(p, mk(4, uint64(i)), 2)
+		p.Push(mk(4, uint64(i)), 2)
 	}
-	push(p, mk(5, 0), 2)
+	p.Push(mk(5, 0), 2)
 	if n := p.Drop(4); n != 5 {
 		t.Fatalf("Drop = %d, want 5", n)
 	}
@@ -202,7 +200,7 @@ func TestPerVCPopEmptyOutput(t *testing.T) {
 func TestPerVCLongRunCompaction(t *testing.T) {
 	p := NewPerVC(0)
 	for i := 0; i < 1000; i++ {
-		push(p, mk(1, uint64(i)), 0)
+		p.Push(mk(1, uint64(i)), 0)
 		if i%2 == 1 {
 			if _, ok := pop(p, 0); !ok {
 				t.Fatal("pop failed")
@@ -224,7 +222,7 @@ func TestQuickPerVCInOrderPerCircuit(t *testing.T) {
 		for _, op := range ops {
 			vc := cell.VCI(op % 4)
 			if op&0x80 == 0 {
-				push(p, mk(vc, nextSeq[vc]), int(vc))
+				p.Push(mk(vc, nextSeq[vc]), int(vc))
 				nextSeq[vc]++
 			} else {
 				c, ok := pop(p, int(vc))
@@ -248,7 +246,7 @@ func BenchmarkPerVCPushPop(b *testing.B) {
 	p := NewPerVC(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		push(p, mk(cell.VCI(i%8), uint64(i)), i%4)
+		p.Push(mk(cell.VCI(i%8), uint64(i)), i%4)
 		pop(p, i%4)
 	}
 }
@@ -260,7 +258,7 @@ func TestPerVCDrainRefillAllocationFree(t *testing.T) {
 	p := NewPerVC(0)
 	c := cell.Cell{VC: 7}
 	cycle := func() {
-		if !push(p, c, 3) {
+		if !p.Push(c, 3) {
 			t.Fatal("push refused")
 		}
 		if p.Len() != 1 || p.EligibleBits()[0] != 1<<3 {
@@ -275,7 +273,7 @@ func TestPerVCDrainRefillAllocationFree(t *testing.T) {
 	}
 	cycle() // first cycle builds the queue and the output's set
 	if allocs := testing.AllocsPerRun(100, func() {
-		push(p, c, 3)
+		p.Push(c, 3)
 		pop(p, 3)
 	}); allocs != 0 {
 		t.Fatalf("empty→non-empty→empty cycle allocates %.0f times, want 0", allocs)
@@ -423,7 +421,7 @@ func TestPerVCMatchesReferenceModel(t *testing.T) {
 			switch r := rng.Intn(1000); {
 			case r < 480:
 				c := mk(vc, uint64(i))
-				if got, want := p.Push(&c, outputOf(vc)), ref.Push(c, outputOf(vc)); got != want {
+				if got, want := p.Push(c, outputOf(vc)), ref.Push(c, outputOf(vc)); got != want {
 					t.Fatalf("limit %d op %d: Push(vc %d) = %v, reference %v", limit, i, vc, got, want)
 				}
 			case r < 960:

@@ -3,10 +3,16 @@
 // latency, with hosts injecting and absorbing cells over virtual circuits.
 //
 // Time is globally slotted; one Step advances the network by one cell
-// slot and costs what its cells and its awake switches cost, not what the
-// topology's size costs: quiescent switches sleep, are skipped entirely,
-// and have their slot clocks settled in batch when a cell, reservation, or
-// fault next touches them (see wakeset.go).
+// slot and costs what moved in it, not what exists: quiescent switches
+// sleep, are skipped entirely, and have their slot clocks settled in batch
+// when a cell, reservation, or fault next touches them (wakeset.go); cells
+// and credits on links are filed by arrival slot, so a slot visits only
+// those that land in it (calendar.go); only circuits with cells queued at
+// their source are asked to inject (the ready list); and a cell inside the
+// network finds its circuit, its hop and its destination's state by index —
+// it carries its circuit's table slot and its position on the path — never
+// by hashing its VCI. Per-circuit state lives in the Circuit record and is
+// freed when the circuit closes.
 // Guaranteed circuits are paced at the source to their reserved
 // rate (the paper's rate-matching, §5) and ride the frame schedules
 // installed at each switch; best-effort circuits are windowed at the
@@ -987,7 +993,12 @@ func (n *Network) Step() {
 		// An arrival ends quiescence: a sleeping receiver settles its
 		// clock before the cell lands.
 		n.wakeIdx(f.toIdx)
-		n.switchByIdx[f.toIdx].Enqueue(h.inPort, &f.c, h.outPort)
+		sw := n.switchByIdx[f.toIdx]
+		if c.Class == cell.Guaranteed {
+			sw.EnqueueGuaranteed(h.inPort, f.c, h.outPort)
+		} else {
+			sw.EnqueueBestEffort(h.inPort, f.c, h.outPort)
+		}
 	}
 
 	// 4. Step the awake switches, retiring the quiescent ones to sleep,

@@ -246,17 +246,19 @@ func (s *Switch) Unreserve(input, output, k int) {
 	}
 }
 
-// Enqueue places a copy of *c, arriving at input and destined to output, in
-// the pool of its class: EnqueueGuaranteed for a guaranteed cell,
-// EnqueueBestEffort otherwise, without the copy a by-value call costs.
-func (s *Switch) Enqueue(input int, c *cell.Cell, output int) bool {
-	return s.enqueue(input, c, output, c.Class == cell.Guaranteed)
-}
-
 // EnqueueBestEffort places a best-effort cell in input's buffer, destined
 // to output. It reports false if the cell was dropped (buffer full).
 func (s *Switch) EnqueueBestEffort(input int, c cell.Cell, output int) bool {
-	return s.enqueue(input, &c, output, false)
+	if input < 0 || input >= s.n || output < 0 || output >= s.n {
+		return false
+	}
+	s.stats.ArrivedBestEffort++
+	if !s.be[input].Push(c, output) {
+		s.stats.DroppedBestEffort++
+		return false
+	}
+	s.buffered++
+	return true
 }
 
 // EnqueueGuaranteed places a guaranteed cell in input's guaranteed pool,
@@ -264,20 +266,12 @@ func (s *Switch) EnqueueBestEffort(input int, c cell.Cell, output int) bool {
 // a full pool indicates a misbehaving source; the cell is dropped and
 // counted.
 func (s *Switch) EnqueueGuaranteed(input int, c cell.Cell, output int) bool {
-	return s.enqueue(input, &c, output, true)
-}
-
-func (s *Switch) enqueue(input int, c *cell.Cell, output int, guaranteed bool) bool {
 	if input < 0 || input >= s.n || output < 0 || output >= s.n {
 		return false
 	}
-	buf, arrived, dropped := s.be[input], &s.stats.ArrivedBestEffort, &s.stats.DroppedBestEffort
-	if guaranteed {
-		buf, arrived, dropped = s.gtd[input], &s.stats.ArrivedGuaranteed, &s.stats.DroppedGuaranteed
-	}
-	*arrived++
-	if !buf.Push(c, output) {
-		*dropped++
+	s.stats.ArrivedGuaranteed++
+	if !s.gtd[input].Push(c, output) {
+		s.stats.DroppedGuaranteed++
 		return false
 	}
 	s.buffered++
