@@ -17,7 +17,11 @@
 // model of a differential test).
 package buffer
 
-import "repro/internal/cell"
+import (
+	"slices"
+
+	"repro/internal/cell"
+)
 
 // InputBuffer is an input-side cell store on a line card.
 type InputBuffer interface {
@@ -250,9 +254,7 @@ func (p *PerVC) Push(c cell.Cell, output int) bool {
 		if k := len(p.free); k > 0 {
 			cells, p.free = p.free[k-1], p.free[:k-1]
 		}
-		o.qs = append(o.qs, vcQueue{})
-		copy(o.qs[i+1:], o.qs[i:])
-		o.qs[i] = vcQueue{vc: c.VC, cells: cells}
+		o.qs = slices.Insert(o.qs, i, vcQueue{vc: c.VC, cells: cells})
 		p.setBit(output)
 	} else if p.perVCLimit > 0 && o.qs[i].len() >= p.perVCLimit {
 		return false
@@ -278,11 +280,8 @@ func (p *PerVC) setBit(o int) {
 func (p *PerVC) remove(output, i int) {
 	o := &p.outs[output]
 	p.free = append(p.free, o.qs[i].cells[:0])
-	last := len(o.qs) - 1
-	copy(o.qs[i:], o.qs[i+1:])
-	o.qs[last] = vcQueue{}
-	o.qs = o.qs[:last]
-	if last == 0 {
+	o.qs = slices.Delete(o.qs, i, i+1)
+	if len(o.qs) == 0 {
 		p.bits[output/64] &^= 1 << (uint(output) % 64)
 	}
 }

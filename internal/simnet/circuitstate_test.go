@@ -141,3 +141,19 @@ func TestRawCellsCannotGrowReassembly(t *testing.T) {
 		t.Fatal("reassembly still partial")
 	}
 }
+
+// TestForeignCellIsDroppedNotTrusted: a cell put into a switch from outside
+// the network (through the Switch accessor), carrying a circuit slot that
+// does not exist, is dropped as a reroute casualty when it leaves — the slot
+// index in a cell is a hint to be confirmed, never trusted.
+func TestForeignCellIsDroppedNotTrusted(t *testing.T) {
+	n, _, _, path := lineNet(t, 2, 1, Config{Switch: switchnode.Config{N: 4, FrameSlots: 8}})
+	sw, _ := n.Switch(path[1])
+	for _, circ := range []int32{0, 7, -1} {
+		sw.EnqueueBestEffort(0, cell.Cell{VC: 9, Stamp: cell.Stamp{Circ: circ}}, 1)
+	}
+	n.Run(4)
+	if got := n.Stats().DroppedReroute; got != 3 {
+		t.Fatalf("DroppedReroute = %d, want the 3 foreign cells", got)
+	}
+}

@@ -31,6 +31,7 @@ package simnet
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cell"
@@ -522,19 +523,10 @@ func (l vcList) search(vc cell.VCI) (int, bool) {
 }
 
 // insert adds c at position at, which search returned for c.VC.
-func (l *vcList) insert(at int, c *Circuit) {
-	*l = append(*l, vcEntry{})
-	copy((*l)[at+1:], (*l)[at:])
-	(*l)[at] = vcEntry{c.VC, c}
-}
+func (l *vcList) insert(at int, c *Circuit) { *l = slices.Insert(*l, at, vcEntry{c.VC, c}) }
 
 // remove deletes the entry at position at.
-func (l *vcList) remove(at int) {
-	last := len(*l) - 1
-	copy((*l)[at:], (*l)[at+1:])
-	(*l)[last] = vcEntry{}
-	*l = (*l)[:last]
-}
+func (l *vcList) remove(at int) { *l = slices.Delete(*l, at, at+1) }
 
 // find returns the open circuit with the given VCI.
 func (n *Network) find(vc cell.VCI) (*Circuit, error) {
@@ -550,8 +542,10 @@ func (n *Network) find(vc cell.VCI) (*Circuit, error) {
 // means the circuit was closed (and its slot perhaps reused) since the cell
 // was injected.
 func (n *Network) circuitOf(cl *cell.Cell) *Circuit {
-	if c := n.slots[cl.Stamp.Circ]; c != nil && c.VC == cl.VC {
-		return c
+	if i := uint(cl.Stamp.Circ); i < uint(len(n.slots)) {
+		if c := n.slots[i]; c != nil && c.VC == cl.VC {
+			return c
+		}
 	}
 	return nil
 }
