@@ -8,6 +8,7 @@ package crossbar
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cell"
 	"repro/internal/matching"
@@ -23,10 +24,11 @@ type Crossbar struct {
 	n int
 	// config[i] is the output input i is connected to this slot, or -1.
 	config []int
-	// outBusy[j] reports whether output j is connected this slot.
-	outBusy []bool
-	// busyWords mirrors outBusy as a bitset for the scheduler's word-wise
-	// request-matrix fill.
+	// inWords and busyWords are the connected inputs and the connected
+	// outputs as bitsets (bit i set iff config[i] >= 0; bit j set iff some
+	// config[i] == j). connect is the only place a connection is made, so
+	// the three always agree; Reset undoes exactly the inputs in inWords.
+	inWords   []uint64
 	busyWords []uint64
 	// transferred counts cells moved across the fabric over its lifetime.
 	transferred int64
@@ -37,10 +39,12 @@ func New(n int) *Crossbar {
 	c := &Crossbar{
 		n:         n,
 		config:    make([]int, n),
-		outBusy:   make([]bool, n),
-		busyWords: make([]uint64, (n+63)/64),
+		inWords:   make([]uint64, matching.WordsFor(n)),
+		busyWords: make([]uint64, matching.WordsFor(n)),
 	}
-	c.Reset()
+	for i := range c.config {
+		c.config[i] = -1
+	}
 	return c
 }
 
@@ -50,20 +54,21 @@ func (c *Crossbar) N() int { return c.n }
 // Transferred returns the lifetime count of cells moved.
 func (c *Crossbar) Transferred() int64 { return c.transferred }
 
-// Reset clears the slot configuration (start of each time slot).
+// Reset clears the slot configuration (start of each time slot). It costs
+// the connections made since the last Reset, not the port count.
 func (c *Crossbar) Reset() {
-	for i := range c.config {
-		c.config[i] = -1
-		c.outBusy[i] = false
-	}
-	for w := range c.busyWords {
-		c.busyWords[w] = 0
+	for w, word := range c.inWords {
+		for ; word != 0; word &= word - 1 {
+			c.config[w*64+bits.TrailingZeros64(word)] = -1
+		}
+		c.inWords[w], c.busyWords[w] = 0, 0
 	}
 }
 
-// markBusy records output j as connected in both representations.
-func (c *Crossbar) markBusy(j int) {
-	c.outBusy[j] = true
+// connect records input i -> output j in all three representations.
+func (c *Crossbar) connect(i, j int) {
+	c.config[i] = j
+	c.inWords[i/64] |= 1 << (uint(i) % 64)
 	c.busyWords[j/64] |= 1 << (uint(j) % 64)
 }
 
@@ -71,6 +76,10 @@ func (c *Crossbar) markBusy(j int) {
 // output j is connected this slot). The slice is owned by the crossbar:
 // read-only, valid until the next Reset/Configure/ConnectOne.
 func (c *Crossbar) OutputBusyWords() []uint64 { return c.busyWords }
+
+// ConnectedInputWords returns the connected-input bitset (bit i set iff
+// Connected(i) >= 0), under the same ownership rule as OutputBusyWords.
+func (c *Crossbar) ConnectedInputWords() []uint64 { return c.inWords }
 
 // Configuration errors.
 var (
@@ -81,7 +90,8 @@ var (
 
 // Configure sets the slot's connection pattern from a matching. It rejects
 // matchings that would connect an output twice — the hardware invariant the
-// grant phase of PIM maintains.
+// grant phase of PIM maintains. A rejected matching leaves the connections
+// made before the offending pair, consistently recorded; Reset clears them.
 func (c *Crossbar) Configure(m matching.Matching) error {
 	if len(m) != c.n {
 		return fmt.Errorf("%w: %d for %d×%d fabric", ErrSizeMismatch, len(m), c.n, c.n)
@@ -94,11 +104,10 @@ func (c *Crossbar) Configure(m matching.Matching) error {
 		if j >= c.n {
 			return fmt.Errorf("%w: output %d", ErrSizeMismatch, j)
 		}
-		if c.outBusy[j] {
+		if c.OutputBusy(j) {
 			return fmt.Errorf("%w: output %d", ErrOutputBusy, j)
 		}
-		c.config[i] = j
-		c.markBusy(j)
+		c.connect(i, j)
 	}
 	return nil
 }
@@ -112,11 +121,10 @@ func (c *Crossbar) ConnectOne(input, output int) error {
 	if c.config[input] >= 0 {
 		return fmt.Errorf("crossbar: input %d connected twice", input)
 	}
-	if c.outBusy[output] {
+	if c.OutputBusy(output) {
 		return fmt.Errorf("%w: output %d", ErrOutputBusy, output)
 	}
-	c.config[input] = output
-	c.markBusy(output)
+	c.connect(input, output)
 	return nil
 }
 
@@ -130,7 +138,7 @@ func (c *Crossbar) Connected(input int) int {
 
 // OutputBusy reports whether output j is connected this slot.
 func (c *Crossbar) OutputBusy(output int) bool {
-	return output >= 0 && output < c.n && c.outBusy[output]
+	return output >= 0 && output < c.n && c.busyWords[output/64]&(1<<(uint(output)%64)) != 0
 }
 
 // InputFree reports whether input i is unconnected this slot.

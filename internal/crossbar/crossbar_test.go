@@ -59,6 +59,48 @@ func TestConfigureRejectsBadMatchings(t *testing.T) {
 	}
 }
 
+// TestRejectedMatchingLeavesConsistentState: whatever a rejected matching
+// connected before the offending pair is recorded as connected — inputs,
+// outputs and the two bitsets agree — and Reset clears all of it.
+func TestRejectedMatchingLeavesConsistentState(t *testing.T) {
+	const n = 70
+	xb := New(n)
+	bad := matching.NewMatching(n)
+	bad[3], bad[65], bad[68] = 66, 2, 66 // input 68 repeats output 66
+	if err := xb.Configure(bad); !errors.Is(err, ErrOutputBusy) {
+		t.Fatalf("err = %v", err)
+	}
+	check := func(when string, conns map[int]int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			want, connected := conns[i]
+			if !connected {
+				want = -1
+			}
+			inSet := xb.ConnectedInputWords()[i/64]>>(uint(i)%64)&1 != 0
+			if xb.Connected(i) != want || inSet != connected || xb.InputFree(i) == connected {
+				t.Fatalf("%s: input %d connected to %d (in set: %v), want %d", when, i, xb.Connected(i), inSet, want)
+			}
+		}
+		busy := map[int]bool{}
+		for _, j := range conns {
+			busy[j] = true
+		}
+		for j := 0; j < n; j++ {
+			if inSet := xb.OutputBusyWords()[j/64]>>(uint(j)%64)&1 != 0; xb.OutputBusy(j) != busy[j] || inSet != busy[j] {
+				t.Fatalf("%s: output %d busy=%v (in set: %v), want %v", when, j, xb.OutputBusy(j), inSet, busy[j])
+			}
+		}
+	}
+	check("after the rejected matching", map[int]int{3: 66, 65: 2})
+	xb.Reset()
+	check("after Reset", nil)
+	if err := xb.ConnectOne(68, 66); err != nil {
+		t.Fatalf("fabric not reusable after Reset: %v", err)
+	}
+	check("after reuse", map[int]int{68: 66})
+}
+
 func TestConnectOne(t *testing.T) {
 	xb := New(4)
 	if err := xb.ConnectOne(1, 3); err != nil {

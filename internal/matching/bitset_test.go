@@ -85,13 +85,23 @@ func checkEquiv(t *testing.T, r *Requests, m *boolModel) {
 		if got, want := r.Outputs(i), m.outputs(i); !sameOutputs(got, want) {
 			t.Fatalf("Outputs(%d) = %v, model %v", i, got, want)
 		}
+		// Every non-empty row is tracked — what ClearAll and the matcher
+		// rely on to skip the rest.
+		if tracked := r.Rows()[i/64]&(1<<(uint(i)%64)) != 0; !tracked && len(m.outputs(i)) > 0 {
+			t.Fatalf("row %d holds requests %v but is not in Rows()", i, m.outputs(i))
+		}
+	}
+	if extra := len(r.Rows())*64 - m.n; extra > 0 && r.Rows()[len(r.Rows())-1]&^(^uint64(0)>>uint(extra)) != 0 {
+		t.Fatalf("Rows() names an input beyond %d: %#x", m.n, r.Rows())
 	}
 }
 
-// TestBitsetMatchesBooleanModel drives random Set/Clear/Clone/ClearAll
-// sequences through the bitset Requests and the seed's boolean-matrix
-// model, verifying Has/Outputs/Count equivalence after every operation.
-// Sizes straddle the 64-bit word boundary on purpose.
+// TestBitsetMatchesBooleanModel drives random Set/Clear/SetRowAndNot/Clone/
+// ClearAll sequences through the bitset Requests and the seed's
+// boolean-matrix model, verifying Has/Outputs/Count equivalence and that the
+// tracked row set covers every non-empty row — after every ClearAll and
+// every few operations otherwise. Sizes straddle the 64-bit word boundary on
+// purpose.
 func TestBitsetMatchesBooleanModel(t *testing.T) {
 	for _, n := range []int{1, 3, 16, 63, 64, 65, 100, 130} {
 		rng := rand.New(rand.NewSource(int64(1000 + n)))
@@ -100,10 +110,26 @@ func TestBitsetMatchesBooleanModel(t *testing.T) {
 		for op := 0; op < 600; op++ {
 			i := rng.Intn(n+4) - 2 // deliberately out of range sometimes
 			j := rng.Intn(n+4) - 2
-			switch rng.Intn(10) {
+			k := rng.Intn(10)
+			switch k {
 			case 0:
 				r.ClearAll()
 				m = newBoolModel(n)
+			case 4:
+				// A whole row at once, sometimes to empty.
+				row := rng.Intn(n)
+				elig := []uint64{rng.Uint64() & rng.Uint64(), rng.Uint64(), rng.Uint64()}[:rng.Intn(WordsFor(n)+1)]
+				busy := []uint64{rng.Uint64(), rng.Uint64(), rng.Uint64()}[:rng.Intn(WordsFor(n)+1)]
+				if rng.Intn(3) == 0 {
+					busy = elig
+				}
+				r.SetRowAndNot(row, elig, busy)
+				for out := 0; out < n; out++ {
+					m.clear(row, out)
+					if e, b := out/64 < len(elig) && elig[out/64]>>(uint(out)%64)&1 != 0, out/64 < len(busy) && busy[out/64]>>(uint(out)%64)&1 != 0; e && !b {
+						m.set(row, out)
+					}
+				}
 			case 1, 2, 3:
 				r.Clear(i, j)
 				m.clear(i, j)
@@ -111,7 +137,7 @@ func TestBitsetMatchesBooleanModel(t *testing.T) {
 				r.Set(i, j)
 				m.set(i, j)
 			}
-			if op%97 == 0 {
+			if k == 0 || op%13 == 0 {
 				checkEquiv(t, r, m)
 				c := r.Clone()
 				checkEquiv(t, c, m)

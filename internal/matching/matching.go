@@ -11,9 +11,11 @@
 // Requests is backed by a bitset ([]uint64 words, row-major), so the
 // slot-level hot path — clearing the matrix, populating a row from a
 // line card's eligible-output bitset, and iterating a row's requests —
-// runs word-wise with no per-slot allocation. The exported semantics are
-// identical to the original boolean-matrix representation (verified by a
-// property test against a boolean-matrix reference model).
+// runs word-wise with no per-slot allocation. It also remembers which rows
+// may hold a request (Rows), so clearing the matrix and matching over it cost
+// the inputs that asked for something, not the port count. The exported
+// semantics are identical to the original boolean-matrix representation
+// (verified by a property test against a boolean-matrix reference model).
 package matching
 
 import (
@@ -35,12 +37,16 @@ type Requests struct {
 	n     int
 	words int      // words per row
 	bits  []uint64 // n*words, row-major
+	// rows is a superset of the non-empty rows (bit i set if row i may hold
+	// a request): Set and SetRowAndNot add to it, ClearAll empties it, and
+	// a row outside it is all zero.
+	rows []uint64
 }
 
 // NewRequests creates an empty request graph for an n×n switch.
 func NewRequests(n int) *Requests {
 	w := WordsFor(n)
-	return &Requests{n: n, words: w, bits: make([]uint64, n*w)}
+	return &Requests{n: n, words: w, bits: make([]uint64, n*w), rows: make([]uint64, w)}
 }
 
 // N returns the switch size.
@@ -50,6 +56,7 @@ func (r *Requests) N() int { return r.n }
 func (r *Requests) Set(i, j int) {
 	if i >= 0 && i < r.n && j >= 0 && j < r.n {
 		r.bits[i*r.words+j/wordBits] |= 1 << (uint(j) % wordBits)
+		r.rows[i/wordBits] |= 1 << (uint(i) % wordBits)
 	}
 }
 
@@ -60,13 +67,24 @@ func (r *Requests) Clear(i, j int) {
 	}
 }
 
-// ClearAll removes every request, word-wise — the per-slot reset that
-// replaces the O(N²) cell-by-cell clear.
+// ClearAll removes every request — the per-slot reset. Only the rows that
+// may hold one are touched.
 func (r *Requests) ClearAll() {
-	for w := range r.bits {
-		r.bits[w] = 0
+	for w, word := range r.rows {
+		for ; word != 0; word &= word - 1 {
+			i := w*wordBits + bits.TrailingZeros64(word)
+			for k := i * r.words; k < (i+1)*r.words; k++ {
+				r.bits[k] = 0
+			}
+		}
+		r.rows[w] = 0
 	}
 }
+
+// Rows returns the inputs whose rows may be non-empty, as a bitset: every
+// input with a request is in it, and a row outside it is empty. The slice
+// aliases the matrix: read-only, valid until the next mutation.
+func (r *Requests) Rows() []uint64 { return r.rows }
 
 // Has reports whether input i requests output j.
 func (r *Requests) Has(i, j int) bool {
@@ -100,6 +118,9 @@ func (r *Requests) SetRowAndNot(i int, elig, busy []uint64) bool {
 		}
 		v &= ^uint64(0) >> uint(wordBits-r.n)
 		r.bits[i] = v
+		if v != 0 {
+			r.rows[0] |= 1 << uint(i)
+		}
 		return v != 0
 	}
 	row := r.bits[i*r.words : (i+1)*r.words]
@@ -120,6 +141,9 @@ func (r *Requests) SetRowAndNot(i int, elig, busy []uint64) bool {
 	var any uint64
 	for _, v := range row {
 		any |= v
+	}
+	if any != 0 {
+		r.rows[i/wordBits] |= 1 << (uint(i) % wordBits)
 	}
 	return any != 0
 }
@@ -159,6 +183,7 @@ func (r *Requests) Count() int {
 func (r *Requests) Clone() *Requests {
 	c := NewRequests(r.n)
 	copy(c.bits, r.bits)
+	copy(c.rows, r.rows)
 	return c
 }
 

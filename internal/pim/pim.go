@@ -19,7 +19,10 @@
 // and allocation-free on the slotted simulator's hot path. The port
 // decisions are independent within a step, so evaluating them in a fixed
 // order on one goroutine computes exactly what the hardware's parallel
-// ports do.
+// ports do. Like the hardware, a port with nothing to say takes no part: a
+// round visits only the inputs that request, the outputs that were asked and
+// the inputs that were granted, so a run costs the requests present, not the
+// switch size.
 package pim
 
 import (
@@ -54,13 +57,25 @@ type Result struct {
 
 // Sequential is the deterministic PIM engine. It is not safe for concurrent
 // use; the slotted simulator owns one per switch.
+//
+// The requests an output received and the grants an input received are
+// bitsets, visited in ascending order. An output (an input) holding k
+// requests (grants) draws rng.Intn(k) and takes the set bit of that rank —
+// the element an ascending list of the same set holds at that index — so the
+// random stream and every matching are those of the list-based engine this
+// one replaced (kept in ref_test.go as the reference model).
 type Sequential struct {
 	rng *rand.Rand
-	// scratch, reused across runs to avoid per-slot allocation:
-	grants     [][]int // grants[i] = outputs granting to input i this iteration
-	requests   [][]int // requests[j] = inputs requesting output j this iteration
-	inMatched  []bool
-	outOwner   []int
+	// Scratch for n ports (words per set), reused across runs; requests,
+	// grants, asked and granted are all zero between rounds.
+	n, words   int
+	requests   []uint64          // n sets: requests[j] = unmatched inputs requesting free output j
+	grants     []uint64          // n sets: grants[i] = outputs granting to input i
+	asked      []uint64          // outputs that received a request this round
+	granted    []uint64          // inputs that received a grant this round
+	active     []uint64          // unmatched inputs that still request a free output
+	outTaken   []uint64          // outputs matched so far this run
+	matched    []uint64          // inputs matched so far this run: the entries of match that are not -1
 	match      matching.Matching // backs Result.Match
 	newMatches []int             // backs Result.NewMatches
 }
@@ -71,30 +86,36 @@ func NewSequential(rng *rand.Rand) *Sequential {
 }
 
 func (s *Sequential) ensure(n int) {
-	if len(s.inMatched) < n {
-		s.grants = make([][]int, n)
-		s.requests = make([][]int, n)
-		s.inMatched = make([]bool, n)
-		s.outOwner = make([]int, n)
-		s.match = make(matching.Matching, n)
+	if s.n == n {
+		return
 	}
+	w := matching.WordsFor(n)
+	s.n, s.words = n, w
+	s.requests = make([]uint64, n*w)
+	s.grants = make([]uint64, n*w)
+	s.asked = make([]uint64, w)
+	s.granted = make([]uint64, w)
+	s.active = make([]uint64, w)
+	s.outTaken = make([]uint64, w)
+	s.matched = make([]uint64, w)
+	s.match = matching.NewMatching(n)
 }
 
 // Match runs at most maxIter iterations (0 means run to quiescence, i.e.
 // until an iteration adds no pair, which yields a maximal matching). The
 // result's Match and NewMatches alias engine scratch (see Result).
 func (s *Sequential) Match(r *matching.Requests, maxIter int) Result {
-	n := r.N()
-	s.ensure(n)
-	m := s.match[:n]
-	m.Reset()
-	for i := 0; i < n; i++ {
-		s.inMatched[i] = false
-		s.outOwner[i] = -1
+	s.ensure(r.N())
+	for w, rows := range r.Rows() {
+		// Undo the previous run: only its matched inputs are not -1.
+		for word := s.matched[w]; word != 0; word &= word - 1 {
+			s.match[w*64+bits.TrailingZeros64(word)] = -1
+		}
+		s.matched[w], s.outTaken[w], s.active[w] = 0, 0, rows
 	}
-	res := Result{Match: m, NewMatches: s.newMatches[:0]}
+	res := Result{Match: s.match, NewMatches: s.newMatches[:0]}
 	for iter := 0; maxIter == 0 || iter < maxIter; iter++ {
-		added := s.iterate(r, m)
+		added := s.iterate(r)
 		res.Iterations++
 		res.NewMatches = append(res.NewMatches, added)
 		if added == 0 {
@@ -105,61 +126,86 @@ func (s *Sequential) Match(r *matching.Requests, maxIter int) Result {
 	return res
 }
 
-// iterate executes one request/grant/accept round, updating m in place and
-// returning the number of new pairs.
-func (s *Sequential) iterate(r *matching.Requests, m matching.Matching) int {
-	n := r.N()
+// iterate executes one request/grant/accept round, updating s.match in place
+// and returning the number of new pairs.
+func (s *Sequential) iterate(r *matching.Requests) int {
+	nw := s.words
 	// Step 1 — request: each unmatched input requests every output it has
 	// a cell for. (Outputs already matched in a previous iteration ignore
-	// requests; inputs need not know which outputs are taken.) The request
-	// row is walked word-wise so no per-input output slice is built.
-	for j := 0; j < n; j++ {
-		s.requests[j] = s.requests[j][:0]
-	}
-	for i := 0; i < n; i++ {
-		if s.inMatched[i] {
-			continue
-		}
-		for w, word := range r.Row(i) {
-			base := w * 64
-			for word != 0 {
-				j := base + bits.TrailingZeros64(word)
-				word &= word - 1
-				if s.outOwner[j] < 0 {
-					s.requests[j] = append(s.requests[j], i)
+	// requests; inputs need not know which outputs are taken.) An input
+	// with no free output left to ask drops out of the later rounds.
+	for w, word := range s.active {
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			bit := uint64(1) << (uint(i) % 64)
+			var any uint64
+			for rw, free := range r.Row(i) {
+				free &^= s.outTaken[rw]
+				any |= free
+				s.asked[rw] |= free
+				for ; free != 0; free &= free - 1 {
+					j := rw*64 + bits.TrailingZeros64(free)
+					s.requests[j*nw+w] |= bit
 				}
+			}
+			if any == 0 {
+				s.active[w] &^= bit
 			}
 		}
 	}
 	// Step 2 — grant: each unmatched output picks one request uniformly at
 	// random.
-	for i := 0; i < n; i++ {
-		s.grants[i] = s.grants[i][:0]
-	}
-	for j := 0; j < n; j++ {
-		reqs := s.requests[j]
-		if len(reqs) == 0 {
-			continue
+	for w, word := range s.asked {
+		for ; word != 0; word &= word - 1 {
+			j := w*64 + bits.TrailingZeros64(word)
+			pick := pickOne(s.rng, s.requests[j*nw:(j+1)*nw])
+			s.grants[pick*nw+w] |= 1 << (uint(j) % 64)
+			s.granted[pick/64] |= 1 << (uint(pick) % 64)
 		}
-		pick := reqs[s.rng.Intn(len(reqs))]
-		s.grants[pick] = append(s.grants[pick], j)
+		s.asked[w] = 0
 	}
 	// Step 3 — accept: each input with grants accepts one. The paper lets
 	// the input choose arbitrarily; we pick uniformly at random, matching
 	// the hardware's unbiased arbiter.
 	added := 0
-	for i := 0; i < n; i++ {
-		gr := s.grants[i]
-		if len(gr) == 0 {
-			continue
+	for w, word := range s.granted {
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			j := pickOne(s.rng, s.grants[i*nw:(i+1)*nw])
+			s.match[i] = j
+			s.outTaken[j/64] |= 1 << (uint(j) % 64)
+			added++
 		}
-		j := gr[s.rng.Intn(len(gr))]
-		m[i] = j
-		s.inMatched[i] = true
-		s.outOwner[j] = i
-		added++
+		s.active[w] &^= s.granted[w]
+		s.matched[w] |= s.granted[w]
+		s.granted[w] = 0
 	}
 	return added
+}
+
+// pickOne draws one member of the non-empty set uniformly at random — one
+// rng.Intn(size) call, also for a singleton — empties the set and returns
+// the member: the set bit whose ascending rank is the number drawn.
+func pickOne(rng *rand.Rand, set []uint64) int {
+	size := 0
+	for _, word := range set {
+		size += bits.OnesCount64(word)
+	}
+	// k counts down the rank still to skip; it goes negative once the pick
+	// is made, which no later word's count can match.
+	k, pick := rng.Intn(size), 0
+	for w, word := range set {
+		set[w] = 0
+		c := bits.OnesCount64(word)
+		if uint(k) < uint(c) {
+			for ; k > 0; k-- {
+				word &= word - 1
+			}
+			pick = w*64 + bits.TrailingZeros64(word)
+		}
+		k -= c
+	}
+	return pick
 }
 
 // IterationStats runs PIM to quiescence `trials` times over request

@@ -75,7 +75,11 @@ func (p *PIM) Name() string { return "pim" }
 // Schedule implements Scheduler.
 func (p *PIM) Schedule(r *matching.Requests) Result {
 	res := p.eng.Match(r, p.iters)
-	return Result{Match: res.Match, Iterations: res.Iterations, Matched: res.Match.Size()}
+	matched := 0
+	for _, added := range res.NewMatches {
+		matched += added
+	}
+	return Result{Match: res.Match, Iterations: res.Iterations, Matched: matched}
 }
 
 // Maximum is the deterministic maximum-matching scheduler (Hopcroft–Karp).

@@ -13,6 +13,7 @@ package schedule
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // DefaultFrameSlots is AN2's frame size: reservations are based on frames
@@ -60,6 +61,13 @@ type Schedule struct {
 	// total = cells per frame scheduled overall, maintained at the single
 	// mutation points (place/unplace) so emptiness is O(1).
 	total int
+	// count[t] = connections in slot t, and inputs[t*words:(t+1)*words] =
+	// the bitset of inputs connected in slot t, maintained at the same two
+	// points: a switch stepping slot t visits only those inputs, and knows
+	// how many there are without visiting any.
+	count  []int32
+	inputs []uint64
+	words  int
 }
 
 // New creates an empty schedule for an n×n switch with the given frame
@@ -78,7 +86,10 @@ func New(n, slots int) (*Schedule, error) {
 		inOf:    make([][]int, slots),
 		rowLoad: make([]int, n),
 		colLoad: make([]int, n),
+		count:   make([]int32, slots),
+		words:   (n + 63) / 64,
 	}
+	s.inputs = make([]uint64, slots*s.words)
 	for t := 0; t < slots; t++ {
 		s.outOf[t] = make([]int, n)
 		s.inOf[t] = make([]int, n)
@@ -145,6 +156,16 @@ func (s *Schedule) At(t, input int) int {
 		return -1
 	}
 	return s.outOf[t][input]
+}
+
+// CountAt returns the number of connections scheduled in slot t.
+func (s *Schedule) CountAt(t int) int { return int(s.count[t]) }
+
+// InputsAt returns the inputs connected in slot t as a bitset (bit i set iff
+// At(t, i) >= 0). The slice aliases the schedule: read-only, valid until the
+// next insertion or removal.
+func (s *Schedule) InputsAt(t int) []uint64 {
+	return s.inputs[t*s.words : (t+1)*s.words]
 }
 
 // InputAt returns the input sending to output j in slot t, or -1.
@@ -272,12 +293,16 @@ func (s *Schedule) place(t, i, j int) {
 	s.outOf[t][i] = j
 	s.inOf[t][j] = i
 	s.total++
+	s.count[t]++
+	s.inputs[t*s.words+i/64] |= 1 << (uint(i) % 64)
 }
 
 func (s *Schedule) unplace(t, i, j int) {
 	s.outOf[t][i] = -1
 	s.inOf[t][j] = -1
 	s.total--
+	s.count[t]--
+	s.inputs[t*s.words+i/64] &^= 1 << (uint(i) % 64)
 }
 
 // InsertK adds a k-cell-per-frame reservation, one cell at a time. The
@@ -348,17 +373,28 @@ func (s *Schedule) Reservations() [][]int {
 	return m
 }
 
-// Validate checks internal consistency: each slot is a partial permutation
-// and the row/column loads match the placed connections.
+// Validate checks internal consistency: each slot is a partial permutation,
+// its connection count and connected-input bitset describe exactly the
+// inputs it connects, and the row/column loads and the frame total match the
+// placed connections.
 func (s *Schedule) Validate() error {
 	rows := make([]int, s.n)
 	cols := make([]int, s.n)
+	total := 0
 	for t := 0; t < s.slots; t++ {
 		seenOut := make(map[int]int)
+		placed, marked := 0, 0
+		for _, w := range s.InputsAt(t) {
+			marked += bits.OnesCount64(w)
+		}
 		for i, j := range s.outOf[t] {
+			if inSet := s.inputs[t*s.words+i/64]&(1<<(uint(i)%64)) != 0; inSet != (j >= 0) {
+				return fmt.Errorf("schedule: slot %d input %d: connected=%v but input-set bit=%v", t, i, j >= 0, inSet)
+			}
 			if j < 0 {
 				continue
 			}
+			placed++
 			if prev, dup := seenOut[j]; dup {
 				return fmt.Errorf("schedule: slot %d outputs %d used by inputs %d and %d", t, j, prev, i)
 			}
@@ -374,6 +410,13 @@ func (s *Schedule) Validate() error {
 				return fmt.Errorf("schedule: slot %d forward index broken at %d->%d", t, i, j)
 			}
 		}
+		if s.CountAt(t) != placed || marked != placed {
+			return fmt.Errorf("schedule: slot %d connects %d inputs, count says %d, input set holds %d", t, placed, s.CountAt(t), marked)
+		}
+		total += placed
+	}
+	if total != s.total {
+		return fmt.Errorf("schedule: frame total %d, placed %d", s.total, total)
 	}
 	for i := 0; i < s.n; i++ {
 		if rows[i] != s.rowLoad[i] {

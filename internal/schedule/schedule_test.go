@@ -347,6 +347,39 @@ func TestQuickInsertRemoveConsistent(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesSlotSetDrift breaks the per-slot connection count and
+// connected-input bitset one way at a time: Validate must notice each, so the
+// switch's reliance on CountAt/InputsAt is checked wherever Validate runs.
+func TestValidateCatchesSlotSetDrift(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(s *Schedule)
+	}{
+		{"count too high", func(s *Schedule) { s.count[0]++ }},
+		{"count too low", func(s *Schedule) { s.count[1]-- }},
+		{"connected input missing from the set", func(s *Schedule) { s.inputs[0] &^= 1 << 1 }},
+		{"idle input in the set", func(s *Schedule) { s.inputs[2*s.words] |= 1 << 1 }},
+		{"input beyond n in the set", func(s *Schedule) { s.inputs[0] |= 1 << 40 }},
+		{"frame total drifted", func(s *Schedule) { s.total++ }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := figure2(t)
+			if err := s.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			for slot := 0; slot < s.Slots(); slot++ {
+				if got := len(s.SlotConns(slot)); s.CountAt(slot) != got {
+					t.Fatalf("slot %d: CountAt = %d, %d connections", slot, s.CountAt(slot), got)
+				}
+			}
+			tc.mutate(s)
+			if err := s.Validate(); err == nil {
+				t.Fatal("violation went undetected")
+			}
+		})
+	}
+}
+
 func BenchmarkSlepianDuguidInsert16(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	s, err := New(16, DefaultFrameSlots)

@@ -1068,11 +1068,7 @@ func (n *Network) observeSlot(now int64) {
 			continue
 		}
 		sw := n.switches[s]
-		occ := 0
-		for i := 0; i < sw.N(); i++ {
-			occ += sw.BufferedBestEffort(i) + sw.BufferedGuaranteed(i)
-		}
-		n.obsOcc[idx].Record(now, int64(occ))
+		n.obsOcc[idx].Record(now, int64(sw.Buffered()))
 		iters += sw.Stats().PIMIterationsTotal
 	}
 	n.obsMatch.Record(now, iters-n.obsPrevIters)

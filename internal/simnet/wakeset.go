@@ -126,17 +126,23 @@ func (n *Network) pendingIdle() int64 {
 }
 
 // CheckEngineInvariant verifies, between slots, what the single engine
-// rests on: every sleeping switch is quiescent; the active list is exactly
-// the awake switches, sorted and duplicate-free; the running sleep totals
-// match the per-switch states; the ready list is exactly the circuits with
-// cells queued at their source, ascending; and everything on a link is filed
-// under its arrival slot, within the calendar's reach, and counted. It reads
-// only — calling it never
-// wakes a switch or perturbs a trajectory.
+// rests on: every live switch's occupancy sets match its buffers
+// (switchnode's CheckInvariant); every sleeping switch is quiescent; the
+// active list is exactly the awake switches, sorted and duplicate-free; the
+// running sleep totals match the per-switch states; the ready list is exactly
+// the circuits with cells queued at their source, ascending; and everything
+// on a link is filed under its arrival slot, within the calendar's reach, and
+// counted. It reads only — calling it never wakes a switch or perturbs a
+// trajectory.
 func (n *Network) CheckEngineInvariant() error {
 	var asleep, sleepSum int64
 	awake := 0
 	for idx, st := range n.swState {
+		if st != swDead {
+			if err := n.switchByIdx[idx].CheckInvariant(); err != nil {
+				return fmt.Errorf("simnet: slot %d: switch %d: %w", n.slot, n.switchOrder[idx], err)
+			}
+		}
 		switch st {
 		case swAsleep:
 			if !n.switchByIdx[idx].Quiescent() {

@@ -1,11 +1,33 @@
 package simnet
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cell"
+	"repro/internal/obs"
 	"repro/internal/switchnode"
 )
+
+// switchField reaches a private field of a switch, so a test in this package
+// can break switchnode's bookkeeping the way a bug inside it would.
+func switchField[T any](sw *switchnode.Switch, name string) *T {
+	return (*T)(unsafe.Pointer(reflect.ValueOf(sw).Elem().FieldByName(name).UnsafeAddr()))
+}
+
+// occupy wakes switch 1 and buffers one cell of the given class at its
+// input 0, through the front door.
+func occupy(n *Network, guaranteed bool) *switchnode.Switch {
+	n.wakeIdx(1)
+	sw := n.switchByIdx[1]
+	if guaranteed {
+		sw.EnqueueGuaranteed(0, cell.Cell{VC: 1}, 1)
+	} else {
+		sw.EnqueueBestEffort(0, cell.Cell{VC: 1}, 1)
+	}
+	return sw
+}
 
 // TestIdleNetworkSleepsAndCountsEverySlot: with no traffic every switch
 // dozes off in slot 0 and is never stepped again, yet IdleStepsSkipped
@@ -72,6 +94,18 @@ func TestEngineInvariantCatchesViolations(t *testing.T) {
 		{"ready list out of order", func(n *Network) { n.ready[0], n.ready[1] = n.ready[1], n.ready[0] }},
 		{"ready list duplicated", func(n *Network) { n.ready = append(n.ready, n.ready[1]) }},
 		{"circuit outside its slot", func(n *Network) { n.slots[n.circOrder[0].c.slot] = nil }},
+		{"occupancy bit on an empty switch", func(n *Network) {
+			(*switchField[[]uint64](n.switchByIdx[1], "occBE"))[0] |= 1 << 2
+		}},
+		{"best-effort cell its switch would never visit", func(n *Network) {
+			(*switchField[[]uint64](occupy(n, false), "occBE"))[0] = 0
+		}},
+		{"guaranteed cell its switch would never visit", func(n *Network) {
+			(*switchField[[]uint64](occupy(n, true), "occGtd"))[0] = 0
+		}},
+		{"switch cell count drifted from its buffers", func(n *Network) {
+			*switchField[int](occupy(n, false), "buffered")++
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n, _, _, path := lineNet(t, 3, 1, Config{Switch: switchnode.Config{N: 4, FrameSlots: 8}})
@@ -94,5 +128,44 @@ func TestEngineInvariantCatchesViolations(t *testing.T) {
 				t.Fatal("violation went undetected")
 			}
 		})
+	}
+}
+
+// TestOccupancySeriesIsPerPortSum: the per-switch occupancy series records
+// Switch.Buffered, which must read what summing both classes over every port
+// reads, slot by slot, on switches that fill and drain.
+func TestOccupancySeriesIsPerPortSum(t *testing.T) {
+	reg := obs.NewRegistry(1)
+	n, _, _, path := lineNet(t, 3, 1, Config{Obs: reg, Switch: switchnode.Config{N: 4, FrameSlots: 8}})
+	if _, err := n.OpenBestEffort(1, path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.OpenGuaranteed(2, path, 2); err != nil {
+		t.Fatal(err)
+	}
+	peak := int64(0)
+	for slot := 0; slot < 200; slot++ {
+		if slot < 120 {
+			for vc := cell.VCI(1); vc <= 2; vc++ {
+				if err := n.SendPacket(vc, make([]byte, 100)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		n.Step()
+		for idx, s := range n.switchOrder {
+			sw, sum := n.switches[s], 0
+			for port := 0; port < sw.N(); port++ {
+				sum += sw.BufferedBestEffort(port) + sw.BufferedGuaranteed(port)
+			}
+			_, recorded, ok := n.obsOcc[idx].Last()
+			if !ok || recorded != int64(sum) || sw.Buffered() != sum {
+				t.Fatalf("slot %d switch %d: series %d, Buffered %d, ports sum to %d", slot, s, recorded, sw.Buffered(), sum)
+			}
+			peak = max(peak, recorded)
+		}
+	}
+	if peak < 2 {
+		t.Fatalf("switches never held more than %d cells: the comparison saw nothing", peak)
 	}
 }

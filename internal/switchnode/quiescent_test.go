@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/cell"
+	"repro/internal/matching"
+	"repro/internal/sched"
 )
 
 func TestQuiescentTracksBuffersAndFrame(t *testing.T) {
@@ -110,5 +112,76 @@ func TestStepIdleMatchesStepWhenQuiescent(t *testing.T) {
 	}
 	if !reflect.DeepEqual(full.Stats(), idle.Stats()) {
 		t.Fatalf("final stats diverged:\nfull %+v\nidle %+v", full.Stats(), idle.Stats())
+	}
+}
+
+// countingScheduler counts the matcher calls a switch makes.
+type countingScheduler struct {
+	sched.Scheduler
+	calls int
+}
+
+func (c *countingScheduler) Schedule(r *matching.Requests) sched.Result {
+	c.calls++
+	return c.Scheduler.Schedule(r)
+}
+
+// TestStepEmptyReservedCountsLentSlots: a switch with reservations and no
+// cell is not quiescent — every reserved slot it steps over is lent to
+// best-effort and counted — yet a step of it asks the matcher nothing. Over
+// two frames the count is twice the frame's cells.
+func TestStepEmptyReservedCountsLentSlots(t *testing.T) {
+	m := &countingScheduler{Scheduler: sched.NewPIM(1, 3)}
+	s := newSwitch(t, Config{N: 24, FrameSlots: 32, Scheduler: m})
+	for _, r := range []struct{ in, out, k int }{{0, 1, 8}, {0, 2, 8}, {5, 1, 3}, {23, 0, 32}, {7, 7, 1}} {
+		if err := s.Reserve(r.in, r.out, r.k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Quiescent() {
+		t.Fatal("a switch with reservations reads as quiescent")
+	}
+	for slot := 0; slot < 2*s.Frame().Slots(); slot++ {
+		if deps := s.Step(); deps != nil {
+			t.Fatalf("slot %d: an empty switch produced departures %+v", slot, deps)
+		}
+	}
+	want := Stats{Slots: 64, GuaranteedSlotsFree: int64(2 * s.Frame().Cells())}
+	if want.GuaranteedSlotsFree != 2*(8+8+3+32+1) || s.Stats() != want {
+		t.Fatalf("stats = %+v, want %+v", s.Stats(), want)
+	}
+	if m.calls != 0 {
+		t.Fatalf("the matcher was called %d times with nothing to match", m.calls)
+	}
+}
+
+// TestCheckInvariantCatchesDrift breaks the occupancy bookkeeping one way at
+// a time and requires CheckInvariant to notice.
+func TestCheckInvariantCatchesDrift(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(s *Switch)
+	}{
+		{"best-effort bit lost", func(s *Switch) { s.occBE[1] &^= 1 << 1 }},
+		{"guaranteed bit lost", func(s *Switch) { s.occGtd[0] &^= 1 << 3 }},
+		{"best-effort bit on an empty input", func(s *Switch) { s.occBE[0] |= 1 << 9 }},
+		{"guaranteed bit on an empty input", func(s *Switch) { s.occGtd[1] |= 1 << 2 }},
+		{"bits of the two classes swapped", func(s *Switch) { s.occBE, s.occGtd = s.occGtd, s.occBE }},
+		{"cell count drifted", func(s *Switch) { s.buffered-- }},
+		{"cells dropped behind the switch's back", func(s *Switch) { s.be[65].DropAll() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSwitch(t, Config{N: 70, FrameSlots: 8})
+			s.EnqueueBestEffort(65, cell.Cell{VC: 1}, 2)
+			s.EnqueueBestEffort(65, cell.Cell{VC: 2}, 69)
+			s.EnqueueGuaranteed(3, cell.Cell{VC: 3}, 4)
+			if err := s.CheckInvariant(); err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(s)
+			if err := s.CheckInvariant(); err == nil {
+				t.Fatal("violation went undetected")
+			}
+		})
 	}
 }

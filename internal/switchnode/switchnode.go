@@ -8,11 +8,17 @@
 // cells are then matched by the scheduler onto the inputs and outputs the
 // guaranteed schedule left idle — including reserved pairs whose circuit
 // has no cell waiting.
+//
+// A slot costs what is queued, not how many ports the switch has: every phase
+// of Step walks a set of ports, ascending — the order the all-ports loops
+// they replaced visited the same ports in (ref_test.go keeps that Step as
+// the reference model).
 package switchnode
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/buffer"
@@ -121,10 +127,17 @@ type Switch struct {
 	// buffered counts cells queued across all inputs, both classes,
 	// maintained at every enqueue/pop/purge so Quiescent is O(1).
 	buffered int
-	reqs     *matching.Requests
-	// from records, for each input the crossbar connected this slot, which
-	// pool its cell leaves from (fromNone when unconnected).
-	from []uint8
+	// occBE and occGtd are the inputs holding at least one best-effort /
+	// guaranteed cell, as bitsets (bit i set iff be[i].Len() > 0, resp.
+	// gtd[i].Len() > 0), maintained at the same points as buffered. Step
+	// visits the inputs in them, not every port.
+	occBE  []uint64
+	occGtd []uint64
+	reqs   *matching.Requests
+	// gtdIn holds the inputs phase 1 of the current slot connected: their
+	// cells leave from the guaranteed pool, every other connected input's
+	// from the best-effort buffer.
+	gtdIn []uint64
 	// deps backs the slice returned by Step, reused across slots.
 	deps []Departure
 
@@ -135,12 +148,6 @@ type Switch struct {
 	obsMatchIter *obs.Histogram
 	obsMatched   *obs.Histogram
 }
-
-const (
-	fromNone uint8 = iota
-	fromGuaranteed
-	fromBestEffort
-)
 
 // New creates a switch.
 func New(cfg Config) (*Switch, error) {
@@ -177,8 +184,10 @@ func New(cfg Config) (*Switch, error) {
 		xb:      crossbar.New(cfg.N),
 		matcher: cfg.Scheduler,
 		frame:   frame,
+		occBE:   make([]uint64, matching.WordsFor(cfg.N)),
+		occGtd:  make([]uint64, matching.WordsFor(cfg.N)),
 		reqs:    matching.NewRequests(cfg.N),
-		from:    make([]uint8, cfg.N),
+		gtdIn:   make([]uint64, matching.WordsFor(cfg.N)),
 		deps:    make([]Departure, 0, cfg.N),
 
 		obsShard:     cfg.Shard,
@@ -258,6 +267,7 @@ func (s *Switch) EnqueueBestEffort(input int, c cell.Cell, output int) bool {
 		return false
 	}
 	s.buffered++
+	s.occBE[input/64] |= 1 << (uint(input) % 64)
 	return true
 }
 
@@ -275,6 +285,7 @@ func (s *Switch) EnqueueGuaranteed(input int, c cell.Cell, output int) bool {
 		return false
 	}
 	s.buffered++
+	s.occGtd[input/64] |= 1 << (uint(input) % 64)
 	return true
 }
 
@@ -290,8 +301,11 @@ func (s *Switch) BufferedGuaranteed(input int) int { return s.gtd[input].Len() }
 // circuit vc across all inputs.
 func (s *Switch) BufferedVC(vc cell.VCI) int {
 	total := 0
-	for i := 0; i < s.n; i++ {
-		total += s.be[i].CountVC(vc) + s.gtd[i].CountVC(vc)
+	for w := range s.occBE {
+		for word := s.occBE[w] | s.occGtd[w]; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			total += s.be[i].CountVC(vc) + s.gtd[i].CountVC(vc)
+		}
 	}
 	return total
 }
@@ -302,8 +316,17 @@ func (s *Switch) BufferedVC(vc cell.VCI) int {
 // It returns the number of cells discarded.
 func (s *Switch) PurgeVC(vc cell.VCI) int {
 	total := 0
-	for i := 0; i < s.n; i++ {
-		total += s.be[i].Drop(vc) + s.gtd[i].Drop(vc)
+	for w := range s.occBE {
+		for word := s.occBE[w] | s.occGtd[w]; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			total += s.be[i].Drop(vc) + s.gtd[i].Drop(vc)
+			if s.be[i].Len() == 0 {
+				s.occBE[w] &^= 1 << (uint(i) % 64)
+			}
+			if s.gtd[i].Len() == 0 {
+				s.occGtd[w] &^= 1 << (uint(i) % 64)
+			}
+		}
 	}
 	s.buffered -= total
 	return total
@@ -313,11 +336,38 @@ func (s *Switch) PurgeVC(vc cell.VCI) int {
 // losing its buffer memory. It returns the number of cells discarded.
 func (s *Switch) Purge() int {
 	total := 0
-	for i := 0; i < s.n; i++ {
-		total += s.be[i].DropAll() + s.gtd[i].DropAll()
+	for w := range s.occBE {
+		for word := s.occBE[w] | s.occGtd[w]; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			total += s.be[i].DropAll() + s.gtd[i].DropAll()
+		}
+		s.occBE[w], s.occGtd[w] = 0, 0
 	}
 	s.buffered -= total
 	return total
+}
+
+// CheckInvariant verifies the occupancy bookkeeping Step relies on: an
+// input's bit is set in a class's occupancy set exactly when its buffer of
+// that class holds a cell, and Buffered is the sum of all buffer lengths. It
+// reads only.
+func (s *Switch) CheckInvariant() error {
+	total := 0
+	for i := 0; i < s.n; i++ {
+		bit := uint64(1) << (uint(i) % 64)
+		be, gtd := s.be[i].Len(), s.gtd[i].Len()
+		if occ := s.occBE[i/64]&bit != 0; occ != (be > 0) {
+			return fmt.Errorf("switchnode: input %d holds %d best-effort cells but its occupancy bit is %v", i, be, occ)
+		}
+		if occ := s.occGtd[i/64]&bit != 0; occ != (gtd > 0) {
+			return fmt.Errorf("switchnode: input %d holds %d guaranteed cells but its occupancy bit is %v", i, gtd, occ)
+		}
+		total += be + gtd
+	}
+	if total != s.buffered {
+		return fmt.Errorf("switchnode: %d cells buffered, counter says %d", total, s.buffered)
+	}
+	return nil
 }
 
 // ResetFrame clears the guaranteed frame schedule — the reservation state
@@ -379,48 +429,64 @@ func (s *Switch) AdvanceIdle(k int64) {
 // iterative matching then pairs the remaining inputs and outputs that have
 // best-effort cells.
 //
+// Each phase walks a bitset — the frame's inputs at this position that hold
+// guaranteed cells, the inputs holding best-effort cells, the crossbar's
+// connected inputs — and a switch holding no cell only counts the reserved
+// slots it lends.
+//
 // The returned slice is reused across slots: it is valid until the next
 // Step call, so callers that retain departures must copy them. Every
 // caller in this repository consumes the slice within the slot, which
 // keeps the slot loop allocation-free.
 func (s *Switch) Step() []Departure {
 	s.xb.Reset()
-	clear(s.from)
 	framePos := int(s.slot % int64(s.frame.Slots()))
-
-	// Phase 1: guaranteed schedule. The cells themselves stay in their
-	// buffers until phase 3 moves each straight into the departure list.
-	for i := 0; i < s.n; i++ {
-		j := s.frame.At(framePos, i)
-		if j < 0 {
-			continue
-		}
-		if !s.gtd[i].Queued(j) {
-			// No guaranteed cell waiting: slot lent to best-effort.
-			s.stats.GuaranteedSlotsFree++
-			continue
-		}
-		// Hardware invariant: the schedule is a partial permutation, so
-		// ConnectOne cannot fail.
-		if err := s.xb.ConnectOne(i, j); err == nil {
-			s.from[i] = fromGuaranteed
-			s.stats.GuaranteedSlotsFired++
-		}
+	lent := s.frame.CountAt(framePos)
+	s.slot++
+	s.stats.Slots++
+	if s.buffered == 0 {
+		// Every reserved slot is lent, nobody requests, no random draw.
+		s.stats.GuaranteedSlotsFree += int64(lent)
+		return nil
 	}
 
-	// Phase 2: best-effort matching over the idle inputs/outputs. The
-	// request matrix is cleared word-wise and each free input's row is
-	// filled in one word-wise pass: the line card's eligible-output bitset
+	// Phase 1: guaranteed schedule. A reserved pair with no guaranteed cell
+	// waiting lends its slot to best-effort. The cells themselves stay in
+	// their buffers until phase 3 moves each straight into the departure
+	// list.
+	reserved := s.frame.InputsAt(framePos)
+	for w := range s.gtdIn {
+		s.gtdIn[w] = 0
+		for word := reserved[w] & s.occGtd[w]; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			j := s.frame.At(framePos, i)
+			if !s.gtd[i].Queued(j) {
+				continue
+			}
+			lent--
+			// Hardware invariant: the schedule is a partial permutation, so
+			// ConnectOne cannot fail.
+			if err := s.xb.ConnectOne(i, j); err == nil {
+				s.gtdIn[w] |= 1 << (uint(i) % 64)
+				s.stats.GuaranteedSlotsFired++
+			}
+		}
+	}
+	s.stats.GuaranteedSlotsFree += int64(lent)
+
+	// Phase 2: best-effort matching over the idle inputs/outputs. Each
+	// free input holding best-effort cells fills its row of the request
+	// matrix in one word-wise pass: the line card's eligible-output bitset
 	// AND-NOT the crossbar's connected-output bitset.
 	s.reqs.ClearAll()
 	busy := s.xb.OutputBusyWords()
 	any := false
-	for i := 0; i < s.n; i++ {
-		if s.from[i] != fromNone {
-			continue
-		}
-		if s.reqs.SetRowAndNot(i, s.be[i].EligibleBits(), busy) {
-			any = true
+	for w := range s.occBE {
+		for word := s.occBE[w] &^ s.gtdIn[w]; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			if s.reqs.SetRowAndNot(i, s.be[i].EligibleBits(), busy) {
+				any = true
+			}
 		}
 	}
 	if any {
@@ -428,46 +494,52 @@ func (s *Switch) Step() []Departure {
 		s.stats.PIMIterationsTotal += int64(res.Iterations)
 		s.obsMatchIter.Observe(s.obsShard, int64(res.Iterations))
 		s.obsMatched.Observe(s.obsShard, int64(res.Matched))
-		for i, j := range res.Match {
-			// ConnectOne cannot fail: the matching is legal.
-			if j >= 0 && s.xb.ConnectOne(i, j) == nil {
-				s.from[i] = fromBestEffort
+		// Only an input that requested can be matched.
+		for w, word := range s.reqs.Rows() {
+			for ; word != 0; word &= word - 1 {
+				i := w*64 + bits.TrailingZeros64(word)
+				// ConnectOne cannot fail: the matching is legal.
+				if j := res.Match[i]; j >= 0 {
+					_ = s.xb.ConnectOne(i, j)
+				}
 			}
 		}
 	}
 
 	// Phase 3: transfer, in input order.
 	out := s.deps[:0]
-	for i, from := range s.from {
-		if from == fromNone {
-			continue
-		}
-		j := s.xb.Connected(i)
-		out = append(out, Departure{Output: j, Guaranteed: from == fromGuaranteed})
-		d := &out[len(out)-1]
-		buf := s.be[i]
-		if d.Guaranteed {
-			buf = s.gtd[i]
-		}
-		ok := buf.Pop(j, &d.Cell)
-		if ok {
-			_, err := s.xb.Transfer(i, &d.Cell)
-			ok = err == nil
-		}
-		if !ok {
-			// Cannot happen: the connections mirror buffer state.
-			out = out[:len(out)-1]
-			continue
-		}
-		s.buffered--
-		if d.Guaranteed {
-			s.stats.DepartedGuaranteed++
-		} else {
-			s.stats.DepartedBestEffort++
+	for w, word := range s.xb.ConnectedInputWords() {
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			j := s.xb.Connected(i)
+			bit := uint64(1) << (uint(i) % 64)
+			out = append(out, Departure{Output: j, Guaranteed: s.gtdIn[w]&bit != 0})
+			d := &out[len(out)-1]
+			buf, occ := s.be[i], s.occBE
+			if d.Guaranteed {
+				buf, occ = s.gtd[i], s.occGtd
+			}
+			ok := buf.Pop(j, &d.Cell)
+			if ok {
+				_, err := s.xb.Transfer(i, &d.Cell)
+				ok = err == nil
+			}
+			if !ok {
+				// Cannot happen: the connections mirror buffer state.
+				out = out[:len(out)-1]
+				continue
+			}
+			s.buffered--
+			if d.Guaranteed {
+				s.stats.DepartedGuaranteed++
+			} else {
+				s.stats.DepartedBestEffort++
+			}
+			if buf.Len() == 0 {
+				occ[w] &^= bit
+			}
 		}
 	}
-	s.slot++
-	s.stats.Slots++
 	s.deps = out
 	if len(out) == 0 {
 		return nil
