@@ -71,8 +71,10 @@ type Reservation struct {
 
 // Central is the bandwidth-central service.
 type Central struct {
-	cfg      Config
-	reserved map[topology.LinkID]int
+	cfg Config
+	// reserved[id] is the cells/frame granted on link id. Sized once: the
+	// topology's links are fixed for a central's lifetime.
+	reserved []int
 	grants   map[cell.VCI]*Reservation
 	nextVC   cell.VCI
 	stats    Stats
@@ -102,7 +104,7 @@ func New(cfg Config) (*Central, error) {
 	}
 	return &Central{
 		cfg:      cfg,
-		reserved: make(map[topology.LinkID]int),
+		reserved: make([]int, cfg.Topology.NumLinks()),
 		grants:   make(map[cell.VCI]*Reservation),
 		nextVC:   1,
 	}, nil
@@ -112,11 +114,16 @@ func New(cfg Config) (*Central, error) {
 func (c *Central) Stats() Stats { return c.stats }
 
 // Reserved returns the reserved cells/frame on a link.
-func (c *Central) Reserved(id topology.LinkID) int { return c.reserved[id] }
+func (c *Central) Reserved(id topology.LinkID) int {
+	if id < 0 || int(id) >= len(c.reserved) {
+		return 0
+	}
+	return c.reserved[id]
+}
 
 // Residual returns the unreserved cells/frame on a link.
 func (c *Central) Residual(id topology.LinkID) int {
-	return c.cfg.LinkCapacity - c.reserved[id]
+	return c.cfg.LinkCapacity - c.Reserved(id)
 }
 
 // Request asks for a reservation of cellsPerFrame between two hosts. On
@@ -127,40 +134,14 @@ func (c *Central) Request(src, dst topology.NodeID, cellsPerFrame int) (*Reserva
 	if cellsPerFrame < 1 {
 		return nil, ErrBadRate
 	}
-	weight := c.weightFunc(cellsPerFrame)
-	path, _, err := c.cfg.Router.WeightedLegal(src, dst, weight)
+	path, _, err := c.cfg.Router.WeightedLegal(src, dst, c.weightFunc(cellsPerFrame))
 	if err != nil {
 		c.stats.Denied++
 		return nil, fmt.Errorf("%w: %v", ErrDenied, err)
 	}
-	links, err := c.cfg.Router.PathLinks(path)
-	if err != nil {
-		c.stats.Denied++
-		return nil, fmt.Errorf("bwcentral: resolve path: %w", err)
-	}
-	// Verify every link still has room (the weight function excludes
-	// saturated switch-switch links, but host links are checked here).
-	for _, l := range links {
-		if c.reserved[l.ID]+cellsPerFrame > c.cfg.LinkCapacity {
-			c.stats.Denied++
-			return nil, fmt.Errorf("%w: link %d", ErrDenied, l.ID)
-		}
-	}
-	res := &Reservation{
-		VC:            c.nextVC,
-		Src:           src,
-		Dst:           dst,
-		CellsPerFrame: cellsPerFrame,
-		Path:          path,
-	}
-	c.nextVC++
-	for _, l := range links {
-		c.reserved[l.ID] += cellsPerFrame
-		res.Links = append(res.Links, l.ID)
-	}
-	c.grants[res.VC] = res
-	c.stats.Granted++
-	return res, nil
+	// The weight function excludes saturated switch-switch links; grant
+	// checks the host links too.
+	return c.grant(src, dst, path, cellsPerFrame)
 }
 
 // RequestPath commits a reservation along a caller-chosen path (used when
@@ -171,15 +152,34 @@ func (c *Central) RequestPath(src, dst topology.NodeID, path []topology.NodeID, 
 	if cellsPerFrame < 1 {
 		return nil, ErrBadRate
 	}
-	links, err := c.cfg.Router.PathLinks(path)
+	return c.grant(src, dst, append([]topology.NodeID(nil), path...), cellsPerFrame)
+}
+
+// pathLinks resolves a node path to the ids of its links.
+func (c *Central) pathLinks(path []topology.NodeID) ([]topology.LinkID, error) {
+	ids := make([]topology.LinkID, 0, max(len(path)-1, 0))
+	for i := 0; i+1 < len(path); i++ {
+		l, ok := c.cfg.Topology.LinkBetween(path[i], path[i+1])
+		if !ok {
+			return nil, fmt.Errorf("bwcentral: resolve path: no link %d-%d", path[i], path[i+1])
+		}
+		ids = append(ids, l.ID)
+	}
+	return ids, nil
+}
+
+// grant commits cellsPerFrame on every link of path, which the reservation
+// keeps, or denies the request if some link lacks the room.
+func (c *Central) grant(src, dst topology.NodeID, path []topology.NodeID, cellsPerFrame int) (*Reservation, error) {
+	links, err := c.pathLinks(path)
 	if err != nil {
 		c.stats.Denied++
-		return nil, fmt.Errorf("bwcentral: resolve path: %w", err)
+		return nil, err
 	}
-	for _, l := range links {
-		if c.reserved[l.ID]+cellsPerFrame > c.cfg.LinkCapacity {
+	for _, id := range links {
+		if c.reserved[id]+cellsPerFrame > c.cfg.LinkCapacity {
 			c.stats.Denied++
-			return nil, fmt.Errorf("%w: link %d", ErrDenied, l.ID)
+			return nil, fmt.Errorf("%w: link %d", ErrDenied, id)
 		}
 	}
 	res := &Reservation{
@@ -187,12 +187,12 @@ func (c *Central) RequestPath(src, dst topology.NodeID, path []topology.NodeID, 
 		Src:           src,
 		Dst:           dst,
 		CellsPerFrame: cellsPerFrame,
-		Path:          append([]topology.NodeID(nil), path...),
+		Path:          path,
+		Links:         links,
 	}
 	c.nextVC++
-	for _, l := range links {
-		c.reserved[l.ID] += cellsPerFrame
-		res.Links = append(res.Links, l.ID)
+	for _, id := range links {
+		c.reserved[id] += cellsPerFrame
 	}
 	c.grants[res.VC] = res
 	c.stats.Granted++

@@ -49,9 +49,8 @@ func (c *Central) hottestLink() topology.LinkID {
 	best := topology.LinkID(-1)
 	bestLoad := 0
 	for id, v := range c.reserved {
-		if v > bestLoad || (v == bestLoad && v > 0 && (best < 0 || id < best)) {
-			best = id
-			bestLoad = v
+		if v > bestLoad {
+			best, bestLoad = topology.LinkID(id), v
 		}
 	}
 	return best
@@ -116,12 +115,10 @@ func (c *Central) improveOnce() (Move, bool) {
 		weight := c.rebalanceWeight(res.CellsPerFrame)
 		path, _, err := c.cfg.Router.WeightedLegal(res.Src, res.Dst, weight)
 		if err == nil {
-			if links, err2 := c.cfg.Router.PathLinks(path); err2 == nil {
+			if ids, err2 := c.pathLinks(path); err2 == nil {
 				// Trial-commit.
-				var ids []topology.LinkID
-				for _, l := range links {
-					c.reserved[l.ID] += res.CellsPerFrame
-					ids = append(ids, l.ID)
+				for _, id := range ids {
+					c.reserved[id] += res.CellsPerFrame
 				}
 				after := c.MaxLoad()
 				if after < before && !samePath(ids, oldLinks) {

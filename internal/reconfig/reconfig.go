@@ -215,11 +215,11 @@ func New(cfg Config) (*Runner, error) {
 			continue
 		}
 		r.switches = append(r.switches, s)
-		for _, l := range g.LinksOf(s) {
-			if cfg.DeadLinks[l.ID] {
+		for _, id := range g.Ports(s) {
+			if id < 0 || cfg.DeadLinks[id] {
 				continue
 			}
-			other := l.Other(s)
+			other := g.LinkRef(id).Other(s)
 			if cfg.DeadNodes[other] {
 				continue
 			}

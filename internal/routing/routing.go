@@ -60,11 +60,11 @@ func BuildTree(g *topology.Graph, root topology.NodeID, filter topology.LinkFilt
 			t.Parent[s] = topology.None
 			continue
 		}
-		for _, l := range g.LinksOf(s) {
-			if !f(l) {
+		for _, id := range g.Ports(s) {
+			if id < 0 || !f(*g.LinkRef(id)) {
 				continue
 			}
-			m := l.Other(s)
+			m := g.LinkRef(id).Other(s)
 			if lv, ok := t.Level[m]; ok && lv == t.Level[s]-1 {
 				t.Parent[s] = m
 				break
@@ -93,41 +93,102 @@ func (t *Tree) UpEnd(g *topology.Graph, l topology.Link) topology.NodeID {
 	return l.B
 }
 
-// Router computes routes over a topology with a fixed orientation tree.
+// Router computes routes over a topology for one epoch: the orientation
+// tree, the switch set and the dead links it was built with are fixed for
+// its lifetime, and a reconfiguration builds a new Router. That is what
+// lets it answer a request by walking a per-source table (forest) instead of
+// searching. Hosts and host links may still be added to the graph; switches
+// and inter-switch links may not. A Router is not safe for concurrent use:
+// requests fill its tables lazily and share its search scratch.
 type Router struct {
 	g    *topology.Graph
 	tree *Tree
-	// dead marks unusable links.
-	dead map[topology.LinkID]bool
+	// dead[id] marks an unusable link: a snapshot of the caller's set.
+	dead []bool
+	// switches lists the graph's switches ascending and rank inverts it (-1
+	// for hosts); search state is indexed by rank so that hosts cost nothing.
+	switches []topology.NodeID
+	rank     []int32
+	// upEnd[id] is the up end of inter-switch link id, None for a host link.
+	upEnd []topology.NodeID
+	// legal and unrestricted hold each source switch's route table, by
+	// rank, under and without the up*/down* rule; nil until first asked for.
+	legal, unrestricted []*forest
+	search              *search
 }
 
 // NewRouter creates a router. root is the orientation root (in AN1, the
-// root of the reconfiguration spanning tree). dead may be nil.
+// root of the reconfiguration spanning tree). dead may be nil; it is copied.
 func NewRouter(g *topology.Graph, root topology.NodeID, dead map[topology.LinkID]bool) (*Router, error) {
 	filter := func(l topology.Link) bool { return !dead[l.ID] }
 	tree, err := BuildTree(g, root, filter)
 	if err != nil {
 		return nil, err
 	}
-	return &Router{g: g, tree: tree, dead: dead}, nil
+	return NewRouterWithTree(g, tree, dead)
 }
 
 // NewRouterWithTree creates a router that orients links by a tree computed
 // elsewhere — in AN1, the propagation-order spanning tree produced by the
 // last reconfiguration. Switches absent from tree.Level are treated as
-// unreachable.
+// unreachable. dead is copied and tree must not change afterwards.
 func NewRouterWithTree(g *topology.Graph, tree *Tree, dead map[topology.LinkID]bool) (*Router, error) {
 	if tree == nil || len(tree.Level) == 0 {
 		return nil, errors.New("routing: empty orientation tree")
 	}
-	return &Router{g: g, tree: tree, dead: dead}, nil
+	r := &Router{
+		g:        g,
+		tree:     tree,
+		dead:     make([]bool, g.NumLinks()),
+		switches: g.Switches(),
+		rank:     make([]int32, g.NumNodes()),
+		upEnd:    make([]topology.NodeID, g.NumLinks()),
+	}
+	for id, d := range dead {
+		if d && int(id) < len(r.dead) {
+			r.dead[id] = true
+		}
+	}
+	for i := range r.rank {
+		r.rank[i] = -1
+	}
+	for i, s := range r.switches {
+		r.rank[s] = int32(i)
+	}
+	for id := range r.upEnd {
+		r.upEnd[id] = topology.None
+		if l := g.LinkRef(topology.LinkID(id)); g.SwitchOnly(*l) {
+			r.upEnd[id] = tree.UpEnd(g, *l)
+		}
+	}
+	r.legal = make([]*forest, len(r.switches))
+	r.unrestricted = make([]*forest, len(r.switches))
+	return r, nil
 }
 
 // Tree returns the orientation tree.
 func (r *Router) Tree() *Tree { return r.tree }
 
 // usable reports whether a link can carry traffic.
-func (r *Router) usable(l topology.Link) bool { return !r.dead[l.ID] }
+func (r *Router) usable(id topology.LinkID) bool { return int(id) >= len(r.dead) || !r.dead[id] }
+
+// up returns the up end of inter-switch link id: the endpoint closer to the
+// root (Tree.UpEnd, resolved once per link). None for a host link.
+func (r *Router) up(id topology.LinkID) topology.NodeID {
+	if int(id) >= len(r.upEnd) {
+		return topology.None
+	}
+	return r.upEnd[id]
+}
+
+// rankOf returns n's switch rank, or -1 if n is not one of the router's
+// switches.
+func (r *Router) rankOf(n topology.NodeID) int32 {
+	if n < 0 || int(n) >= len(r.rank) {
+		return -1
+	}
+	return r.rank[n]
+}
 
 // Routing errors.
 var (
@@ -138,19 +199,17 @@ var (
 // attach resolves a node to its routing switch: a switch maps to itself; a
 // host maps to its first live switch neighbor.
 func (r *Router) attach(n topology.NodeID) (topology.NodeID, error) {
-	node, ok := r.g.Node(n)
-	if !ok {
-		return topology.None, fmt.Errorf("routing: no node %d", n)
-	}
-	if node.Kind == topology.Switch {
+	if r.rankOf(n) >= 0 {
 		return n, nil
 	}
-	for _, l := range r.g.LinksOf(n) {
-		if !r.usable(l) {
+	if n < 0 || int(n) >= r.g.NumNodes() {
+		return topology.None, fmt.Errorf("routing: no node %d", n)
+	}
+	for _, id := range r.g.Ports(n) {
+		if id < 0 || !r.usable(id) {
 			continue
 		}
-		m := l.Other(n)
-		if mn, ok := r.g.Node(m); ok && mn.Kind == topology.Switch {
+		if m := r.g.LinkRef(id).Other(n); r.rankOf(m) >= 0 {
 			return m, nil
 		}
 	}
@@ -169,8 +228,8 @@ func (r *Router) ShortestLegal(src, dst topology.NodeID) ([]topology.NodeID, err
 	return r.shortest(src, dst, true)
 }
 
-// shortest runs BFS over (switch, wentDown) states. With legal=false the
-// wentDown dimension collapses.
+// shortest reads the route off the source switch's forest, growing the
+// forest on the first request from that switch.
 func (r *Router) shortest(src, dst topology.NodeID, legal bool) ([]topology.NodeID, error) {
 	sSrc, err := r.attach(src)
 	if err != nil {
@@ -180,72 +239,113 @@ func (r *Router) shortest(src, dst topology.NodeID, legal bool) ([]topology.Node
 	if err != nil {
 		return nil, err
 	}
-	var core []topology.NodeID
-	if sSrc == sDst {
-		core = []topology.NodeID{sSrc}
-	} else {
-		core, err = r.bfsStates(sSrc, sDst, legal)
-		if err != nil {
-			return nil, err
-		}
+	forests := r.unrestricted
+	if legal {
+		forests = r.legal
 	}
-	var path []topology.NodeID
-	if src != sSrc {
-		path = append(path, src)
+	f := forests[r.rank[sSrc]]
+	if f == nil {
+		f = r.grow(r.rank[sSrc], legal)
+		forests[r.rank[sSrc]] = f
 	}
-	path = append(path, core...)
-	if dst != sDst {
-		path = append(path, dst)
+	goal := f.goal[r.rank[sDst]]
+	if goal == unreached {
+		return nil, fmt.Errorf("%w: %d -> %d", ErrNoRoute, sSrc, sDst)
 	}
-	return path, nil
+	return r.path(src, sSrc, dst, sDst, f.pred, goal), nil
 }
 
-type routeState struct {
-	node     topology.NodeID
-	wentDown bool
+// A search state is a (switch, wentDown) pair, encoded 2*rank + wentDown.
+// pred arrays map a state to the state it was reached from.
+const (
+	unreached int32 = -1 // the search never got to this state
+	rootState int32 = -2 // pred of the state the search started in
+)
+
+// forest is one source switch's breadth-first search over states, run to
+// completion: FIFO, ports ascending, a state keeps the first predecessor to
+// reach it. A search that stopped at the first state of some destination
+// would have made exactly the same discoveries up to that point, so goal
+// and pred give the path that search would have returned — including which
+// of several equal-length paths.
+type forest struct {
+	pred []int32 // by state
+	goal []int32 // by switch rank: the first of its states discovered
 }
 
-func (r *Router) bfsStates(src, dst topology.NodeID, legal bool) ([]topology.NodeID, error) {
-	start := routeState{node: src}
-	pred := map[routeState]routeState{start: {node: topology.None}}
-	queue := []routeState{start}
-	var goal *routeState
-	for len(queue) > 0 && goal == nil {
-		st := queue[0]
-		queue = queue[1:]
-		for _, l := range r.g.LinksOf(st.node) {
-			if !r.usable(l) || !r.g.SwitchOnly(l) {
+// grow builds the forest of source switch src (a rank). 12 bytes per switch.
+func (r *Router) grow(src int32, legal bool) *forest {
+	n := len(r.switches)
+	f := &forest{pred: make([]int32, 2*n), goal: make([]int32, n)}
+	for i := range f.pred {
+		f.pred[i] = unreached
+	}
+	for i := range f.goal {
+		f.goal[i] = unreached
+	}
+	f.pred[2*src], f.goal[src] = rootState, 2*src
+	queue := append(make([]int32, 0, 2*n), 2*src)
+	for head := 0; head < len(queue); head++ {
+		st := queue[head]
+		for _, id := range r.g.Ports(r.switches[st>>1]) {
+			next, ok := r.step(st, id, legal)
+			if !ok || f.pred[next] != unreached {
 				continue
 			}
-			m := l.Other(st.node)
-			goingUp := r.tree.UpEnd(r.g, l) == m
-			if legal && st.wentDown && goingUp {
-				continue // down then up: illegal
-			}
-			next := routeState{node: m, wentDown: st.wentDown || (legal && !goingUp)}
-			if _, seen := pred[next]; seen {
-				continue
-			}
-			pred[next] = st
-			if m == dst {
-				goal = &next
-				break
+			f.pred[next] = st
+			if f.goal[next>>1] == unreached {
+				f.goal[next>>1] = next
 			}
 			queue = append(queue, next)
 		}
 	}
-	if goal == nil {
-		return nil, fmt.Errorf("%w: %d -> %d", ErrNoRoute, src, dst)
+	return f
+}
+
+// step returns the state reached by leaving state st on the link at one of
+// its switch's ports. There is none if the port is free, the link dead or a
+// host link, or — under the up*/down* rule — the move goes up after the
+// path has gone down. Without the rule the wentDown bit stays clear.
+func (r *Router) step(st int32, id topology.LinkID, legal bool) (int32, bool) {
+	if id < 0 || !r.usable(id) {
+		return 0, false
 	}
-	var rev []topology.NodeID
-	for st := *goal; st.node != topology.None; st = pred[st] {
-		rev = append(rev, st.node)
+	up := r.up(id)
+	if up == topology.None {
+		return 0, false
 	}
-	out := make([]topology.NodeID, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
+	m := r.g.LinkRef(id).Other(r.switches[st>>1])
+	wentDown, goingUp := st&1 == 1, up == m
+	if wentDown && goingUp {
+		return 0, false // down then up: illegal (wentDown is never set unless legal)
 	}
-	return out, nil
+	next := 2 * r.rank[m]
+	if wentDown || (legal && !goingUp) {
+		next++
+	}
+	return next, true
+}
+
+// path materialises the route from src to dst whose switch part a search
+// from sSrc ended in state goal: it walks pred back to the start and writes
+// the switches in travel order between the host endpoints, if any.
+func (r *Router) path(src, sSrc, dst, sDst topology.NodeID, pred []int32, goal int32) []topology.NodeID {
+	n := 0
+	for st := goal; st != rootState; st = pred[st] {
+		n++
+	}
+	out := make([]topology.NodeID, 0, n+2)
+	if src != sSrc {
+		out = append(out, src)
+	}
+	out = out[:len(out)+n]
+	for st, i := goal, len(out)-1; st != rootState; st, i = pred[st], i-1 {
+		out[i] = r.switches[st>>1]
+	}
+	if dst != sDst {
+		out = append(out, dst)
+	}
+	return out
 }
 
 // IsLegal reports whether the switch portion of path obeys up*/down*.
@@ -253,13 +353,14 @@ func (r *Router) IsLegal(path []topology.NodeID) bool {
 	wentDown := false
 	for i := 0; i+1 < len(path); i++ {
 		l, ok := r.g.LinkBetween(path[i], path[i+1])
-		if !ok || !r.usable(l) {
+		if !ok || !r.usable(l.ID) {
 			return false
 		}
-		if !r.g.SwitchOnly(l) {
+		up := r.up(l.ID)
+		if up == topology.None {
 			continue // host links are not oriented
 		}
-		goingUp := r.tree.UpEnd(r.g, l) == path[i+1]
+		goingUp := up == path[i+1]
 		if wentDown && goingUp {
 			return false
 		}
@@ -272,7 +373,7 @@ func (r *Router) IsLegal(path []topology.NodeID) bool {
 
 // PathLinks resolves a node path to its link sequence.
 func (r *Router) PathLinks(path []topology.NodeID) ([]topology.Link, error) {
-	var out []topology.Link
+	out := make([]topology.Link, 0, max(len(path)-1, 0))
 	for i := 0; i+1 < len(path); i++ {
 		l, ok := r.g.LinkBetween(path[i], path[i+1])
 		if !ok {

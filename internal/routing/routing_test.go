@@ -407,18 +407,77 @@ func TestQuickLegalVsUnrestricted(t *testing.T) {
 	}
 }
 
-func BenchmarkShortestLegalTorus(b *testing.B) {
-	g, err := topology.Torus(6, 6, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+// churnRouter is a router over the svc_churn torus and 512 random host pairs.
+func churnRouter(tb testing.TB) (*Router, [][2]topology.NodeID) {
+	tb.Helper()
+	g := refTopologies(tb)["torus4x4"]
 	r, err := NewRouter(g, 0, nil)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(24))
+	hosts := g.Hosts()
+	pairs := make([][2]topology.NodeID, 512)
+	for i := range pairs {
+		pairs[i] = [2]topology.NodeID{hosts[rng.Intn(len(hosts))], hosts[rng.Intn(len(hosts))]}
+	}
+	return r, pairs
+}
+
+// stripedLoad is a weighting under which hop count and cost disagree.
+func stripedLoad(l topology.Link) float64 { return 1 + float64(l.ID%5) }
+
+// TestRouteAllocations pins what a request costs once its source's forest
+// exists and the Dijkstra scratch is sized: the returned path, nothing else.
+func TestRouteAllocations(t *testing.T) {
+	r, pairs := churnRouter(t)
+	i := 0
+	legal := func() {
+		if _, err := r.ShortestLegal(pairs[i%len(pairs)][0], pairs[i%len(pairs)][1]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	weighted := func() {
+		if _, _, err := r.WeightedLegal(pairs[i%len(pairs)][0], pairs[i%len(pairs)][1], stripedLoad); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for range pairs {
+		legal()
+		weighted()
+	}
+	if got := testing.AllocsPerRun(1000, legal); got > 1 {
+		t.Errorf("warm ShortestLegal: %.1f allocs, want <= 1", got)
+	}
+	if got := testing.AllocsPerRun(1000, weighted); got > 1 {
+		t.Errorf("warm WeightedLegal: %.1f allocs, want <= 1", got)
+	}
+}
+
+func BenchmarkShortestLegalWarm(b *testing.B) {
+	r, pairs := churnRouter(b)
+	for _, p := range pairs {
+		if _, err := r.ShortestLegal(p[0], p[1]); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.ShortestLegal(0, 35); err != nil {
+		if _, err := r.ShortestLegal(pairs[i%len(pairs)][0], pairs[i%len(pairs)][1]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkWeightedLegal(b *testing.B) {
+	r, pairs := churnRouter(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := r.WeightedLegal(pairs[i%len(pairs)][0], pairs[i%len(pairs)][1], stripedLoad); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -30,105 +29,113 @@ func (r *Router) WeightedLegal(src, dst topology.NodeID, weight WeightFunc) ([]t
 	if err != nil {
 		return nil, 0, err
 	}
-	var core []topology.NodeID
-	var cost float64
-	if sSrc == sDst {
-		core = []topology.NodeID{sSrc}
-	} else {
-		core, cost, err = r.dijkstra(sSrc, sDst, weight)
-		if err != nil {
-			return nil, 0, err
-		}
+	goal, cost, err := r.dijkstra(sSrc, sDst, weight)
+	if err != nil {
+		return nil, 0, err
 	}
-	var path []topology.NodeID
-	if src != sSrc {
-		path = append(path, src)
-	}
-	path = append(path, core...)
-	if dst != sDst {
-		path = append(path, dst)
-	}
-	return path, cost, nil
+	return r.path(src, sSrc, dst, sDst, r.search.pred, goal), cost, nil
 }
 
-// pqItem is a Dijkstra frontier entry.
-type pqItem struct {
-	state routeState
+// search is the Dijkstra working set, kept across requests. dist and pred
+// of a state are this search's if seen[state] == cur, and the state is
+// settled if done[state] == cur, so starting a search clears nothing.
+type search struct {
+	cur        uint32
+	seen, done []uint32
+	dist       []float64
+	pred       []int32
+	heap       []frontier
+}
+
+// frontier is a Dijkstra frontier entry.
+type frontier struct {
 	dist  float64
-	index int
+	state int32
 }
 
-type priorityQueue []*pqItem
-
-func (pq priorityQueue) Len() int           { return len(pq) }
-func (pq priorityQueue) Less(i, j int) bool { return pq[i].dist < pq[j].dist }
-func (pq priorityQueue) Swap(i, j int)      { pq[i], pq[j] = pq[j], pq[i]; pq[i].index = i; pq[j].index = j }
-func (pq *priorityQueue) Push(x any)        { it := x.(*pqItem); it.index = len(*pq); *pq = append(*pq, it) }
-func (pq *priorityQueue) Pop() any {
-	old := *pq
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*pq = old[:n-1]
-	return it
-}
-
-func (r *Router) dijkstra(src, dst topology.NodeID, weight WeightFunc) ([]topology.NodeID, float64, error) {
-	start := routeState{node: src}
-	dist := map[routeState]float64{start: 0}
-	pred := map[routeState]routeState{start: {node: topology.None}}
-	var pq priorityQueue
-	heap.Push(&pq, &pqItem{state: start})
-	settled := map[routeState]bool{}
-	var best *routeState
-	bestCost := math.Inf(1)
-	for pq.Len() > 0 {
-		it := heap.Pop(&pq).(*pqItem)
-		st := it.state
-		if settled[st] {
-			continue
-		}
-		settled[st] = true
-		if st.node == dst {
-			if it.dist < bestCost {
-				bestCost = it.dist
-				stCopy := st
-				best = &stCopy
-			}
+// push and pop are the standard library heap's Push and Pop on a slice of
+// values ordered by dist alone. The sift order is part of the contract:
+// entries of equal distance must leave in that order, or a different one of
+// several equal-cost paths wins and published tables move.
+func (s *search) push(f frontier) {
+	h := append(s.heap, f)
+	for j := len(h) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].dist < h[i].dist) {
 			break
 		}
-		for _, l := range r.g.LinksOf(st.node) {
-			if !r.usable(l) || !r.g.SwitchOnly(l) {
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	s.heap = h
+}
+
+func (s *search) pop() frontier {
+	h := s.heap
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].dist < h[j].dist {
+			j = j2
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	s.heap = h[:n]
+	return h[n]
+}
+
+// dijkstra returns the first state of dst settled by a search from src and
+// its cost; the path is in r.search.pred until the next search.
+func (r *Router) dijkstra(src, dst topology.NodeID, weight WeightFunc) (int32, float64, error) {
+	s := r.search
+	if s == nil {
+		n := 2 * len(r.switches)
+		s = &search{seen: make([]uint32, n), done: make([]uint32, n), dist: make([]float64, n), pred: make([]int32, n)}
+		r.search = s
+	}
+	if s.cur++; s.cur == 0 { // wrapped: old stamps would look current
+		clear(s.seen)
+		clear(s.done)
+		s.cur = 1
+	}
+	start := 2 * r.rank[src]
+	s.seen[start], s.dist[start], s.pred[start] = s.cur, 0, rootState
+	s.heap = s.heap[:0]
+	s.push(frontier{state: start})
+	for len(s.heap) > 0 {
+		it := s.pop()
+		st := it.state
+		if s.done[st] == s.cur {
+			continue
+		}
+		s.done[st] = s.cur
+		node := r.switches[st>>1]
+		if node == dst {
+			return st, it.dist, nil
+		}
+		for _, id := range r.g.Ports(node) {
+			next, ok := r.step(st, id, true)
+			if !ok {
 				continue
 			}
-			w := weight(l)
+			w := weight(*r.g.LinkRef(id))
 			if w < 0 || math.IsInf(w, 1) || math.IsNaN(w) {
 				continue // unusable under this weighting
 			}
-			m := l.Other(st.node)
-			goingUp := r.tree.UpEnd(r.g, l) == m
-			if st.wentDown && goingUp {
-				continue
-			}
-			next := routeState{node: m, wentDown: st.wentDown || !goingUp}
 			nd := it.dist + w
-			if old, seen := dist[next]; !seen || nd < old {
-				dist[next] = nd
-				pred[next] = st
-				heap.Push(&pq, &pqItem{state: next, dist: nd})
+			if s.seen[next] != s.cur || nd < s.dist[next] {
+				s.seen[next], s.dist[next], s.pred[next] = s.cur, nd, st
+				s.push(frontier{dist: nd, state: next})
 			}
 		}
 	}
-	if best == nil {
-		return nil, 0, fmt.Errorf("%w: %d -> %d", ErrNoRoute, src, dst)
-	}
-	var rev []topology.NodeID
-	for st := *best; st.node != topology.None; st = pred[st] {
-		rev = append(rev, st.node)
-	}
-	out := make([]topology.NodeID, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
-	return out, bestCost, nil
+	return 0, 0, fmt.Errorf("%w: %d -> %d", ErrNoRoute, src, dst)
 }

@@ -233,10 +233,8 @@ func (g *Graph) Connect(a, b NodeID, latency int64) (LinkID, error) {
 	if latency < 1 {
 		return -1, fmt.Errorf("%w: %d", ErrBadLatency, latency)
 	}
-	for _, l := range g.LinksOf(a) {
-		if l.Other(a) == b {
-			return -1, fmt.Errorf("%w: %d-%d", ErrDuplicate, a, b)
-		}
+	if _, dup := g.LinkBetween(a, b); dup {
+		return -1, fmt.Errorf("%w: %d-%d", ErrDuplicate, a, b)
 	}
 	pa := g.freePort(a)
 	pb := g.freePort(b)
@@ -322,13 +320,26 @@ func (g *Graph) Hosts() []NodeID {
 	return out
 }
 
-// LinksOf returns the links attached to node n, in port order.
-func (g *Graph) LinksOf(n NodeID) []Link {
+// Ports returns node n's port table: element p is the link on port p, or -1
+// for a free port (nil for an unknown node). The slice is the graph's own —
+// callers must not modify it. Together with LinkRef it is the adjacency walk
+// that allocates nothing; LinksOf copies.
+func (g *Graph) Ports(n NodeID) []LinkID {
 	if !g.valid(n) {
 		return nil
 	}
+	return g.nodes[n].ports
+}
+
+// LinkRef returns the graph's own record of link id, which must be an id
+// the graph issued (an element >= 0 of Ports, or a Link's ID). Read-only,
+// and valid only until the next Connect.
+func (g *Graph) LinkRef(id LinkID) *Link { return &g.links[id] }
+
+// LinksOf returns the links attached to node n, in port order (a copy).
+func (g *Graph) LinksOf(n NodeID) []Link {
 	var out []Link
-	for _, lid := range g.nodes[n].ports {
+	for _, lid := range g.Ports(n) {
 		if lid >= 0 {
 			out = append(out, g.links[lid])
 		}
@@ -360,9 +371,9 @@ func (g *Graph) SwitchNeighbors(n NodeID) []NodeID {
 
 // LinkBetween returns the link joining a and b, if any.
 func (g *Graph) LinkBetween(a, b NodeID) (Link, bool) {
-	for _, l := range g.LinksOf(a) {
-		if l.Other(a) == b {
-			return l, true
+	for _, lid := range g.Ports(a) {
+		if lid >= 0 && g.links[lid].Other(a) == b {
+			return g.links[lid], true
 		}
 	}
 	return Link{}, false
@@ -414,11 +425,11 @@ func (g *Graph) BFS(root NodeID, filter LinkFilter, visit func(NodeID) bool) (le
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
-		for _, l := range g.LinksOf(n) {
-			if !filter(l) {
+		for _, lid := range g.nodes[n].ports {
+			if lid < 0 || !filter(g.links[lid]) {
 				continue
 			}
-			m := l.Other(n)
+			m := g.links[lid].Other(n)
 			if visit != nil && !visit(m) {
 				continue
 			}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -420,5 +421,61 @@ func BenchmarkBFSTorus(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		g.BFS(0, nil, nil)
+	}
+}
+
+// TestAdjacencyWalkMatchesLinksOf checks Ports+LinkRef against the copying
+// LinksOf on every node, and that the walk and LinkBetween allocate nothing.
+func TestAdjacencyWalkMatchesLinksOf(t *testing.T) {
+	g, err := SRCLike(rand.New(rand.NewSource(3)), 4, 8, 24, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := NodeID(0); int(n) < g.NumNodes(); n++ {
+		var walked []Link
+		for _, id := range g.Ports(n) {
+			if id >= 0 {
+				walked = append(walked, *g.LinkRef(id))
+			}
+		}
+		if !slices.Equal(walked, g.LinksOf(n)) {
+			t.Fatalf("node %d: walk %v, LinksOf %v", n, walked, g.LinksOf(n))
+		}
+		for _, l := range walked {
+			if got, ok := g.LinkBetween(n, l.Other(n)); !ok || got != l {
+				t.Fatalf("LinkBetween(%d, %d) = %v, %v; want %v", n, l.Other(n), got, ok, l)
+			}
+		}
+	}
+	if g.Ports(None) != nil || g.Ports(NodeID(g.NumNodes())) != nil {
+		t.Error("Ports of an unknown node is not nil")
+	}
+	last := g.LinkRef(LinkID(g.NumLinks() - 1))
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := g.LinkBetween(last.A, last.B); !ok {
+			t.Fatal("link not found")
+		}
+		if _, ok := g.LinkBetween(last.A, last.A); ok {
+			t.Fatal("self link found")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("LinkBetween: %.1f allocs, want 0", allocs)
+	}
+}
+
+func BenchmarkLinkBetween(b *testing.B) {
+	g, err := Torus(4, 4, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	links := g.Links()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l := links[i%len(links)]
+		if _, ok := g.LinkBetween(l.B, l.A); !ok {
+			b.Fatal("link not found")
+		}
 	}
 }
