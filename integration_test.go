@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cell"
 	"repro/internal/core"
-	"repro/internal/reconfig"
 	"repro/internal/topology"
 )
 
@@ -211,12 +210,7 @@ func TestIntegrationSurvivesCascadingFailures(t *testing.T) {
 		if report.ReconfigTimeUS >= 200_000 {
 			t.Fatalf("pull %d: convergence %d µs", pulls, report.ReconfigTimeUS)
 		}
-		var tag reconfig.Tag
-		for _, v := range lan.LastReconfig().Views {
-			if tag.Less(v.Tag) {
-				tag = v.Tag
-			}
-		}
+		tag := lan.LastReconfig().Tag
 		if tag.Epoch <= lastEpoch {
 			t.Fatalf("pull %d: epoch stalled at %d", pulls, tag.Epoch)
 		}

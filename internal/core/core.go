@@ -72,7 +72,17 @@ type LAN struct {
 	circuits map[cell.VCI]*circuitInfo
 	nextVC   cell.VCI
 
-	lastReconfig *reconfig.Result
+	epoch Epoch
+}
+
+// Epoch is what the LAN keeps of its last reconfiguration: the winning tag
+// (the next run starts above its epoch), the convergence time in virtual µs
+// and the winning tree's depth. The per-switch views, each the whole learned
+// topology, are dropped; the tree they describe lives on in Router().Tree().
+type Epoch struct {
+	Tag             reconfig.Tag
+	MaxCompletionUS int64
+	TreeDepth       int
 }
 
 // circuitInfo is the LAN's bookkeeping for an open circuit.
@@ -159,14 +169,14 @@ func New(cfg Config) (*LAN, error) {
 
 // Reconfigure runs the distributed reconfiguration protocol with the given
 // triggers over the surviving topology, then rebuilds routing (oriented by
-// the new spanning tree) and re-elects bandwidth central.
+// the new spanning tree) and re-elects bandwidth central. The full result
+// goes to the caller; the LAN keeps only its Epoch.
 func (l *LAN) Reconfigure(triggers []reconfig.Trigger) (*reconfig.Result, error) {
-	baseEpoch := l.lastReconfig.Epoch()
 	runner, err := reconfig.New(reconfig.Config{
 		Topology:  l.g,
 		DeadLinks: l.deadLinks,
 		DeadNodes: l.deadNodes,
-		BaseEpoch: baseEpoch,
+		BaseEpoch: l.epoch.Tag.Epoch,
 	})
 	if err != nil {
 		return nil, err
@@ -181,14 +191,18 @@ func (l *LAN) Reconfigure(triggers []reconfig.Trigger) (*reconfig.Result, error)
 	// Adopt the winning configuration's spanning tree as the up*/down*
 	// orientation, exactly as AN1 does.
 	tree := &routing.Tree{
-		Level:  make(map[topology.NodeID]int),
-		Parent: make(map[topology.NodeID]topology.NodeID),
+		Level:  make(map[topology.NodeID]int, len(res.Views)),
+		Parent: make(map[topology.NodeID]topology.NodeID, len(res.Views)),
 	}
+	epoch := Epoch{MaxCompletionUS: res.MaxCompletionUS, TreeDepth: res.TreeDepth}
 	for s, v := range res.Views {
 		tree.Level[s] = v.Depth
 		tree.Parent[s] = v.Parent
 		if v.Parent == topology.None {
 			tree.Root = s
+		}
+		if epoch.Tag.Less(v.Tag) {
+			epoch.Tag = v.Tag
 		}
 	}
 	router, err := routing.NewRouterWithTree(l.g, tree, l.deadLinks)
@@ -196,7 +210,7 @@ func (l *LAN) Reconfigure(triggers []reconfig.Trigger) (*reconfig.Result, error)
 		return nil, err
 	}
 	l.router = router
-	l.lastReconfig = res
+	l.epoch = epoch
 
 	at, err := bwcentral.Elect(l.g, l.deadNodes)
 	if err != nil {
@@ -239,8 +253,8 @@ func (l *LAN) FrameSlots() int { return l.cfg.FrameSlots }
 // CentralAt returns the switch hosting bandwidth central.
 func (l *LAN) CentralAt() topology.NodeID { return l.centralAt }
 
-// LastReconfig returns the most recent reconfiguration result.
-func (l *LAN) LastReconfig() *reconfig.Result { return l.lastReconfig }
+// LastReconfig returns the summary of the most recent reconfiguration.
+func (l *LAN) LastReconfig() Epoch { return l.epoch }
 
 // Router exposes the current route computation (read-only use).
 func (l *LAN) Router() *routing.Router { return l.router }
@@ -374,9 +388,11 @@ func (l *LAN) PullPlug(victim topology.NodeID) (*PlugReport, error) {
 	// every link it terminated is dead with it (the router must know).
 	l.net.KillSwitch(victim)
 	l.deadNodes[victim] = true
-	for _, link := range l.g.LinksOf(victim) {
-		l.deadLinks[link.ID] = true
-		l.net.KillLink(link.ID)
+	for _, id := range l.g.Ports(victim) {
+		if id >= 0 {
+			l.deadLinks[id] = true
+			l.net.KillLink(id)
+		}
 	}
 
 	// Every ex-neighbor's link monitor notices and triggers.

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/cell"
-	"repro/internal/reconfig"
 	"repro/internal/schedule"
 	"repro/internal/topology"
 )
@@ -56,10 +55,10 @@ func TestBootElectsCentralAndBuildsRouter(t *testing.T) {
 	if l.CentralAt() != want {
 		t.Fatalf("central at %d, want %d", l.CentralAt(), want)
 	}
-	if l.Router() == nil || l.LastReconfig() == nil {
+	if l.Router() == nil || l.LastReconfig().Tag.Epoch == 0 {
 		t.Fatal("router/reconfig missing after boot")
 	}
-	if len(l.LastReconfig().Views) != len(g.Switches()) {
+	if len(l.Router().Tree().Level) != len(g.Switches()) {
 		t.Fatal("boot reconfiguration incomplete")
 	}
 }
@@ -420,12 +419,7 @@ func TestSequentialPlugPulls(t *testing.T) {
 		if _, err := l.PullPlug(victim); err != nil {
 			t.Fatalf("pull %d: %v", pulls, err)
 		}
-		var tag reconfig.Tag
-		for _, v := range l.LastReconfig().Views {
-			if tag.Less(v.Tag) {
-				tag = v.Tag
-			}
-		}
+		tag := l.LastReconfig().Tag
 		if tag.Epoch <= lastEpoch {
 			t.Fatalf("epoch did not advance: %d -> %d", lastEpoch, tag.Epoch)
 		}

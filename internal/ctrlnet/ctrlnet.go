@@ -210,8 +210,11 @@ func (n *Net) jitterUS() int64 { return 1 + n.rng.Int63n(n.cfg.MaxExtraDelayUS) 
 
 // Transmit offers one wire message nominally arriving at arriveUS and
 // returns what the channel actually delivers (possibly nothing, possibly
-// several images, possibly a previously held message). The wire slice is
-// not retained; delivered images are copies when mutated.
+// several images, possibly a previously held message). A clean delivery
+// aliases the image it was handed; corrupted, held and duplicated
+// deliveries are copies. Neither side may modify an image after it is
+// sent: a sender may offer one image to many receivers, and a receiver may
+// keep a delivered image for as long as it likes.
 func (n *Net) Transmit(from, to topology.NodeID, wire []byte, arriveUS int64) []Delivery {
 	n.stats.Sent++
 	n.obsSent.Inc(0)

@@ -33,6 +33,44 @@ func TestReliableByDefault(t *testing.T) {
 	}
 }
 
+// Transmit's aliasing contract, on which a sender offering one image to
+// several receivers relies: a clean delivery is the sent image itself, and
+// corrupted, duplicated and held deliveries are copies. So corrupting one
+// send of a shared image leaves the next send of it intact.
+func TestSharedImageSurvivesCorruptedSend(t *testing.T) {
+	img := wireMsg(t, 7)
+	orig := append([]byte(nil), img...)
+	n, err := New(Config{CorruptProb: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds := n.Transmit(0, 1, img, 10); len(ds) != 1 || bytes.Equal(ds[0].Wire, orig) {
+		t.Fatalf("CorruptProb 1 delivered %d images, first intact", len(ds))
+	}
+	if !bytes.Equal(img, orig) {
+		t.Fatal("corrupting a delivery modified the sent image")
+	}
+	n.cfg.CorruptProb = 0
+	ds := n.Transmit(0, 2, img, 20)
+	if len(ds) != 1 || &ds[0].Wire[0] != &img[0] {
+		t.Fatal("a clean delivery is not the sent image")
+	}
+	if _, err := proto.Unmarshal(ds[0].Wire); err != nil {
+		t.Fatalf("second send of the shared image: %v", err)
+	}
+	n.cfg.DupProb = 1
+	if ds := n.Transmit(0, 3, img, 30); len(ds) != 2 || &ds[1].Wire[0] == &img[0] {
+		t.Fatal("a duplicate aliases the sent image")
+	}
+	n.cfg.DupProb, n.cfg.ReorderProb = 0, 1
+	if ds := n.Transmit(0, 4, img, 40); len(ds) != 0 {
+		t.Fatalf("ReorderProb 1 delivered %d images at once", len(ds))
+	}
+	if ds := n.Flush(); len(ds) != 1 || &ds[0].Wire[0] == &img[0] || !bytes.Equal(ds[0].Wire, orig) {
+		t.Fatal("a held image aliases the sent image or changed")
+	}
+}
+
 func TestDropRateRoughlyHonored(t *testing.T) {
 	n, err := New(Config{DropProb: 0.3, Seed: 42})
 	if err != nil {

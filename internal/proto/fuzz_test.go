@@ -2,13 +2,17 @@ package proto
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"testing"
 )
 
 // FuzzDecode throws arbitrary bytes at the decoder. Unmarshal must never
 // panic, and anything it accepts must round-trip: re-encoding the decoded
 // message reproduces the input byte-for-byte (the wire format has exactly
-// one encoding per message). Seeds cover every kind, an empty payload, a
+// one encoding per message). DecodeHeader plus the records of its link
+// section must say what Unmarshal says, rejections included: same header,
+// same links, same error class. Seeds cover every kind, an empty payload, a
 // full payload, and each rejection path.
 func FuzzDecode(f *testing.F) {
 	seed := func(m *Message) []byte {
@@ -41,8 +45,26 @@ func FuzzDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unmarshal(data)
-		if err != nil {
+		hdr, sec, hdrErr := DecodeHeader(data)
+		if class := errClass(err); class != errClass(hdrErr) {
+			t.Fatalf("Unmarshal: %v; DecodeHeader: %v", err, hdrErr)
+		} else if class != nil {
 			return
+		}
+		if hdr.Links != nil || sec.Len()*linkRecSize != len(sec) || sec.Len() != len(m.Links) {
+			t.Fatalf("link section of %d bytes for %d links", len(sec), len(m.Links))
+		}
+		for i := range m.Links {
+			if sec.At(i) != m.Links[i] {
+				t.Fatalf("link %d: section %v, Unmarshal %v", i, sec.At(i), m.Links[i])
+			}
+		}
+		hdr.Links = m.Links
+		if !reflect.DeepEqual(&hdr, m) {
+			t.Fatalf("DecodeHeader %+v, Unmarshal %+v", hdr, *m)
+		}
+		if !bytes.Equal(SectionOf(data, len(m.Links)), sec) {
+			t.Fatal("SectionOf disagrees with DecodeHeader")
 		}
 		w, err := Marshal(m)
 		if err != nil {
@@ -52,6 +74,16 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("round-trip mismatch:\n in: %x\nout: %x", data, w)
 		}
 	})
+}
+
+// errClass maps a decode error to the sentinel it wraps (nil for success).
+func errClass(err error) error {
+	for _, class := range []error{ErrShort, ErrVersion, ErrKind, ErrChecksum, ErrTooBig, ErrTrailing, ErrCanonical} {
+		if errors.Is(err, class) {
+			return class
+		}
+	}
+	return err
 }
 
 // FuzzEncodeDecode fuzzes structured fields through Marshal∘Unmarshal.

@@ -203,16 +203,53 @@ func Marshal(m *Message) ([]byte, error) {
 
 // Unmarshal decodes and verifies a message.
 func Unmarshal(data []byte) (*Message, error) {
+	m, links, err := DecodeHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	if n := links.Len(); n > 0 {
+		m.Links = make([]LinkRec, n)
+		for i := range m.Links {
+			m.Links[i] = links.At(i)
+		}
+	}
+	return &m, nil
+}
+
+// LinkSection is a frame's link records as they sit on the wire.
+type LinkSection []byte
+
+// Len returns the number of records in the section.
+func (s LinkSection) Len() int { return len(s) / linkRecSize }
+
+// At decodes record i.
+func (s LinkSection) At(i int) LinkRec {
+	off := i * linkRecSize
+	return LinkRec{A: int32(binary.BigEndian.Uint32(s[off:])), B: int32(binary.BigEndian.Uint32(s[off+4:]))}
+}
+
+// SectionOf returns the link section of a frame Marshal encoded with n
+// links, without verifying anything: the caller made the frame.
+func SectionOf(frame []byte, n int) LinkSection {
+	end := len(frame) - crcSize
+	return LinkSection(frame[end-n*linkRecSize : end])
+}
+
+// DecodeHeader verifies a frame exactly as Unmarshal does and decodes
+// everything but its link records, which it returns undecoded. The section
+// aliases data. Byte-equal sections decode to equal records, so a caller
+// that has decoded one section may reuse the records for the next equal one.
+func DecodeHeader(data []byte) (Message, LinkSection, error) {
 	if len(data) < headerSize+crcSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrShort, len(data))
+		return Message{}, nil, fmt.Errorf("%w: %d bytes", ErrShort, len(data))
 	}
 	body := data[:len(data)-crcSize]
 	want := binary.BigEndian.Uint32(data[len(data)-crcSize:])
 	if crc32.ChecksumIEEE(body) != want {
-		return nil, ErrChecksum
+		return Message{}, nil, ErrChecksum
 	}
 	if body[0] != Version && body[0] != VersionTraced {
-		return nil, fmt.Errorf("%w: %d", ErrVersion, body[0])
+		return Message{}, nil, fmt.Errorf("%w: %d", ErrVersion, body[0])
 	}
 	traced := body[0] == VersionTraced
 	hdr := headerSize
@@ -221,20 +258,20 @@ func Unmarshal(data []byte) (*Message, error) {
 	}
 	kind := Kind(body[1])
 	if kind == 0 || kind >= kindMax {
-		return nil, fmt.Errorf("%w: %d", ErrKind, body[1])
+		return Message{}, nil, fmt.Errorf("%w: %d", ErrKind, body[1])
 	}
 	n := binary.BigEndian.Uint32(body[35:])
 	if n > MaxLinks {
-		return nil, fmt.Errorf("%w: %d", ErrTooBig, n)
+		return Message{}, nil, fmt.Errorf("%w: %d", ErrTooBig, n)
 	}
 	wantLen := hdr + int(n)*linkRecSize
 	if len(body) < wantLen {
-		return nil, fmt.Errorf("%w: %d links in %d bytes", ErrShort, n, len(body))
+		return Message{}, nil, fmt.Errorf("%w: %d links in %d bytes", ErrShort, n, len(body))
 	}
 	if len(body) > wantLen {
-		return nil, fmt.Errorf("%w: %d extra", ErrTrailing, len(body)-wantLen)
+		return Message{}, nil, fmt.Errorf("%w: %d extra", ErrTrailing, len(body)-wantLen)
 	}
-	m := &Message{
+	m := Message{
 		Kind:      kind,
 		Epoch:     binary.BigEndian.Uint64(body[2:]),
 		Initiator: binary.BigEndian.Uint64(body[10:]),
@@ -249,17 +286,8 @@ func Unmarshal(data []byte) (*Message, error) {
 		if m.TraceID|m.Span == 0 {
 			// A v2 frame without trace context has a shorter v1
 			// encoding; rejecting it keeps encodings canonical.
-			return nil, fmt.Errorf("%w: traced frame with zero trace", ErrCanonical)
+			return Message{}, nil, fmt.Errorf("%w: traced frame with zero trace", ErrCanonical)
 		}
 	}
-	if n > 0 {
-		m.Links = make([]LinkRec, n)
-		off := hdr
-		for i := range m.Links {
-			m.Links[i].A = int32(binary.BigEndian.Uint32(body[off:]))
-			m.Links[i].B = int32(binary.BigEndian.Uint32(body[off+4:]))
-			off += linkRecSize
-		}
-	}
-	return m, nil
+	return m, LinkSection(body[hdr:]), nil
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/ctrlnet"
+	"repro/internal/proto"
 	"repro/internal/topology"
 )
 
@@ -40,7 +41,7 @@ import (
 //     healed after the inviter gave up).
 //
 // CRC rejection is real here: a corrupted wire image fails
-// proto.Unmarshal at the receiver and is counted in CRCRejects.
+// proto.DecodeHeader at the receiver and is counted in CRCRejects.
 
 // Hardening tunes the retransmission and watchdog layer.
 type Hardening struct {
@@ -260,6 +261,14 @@ type evloop struct {
 	// codecErr is the first message the wire codec refused to encode. That
 	// is a bug in this package, not line noise, so the run returns it.
 	codecErr error
+	// sent and sentWire are the last message encoded and its image: one
+	// message to several neighbors (invites, a distribute to every child)
+	// is encoded once, and every copy on the wire aliases the image.
+	sent     message
+	sentWire []byte
+	// links is the decode cache. Encoding a section primes it with the
+	// sender's slice, which every receiver of those bytes then adopts.
+	links linkCache
 }
 
 func (lp *evloop) push(ev *uevent) {
@@ -289,13 +298,20 @@ func (lp *evloop) emitFor(st *unode) emitFunc {
 		}
 		m.from = st.id
 		m.vtime = st.vclock + lp.r.cfg.LinkDelayUS
-		wire, err := encodeMessage(m)
-		if err != nil {
-			if lp.codecErr == nil {
-				lp.codecErr = fmt.Errorf("reconfig: switch %d -> %d: %w (bug)", st.id, to, err)
+		if !sameMessage(m, lp.sent) {
+			wire, err := encodeMessage(m)
+			if err != nil {
+				if lp.codecErr == nil {
+					lp.codecErr = fmt.Errorf("reconfig: switch %d -> %d: %w (bug)", st.id, to, err)
+				}
+				return
 			}
-			return
+			lp.sent, lp.sentWire = m, wire
+			if len(m.links) > 0 {
+				lp.links = linkCache{wire: proto.SectionOf(wire, len(m.links)), links: m.links}
+			}
 		}
+		wire := lp.sentWire
 		lp.res.Bytes += int64(len(wire))
 		ds, err := lp.chn.Send(st.id, to, wire, m.vtime)
 		if err != nil {
@@ -305,6 +321,14 @@ func (lp *evloop) emitFor(st *unode) emitFunc {
 		}
 		lp.deliver(ds)
 	}
+}
+
+// sameMessage reports whether a and b encode to the same image: equal
+// fields and links on the same backing array (never compared element-wise).
+func sameMessage(a, b message) bool {
+	return a.kind == b.kind && a.tag == b.tag && a.from == b.from && a.vtime == b.vtime &&
+		a.accept == b.accept && a.depth == b.depth && len(a.links) == len(b.links) &&
+		(len(a.links) == 0 || &a.links[0] == &b.links[0])
 }
 
 // handle advances the node's clock past the event and the processing
@@ -489,7 +513,7 @@ func (lp *evloop) run() (*UnreliableResult, error) {
 			ur.Messages++
 			lp.handle(st, ev.atUS, message{kind: kindTrigger})
 		case uevDeliver:
-			m, err := decodeMessage(ev.wire)
+			m, err := decodeMessage(ev.wire, &lp.links)
 			if err != nil {
 				ur.CRCRejects++
 				continue

@@ -433,6 +433,17 @@ func modelCheckFaulty(t *testing.T, g *topology.Graph, triggers map[topology.Nod
 	return ck.stateSteps, ck.terminals, ck.capped
 }
 
+// pinCounts holds an exploration to the state counts recorded for it. They
+// depend only on the machines and the messages they exchange — never on
+// how the event loop encodes, decodes or shares them — so a change to the
+// runner must leave every count where it is.
+func pinCounts(t *testing.T, steps, terminals, wantSteps, wantTerminals int) {
+	t.Helper()
+	if steps != wantSteps || terminals != wantTerminals {
+		t.Fatalf("explored %d steps, %d terminals; recorded %d, %d", steps, terminals, wantSteps, wantTerminals)
+	}
+}
+
 func TestModelCheckTwoSwitchesSingleTrigger(t *testing.T) {
 	g, err := topology.Line(2, 1)
 	if err != nil {
@@ -446,6 +457,7 @@ func TestModelCheckTwoSwitchesSingleTrigger(t *testing.T) {
 		t.Fatal("no terminal states reached")
 	}
 	t.Logf("2-switch single trigger: %d steps, %d terminal states — all correct", steps, terminals)
+	pinCounts(t, steps, terminals, 5, 1)
 }
 
 // The crown jewel: two concurrent triggers on two switches — every
@@ -463,6 +475,7 @@ func TestModelCheckTwoSwitchesConcurrentTriggers(t *testing.T) {
 		t.Fatal("no terminal states reached")
 	}
 	t.Logf("2-switch concurrent triggers: %d steps, %d terminals — all agree", steps, terminals)
+	pinCounts(t, steps, terminals, 56, 3)
 }
 
 func TestModelCheckLineOfThree(t *testing.T) {
@@ -481,6 +494,7 @@ func TestModelCheckLineOfThree(t *testing.T) {
 		t.Fatal("no terminals")
 	}
 	t.Logf("3-switch line: %d steps, %d terminals", steps, terminals)
+	pinCounts(t, steps, terminals, 29, 1)
 }
 
 func TestModelCheckTriangleOverlap(t *testing.T) {
@@ -506,6 +520,7 @@ func TestModelCheckTriangleOverlap(t *testing.T) {
 		t.Fatal("no terminals — checker is broken")
 	}
 	t.Logf("triangle overlap: %d steps, %d terminals — exhaustive, all agree", steps, terminals)
+	pinCounts(t, steps, terminals, 19000, 9)
 }
 
 func TestModelCheckRingOfFourOverlap(t *testing.T) {
@@ -524,6 +539,7 @@ func TestModelCheckRingOfFourOverlap(t *testing.T) {
 		t.Fatal("no terminals and not capped — checker is broken")
 	}
 	t.Logf("ring-4 overlap: %d steps, %d terminals (capped=%v)", steps, terminals, capped)
+	pinCounts(t, steps, terminals, 107708, 12)
 }
 
 // A double trigger at the SAME node (a link flaps twice): epochs must
@@ -542,6 +558,7 @@ func TestModelCheckRepeatedTriggerSameNode(t *testing.T) {
 	if ck.terminals == 0 {
 		t.Fatal("no terminals")
 	}
+	pinCounts(t, ck.stateSteps, ck.terminals, 26, 1)
 }
 
 // Every interleaving of up to two message losses on a two-switch network:
@@ -559,6 +576,7 @@ func TestModelCheckTwoSwitchesWithLoss(t *testing.T) {
 		t.Fatal("no terminal states reached")
 	}
 	t.Logf("2-switch loss=2: %d steps, %d terminals — all recover and agree", steps, terminals)
+	pinCounts(t, steps, terminals, 45, 3)
 }
 
 // Every interleaving of up to two duplicated messages: idempotent receipt
@@ -576,6 +594,7 @@ func TestModelCheckTwoSwitchesWithDuplication(t *testing.T) {
 		t.Fatal("no terminal states reached")
 	}
 	t.Logf("2-switch dup=2: %d steps, %d terminals — duplicates are no-ops", steps, terminals)
+	pinCounts(t, steps, terminals, 106, 3)
 }
 
 // Loss and duplication together, with concurrent competing triggers — the
@@ -597,6 +616,7 @@ func TestModelCheckConcurrentTriggersLossAndDup(t *testing.T) {
 		t.Fatal("no terminal states reached")
 	}
 	t.Logf("2-switch concurrent loss=1 dup=1: %d steps, %d terminals", steps, terminals)
+	pinCounts(t, steps, terminals, 1548, 12)
 }
 
 // Three switches in a line with one loss anywhere: the dropped message may
@@ -618,6 +638,7 @@ func TestModelCheckLineOfThreeWithLoss(t *testing.T) {
 		t.Fatal("no terminal states reached")
 	}
 	t.Logf("3-switch line loss=1: %d steps, %d terminals", steps, terminals)
+	pinCounts(t, steps, terminals, 131, 2)
 }
 
 // With the duplicate-invite re-accept guard removed (the chaos harness's

@@ -181,26 +181,16 @@ func (mc *machine) onDistribute(m message, emit emitFunc) {
 }
 
 // complete ends this switch's participation: adopt the full topology,
-// forward it down the tree, and record the view.
+// forward it down the tree, and record the view. The list is adopted as it
+// is, neither copied nor sorted: the root's comes sorted from recSet and a
+// distribute carries it verbatim.
 func (mc *machine) complete(links []LinkRec, emit emitFunc) {
 	cs := mc.active
 	cs.done = true
 	for _, ch := range cs.children {
 		emit(ch, message{kind: kindDistribute, tag: cs.tag, links: links, depth: cs.depth})
 	}
-	v := &View{
-		Tag:    cs.tag,
-		Links:  append([]LinkRec(nil), links...),
-		Parent: cs.parent,
-		Depth:  cs.depth,
-	}
-	sort.Slice(v.Links, func(i, j int) bool {
-		if v.Links[i].A != v.Links[j].A {
-			return v.Links[i].A < v.Links[j].A
-		}
-		return v.Links[i].B < v.Links[j].B
-	})
-	mc.view = v
+	mc.view = &View{Tag: cs.tag, Links: links, Parent: cs.parent, Depth: cs.depth}
 }
 
 // isChild reports whether n accepted this node's invitation.

@@ -39,9 +39,11 @@
 package reconfig
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/proto"
 	"repro/internal/topology"
@@ -82,7 +84,9 @@ func normRec(a, b topology.NodeID) LinkRec {
 type View struct {
 	// Tag is the configuration the switch completed.
 	Tag Tag
-	// Links is the full learned topology, sorted.
+	// Links is the full learned topology, sorted. It is shared and
+	// read-only: the switches that learned one list from one run hold the
+	// same backing array. Copy it before modifying it.
 	Links []LinkRec
 	// CompletedAtUS is the virtual time (µs) the switch finished the
 	// distribution phase.
@@ -270,15 +274,26 @@ func encodeMessage(m message) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("reconfig: kind %d is not a wire message", m.kind)
 	}
-	for _, rec := range m.links {
-		pm.Links = append(pm.Links, proto.LinkRec{A: int32(rec.A), B: int32(rec.B)})
+	pm.Links = make([]proto.LinkRec, len(m.links))
+	for i, rec := range m.links {
+		pm.Links[i] = proto.LinkRec{A: int32(rec.A), B: int32(rec.B)}
 	}
 	return proto.Marshal(pm)
 }
 
-// decodeMessage parses a wire message back into the in-memory form.
-func decodeMessage(wire []byte) (message, error) {
-	pm, err := proto.Unmarshal(wire)
+// linkCache is the last link section a run sent or received and its
+// records. Bytes that passed the CRC are the bytes sent, and equal bytes
+// decode to equal records, so a hit hands out the cached slice itself.
+type linkCache struct {
+	wire  proto.LinkSection
+	links []LinkRec
+}
+
+// decodeMessage verifies a wire message and parses it back into the
+// in-memory form, taking its links from c when the section is byte-equal to
+// the cached one and decoding (and caching) them otherwise.
+func decodeMessage(wire []byte, c *linkCache) (message, error) {
+	pm, sec, err := proto.DecodeHeader(wire)
 	if err != nil {
 		return message{}, err
 	}
@@ -301,22 +316,32 @@ func decodeMessage(wire []byte) (message, error) {
 	default:
 		return message{}, fmt.Errorf("reconfig: wire kind %v", pm.Kind)
 	}
-	for _, rec := range pm.Links {
-		m.links = append(m.links, LinkRec{A: topology.NodeID(rec.A), B: topology.NodeID(rec.B)})
+	if sec.Len() > 0 {
+		if !bytes.Equal(sec, c.wire) {
+			links := make([]LinkRec, sec.Len())
+			for i := range links {
+				rec := sec.At(i)
+				links[i] = LinkRec{A: topology.NodeID(rec.A), B: topology.NodeID(rec.B)}
+			}
+			*c = linkCache{wire: sec, links: links}
+		}
+		m.links = c.links
 	}
 	return m, nil
 }
 
+// recSet returns the set's records sorted by (A, B): the order of every
+// View.Links.
 func recSet(set map[LinkRec]bool) []LinkRec {
 	out := make([]LinkRec, 0, len(set))
 	for rec := range set {
 		out = append(out, rec)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
+	slices.SortFunc(out, func(x, y LinkRec) int {
+		if c := cmp.Compare(x.A, y.A); c != 0 {
+			return c
 		}
-		return out[i].B < out[j].B
+		return cmp.Compare(x.B, y.B)
 	})
 	return out
 }
@@ -388,16 +413,10 @@ func (r *Runner) components() [][]topology.NodeID {
 	return out
 }
 
+// equalRecs compares two link lists. Views that share a backing array —
+// every view of one run's winning configuration — compare in O(1).
 func equalRecs(a, b []LinkRec) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0] || slices.Equal(a, b))
 }
 
 // ExpectedLinks computes the ground-truth live topology the views should

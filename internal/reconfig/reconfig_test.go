@@ -345,7 +345,10 @@ func TestTreeDepthNearBFS(t *testing.T) {
 // Fidelity pins for the fault-free run from the first live switch. The
 // message counts are schedule-independent (one invite+ack per directed
 // switch link, one report+distribute per tree edge, one trigger); depth
-// and convergence time are what virtual-time ordering makes of them.
+// and convergence time are what virtual-time ordering makes of them. The
+// byte counts pin the wire itself: a message encoded once and sent to
+// several neighbors still puts every copy's bytes on the wire. And every
+// view of the run shares the root's one list.
 func TestFaultFreeRunPins(t *testing.T) {
 	fatTree := func(radix int) func() (*topology.Graph, error) {
 		return func() (*topology.Graph, error) {
@@ -357,6 +360,7 @@ func TestFaultFreeRunPins(t *testing.T) {
 		name       string
 		build      func() (*topology.Graph, error)
 		messages   int64
+		bytes      int64
 		convergeUS int64
 		// quietTimers: the default Hardening's timers never fire on a
 		// fault-free channel. Not so on the radix-24 fat-tree, where the
@@ -364,10 +368,10 @@ func TestFaultFreeRunPins(t *testing.T) {
 		// processing queue (ROADMAP, small debts).
 		quietTimers bool
 	}{
-		{"torus-3x3", func() (*topology.Graph, error) { return topology.Torus(3, 3, 1) }, 73, 145, true},
-		{"torus-8x8", func() (*topology.Graph, error) { return topology.Torus(8, 8, 1) }, 513, 405, true},
-		{"fat-tree-r8", fatTree(8), 1025, 280, true},
-		{"fat-tree-r24", fatTree(24), 27649, 550, false},
+		{"torus-3x3", func() (*topology.Graph, error) { return topology.Torus(3, 3, 1) }, 73, 4592, 145, true},
+		{"torus-8x8", func() (*topology.Graph, error) { return topology.Torus(8, 8, 1) }, 513, 92544, 405, true},
+		{"fat-tree-r8", fatTree(8), 1025, 300008, 280, true},
+		{"fat-tree-r24", fatTree(24), 27649, 61221800, 550, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, err := tc.build()
@@ -384,9 +388,15 @@ func TestFaultFreeRunPins(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, bfsDepth := g.BFS(triggers[0].Node, g.SwitchOnly, nil)
-			if res.Messages != tc.messages || res.MaxCompletionUS != tc.convergeUS || res.TreeDepth != bfsDepth {
-				t.Fatalf("messages %d, converged at %d µs, depth %d; want %d, %d µs, BFS depth %d",
-					res.Messages, res.MaxCompletionUS, res.TreeDepth, tc.messages, tc.convergeUS, bfsDepth)
+			if res.Messages != tc.messages || res.Bytes != tc.bytes || res.MaxCompletionUS != tc.convergeUS || res.TreeDepth != bfsDepth {
+				t.Fatalf("messages %d, bytes %d, converged at %d µs, depth %d; want %d, %d, %d µs, BFS depth %d",
+					res.Messages, res.Bytes, res.MaxCompletionUS, res.TreeDepth, tc.messages, tc.bytes, tc.convergeUS, bfsDepth)
+			}
+			root := res.Views[triggers[0].Node]
+			for s, v := range res.Views {
+				if &v.Links[0] != &root.Links[0] {
+					t.Fatalf("switch %d holds a private copy of the topology", s)
+				}
 			}
 			again, err := r.Run(triggers)
 			if err != nil {

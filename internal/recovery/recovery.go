@@ -407,12 +407,12 @@ func (l *Loop) addIncident(inc Incident) {
 func (l *Loop) refreshNodeBeliefs(slot int64) {
 	for _, s := range l.g.Switches() {
 		total, dead := 0, 0
-		for _, link := range l.g.LinksOf(s) {
-			if !l.g.SwitchOnly(link) {
+		for _, id := range l.g.Ports(s) {
+			if id < 0 || !l.g.SwitchOnly(*l.g.LinkRef(id)) {
 				continue
 			}
 			total++
-			if l.believedDeadLinks[link.ID] {
+			if l.believedDeadLinks[id] {
 				dead++
 			}
 		}
@@ -721,8 +721,10 @@ func (l *Loop) buildRouter() *routing.Router {
 		dead[id] = true
 	}
 	for s := range l.believedDeadNodes {
-		for _, link := range l.g.LinksOf(s) {
-			dead[link.ID] = true
+		for _, id := range l.g.Ports(s) {
+			if id >= 0 {
+				dead[id] = true
+			}
 		}
 	}
 	root := l.cfg.Root

@@ -45,8 +45,10 @@ func RepairTree(g *topology.Graph, base *Tree, region map[topology.NodeID]bool, 
 	if region[base.Root] {
 		return nil, fmt.Errorf("routing: RepairTree: region contains root %d; full rebuild required", base.Root)
 	}
-	f := func(l topology.Link) bool {
-		return g.SwitchOnly(l) && (filter == nil || filter(l))
+	// usable reports whether the link on a port (-1: none) is a
+	// switch-to-switch link the filter accepts.
+	usable := func(id topology.LinkID) bool {
+		return id >= 0 && g.SwitchOnly(*g.LinkRef(id)) && (filter == nil || filter(*g.LinkRef(id)))
 	}
 	t := &Tree{
 		Root:   base.Root,
@@ -74,11 +76,11 @@ func RepairTree(g *topology.Graph, base *Tree, region map[topology.NodeID]bool, 
 			continue
 		}
 		best := -1
-		for _, l := range g.LinksOf(s) {
-			if !f(l) {
+		for _, id := range g.Ports(s) {
+			if !usable(id) {
 				continue
 			}
-			m := l.Other(s)
+			m := g.LinkRef(id).Other(s)
 			if region[m] {
 				continue
 			}
@@ -105,11 +107,11 @@ func RepairTree(g *topology.Graph, base *Tree, region map[topology.NodeID]bool, 
 				continue
 			}
 			dist[s] = lv
-			for _, l := range g.LinksOf(s) {
-				if !f(l) {
+			for _, id := range g.Ports(s) {
+				if !usable(id) {
 					continue
 				}
-				m := l.Other(s)
+				m := g.LinkRef(id).Other(s)
 				if !region[m] {
 					continue
 				}
@@ -136,11 +138,11 @@ func RepairTree(g *topology.Graph, base *Tree, region map[topology.NodeID]bool, 
 		if !ok {
 			continue
 		}
-		for _, l := range g.LinksOf(s) {
-			if !f(l) {
+		for _, id := range g.Ports(s) {
+			if !usable(id) {
 				continue
 			}
-			m := l.Other(s)
+			m := g.LinkRef(id).Other(s)
 			if region[m] {
 				continue
 			}
@@ -154,11 +156,11 @@ func RepairTree(g *topology.Graph, base *Tree, region map[topology.NodeID]bool, 
 	// Parents inside the region: BuildTree's deterministic tie-break —
 	// first link in port order whose other end is one level up.
 	setParent := func(s topology.NodeID) {
-		for _, l := range g.LinksOf(s) {
-			if !f(l) {
+		for _, id := range g.Ports(s) {
+			if !usable(id) {
 				continue
 			}
-			m := l.Other(s)
+			m := g.LinkRef(id).Other(s)
 			if lv, ok := t.Level[m]; ok && lv == t.Level[s]-1 {
 				t.Parent[s] = m
 				return
@@ -180,8 +182,11 @@ func RepairTree(g *topology.Graph, base *Tree, region map[topology.NodeID]bool, 
 		if !ok || node.Kind != topology.Switch {
 			continue
 		}
-		for _, l := range g.LinksOf(s) {
-			m := l.Other(s)
+		for _, id := range g.Ports(s) {
+			if id < 0 {
+				continue
+			}
+			m := g.LinkRef(id).Other(s)
 			if mn, ok := g.Node(m); ok && mn.Kind == topology.Switch && !region[m] {
 				refresh[m] = true
 			}
