@@ -124,6 +124,30 @@ func TestChaosCatchesDupGuardRemoval(t *testing.T) {
 	}
 }
 
+// Shrink is pinned on one fixed failing schedule: the reintroduced
+// dup-guard bug on seed 1. The minimal reproducer and the runs spent
+// reaching it were recorded before Shrink and SvcShrink shared one driver;
+// a driver that tried candidates in another order, adopted them by another
+// rule or spent its budget differently would move one or the other.
+func TestShrinkPinnedSchedule(t *testing.T) {
+	s := Generate(1, GenConfig{})
+	s.Hardening.UnsafeNoDupGuard = true
+	min, v, runs, err := Shrink(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := s
+	want.Horizon = 1171
+	want.Faults.DropProb, want.Faults.DupProb, want.Faults.ReorderProb = 0.1, 0.025, 0.0125
+	want.Outages = []Outage{{Switch: true, Link: -1, Node: 1, Start: 1169, End: 1195}}
+	if runs != 28 || !reflect.DeepEqual(min, want) {
+		t.Fatalf("shrunk in %d runs to\n%s\nwant 28 runs to\n%s", runs, min, want)
+	}
+	if v.Invariant != "watchdog-budget" || v.Slot != 1170 {
+		t.Fatalf("violation %v, want watchdog-budget at slot 1170", v)
+	}
+}
+
 func TestShrinkRejectsPassingSchedule(t *testing.T) {
 	s := Generate(1, GenConfig{})
 	if _, _, _, err := Shrink(s); err == nil {

@@ -21,8 +21,9 @@ import (
 // scripts tenants churning sessions over a faulty control channel while
 // the server process is killed and restarted mid-run; the harness drives
 // everything on a virtual millisecond clock (the server's lease clock is
-// injected), so a schedule replays bit-for-bit and SvcShrink can reduce a
-// failure the same way Shrink reduces a recovery failure.
+// injected, and each tenant is the shipped client machine, svc.Session,
+// fed the same clock), so a schedule replays bit-for-bit and SvcShrink can
+// reduce a failure the same way Shrink reduces a recovery failure.
 //
 // Invariants:
 //
@@ -193,7 +194,9 @@ type SvcResult struct {
 	Violation *Violation
 	// Restarts is how many new server incarnations the schedule forced.
 	Restarts int
-	// Grants / Reattaches / Byes are tenant-observed totals.
+	// Grants / Reattaches / Byes are tenant-observed totals: circuits
+	// granted (fresh opens and re-attach reopens), completed re-attach
+	// rounds, and sessions whose bye completed.
 	Grants     int64
 	Reattaches int64
 	Byes       int64
@@ -202,8 +205,8 @@ type SvcResult struct {
 	// Recorder is the server-side flight recorder at the end of the run:
 	// one ring shared by every incarnation, so the spans that led into a
 	// kill survive the restart that followed it. Scripted tenants stamp a
-	// deterministic trace id (tenant<<32 | nonce) on every request, so a
-	// recorder span is attributable without any merge step.
+	// deterministic trace id (tenant<<32 | call sequence) on every request,
+	// so a recorder span is attributable without any merge step.
 	Recorder []obs.Event
 }
 
@@ -212,8 +215,8 @@ type SvcResult struct {
 const (
 	svcServerNode  = topology.NodeID(0)
 	svcTenantBase  = topology.NodeID(100)
-	svcTimeoutMS   = 40 // virtual retransmit pace
-	svcMaxAttempts = 10
+	svcTimeoutMS   = 40 // the tenants' client Timeout, virtual ms
+	svcMaxAttempts = 10 // and their client Retries
 	svcStepSlots   = 16 // data-plane slots advanced per virtual ms
 )
 
@@ -240,7 +243,7 @@ type svcHarness struct {
 	toServer []svcDue
 	toTenant []svcDue
 
-	tenants map[topology.NodeID]*svcTenant
+	tenants []*svcTenant // tenant i is node svcTenantBase+i
 
 	// grants maps (tenant, nonce) -> granted VCI: the double-grant check.
 	grants map[[2]uint64]cell.VCI
@@ -367,13 +370,12 @@ func RunSvc(s SvcSchedule) (*SvcResult, error) {
 		return nil, err
 	}
 	h := &svcHarness{
-		s:       s,
-		lan:     lan,
-		hosts:   lan.Topology().Hosts(),
-		eng:     eng,
-		ring:    obs.NewRing(2048),
-		tenants: make(map[topology.NodeID]*svcTenant),
-		grants:  make(map[[2]uint64]cell.VCI),
+		s:      s,
+		lan:    lan,
+		hosts:  lan.Topology().Hosts(),
+		eng:    eng,
+		ring:   obs.NewRing(2048),
+		grants: make(map[[2]uint64]cell.VCI),
 	}
 	if err := h.startServer(); err != nil {
 		return nil, err
@@ -385,7 +387,7 @@ func RunSvc(s SvcSchedule) (*SvcResult, error) {
 			// Vanishing tenants stop cold somewhere in the middle third.
 			tn.vanishAtMS = s.HorizonMS/3 + tn.rng.Int63n(s.HorizonMS/3)
 		}
-		h.tenants[node] = tn
+		h.tenants = append(h.tenants, tn)
 	}
 
 	total := s.HorizonMS + s.GraceMS
@@ -418,22 +420,17 @@ func RunSvc(s SvcSchedule) (*SvcResult, error) {
 		}
 		due, h.toTenant = drainDue(h.toTenant, h.nowUS())
 		for _, m := range due {
-			if tn, ok := h.tenants[m.d.To]; ok {
-				if v := tn.onDelivery(m.d); v != nil {
+			if i := int(m.d.To - svcTenantBase); i >= 0 && i < len(h.tenants) {
+				if v := h.tenants[i].onDelivery(m.d); v != nil {
 					h.res.Violation = v
 					return h.finish(), nil
 				}
 			}
 		}
 
-		// Tenant state machines act.
-		nodes := make([]topology.NodeID, 0, len(h.tenants))
-		for n := range h.tenants {
-			nodes = append(nodes, n)
-		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-		for _, n := range nodes {
-			h.tenants[n].step()
+		// Tenants act, in node order.
+		for _, tn := range h.tenants {
+			tn.step()
 		}
 
 		// The fabric and the lease clock advance.
@@ -475,8 +472,9 @@ func (h *svcHarness) finish() *SvcResult {
 		h.res.FinalStats = h.srv.Stats()
 	}
 	for _, tn := range h.tenants {
-		h.res.Grants += tn.grants
-		h.res.Reattaches += tn.reattaches
+		st := tn.s.Stats()
+		h.res.Grants += tn.grants + st.ReattachVCs
+		h.res.Reattaches += st.Reattaches
 		if tn.done {
 			h.res.Byes++
 		}
@@ -485,310 +483,150 @@ func (h *svcHarness) finish() *SvcResult {
 	return &h.res
 }
 
-// ---- tenant state machine ---------------------------------------------
+// ---- tenants ------------------------------------------------------------
 
-type svcIntent struct {
-	kind proto.Kind
-	// open parameters (KindVCRequest); user is the application-held VCI
-	// being reopened during re-attach (0 for a fresh open).
-	src, dst topology.NodeID
-	rate     int
-	user     cell.VCI
-	// close parameter (KindVCClose).
-	vc cell.VCI
-}
-
-type svcLedgerEntry struct {
-	src, dst topology.NodeID
-	rate     int
-}
-
-// svcTenant is one scripted tenant: a deterministic client state machine
-// with its own nonce stream, ledger, retransmit pacing, and re-attach
-// behavior — the same protocol the real svc.Client speaks, driven by the
-// harness clock instead of goroutines.
+// svcTenant is one scripted tenant: an intent planner driving the shipped
+// client machine, svc.Session, on the harness clock. The planner decides
+// what the tenant does and when; everything it says on the wire (nonces,
+// retransmission and backoff, re-attach, ledger replay, aliasing) is the
+// session's.
 type svcTenant struct {
 	h    *svcHarness
 	node topology.NodeID
 	id   uint64
 	rng  *rand.Rand
+	s    *svc.Session
 
-	nonce   uint64
-	incarn  int32
-	helloed bool
-	queue   []svcIntent
-	ledger  map[cell.VCI]svcLedgerEntry
-	alias   map[cell.VCI]cell.VCI
-
-	// inflight is the single outstanding RPC.
-	inflight *svcIntent
-	inNonce  uint64
-	sentAtMS int64
-	attempts int
+	calls    uint64 // calls started: the low half of each call's trace id
+	busy     bool   // a call is in flight
+	op       proto.Kind
+	deadline time.Time
 
 	vanishAtMS int64 // 0: never vanishes
 	vanished   bool
+	byeSent    bool
 	done       bool // bye acknowledged (or refused-stale: same thing)
-	byeQueued  bool
 
-	grants     int64
-	reattaches int64
+	grants int64 // fresh opens granted (reopens are in the session's stats)
 }
 
 func newSvcTenant(h *svcHarness, node topology.NodeID, id uint64, seed int64) *svcTenant {
-	t := &svcTenant{
-		h: h, node: node, id: id,
-		rng:    rand.New(rand.NewSource(seed)),
-		ledger: make(map[cell.VCI]svcLedgerEntry),
-		alias:  make(map[cell.VCI]cell.VCI),
-	}
-	t.queue = append(t.queue, svcIntent{kind: proto.KindHello})
+	t := &svcTenant{h: h, node: node, id: id, rng: rand.New(rand.NewSource(seed))}
+	t.s = svc.NewSession(svc.ClientConfig{
+		Tenant: id, Timeout: svcTimeoutMS * time.Millisecond, Retries: svcMaxAttempts,
+	}, rand.New(rand.NewSource(t.rng.Int63())))
 	return t
 }
 
-func (t *svcTenant) active() bool { return !t.vanished && !t.done }
-
 // step is one virtual millisecond of tenant life.
 func (t *svcTenant) step() {
-	if t.vanishAtMS > 0 && t.h.nowMS >= t.vanishAtMS && !t.vanished {
-		t.vanished = true
-		t.inflight = nil
-		t.queue = nil
+	if t.vanishAtMS > 0 && t.h.nowMS >= t.vanishAtMS {
+		t.vanished = true // stops cold: no bye, no further frame
 	}
-	if !t.active() {
+	if t.vanished || t.done {
 		return
 	}
-	// Wind-down: everything still open is closed by the session-wide bye.
-	if t.h.nowMS >= t.h.s.HorizonMS && !t.byeQueued {
-		t.queue = []svcIntent{{kind: proto.KindBye}}
-		t.inflight = nil
-		t.byeQueued = true
-	}
-
-	if t.inflight != nil {
-		if t.h.nowMS-t.sentAtMS >= svcTimeoutMS {
-			t.attempts++
-			if t.attempts >= svcMaxAttempts {
-				// Give up this op; its server-side effects, if any, are
-				// cleaned by bye or lease GC — that is the point.
-				t.inflight = nil
-			} else {
-				t.transmit() // same nonce: idempotency carries it
-			}
+	now := t.h.clock()
+	switch {
+	case t.h.nowMS >= t.h.s.HorizonMS && !t.byeSent:
+		// Wind-down: the session-wide bye closes everything still open,
+		// abandoning whatever call is in flight.
+		t.byeSent = true
+		t.call(now, svc.Op{Kind: proto.KindBye})
+	case t.busy:
+		if !now.Before(t.deadline) {
+			t.apply(t.s.Expire(now))
 		}
-		return
+	case t.calls == 0:
+		t.call(now, svc.Op{Kind: proto.KindHello})
+	case !t.byeSent:
+		t.plan(now)
 	}
-
-	if len(t.queue) == 0 {
-		t.plan()
-	}
-	if len(t.queue) == 0 {
-		return
-	}
-	next := t.queue[0]
-	t.queue = t.queue[1:]
-	t.begin(next)
 }
 
 // plan draws the next scripted intent: tenants churn for the WHOLE
 // horizon, so a kill anywhere in it always lands on live traffic.
-func (t *svcTenant) plan() {
-	if t.byeQueued || t.h.nowMS >= t.h.s.HorizonMS {
-		return
-	}
+func (t *svcTenant) plan(now time.Time) {
 	// Pace: act roughly every four idle milliseconds.
 	if t.rng.Float64() < 0.75 {
 		return
 	}
-	open := make([]cell.VCI, 0, len(t.ledger))
-	for vc := range t.ledger {
-		open = append(open, vc)
-	}
-	sort.Slice(open, func(i, j int) bool { return open[i] < open[j] })
+	open := t.s.Circuits()
 	switch {
 	case len(open) > 0 && t.rng.Float64() < 0.45:
-		t.queue = append(t.queue, svcIntent{kind: proto.KindVCClose, vc: open[t.rng.Intn(len(open))]})
+		t.call(now, svc.Op{Kind: proto.KindVCClose, VC: open[t.rng.Intn(len(open))]})
+		return
 	case len(open) > 0 && t.rng.Float64() < 0.3:
 		// Fire-and-forget traffic on a held circuit.
-		t.sendTraffic(open[t.rng.Intn(len(open))], 1+t.rng.Intn(4))
-	default:
-		src := t.hostAt(t.rng.Intn(len(t.h.hosts)))
-		dst := t.hostAt(t.rng.Intn(len(t.h.hosts)))
-		for dst == src {
-			dst = t.hostAt(t.rng.Intn(len(t.h.hosts)))
+		wire, err := t.s.Traffic(now, open[t.rng.Intn(len(open))], 1+t.rng.Intn(4))
+		if err != nil {
+			panic(err) // session-built frames cannot fail to encode
 		}
-		rate := 0
-		if t.rng.Float64() < 0.3 {
-			rate = 1 + t.rng.Intn(2)
-		}
-		t.queue = append(t.queue, svcIntent{kind: proto.KindVCRequest, src: src, dst: dst, rate: rate})
+		t.h.inject(t.node, svcServerNode, wire, true)
+		return
 	}
+	hosts := t.h.hosts
+	src := hosts[t.rng.Intn(len(hosts))]
+	dst := hosts[t.rng.Intn(len(hosts))]
+	for dst == src {
+		dst = hosts[t.rng.Intn(len(hosts))]
+	}
+	rate := 0
+	if t.rng.Float64() < 0.3 {
+		rate = 1 + t.rng.Intn(2)
+	}
+	t.call(now, svc.Op{Kind: proto.KindVCRequest, Src: src, Dst: dst, Rate: rate})
 }
 
-func (t *svcTenant) hostAt(i int) topology.NodeID { return t.h.hosts[i] }
-
-// begin starts one intent as the in-flight RPC.
-func (t *svcTenant) begin(in svcIntent) {
-	t.inflight = &in
-	t.nonce++
-	t.inNonce = t.nonce
-	t.attempts = 0
-	t.transmit()
+// call starts op under a deterministic trace id, tenant<<32 | call
+// sequence, so the server's flight recorder attributes every span to a
+// scripted call with no merge step.
+func (t *svcTenant) call(now time.Time, op svc.Op) {
+	t.calls++
+	t.busy, t.op = true, op.Kind
+	t.apply(t.s.Call(now, op, t.id<<32|t.calls))
 }
 
-// transmit (re)sends the in-flight RPC with the current incarnation
-// stamp — a retransmit after a re-attach must not carry the dead one.
-// Every attempt carries a deterministic trace context (trace = tenant
-// id<<32 | nonce, span varied per attempt) so the server's flight
-// recorder attributes each span to a scripted op with no merge step.
-func (t *svcTenant) transmit() {
-	in := t.inflight
-	m := &proto.Message{Epoch: t.id, Initiator: t.inNonce, VTimeUS: t.h.nowUS()}
-	m.TraceID = t.id<<32 | t.inNonce
-	m.Span = m.TraceID ^ uint64(t.attempts+1)
-	switch in.kind {
-	case proto.KindHello:
-		m.Kind = proto.KindHello
-	case proto.KindVCRequest:
-		m.Kind = proto.KindVCRequest
-		m.From = t.incarn
-		m.Depth = int32(in.rate)
-		m.Links = []proto.LinkRec{{A: int32(in.src), B: int32(in.dst)}}
-	case proto.KindVCClose:
-		m.Kind = proto.KindVCClose
-		m.From = t.incarn
-		m.Depth = int32(t.serverVC(in.vc))
-	case proto.KindBye:
-		m.Kind = proto.KindBye
-		m.From = t.incarn
-	}
-	wire, err := proto.Marshal(m)
-	if err != nil {
-		panic(err) // harness-built frames cannot fail to encode
-	}
-	t.sentAtMS = t.h.nowMS
-	t.h.inject(t.node, svcServerNode, wire, true)
-}
-
-func (t *svcTenant) sendTraffic(user cell.VCI, cells int) {
-	m := &proto.Message{
-		Kind: proto.KindTraffic, Epoch: t.id,
-		From: int32(t.serverVC(user)), Depth: int32(cells), VTimeUS: t.h.nowUS(),
-	}
-	wire, err := proto.Marshal(m)
-	if err != nil {
-		panic(err)
-	}
-	t.h.inject(t.node, svcServerNode, wire, true)
-}
-
-func (t *svcTenant) serverVC(user cell.VCI) cell.VCI {
-	if cur, ok := t.alias[user]; ok {
-		return cur
-	}
-	return user
-}
-
-// reattachPlan rebuilds the session: hello first, then reopen every
-// ledger circuit (tagged with its user VCI so the grant re-aliases it),
-// then whatever was interrupted.
-func (t *svcTenant) reattachPlan(interrupted svcIntent) {
-	t.reattaches++
-	t.helloed = false
-	plan := []svcIntent{{kind: proto.KindHello}}
-	vcs := make([]cell.VCI, 0, len(t.ledger))
-	for vc := range t.ledger {
-		vcs = append(vcs, vc)
-	}
-	sort.Slice(vcs, func(i, j int) bool { return vcs[i] < vcs[j] })
-	for _, vc := range vcs {
-		e := t.ledger[vc]
-		plan = append(plan, svcIntent{kind: proto.KindVCRequest, src: e.src, dst: e.dst, rate: e.rate, user: vc})
-	}
-	if interrupted.kind != proto.KindHello {
-		plan = append(plan, interrupted)
-	}
-	t.queue = append(plan, t.queue...)
-	t.inflight = nil
-}
-
-// onDelivery processes one server frame; a non-nil Violation aborts the
-// run (double-grant is checked here, where grants are observed).
+// onDelivery feeds the session one server frame; a non-nil Violation
+// aborts the run (double-grant is checked here, where grants are
+// observed).
 func (t *svcTenant) onDelivery(d ctrlnet.Delivery) *Violation {
-	if !t.active() {
+	if t.vanished || t.done {
 		return nil
 	}
-	m, err := proto.Unmarshal(d.Wire)
-	if err != nil || m.Epoch != t.id {
-		return nil // corrupted in flight, or not ours: drop
+	st := t.s.Reply(t.h.clock(), d.Wire)
+	if !t.busy {
+		return nil // counted by the session as an orphan, or not ours
 	}
-	if m.Initiator != t.inNonce || t.inflight == nil {
-		return nil // late duplicate of an already-resolved nonce
+	if a := st.Answer; a != nil && a.Kind == proto.KindVCReply && a.Accept {
+		key, got := [2]uint64{t.id, a.Initiator}, cell.VCI(a.Depth)
+		if prev, ok := t.h.grants[key]; ok && prev != got {
+			return &Violation{Slot: t.h.nowMS, Invariant: "double-grant",
+				Detail: fmt.Sprintf("tenant %d nonce %d granted VCI %d then %d", t.id, a.Initiator, prev, got)}
+		}
+		t.h.grants[key] = got
 	}
-	in := *t.inflight
-
-	// Stale session: the server forgot us (restart or lease expiry).
-	// Re-attach, except on bye — a dead session IS the goal of bye.
-	if !m.Accept && m.Kind == proto.KindVCReply && m.Depth == svc.RefuseStaleSession {
-		if m.From != 0 {
-			t.incarn = m.From
-		}
-		if in.kind == proto.KindBye {
-			t.done = true
-			t.inflight = nil
-			return nil
-		}
-		t.reattachPlan(in)
-		return nil
-	}
-
-	switch in.kind {
-	case proto.KindHello:
-		if m.Kind == proto.KindHello && m.Accept {
-			t.helloed = true
-			if m.From != 0 {
-				t.incarn = m.From
-			}
-			t.inflight = nil
-		}
-	case proto.KindVCRequest:
-		if m.Kind != proto.KindVCReply {
-			return nil
-		}
-		if m.Accept {
-			got := cell.VCI(m.Depth)
-			key := [2]uint64{t.id, t.inNonce}
-			if prev, ok := t.h.grants[key]; ok && prev != got {
-				return &Violation{Slot: t.h.nowMS, Invariant: "double-grant",
-					Detail: fmt.Sprintf("tenant %d nonce %d granted VCI %d then %d", t.id, t.inNonce, prev, got)}
-			}
-			t.h.grants[key] = got
-			t.grants++
-			if in.user != 0 {
-				t.alias[in.user] = got // re-attach reopen
-			} else {
-				t.ledger[got] = svcLedgerEntry{src: in.src, dst: in.dst, rate: in.rate}
-				t.alias[got] = got
-			}
-		} else if in.user != 0 {
-			// A reopen the new world refused: the circuit is gone.
-			delete(t.ledger, in.user)
-			delete(t.alias, in.user)
-		}
-		t.inflight = nil
-	case proto.KindVCClose:
-		if m.Kind != proto.KindVCReply {
-			return nil
-		}
-		// Accepted, unknown-vc, whatever: the circuit is not ours now.
-		delete(t.ledger, in.vc)
-		delete(t.alias, in.vc)
-		t.inflight = nil
-	case proto.KindBye:
-		if m.Kind == proto.KindBye && m.Accept {
-			t.done = true
-			t.inflight = nil
-		}
-	}
+	t.apply(st)
 	return nil
+}
+
+// apply carries out one session step: its frame goes through the fault
+// engine, and a finished call frees the tenant to plan the next one.
+func (t *svcTenant) apply(st svc.Step) {
+	if st.Send != nil {
+		t.h.inject(t.node, svcServerNode, st.Send, true)
+	}
+	t.deadline = st.Deadline
+	if st.Done {
+		// A failed call's server-side effects, if any, are cleaned by bye
+		// or lease GC: that is the point.
+		t.busy = false
+		switch {
+		case st.Err != nil:
+		case t.op == proto.KindVCRequest:
+			t.grants++
+		case t.op == proto.KindBye:
+			t.done = true
+		}
+	}
 }

@@ -1,116 +1,68 @@
 package chaos
 
-import "fmt"
-
 // SvcShrink reduces a failing service schedule to a (locally) minimal
-// reproducer, exactly as Shrink does for recovery schedules: try a
-// simplification, keep it only if the candidate still fails with the
-// SAME invariant. Simplifications: drop an outage, halve an outage,
-// shed tenants, shed vanishers, halve a fault rate, truncate the horizon.
-// It shares Shrink's maxShrinkRuns budget and errors only if the input
-// schedule does not fail at all.
+// reproducer with Shrink's driver and budget. Its passes, in order: drop
+// an outage, halve an outage, shed tenants, shed vanishers, truncate the
+// horizon, halve a fault rate.
 func SvcShrink(s SvcSchedule) (SvcSchedule, *Violation, int, error) {
-	res, err := RunSvc(s)
-	if err != nil {
-		return s, nil, 1, err
-	}
-	if res.Violation == nil {
-		return s, nil, 1, fmt.Errorf("chaos: SvcShrink called on a passing schedule")
-	}
-	want := res.Violation.Invariant
-	cur, v := s, res.Violation
-	runs := 1
-
-	try := func(c SvcSchedule) bool {
-		if runs >= maxShrinkRuns {
-			return false
+	run := func(c SvcSchedule) (*Violation, error) {
+		res, err := RunSvc(c)
+		if err != nil {
+			return nil, err
 		}
-		runs++
-		r, err := RunSvc(c)
-		if err != nil || r.Violation == nil || r.Violation.Invariant != want {
-			return false
-		}
-		cur, v = c, r.Violation
-		return true
+		return res.Violation, nil
 	}
-
-	for improved := true; improved && runs < maxShrinkRuns; {
-		improved = false
-
+	return shrink(s, run, func(k *shrinker[SvcSchedule]) bool {
+		improved := false
 		// 1. Drop whole outages, one at a time.
-		for i := 0; i < len(cur.Outages); i++ {
-			c := cur
-			c.Outages = append(append([]SvcOutage(nil), cur.Outages[:i]...), cur.Outages[i+1:]...)
-			if try(c) {
+		for i := 0; i < len(k.cur.Outages); i++ {
+			c := k.cur
+			c.Outages = without(k.cur.Outages, i)
+			if k.try(c) {
 				improved = true
 				i--
 			}
 		}
 		// 2. Halve outage durations (floor 50ms — shorter than a lease
 		// renewal round trip and nothing notices).
-		for i := range cur.Outages {
-			o := cur.Outages[i]
+		for i := range k.cur.Outages {
+			o := k.cur.Outages[i]
 			if o.EndMS-o.StartMS <= 50 {
 				continue
 			}
-			c := cur
-			c.Outages = append([]SvcOutage(nil), cur.Outages...)
+			c := k.cur
+			c.Outages = append([]SvcOutage(nil), k.cur.Outages...)
 			c.Outages[i].EndMS = o.StartMS + (o.EndMS-o.StartMS)/2
-			if try(c) {
-				improved = true
-			}
+			improved = k.try(c) || improved
 		}
 		// 3. Shed tenants (floor 2: churn needs somebody).
-		if cur.Tenants > 2 {
-			c := cur
-			c.Tenants = cur.Tenants / 2
-			if c.Tenants < 2 {
-				c.Tenants = 2
-			}
-			if c.Vanish > c.Tenants {
-				c.Vanish = c.Tenants
-			}
-			if try(c) {
-				improved = true
-			}
+		if k.cur.Tenants > 2 {
+			c := k.cur
+			c.Tenants = max(k.cur.Tenants/2, 2)
+			c.Vanish = min(c.Vanish, c.Tenants)
+			improved = k.try(c) || improved
 		}
 		// 4. Shed vanishing tenants.
-		if cur.Vanish > 0 {
-			c := cur
+		if k.cur.Vanish > 0 {
+			c := k.cur
 			c.Vanish--
-			if try(c) {
-				improved = true
-			}
+			improved = k.try(c) || improved
 		}
 		// 5. Truncate the horizon toward the violation (end-state
 		// violations reject this because the failure moves or vanishes).
-		if v.Slot+1 < cur.HorizonMS {
-			c := cur
-			c.HorizonMS = v.Slot + 1
-			if try(c) {
-				improved = true
+		if k.v.Slot+1 < k.cur.HorizonMS {
+			c := k.cur
+			c.HorizonMS = k.v.Slot + 1
+			improved = k.try(c) || improved
+		}
+		// 6. Halve baseline fault rates.
+		for i := 0; i < 4; i++ {
+			c := k.cur
+			if f, ok := halveRate(c.Faults, i); ok {
+				c.Faults = f
+				improved = k.try(c) || improved
 			}
 		}
-		// 6. Halve baseline fault rates (under 1% rounds to zero).
-		for _, rate := range []func(*SvcSchedule) *float64{
-			func(c *SvcSchedule) *float64 { return &c.Faults.DropProb },
-			func(c *SvcSchedule) *float64 { return &c.Faults.DupProb },
-			func(c *SvcSchedule) *float64 { return &c.Faults.ReorderProb },
-			func(c *SvcSchedule) *float64 { return &c.Faults.CorruptProb },
-		} {
-			c := cur
-			c.Outages = append([]SvcOutage(nil), cur.Outages...)
-			p := rate(&c)
-			if *p == 0 {
-				continue
-			}
-			if *p /= 2; *p < 0.01 {
-				*p = 0
-			}
-			if try(c) {
-				improved = true
-			}
-		}
-	}
-	return cur, v, runs, nil
+		return improved
+	})
 }

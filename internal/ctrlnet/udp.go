@@ -71,7 +71,8 @@ type UDPConfig struct {
 }
 
 // Waiter is the optional blocking side of a Transport: Wait parks until a
-// delivery arrives or the timeout elapses, then drains the queue. Socket
+// delivery arrives or the timeout elapses, then drains the queue. It
+// returns early with nothing only once the transport is closed. Socket
 // transports implement it; the in-memory Net cannot (it is synchronous),
 // so consumers that need blocking receive (the VC service) require it
 // explicitly.

@@ -8,6 +8,7 @@ package exp
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/metrics"
 )
@@ -57,9 +58,9 @@ func Lookup(id string) (*Experiment, bool) {
 }
 
 // reportedSlots accumulates the simulated-slot count experiments declare
-// via ReportSlots since the last TakeSlots. Single-goroutine, like the
-// experiment runner itself.
-var reportedSlots int64
+// via ReportSlots since the last TakeSlots. an2bench runs one experiment at
+// a time; the tests run them in parallel, hence the atomic.
+var reportedSlots atomic.Int64
 
 // ReportSlots adds n simulated slots to the current experiment's tally.
 // Experiments that drive a simnet.Network (directly or through fabric /
@@ -67,18 +68,14 @@ var reportedSlots int64
 // experiment that never reports simply shows no rate.
 func ReportSlots(n int64) {
 	if n > 0 {
-		reportedSlots += n
+		reportedSlots.Add(n)
 	}
 }
 
 // TakeSlots returns the slots reported since the last call and resets the
 // tally. an2bench calls it once before each experiment (discarding strays)
 // and once after (the experiment's count).
-func TakeSlots() int64 {
-	s := reportedSlots
-	reportedSlots = 0
-	return s
-}
+func TakeSlots() int64 { return reportedSlots.Swap(0) }
 
 // idOrder sorts E2 before E10.
 func idOrder(id string) int {

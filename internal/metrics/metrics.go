@@ -1,7 +1,7 @@
 // Package metrics provides the post-hoc measurement primitives used by
-// the AN2 simulator's experiments: counters, latency histograms with
-// exact percentiles, and fixed-width table rendering for experiment
-// output.
+// the AN2 simulator's experiments: latency histograms with exact
+// percentiles and fixed-width table rendering for experiment output.
+// Event counts are package obs's counters; this package keeps none.
 //
 // The repo's instrumentation is split in two by concurrency contract:
 //
@@ -29,29 +29,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// Counter is a monotonically increasing event count. The zero value is
-// ready to use.
-type Counter struct {
-	n int64
-}
-
-// Add increments the counter by delta (which must be non-negative).
-func (c *Counter) Add(delta int64) {
-	if delta < 0 {
-		return
-	}
-	c.n += delta
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
 
 // Histogram records a distribution of int64 samples (typically latencies in
 // cell slots). The zero value is ready to use.

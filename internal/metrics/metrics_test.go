@@ -8,23 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	if c.Value() != 0 {
-		t.Fatal("zero value not zero")
-	}
-	c.Inc()
-	c.Add(4)
-	c.Add(-100) // ignored
-	if got := c.Value(); got != 5 {
-		t.Fatalf("Value = %d, want 5", got)
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatal("Reset did not zero")
-	}
-}
-
 func TestHistogramBasics(t *testing.T) {
 	var h Histogram
 	if h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {

@@ -2,9 +2,7 @@ package svc
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,71 +14,26 @@ import (
 	"repro/internal/topology"
 )
 
-// Client is one tenant's session handle. It multiplexes any number of
-// concurrent RPCs over a single transport endpoint: each request carries
-// a fresh nonce, a reader goroutine routes replies to the waiting caller
-// by nonce, and a timed-out request retransmits the SAME nonce — the
-// server's idempotency cache makes the retry safe even when the original
-// was executed and only its reply was lost.
-//
-// # Survivability
-//
-// The client is built to outlive the server. It keeps its own LEDGER of
-// every circuit it opened (src, dst, rate); when any session RPC comes
-// back RefuseStaleSession — the server restarted under a new incarnation,
-// or the session's lease expired — the client RE-ATTACHES transparently:
-// one goroutine re-registers with hello, re-opens every ledger circuit,
-// and records the new server-side VCI in an alias table so the VCIs the
-// application already holds keep working. Callers never see the restart,
-// only (at worst) latency.
-//
-// Retransmits pace themselves with capped exponential backoff and full
-// jitter: attempt 0 waits Timeout, attempt i draws uniformly from
-// [Timeout/2, min(RetryCap, Timeout·2^i)]. A thousand clients orphaned by
-// the same crash therefore return decorrelated, not as a thundering herd.
-// NoJitter restores the fixed-interval pacing, as the control arm for
-// experiments. An overload refusal (RefuseOverloaded) is honored the same
-// way: back off, then resend the same nonce for a fresh decision.
+// Client is one tenant's session handle: the Session machine driven over a
+// transport on the wall clock. Calls are serialized, one operation at a
+// time, and the calling goroutine itself blocks in the transport's Wait
+// until the next reply or the machine's next deadline, so a client owns no
+// goroutine and no timer. The machine decides everything said on the wire
+// (nonces, retransmission and backoff, re-attach, the ledger); the client
+// adds the socket, the clock, spans and obs.
 type Client struct {
 	tr     ctrlnet.Transport
 	waiter ctrlnet.Waiter
 	self   topology.NodeID // this endpoint's transport id
 	server topology.NodeID
 	tenant uint64
+	closed atomic.Bool
 
-	// timeout is attempt 0's reply deadline; retries is how many attempts
-	// total before giving up; retryCap bounds the backoff.
-	timeout  time.Duration
-	retries  int
-	retryCap time.Duration
-	noJitter bool
-
-	// incarn is the server incarnation this session believes in, learned
-	// from replies and stamped into requests.
-	incarn atomic.Int32
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
-	mu      sync.Mutex
-	nonce   uint64
-	pending map[uint64]chan *proto.Message
-	closed  bool
-	stopped chan struct{}
-	hbStop  chan struct{}
-
-	// ledger is the client's own record of its circuits, keyed by the VCI
-	// the application holds; alias maps that to the VCI the CURRENT server
-	// incarnation knows (identical until a re-attach re-opens them).
-	ledger map[cell.VCI]ledgerEntry
-	alias  map[cell.VCI]cell.VCI
-
-	// reMu single-flights re-attach; reGen counts completed re-attaches so
-	// concurrent RPCs that hit the same stale refusal do only one.
-	reMu  sync.Mutex
-	reGen uint64
-
-	stats ClientStats
+	// mu serializes calls. It guards the machine and seen, the machine's
+	// counters as last published to obs.
+	mu   sync.Mutex
+	s    *Session
+	seen ClientStats
 
 	obsOrphans    *obs.Counter
 	obsRetrans    *obs.Counter
@@ -88,13 +41,12 @@ type Client struct {
 	obsReattFail  *obs.Counter
 	obsReattLatUS *obs.Histogram
 
-	// Tracing: sp == nil is tracing fully off (the rpc hot path then takes
-	// no tracing branches beyond one pointer test and allocates nothing
-	// extra — pinned by TestClientTracingDisabledAddsNoAllocs). ring is
-	// kept for DumpRecorder.
+	// Tracing: sp == nil is tracing fully off (a call then takes no tracing
+	// branch beyond one pointer test and allocates nothing extra, pinned by
+	// TestClientTracingDisabledAddsNoAllocs). ring is kept for DumpRecorder.
 	sp       *spanner
 	ring     *obs.Ring
-	obsOpLat map[string]*obs.Histogram
+	obsOpLat map[proto.Kind]*obs.Histogram
 }
 
 // traceCtx is one logical operation's trace: a trace id shared by every
@@ -103,14 +55,11 @@ type Client struct {
 type traceCtx struct {
 	trace    uint64
 	root     uint64
-	op       string
+	op       proto.Kind
 	start    time.Time
-	attempts int
-}
-
-type ledgerEntry struct {
-	src, dst topology.NodeID
-	rate     int
+	attempts int   // transmissions
+	waitUS   int64 // when the current wait began
+	attempt  int   // the transmission number the current wait follows
 }
 
 // ClientStats is the client's resilience accounting.
@@ -125,8 +74,9 @@ type ClientStats struct {
 	// refused during re-attach (refused ones are dropped from the ledger).
 	ReattachVCs       int64
 	ReattachFailedVCs int64
-	// OrphanReplies counts replies the read loop could not deliver:
-	// undecodable frames and nonces with no waiter (late duplicates).
+	// OrphanReplies counts frames that answered nothing in flight:
+	// undecodable ones and late duplicates. A client counts them when a
+	// call next reads them.
 	OrphanReplies int64
 	// LastReattachAt / LastReattachDur describe the most recent re-attach.
 	LastReattachAt  time.Time
@@ -135,10 +85,9 @@ type ClientStats struct {
 
 // ClientConfig configures a tenant session.
 type ClientConfig struct {
-	// Transport must implement ctrlnet.Waiter (the client blocks on
-	// replies). The client owns a reader goroutine on it but not its
-	// lifecycle: Close stops the reader without closing the transport,
-	// so endpoints can be pooled across sequential sessions.
+	// Transport must implement ctrlnet.Waiter: a call blocks in its Wait.
+	// The client does not own its lifecycle (Close leaves it open), so
+	// endpoints can be pooled across sequential sessions.
 	Transport ctrlnet.Transport
 	// Self is this endpoint's id in the transport address space; Server
 	// is the service's id. Tenant is the tenant identity sent as Epoch.
@@ -156,10 +105,6 @@ type ClientConfig struct {
 	NoJitter bool
 	// Seed seeds the jitter RNG for reproducible runs (0: time-seeded).
 	Seed int64
-	// Heartbeat, if > 0, starts a goroutine renewing the session lease at
-	// this period, keeping an idle session alive and detecting a server
-	// restart promptly. Pick well under the server's LeaseDur.
-	Heartbeat time.Duration
 	// Obs, if set, receives the client instruments (svc_client_*,
 	// svc_reattach_*, and — when tracing is on — svc_op_latency_us with
 	// trace-id exemplars).
@@ -174,6 +119,22 @@ type ClientConfig struct {
 	Ring *obs.Ring
 	// SpanSeed decorrelates span ids across processes (0: wall-derived).
 	SpanSeed uint64
+}
+
+func (cfg ClientConfig) withDefaults() ClientConfig {
+	if cfg.Timeout <= 0 {
+		cfg.Timeout = 250 * time.Millisecond
+	}
+	if cfg.Retries <= 0 {
+		cfg.Retries = 4
+	}
+	if cfg.RetryCap <= 0 {
+		cfg.RetryCap = 2 * time.Second
+	}
+	if cfg.RetryCap < cfg.Timeout {
+		cfg.RetryCap = cfg.Timeout
+	}
+	return cfg
 }
 
 // RPC errors.
@@ -193,7 +154,7 @@ type Refused struct {
 
 func (r *Refused) Error() string { return "svc: refused: " + RefusalString(r.Code) }
 
-// NewClient starts a tenant session (and its reply reader).
+// NewClient starts a tenant session.
 func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Transport == nil {
 		return nil, errors.New("svc: nil transport")
@@ -202,326 +163,134 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if !ok {
 		return nil, ErrNoWaiter
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 250 * time.Millisecond
-	}
-	if cfg.Retries <= 0 {
-		cfg.Retries = 4
-	}
-	if cfg.RetryCap <= 0 {
-		cfg.RetryCap = 2 * time.Second
-	}
-	if cfg.RetryCap < cfg.Timeout {
-		cfg.RetryCap = cfg.Timeout
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
-	c := &Client{
-		tr:       cfg.Transport,
-		waiter:   w,
-		self:     cfg.Self,
-		server:   cfg.Server,
-		tenant:   cfg.Tenant,
-		timeout:  cfg.Timeout,
-		retries:  cfg.Retries,
-		retryCap: cfg.RetryCap,
-		noJitter: cfg.NoJitter,
-		rng:      rand.New(rand.NewSource(seed)),
-		pending:  make(map[uint64]chan *proto.Message),
-		stopped:  make(chan struct{}),
-		ledger:   make(map[cell.VCI]ledgerEntry),
-		alias:    make(map[cell.VCI]cell.VCI),
-	}
 	reg := cfg.Obs
-	c.obsOrphans = reg.Counter("svc_client_orphan_replies")
-	c.obsRetrans = reg.Counter("svc_client_retransmits_total")
-	c.obsReattach = reg.Counter("svc_reattach_total")
-	c.obsReattFail = reg.Counter("svc_reattach_failed_vcs_total")
-	c.obsReattLatUS = reg.Histogram("svc_reattach_latency_us")
-	c.sp = newSpanner(cfg.Spans, cfg.Ring, cfg.SpanSeed)
-	c.ring = cfg.Ring
-	if c.sp != nil {
-		c.obsOpLat = map[string]*obs.Histogram{
-			"hello": reg.Histogram("svc_op_latency_us", "op", "hello"),
-			"open":  reg.Histogram("svc_op_latency_us", "op", "open"),
-			"close": reg.Histogram("svc_op_latency_us", "op", "close"),
-			"lease": reg.Histogram("svc_op_latency_us", "op", "lease"),
-			"bye":   reg.Histogram("svc_op_latency_us", "op", "bye"),
-		}
+	c := &Client{
+		tr:            cfg.Transport,
+		waiter:        w,
+		self:          cfg.Self,
+		server:        cfg.Server,
+		tenant:        cfg.Tenant,
+		s:             NewSession(cfg, rand.New(rand.NewSource(seed))),
+		obsOrphans:    reg.Counter("svc_client_orphan_replies"),
+		obsRetrans:    reg.Counter("svc_client_retransmits_total"),
+		obsReattach:   reg.Counter("svc_reattach_total"),
+		obsReattFail:  reg.Counter("svc_reattach_failed_vcs_total"),
+		obsReattLatUS: reg.Histogram("svc_reattach_latency_us"),
+		sp:            newSpanner(cfg.Spans, cfg.Ring, cfg.SpanSeed),
+		ring:          cfg.Ring,
 	}
-	go c.readLoop()
-	if cfg.Heartbeat > 0 {
-		c.hbStop = make(chan struct{})
-		go c.heartbeatLoop(cfg.Heartbeat)
+	if c.sp != nil {
+		c.obsOpLat = map[proto.Kind]*obs.Histogram{
+			proto.KindHello:     reg.Histogram("svc_op_latency_us", "op", "hello"),
+			proto.KindVCRequest: reg.Histogram("svc_op_latency_us", "op", "open"),
+			proto.KindVCClose:   reg.Histogram("svc_op_latency_us", "op", "close"),
+			proto.KindLease:     reg.Histogram("svc_op_latency_us", "op", "lease"),
+			proto.KindBye:       reg.Histogram("svc_op_latency_us", "op", "bye"),
+		}
 	}
 	return c, nil
 }
 
-// Close stops the reader (and heartbeat) and fails all in-flight RPCs.
-// It does not close the underlying transport.
-func (c *Client) Close() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	for nonce, ch := range c.pending {
-		close(ch)
-		delete(c.pending, nonce)
-	}
-	hb := c.hbStop
-	c.mu.Unlock()
-	if hb != nil {
-		close(hb)
-	}
-	<-c.stopped
-}
+// Close ends the session handle: later calls fail with ErrClientDone, and
+// a call in flight fails so at its next wake-up. It does not close the
+// underlying transport.
+func (c *Client) Close() { c.closed.Store(true) }
 
 // Stats returns a snapshot of the client's resilience accounting.
 func (c *Client) Stats() ClientStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stats
+	return c.s.Stats()
 }
 
 // Incarnation returns the server incarnation this session last saw.
-func (c *Client) Incarnation() int32 { return c.incarn.Load() }
-
-func (c *Client) readLoop() {
-	defer close(c.stopped)
-	for {
-		ds := c.waiter.Wait(50 * time.Millisecond)
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return
-		}
-		for _, d := range ds {
-			m, err := proto.Unmarshal(d.Wire)
-			if err != nil {
-				// Corrupt or foreign datagram on our port: visible, not
-				// silent — misrouted traffic is an operations signal.
-				c.stats.OrphanReplies++
-				c.obsOrphans.Inc(0)
-				continue
-			}
-			if m.Epoch != c.tenant {
-				continue // another tenant sharing the endpoint
-			}
-			if ch, ok := c.pending[m.Initiator]; ok {
-				delete(c.pending, m.Initiator)
-				ch <- m // buffered: never blocks the reader
-			} else {
-				// A reply nobody is waiting for: usually the original
-				// answer arriving after its retransmit was already served.
-				c.stats.OrphanReplies++
-				c.obsOrphans.Inc(0)
-			}
-		}
-		c.mu.Unlock()
-	}
-}
-
-// heartbeatLoop renews the lease at a fixed period; a stale refusal on
-// the heartbeat triggers re-attach just like any session RPC, so an idle
-// client discovers a server restart within one heartbeat.
-func (c *Client) heartbeatLoop(every time.Duration) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.hbStop:
-			return
-		case <-t.C:
-			_ = c.Lease()
-		}
-	}
-}
-
-// backoffWait returns how long to wait for attempt's reply before
-// retransmitting: Timeout for attempt 0 (and always under NoJitter),
-// otherwise a full-jitter draw from [Timeout/2, min(RetryCap, Timeout·2^i)].
-func (c *Client) backoffWait(attempt int) time.Duration {
-	if attempt <= 0 || c.noJitter {
-		return c.timeout
-	}
-	hi := c.retryCap
-	if attempt < 30 {
-		if shifted := c.timeout << uint(attempt); shifted < hi {
-			hi = shifted
-		}
-	}
-	lo := c.timeout / 2
-	if hi <= lo {
-		return hi
-	}
-	c.rngMu.Lock()
-	d := lo + time.Duration(c.rng.Int63n(int64(hi-lo)+1))
-	c.rngMu.Unlock()
-	return d
-}
-
-// rpc sends the request under a fresh nonce and waits for its reply,
-// retransmitting the same nonce on each timeout (and on each overload
-// refusal) with backoff pacing. One reusable timer serves every attempt.
-// With a trace context, every transmission gets its own span under the
-// operation's root (re-marshaled so the frame carries it), every reply a
-// recv span, and every expired wait a backoff span; with tc == nil the
-// frame is marshaled once and no tracing branch is taken.
-func (c *Client) rpc(m *proto.Message, tc *traceCtx) (*proto.Message, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClientDone
-	}
-	c.nonce++
-	nonce := c.nonce
-	ch := make(chan *proto.Message, 1)
-	c.pending[nonce] = ch
-	c.mu.Unlock()
-
-	m.Epoch = c.tenant
-	m.Initiator = nonce
-	m.VTimeUS = time.Now().UnixMicro()
-	var wire []byte
-	var err error
-	if tc == nil {
-		if wire, err = proto.Marshal(m); err != nil {
-			c.abandon(nonce)
-			return nil, err
-		}
-	}
-	timer := time.NewTimer(c.timeout)
-	defer timer.Stop()
-	for attempt := 0; attempt < c.retries; attempt++ {
-		if attempt > 0 {
-			c.noteRetransmit()
-		}
-		var attemptSpan uint64
-		if tc != nil {
-			// A fresh span per transmission keeps retransmits separable in
-			// the merged timeline; the shared trace id ties them together.
-			attemptSpan = c.sp.next()
-			m.TraceID = tc.trace
-			m.Span = attemptSpan
-			m.VTimeUS = time.Now().UnixMicro()
-			if wire, err = proto.Marshal(m); err != nil {
-				c.abandon(nonce)
-				return nil, err
-			}
-		}
-		sendUS := wallUS()
-		if _, err := c.tr.Send(c.self, c.server, wire, 0); err != nil {
-			c.abandon(nonce)
-			return nil, err
-		}
-		if tc != nil {
-			tc.attempts++
-			c.sp.emit(&obs.Event{Kind: obs.KindSvcSend, WallUS: sendUS,
-				Trace: tc.trace, Span: attemptSpan, Parent: tc.root,
-				Epoch: c.tenant, Seq: uint64(attempt)})
-		}
-		if attempt > 0 {
-			// Drained by the previous loop turn; safe to Reset.
-			timer.Reset(c.backoffWait(attempt))
-		}
-		select {
-		case rep, ok := <-ch:
-			if !ok {
-				return nil, ErrClientDone
-			}
-			c.noteRecv(tc, rep, attemptSpan)
-			if !rep.Accept && rep.Kind == proto.KindVCReply &&
-				rep.Depth == RefuseOverloaded && attempt+1 < c.retries {
-				// The server shed us: that is a pacing signal, not an
-				// answer. Re-arm the same nonce and come back after a
-				// backoff — the idempotency contract still holds.
-				if !c.rearm(nonce, ch) {
-					return nil, ErrClientDone
-				}
-				if !timer.Stop() {
-					select {
-					case <-timer.C:
-					default:
-					}
-				}
-				timer.Reset(c.backoffWait(attempt + 1))
-				backUS := wallUS()
-				select {
-				case <-timer.C:
-					c.noteBackoff(tc, backUS, attempt+1)
-				case rep2, ok2 := <-ch: // late duplicate raced the backoff
-					if !ok2 {
-						return nil, ErrClientDone
-					}
-					c.noteRecv(tc, rep2, attemptSpan)
-					if rep2.Accept || rep2.Depth != RefuseOverloaded {
-						return rep2, nil
-					}
-					if !c.rearm(nonce, ch) {
-						return nil, ErrClientDone
-					}
-				}
-				continue
-			}
-			return rep, nil
-		case <-timer.C:
-			c.noteBackoff(tc, sendUS, attempt)
-		}
-	}
-	c.abandon(nonce)
-	return nil, fmt.Errorf("%w (nonce %d)", ErrRPCTimeout, nonce)
-}
-
-// rearm re-registers a nonce's reply channel after its entry was
-// consumed, so a resend of the same nonce can be answered. Reports false
-// if the client closed meanwhile.
-func (c *Client) rearm(nonce uint64, ch chan *proto.Message) bool {
+func (c *Client) Incarnation() int32 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return false
+	return c.s.Incarnation()
+}
+
+// call runs one operation to completion: the machine decides, and the
+// client sends what it asks, waits in the transport until the next reply
+// or the step's deadline, and hands the machine what happened.
+func (c *Client) call(op Op) (proto.Message, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed.Load() {
+		return proto.Message{}, ErrClientDone
 	}
-	c.pending[nonce] = ch
-	return true
-}
-
-func (c *Client) abandon(nonce uint64) {
-	c.mu.Lock()
-	delete(c.pending, nonce)
-	c.mu.Unlock()
-}
-
-func (c *Client) noteRetransmit() {
-	c.mu.Lock()
-	c.stats.Retransmits++
-	c.mu.Unlock()
-	c.obsRetrans.Inc(0)
-}
-
-// noteIncarnation records the server incarnation a reply carried.
-func (c *Client) noteIncarnation(from int32) {
-	if from != 0 {
-		c.incarn.Store(from)
+	tc := c.startOp(op.Kind)
+	defer c.endOp(tc)
+	now := time.Now()
+	st := c.note(tc, now, c.s.Call(now, op, tc.id()))
+	var batch []ctrlnet.Delivery
+	for {
+		if st.Send != nil {
+			if _, err := c.tr.Send(c.self, c.server, st.Send, 0); err != nil {
+				return proto.Message{}, err
+			}
+			st.Send = nil
+		}
+		if st.Done {
+			// Whatever else the batch carried answers nothing now.
+			for _, d := range batch {
+				c.s.Reply(now, d.Wire)
+			}
+			var rep proto.Message
+			if st.Answer != nil {
+				rep = *st.Answer
+			}
+			return rep, st.Err
+		}
+		if len(batch) > 0 {
+			st = c.note(tc, now, c.s.Reply(now, batch[0].Wire))
+			batch = batch[1:]
+			continue
+		}
+		if now = time.Now(); !now.Before(st.Deadline) {
+			c.noteBackoff(tc, now)
+			st = c.note(tc, now, c.s.Expire(now))
+			continue
+		}
+		batch = c.waiter.Wait(st.Deadline.Sub(now))
+		now = time.Now()
+		if c.closed.Load() {
+			return proto.Message{}, ErrClientDone
+		}
+		if len(batch) == 0 && now.Before(st.Deadline) {
+			// Wait returns early with nothing only once the transport closed.
+			return proto.Message{}, ctrlnet.ErrClosed
+		}
 	}
 }
 
 // startOp opens one logical operation's trace (nil when tracing is off):
 // a fresh trace id, a root span, and a wall-clock start.
-func (c *Client) startOp(op string) *traceCtx {
+func (c *Client) startOp(op proto.Kind) *traceCtx {
 	if c.sp == nil {
 		return nil
 	}
 	return &traceCtx{trace: c.sp.next(), root: c.sp.next(), op: op, start: time.Now()}
 }
 
-// endOp closes the operation: the root svc-op span (Dur = the latency the
+// id is the trace id to stamp on the operation's frames (0: untraced).
+func (tc *traceCtx) id() uint64 {
+	if tc == nil {
+		return 0
+	}
+	return tc.trace
+}
+
+// endOp publishes what the operation left in the machine's counters and
+// closes its trace: the root svc-op span (Dur = the latency the
 // application saw, Seq = transmissions it took) and the per-op latency
 // histogram observation carrying the trace id as exemplar.
 func (c *Client) endOp(tc *traceCtx) {
+	c.publish(tc)
 	if tc == nil {
 		return
 	}
@@ -531,37 +300,66 @@ func (c *Client) endOp(tc *traceCtx) {
 	c.obsOpLat[tc.op].ObserveEx(0, durUS, tc.trace)
 }
 
-// noteRecv records one reply: Span echoes the attempt the server actually
-// answered (the idempotency cache may answer a retransmit with the
-// original attempt's reply), Node carries the incarnation, and Seq the
-// refusal code (0 = accepted).
-func (c *Client) noteRecv(tc *traceCtx, rep *proto.Message, attemptSpan uint64) {
-	if tc == nil {
-		return
+// note records one machine step: in a traced operation, a recv span for
+// the reply it matched (Span echoes the attempt the server answered, Node
+// its incarnation, Seq the refusal code, 0 for accepted) and a send span
+// for the frame it sends; and, always, the counters it moved.
+func (c *Client) note(tc *traceCtx, now time.Time, st Step) Step {
+	if tc != nil {
+		us := now.UnixMicro()
+		if a := st.Answer; a != nil {
+			var code uint64
+			if !a.Accept && a.Kind == proto.KindVCReply {
+				code = uint64(a.Depth)
+			}
+			c.sp.emit(&obs.Event{Kind: obs.KindSvcRecv, WallUS: us,
+				Trace: tc.trace, Span: a.Span, Parent: tc.root,
+				Node: a.From, Epoch: c.tenant, Seq: code})
+		}
+		if st.Send != nil {
+			tc.attempts++
+			c.sp.emit(&obs.Event{Kind: obs.KindSvcSend, WallUS: us,
+				Trace: tc.trace, Span: st.Span, Parent: tc.root,
+				Epoch: c.tenant, Seq: uint64(st.Attempt)})
+		}
+		tc.waitUS, tc.attempt = us, st.Attempt
 	}
-	span := rep.Span
-	if span == 0 {
-		span = attemptSpan
-	}
-	var code uint64
-	if !rep.Accept && rep.Kind == proto.KindVCReply {
-		code = uint64(rep.Depth)
-	}
-	c.sp.emit(&obs.Event{Kind: obs.KindSvcRecv, WallUS: wallUS(),
-		Trace: tc.trace, Span: span, Parent: tc.root,
-		Node: rep.From, Epoch: c.tenant, Seq: code})
+	c.publish(tc)
+	return st
 }
 
 // noteBackoff records one wait that ended without a reply — the reply
-// deadline that doubles as the backoff interval, or an explicit
-// overload-refusal wait.
-func (c *Client) noteBackoff(tc *traceCtx, startUS int64, attempt int) {
+// deadline that doubles as the backoff interval, or an overload-refusal
+// wait.
+func (c *Client) noteBackoff(tc *traceCtx, now time.Time) {
 	if tc == nil {
 		return
 	}
-	c.sp.emit(&obs.Event{Kind: obs.KindSvcBackoff, WallUS: startUS, Dur: wallUS() - startUS,
+	c.sp.emit(&obs.Event{Kind: obs.KindSvcBackoff, WallUS: tc.waitUS, Dur: now.UnixMicro() - tc.waitUS,
 		Trace: tc.trace, Span: c.sp.next(), Parent: tc.root,
-		Epoch: c.tenant, Seq: uint64(attempt)})
+		Epoch: c.tenant, Seq: uint64(tc.attempt)})
+}
+
+// publish moves the obs instruments by what the machine's counters moved
+// since the last publication. A step completes at most one re-attach
+// round, which gets its latency observation and, traced, its span.
+func (c *Client) publish(tc *traceCtx) {
+	now, was := c.s.Stats(), c.seen
+	c.seen = now
+	c.obsOrphans.Add(0, now.OrphanReplies-was.OrphanReplies)
+	c.obsRetrans.Add(0, now.Retransmits-was.Retransmits)
+	c.obsReattFail.Add(0, now.ReattachFailedVCs-was.ReattachFailedVCs)
+	if now.Reattaches == was.Reattaches {
+		return
+	}
+	c.obsReattach.Add(0, now.Reattaches-was.Reattaches)
+	c.obsReattLatUS.ObserveEx(0, now.LastReattachDur.Microseconds(), tc.id())
+	if tc != nil {
+		c.sp.emit(&obs.Event{Kind: obs.KindSvcReattach,
+			WallUS: now.LastReattachAt.Add(-now.LastReattachDur).UnixMicro(),
+			Dur:    now.LastReattachDur.Microseconds(), Trace: tc.trace, Span: c.sp.next(),
+			Parent: tc.root, Epoch: c.tenant, Seq: uint64(now.ReattachVCs - was.ReattachVCs)})
+	}
 }
 
 // DumpRecorder writes the client's flight recorder to path — the hook an
@@ -571,138 +369,12 @@ func (c *Client) DumpRecorder(path string) (int, error) {
 	return c.ring.DumpFile(path)
 }
 
-// sessionRPC runs one session-scoped RPC, transparently re-attaching on a
-// stale-session refusal and retrying the operation against the new
-// incarnation. The whole operation — every attempt, refusal, and the
-// re-attach itself — shares one trace.
-func (c *Client) sessionRPC(op string, build func(incarn int32) *proto.Message) (*proto.Message, error) {
-	tc := c.startOp(op)
-	defer c.endOp(tc)
-	for round := 0; round < 3; round++ {
-		gen := c.generation()
-		rep, err := c.rpc(build(c.incarn.Load()), tc)
-		if err != nil {
-			return nil, err
-		}
-		if !rep.Accept && rep.Kind == proto.KindVCReply && rep.Depth == RefuseStaleSession {
-			// The refusal itself names the living incarnation.
-			c.noteIncarnation(rep.From)
-			if err := c.reattach(gen, tc); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		c.noteIncarnation(rep.From)
-		return rep, nil
-	}
-	return nil, ErrReattach
-}
-
-func (c *Client) generation() uint64 {
-	c.reMu.Lock()
-	defer c.reMu.Unlock()
-	return c.reGen
-}
-
-// reattach re-registers the session and re-opens every ledger circuit
-// against the current server incarnation. Single-flight: concurrent RPCs
-// refused by the same restart do one re-attach between them — callers
-// pass the generation they observed before failing, and a generation that
-// moved on means someone else already fixed the world.
-func (c *Client) reattach(sawGen uint64, tc *traceCtx) error {
-	c.reMu.Lock()
-	defer c.reMu.Unlock()
-	if c.reGen != sawGen {
-		return nil // a concurrent re-attach already completed
-	}
-	start := time.Now()
-
-	// Register: hello is session-creating and incarnation-blind, so it
-	// succeeds against whatever server is alive and tells us who that is.
-	rep, err := c.rpc(&proto.Message{Kind: proto.KindHello}, tc)
-	if err != nil {
-		return err
-	}
-	c.noteIncarnation(rep.From)
-	incarn := c.incarn.Load()
-
-	// Re-open the ledger in stable order; a circuit the new world refuses
-	// (capacity changed, quotas tightened) is dropped from the ledger —
-	// the application finds out at next use, as it would after any close.
-	type rec struct {
-		user cell.VCI
-		e    ledgerEntry
-	}
-	c.mu.Lock()
-	recs := make([]rec, 0, len(c.ledger))
-	for vc, e := range c.ledger {
-		recs = append(recs, rec{user: vc, e: e})
-	}
-	c.mu.Unlock()
-	sort.Slice(recs, func(i, j int) bool { return recs[i].user < recs[j].user })
-
-	var reopened, failed int64
-	for _, r := range recs {
-		user, e := r.user, r.e
-		rep, err := c.rpc(&proto.Message{
-			Kind:  proto.KindVCRequest,
-			From:  incarn,
-			Depth: int32(e.rate),
-			Links: []proto.LinkRec{{A: int32(e.src), B: int32(e.dst)}},
-		}, tc)
-		if err != nil {
-			return err
-		}
-		if !rep.Accept {
-			if rep.Depth == RefuseStaleSession {
-				return ErrReattach // restarted again mid-re-attach
-			}
-			failed++
-			c.obsReattFail.Inc(0)
-			c.mu.Lock()
-			delete(c.ledger, user)
-			delete(c.alias, user)
-			c.mu.Unlock()
-			continue
-		}
-		reopened++
-		c.mu.Lock()
-		c.alias[user] = cell.VCI(rep.Depth)
-		c.mu.Unlock()
-	}
-
-	dur := time.Since(start)
-	c.mu.Lock()
-	c.stats.Reattaches++
-	c.stats.ReattachVCs += reopened
-	c.stats.ReattachFailedVCs += failed
-	c.stats.LastReattachAt = time.Now()
-	c.stats.LastReattachDur = dur
-	c.mu.Unlock()
-	c.obsReattach.Inc(0)
-	var trace uint64
-	if tc != nil {
-		trace = tc.trace
-	}
-	c.obsReattLatUS.ObserveEx(0, dur.Microseconds(), trace)
-	if tc != nil {
-		c.sp.emit(&obs.Event{Kind: obs.KindSvcReattach, WallUS: start.UnixMicro(),
-			Dur: dur.Microseconds(), Trace: tc.trace, Span: c.sp.next(),
-			Parent: tc.root, Epoch: c.tenant, Seq: uint64(reopened)})
-	}
-	c.reGen++
-	return nil
-}
-
 // Hello announces the session and returns the host roster.
 func (c *Client) Hello() ([]topology.NodeID, error) {
-	tc := c.startOp("hello")
-	rep, err := c.rpc(&proto.Message{Kind: proto.KindHello}, tc)
-	c.endOp(tc)
+	rep, err := c.call(Op{Kind: proto.KindHello})
 	if err != nil {
 		return nil, err
 	}
-	c.noteIncarnation(rep.From)
 	hosts := make([]topology.NodeID, 0, len(rep.Links))
 	for _, l := range rep.Links {
 		hosts = append(hosts, topology.NodeID(l.A))
@@ -713,9 +385,7 @@ func (c *Client) Hello() ([]topology.NodeID, error) {
 // Lease sends one explicit lease heartbeat, re-attaching if the session
 // is stale.
 func (c *Client) Lease() error {
-	_, err := c.sessionRPC("lease", func(incarn int32) *proto.Message {
-		return &proto.Message{Kind: proto.KindLease, From: incarn}
-	})
+	_, err := c.call(Op{Kind: proto.KindLease})
 	return err
 }
 
@@ -726,66 +396,24 @@ func (c *Client) Lease() error {
 // restarts: re-attach re-opens the circuit and aliases this VCI to the
 // new one.
 func (c *Client) Open(src, dst topology.NodeID, rate int) (cell.VCI, error) {
-	rep, err := c.sessionRPC("open", func(incarn int32) *proto.Message {
-		return &proto.Message{
-			Kind:  proto.KindVCRequest,
-			From:  incarn,
-			Depth: int32(rate),
-			Links: []proto.LinkRec{{A: int32(src), B: int32(dst)}},
-		}
-	})
+	rep, err := c.call(Op{Kind: proto.KindVCRequest, Src: src, Dst: dst, Rate: rate})
 	if err != nil {
 		return 0, err
 	}
-	if !rep.Accept {
-		return 0, &Refused{Code: rep.Depth}
-	}
-	vc := cell.VCI(rep.Depth)
-	c.mu.Lock()
-	c.ledger[vc] = ledgerEntry{src: src, dst: dst, rate: rate}
-	c.alias[vc] = vc
-	c.mu.Unlock()
-	return vc, nil
-}
-
-// serverVCI translates an application-held VCI through the alias table.
-func (c *Client) serverVCI(vc cell.VCI) cell.VCI {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur, ok := c.alias[vc]; ok {
-		return cur
-	}
-	return vc
+	return cell.VCI(rep.Depth), nil
 }
 
 // CloseVC tears down one of this tenant's circuits.
 func (c *Client) CloseVC(vc cell.VCI) error {
-	rep, err := c.sessionRPC("close", func(incarn int32) *proto.Message {
-		return &proto.Message{Kind: proto.KindVCClose, From: incarn, Depth: int32(c.serverVCI(vc))}
-	})
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	delete(c.ledger, vc)
-	delete(c.alias, vc)
-	c.mu.Unlock()
-	if !rep.Accept {
-		return &Refused{Code: rep.Depth}
-	}
-	return nil
+	_, err := c.call(Op{Kind: proto.KindVCClose, VC: vc})
+	return err
 }
 
 // Traffic queues cells on a circuit, fire-and-forget.
 func (c *Client) Traffic(vc cell.VCI, cells int) error {
-	m := &proto.Message{
-		Kind:    proto.KindTraffic,
-		Epoch:   c.tenant,
-		From:    int32(c.serverVCI(vc)),
-		Depth:   int32(cells),
-		VTimeUS: time.Now().UnixMicro(),
-	}
-	wire, err := proto.Marshal(m)
+	c.mu.Lock()
+	wire, err := c.s.Traffic(time.Now(), vc, cells)
+	c.mu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -795,22 +423,8 @@ func (c *Client) Traffic(vc cell.VCI, cells int) error {
 
 // Bye ends the session; the server closes every circuit the tenant holds.
 // A stale-session refusal counts as success: either way, the session is
-// gone — re-attaching just to say goodbye would resurrect it.
+// gone.
 func (c *Client) Bye() error {
-	tc := c.startOp("bye")
-	rep, err := c.rpc(&proto.Message{
-		Kind: proto.KindBye, From: c.incarn.Load(),
-	}, tc)
-	c.endOp(tc)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.ledger = make(map[cell.VCI]ledgerEntry)
-	c.alias = make(map[cell.VCI]cell.VCI)
-	c.mu.Unlock()
-	if !rep.Accept && rep.Kind == proto.KindVCReply && rep.Depth != RefuseStaleSession {
-		return &Refused{Code: rep.Depth}
-	}
-	return nil
+	_, err := c.call(Op{Kind: proto.KindBye})
+	return err
 }

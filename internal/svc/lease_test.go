@@ -1,7 +1,7 @@
 package svc
 
 import (
-	"math/rand"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -337,7 +337,7 @@ func TestShedOverWatermark(t *testing.T) {
 }
 
 // feedNet is a Waiter transport whose deliveries the test injects by
-// hand — the client's read loop drains whatever was fed since last Wait.
+// hand: Wait hands over whatever was fed, or sits out its timeout.
 type feedNet struct {
 	mu sync.Mutex
 	q  []ctrlnet.Delivery
@@ -355,7 +355,7 @@ func (f *feedNet) Wait(d time.Duration) []ctrlnet.Delivery {
 	f.q = nil
 	f.mu.Unlock()
 	if q == nil {
-		time.Sleep(time.Millisecond)
+		time.Sleep(d)
 	}
 	return q
 }
@@ -367,7 +367,8 @@ func (f *feedNet) feed(wire []byte) {
 
 // Replies nobody is waiting for — undecodable datagrams and late
 // duplicates whose nonce already resolved — are counted, not dropped
-// silently; replies for another tenant sharing the endpoint are not.
+// silently; replies for another tenant sharing the endpoint are not. The
+// client has no reader of its own, so it counts them while a call waits.
 func TestClientOrphanReplyCounting(t *testing.T) {
 	fn := &feedNet{}
 	cl, err := NewClient(ClientConfig{
@@ -380,63 +381,24 @@ func TestClientOrphanReplyCounting(t *testing.T) {
 	defer cl.Close()
 
 	fn.feed([]byte("not a proto frame"))
-	late, err := proto.Marshal(&proto.Message{
-		Kind: proto.KindVCReply, Epoch: 7, Initiator: 999, From: 1, Accept: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, m := range []*proto.Message{
+		{Kind: proto.KindVCReply, Epoch: 7, Initiator: 999, From: 1, Accept: true}, // late duplicate
+		{Kind: proto.KindVCReply, Epoch: 8, Initiator: 1, From: 1, Accept: true},   // another tenant
+	} {
+		wire, err := proto.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn.feed(wire)
 	}
-	fn.feed(late)
-	other, err := proto.Marshal(&proto.Message{
-		Kind: proto.KindVCReply, Epoch: 8, Initiator: 1, From: 1, Accept: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	if got := cl.Stats().OrphanReplies; got != 0 {
+		t.Fatalf("OrphanReplies = %d before any call read them", got)
 	}
-	fn.feed(other)
-
-	deadline := time.Now().Add(2 * time.Second)
-	for cl.Stats().OrphanReplies < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	// The lease is never answered: it times out after reading the batch.
+	if err := cl.Lease(); !errors.Is(err, ErrRPCTimeout) {
+		t.Fatalf("unanswered lease: %v, want ErrRPCTimeout", err)
 	}
 	if got := cl.Stats().OrphanReplies; got != 2 {
 		t.Fatalf("OrphanReplies = %d, want 2 (garbage + late dup; other-tenant reply excluded)", got)
-	}
-}
-
-// Client backoff: attempt 0 waits exactly Timeout; jittered attempts stay
-// inside [Timeout/2, min(RetryCap, Timeout·2^i)]; NoJitter is fixed-pace.
-func TestBackoffJitterBounds(t *testing.T) {
-	c := &Client{
-		timeout:  100 * time.Millisecond,
-		retryCap: 800 * time.Millisecond,
-		rng:      rand.New(rand.NewSource(1)),
-	}
-	if got := c.backoffWait(0); got != c.timeout {
-		t.Fatalf("attempt 0 wait = %v, want %v", got, c.timeout)
-	}
-	for attempt := 1; attempt <= 8; attempt++ {
-		hi := c.retryCap
-		if shifted := c.timeout << uint(attempt); shifted < hi {
-			hi = shifted
-		}
-		lo := c.timeout / 2
-		sawSpread := map[time.Duration]bool{}
-		for i := 0; i < 200; i++ {
-			d := c.backoffWait(attempt)
-			if d < lo || d > hi {
-				t.Fatalf("attempt %d wait %v outside [%v, %v]", attempt, d, lo, hi)
-			}
-			sawSpread[d] = true
-		}
-		if len(sawSpread) < 2 {
-			t.Fatalf("attempt %d: no jitter (every draw %v)", attempt, c.backoffWait(attempt))
-		}
-	}
-	c.noJitter = true
-	for attempt := 0; attempt < 6; attempt++ {
-		if got := c.backoffWait(attempt); got != c.timeout {
-			t.Fatalf("NoJitter attempt %d wait = %v, want fixed %v", attempt, got, c.timeout)
-		}
 	}
 }

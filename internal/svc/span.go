@@ -34,10 +34,14 @@ func newSpanner(sw *obs.SpanWriter, ring *obs.Ring, seed uint64) *spanner {
 }
 
 // next returns a fresh nonzero id (trace or span): a splitmix64 walk over
-// an atomic counter, so concurrent RPCs never collide and ids from
+// an atomic counter, so concurrent callers never collide and ids from
 // different seeds are decorrelated.
 func (sp *spanner) next() uint64 {
-	x := sp.ctr.Add(1)*0x9E3779B97F4A7C15 + sp.seed
+	return mix64(sp.ctr.Add(1)*0x9E3779B97F4A7C15 + sp.seed)
+}
+
+// mix64 is splitmix64's finalizer, never returning zero (an unset id).
+func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27

@@ -2,6 +2,7 @@ package svc
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -437,4 +438,148 @@ func readDump(t *testing.T, path string) []obs.Event {
 		t.Fatal(err)
 	}
 	return evs
+}
+
+// answerNet is an in-memory responder: every request is answered on the
+// spot with an accepting vc-reply for VCI 1, queued for the next Wait.
+type answerNet struct {
+	mu   sync.Mutex
+	cond *sync.Cond
+	q    []ctrlnet.Delivery
+	sent int
+}
+
+func newAnswerNet() *answerNet {
+	a := &answerNet{}
+	a.cond = sync.NewCond(&a.mu)
+	return a
+}
+
+func (a *answerNet) Send(from, to topology.NodeID, wire []byte, _ int64) ([]ctrlnet.Delivery, error) {
+	m, _, err := proto.DecodeHeader(wire)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := proto.Marshal(&proto.Message{Kind: proto.KindVCReply, Epoch: m.Epoch,
+		Initiator: m.Initiator, From: 1, Accept: true, Depth: 1})
+	if err != nil {
+		return nil, err
+	}
+	a.mu.Lock()
+	a.sent++
+	a.q = append(a.q, ctrlnet.Delivery{From: to, To: from, Wire: rep})
+	a.cond.Broadcast()
+	a.mu.Unlock()
+	return nil, nil
+}
+
+func (a *answerNet) Wait(d time.Duration) []ctrlnet.Delivery {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if len(a.q) == 0 {
+		t := time.AfterFunc(d, func() {
+			a.mu.Lock()
+			a.cond.Broadcast()
+			a.mu.Unlock()
+		})
+		a.cond.Wait()
+		t.Stop()
+	}
+	q := a.q
+	a.q = nil
+	return q
+}
+
+func (a *answerNet) Poll() []ctrlnet.Delivery  { return nil }
+func (a *answerNet) Flush() []ctrlnet.Delivery { return nil }
+func (a *answerNet) Close() error              { return nil }
+
+// The client's untraced hot path: an Open+CloseVC pair over an in-memory
+// responder, every allocation counted (the responder's own included). The
+// ceiling is what the pair cost before the client became a shell over the
+// session machine (25, measured with this exact probe; 10 after): no
+// timer, channel or goroutine hand-off came back, and tracing off adds
+// nothing. Each call sends exactly one frame.
+func TestClientTracingDisabledAddsNoAllocs(t *testing.T) {
+	net := newAnswerNet()
+	cl, err := NewClient(ClientConfig{Transport: net, Self: 1, Server: 0, Tenant: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	avg := testing.AllocsPerRun(2000, func() {
+		vc, err := cl.Open(1, 2, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.CloseVC(vc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 25 {
+		t.Fatalf("untraced open+close = %.2f allocs, want <= 25", avg)
+	}
+	// AllocsPerRun makes one warm-up call of the function on top of its runs.
+	if net.sent != 2*2001 || cl.Stats().OrphanReplies != 0 {
+		t.Fatalf("%d frames for 2001 open+close pairs, %d orphan replies: want one frame per call",
+			net.sent, cl.Stats().OrphanReplies)
+	}
+}
+
+// A transport closed under a waiting call ends it at once with
+// ctrlnet.ErrClosed, not at its deadline; a closed client fails every
+// later call with ErrClientDone.
+func TestClientClosedEndsCall(t *testing.T) {
+	end := newMemEnd()
+	cl, err := NewClient(ClientConfig{Transport: end, Self: 1, Server: 0, Tenant: 1, Timeout: time.Hour, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.AfterFunc(20*time.Millisecond, func() { end.Close() })
+	start := time.Now()
+	if _, err := cl.Hello(); !errors.Is(err, ctrlnet.ErrClosed) {
+		t.Fatalf("hello over a closed transport: %v, want ctrlnet.ErrClosed", err)
+	}
+	if waited := time.Since(start); waited > 10*time.Second {
+		t.Fatalf("call sat out %v after its transport closed", waited)
+	}
+	cl.Close()
+	if err := cl.Lease(); !errors.Is(err, ErrClientDone) {
+		t.Fatalf("call on a closed client: %v, want ErrClientDone", err)
+	}
+}
+
+// Calls on one client from several goroutines are serialized: each still
+// sends exactly one frame and reads its own reply, with Stats read
+// alongside.
+func TestClientCallsSerialize(t *testing.T) {
+	net := newAnswerNet()
+	cl, err := NewClient(ClientConfig{Transport: net, Self: 1, Server: 0, Tenant: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				vc, err := cl.Open(1, 2, 0)
+				if err == nil {
+					err = cl.CloseVC(vc)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				_ = cl.Stats()
+			}
+		}()
+	}
+	wg.Wait()
+	if net.sent != 4*50*2 || cl.Stats().OrphanReplies != 0 {
+		t.Fatalf("%d frames and %d orphan replies for 200 serialized pairs, want 400 and 0",
+			net.sent, cl.Stats().OrphanReplies)
+	}
 }

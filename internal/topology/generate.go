@@ -45,22 +45,6 @@ func Ring(n int, latency int64) (*Graph, error) {
 	return g, nil
 }
 
-// Star builds one hub switch with n leaf switches.
-func Star(n int, latency int64) (*Graph, error) {
-	if n < 1 || n > PortsPerSwitch {
-		return nil, fmt.Errorf("topology: Star leaves must be 1..%d, got %d", PortsPerSwitch, n)
-	}
-	g := New()
-	hub := g.AddSwitch("hub")
-	for i := 0; i < n; i++ {
-		leaf := g.AddSwitch(fmt.Sprintf("leaf%d", i))
-		if _, err := g.Connect(hub, leaf, latency); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}
-
 // Tree builds a complete k-ary tree of switches with the given number of
 // levels (levels >= 1; level 1 is just the root).
 func Tree(fanout, levels int, latency int64) (*Graph, error) {
@@ -116,34 +100,6 @@ func Torus(rows, cols int, latency int64) (*Graph, error) {
 			}
 			if _, err := g.Connect(id(r, c), id((r+1)%rows, c), latency); err != nil {
 				return nil, err
-			}
-		}
-	}
-	return g, nil
-}
-
-// Hypercube builds a dim-dimensional hypercube of 2^dim switches; switch i
-// links to every switch differing in one address bit. Hypercubes are one
-// of the fixed topologies the paper contrasts with AN2's arbitrary ones
-// ("in networks with a fixed topology, like hypercubes or banyans, routing
-// can be 'wired in'"); here they serve as a regular benchmark topology.
-func Hypercube(dim int, latency int64) (*Graph, error) {
-	if dim < 1 || dim > 4 {
-		// dim 4 gives degree 4 <= PortsPerSwitch with room for hosts.
-		return nil, fmt.Errorf("topology: Hypercube dim must be 1..4, got %d", dim)
-	}
-	g := New()
-	n := 1 << dim
-	for i := 0; i < n; i++ {
-		g.AddSwitch(fmt.Sprintf("h%0*b", dim, i))
-	}
-	for i := 0; i < n; i++ {
-		for b := 0; b < dim; b++ {
-			j := i ^ (1 << b)
-			if i < j {
-				if _, err := g.Connect(NodeID(i), NodeID(j), latency); err != nil {
-					return nil, err
-				}
 			}
 		}
 	}

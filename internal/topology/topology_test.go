@@ -235,46 +235,6 @@ func TestTorusGenerator(t *testing.T) {
 	}
 }
 
-func TestStarGenerator(t *testing.T) {
-	g, err := Star(5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 6 || g.NumLinks() != 5 {
-		t.Fatal("Star(5) shape wrong")
-	}
-	if _, err := Star(PortsPerSwitch+1, 1); err == nil {
-		t.Error("oversized star accepted")
-	}
-}
-
-func TestHypercube(t *testing.T) {
-	g, err := Hypercube(3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 8 || g.NumLinks() != 12 {
-		t.Fatalf("Hypercube(3): %d nodes %d links, want 8/12", g.NumNodes(), g.NumLinks())
-	}
-	for _, d := range g.Degrees() {
-		if d != 3 {
-			t.Fatalf("hypercube degree %d, want 3", d)
-		}
-	}
-	if d := g.Diameter(); d != 3 {
-		t.Fatalf("Hypercube(3) diameter = %d, want 3", d)
-	}
-	if cuts := g.ArticulationSwitches(); len(cuts) != 0 {
-		t.Fatalf("hypercube has cut vertices %v", cuts)
-	}
-	if _, err := Hypercube(0, 1); err == nil {
-		t.Error("dim 0 accepted")
-	}
-	if _, err := Hypercube(5, 1); err == nil {
-		t.Error("dim 5 accepted")
-	}
-}
-
 func TestRandomConnected(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for n := 1; n <= 40; n += 13 {
