@@ -30,6 +30,9 @@ import (
 //   - conservation (every tick): the data plane's cell accounting stays
 //     balanced while circuits churn, leases expire, and orphans are
 //     reclaimed.
+//   - svc-books (every tick): the live server's books balance
+//     (svc.Server.CheckInvariant): quotas, circuit ownership, orphans,
+//     nonce caches, mirrors.
 //   - no-double-grant (every reply): one (tenant, nonce) request is
 //     granted at most one VCI, however many times loss and duplication
 //     make the server answer it.
@@ -437,6 +440,10 @@ func RunSvc(s SvcSchedule) (*SvcResult, error) {
 		lan.Run(svcStepSlots)
 		if h.alive {
 			h.srv.Sweep()
+			if err := h.srv.CheckInvariant(); err != nil {
+				h.res.Violation = &Violation{Slot: h.nowMS, Invariant: "svc-books", Detail: err.Error()}
+				return h.finish(), nil
+			}
 		}
 		if !lan.Snapshot().Conserved() {
 			h.res.Violation = &Violation{Slot: h.nowMS, Invariant: "conservation",

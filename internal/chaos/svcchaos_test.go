@@ -181,7 +181,9 @@ func TestSvcChaosRecorderSurvivesRestart(t *testing.T) {
 }
 
 // Determinism: equal schedules produce identical results, down to the
-// tenant-observed counters. Without this, shrinking is meaningless.
+// tenant-observed counters and the flight recorder's every span (the
+// server's one clock is the virtual one). Without this, shrinking is
+// meaningless.
 func TestSvcChaosDeterministic(t *testing.T) {
 	s := GenerateSvc(5, SvcGenConfig{HorizonMS: 1200, GraceMS: 500})
 	a, err := RunSvc(s)
@@ -202,5 +204,13 @@ func TestSvcChaosDeterministic(t *testing.T) {
 	if a.FinalStats.Requests != b.FinalStats.Requests ||
 		a.FinalStats.LeaseExpired != b.FinalStats.LeaseExpired {
 		t.Fatalf("server stats diverged: %+v vs %+v", a.FinalStats, b.FinalStats)
+	}
+	if len(a.Recorder) == 0 || len(a.Recorder) != len(b.Recorder) {
+		t.Fatalf("recorders hold %d and %d spans", len(a.Recorder), len(b.Recorder))
+	}
+	for i := range a.Recorder {
+		if a.Recorder[i] != b.Recorder[i] {
+			t.Fatalf("recorder span %d diverged: %+v vs %+v", i, a.Recorder[i], b.Recorder[i])
+		}
 	}
 }

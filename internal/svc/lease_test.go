@@ -289,50 +289,49 @@ func TestDrainRefusesNewCircuitsOnly(t *testing.T) {
 	}
 }
 
-// Overload shedding: when one receive batch carries more backlog than
-// ShedWatermark, the deep-backlog vc-requests get RefuseOverloaded
-// (uncached — a backoff signal) while the tail of the batch is served.
+// Overload shedding: a vc-request with more than shedWatermark frames
+// behind it in one receive batch gets RefuseOverloaded (uncached — a
+// backoff signal) while the shallow tail of the batch is served.
 func TestShedOverWatermark(t *testing.T) {
-	lan := testLAN(t)
-	ln := &loopNet{}
-	s, err := NewServer(Config{
-		LAN: lan, Transport: ln, Node: 0,
-		MaxVCsPerTenant: 8, MaxGuaranteedPerTenant: 8,
-		Incarnation:   1,
-		ShedWatermark: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hosts := lan.Topology().Hosts()
+	s, ln, hosts := directServer(t, nil)
 	hello(t, s, ln, 9, 42)
 
-	mk := func(nonce uint64) []byte {
-		wire, err := proto.Marshal(&proto.Message{
-			Kind: proto.KindVCRequest, Epoch: 42, Initiator: nonce, From: 1,
-			Links: []proto.LinkRec{{A: int32(hosts[0]), B: int32(hosts[1])}},
-		})
+	mk := func(kind proto.Kind, nonce uint64) ctrlnet.Delivery {
+		m := &proto.Message{Kind: kind, Epoch: 42, Initiator: nonce, From: 1}
+		if kind == proto.KindVCRequest {
+			m.Links = []proto.LinkRec{{A: int32(hosts[0]), B: int32(hosts[1])}}
+		}
+		wire, err := proto.Marshal(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return wire
+		return ctrlnet.Delivery{From: 9, To: 0, Wire: wire}
 	}
-	s.ServeBatch([]ctrlnet.Delivery{
-		{From: 9, To: 0, Wire: mk(1)},
-		{From: 9, To: 0, Wire: mk(2)},
-		{From: 9, To: 0, Wire: mk(3)},
-	})
-	if len(ln.sent) != 3 {
-		t.Fatalf("%d replies, want 3", len(ln.sent))
+	// Request 1 stands behind shedWatermark+1 frames, request 2 behind one.
+	batch := []ctrlnet.Delivery{mk(proto.KindVCRequest, 1)}
+	for i := 0; i < shedWatermark; i++ {
+		batch = append(batch, mk(proto.KindLease, uint64(100+i)))
 	}
-	if ln.sent[0].Accept || ln.sent[0].Depth != RefuseOverloaded {
-		t.Fatalf("deep-backlog request not shed: %+v", ln.sent[0])
+	batch = append(batch, mk(proto.KindVCRequest, 2), mk(proto.KindLease, 99))
+	s.ServeBatch(batch)
+	if len(ln.sent) != len(batch) {
+		t.Fatalf("%d replies, want %d", len(ln.sent), len(batch))
 	}
-	if !ln.sent[1].Accept || !ln.sent[2].Accept {
-		t.Fatalf("shallow-backlog requests not served: %+v %+v", ln.sent[1], ln.sent[2])
+	if rep := ln.sent[0]; rep.Accept || rep.Depth != RefuseOverloaded {
+		t.Fatalf("deep-backlog request not shed: %+v", rep)
 	}
-	if st := s.Stats(); st.Shed != 1 {
-		t.Fatalf("Shed = %d, want 1", st.Shed)
+	if rep := ln.sent[len(batch)-2]; !rep.Accept {
+		t.Fatalf("shallow-backlog request not served: %+v", rep)
+	}
+	if st := s.Stats(); st.Shed != 1 || st.LeaseRenewals != shedWatermark+1 {
+		t.Fatalf("Shed = %d, LeaseRenewals = %d: want 1 and %d (leases are never shed)",
+			st.Shed, st.LeaseRenewals, shedWatermark+1)
+	}
+	// Weather is uncached: the shed nonce retried alone is admitted.
+	deliver(t, s, 9, &proto.Message{Kind: proto.KindVCRequest, Epoch: 42, Initiator: 1, From: 1,
+		Links: []proto.LinkRec{{A: int32(hosts[0]), B: int32(hosts[1])}}})
+	if rep := ln.sent[len(ln.sent)-1]; !rep.Accept {
+		t.Fatalf("retry of the shed nonce not admitted: %+v", rep)
 	}
 }
 

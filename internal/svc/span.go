@@ -58,8 +58,3 @@ func (sp *spanner) emit(ev *obs.Event) {
 	sp.sw.Emit(ev)
 	sp.ring.Put(*ev)
 }
-
-// wallUS is the span clock: wall µs since the Unix epoch. Service spans
-// carry it alongside the slot clock because two processes share no slot
-// clock; obs.MergeTraces aligns the wall clocks instead.
-func wallUS() int64 { return time.Now().UnixMicro() }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cell"
 	"repro/internal/core"
 	"repro/internal/ctrlnet"
 	"repro/internal/obs"
@@ -31,7 +32,8 @@ func testLAN(t *testing.T) *core.LAN {
 }
 
 // deliver hand-builds one tenant frame and feeds it straight to the
-// server — the deterministic in-memory path (no sockets, no goroutines).
+// server — the deterministic in-memory path (no sockets, no goroutines) —
+// then checks the server's books.
 func deliver(t *testing.T, s *Server, from topology.NodeID, m *proto.Message) {
 	t.Helper()
 	wire, err := proto.Marshal(m)
@@ -39,6 +41,9 @@ func deliver(t *testing.T, s *Server, from topology.NodeID, m *proto.Message) {
 		t.Fatal(err)
 	}
 	s.ServeOne(ctrlnet.Delivery{From: from, To: 0, Wire: wire})
+	if err := s.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // loopNet is a minimal in-memory transport that records server replies so
@@ -238,6 +243,86 @@ func TestTrafficValidatesOwnership(t *testing.T) {
 	deliver(t, s, 9, &proto.Message{Kind: proto.KindTraffic, Epoch: 6, From: vc, Depth: 10})
 	if s.Stats().TrafficCells != before {
 		t.Fatal("foreign tenant injected traffic on someone else's VC")
+	}
+}
+
+// A circuit nobody owns is nobody's: tenant id 0 must not read an absent
+// owner as its own and drive traffic on an orphan inherited from a
+// previous incarnation.
+func TestTenantZeroCannotDriveOrphan(t *testing.T) {
+	lan := testLAN(t)
+	hosts := lan.Topology().Hosts()
+	orphan, err := lan.OpenBestEffort(hosts[0], hosts[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &loopNet{}
+	s, err := NewServer(Config{LAN: lan, Transport: ln, Node: 0, Incarnation: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello(t, s, ln, 9, 0)
+	deliver(t, s, 9, &proto.Message{Kind: proto.KindTraffic, Epoch: 0, From: int32(orphan), Depth: 10})
+	if st := s.Stats(); st.TrafficCells != 0 || st.TrafficRefused != 0 {
+		t.Fatalf("tenant 0 queued %d cells (%d refused) on orphan VC %d", st.TrafficCells, st.TrafficRefused, orphan)
+	}
+}
+
+// The live gauges move with every served message, not only on idle ticks:
+// ServeOne never ticks.
+func TestLiveGaugesFollowServedMessages(t *testing.T) {
+	reg := obs.NewRegistry(1)
+	s, ln, hosts := directServer(t, reg)
+	hello(t, s, ln, 9, 42)
+	vc := openVC(t, s, ln, 9, 42, 1, hosts[0], hosts[1])
+	if tn, vcs := reg.Gauge("svc_tenants").Value(), reg.Gauge("svc_vcs_open").Value(); tn != 1 || vcs != 1 {
+		t.Fatalf("after hello+open: svc_tenants = %d, svc_vcs_open = %d, want 1 and 1", tn, vcs)
+	}
+	deliver(t, s, 9, &proto.Message{Kind: proto.KindVCClose, Epoch: 42, Initiator: 2, From: 1, Depth: vc})
+	if vcs := reg.Gauge("svc_vcs_open").Value(); vcs != 0 {
+		t.Fatalf("after close: svc_vcs_open = %d, want 0", vcs)
+	}
+}
+
+// Cells a traffic frame cannot queue (past the burst cap, or refused by
+// the LAN) are counted, never dropped silently: queued + refused is what
+// the tenant offered.
+func TestTrafficRefusedCounted(t *testing.T) {
+	reg := obs.NewRegistry(1)
+	s, ln, hosts := directServer(t, reg)
+	hello(t, s, ln, 9, 5)
+	vc := openVC(t, s, ln, 9, 5, 1, hosts[0], hosts[1])
+	const offered = maxBurst + 10
+	deliver(t, s, 9, &proto.Message{Kind: proto.KindTraffic, Epoch: 5, From: vc, Depth: offered})
+	st := s.Stats()
+	if st.TrafficCells != maxBurst || st.TrafficRefused != 10 {
+		t.Fatalf("queued %d + refused %d cells of %d offered, want %d + 10",
+			st.TrafficCells, st.TrafficRefused, offered, maxBurst)
+	}
+	if v := reg.Counter("svc_traffic_refused_cells_total").Value(); v != st.TrafficRefused {
+		t.Fatalf("svc_traffic_refused_cells_total = %d, Stats.TrafficRefused = %d", v, st.TrafficRefused)
+	}
+}
+
+// CheckInvariant is a real check: corrupting any one part of the books
+// makes it fire.
+func TestCheckInvariantCatchesCorruptBooks(t *testing.T) {
+	for name, corrupt := range map[string]func(s *Server, vc cell.VCI){
+		"gtd":           func(s *Server, _ cell.VCI) { s.tenants[42].gtd++ },
+		"vcOwner":       func(s *Server, vc cell.VCI) { s.vcOwner[vc] = 7 },
+		"stray owner":   func(s *Server, vc cell.VCI) { s.vcOwner[vc+100] = 42 },
+		"orphan":        func(s *Server, vc cell.VCI) { s.orphans[vc] = time.Time{} },
+		"closed in LAN": func(s *Server, vc cell.VCI) { _ = s.lan.Close(vc) },
+		"nonce order":   func(s *Server, _ cell.VCI) { s.tenants[42].order = append(s.tenants[42].order, 9) },
+		"mirror":        func(s *Server, _ cell.VCI) { s.nTenants.Add(1) },
+	} {
+		s, ln, hosts := directServer(t, nil)
+		hello(t, s, ln, 9, 42)
+		vc := cell.VCI(openVC(t, s, ln, 9, 42, 1, hosts[0], hosts[1]))
+		corrupt(s, vc)
+		if err := s.CheckInvariant(); err == nil {
+			t.Errorf("%s: corrupt books pass CheckInvariant", name)
+		}
 	}
 }
 
