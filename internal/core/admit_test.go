@@ -70,8 +70,8 @@ func TestAdmitAllocationBudget(t *testing.T) {
 	if got := testing.AllocsPerRun(500, bestEffort); got > 12 {
 		t.Errorf("OpenBestEffort+Close: %.1f allocs, budget 12", got)
 	}
-	if got := testing.AllocsPerRun(500, guaranteed); got > 20 {
-		t.Errorf("Reserve+Close: %.1f allocs, budget 20", got)
+	if got := testing.AllocsPerRun(500, guaranteed); got > 7 {
+		t.Errorf("Reserve+Close: %.1f allocs, budget 7", got)
 	}
 }
 

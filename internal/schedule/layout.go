@@ -59,9 +59,9 @@ func (s *Schedule) Relayout(policy Layout) (*Schedule, error) {
 			return nil, err
 		}
 		for t := 0; t < s.slots; t++ {
-			for i, j := range s.outOf[t] {
+			for i, j := range s.row(t) {
 				if j >= 0 {
-					out.place(t, i, j)
+					out.place(t, i, int(j))
 					out.rowLoad[i]++
 					out.colLoad[j]++
 				}
@@ -103,9 +103,9 @@ func (s *Schedule) Relayout(policy Layout) (*Schedule, error) {
 			if policy == LayoutSpread {
 				target = t * s.slots / delta // spread evenly
 			}
-			for i, j := range compact.outOf[t] {
+			for i, j := range compact.row(t) {
 				if j >= 0 {
-					out.place(target, i, j)
+					out.place(target, i, int(j))
 					out.rowLoad[i]++
 					out.colLoad[j]++
 				}
@@ -121,12 +121,9 @@ func (s *Schedule) Relayout(policy Layout) (*Schedule, error) {
 // connection.
 func (s *Schedule) BusySlots() int {
 	busy := 0
-	for t := 0; t < s.slots; t++ {
-		for _, j := range s.outOf[t] {
-			if j >= 0 {
-				busy++
-				break
-			}
+	for _, c := range s.count {
+		if c > 0 {
+			busy++
 		}
 	}
 	return busy

@@ -13,7 +13,9 @@ package schedule
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 )
 
 // DefaultFrameSlots is AN2's frame size: reservations are based on frames
@@ -47,13 +49,26 @@ type Trace struct {
 }
 
 // Schedule is a frame schedule for an n×n switch. Create with New.
+//
+// A frame is a stack of partial permutation matrices, one per slot. The
+// schedule keeps it two ways: per slot, who is connected to whom (outOf,
+// inOf, what a switch stepping the slot reads), and per port, the set of
+// slots where the port is free (freeIn, freeOut, what an insertion or
+// removal searches). Both are maintained at the two mutation points,
+// place and unplace.
 type Schedule struct {
 	n     int
 	slots int
-	// outOf[s][i] = output connected to input i in slot s, or -1.
-	outOf [][]int
-	// inOf[s][j] = input connected to output j in slot s, or -1.
-	inOf [][]int
+	// outOf[t*n+i] = output connected to input i in slot t, or -1.
+	outOf []int16
+	// inOf[t*n+j] = input connected to output j in slot t, or -1.
+	inOf []int16
+	// freeIn[i*slotWords:(i+1)*slotWords] = the bitset of slots where input
+	// i is unconnected, and freeOut the same for outputs. No bit at or
+	// beyond slots is ever set.
+	freeIn    []uint64
+	freeOut   []uint64
+	slotWords int
 	// rowLoad[i] / colLoad[j] = cells per frame reserved on input i /
 	// output j, for admissibility checks.
 	rowLoad []int
@@ -71,33 +86,36 @@ type Schedule struct {
 }
 
 // New creates an empty schedule for an n×n switch with the given frame
-// size in slots.
+// size in slots. n is at most math.MaxInt16: a slot's connections are
+// stored as 16-bit port numbers.
 func New(n, slots int) (*Schedule, error) {
-	if n < 1 {
+	if n < 1 || n > math.MaxInt16 {
 		return nil, fmt.Errorf("schedule: switch size %d", n)
 	}
 	if slots < 1 {
 		return nil, fmt.Errorf("schedule: frame size %d", slots)
 	}
 	s := &Schedule{
-		n:       n,
-		slots:   slots,
-		outOf:   make([][]int, slots),
-		inOf:    make([][]int, slots),
-		rowLoad: make([]int, n),
-		colLoad: make([]int, n),
-		count:   make([]int32, slots),
-		words:   (n + 63) / 64,
+		n:         n,
+		slots:     slots,
+		outOf:     make([]int16, slots*n),
+		inOf:      make([]int16, slots*n),
+		slotWords: (slots + 63) / 64,
+		rowLoad:   make([]int, n),
+		colLoad:   make([]int, n),
+		count:     make([]int32, slots),
+		words:     (n + 63) / 64,
 	}
 	s.inputs = make([]uint64, slots*s.words)
-	for t := 0; t < slots; t++ {
-		s.outOf[t] = make([]int, n)
-		s.inOf[t] = make([]int, n)
-		for i := 0; i < n; i++ {
-			s.outOf[t][i] = -1
-			s.inOf[t][i] = -1
-		}
+	for k := range s.outOf {
+		s.outOf[k] = -1
+		s.inOf[k] = -1
 	}
+	s.freeIn = make([]uint64, n*s.slotWords)
+	for k := range s.freeIn {
+		s.freeIn[k] = s.frameMask(k % s.slotWords)
+	}
+	s.freeOut = slices.Clone(s.freeIn)
 	return s, nil
 }
 
@@ -120,7 +138,7 @@ func FromAssignments(n, slots int, at func(slot, input int) int) (*Schedule, err
 			if j >= n {
 				return nil, fmt.Errorf("%w: slot %d input %d -> %d", ErrBadPort, t, i, j)
 			}
-			if s.inOf[t][j] >= 0 {
+			if s.inOf[t*n+j] >= 0 {
 				return nil, fmt.Errorf("schedule: slot %d output %d assigned twice", t, j)
 			}
 			s.place(t, i, j)
@@ -155,7 +173,7 @@ func (s *Schedule) At(t, input int) int {
 	if t < 0 || t >= s.slots || input < 0 || input >= s.n {
 		return -1
 	}
-	return s.outOf[t][input]
+	return int(s.outOf[t*s.n+input])
 }
 
 // CountAt returns the number of connections scheduled in slot t.
@@ -173,19 +191,39 @@ func (s *Schedule) InputAt(t, output int) int {
 	if t < 0 || t >= s.slots || output < 0 || output >= s.n {
 		return -1
 	}
-	return s.inOf[t][output]
+	return int(s.inOf[t*s.n+output])
 }
 
 // SlotConns returns the connections active in slot t.
 func (s *Schedule) SlotConns(t int) []Conn {
 	var out []Conn
-	for i, j := range s.outOf[t] {
+	for i, j := range s.row(t) {
 		if j >= 0 {
-			out = append(out, Conn{Input: i, Output: j})
+			out = append(out, Conn{Input: i, Output: int(j)})
 		}
 	}
 	return out
 }
+
+// row returns slot t's outputs by input (outOf's slot t).
+func (s *Schedule) row(t int) []int16 { return s.outOf[t*s.n : (t+1)*s.n] }
+
+// freeSlots returns port's free-slot bitset out of freeIn or freeOut.
+func (s *Schedule) freeSlots(sets []uint64, port int) []uint64 {
+	return sets[port*s.slotWords : (port+1)*s.slotWords]
+}
+
+// frameMask returns the bits of word w of a free-slot set that name slots
+// of the frame: all of them, except in a partial last word.
+func (s *Schedule) frameMask(w int) uint64 {
+	if tail := s.slots - w*64; tail < 64 {
+		return 1<<uint(tail) - 1
+	}
+	return ^uint64(0)
+}
+
+// has reports whether bit k of the bitset is set.
+func has(set []uint64, k int) bool { return set[k/64]&(1<<(uint(k)%64)) != 0 }
 
 // Insertion errors.
 var (
@@ -197,48 +235,56 @@ var (
 // Insert adds a one-cell-per-frame reservation from input P to output Q
 // using the Slepian–Duguid algorithm, returning the insertion trace.
 //
-// If some slot has both P and Q free, the reservation lands there (one
-// step). Otherwise there is a slot p with P free and a slot q with Q free
-// (they exist because the reservation does not over-commit either port);
-// the connection is placed in p and conflicts are resolved by swapping the
-// conflicting connections between p and q, at most N steps in total.
+// If some slot has both P and Q free, the reservation lands in the lowest
+// such slot (one step). Otherwise it takes the lowest slot p with P free
+// and the lowest slot q with Q free (they exist because the reservation
+// does not over-commit either port); the connection is placed in p and
+// conflicts are resolved by swapping the conflicting connections between p
+// and q, at most N steps in total. Each search is a scan of the two ports'
+// free-slot sets, ⌈slots/64⌉ words.
 func (s *Schedule) Insert(p, q int) (Trace, error) {
-	return s.insert(p, q)
+	var tr Trace
+	steps, err := s.insert(p, q, &tr.Moves)
+	tr.Steps = steps
+	return tr, err
 }
 
-func (s *Schedule) insert(P, Q int) (Trace, error) {
-	var tr Trace
+// insert places one cell of P->Q and returns the steps taken. It appends
+// the moves to *moves, or records none if moves is nil.
+func (s *Schedule) insert(P, Q int, moves *[]Move) (steps int, err error) {
 	if P < 0 || P >= s.n || Q < 0 || Q >= s.n {
-		return tr, fmt.Errorf("%w: %d->%d", ErrBadPort, P, Q)
+		return 0, fmt.Errorf("%w: %d->%d", ErrBadPort, P, Q)
 	}
 	if s.rowLoad[P]+1 > s.slots || s.colLoad[Q]+1 > s.slots {
-		return tr, fmt.Errorf("%w: %d->%d (row %d, col %d, frame %d)",
+		return 0, fmt.Errorf("%w: %d->%d (row %d, col %d, frame %d)",
 			ErrOvercommit, P, Q, s.rowLoad[P], s.colLoad[Q], s.slots)
 	}
 
-	// Fast path: a slot where both are free.
+	// Fast path: the lowest slot where both are free.
+	freeP, freeQ := s.freeSlots(s.freeIn, P), s.freeSlots(s.freeOut, Q)
 	slotP, slotQ := -1, -1
-	for t := 0; t < s.slots; t++ {
-		pFree := s.outOf[t][P] < 0
-		qFree := s.inOf[t][Q] < 0
-		if pFree && qFree {
+	for w, fp := range freeP {
+		fq := freeQ[w]
+		if both := fp & fq; both != 0 {
+			t := w*64 + bits.TrailingZeros64(both)
 			s.place(t, P, Q)
 			s.rowLoad[P]++
 			s.colLoad[Q]++
-			tr.Steps = 1
-			tr.Moves = append(tr.Moves, Move{Conn: Conn{P, Q}, Slot: t})
-			return tr, nil
+			if moves != nil {
+				*moves = append(*moves, Move{Conn: Conn{P, Q}, Slot: t})
+			}
+			return 1, nil
 		}
-		if pFree && slotP < 0 {
-			slotP = t
+		if fp != 0 && slotP < 0 {
+			slotP = w*64 + bits.TrailingZeros64(fp)
 		}
-		if qFree && slotQ < 0 {
-			slotQ = t
+		if fq != 0 && slotQ < 0 {
+			slotQ = w*64 + bits.TrailingZeros64(fq)
 		}
 	}
 	// Admissibility guarantees both exist.
 	if slotP < 0 || slotQ < 0 {
-		return tr, fmt.Errorf("%w: internal: no free slot for %d->%d", ErrOvercommit, P, Q)
+		return 0, fmt.Errorf("%w: internal: no free slot for %d->%d", ErrOvercommit, P, Q)
 	}
 
 	// Swap loop over the two slots, in the style of Figure 3. `pending`
@@ -250,97 +296,106 @@ func (s *Schedule) insert(P, Q int) (Trace, error) {
 	pending := Conn{P, Q}
 	slot := slotP
 	other := slotQ
-	tr.Steps = 0
 	for iter := 0; iter <= 2*s.n+2; iter++ {
 		// Conflicts in `slot` for `pending`: at most one of (same input,
 		// same output) — the input conflict only arises for displaced
 		// connections, never both at once.
-		inConflict := s.outOf[slot][pending.Input]
-		outConflict := s.inOf[slot][pending.Output]
-		switch {
-		case inConflict < 0 && outConflict < 0:
+		inConflict := int(s.outOf[slot*s.n+pending.Input])
+		outConflict := int(s.inOf[slot*s.n+pending.Output])
+		if inConflict < 0 && outConflict < 0 {
 			s.place(slot, pending.Input, pending.Output)
-			tr.Moves = append(tr.Moves, Move{Conn: pending, Slot: slot})
-			tr.Steps++
+			if moves != nil {
+				*moves = append(*moves, Move{Conn: pending, Slot: slot})
+			}
 			s.rowLoad[P]++
 			s.colLoad[Q]++
-			return tr, nil
-		case outConflict >= 0:
-			// Displace (outConflict -> pending.Output) to the other slot.
-			victim := Conn{outConflict, pending.Output}
-			s.unplace(slot, victim.Input, victim.Output)
-			s.place(slot, pending.Input, pending.Output)
-			tr.Moves = append(tr.Moves, Move{Conn: pending, Slot: slot, Displaced: &victim})
-			tr.Steps++
-			pending = victim
-			slot, other = other, slot
-		default:
-			// Input conflict: displace (pending.Input -> old output).
-			victim := Conn{pending.Input, inConflict}
-			s.unplace(slot, victim.Input, victim.Output)
-			s.place(slot, pending.Input, pending.Output)
-			tr.Moves = append(tr.Moves, Move{Conn: pending, Slot: slot, Displaced: &victim})
-			// An input-conflict resolution continues the same figure-3
-			// step (the "swap"): do not increment Steps.
-			pending = victim
-			slot, other = other, slot
+			return steps + 1, nil
 		}
+		// Displace the conflicting connection to the other slot. An output
+		// conflict (outConflict -> pending.Output) is a new figure-3 step;
+		// an input conflict (pending.Input -> its old output) continues the
+		// same step (the "swap").
+		victim := Conn{pending.Input, inConflict}
+		if outConflict >= 0 {
+			victim = Conn{outConflict, pending.Output}
+			steps++
+		}
+		s.unplace(slot, victim.Input, victim.Output)
+		s.place(slot, pending.Input, pending.Output)
+		if moves != nil {
+			displaced := victim
+			*moves = append(*moves, Move{Conn: pending, Slot: slot, Displaced: &displaced})
+		}
+		pending = victim
+		slot, other = other, slot
 	}
-	return tr, fmt.Errorf("schedule: insertion did not terminate in %d iterations (bug)", 2*s.n+2)
+	return steps, fmt.Errorf("schedule: insertion did not terminate in %d iterations (bug)", 2*s.n+2)
 }
 
+// place and unplace are the only two mutation points of the slot arrays,
+// the per-slot counts and input sets, and the per-port free-slot sets.
 func (s *Schedule) place(t, i, j int) {
-	s.outOf[t][i] = j
-	s.inOf[t][j] = i
+	s.outOf[t*s.n+i] = int16(j)
+	s.inOf[t*s.n+j] = int16(i)
 	s.total++
 	s.count[t]++
 	s.inputs[t*s.words+i/64] |= 1 << (uint(i) % 64)
+	bit := uint64(1) << (uint(t) % 64)
+	s.freeIn[i*s.slotWords+t/64] &^= bit
+	s.freeOut[j*s.slotWords+t/64] &^= bit
 }
 
 func (s *Schedule) unplace(t, i, j int) {
-	s.outOf[t][i] = -1
-	s.inOf[t][j] = -1
+	s.outOf[t*s.n+i] = -1
+	s.inOf[t*s.n+j] = -1
 	s.total--
 	s.count[t]--
 	s.inputs[t*s.words+i/64] &^= 1 << (uint(i) % 64)
+	bit := uint64(1) << (uint(t) % 64)
+	s.freeIn[i*s.slotWords+t/64] |= bit
+	s.freeOut[j*s.slotWords+t/64] |= bit
 }
 
-// InsertK adds a k-cell-per-frame reservation, one cell at a time. The
-// total cost is at most N×k steps (paper §4). It returns the summed trace.
-// InsertK is atomic: if the reservation would over-commit either port, no
-// cells are placed.
-func (s *Schedule) InsertK(p, q, k int) (Trace, error) {
-	var total Trace
+// InsertK adds a k-cell-per-frame reservation, one cell at a time, and
+// returns the summed Slepian–Duguid steps: at most N×k (paper §4). It
+// records no moves; Insert returns them for one cell. InsertK is atomic: if
+// the reservation would over-commit either port, no cells are placed.
+func (s *Schedule) InsertK(p, q, k int) (steps int, err error) {
 	if p < 0 || p >= s.n || q < 0 || q >= s.n {
-		return total, fmt.Errorf("%w: %d->%d", ErrBadPort, p, q)
+		return 0, fmt.Errorf("%w: %d->%d", ErrBadPort, p, q)
 	}
 	if s.rowLoad[p]+k > s.slots || s.colLoad[q]+k > s.slots {
-		return total, fmt.Errorf("%w: %d cells %d->%d (row %d, col %d, frame %d)",
+		return 0, fmt.Errorf("%w: %d cells %d->%d (row %d, col %d, frame %d)",
 			ErrOvercommit, k, p, q, s.rowLoad[p], s.colLoad[q], s.slots)
 	}
 	for c := 0; c < k; c++ {
-		tr, err := s.insert(p, q)
+		n, err := s.insert(p, q, nil)
 		if err != nil {
-			return total, fmt.Errorf("cell %d of %d: %w", c+1, k, err)
+			return steps, fmt.Errorf("cell %d of %d: %w", c+1, k, err)
 		}
-		total.Steps += tr.Steps
-		total.Moves = append(total.Moves, tr.Moves...)
+		steps += n
 	}
-	return total, nil
+	return steps, nil
 }
 
 // Remove deletes one scheduled cell of the reservation (p,q), freeing its
-// slot. It removes from the highest-numbered slot serving the pair.
+// slot. It removes from the highest-numbered slot serving the pair,
+// visiting only the slots where input p is busy.
 func (s *Schedule) Remove(p, q int) error {
 	if p < 0 || p >= s.n || q < 0 || q >= s.n {
 		return fmt.Errorf("%w: %d->%d", ErrBadPort, p, q)
 	}
-	for t := s.slots - 1; t >= 0; t-- {
-		if s.outOf[t][p] == q {
-			s.unplace(t, p, q)
-			s.rowLoad[p]--
-			s.colLoad[q]--
-			return nil
+	freeP := s.freeSlots(s.freeIn, p)
+	for w := s.slotWords - 1; w >= 0; w-- {
+		for busy := ^freeP[w] & s.frameMask(w); busy != 0; {
+			b := 63 - bits.LeadingZeros64(busy)
+			if t := w*64 + b; int(s.outOf[t*s.n+p]) == q {
+				s.unplace(t, p, q)
+				s.rowLoad[p]--
+				s.colLoad[q]--
+				return nil
+			}
+			busy &^= 1 << uint(b)
 		}
 	}
 	return fmt.Errorf("%w: %d->%d", ErrNotFound, p, q)
@@ -363,11 +418,9 @@ func (s *Schedule) Reservations() [][]int {
 	for i := range m {
 		m[i] = make([]int, s.n)
 	}
-	for t := 0; t < s.slots; t++ {
-		for i, j := range s.outOf[t] {
-			if j >= 0 {
-				m[i][j]++
-			}
+	for k, j := range s.outOf {
+		if j >= 0 {
+			m[k%s.n][j]++
 		}
 	}
 	return m
@@ -375,38 +428,37 @@ func (s *Schedule) Reservations() [][]int {
 
 // Validate checks internal consistency: each slot is a partial permutation,
 // its connection count and connected-input bitset describe exactly the
-// inputs it connects, and the row/column loads and the frame total match the
-// placed connections.
+// inputs it connects, each port's free-slot set holds exactly the slots of
+// the frame where the port is unconnected, and the row/column loads and the
+// frame total match the placed connections. It allocates nothing.
 func (s *Schedule) Validate() error {
-	rows := make([]int, s.n)
-	cols := make([]int, s.n)
 	total := 0
 	for t := 0; t < s.slots; t++ {
-		seenOut := make(map[int]int)
 		placed, marked := 0, 0
 		for _, w := range s.InputsAt(t) {
 			marked += bits.OnesCount64(w)
 		}
-		for i, j := range s.outOf[t] {
-			if inSet := s.inputs[t*s.words+i/64]&(1<<(uint(i)%64)) != 0; inSet != (j >= 0) {
+		for i, j := range s.row(t) {
+			if inSet := has(s.InputsAt(t), i); inSet != (j >= 0) {
 				return fmt.Errorf("schedule: slot %d input %d: connected=%v but input-set bit=%v", t, i, j >= 0, inSet)
+			}
+			if free := has(s.freeSlots(s.freeIn, i), t); free != (j < 0) {
+				return fmt.Errorf("schedule: slot %d input %d: connected=%v but free-slot bit=%v", t, i, j >= 0, free)
 			}
 			if j < 0 {
 				continue
 			}
 			placed++
-			if prev, dup := seenOut[j]; dup {
-				return fmt.Errorf("schedule: slot %d outputs %d used by inputs %d and %d", t, j, prev, i)
-			}
-			seenOut[j] = i
-			if s.inOf[t][j] != i {
+			// Also catches two inputs sharing output j: inOf names one.
+			if int(j) >= s.n || int(s.inOf[t*s.n+int(j)]) != i {
 				return fmt.Errorf("schedule: slot %d inverse index broken at %d->%d", t, i, j)
 			}
-			rows[i]++
-			cols[j]++
 		}
-		for j, i := range s.inOf[t] {
-			if i >= 0 && s.outOf[t][i] != j {
+		for j, i := range s.inOf[t*s.n : (t+1)*s.n] {
+			if free := has(s.freeSlots(s.freeOut, j), t); free != (i < 0) {
+				return fmt.Errorf("schedule: slot %d output %d: connected=%v but free-slot bit=%v", t, j, i >= 0, free)
+			}
+			if i >= 0 && (int(i) >= s.n || int(s.outOf[t*s.n+int(i)]) != j) {
 				return fmt.Errorf("schedule: slot %d forward index broken at %d->%d", t, i, j)
 			}
 		}
@@ -418,12 +470,23 @@ func (s *Schedule) Validate() error {
 	if total != s.total {
 		return fmt.Errorf("schedule: frame total %d, placed %d", s.total, total)
 	}
+	// The free bits agree with the slot arrays inside the frame, so a
+	// port's load is the number of frame slots missing from its set.
 	for i := 0; i < s.n; i++ {
-		if rows[i] != s.rowLoad[i] {
-			return fmt.Errorf("schedule: row %d load %d, placed %d", i, s.rowLoad[i], rows[i])
+		rows, cols := 0, 0
+		for w := 0; w < s.slotWords; w++ {
+			in, out, mask := s.freeSlots(s.freeIn, i)[w], s.freeSlots(s.freeOut, i)[w], s.frameMask(w)
+			if (in|out)&^mask != 0 {
+				return fmt.Errorf("schedule: port %d: free-slot bit set beyond the %d-slot frame", i, s.slots)
+			}
+			rows += bits.OnesCount64(^in & mask)
+			cols += bits.OnesCount64(^out & mask)
 		}
-		if cols[i] != s.colLoad[i] {
-			return fmt.Errorf("schedule: col %d load %d, placed %d", i, s.colLoad[i], cols[i])
+		if rows != s.rowLoad[i] {
+			return fmt.Errorf("schedule: row %d load %d, placed %d", i, s.rowLoad[i], rows)
+		}
+		if cols != s.colLoad[i] {
+			return fmt.Errorf("schedule: col %d load %d, placed %d", i, s.colLoad[i], cols)
 		}
 	}
 	return nil
@@ -436,5 +499,5 @@ func (s *Schedule) FreePairs(t, input, output int) bool {
 	if t < 0 || t >= s.slots || input < 0 || input >= s.n || output < 0 || output >= s.n {
 		return false
 	}
-	return s.outOf[t][input] < 0 && s.inOf[t][output] < 0
+	return has(s.freeSlots(s.freeIn, input), t) && has(s.freeSlots(s.freeOut, output), t)
 }

@@ -2,7 +2,9 @@ package schedule
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -268,6 +270,9 @@ func TestFullPermutationLoad(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = s.Validate() }); allocs != 0 {
+		t.Errorf("Validate allocates %.0f times", allocs)
+	}
 	// Every slot must be a full permutation now.
 	for t2 := 0; t2 < frame; t2++ {
 		if got := len(s.SlotConns(t2)); got != n {
@@ -282,6 +287,9 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(4, 0); err == nil {
 		t.Error("slots=0 accepted")
+	}
+	if _, err := New(math.MaxInt16+1, 1); err == nil {
+		t.Error("n beyond a 16-bit port number accepted")
 	}
 }
 
@@ -347,9 +355,10 @@ func TestQuickInsertRemoveConsistent(t *testing.T) {
 	}
 }
 
-// TestValidateCatchesSlotSetDrift breaks the per-slot connection count and
-// connected-input bitset one way at a time: Validate must notice each, so the
-// switch's reliance on CountAt/InputsAt is checked wherever Validate runs.
+// TestValidateCatchesSlotSetDrift breaks the per-slot connection count, the
+// connected-input bitset and the per-port free-slot sets one way at a time:
+// Validate must notice each, so the switch's reliance on CountAt/InputsAt and
+// insertion's reliance on the free sets are checked wherever Validate runs.
 func TestValidateCatchesSlotSetDrift(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -361,6 +370,9 @@ func TestValidateCatchesSlotSetDrift(t *testing.T) {
 		{"idle input in the set", func(s *Schedule) { s.inputs[2*s.words] |= 1 << 1 }},
 		{"input beyond n in the set", func(s *Schedule) { s.inputs[0] |= 1 << 40 }},
 		{"frame total drifted", func(s *Schedule) { s.total++ }},
+		{"busy slot marked free", func(s *Schedule) { s.freeIn[0] |= 1 << 0 }},   // input 0 sends in slot 0
+		{"free slot marked busy", func(s *Schedule) { s.freeOut[2] &^= 1 << 2 }}, // output 2 idles in slot 2
+		{"free bit past the frame", func(s *Schedule) { s.freeIn[1] |= 1 << 5 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := figure2(t)
@@ -379,6 +391,28 @@ func TestValidateCatchesSlotSetDrift(t *testing.T) {
 		})
 	}
 }
+
+// TestNewFootprint pins what one empty frame costs: fabric_sparse's LAN
+// builds 720 of these (16 ports, 128 slots) at boot and keeps them live.
+// Slices of per-slot rows cost ≈33 KiB each.
+func TestNewFootprint(t *testing.T) {
+	const reps = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reps; i++ {
+		s, err := New(16, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		footprintSink = s
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / reps; per > 11<<10 {
+		t.Errorf("New(16, 128) allocates %d bytes, budget %d", per, 11<<10)
+	}
+}
+
+var footprintSink *Schedule
 
 func BenchmarkSlepianDuguidInsert16(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))

@@ -842,7 +842,9 @@ func (n *Network) KillSwitch(id topology.NodeID) {
 		n.stats.DroppedInFlight += int64(purged)
 		n.trace(TracePurge, 0, id, -1, uint64(purged))
 	}
-	sw.ResetFrame()
+	if err := sw.ResetFrame(); err != nil {
+		panic(err) // the switch's own dimensions; only a bug fails them
+	}
 	n.dropFlights(func(f *flight) bool { return f.to == id }, &n.stats.DroppedInFlight, TraceDropFault)
 }
 

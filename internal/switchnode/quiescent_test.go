@@ -54,7 +54,9 @@ func TestQuiescentTracksBuffersAndFrame(t *testing.T) {
 	if err := s.Reserve(0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	s.ResetFrame()
+	if err := s.ResetFrame(); err != nil {
+		t.Fatal(err)
+	}
 	if !s.Quiescent() {
 		t.Fatal("not quiescent after ResetFrame")
 	}

@@ -261,7 +261,9 @@ func compareWithReference(t *testing.T, cfg Config, ops int) {
 			}
 			ref.frame = b
 		case k == 62 && rng.Intn(8) == 0:
-			sw.ResetFrame()
+			if err := sw.ResetFrame(); err != nil {
+				t.Fatal(err)
+			}
 			f, err := schedule.New(n, ref.frame.Slots())
 			if err != nil {
 				t.Fatal(err)

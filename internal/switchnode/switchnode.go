@@ -371,12 +371,14 @@ func (s *Switch) CheckInvariant() error {
 }
 
 // ResetFrame clears the guaranteed frame schedule — the reservation state
-// a switch crash destroys. The port count and frame size are preserved.
-func (s *Switch) ResetFrame() {
-	// New cannot fail: the dimensions were validated at construction.
-	if f, err := schedule.New(s.n, s.frame.Slots()); err == nil {
-		s.frame = f
+// a switch crash destroys. The port count and frame size are preserved: the
+// empty schedule is installed through SetFrame's dimension check.
+func (s *Switch) ResetFrame() error {
+	f, err := schedule.New(s.n, s.frame.Slots())
+	if err != nil {
+		return fmt.Errorf("switchnode: reset frame: %w", err)
 	}
+	return s.SetFrame(f)
 }
 
 // Buffered returns the total number of cells queued across all inputs,
