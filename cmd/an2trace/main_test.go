@@ -36,7 +36,7 @@ func traceRecoveryRun(t *testing.T) ([]byte, int64) {
 	jt := simnet.NewJSONLTracer(&buf)
 	n, err := simnet.New(simnet.Config{
 		Topology:      g,
-		Switch:        switchnode.Config{N: 8, FrameSlots: 64, Discipline: switchnode.DisciplinePerVC, Seed: 42},
+		Switch:        switchnode.Config{FrameSlots: 64, Discipline: switchnode.DisciplinePerVC, Seed: 42},
 		IngressWindow: 32,
 		Tracer:        jt,
 		TraceHops:     true,

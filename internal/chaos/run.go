@@ -96,7 +96,7 @@ func build(s Schedule, tracer simnet.Tracer, reg *obs.Registry) (*fixture, error
 	g := fixtureGraph()
 	n, err := simnet.New(simnet.Config{
 		Topology:      g,
-		Switch:        switchnode.Config{N: 8, FrameSlots: 64, Discipline: switchnode.DisciplinePerVC, Seed: s.Seed},
+		Switch:        switchnode.Config{FrameSlots: 64, Discipline: switchnode.DisciplinePerVC, Seed: s.Seed},
 		IngressWindow: 16,
 		Tracer:        tracer,
 		Obs:           reg,

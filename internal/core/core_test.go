@@ -3,11 +3,12 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/bwcentral"
 	"repro/internal/cell"
-	"repro/internal/schedule"
 	"repro/internal/topology"
 )
 
@@ -434,44 +435,78 @@ func TestSequentialPlugPulls(t *testing.T) {
 	}
 }
 
-// TestBestEffortRefusedThroughMissingPort: the switches of a radix-24
-// fat-tree have 24 ports, the LAN's crossbars 16. A cross-pod route into
-// pod 20 leaves its spine on port 20, which the crossbar does not have. A
-// best-effort circuit over such a route used to be admitted and then lost
-// every cell silently at that switch; it must be refused at admission with
-// the same typed error the guaranteed path returns, and leave no circuit
-// behind.
-func TestBestEffortRefusedThroughMissingPort(t *testing.T) {
-	g, info, err := topology.FatTree(topology.FatTreeConfig{Radix: 24, Pods: 24})
-	if err != nil {
-		t.Fatal(err)
+// TestFatTreeAdmitsEveryHostPairClass: a two-layer fat-tree (arXiv
+// 1301.6179) is built from radix-r switches and uses every one of their r
+// ports, so each crossbar must be r wide. For each host-pair class — same
+// edge switch, same pod, across pods — guaranteed circuits are admitted up
+// to the host link's capacity, the next is denied for bandwidth and never
+// for a port, and every admitted circuit delivers. On r24 each class's
+// route crosses a port numbered 16 or higher, which AN2's own 16-port
+// switch does not have.
+func TestFatTreeAdmitsEveryHostPairClass(t *testing.T) {
+	for _, radix := range []int{8, 24} {
+		t.Run(fmt.Sprintf("r%d", radix), func(t *testing.T) {
+			g, info, err := topology.FatTree(topology.FatTreeConfig{Radix: radix, Pods: radix})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const frame, rate = 32, 4
+			lan, err := New(Config{Topology: g, FrameSlots: frame, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, perEdge := info.Hosts, info.Config.HostsPerEdge
+			lastPod, lastHost := len(h)-1, len(h[0])-1
+			classes := []struct {
+				name     string
+				src, dst topology.NodeID
+			}{
+				{"same edge", h[0][perEdge-2], h[0][perEdge-1]},
+				{"same pod", h[1][perEdge-1], h[1][lastHost]},
+				{"cross pod", h[0][lastHost], h[lastPod][lastHost]},
+			}
+			for _, c := range classes {
+				var vcs []cell.VCI
+				for {
+					vc, err := lan.Reserve(c.src, c.dst, rate)
+					if err != nil {
+						if !errors.Is(err, bwcentral.ErrDenied) {
+							t.Fatalf("%s: circuit %d refused: %v, want bwcentral.ErrDenied", c.name, len(vcs)+1, err)
+						}
+						break
+					}
+					vcs = append(vcs, vc)
+				}
+				if want := frame / 2 / rate; len(vcs) != want {
+					t.Fatalf("%s: %d circuits of %d cells/frame admitted, want %d (the link capacity)", c.name, len(vcs), rate, want)
+				}
+				path, _ := lan.CircuitPath(vcs[0])
+				if radix > topology.PortsPerSwitch && highestPort(g, path) < topology.PortsPerSwitch {
+					t.Fatalf("%s: route %v stays below port %d", c.name, path, topology.PortsPerSwitch)
+				}
+				for _, vc := range vcs {
+					if err := lan.SendPacket(vc, []byte(c.name)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			lan.Run(4 * frame)
+			for _, c := range classes {
+				if pkts := lan.Packets(c.dst); len(pkts) != frame/2/rate || string(pkts[0]) != c.name {
+					t.Fatalf("%s: delivered %q", c.name, pkts)
+				}
+			}
+		})
 	}
-	lan, err := New(Config{Topology: g, FrameSlots: 32, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// highestPort is the highest switch port the path crosses.
+func highestPort(g *topology.Graph, path []topology.NodeID) int {
+	top := -1
+	for i := 1; i+1 < len(path); i++ {
+		in, _ := g.LinkBetween(path[i-1], path[i])
+		out, _ := g.LinkBetween(path[i], path[i+1])
+		top = max(top, in.PortAt(path[i]), out.PortAt(path[i]))
 	}
-	src, dst := info.Hosts[0][0], info.Hosts[20][0]
-	if _, err := lan.OpenBestEffort(src, dst); !errors.Is(err, schedule.ErrBadPort) {
-		t.Fatalf("cross-pod best-effort open: err = %v, want schedule.ErrBadPort", err)
-	}
-	if _, err := lan.Reserve(src, dst, 1); !errors.Is(err, schedule.ErrBadPort) {
-		t.Fatalf("cross-pod guaranteed open: err = %v, want schedule.ErrBadPort", err)
-	}
-	if got := lan.Circuits(); len(got) != 0 {
-		t.Fatalf("refused opens left circuits behind: %v", got)
-	}
-	// A route that fits the crossbar is still admitted and carries traffic:
-	// the first two hosts of an edge switch sit on its ports 12 and 13.
-	a, b := info.Hosts[0][0], info.Hosts[0][1]
-	vc, err := lan.OpenBestEffort(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lan.SendPacket(vc, []byte("fits")); err != nil {
-		t.Fatal(err)
-	}
-	lan.Run(20)
-	if pkts := lan.Packets(b); len(pkts) != 1 || string(pkts[0]) != "fits" {
-		t.Fatalf("in-range circuit delivered %q", pkts)
-	}
+	return top
 }

@@ -14,9 +14,6 @@ import (
 	"repro/internal/matching"
 )
 
-// DefaultSize is the AN2 crossbar size.
-const DefaultSize = 16
-
 // Crossbar is an N×N space-division fabric. It is configured with a
 // matching each slot and transfers at most one cell per input and per
 // output.

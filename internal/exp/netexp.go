@@ -76,7 +76,7 @@ func guaranteedLine(p int, frame int, linkLat int64, phases map[topology.NodeID]
 	}
 	n, err := simnet.New(simnet.Config{
 		Topology:   g,
-		Switch:     switchnode.Config{N: 4, FrameSlots: frame, Seed: seed},
+		Switch:     switchnode.Config{FrameSlots: frame, Seed: seed},
 		FramePhase: phases,
 	})
 	if err != nil {
@@ -204,7 +204,7 @@ func runE9(seed int64) ([]*metrics.Table, error) {
 		}
 		n, err := simnet.New(simnet.Config{
 			Topology: g,
-			Switch:   switchnode.Config{N: 8, FrameSlots: frame, Seed: seed},
+			Switch:   switchnode.Config{FrameSlots: frame, Seed: seed},
 		})
 		if err != nil {
 			return nil, err
@@ -254,7 +254,7 @@ func runE9(seed int64) ([]*metrics.Table, error) {
 		}
 		n, err := simnet.New(simnet.Config{
 			Topology: g,
-			Switch:   switchnode.Config{N: 8, FrameSlots: frame, Seed: seed},
+			Switch:   switchnode.Config{FrameSlots: frame, Seed: seed},
 		})
 		if err != nil {
 			return nil, err

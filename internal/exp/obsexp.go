@@ -74,7 +74,7 @@ func runE29Net(seed int64, reg *obs.Registry, tracer simnet.Tracer, hops bool) (
 	}
 	n, err := simnet.New(simnet.Config{
 		Topology:      g,
-		Switch:        switchnode.Config{N: 8, FrameSlots: 64, Discipline: switchnode.DisciplinePerVC, Seed: seed},
+		Switch:        switchnode.Config{FrameSlots: 64, Discipline: switchnode.DisciplinePerVC, Seed: seed},
 		IngressWindow: 32,
 		Obs:           reg,
 		Tracer:        tracer,

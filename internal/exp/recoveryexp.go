@@ -66,7 +66,7 @@ func buildE27(seed int64) (*e27Fixture, error) {
 	}
 	n, err := simnet.New(simnet.Config{
 		Topology:      g,
-		Switch:        switchnode.Config{N: 8, FrameSlots: 64, Discipline: switchnode.DisciplinePerVC, Seed: seed},
+		Switch:        switchnode.Config{FrameSlots: 64, Discipline: switchnode.DisciplinePerVC, Seed: seed},
 		IngressWindow: 32,
 	})
 	if err != nil {

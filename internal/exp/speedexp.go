@@ -19,28 +19,27 @@ import (
 // workloads on a line, a torus and a 720-switch fat-tree at very different
 // active fractions and reports, next to slots/sec, the measured share of
 // switch-slots that ran a full Step and the host time per stepped switch
-// port (a Step scans its crossbar's ports, and the three fabrics use 4-, 6-
-// and 24-port switches) — which does not grow from 24 switches to 720. (The
-// flat sweep this engine replaced is gone; the 5.3–6.9× flat-vs-wake
-// speedup was measured once, while both existed.)
+// (a Step costs what is queued, not its crossbar's port count: 16 on the
+// line and the torus, 24 on the fat-tree) — which stays near 0.1 µs from 24
+// switches to 720. (The flat sweep this engine replaced is gone; the
+// 5.3–6.9× flat-vs-wake speedup was measured once, while both existed.)
 
 func init() {
 	register(&Experiment{
 		ID:    "E31",
 		Title: "A slot costs what its awake switches cost",
-		Claim: "Stepping only non-quiescent switches makes the per-slot cost O(active), not O(fabric): the stepped share of switch-slots equals the active fraction and host time per stepped switch port does not grow from a 24-switch line to a 720-switch fat-tree at <1% activity",
+		Claim: "Stepping only non-quiescent switches makes the per-slot cost O(active), not O(fabric): the stepped share of switch-slots equals the active fraction and host time per stepped switch stays near 0.1 µs from a 24-switch line to a 720-switch fat-tree at <1% activity",
 		Run:   runE31,
 		Quick: true,
 	})
 }
 
 // speedNet is one built workload: the network, how many of its switches
-// lie on a circuit path, how many it has, and their port count.
+// lie on a circuit path, and how many it has.
 type speedNet struct {
 	n      *simnet.Network
 	active int
 	total  int
-	ports  int
 }
 
 // Every E31 fabric has speedFrame-slot frames and runs speedWarm warm-up
@@ -92,7 +91,7 @@ func buildLine(seed int64) (*speedNet, error) {
 	}
 	n, err := simnet.New(simnet.Config{
 		Topology: g,
-		Switch:   switchnode.Config{N: 4, Discipline: switchnode.DisciplinePerVC, FrameSlots: speedFrame, Seed: seed},
+		Switch:   switchnode.Config{Discipline: switchnode.DisciplinePerVC, FrameSlots: speedFrame, Seed: seed},
 	})
 	if err != nil {
 		return nil, err
@@ -106,7 +105,7 @@ func buildLine(seed int64) (*speedNet, error) {
 	if err := cbrPair(n, 10, path, 4, active); err != nil {
 		return nil, err
 	}
-	return &speedNet{n: n, active: len(active), total: 24, ports: 4}, nil
+	return &speedNet{n: n, active: len(active), total: 24}, nil
 }
 
 // buildTorus: a 12x12 torus (144 switches) with one short CBR circuit in
@@ -126,7 +125,7 @@ func buildTorus(seed int64) (*speedNet, error) {
 	}
 	n, err := simnet.New(simnet.Config{
 		Topology: g,
-		Switch:   switchnode.Config{N: 6, Discipline: switchnode.DisciplinePerVC, FrameSlots: speedFrame, Seed: seed},
+		Switch:   switchnode.Config{Discipline: switchnode.DisciplinePerVC, FrameSlots: speedFrame, Seed: seed},
 	})
 	if err != nil {
 		return nil, err
@@ -143,7 +142,7 @@ func buildTorus(seed int64) (*speedNet, error) {
 	if err := cbrPair(n, 10, path, 4, active); err != nil {
 		return nil, err
 	}
-	return &speedNet{n: n, active: len(active), total: 144, ports: 6}, nil
+	return &speedNet{n: n, active: len(active), total: 144}, nil
 }
 
 // buildFatTree: a fat-tree with CBR circuits confined to pods 0 and 1 —
@@ -176,7 +175,7 @@ func buildFatTree(seed int64, radix, pods int) (*speedNet, error) {
 			return nil, err
 		}
 	}
-	return &speedNet{n: n.Sim, active: len(active), total: len(n.G.Switches()), ports: radix}, nil
+	return &speedNet{n: n.Sim, active: len(active), total: len(n.G.Switches())}, nil
 }
 
 // timeRun advances the net timedSlots slots reps times and returns the
@@ -212,18 +211,19 @@ func runSpeedCase(t *metrics.Table, name string, build func() (*speedNet, error)
 
 	switchSlots := float64(int64(sn.total) * timedSlots * reps)
 	stepped := 1 - float64(sn.n.Stats().IdleStepsSkipped-idle0)/switchSlots
-	t.AddRow(name, sn.total, sn.ports,
+	sw, _ := sn.n.Switch(0) // node 0 is a switch, as wide as every other, in each fabric
+	t.AddRow(name, sn.total, sw.N(),
 		fmt.Sprintf("%.1f%%", 100*float64(sn.active)/float64(sn.total)),
 		fmt.Sprintf("%.1f%%", 100*stepped),
 		fmt.Sprintf("%.3g", rate),
-		fmt.Sprintf("%.0f", 1e9/rate/(stepped*float64(sn.total*sn.ports))))
+		fmt.Sprintf("%.0f", 1e9/rate/(stepped*float64(sn.total))))
 	return nil
 }
 
 func runE31(seed int64) ([]*metrics.Table, error) {
 	t1 := metrics.NewTable(
 		"E31a — per-slot cost tracks the active switches, CBR workloads, best of 3 timed runs",
-		"topology", "switches", "ports", "on a circuit", "switch-slots stepped", "slots/s", "ns/stepped port")
+		"topology", "switches", "ports", "on a circuit", "switch-slots stepped", "slots/s", "ns/stepped switch")
 	for _, c := range []struct {
 		name  string
 		build func() (*speedNet, error)

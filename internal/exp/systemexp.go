@@ -46,7 +46,7 @@ func runE24(seed int64) ([]*metrics.Table, error) {
 		}
 		n, err := simnet.New(simnet.Config{
 			Topology:      g,
-			Switch:        switchnode.Config{N: 8, FrameSlots: 64, Discipline: mode.disc, Seed: seed},
+			Switch:        switchnode.Config{FrameSlots: 64, Discipline: mode.disc, Seed: seed},
 			IngressWindow: 32,
 		})
 		if err != nil {

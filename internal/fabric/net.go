@@ -12,8 +12,7 @@ import (
 type NetConfig struct {
 	// Fabric dimensions the fat-tree (see topology.FatTreeConfig).
 	Fabric topology.FatTreeConfig
-	// Switch configures every switch. N defaults to the fabric radix so
-	// the crossbar matches the port count.
+	// Switch configures every switch (see simnet.Config.Switch).
 	Switch switchnode.Config
 	// IngressWindow / Tracer / Obs pass through to simnet.
 	IngressWindow int
@@ -42,9 +41,6 @@ func NewNet(cfg NetConfig) (*Net, error) {
 	part, err := NewPartition(g)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Switch.N == 0 {
-		cfg.Switch.N = info.Config.Radix
 	}
 	sim, err := simnet.New(simnet.Config{
 		Topology:      g,

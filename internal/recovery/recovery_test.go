@@ -38,7 +38,7 @@ func testNet(t *testing.T) (n *simnet.Network, a, b, c, d, h0, h1 topology.NodeI
 	}
 	net, err := simnet.New(simnet.Config{
 		Topology:      g,
-		Switch:        switchnode.Config{N: 4, FrameSlots: 16, Discipline: switchnode.DisciplinePerVC, Seed: 1},
+		Switch:        switchnode.Config{FrameSlots: 16, Discipline: switchnode.DisciplinePerVC, Seed: 1},
 		IngressWindow: 8,
 	})
 	if err != nil {

@@ -30,7 +30,6 @@ func saturatedLine(tb testing.TB, packets bool) (n *Network, fill func()) {
 	n, err = New(Config{
 		Topology: g,
 		Switch: switchnode.Config{
-			N:          8,
 			Discipline: switchnode.DisciplinePerVC,
 			FrameSlots: 16,
 			Seed:       1,

@@ -16,7 +16,7 @@ import (
 // goes; everything else the churn left behind would show.)
 func TestCloseFreesPerCircuitState(t *testing.T) {
 	n, _, h1, path := lineNet(t, 2, 1, Config{
-		Switch:        switchnode.Config{N: 4, FrameSlots: 8},
+		Switch:        switchnode.Config{FrameSlots: 8},
 		IngressWindow: 8,
 	})
 	hs, _ := n.HostStats(h1)
@@ -70,7 +70,7 @@ func TestCloseFreesPerCircuitState(t *testing.T) {
 // it is discarded and counted in DroppedReroute, nothing more is delivered,
 // and the accounting identity holds throughout.
 func TestCloseDropsCellsOnEveryHop(t *testing.T) {
-	n, _, h1, path := lineNet(t, 4, 2, Config{Switch: switchnode.Config{N: 4, FrameSlots: 8}})
+	n, _, h1, path := lineNet(t, 4, 2, Config{Switch: switchnode.Config{FrameSlots: 8}})
 	if _, err := n.OpenBestEffort(1, path); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestCloseDropsCellsOnEveryHop(t *testing.T) {
 // abandoned at the longest packet's length, counted as one corrupt packet,
 // and the circuit's next packet reassembles normally.
 func TestRawCellsCannotGrowReassembly(t *testing.T) {
-	n, _, h1, path := lineNet(t, 1, 1, Config{Switch: switchnode.Config{N: 4, FrameSlots: 8}})
+	n, _, h1, path := lineNet(t, 1, 1, Config{Switch: switchnode.Config{FrameSlots: 8}})
 	c, err := n.OpenBestEffort(1, path)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestRawCellsCannotGrowReassembly(t *testing.T) {
 // does not exist, is dropped as a reroute casualty when it leaves — the slot
 // index in a cell is a hint to be confirmed, never trusted.
 func TestForeignCellIsDroppedNotTrusted(t *testing.T) {
-	n, _, _, path := lineNet(t, 2, 1, Config{Switch: switchnode.Config{N: 4, FrameSlots: 8}})
+	n, _, _, path := lineNet(t, 2, 1, Config{Switch: switchnode.Config{FrameSlots: 8}})
 	sw, _ := n.Switch(path[1])
 	for _, circ := range []int32{0, 7, -1} {
 		sw.EnqueueBestEffort(0, cell.Cell{VC: 9, Stamp: cell.Stamp{Circ: circ}}, 1)

@@ -88,7 +88,6 @@ func lineScenario(t *testing.T) trajectory {
 	tr := &CollectTracer{}
 	n, h0, h1, path := lineNet(t, 6, 1, Config{
 		Switch: switchnode.Config{
-			N:          8,
 			Discipline: switchnode.DisciplinePerVC,
 			FrameSlots: 16,
 			Seed:       99,
@@ -144,7 +143,7 @@ func lineScenario(t *testing.T) trajectory {
 
 // fatTreeNet builds a fat-tree network with a collecting tracer and
 // returns a shortest-legal-path helper over it.
-func fatTreeNet(t *testing.T, ft topology.FatTreeConfig, n int) (*Network, *CollectTracer, *topology.Graph, *topology.FatTreeInfo, func(a, b topology.NodeID) []topology.NodeID) {
+func fatTreeNet(t *testing.T, ft topology.FatTreeConfig) (*Network, *CollectTracer, *topology.Graph, *topology.FatTreeInfo, func(a, b topology.NodeID) []topology.NodeID) {
 	t.Helper()
 	g, info, err := topology.FatTree(ft)
 	if err != nil {
@@ -154,7 +153,6 @@ func fatTreeNet(t *testing.T, ft topology.FatTreeConfig, n int) (*Network, *Coll
 	net, err := New(Config{
 		Topology: g,
 		Switch: switchnode.Config{
-			N:          n,
 			Discipline: switchnode.DisciplinePerVC,
 			FrameSlots: 16,
 			Seed:       99,
@@ -187,7 +185,7 @@ func fatTreeNet(t *testing.T, ft topology.FatTreeConfig, n int) (*Network, *Coll
 // stepping did.
 func podIdleScenario(t *testing.T) trajectory {
 	t.Helper()
-	n, tr, g, info, path := fatTreeNet(t, topology.FatTreeConfig{Radix: 6, Pods: 3, HostsPerEdge: 1}, 6)
+	n, tr, g, info, path := fatTreeNet(t, topology.FatTreeConfig{Radix: 6, Pods: 3, HostsPerEdge: 1})
 	// Traffic stays within pods 0 and 1 (and the spines); pod 2 is idle.
 	h := func(pod, i int) topology.NodeID { return info.Hosts[pod][i] }
 	ends := [][2]topology.NodeID{
@@ -245,7 +243,7 @@ func podIdleScenario(t *testing.T) trajectory {
 // rerouted arrivals alike.
 func radix16Scenario(t *testing.T) trajectory {
 	t.Helper()
-	n, tr, g, info, path := fatTreeNet(t, topology.FatTreeConfig{Radix: 16, Pods: 4, HostsPerEdge: 4}, 16)
+	n, tr, g, info, path := fatTreeNet(t, topology.FatTreeConfig{Radix: 16, Pods: 4, HostsPerEdge: 4})
 	h := func(pod, i int) topology.NodeID { return info.Hosts[pod][i] }
 	// Cross-pod best-effort pair plus an intra-pod guaranteed circuit;
 	// pods 2 and 3 stay idle throughout.

@@ -61,7 +61,7 @@ func reservationsOf(n *Network, switches ...topology.NodeID) map[topology.NodeID
 // refused admission must leave every switch's reservations — old path
 // included — exactly as they were before the call.
 func TestRerouteFailedAdmissionLeavesReservations(t *testing.T) {
-	n, a, b, c, d, h0, h1 := diamondNet(t, Config{Switch: switchnode.Config{N: 4, FrameSlots: 8}})
+	n, a, b, c, d, h0, h1 := diamondNet(t, Config{Switch: switchnode.Config{FrameSlots: 8}})
 	if _, err := n.OpenGuaranteed(5, []topology.NodeID{h0, a, b, d, h1}, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestRerouteFailedAdmissionLeavesReservations(t *testing.T) {
 // and counted in DroppedReroute, not left to chase stale ports.
 func TestReroutePurgesBufferedCells(t *testing.T) {
 	n, a, b, c, d, h0, h1 := diamondNet(t, Config{
-		Switch:        switchnode.Config{N: 4, FrameSlots: 16, Discipline: switchnode.DisciplinePerVC},
+		Switch:        switchnode.Config{FrameSlots: 16, Discipline: switchnode.DisciplinePerVC},
 		IngressWindow: 0,
 	})
 	// Two circuits share the a->b output, so input rate 2 vs output rate 1
@@ -153,7 +153,7 @@ func TestReroutePurgesBufferedCells(t *testing.T) {
 // and its frame schedule is lost.
 func TestKillSwitchCountsBufferedCells(t *testing.T) {
 	n, a, b, _, d, h0, h1 := diamondNet(t, Config{
-		Switch: switchnode.Config{N: 4, FrameSlots: 16, Discipline: switchnode.DisciplinePerVC},
+		Switch: switchnode.Config{FrameSlots: 16, Discipline: switchnode.DisciplinePerVC},
 	})
 	for vc := cell.VCI(1); vc <= 2; vc++ {
 		if _, err := n.OpenBestEffort(vc, []topology.NodeID{h0, a, b, d, h1}); err != nil {
@@ -202,7 +202,7 @@ func TestKillSwitchCountsBufferedCells(t *testing.T) {
 // switch returns with empty buffers, and the reservations of guaranteed
 // circuits still routed through it are re-installed.
 func TestRestoreSwitchReplaysReservations(t *testing.T) {
-	n, a, b, _, d, h0, h1 := diamondNet(t, Config{Switch: switchnode.Config{N: 4, FrameSlots: 8}})
+	n, a, b, _, d, h0, h1 := diamondNet(t, Config{Switch: switchnode.Config{FrameSlots: 8}})
 	if _, err := n.OpenGuaranteed(5, []topology.NodeID{h0, a, b, d, h1}, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestRestoreSwitchReplaysReservations(t *testing.T) {
 // traffic, injected == delivered + buffered + in-flight + dropped.
 func TestConservationUnderFaultSequence(t *testing.T) {
 	n, a, b, c, d, h0, h1 := diamondNet(t, Config{
-		Switch:        switchnode.Config{N: 4, FrameSlots: 16, Discipline: switchnode.DisciplinePerVC},
+		Switch:        switchnode.Config{FrameSlots: 16, Discipline: switchnode.DisciplinePerVC},
 		IngressWindow: 8,
 	})
 	upper := []topology.NodeID{h0, a, b, d, h1}
@@ -341,7 +341,7 @@ func TestConservationUnderFaultSequence(t *testing.T) {
 // feeds its skeptics: a probe fails when the link is cut or either
 // endpoint switch is dead, and recovers on restore.
 func TestProbeLinkSeesFaults(t *testing.T) {
-	n, a, b, _, _, _, _ := diamondNet(t, Config{Switch: switchnode.Config{N: 4, FrameSlots: 8}})
+	n, a, b, _, _, _, _ := diamondNet(t, Config{Switch: switchnode.Config{FrameSlots: 8}})
 	link, _ := n.Topology().LinkBetween(a, b)
 	if !n.ProbeLink(link.ID) {
 		t.Fatal("probe failed on a healthy link")
@@ -371,7 +371,7 @@ func TestProbeLinkSeesFaults(t *testing.T) {
 // reroute onto a path using a dead element fails with ErrDeadElement and
 // changes nothing.
 func TestRerouteDeadPathRejected(t *testing.T) {
-	n, a, b, c, d, h0, h1 := diamondNet(t, Config{Switch: switchnode.Config{N: 4, FrameSlots: 8}})
+	n, a, b, c, d, h0, h1 := diamondNet(t, Config{Switch: switchnode.Config{FrameSlots: 8}})
 	if _, err := n.OpenGuaranteed(5, []topology.NodeID{h0, a, b, d, h1}, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestRerouteDeadPathRejected(t *testing.T) {
 // would leak capacity a future admission could then falsely refuse — and
 // the circuit must be admissible back onto it at full capacity.
 func TestRestoreSwitchAfterRerouteAway(t *testing.T) {
-	n, a, b, c, d, h0, h1 := diamondNet(t, Config{Switch: switchnode.Config{N: 4, FrameSlots: 8}})
+	n, a, b, c, d, h0, h1 := diamondNet(t, Config{Switch: switchnode.Config{FrameSlots: 8}})
 	if _, err := n.OpenGuaranteed(5, []topology.NodeID{h0, a, b, d, h1}, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +430,7 @@ func TestRestoreSwitchAfterRerouteAway(t *testing.T) {
 // must install its reservations exactly once, and the second call must be
 // a complete no-op (no double-reserve, no trace-visible state change).
 func TestRestoreSwitchDoubleRestoreIdempotent(t *testing.T) {
-	n, a, b, _, d, h0, h1 := diamondNet(t, Config{Switch: switchnode.Config{N: 4, FrameSlots: 8}})
+	n, a, b, _, d, h0, h1 := diamondNet(t, Config{Switch: switchnode.Config{FrameSlots: 8}})
 	if _, err := n.OpenGuaranteed(5, []topology.NodeID{h0, a, b, d, h1}, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestRestoreSwitchDoubleRestoreIdempotent(t *testing.T) {
 
 // IngressWindow exposes the credit state invariant checkers assert on.
 func TestIngressWindowAccessor(t *testing.T) {
-	n, a, b, _, d, h0, h1 := diamondNet(t, Config{Switch: switchnode.Config{N: 4, FrameSlots: 8}, IngressWindow: 4})
+	n, a, b, _, d, h0, h1 := diamondNet(t, Config{Switch: switchnode.Config{FrameSlots: 8}, IngressWindow: 4})
 	if _, err := n.OpenBestEffort(1, []topology.NodeID{h0, a, b, d, h1}); err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 func TestPacketLatencyMeasured(t *testing.T) {
-	n, _, h1, path := lineNet(t, 2, 1, Config{Switch: switchnode.Config{N: 4, FrameSlots: 16}})
+	n, _, h1, path := lineNet(t, 2, 1, Config{Switch: switchnode.Config{FrameSlots: 16}})
 	if _, err := n.OpenBestEffort(3, path); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestRandomFaultsPreserveInvariants(t *testing.T) {
 		}
 		n, err := New(Config{
 			Topology:      g,
-			Switch:        switchnode.Config{N: 16, FrameSlots: 32, Seed: seed},
+			Switch:        switchnode.Config{FrameSlots: 32, Seed: seed},
 			IngressWindow: 8,
 		})
 		if err != nil {

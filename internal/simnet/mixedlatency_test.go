@@ -31,7 +31,6 @@ func mixedLatencyScenario(t *testing.T) trajectory {
 	n, err := New(Config{
 		Topology: g,
 		Switch: switchnode.Config{
-			N:          8,
 			Discipline: switchnode.DisciplinePerVC,
 			FrameSlots: 32,
 			Seed:       99,

@@ -37,7 +37,6 @@ import (
 	"repro/internal/cell"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/schedule"
 	"repro/internal/switchnode"
 	"repro/internal/topology"
 )
@@ -47,7 +46,9 @@ type Config struct {
 	// Topology is the network graph (switches and hosts).
 	Topology *topology.Graph
 	// Switch is the per-switch template: discipline, PIM iterations,
-	// frame size, and seed (each switch derives its own seed from it).
+	// frame size, and seed (each switch derives its own seed from it). Its
+	// N must be zero: a switch's crossbar has as many ports as its node in
+	// Topology.
 	Switch switchnode.Config
 	// IngressWindow is the best-effort credit window per circuit at the
 	// ingress host (0 = unbounded: the host dumps as fast as the link
@@ -333,10 +334,14 @@ var (
 )
 
 // New creates a network. Every switch in the topology gets a switchnode
-// instance; every host an endpoint.
+// instance as wide as the switch's port table (not its live degree: a link
+// may be connected after New); every host an endpoint.
 func New(cfg Config) (*Network, error) {
 	if cfg.Topology == nil {
 		return nil, ErrNoTopology
+	}
+	if cfg.Switch.N != 0 {
+		return nil, fmt.Errorf("simnet: Switch.N is %d; a crossbar's width is its topology node's port count", cfg.Switch.N)
 	}
 	n := &Network{
 		cfg:            cfg,
@@ -357,6 +362,7 @@ func New(cfg Config) (*Network, error) {
 	n.phase = make([]int64, len(n.switchOrder))
 	for idx, s := range n.switchOrder {
 		sc := cfg.Switch
+		sc.N = len(cfg.Topology.Ports(s))
 		sc.Seed = cfg.Switch.Seed + int64(s)*7919
 		sc.Obs = cfg.Obs
 		sc.Shard = idx
@@ -558,11 +564,7 @@ type route struct {
 }
 
 // resolve checks the path alternates host, switches..., host along live
-// links, and resolves the per-switch ports. A path through a port the
-// switch's crossbar does not have is refused here, for either class: a
-// guaranteed reservation would be refused by the frame schedule with the
-// same schedule.ErrBadPort, and a best-effort cell enqueued on such a port
-// would be lost silently.
+// links, and resolves the per-switch ports.
 func (n *Network) resolve(path []topology.NodeID) (route, error) {
 	if len(path) < 3 {
 		return route{}, fmt.Errorf("%w: need host-switch...-host, got %d nodes", ErrBadPath, len(path))
@@ -580,8 +582,7 @@ func (n *Network) resolve(path []topology.NodeID) (route, error) {
 	r := route{hops: make([]hop, 0, len(path)-2)}
 	for i := 1; i < len(path)-1; i++ {
 		s := path[i]
-		sw, ok := n.switches[s]
-		if !ok {
+		if _, ok := n.switches[s]; !ok {
 			return route{}, fmt.Errorf("%w: %d is not a switch", ErrBadPath, s)
 		}
 		if n.deadNodes[s] {
@@ -597,9 +598,6 @@ func (n *Network) resolve(path []topology.NodeID) (route, error) {
 		}
 		if n.deadLinks[inLink.ID] || n.deadLinks[outLink.ID] {
 			return route{}, fmt.Errorf("%w: link on path", ErrDeadElement)
-		}
-		if in, out := inLink.PortAt(s), outLink.PortAt(s); in >= sw.N() || out >= sw.N() {
-			return route{}, fmt.Errorf("simnet: switch %d has %d ports: %w: %d->%d", s, sw.N(), schedule.ErrBadPort, in, out)
 		}
 		if i == 1 {
 			r.first = inLink

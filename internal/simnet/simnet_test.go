@@ -53,7 +53,14 @@ func TestValidation(t *testing.T) {
 	if _, err := New(Config{}); !errors.Is(err, ErrNoTopology) {
 		t.Fatalf("err = %v", err)
 	}
-	n, _, _, path := lineNet(t, 2, 1, Config{Switch: switchnode.Config{N: 4, FrameSlots: 8}})
+	g, err := topology.Line(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Topology: g, Switch: switchnode.Config{N: 16}}); err == nil {
+		t.Fatal("a Switch.N was accepted: the topology alone sets a crossbar's width")
+	}
+	n, _, _, path := lineNet(t, 2, 1, Config{Switch: switchnode.Config{FrameSlots: 8}})
 	if _, err := n.OpenBestEffort(1, path[:2]); !errors.Is(err, ErrBadPath) {
 		t.Fatalf("short path err = %v", err)
 	}
@@ -75,7 +82,7 @@ func TestValidation(t *testing.T) {
 }
 
 func TestBestEffortEndToEnd(t *testing.T) {
-	n, h0, h1, path := lineNet(t, 3, 2, Config{Switch: switchnode.Config{N: 4, FrameSlots: 16}})
+	n, h0, h1, path := lineNet(t, 3, 2, Config{Switch: switchnode.Config{FrameSlots: 16}})
 	if _, err := n.OpenBestEffort(7, path); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +112,7 @@ func TestBestEffortEndToEnd(t *testing.T) {
 }
 
 func TestPacketDelivery(t *testing.T) {
-	n, _, h1, path := lineNet(t, 2, 1, Config{Switch: switchnode.Config{N: 4, FrameSlots: 16}})
+	n, _, h1, path := lineNet(t, 2, 1, Config{Switch: switchnode.Config{FrameSlots: 16}})
 	if _, err := n.OpenBestEffort(3, path); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +132,7 @@ func TestPacketDelivery(t *testing.T) {
 
 func TestGuaranteedEndToEnd(t *testing.T) {
 	const frame = 32
-	n, _, h1, path := lineNet(t, 3, 1, Config{Switch: switchnode.Config{N: 4, FrameSlots: frame}})
+	n, _, h1, path := lineNet(t, 3, 1, Config{Switch: switchnode.Config{FrameSlots: frame}})
 	if _, err := n.OpenGuaranteed(9, path, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +154,7 @@ func TestGuaranteedEndToEnd(t *testing.T) {
 
 func TestAdmissionControlRollback(t *testing.T) {
 	const frame = 8
-	n, _, _, path := lineNet(t, 2, 1, Config{Switch: switchnode.Config{N: 4, FrameSlots: frame}})
+	n, _, _, path := lineNet(t, 2, 1, Config{Switch: switchnode.Config{FrameSlots: frame}})
 	// Fill the input port 1->? on switch 0... reserve frame cells on the
 	// path; a second circuit on the same ports must be refused.
 	if _, err := n.OpenGuaranteed(1, path, frame); err != nil {
@@ -179,7 +186,7 @@ func TestGuaranteedLatencyBound(t *testing.T) {
 		}
 		const linkLat = 2
 		n, _, h1, path := lineNet(t, p, linkLat, Config{
-			Switch:     switchnode.Config{N: 4, FrameSlots: frame},
+			Switch:     switchnode.Config{FrameSlots: frame},
 			FramePhase: phases,
 		})
 		if _, err := n.OpenGuaranteed(5, path, 4); err != nil {
@@ -208,7 +215,7 @@ func TestGuaranteedBufferBound(t *testing.T) {
 	const frame = 32
 	phases := map[topology.NodeID]int64{0: 0, 1: frame / 2, 2: frame - 1}
 	n, _, _, path := lineNet(t, 3, 1, Config{
-		Switch:     switchnode.Config{N: 4, FrameSlots: frame},
+		Switch:     switchnode.Config{FrameSlots: frame},
 		FramePhase: phases,
 	})
 	const k = 8
@@ -241,7 +248,7 @@ func TestIngressWindowLossless(t *testing.T) {
 	// Saturate a best-effort circuit with a tiny ingress window: nothing
 	// may be dropped, and in-network backlog stays bounded by the window.
 	n, _, h1, path := lineNet(t, 3, 2, Config{
-		Switch:        switchnode.Config{N: 4, FrameSlots: 16},
+		Switch:        switchnode.Config{FrameSlots: 16},
 		IngressWindow: 6,
 	})
 	if _, err := n.OpenBestEffort(4, path); err != nil {
@@ -270,7 +277,7 @@ func TestIngressWindowLossless(t *testing.T) {
 }
 
 func TestKillLinkDropsOnlyInFlight(t *testing.T) {
-	n, _, h1, path := lineNet(t, 2, 10, Config{Switch: switchnode.Config{N: 4, FrameSlots: 16}})
+	n, _, h1, path := lineNet(t, 2, 10, Config{Switch: switchnode.Config{FrameSlots: 16}})
 	if _, err := n.OpenBestEffort(6, path); err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +335,7 @@ func TestRerouteAroundDeadSwitch(t *testing.T) {
 	if _, err := g.Connect(h1, d, 1); err != nil {
 		t.Fatal(err)
 	}
-	n, err := New(Config{Topology: g, Switch: switchnode.Config{N: 4, FrameSlots: 16}})
+	n, err := New(Config{Topology: g, Switch: switchnode.Config{FrameSlots: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +388,7 @@ func TestRerouteGuaranteedMovesReservations(t *testing.T) {
 	if _, err := g.Connect(h1, d, 1); err != nil {
 		t.Fatal(err)
 	}
-	n, err := New(Config{Topology: g, Switch: switchnode.Config{N: 4, FrameSlots: 8}})
+	n, err := New(Config{Topology: g, Switch: switchnode.Config{FrameSlots: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +425,7 @@ func TestGuaranteedUnaffectedByBestEffortLoad(t *testing.T) {
 	// A guaranteed stream keeps its latency bound while a best-effort
 	// flood shares the path.
 	const frame = 32
-	n, _, h1, path := lineNet(t, 2, 1, Config{Switch: switchnode.Config{N: 4, FrameSlots: frame}})
+	n, _, h1, path := lineNet(t, 2, 1, Config{Switch: switchnode.Config{FrameSlots: frame}})
 	if _, err := n.OpenGuaranteed(1, path, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -447,12 +454,30 @@ func TestGuaranteedUnaffectedByBestEffortLoad(t *testing.T) {
 	}
 }
 
+// TestCrossbarIsAsWideAsItsNode: every switch gets as many crossbar ports
+// as its topology node has, the 16 of an AN2 switch or the radix of a
+// fat-tree switch, whether or not they are connected.
+func TestCrossbarIsAsWideAsItsNode(t *testing.T) {
+	line, _, _, _ := lineNet(t, 2, 1, Config{Switch: switchnode.Config{FrameSlots: 8}})
+	ft, _, _, _, _ := fatTreeNet(t, topology.FatTreeConfig{Radix: 6, Pods: 3, HostsPerEdge: 1})
+	for _, c := range []struct {
+		n    *Network
+		want int
+	}{{line, topology.PortsPerSwitch}, {ft, 6}} {
+		for _, s := range c.n.g.Switches() {
+			if sw, _ := c.n.Switch(s); sw.N() != c.want || sw.N() != len(c.n.g.Ports(s)) {
+				t.Fatalf("switch %d: %d crossbar ports, want %d", s, sw.N(), c.want)
+			}
+		}
+	}
+}
+
 // TestLinkAddedAfterNewGrowsCalendar: a link connected after the network was
 // built, longer than any it was built with, is carried — the per-link
 // counters and the calendars' ring are re-sized when a path first names it,
 // with cells already in flight keeping their arrival slots.
 func TestLinkAddedAfterNewGrowsCalendar(t *testing.T) {
-	n, _, h1, path := lineNet(t, 3, 1, Config{Switch: switchnode.Config{N: 4, FrameSlots: 8}})
+	n, _, h1, path := lineNet(t, 3, 1, Config{Switch: switchnode.Config{FrameSlots: 8}})
 	if _, err := n.OpenBestEffort(1, path); err != nil {
 		t.Fatal(err)
 	}

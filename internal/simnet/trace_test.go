@@ -14,7 +14,7 @@ import (
 func TestCollectTracerRecordsLifecycle(t *testing.T) {
 	tr := &CollectTracer{}
 	n, _, _, path := lineNet(t, 2, 1, Config{
-		Switch: switchnode.Config{N: 4, FrameSlots: 16},
+		Switch: switchnode.Config{FrameSlots: 16},
 		Tracer: tr,
 	})
 	if _, err := n.OpenBestEffort(5, path); err != nil {
@@ -51,7 +51,7 @@ func TestCollectTracerRecordsLifecycle(t *testing.T) {
 func TestTraceFaultEvents(t *testing.T) {
 	tr := &CollectTracer{}
 	n, _, _, path := lineNet(t, 2, 10, Config{
-		Switch: switchnode.Config{N: 4, FrameSlots: 16},
+		Switch: switchnode.Config{FrameSlots: 16},
 		Tracer: tr,
 	})
 	if _, err := n.OpenBestEffort(1, path); err != nil {
@@ -78,7 +78,7 @@ func TestJSONLTracer(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewJSONLTracer(&buf)
 	n, _, _, path := lineNet(t, 2, 1, Config{
-		Switch: switchnode.Config{N: 4, FrameSlots: 16},
+		Switch: switchnode.Config{FrameSlots: 16},
 		Tracer: tr,
 	})
 	if _, err := n.OpenBestEffort(2, path); err != nil {
@@ -213,7 +213,7 @@ type failWriter struct{}
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("short write") }
 
 func TestLinkUtilization(t *testing.T) {
-	n, _, _, path := lineNet(t, 2, 1, Config{Switch: switchnode.Config{N: 4, FrameSlots: 16}})
+	n, _, _, path := lineNet(t, 2, 1, Config{Switch: switchnode.Config{FrameSlots: 16}})
 	if util := n.LinkUtilization(); len(util) != 0 {
 		t.Fatal("utilization before any slot")
 	}

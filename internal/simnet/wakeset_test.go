@@ -34,7 +34,7 @@ func occupy(n *Network, guaranteed bool) *switchnode.Switch {
 // reads switches × slots at any moment — the count per-slot idle stepping
 // would have produced — without a wake to settle it.
 func TestIdleNetworkSleepsAndCountsEverySlot(t *testing.T) {
-	n, _, _, _ := lineNet(t, 3, 1, Config{Switch: switchnode.Config{N: 4, FrameSlots: 8}})
+	n, _, _, _ := lineNet(t, 3, 1, Config{Switch: switchnode.Config{FrameSlots: 8}})
 	for slots := int64(1); slots <= 50; slots++ {
 		n.Step()
 		requireEngineInvariant(t, n)
@@ -108,7 +108,7 @@ func TestEngineInvariantCatchesViolations(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			n, _, _, path := lineNet(t, 3, 1, Config{Switch: switchnode.Config{N: 4, FrameSlots: 8}})
+			n, _, _, path := lineNet(t, 3, 1, Config{Switch: switchnode.Config{FrameSlots: 8}})
 			n.Run(4)
 			// Three circuits, two of them with a cell queued at the source
 			// (nothing is stepped again, so no switch wakes).
@@ -136,7 +136,7 @@ func TestEngineInvariantCatchesViolations(t *testing.T) {
 // reads, slot by slot, on switches that fill and drain.
 func TestOccupancySeriesIsPerPortSum(t *testing.T) {
 	reg := obs.NewRegistry(1)
-	n, _, _, path := lineNet(t, 3, 1, Config{Obs: reg, Switch: switchnode.Config{N: 4, FrameSlots: 8}})
+	n, _, _, path := lineNet(t, 3, 1, Config{Obs: reg, Switch: switchnode.Config{FrameSlots: 8}})
 	if _, err := n.OpenBestEffort(1, path); err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,8 @@ func (d Discipline) String() string {
 
 // Config configures a switch.
 type Config struct {
-	// N is the port count (default crossbar.DefaultSize).
+	// N is the port count, at least 1; simnet.New sets it to the port
+	// count of the switch's topology node.
 	N int
 	// Discipline selects the input buffering (default DisciplinePerVC).
 	Discipline Discipline
@@ -151,9 +152,6 @@ type Switch struct {
 
 // New creates a switch.
 func New(cfg Config) (*Switch, error) {
-	if cfg.N == 0 {
-		cfg.N = crossbar.DefaultSize
-	}
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("switchnode: size %d", cfg.N)
 	}

@@ -16,10 +16,7 @@ func newSwitch(t *testing.T, cfg Config) *Switch {
 }
 
 func TestDefaults(t *testing.T) {
-	s := newSwitch(t, Config{})
-	if s.N() != 16 {
-		t.Fatalf("default N = %d, want 16", s.N())
-	}
+	s := newSwitch(t, Config{N: 16})
 	if s.Frame().Slots() != 1024 {
 		t.Fatalf("default frame = %d, want 1024", s.Frame().Slots())
 	}
@@ -29,7 +26,10 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{N: -1}); err == nil {
 		t.Error("negative N accepted")
 	}
-	if _, err := New(Config{Discipline: Discipline(42)}); err == nil {
+	if _, err := New(Config{}); err == nil {
+		t.Error("zero N accepted: a switch has no default width")
+	}
+	if _, err := New(Config{N: 4, Discipline: Discipline(42)}); err == nil {
 		t.Error("unknown discipline accepted")
 	}
 	if DisciplineFIFO.String() != "fifo" || DisciplinePerVC.String() != "per-vc" || Discipline(9).String() == "" {
