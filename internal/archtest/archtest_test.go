@@ -96,12 +96,11 @@ func pkgSelector(f *ast.File, e ast.Expr, pkgPath string) (sel string, ok bool) 
 }
 
 // goroutineAllowList holds the only non-test files under internal/ that
-// may contain a go statement: socket I/O, a load generator and the three
+// may contain a go statement: socket I/O, a load generator and the two
 // loopback-service experiments' Serve launchers. No goroutine is a
 // simulation clock.
 var goroutineAllowList = []string{
 	"ctrlnet/udp.go",
-	"exp/serviceexp.go",
 	"exp/surviveexp.go",
 	"exp/traceexp.go",
 	"workload/tenants.go",

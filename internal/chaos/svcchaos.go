@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"time"
 
@@ -13,17 +12,20 @@ import (
 	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/svc"
+	"repro/internal/svcsys"
 	"repro/internal/topology"
 )
 
 // This file extends the chaos harness one layer up: from the recovery
 // stack to the multi-tenant VC SERVICE built on it. An SvcSchedule
 // scripts tenants churning sessions over a faulty control channel while
-// the server process is killed and restarted mid-run; the harness drives
-// everything on a virtual millisecond clock (the server's lease clock is
-// injected, and each tenant is the shipped client machine, svc.Session,
-// fed the same clock), so a schedule replays bit-for-bit and SvcShrink can
-// reduce a failure the same way Shrink reduces a recovery failure.
+// the server process is killed and restarted mid-run. The run is the
+// composed service, svcsys.System, on its virtual millisecond clock: the
+// server and every tenant (the shipped client machine, svc.Session) read
+// that clock, and every datagram crosses its one seeded fault engine. This
+// file adds only the schedule, the tenants' intents and the invariants, so
+// a schedule replays bit-for-bit and SvcShrink can reduce a failure the
+// same way Shrink reduces a recovery failure.
 //
 // Invariants:
 //
@@ -216,123 +218,23 @@ type SvcResult struct {
 // ---- harness ----------------------------------------------------------
 
 const (
-	svcServerNode  = topology.NodeID(0)
-	svcTenantBase  = topology.NodeID(100)
 	svcTimeoutMS   = 40 // the tenants' client Timeout, virtual ms
 	svcMaxAttempts = 10 // and their client Retries
-	svcStepSlots   = 16 // data-plane slots advanced per virtual ms
 )
 
-type svcDue struct {
-	seq int64 // FIFO tiebreak for equal due times
-	d   ctrlnet.Delivery
-}
-
-// svcHarness owns the whole virtual world: LAN, server, fault engine,
-// tenants, and the two delayed-delivery queues.
+// svcHarness drives one schedule on the composed service: the server's
+// lifecycle, the scripted tenants, and the invariants.
 type svcHarness struct {
-	s      SvcSchedule
-	lan    *core.LAN
-	hosts  []topology.NodeID
-	eng    *ctrlnet.Net
-	srv    *svc.Server
-	ring   *obs.Ring // shared across incarnations: the flight recorder
-	alive  bool
-	incarn int32
+	s    SvcSchedule
+	sys  *svcsys.System
+	ring *obs.Ring // shared across incarnations: the flight recorder
 
-	nowMS int64
-	seq   int64
-
-	toServer []svcDue
-	toTenant []svcDue
-
-	tenants []*svcTenant // tenant i is node svcTenantBase+i
+	tenants []*svcTenant // tenant i is the system's tenant i
 
 	// grants maps (tenant, nonce) -> granted VCI: the double-grant check.
 	grants map[[2]uint64]cell.VCI
 
 	res SvcResult
-}
-
-// svcChannel is the server's Transport: everything the server sends goes
-// back through the shared fault engine toward the tenants.
-type svcChannel struct{ h *svcHarness }
-
-func (c *svcChannel) Send(from, to topology.NodeID, wire []byte, _ int64) ([]ctrlnet.Delivery, error) {
-	c.h.inject(from, to, wire, false)
-	return nil, nil
-}
-func (c *svcChannel) Poll() []ctrlnet.Delivery  { return nil }
-func (c *svcChannel) Flush() []ctrlnet.Delivery { return nil }
-func (c *svcChannel) Close() error              { return nil }
-
-func (h *svcHarness) nowUS() int64 { return h.nowMS * 1000 }
-
-func (h *svcHarness) clock() time.Time {
-	return time.Unix(0, h.nowUS()*int64(time.Microsecond))
-}
-
-// inject threads one wire image through the fault engine and queues the
-// surviving images for their virtual arrival tick.
-func (h *svcHarness) inject(from, to topology.NodeID, wire []byte, toServer bool) {
-	for _, d := range h.eng.Transmit(from, to, wire, h.nowUS()) {
-		h.seq++
-		if toServer {
-			h.toServer = append(h.toServer, svcDue{seq: h.seq, d: d})
-		} else {
-			h.toTenant = append(h.toTenant, svcDue{seq: h.seq, d: d})
-		}
-	}
-}
-
-// drainDue pops every delivery due at or before now, in (time, seq) order.
-func drainDue(q []svcDue, nowUS int64) (due, rest []svcDue) {
-	for _, m := range q {
-		if m.d.AtUS <= nowUS {
-			due = append(due, m)
-		} else {
-			rest = append(rest, m)
-		}
-	}
-	sort.Slice(due, func(i, j int) bool {
-		if due[i].d.AtUS != due[j].d.AtUS {
-			return due[i].d.AtUS < due[j].d.AtUS
-		}
-		return due[i].seq < due[j].seq
-	})
-	return due, rest
-}
-
-// startServer boots a new incarnation over the (shared, surviving) LAN.
-func (h *svcHarness) startServer() error {
-	h.incarn++
-	lease := time.Duration(h.s.LeaseDurMS) * time.Millisecond
-	grace := time.Duration(h.s.OrphanGraceMS) * time.Millisecond
-	if h.s.UnsafeNoLeaseGC {
-		// The regression arm: leases never expire, orphans are never
-		// reclaimed — whatever is leaked stays leaked.
-		lease = 1000 * time.Hour
-		grace = 1000 * time.Hour
-	}
-	srv, err := svc.NewServer(svc.Config{
-		LAN:                    h.lan,
-		Transport:              &svcChannel{h: h},
-		Node:                   svcServerNode,
-		MaxVCsPerTenant:        4,
-		MaxGuaranteedPerTenant: 4,
-		Incarnation:            h.incarn,
-		LeaseDur:               lease,
-		OrphanGrace:            grace,
-		Now:                    h.clock,
-		Ring:                   h.ring,
-		SpanSeed:               uint64(h.s.Seed)*0x9E3779B9 + uint64(h.incarn),
-	})
-	if err != nil {
-		return err
-	}
-	h.srv = srv
-	h.alive = true
-	return nil
 }
 
 // RunSvc executes the schedule and checks every invariant. A non-nil
@@ -353,8 +255,7 @@ func RunSvc(s SvcSchedule) (*SvcResult, error) {
 	if s.GraceMS <= 0 {
 		s.GraceMS = 600
 	}
-	g := fixtureGraph()
-	lan, err := core.New(core.Config{Topology: g, FrameSlots: 64, Seed: s.Seed})
+	lan, err := core.New(core.Config{Topology: fixtureGraph(), FrameSlots: 64, Seed: s.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -368,24 +269,32 @@ func RunSvc(s SvcSchedule) (*SvcResult, error) {
 				ctrlnet.Window{FromUS: o.StartMS * 1000, ToUS: o.EndMS * 1000})
 		}
 	}
-	eng, err := ctrlnet.New(faults)
+	lease := time.Duration(s.LeaseDurMS) * time.Millisecond
+	grace := time.Duration(s.OrphanGraceMS) * time.Millisecond
+	if s.UnsafeNoLeaseGC {
+		// The regression arm: leases never expire, orphans are never
+		// reclaimed — whatever is leaked stays leaked.
+		lease = 1000 * time.Hour
+		grace = 1000 * time.Hour
+	}
+	ring := obs.NewRing(2048)
+	sys, err := svcsys.New(svc.Config{
+		LAN:                    lan,
+		MaxVCsPerTenant:        4,
+		MaxGuaranteedPerTenant: 4,
+		Incarnation:            1,
+		LeaseDur:               lease,
+		OrphanGrace:            grace,
+		Ring:                   ring,
+		SpanSeed:               uint64(s.Seed)*0x9E3779B9 + 1,
+	}, faults)
 	if err != nil {
 		return nil, err
 	}
-	h := &svcHarness{
-		s:      s,
-		lan:    lan,
-		hosts:  lan.Topology().Hosts(),
-		eng:    eng,
-		ring:   obs.NewRing(2048),
-		grants: make(map[[2]uint64]cell.VCI),
-	}
-	if err := h.startServer(); err != nil {
-		return nil, err
-	}
+	h := &svcHarness{s: s, sys: sys, ring: ring, grants: make(map[[2]uint64]cell.VCI)}
+	hosts := lan.Topology().Hosts()
 	for i := 0; i < s.Tenants; i++ {
-		node := svcTenantBase + topology.NodeID(i)
-		tn := newSvcTenant(h, node, uint64(i+1), s.Seed+int64(i)*7919)
+		tn := newSvcTenant(h, i, hosts, s.Seed+int64(i)*7919)
 		if i < s.Vanish {
 			// Vanishing tenants stop cold somewhere in the middle third.
 			tn.vanishAtMS = s.HorizonMS/3 + tn.rng.Int63n(s.HorizonMS/3)
@@ -393,91 +302,62 @@ func RunSvc(s SvcSchedule) (*SvcResult, error) {
 		h.tenants = append(h.tenants, tn)
 	}
 
+	reply := func(i int, st svc.Step) bool {
+		h.res.Violation = h.tenants[i].onStep(st)
+		return h.res.Violation == nil
+	}
+	act := func(i int) { h.tenants[i].step() }
 	total := s.HorizonMS + s.GraceMS
-	for h.nowMS = 0; h.nowMS <= total; h.nowMS++ {
+	for sys.NowMS() <= total {
+		now := sys.NowMS()
 		// Server process lifecycle.
 		for _, o := range s.Outages {
-			if !o.Kill {
-				continue
+			if o.Kill && now == o.StartMS && sys.Alive() {
+				sys.Kill()
 			}
-			if h.nowMS == o.StartMS && h.alive {
-				h.alive = false
-				h.res.FinalStats = h.srv.Stats()
-			}
-			if h.nowMS == o.EndMS && !h.alive {
-				if err := h.startServer(); err != nil {
+			if o.Kill && now == o.EndMS && !sys.Alive() {
+				if err := sys.Restart(); err != nil {
 					return nil, err
 				}
 				h.res.Restarts++
 			}
 		}
-
-		// Deliver what is due. Datagrams addressed to a dead process
-		// vanish, exactly like a closed socket's ICMP-less silence.
-		var due []svcDue
-		due, h.toServer = drainDue(h.toServer, h.nowUS())
-		for _, m := range due {
-			if h.alive {
-				h.srv.ServeOne(m.d)
-			}
+		if !sys.Tick(reply, act) {
+			return h.finish(), nil
 		}
-		due, h.toTenant = drainDue(h.toTenant, h.nowUS())
-		for _, m := range due {
-			if i := int(m.d.To - svcTenantBase); i >= 0 && i < len(h.tenants) {
-				if v := h.tenants[i].onDelivery(m.d); v != nil {
-					h.res.Violation = v
-					return h.finish(), nil
-				}
-			}
-		}
-
-		// Tenants act, in node order.
-		for _, tn := range h.tenants {
-			tn.step()
-		}
-
-		// The fabric and the lease clock advance.
-		lan.Run(svcStepSlots)
-		if h.alive {
-			h.srv.Sweep()
-			if err := h.srv.CheckInvariant(); err != nil {
-				h.res.Violation = &Violation{Slot: h.nowMS, Invariant: "svc-books", Detail: err.Error()}
+		if sys.Alive() {
+			if err := sys.Server().CheckInvariant(); err != nil {
+				h.res.Violation = &Violation{Slot: now, Invariant: "svc-books", Detail: err.Error()}
 				return h.finish(), nil
 			}
 		}
 		if !lan.Snapshot().Conserved() {
-			h.res.Violation = &Violation{Slot: h.nowMS, Invariant: "conservation",
+			h.res.Violation = &Violation{Slot: now, Invariant: "conservation",
 				Detail: fmt.Sprintf("cell accounting broken: %+v", lan.Snapshot())}
 			return h.finish(), nil
 		}
 	}
 
-	// End state: anything the engine still holds dies with the run, then
-	// the clock jumps past lease expiry and the orphan grace so every
-	// leaked session and adopted orphan must have been collected.
-	h.eng.Flush()
-	h.nowMS = total + s.LeaseDurMS + s.OrphanGraceMS + 100
-	if h.alive {
-		h.srv.Sweep()
-		lan.Run(svcStepSlots)
-	}
+	// End state: anything still in flight dies with the run, then the
+	// clock jumps past lease expiry and the orphan grace so every leaked
+	// session and adopted orphan must have been collected.
+	end := total + s.LeaseDurMS + s.OrphanGraceMS + 100
+	sys.Settle(end)
 	if n := len(lan.Circuits()); n != 0 {
-		h.res.Violation = &Violation{Slot: h.nowMS, Invariant: "no-orphan-vc",
+		h.res.Violation = &Violation{Slot: end, Invariant: "no-orphan-vc",
 			Detail: fmt.Sprintf("%d circuits survive every bye, lease expiry, and the orphan grace", n)}
-	} else if h.alive && !h.srv.Quiesced() {
-		h.res.Violation = &Violation{Slot: h.nowMS, Invariant: "no-orphan-vc",
+	} else if sys.Alive() && !sys.Server().Quiesced() {
+		h.res.Violation = &Violation{Slot: end, Invariant: "no-orphan-vc",
 			Detail: "server not quiesced after lease expiry"}
 	} else if !lan.Snapshot().Conserved() {
-		h.res.Violation = &Violation{Slot: h.nowMS, Invariant: "conservation",
+		h.res.Violation = &Violation{Slot: end, Invariant: "conservation",
 			Detail: fmt.Sprintf("end-state cell accounting broken: %+v", lan.Snapshot())}
 	}
 	return h.finish(), nil
 }
 
 func (h *svcHarness) finish() *SvcResult {
-	if h.alive {
-		h.res.FinalStats = h.srv.Stats()
-	}
+	h.res.FinalStats = h.sys.Server().Stats()
 	for _, tn := range h.tenants {
 		st := tn.s.Stats()
 		h.res.Grants += tn.grants + st.ReattachVCs
@@ -493,16 +373,17 @@ func (h *svcHarness) finish() *SvcResult {
 // ---- tenants ------------------------------------------------------------
 
 // svcTenant is one scripted tenant: an intent planner driving the shipped
-// client machine, svc.Session, on the harness clock. The planner decides
-// what the tenant does and when; everything it says on the wire (nonces,
-// retransmission and backoff, re-attach, ledger replay, aliasing) is the
-// session's.
+// client machine, svc.Session, through the composed system. The planner
+// decides what the tenant does and when; everything it says on the wire
+// (nonces, retransmission and backoff, re-attach, ledger replay, aliasing)
+// is the session's, and the system carries it.
 type svcTenant struct {
-	h    *svcHarness
-	node topology.NodeID
-	id   uint64
-	rng  *rand.Rand
-	s    *svc.Session
+	h     *svcHarness
+	i     int
+	id    uint64
+	rng   *rand.Rand
+	s     *svc.Session
+	hosts []topology.NodeID
 
 	calls    uint64 // calls started: the low half of each call's trace id
 	busy     bool   // a call is in flight
@@ -510,50 +391,48 @@ type svcTenant struct {
 	deadline time.Time
 
 	vanishAtMS int64 // 0: never vanishes
-	vanished   bool
 	byeSent    bool
 	done       bool // bye acknowledged (or refused-stale: same thing)
 
 	grants int64 // fresh opens granted (reopens are in the session's stats)
 }
 
-func newSvcTenant(h *svcHarness, node topology.NodeID, id uint64, seed int64) *svcTenant {
-	t := &svcTenant{h: h, node: node, id: id, rng: rand.New(rand.NewSource(seed))}
+func newSvcTenant(h *svcHarness, i int, hosts []topology.NodeID, seed int64) *svcTenant {
+	t := &svcTenant{h: h, i: i, id: uint64(i + 1), rng: rand.New(rand.NewSource(seed)), hosts: hosts}
 	t.s = svc.NewSession(svc.ClientConfig{
-		Tenant: id, Timeout: svcTimeoutMS * time.Millisecond, Retries: svcMaxAttempts,
+		Tenant: t.id, Timeout: svcTimeoutMS * time.Millisecond, Retries: svcMaxAttempts,
 	}, rand.New(rand.NewSource(t.rng.Int63())))
+	h.sys.Join(t.s)
 	return t
 }
 
 // step is one virtual millisecond of tenant life.
 func (t *svcTenant) step() {
-	if t.vanishAtMS > 0 && t.h.nowMS >= t.vanishAtMS {
-		t.vanished = true // stops cold: no bye, no further frame
-	}
-	if t.vanished || t.done {
+	sys := t.h.sys
+	if t.vanishAtMS > 0 && sys.NowMS() >= t.vanishAtMS {
+		sys.Leave(t.i) // stops cold: no bye, no further frame
 		return
 	}
-	now := t.h.clock()
 	switch {
-	case t.h.nowMS >= t.h.s.HorizonMS && !t.byeSent:
+	case sys.NowMS() >= t.h.s.HorizonMS && !t.byeSent:
 		// Wind-down: the session-wide bye closes everything still open,
 		// abandoning whatever call is in flight.
 		t.byeSent = true
-		t.call(now, svc.Op{Kind: proto.KindBye})
+		t.call(svc.Op{Kind: proto.KindBye})
 	case t.busy:
-		if !now.Before(t.deadline) {
-			t.apply(t.s.Expire(now))
+		if !sys.Now().Before(t.deadline) {
+			t.apply(sys.Expire(t.i))
 		}
 	case t.calls == 0:
-		t.call(now, svc.Op{Kind: proto.KindHello})
+		t.call(svc.Op{Kind: proto.KindHello})
 	case !t.byeSent:
-		t.plan(now)
+		t.plan()
 	}
 }
 
 // plan draws the next scripted intent: tenants churn for the WHOLE
 // horizon, so a kill anywhere in it always lands on live traffic.
-func (t *svcTenant) plan(now time.Time) {
+func (t *svcTenant) plan() {
 	// Pace: act roughly every four idle milliseconds.
 	if t.rng.Float64() < 0.75 {
 		return
@@ -561,18 +440,16 @@ func (t *svcTenant) plan(now time.Time) {
 	open := t.s.Circuits()
 	switch {
 	case len(open) > 0 && t.rng.Float64() < 0.45:
-		t.call(now, svc.Op{Kind: proto.KindVCClose, VC: open[t.rng.Intn(len(open))]})
+		t.call(svc.Op{Kind: proto.KindVCClose, VC: open[t.rng.Intn(len(open))]})
 		return
 	case len(open) > 0 && t.rng.Float64() < 0.3:
 		// Fire-and-forget traffic on a held circuit.
-		wire, err := t.s.Traffic(now, open[t.rng.Intn(len(open))], 1+t.rng.Intn(4))
-		if err != nil {
+		if err := t.h.sys.Traffic(t.i, open[t.rng.Intn(len(open))], 1+t.rng.Intn(4)); err != nil {
 			panic(err) // session-built frames cannot fail to encode
 		}
-		t.h.inject(t.node, svcServerNode, wire, true)
 		return
 	}
-	hosts := t.h.hosts
+	hosts := t.hosts
 	src := hosts[t.rng.Intn(len(hosts))]
 	dst := hosts[t.rng.Intn(len(hosts))]
 	for dst == src {
@@ -582,33 +459,29 @@ func (t *svcTenant) plan(now time.Time) {
 	if t.rng.Float64() < 0.3 {
 		rate = 1 + t.rng.Intn(2)
 	}
-	t.call(now, svc.Op{Kind: proto.KindVCRequest, Src: src, Dst: dst, Rate: rate})
+	t.call(svc.Op{Kind: proto.KindVCRequest, Src: src, Dst: dst, Rate: rate})
 }
 
 // call starts op under a deterministic trace id, tenant<<32 | call
 // sequence, so the server's flight recorder attributes every span to a
 // scripted call with no merge step.
-func (t *svcTenant) call(now time.Time, op svc.Op) {
+func (t *svcTenant) call(op svc.Op) {
 	t.calls++
 	t.busy, t.op = true, op.Kind
-	t.apply(t.s.Call(now, op, t.id<<32|t.calls))
+	t.apply(t.h.sys.Call(t.i, op, t.id<<32|t.calls))
 }
 
-// onDelivery feeds the session one server frame; a non-nil Violation
-// aborts the run (double-grant is checked here, where grants are
-// observed).
-func (t *svcTenant) onDelivery(d ctrlnet.Delivery) *Violation {
-	if t.vanished || t.done {
-		return nil
-	}
-	st := t.s.Reply(t.h.clock(), d.Wire)
+// onStep takes the step a delivered server frame produced; a non-nil
+// Violation aborts the run (double-grant is checked here, where grants
+// are observed).
+func (t *svcTenant) onStep(st svc.Step) *Violation {
 	if !t.busy {
 		return nil // counted by the session as an orphan, or not ours
 	}
 	if a := st.Answer; a != nil && a.Kind == proto.KindVCReply && a.Accept {
 		key, got := [2]uint64{t.id, a.Initiator}, cell.VCI(a.Depth)
 		if prev, ok := t.h.grants[key]; ok && prev != got {
-			return &Violation{Slot: t.h.nowMS, Invariant: "double-grant",
+			return &Violation{Slot: t.h.sys.NowMS(), Invariant: "double-grant",
 				Detail: fmt.Sprintf("tenant %d nonce %d granted VCI %d then %d", t.id, a.Initiator, prev, got)}
 		}
 		t.h.grants[key] = got
@@ -617,12 +490,9 @@ func (t *svcTenant) onDelivery(d ctrlnet.Delivery) *Violation {
 	return nil
 }
 
-// apply carries out one session step: its frame goes through the fault
-// engine, and a finished call frees the tenant to plan the next one.
+// apply takes one session step (the system already sent its frame): a
+// finished call frees the tenant to plan the next one.
 func (t *svcTenant) apply(st svc.Step) {
-	if st.Send != nil {
-		t.h.inject(t.node, svcServerNode, st.Send, true)
-	}
 	t.deadline = st.Deadline
 	if st.Done {
 		// A failed call's server-side effects, if any, are cleaned by bye
@@ -634,6 +504,7 @@ func (t *svcTenant) apply(st svc.Step) {
 			t.grants++
 		case t.op == proto.KindBye:
 			t.done = true
+			t.h.sys.Leave(t.i)
 		}
 	}
 }

@@ -31,12 +31,12 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-// headlines are the promises the loopback-service experiments make about
-// the run itself, checked on the tables of every run (label → value of the
-// two-column tables): whatever size the run, the fleet recovers completely
-// and a disabled tracer is free.
+// headlines are the promises the service experiments make about the run
+// itself, checked on the tables of every run (label → value of the
+// two-column tables): whatever size the run, the fleet recovers completely,
+// jitter flattens the herd and a disabled tracer is free.
 var headlines = map[string]func(t *testing.T, rows map[string]string){
-	// E32: the loopback run completed every flow of its 1e5 budget.
+	// E32: the run completed every flow of its 1e5 budget.
 	"E32": func(t *testing.T, rows map[string]string) {
 		if n, err := strconv.Atoi(rows["flows completed"]); err != nil || n < e32Flows {
 			t.Errorf("E32 flows completed = %q, below the promised %d", rows["flows completed"], e32Flows)
@@ -54,6 +54,17 @@ var headlines = map[string]func(t *testing.T, rows map[string]string){
 		}
 		if e, err := strconv.ParseFloat(rows["trace window error (%)"], 64); err != nil || e < 0 || e > 10 {
 			t.Errorf("E33 trace window error = %q, want within 10%% of ground truth", rows["trace window error (%)"])
+		}
+		// E33c: jittered backoff flattens the herd without changing how
+		// many retransmits a dead server receives.
+		fixed, jittered := rows["peak retransmits per 20ms (fixed pacing)"], rows["peak retransmits per 20ms (jittered backoff)"]
+		if f, ferr := strconv.Atoi(fixed); ferr != nil {
+			t.Errorf("E33c fixed-pacing peak = %q", fixed)
+		} else if j, jerr := strconv.Atoi(jittered); jerr != nil || j >= f {
+			t.Errorf("E33c jittered peak %q not below the fixed-pacing peak %q", jittered, fixed)
+		}
+		if a, b := rows["total retransmits (fixed pacing)"], rows["total retransmits (jittered backoff)"]; a == "" || a != b {
+			t.Errorf("E33c retransmit totals differ: fixed %q, jittered %q", a, b)
 		}
 	},
 	// E34: tracing disabled adds exactly 0 allocs to the request hot path.
@@ -118,11 +129,12 @@ func TestAllExperimentsRun(t *testing.T) {
 
 // Experiments are deterministic under a fixed seed — including the ones
 // that run the reconfiguration protocol (E1, E13, E14, E19 directly; E22
-// and E27 through the recovery loop) and E23, whose banyan draws its
-// conflict winners in wire order.
+// and E27 through the recovery loop), E23, whose banyan draws its
+// conflict winners in wire order, and E32, the service composed on its
+// virtual clock.
 func TestQuickExperimentsDeterministic(t *testing.T) {
 	for _, id := range []string{"E1", "E3", "E5", "E6", "E7", "E10", "E11", "E13", "E14", "E15", "E16", "E17",
-		"E19", "E20", "E21", "E22", "E23", "E27"} {
+		"E19", "E20", "E21", "E22", "E23", "E27", "E32"} {
 		e, ok := Lookup(id)
 		if !ok {
 			t.Fatalf("missing %s", id)
@@ -143,5 +155,21 @@ func TestQuickExperimentsDeterministic(t *testing.T) {
 				t.Errorf("%s: table %d differs across identical seeds", id, i)
 			}
 		}
+	}
+}
+
+// E33c, the herd arm, runs on the composed service's virtual clock: two
+// runs at one seed print the same table.
+func TestE33HerdDeterministic(t *testing.T) {
+	a, err := runE33Herd(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := runE33Herd(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Fatalf("herd arm differs across identical seeds:\n%s\n%s", a, b)
 	}
 }

@@ -4,14 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
+	"math/rand"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/ctrlnet"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/proto"
 	"repro/internal/svc"
+	"repro/internal/svcsys"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -121,17 +123,16 @@ func runE33(seed int64) ([]*metrics.Table, error) {
 	go func() {
 		defer close(wlDone)
 		rep, wlErr = workload.RunTenants(workload.TenantsConfig{
-			ServerAddr:    addr,
-			Tenants:       64,
-			Flows:         e33Flows,
-			AggressorRate: 8,
-			Seed:          seed,
-			Timeout:       40 * time.Millisecond,
-			RetryCap:      500 * time.Millisecond,
-			Retries:       8,
-			DropProb:      lossProb,
-			Survivable:    true,
-			Spans:         clientSpans,
+			ServerAddr: addr,
+			Tenants:    64,
+			Flows:      e33Flows,
+			Seed:       seed,
+			Timeout:    40 * time.Millisecond,
+			RetryCap:   500 * time.Millisecond,
+			Retries:    8,
+			DropProb:   lossProb,
+			Survivable: true,
+			Spans:      clientSpans,
 		})
 	}()
 
@@ -280,19 +281,19 @@ func runE33(seed int64) ([]*metrics.Table, error) {
 	return []*metrics.Table{t1, t2, t3}, nil
 }
 
-// Thundering-herd arm: herdClients clients aim their retransmits at a
-// server that will never answer. Fixed pacing fires them in lockstep;
-// full jitter decorrelates them. The first TWO sends per client are
-// excluded from the peak — the initial send is synchronized by
-// construction and the first retransmit always waits exactly Timeout in
-// both arms — so the buckets compare the steady storm, which is what a
-// recovering server actually absorbs.
+// Thundering-herd arm: herdClients sessions aim their retransmits at a
+// server that is down for the whole run, on the composed service's virtual
+// clock. Fixed pacing fires them in lockstep; full jitter decorrelates
+// them. The first TWO sends per session are excluded from the peak — the
+// initial send is synchronized by construction and the first retransmit
+// always waits exactly Timeout in both arms — so the buckets compare the
+// steady storm, which is what a recovering server actually absorbs.
 const (
-	herdClients = 48
-	herdRetries = 7
-	herdTimeout = 40 * time.Millisecond
-	herdCap     = 300 * time.Millisecond
-	herdBucket  = 20 * time.Millisecond
+	herdClients  = 48
+	herdRetries  = 7
+	herdTimeout  = 40 * time.Millisecond
+	herdCap      = 300 * time.Millisecond
+	herdBucketMS = 20
 )
 
 func runE33Herd(seed int64) (*metrics.Table, error) {
@@ -308,88 +309,72 @@ func runE33Herd(seed int64) (*metrics.Table, error) {
 		fmt.Sprintf("E33c — retransmit pacing against a dead server (%d clients, %d attempts each)",
 			herdClients, herdRetries),
 		"metric", "value")
-	t.AddRow(fmt.Sprintf("peak retransmits per %dms (fixed pacing)", herdBucket.Milliseconds()), fixedPeak)
-	t.AddRow(fmt.Sprintf("peak retransmits per %dms (jittered backoff)", herdBucket.Milliseconds()), jitterPeak)
+	t.AddRow(fmt.Sprintf("peak retransmits per %dms (fixed pacing)", herdBucketMS), fixedPeak)
+	t.AddRow(fmt.Sprintf("peak retransmits per %dms (jittered backoff)", herdBucketMS), jitterPeak)
 	t.AddRow("total retransmits (fixed pacing)", fixedTotal)
 	t.AddRow("total retransmits (jittered backoff)", jitterTotal)
 	return t, nil
 }
 
-// blackhole is a Transport that swallows every frame, timestamping it:
-// the measurement side of a dead server.
-type blackhole struct {
-	mu    sync.Mutex
-	start time.Time
-	at    []time.Duration
-}
-
-func (b *blackhole) Send(from, to topology.NodeID, wire []byte, atUS int64) ([]ctrlnet.Delivery, error) {
-	b.mu.Lock()
-	b.at = append(b.at, time.Since(b.start))
-	b.mu.Unlock()
-	return nil, nil
-}
-func (b *blackhole) Poll() []ctrlnet.Delivery                { return nil }
-func (b *blackhole) Flush() []ctrlnet.Delivery               { return nil }
-func (b *blackhole) Close() error                            { return nil }
-func (b *blackhole) Wait(d time.Duration) []ctrlnet.Delivery { time.Sleep(d); return nil }
-
 func herdArm(seed int64, noJitter bool) (peak int, total int64, err error) {
-	holes := make([]*blackhole, herdClients)
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, herdClients)
-	for i := 0; i < herdClients; i++ {
-		holes[i] = &blackhole{start: start}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cl, cerr := svc.NewClient(svc.ClientConfig{
-				Transport: holes[i],
-				Self:      topology.NodeID(1 + i),
-				Server:    0,
-				Tenant:    uint64(i + 1),
-				Timeout:   herdTimeout,
-				Retries:   herdRetries,
-				RetryCap:  herdCap,
-				NoJitter:  noJitter,
-				Seed:      seed + int64(i)*31 + 7,
-			})
-			if cerr != nil {
-				errs[i] = cerr
-				return
-			}
-			defer cl.Close()
-			if _, herr := cl.Hello(); herr == nil {
-				errs[i] = errors.New("dead server answered a hello")
-			}
-		}(i)
+	g, err := topology.Line(2, 1)
+	if err != nil {
+		return 0, 0, err
 	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return 0, 0, e
-		}
+	lan, err := core.New(core.Config{Topology: g, FrameSlots: 16, Seed: seed})
+	if err != nil {
+		return 0, 0, err
+	}
+	sys, err := svcsys.New(svc.Config{LAN: lan, Incarnation: 1}, ctrlnet.Config{})
+	if err != nil {
+		return 0, 0, err
+	}
+	sys.Kill()
+	deadlines := make([]time.Time, herdClients)
+	for i := range deadlines {
+		sys.Join(svc.NewSession(svc.ClientConfig{
+			Tenant:   uint64(i + 1),
+			Timeout:  herdTimeout,
+			Retries:  herdRetries,
+			RetryCap: herdCap,
+			NoJitter: noJitter,
+		}, rand.New(rand.NewSource(seed+int64(i)*31+7))))
 	}
 	buckets := map[int64]int{}
-	for _, h := range holes {
-		h.mu.Lock()
-		at := append([]time.Duration(nil), h.at...)
-		h.mu.Unlock()
-		if len(at) > 1 {
-			total += int64(len(at) - 1)
+	sends := make([]int, herdClients)
+	left := herdClients
+	act := func(i int) {
+		var st svc.Step
+		switch {
+		case sends[i] == 0:
+			st = sys.Call(i, svc.Op{Kind: proto.KindHello}, 0)
+		case !sys.Now().Before(deadlines[i]):
+			st = sys.Expire(i)
+		default:
+			return
 		}
-		for i, d := range at {
-			if i < 2 {
-				continue
+		if st.Send != nil {
+			if sends[i]++; sends[i] > 2 {
+				buckets[sys.NowMS()/herdBucketMS]++
 			}
-			buckets[int64(d/herdBucket)]++
+			if sends[i] > 1 {
+				total++
+			}
 		}
+		deadlines[i] = st.Deadline
+		if st.Done {
+			if st.Err == nil {
+				err = errors.New("dead server answered a hello")
+			}
+			sys.Leave(i)
+			left--
+		}
+	}
+	for left > 0 {
+		sys.Tick(func(int, svc.Step) bool { return true }, act)
 	}
 	for _, n := range buckets {
-		if n > peak {
-			peak = n
-		}
+		peak = max(peak, n)
 	}
-	return peak, total, nil
+	return peak, total, err
 }

@@ -245,11 +245,10 @@ func e34Workload(seed int64, traced bool) (*workload.TenantsReport, int64, int64
 		Tick:                   time.Millisecond,
 	}
 	wcfg := workload.TenantsConfig{
-		ServerAddr:    tr.Addr(0).String(),
-		Tenants:       64,
-		Flows:         e34Flows,
-		AggressorRate: 8,
-		Seed:          seed,
+		ServerAddr: tr.Addr(0).String(),
+		Tenants:    64,
+		Flows:      e34Flows,
+		Seed:       seed,
 	}
 	var srvSpans, clSpans *obs.SpanWriter
 	if traced {

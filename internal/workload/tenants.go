@@ -11,7 +11,9 @@ import (
 	"repro/internal/ctrlnet"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/proto"
 	"repro/internal/svc"
+	"repro/internal/svcsys"
 	"repro/internal/topology"
 )
 
@@ -26,30 +28,15 @@ import (
 
 // TenantsConfig configures one workload run against a live server.
 type TenantsConfig struct {
-	// ServerAddr is the server's UDP listen address (its transport node
-	// id is ServerNode, default 0).
+	// ServerAddr is the server's UDP listen address; the server's
+	// transport node id is 0.
 	ServerAddr string
-	ServerNode topology.NodeID
 	// Tenants is the number of concurrent tenant sessions (default 64).
 	// Tenant ids are 1..Tenants; tenant 1 is the aggressor.
 	Tenants int
 	// Flows is the total flow target across all tenants (default 100_000).
 	// A flow is one open (+ optional traffic) + close cycle.
 	Flows int
-	// GuaranteedFrac is the fraction of flows requesting a guaranteed
-	// rate (default 0.2); the rest are best-effort.
-	GuaranteedFrac float64
-	// AggressorRate is the cells/frame the aggressor tenant demands on
-	// EVERY guaranteed request (default 8 — far over any fair share), so
-	// it slams into its quota while the light tenants ask for 1.
-	AggressorRate int
-	// TrafficEvery pushes a burst of TrafficCells cells on every k-th
-	// admitted flow (defaults 4 and 8); 0 disables traffic.
-	TrafficEvery int
-	TrafficCells int
-	// BaseNode is the first tenant endpoint's transport id (default
-	// 1000); tenant i uses BaseNode+i.
-	BaseNode topology.NodeID
 	// Seed drives each tenant's flow mix; Timeout/Retries tune the RPC
 	// layer (defaults 2s / 5 — generous because the server is
 	// single-threaded and a race-instrumented CI machine is slow).
@@ -62,11 +49,8 @@ type TenantsConfig struct {
 	// traffic frame) risks the floor. Reply-direction loss is the server
 	// operator's to configure — wrap the server transport the same way.
 	DropProb float64
-	// RetryCap and NoJitter pass through to the client's backoff engine:
-	// RetryCap bounds the exponential backoff, NoJitter restores fixed
-	// Timeout pacing (the thundering-herd control arm).
+	// RetryCap bounds the client's exponential backoff.
 	RetryCap time.Duration
-	NoJitter bool
 	// Survivable tolerates transient RPC failure — retry exhaustion or a
 	// failed re-attach while the server is down — by retrying the flow
 	// instead of failing the tenant, up to a fixed per-tenant budget.
@@ -80,6 +64,25 @@ type TenantsConfig struct {
 	Spans *obs.SpanWriter
 	Ring  *obs.Ring
 }
+
+// The flow mix. A fifth of the flows ask for a guaranteed rate: 1
+// cell/frame from a light tenant, aggressorRate from the aggressor — far
+// over any fair share, so it slams into its quota while the light tenants
+// are admitted. Every trafficEvery-th admitted flow pushes trafficCells
+// cells before it closes.
+const (
+	guaranteedFrac = 0.2
+	aggressorRate  = 8
+	trafficEvery   = 4
+	trafficCells   = 8
+)
+
+// serverNode is the server's transport id; tenant i's endpoint is
+// baseNode+i.
+const (
+	serverNode = topology.NodeID(0)
+	baseNode   = topology.NodeID(1000)
+)
 
 // survivalBudget bounds how many transient flow failures one tenant
 // absorbs before giving up: enough to ride out a restart, small enough
@@ -143,23 +146,6 @@ func (c TenantsConfig) withDefaults() TenantsConfig {
 	if c.Flows <= 0 {
 		c.Flows = 100_000
 	}
-	if c.GuaranteedFrac < 0 || c.GuaranteedFrac > 1 {
-		c.GuaranteedFrac = 0.2
-	} else if c.GuaranteedFrac == 0 {
-		c.GuaranteedFrac = 0.2
-	}
-	if c.AggressorRate <= 0 {
-		c.AggressorRate = 8
-	}
-	if c.TrafficEvery == 0 {
-		c.TrafficEvery = 4
-	}
-	if c.TrafficCells <= 0 {
-		c.TrafficCells = 8
-	}
-	if c.BaseNode == 0 {
-		c.BaseNode = 1000
-	}
 	if c.Timeout <= 0 {
 		c.Timeout = 2 * time.Second
 	}
@@ -178,46 +164,89 @@ type tenantTally struct {
 	refused      int64
 	refusedBy    map[int32]int64
 	gtdRequested int64
-	gtdAdmitted  int64
 	traffic      int64
-	setupUS      *metrics.Histogram
+	setupUS      metrics.Histogram
 	stats        svc.ClientStats
 	err          error
 }
 
-// RunTenants runs the workload to completion and aggregates the report.
-func RunTenants(cfg TenantsConfig) (*TenantsReport, error) {
-	cfg = cfg.withDefaults()
-	if cfg.ServerAddr == "" {
-		return nil, errors.New("workload: no server address")
+func newTallies(n int) []*tenantTally {
+	ts := make([]*tenantTally, n)
+	for i := range ts {
+		ts[i] = &tenantTally{refusedBy: make(map[int32]int64)}
 	}
-	// Round the per-tenant share up so the run never lands under the
-	// requested total (the E32 acceptance floor is a hard >= 1e5).
-	perTenant := (cfg.Flows + cfg.Tenants - 1) / cfg.Tenants
+	return ts
+}
 
-	tallies := make([]*tenantTally, cfg.Tenants)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < cfg.Tenants; i++ {
-		tally := &tenantTally{
-			refusedBy: make(map[int32]int64),
-			setupUS:   &metrics.Histogram{},
+// flowMix draws tenant i's flows: its own seeded stream of endpoints and
+// guaranteed rates, the same under either driver.
+type flowMix struct {
+	rng       *rand.Rand
+	hosts     []topology.NodeID
+	aggressor bool
+}
+
+func newFlowMix(cfg TenantsConfig, i int, hosts []topology.NodeID) (*flowMix, error) {
+	if len(hosts) < 2 {
+		return nil, fmt.Errorf("roster has %d hosts", len(hosts))
+	}
+	return &flowMix{rand.New(rand.NewSource(cfg.Seed + int64(i)*7919)), hosts, i == 0}, nil
+}
+
+// next draws one flow's endpoints and rate (0: best-effort).
+func (m *flowMix) next() (src, dst topology.NodeID, rate int) {
+	src = m.hosts[m.rng.Intn(len(m.hosts))]
+	dst = m.hosts[m.rng.Intn(len(m.hosts))]
+	for dst == src {
+		dst = m.hosts[m.rng.Intn(len(m.hosts))]
+	}
+	if m.rng.Float64() < guaranteedFrac {
+		rate = 1
+		if m.aggressor {
+			rate = aggressorRate
 		}
-		tallies[i] = tally
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tally.err = runTenant(cfg, i, perTenant, tally)
-		}(i)
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	return src, dst, rate
+}
 
+// record books one open's definitive outcome — admitted (err nil) or
+// refused — with its admission latency, and reports whether it was
+// admitted. Any other error is not an outcome and is not booked.
+func (t *tenantTally) record(rate int, err error, setupUS int64) bool {
+	t.setupUS.Observe(setupUS)
+	t.flows++
+	if rate > 0 {
+		t.gtdRequested++
+	}
+	var ref *svc.Refused
+	switch {
+	case errors.As(err, &ref):
+		t.refused++
+		t.refusedBy[ref.Code]++
+		return false
+	case rate > 0:
+		t.admittedGtd++
+	default:
+		t.admittedBE++
+	}
+	return true
+}
+
+// clientConfig is tenant i's session configuration under either driver.
+func clientConfig(cfg TenantsConfig, i int) svc.ClientConfig {
+	return svc.ClientConfig{
+		Tenant:  uint64(i + 1),
+		Timeout: cfg.Timeout, Retries: cfg.Retries, RetryCap: cfg.RetryCap,
+		Seed: cfg.Seed + int64(i)*6151 + 1,
+	}
+}
+
+// report aggregates the tallies.
+func report(tallies []*tenantTally) (*TenantsReport, error) {
 	rep := &TenantsReport{
-		Tenants:           cfg.Tenants,
+		Tenants:           len(tallies),
 		RefusedBy:         make(map[int32]int64),
-		PerTenantAdmitted: make([]int64, cfg.Tenants),
-		ElapsedSec:        elapsed.Seconds(),
+		PerTenantAdmitted: make([]int64, len(tallies)),
 	}
 	merged := &metrics.Histogram{}
 	reattachUS := &metrics.Histogram{}
@@ -249,20 +278,17 @@ func RunTenants(cfg TenantsConfig) (*TenantsReport, error) {
 		}
 		rep.TrafficCells += tally.traffic
 		rep.PerTenantAdmitted[i] = tally.admittedBE + tally.admittedGtd
-		merged.Merge(tally.setupUS)
+		merged.Merge(&tally.setupUS)
 		if i == 0 {
-			aggReq, aggAdm = tally.gtdRequested, tally.gtdAdmitted
+			aggReq, aggAdm = tally.gtdRequested, tally.admittedGtd
 		} else {
 			lightReq += tally.gtdRequested
-			lightAdm += tally.gtdAdmitted
+			lightAdm += tally.admittedGtd
 			lightAdmitted = append(lightAdmitted, rep.PerTenantAdmitted[i])
 		}
 	}
 	rep.Setup = merged.Summarize()
 	rep.ReattachUS = reattachUS.Summarize()
-	if rep.ElapsedSec > 0 {
-		rep.SetupPerSec = float64(rep.Flows) / rep.ElapsedSec
-	}
 	rep.FairnessX1000 = svc.JainX1000(lightAdmitted)
 	if aggReq > 0 {
 		rep.AggressorGtdAdmitRate = float64(aggAdm) / float64(aggReq)
@@ -273,13 +299,182 @@ func RunTenants(cfg TenantsConfig) (*TenantsReport, error) {
 	return rep, nil
 }
 
+// perTenant rounds the per-tenant share up so the run never lands under
+// the requested total (the E32 acceptance floor is a hard >= 1e5).
+func perTenant(cfg TenantsConfig) int { return (cfg.Flows + cfg.Tenants - 1) / cfg.Tenants }
+
+// RunTenants runs the workload to completion against a live server over
+// loopback UDP, one goroutine per tenant, and aggregates the report.
+func RunTenants(cfg TenantsConfig) (*TenantsReport, error) {
+	cfg = cfg.withDefaults()
+	if cfg.ServerAddr == "" {
+		return nil, errors.New("workload: no server address")
+	}
+	flows := perTenant(cfg)
+	tallies := newTallies(cfg.Tenants)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for i, tally := range tallies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tally.err = runTenant(cfg, i, flows, tally)
+		}()
+	}
+	wg.Wait()
+	rep, err := report(tallies)
+	if err != nil {
+		return nil, err
+	}
+	rep.ElapsedSec = time.Since(start).Seconds()
+	if rep.ElapsedSec > 0 {
+		rep.SetupPerSec = float64(rep.Flows) / rep.ElapsedSec
+	}
+	return rep, nil
+}
+
+// DriveTenants runs the same workload on sys, the composed service on its
+// virtual clock: cfg.Tenants sessions join sys and churn their flows tick
+// by tick, with no socket, goroutine or wall clock, so a run replays to
+// the byte. The flow mix, the tally and the report are RunTenants'; the
+// report's wall-clock fields (ElapsedSec, SetupPerSec) stay zero and Setup
+// is in virtual µs. ServerAddr, DropProb, Survivable, Spans and Ring do
+// not apply: faults are sys's, and a failed call other than a refusal
+// ends the run.
+func DriveTenants(sys *svcsys.System, cfg TenantsConfig) (*TenantsReport, error) {
+	cfg = cfg.withDefaults()
+	tallies := newTallies(cfg.Tenants)
+	ts := make([]*simTenant, cfg.Tenants)
+	for i, tally := range tallies {
+		ccfg := clientConfig(cfg, i)
+		sess := svc.NewSession(ccfg, rand.New(rand.NewSource(ccfg.Seed)))
+		ts[i] = &simTenant{sys: sys, i: sys.Join(sess), sess: sess, cfg: cfg, tally: tally, flows: perTenant(cfg)}
+	}
+	left, failed := len(ts), false
+	reply := func(i int, st svc.Step) bool { ts[i].step(st); return true }
+	act := func(i int) {
+		t := ts[i]
+		t.act()
+		if t.tally.err != nil || t.op == opDone {
+			sys.Leave(i)
+			left--
+			failed = failed || t.tally.err != nil
+		}
+	}
+	for left > 0 && !failed {
+		sys.Tick(reply, act)
+	}
+	for _, t := range ts {
+		t.tally.stats = t.sess.Stats()
+	}
+	return report(tallies)
+}
+
+// What a simulated tenant's call in flight is for.
+const (
+	opIdle = iota
+	opHello
+	opOpen
+	opClose
+	opBye
+	opDone // bye answered: the tenant is finished
+)
+
+var opNames = [...]string{opHello: "hello", opOpen: "open", opClose: "close", opBye: "bye"}
+
+// simTenant is one tenant of DriveTenants: runTenant's loop as a machine
+// the system steps, one call at a time.
+type simTenant struct {
+	sys   *svcsys.System
+	i     int
+	sess  *svc.Session
+	cfg   TenantsConfig
+	tally *tenantTally
+	mix   *flowMix // nil until hello returns the roster
+
+	flows, next int // this tenant's share, and the next flow's index
+	op          int // the call in flight, opIdle or opDone
+	deadline    time.Time
+	rate        int      // the open in flight's rate
+	sentMS      int64    // and when it was sent
+	vc          cell.VCI // the admitted circuit to close next (0: none)
+	push        bool     // whether to push traffic on vc first
+}
+
+// act is the tenant's host action for one tick: retransmit on a passed
+// deadline, or start its next call.
+func (t *simTenant) act() {
+	switch {
+	case t.op == opDone || t.tally.err != nil:
+	case t.op != opIdle:
+		if !t.sys.Now().Before(t.deadline) {
+			t.step(t.sys.Expire(t.i))
+		}
+	case t.mix == nil:
+		t.call(opHello, svc.Op{Kind: proto.KindHello})
+	case t.vc != 0:
+		if t.push {
+			if t.tally.err = t.sys.Traffic(t.i, t.vc, trafficCells); t.tally.err != nil {
+				return
+			}
+			t.tally.traffic += trafficCells
+		}
+		t.call(opClose, svc.Op{Kind: proto.KindVCClose, VC: t.vc})
+	case t.next < t.flows:
+		src, dst, rate := t.mix.next()
+		t.rate, t.sentMS = rate, t.sys.NowMS()
+		t.call(opOpen, svc.Op{Kind: proto.KindVCRequest, Src: src, Dst: dst, Rate: rate})
+	default:
+		t.call(opBye, svc.Op{Kind: proto.KindBye})
+	}
+}
+
+func (t *simTenant) call(op int, o svc.Op) {
+	t.op = op
+	t.step(t.sys.Call(t.i, o, 0))
+}
+
+// step takes one session step and, when it finishes the call, books the
+// outcome the way runTenant does.
+func (t *simTenant) step(st svc.Step) {
+	t.deadline = st.Deadline
+	if !st.Done {
+		return
+	}
+	op := t.op
+	t.op = opIdle
+	var ref *svc.Refused
+	switch {
+	case op == opOpen && (st.Err == nil || errors.As(st.Err, &ref)):
+		if t.tally.record(t.rate, st.Err, (t.sys.NowMS()-t.sentMS)*1000) {
+			t.vc, t.push = cell.VCI(st.Answer.Depth), t.next%trafficEvery == 0
+		}
+		t.next++
+	case op == opClose:
+		t.vc = 0
+		if err := closed(st.Err); err != nil {
+			t.tally.err = fmt.Errorf("close flow %d: %w", t.next-1, err)
+		}
+	case st.Err != nil:
+		t.tally.err = fmt.Errorf("%s: %w", opNames[op], st.Err)
+	case op == opHello:
+		hosts := make([]topology.NodeID, 0, len(st.Answer.Links))
+		for _, l := range st.Answer.Links {
+			hosts = append(hosts, topology.NodeID(l.A))
+		}
+		t.mix, t.tally.err = newFlowMix(t.cfg, t.i, hosts)
+	case op == opBye:
+		t.op = opDone
+	}
+}
+
 // runTenant is one tenant session: its own socket, its own client, its
 // own share of the flow budget.
 func runTenant(cfg TenantsConfig, i, flows int, tally *tenantTally) error {
-	self := cfg.BaseNode + topology.NodeID(i)
+	self := baseNode + topology.NodeID(i)
 	udp, err := ctrlnet.NewUDP(ctrlnet.UDPConfig{
 		Local: map[topology.NodeID]string{self: "127.0.0.1:0"},
-		Peers: map[topology.NodeID]string{cfg.ServerNode: cfg.ServerAddr},
+		Peers: map[topology.NodeID]string{serverNode: cfg.ServerAddr},
 	})
 	if err != nil {
 		return err
@@ -297,15 +492,11 @@ func runTenant(cfg TenantsConfig, i, flows int, tally *tenantTally) error {
 		tr = f
 	}
 	defer tr.Close()
-	cl, err := svc.NewClient(svc.ClientConfig{
-		Transport: tr, Self: self, Server: cfg.ServerNode,
-		Tenant:  uint64(i + 1),
-		Timeout: cfg.Timeout, Retries: cfg.Retries,
-		RetryCap: cfg.RetryCap, NoJitter: cfg.NoJitter,
-		Seed:  cfg.Seed + int64(i)*6151 + 1,
-		Spans: cfg.Spans, Ring: cfg.Ring,
-		SpanSeed: uint64(cfg.Seed) + uint64(i)*0x9E37 + 1,
-	})
+	ccfg := clientConfig(cfg, i)
+	ccfg.Transport, ccfg.Self, ccfg.Server = tr, self, serverNode
+	ccfg.Spans, ccfg.Ring = cfg.Spans, cfg.Ring
+	ccfg.SpanSeed = uint64(cfg.Seed) + uint64(i)*0x9E37 + 1
+	cl, err := svc.NewClient(ccfg)
 	if err != nil {
 		return err
 	}
@@ -342,29 +533,16 @@ func runTenant(cfg TenantsConfig, i, flows int, tally *tenantTally) error {
 			return fmt.Errorf("hello: %w", err)
 		}
 	}
-	if len(hosts) < 2 {
-		return fmt.Errorf("roster has %d hosts", len(hosts))
+	mix, err := newFlowMix(cfg, i, hosts)
+	if err != nil {
+		return err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
-	aggressor := i == 0
 	for f := 0; f < flows; f++ {
-		src := hosts[rng.Intn(len(hosts))]
-		dst := hosts[rng.Intn(len(hosts))]
-		for dst == src {
-			dst = hosts[rng.Intn(len(hosts))]
-		}
-		rate := 0
-		if rng.Float64() < cfg.GuaranteedFrac {
-			rate = 1
-			if aggressor {
-				rate = cfg.AggressorRate
-			}
-		}
+		src, dst, rate := mix.next()
 		t0 := time.Now()
 		vc, err := cl.Open(src, dst, rate)
 		var ref *svc.Refused
-		refused := errors.As(err, &ref)
-		if err != nil && !refused {
+		if err != nil && !errors.As(err, &ref) {
 			if transient(err) {
 				f-- // retry this flow slot once the server is back
 				continue
@@ -373,32 +551,19 @@ func runTenant(cfg TenantsConfig, i, flows int, tally *tenantTally) error {
 		}
 		// Only definitive outcomes count as flows (and as latency samples):
 		// a retried outage attempt is unavailability, not admission.
-		tally.setupUS.Observe(time.Since(t0).Microseconds())
-		tally.flows++
-		if rate > 0 {
-			tally.gtdRequested++
-		}
-		if refused {
-			tally.refused++
-			tally.refusedBy[ref.Code]++
+		if !tally.record(rate, err, time.Since(t0).Microseconds()) {
 			continue
 		}
-		if rate > 0 {
-			tally.admittedGtd++
-			tally.gtdAdmitted++
-		} else {
-			tally.admittedBE++
-		}
-		if cfg.TrafficEvery > 0 && f%cfg.TrafficEvery == 0 {
-			if err := cl.Traffic(vc, cfg.TrafficCells); err != nil {
+		if f%trafficEvery == 0 {
+			if err := cl.Traffic(vc, trafficCells); err != nil {
 				if !transient(err) {
 					return err
 				}
 			} else {
-				tally.traffic += int64(cfg.TrafficCells)
+				tally.traffic += trafficCells
 			}
 		}
-		if err := closeVC(cl, vc); err != nil {
+		if err := closed(cl.CloseVC(vc)); err != nil {
 			// A close lost to an outage is safe to skip: bye (or, failing
 			// that, lease expiry) closes everything the session still holds.
 			if !transient(err) {
@@ -412,12 +577,11 @@ func runTenant(cfg TenantsConfig, i, flows int, tally *tenantTally) error {
 	return nil
 }
 
-// closeVC tolerates the one benign race retries create: a close whose
+// closed tolerates the one benign race retries create: a close whose
 // first reply was lost retries, and the retry may land after the cache
 // window slid — the server then answers unknown-vc for a VC that IS
 // closed. Every other refusal is a real failure.
-func closeVC(cl *svc.Client, vc cell.VCI) error {
-	err := cl.CloseVC(vc)
+func closed(err error) error {
 	var ref *svc.Refused
 	if errors.As(err, &ref) && ref.Code == svc.RefuseUnknownVC {
 		return nil

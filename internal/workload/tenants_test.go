@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ctrlnet"
 	"repro/internal/svc"
+	"repro/internal/svcsys"
 	"repro/internal/topology"
 )
 
@@ -88,5 +89,54 @@ func TestRunTenantsAgainstLiveServer(t *testing.T) {
 	// The final state must be clean: every tenant said Bye.
 	if st := srv.Stats(); st.TrafficCells == 0 {
 		t.Fatal("no traffic cells queued")
+	}
+}
+
+// DriveTenants runs the same fleet on the composed service's virtual
+// clock: the same isolation holds, every flow completes, and two runs
+// report the same numbers.
+func TestDriveTenantsVirtual(t *testing.T) {
+	run := func() *TenantsReport {
+		g, err := topology.Torus(3, 3, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := topology.AttachHosts(g, 2, 1); err != nil {
+			t.Fatal(err)
+		}
+		lan, err := core.New(core.Config{Topology: g, FrameSlots: 128, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := svcsys.New(svc.Config{LAN: lan, Incarnation: 1,
+			MaxVCsPerTenant: 8, MaxGuaranteedPerTenant: 4}, ctrlnet.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := DriveTenants(sys, TenantsConfig{Tenants: 8, Flows: 2000, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sys.Server().Quiesced() {
+			t.Fatal("server holds sessions or circuits after every tenant said bye")
+		}
+		return rep
+	}
+	rep := run()
+	if rep.Flows != 2000 || rep.Setup.Count != 2000 {
+		t.Fatalf("flows = %d with %d latency samples, want 2000", rep.Flows, rep.Setup.Count)
+	}
+	if rep.AdmittedBE == 0 || rep.AdmittedGtd == 0 || rep.TrafficCells == 0 {
+		t.Fatalf("inert run: BE=%d gtd=%d traffic=%d", rep.AdmittedBE, rep.AdmittedGtd, rep.TrafficCells)
+	}
+	if rep.AggressorGtdAdmitRate != 0 || rep.LightGtdAdmitRate < 0.9 || rep.FairnessX1000 < 900 {
+		t.Fatalf("isolation: aggressor %.2f, light %.2f, fairness %d",
+			rep.AggressorGtdAdmitRate, rep.LightGtdAdmitRate, rep.FairnessX1000)
+	}
+	again := run()
+	if rep.AdmittedBE != again.AdmittedBE || rep.AdmittedGtd != again.AdmittedGtd ||
+		rep.Refused != again.Refused || rep.TrafficCells != again.TrafficCells ||
+		rep.Setup != again.Setup {
+		t.Fatalf("same seed diverged: %+v vs %+v", rep, again)
 	}
 }
