@@ -1,11 +1,11 @@
 // Package archtest states the repository's architecture rules as facts
 // about Go syntax trees and checks them under go test. A rule is a function
-// from the parsed non-test files under internal/ to its violations. Each
-// test runs its rule on the tree as it is, which must be clean, and on the
-// tree with one file replaced by a small in-memory source that breaks the
-// rule, which must be caught. Parsing works on syntax, so a rename, a
-// renamed import or a reformat cannot slip past a rule the way it slips
-// past a grep.
+// from parsed files to its violations: most read the non-test files under
+// internal/, a few the whole repository. Each test runs its rule on the
+// tree as it is, which must be clean, and on the tree with one file
+// replaced by a small in-memory source that breaks the rule, which must be
+// caught. Parsing works on syntax, so a rename, a renamed import or a
+// reformat cannot slip past a rule the way it slips past a grep.
 package archtest
 
 import (
@@ -21,38 +21,62 @@ import (
 	"testing"
 )
 
-// source is one parsed file; path is relative to internal/, with slashes.
+// source is one parsed file; path is relative to internal/ (or, for the
+// whole-repository rules, to the repository root), with slashes.
 type source struct {
 	path string
 	file *ast.File
 }
 
-// tree parses every non-test Go file under internal/ once per test binary.
-var tree = sync.OnceValues(func() ([]source, error) {
+// root is the repository root, seen from this package's directory.
+const root = "../.."
+
+// repo parses every Go file in the repository, tests included, once per
+// test binary; paths are relative to the repository root.
+var repo = sync.OnceValues(func() ([]source, error) {
 	var out []source
 	fset := token.NewFileSet()
-	err := filepath.WalkDir("..", func(p string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
 			return err
+		}
+		if d.IsDir() && p != root && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(p, ".go") {
+			return nil
 		}
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		rel, err := filepath.Rel("..", p)
+		rel, err := filepath.Rel(root, p)
 		out = append(out, source{filepath.ToSlash(rel), f})
 		return err
 	})
 	return out, err
 })
 
-func parsed(t *testing.T) []source {
+// repoFiles is every Go file in the repository.
+func repoFiles(t *testing.T) []source {
 	t.Helper()
-	files, err := tree()
+	files, err := repo()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return files
+}
+
+// parsed is the non-test files under internal/, with paths relative to it.
+func parsed(t *testing.T) []source {
+	t.Helper()
+	var out []source
+	for _, s := range repoFiles(t) {
+		if rel, ok := strings.CutPrefix(s.path, "internal/"); ok && !strings.HasSuffix(rel, "_test.go") {
+			out = append(out, source{rel, s.file})
+		}
+	}
+	return out
 }
 
 // with returns files with the file at path replaced by (or, if there is
@@ -208,7 +232,12 @@ type mutation struct {
 }
 
 func checkRule(t *testing.T, rule func([]source) []string, mutations []mutation) {
-	files := parsed(t)
+	checkRuleOn(t, parsed(t), rule, mutations)
+}
+
+// checkRuleOn is checkRule over the given files.
+func checkRuleOn(t *testing.T, files []source, rule func([]source) []string, mutations []mutation) {
+	t.Helper()
 	if v := rule(files); len(v) > 0 {
 		t.Fatalf("the tree breaks the rule:\n%s", strings.Join(v, "\n"))
 	}
