@@ -87,6 +87,27 @@ type SvcSchedule struct {
 	Outages         []SvcOutage
 }
 
+// withDefaults fills the zero fields: 8 tenants, 400 ms leases and orphan
+// grace, a 3000 ms horizon and a 600 ms wind-down.
+func (s SvcSchedule) withDefaults() SvcSchedule {
+	if s.Tenants <= 0 {
+		s.Tenants = 8
+	}
+	if s.LeaseDurMS <= 0 {
+		s.LeaseDurMS = 400
+	}
+	if s.OrphanGraceMS <= 0 {
+		s.OrphanGraceMS = 400
+	}
+	if s.HorizonMS <= 0 {
+		s.HorizonMS = 3000
+	}
+	if s.GraceMS <= 0 {
+		s.GraceMS = 600
+	}
+	return s
+}
+
 // String prints the schedule as a replayable reproducer.
 func (s SvcSchedule) String() string {
 	var b strings.Builder
@@ -104,91 +125,50 @@ func (s SvcSchedule) String() string {
 	return b.String()
 }
 
-// SvcGenConfig tunes GenerateSvc; the zero value uses the defaults below.
+// SvcGenConfig tunes GenerateSvc: the churn phase and the wind-down (zero:
+// SvcSchedule's defaults).
 type SvcGenConfig struct {
-	HorizonMS   int64   // default 3000
-	GraceMS     int64   // default 600
-	Tenants     int     // default 8
-	MaxVanish   int     // default 2
-	MinKills    int     // default 1
-	MaxKills    int     // default 2
-	BurstProb   float64 // chance of an extra control brownout (default 0.5)
-	DropProb    float64 // baseline loss (default 0.10)
-	DupProb     float64 // default 0.05
-	ReorderProb float64 // default 0.05
+	HorizonMS, GraceMS int64
 }
 
-func (c SvcGenConfig) withDefaults() SvcGenConfig {
-	if c.HorizonMS <= 0 {
-		c.HorizonMS = 3000
-	}
-	if c.GraceMS <= 0 {
-		c.GraceMS = 600
-	}
-	if c.Tenants <= 0 {
-		c.Tenants = 8
-	}
-	if c.MaxVanish == 0 {
-		c.MaxVanish = 2
-	}
-	if c.MinKills <= 0 {
-		c.MinKills = 1
-	}
-	if c.MaxKills < c.MinKills {
-		c.MaxKills = c.MinKills + 1
-	}
-	if c.BurstProb == 0 {
-		c.BurstProb = 0.5
-	}
-	if c.DropProb == 0 {
-		c.DropProb = 0.10
-	}
-	if c.DupProb == 0 {
-		c.DupProb = 0.05
-	}
-	if c.ReorderProb == 0 {
-		c.ReorderProb = 0.05
-	}
-	return c
-}
+// A generated schedule has the default 8 tenants and 400 ms leases, up to
+// 2 tenants vanishing, 1–2 server kills, an even chance of an extra
+// control brownout, and baseline control loss of 10% with 5% duplication
+// and 5% reordering.
+const (
+	genMaxVanish   = 2
+	genMinKills    = 1
+	genMaxKills    = 2
+	genBurstProb   = 0.5
+	genDropProb    = 0.10
+	genDupProb     = 0.05
+	genReorderProb = 0.05
+)
 
 // GenerateSvc builds a random service schedule from the seed: 1–2 server
 // kills and possibly a control-loss burst, every outage over before the
 // wind-down so the end-state invariants are fair.
 func GenerateSvc(seed int64, cfg SvcGenConfig) SvcSchedule {
-	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(seed ^ 0x51CE995))
 	s := SvcSchedule{
-		Seed:          seed,
-		HorizonMS:     cfg.HorizonMS,
-		GraceMS:       cfg.GraceMS,
-		Tenants:       cfg.Tenants,
-		Vanish:        rng.Intn(cfg.MaxVanish + 1),
-		LeaseDurMS:    400,
-		OrphanGraceMS: 400,
-		Faults: ctrlnet.Config{
-			DropProb:    cfg.DropProb,
-			DupProb:     cfg.DupProb,
-			ReorderProb: cfg.ReorderProb,
-		},
+		Seed:      seed,
+		HorizonMS: cfg.HorizonMS,
+		GraceMS:   cfg.GraceMS,
+		Vanish:    rng.Intn(genMaxVanish + 1),
+		Faults:    ctrlnet.Config{DropProb: genDropProb, DupProb: genDupProb, ReorderProb: genReorderProb},
+	}.withDefaults()
+	// An outage starts in [300, horizon-600] ms, lasts 100 ms plus up to
+	// spread, and ends by horizon-200 ms.
+	outage := func(kill bool, spread int64) SvcOutage {
+		start := 300 + rng.Int63n(s.HorizonMS-900+1)
+		end := min(start+100+rng.Int63n(spread), s.HorizonMS-200)
+		return SvcOutage{Kill: kill, StartMS: start, EndMS: end}
 	}
-	lastStart := cfg.HorizonMS - 600
-	kills := cfg.MinKills + rng.Intn(cfg.MaxKills-cfg.MinKills+1)
-	for i := 0; i < kills; i++ {
-		start := 300 + rng.Int63n(lastStart-300+1)
-		end := start + 100 + rng.Int63n(200)
-		if max := cfg.HorizonMS - 200; end > max {
-			end = max
-		}
-		s.Outages = append(s.Outages, SvcOutage{Kill: true, StartMS: start, EndMS: end})
+	for kills := genMinKills + rng.Intn(genMaxKills-genMinKills+1); kills > 0; kills-- {
+		s.Outages = append(s.Outages, outage(true, 200))
 	}
-	if rng.Float64() < cfg.BurstProb {
-		start := 300 + rng.Int63n(lastStart-300+1)
-		end := start + 100 + rng.Int63n(150)
-		if max := cfg.HorizonMS - 200; end > max {
-			end = max
-		}
-		s.Outages = append(s.Outages, SvcOutage{StartMS: start, EndMS: end})
+	if rng.Float64() < genBurstProb {
+		s.Outages = append(s.Outages, outage(false, 150))
 	}
 	return s
 }
@@ -217,44 +197,11 @@ type SvcResult struct {
 
 // ---- harness ----------------------------------------------------------
 
-const (
-	svcTimeoutMS   = 40 // the tenants' client Timeout, virtual ms
-	svcMaxAttempts = 10 // and their client Retries
-)
-
-// svcHarness drives one schedule on the composed service: the server's
-// lifecycle, the scripted tenants, and the invariants.
-type svcHarness struct {
-	s    SvcSchedule
-	sys  *svcsys.System
-	ring *obs.Ring // shared across incarnations: the flight recorder
-
-	tenants []*svcTenant // tenant i is the system's tenant i
-
-	// grants maps (tenant, nonce) -> granted VCI: the double-grant check.
-	grants map[[2]uint64]cell.VCI
-
-	res SvcResult
-}
-
-// RunSvc executes the schedule and checks every invariant. A non-nil
-// error is a harness failure; findings come back in SvcResult.Violation.
+// RunSvc executes the schedule on the composed service and checks every
+// invariant. A non-nil error is a harness failure; findings come back in
+// SvcResult.Violation.
 func RunSvc(s SvcSchedule) (*SvcResult, error) {
-	if s.Tenants <= 0 {
-		s.Tenants = 8
-	}
-	if s.LeaseDurMS <= 0 {
-		s.LeaseDurMS = 400
-	}
-	if s.OrphanGraceMS <= 0 {
-		s.OrphanGraceMS = 400
-	}
-	if s.HorizonMS <= 0 {
-		s.HorizonMS = 3000
-	}
-	if s.GraceMS <= 0 {
-		s.GraceMS = 600
-	}
+	s = s.withDefaults()
 	lan, err := core.New(core.Config{Topology: fixtureGraph(), FrameSlots: 64, Seed: s.Seed})
 	if err != nil {
 		return nil, err
@@ -277,7 +224,7 @@ func RunSvc(s SvcSchedule) (*SvcResult, error) {
 		lease = 1000 * time.Hour
 		grace = 1000 * time.Hour
 	}
-	ring := obs.NewRing(2048)
+	ring := obs.NewRing(2048) // shared across incarnations: the flight recorder
 	sys, err := svcsys.New(svc.Config{
 		LAN:                    lan,
 		MaxVCsPerTenant:        4,
@@ -291,22 +238,31 @@ func RunSvc(s SvcSchedule) (*SvcResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &svcHarness{s: s, sys: sys, ring: ring, grants: make(map[[2]uint64]cell.VCI)}
-	hosts := lan.Topology().Hosts()
-	for i := 0; i < s.Tenants; i++ {
-		tn := newSvcTenant(h, i, hosts, s.Seed+int64(i)*7919)
-		if i < s.Vanish {
-			// Vanishing tenants stop cold somewhere in the middle third.
-			tn.vanishAtMS = s.HorizonMS/3 + tn.rng.Int63n(s.HorizonMS/3)
+	var res SvcResult
+	grants := make(map[[2]uint64]cell.VCI)
+	tenants := make([]*svcTenant, s.Tenants)
+	for i := range tenants {
+		tenants[i] = newSvcTenant(sys, i, lan.Topology().Hosts(), s, grants)
+	}
+	finish := func() *SvcResult {
+		res.FinalStats = sys.Server().Stats()
+		for _, tn := range tenants {
+			st := tn.s.Stats()
+			res.Grants += tn.grants + st.ReattachVCs
+			res.Reattaches += st.Reattaches
+			if tn.done {
+				res.Byes++
+			}
 		}
-		h.tenants = append(h.tenants, tn)
+		res.Recorder = ring.Snapshot()
+		return &res
 	}
+	step := func(i int, st svc.Step) bool {
+		res.Violation = tenants[i].onStep(st)
+		return res.Violation == nil
+	}
+	act := func(i int) { tenants[i].step() }
 
-	reply := func(i int, st svc.Step) bool {
-		h.res.Violation = h.tenants[i].onStep(st)
-		return h.res.Violation == nil
-	}
-	act := func(i int) { h.tenants[i].step() }
 	total := s.HorizonMS + s.GraceMS
 	for sys.NowMS() <= total {
 		now := sys.NowMS()
@@ -319,22 +275,22 @@ func RunSvc(s SvcSchedule) (*SvcResult, error) {
 				if err := sys.Restart(); err != nil {
 					return nil, err
 				}
-				h.res.Restarts++
+				res.Restarts++
 			}
 		}
-		if !sys.Tick(reply, act) {
-			return h.finish(), nil
+		if !sys.Tick(step, act) {
+			return finish(), nil
 		}
 		if sys.Alive() {
 			if err := sys.Server().CheckInvariant(); err != nil {
-				h.res.Violation = &Violation{Slot: now, Invariant: "svc-books", Detail: err.Error()}
-				return h.finish(), nil
+				res.Violation = &Violation{Slot: now, Invariant: "svc-books", Detail: err.Error()}
+				return finish(), nil
 			}
 		}
 		if !lan.Snapshot().Conserved() {
-			h.res.Violation = &Violation{Slot: now, Invariant: "conservation",
+			res.Violation = &Violation{Slot: now, Invariant: "conservation",
 				Detail: fmt.Sprintf("cell accounting broken: %+v", lan.Snapshot())}
-			return h.finish(), nil
+			return finish(), nil
 		}
 	}
 
@@ -344,30 +300,16 @@ func RunSvc(s SvcSchedule) (*SvcResult, error) {
 	end := total + s.LeaseDurMS + s.OrphanGraceMS + 100
 	sys.Settle(end)
 	if n := len(lan.Circuits()); n != 0 {
-		h.res.Violation = &Violation{Slot: end, Invariant: "no-orphan-vc",
+		res.Violation = &Violation{Slot: end, Invariant: "no-orphan-vc",
 			Detail: fmt.Sprintf("%d circuits survive every bye, lease expiry, and the orphan grace", n)}
 	} else if sys.Alive() && !sys.Server().Quiesced() {
-		h.res.Violation = &Violation{Slot: end, Invariant: "no-orphan-vc",
+		res.Violation = &Violation{Slot: end, Invariant: "no-orphan-vc",
 			Detail: "server not quiesced after lease expiry"}
 	} else if !lan.Snapshot().Conserved() {
-		h.res.Violation = &Violation{Slot: end, Invariant: "conservation",
+		res.Violation = &Violation{Slot: end, Invariant: "conservation",
 			Detail: fmt.Sprintf("end-state cell accounting broken: %+v", lan.Snapshot())}
 	}
-	return h.finish(), nil
-}
-
-func (h *svcHarness) finish() *SvcResult {
-	h.res.FinalStats = h.sys.Server().Stats()
-	for _, tn := range h.tenants {
-		st := tn.s.Stats()
-		h.res.Grants += tn.grants + st.ReattachVCs
-		h.res.Reattaches += st.Reattaches
-		if tn.done {
-			h.res.Byes++
-		}
-	}
-	h.res.Recorder = h.ring.Snapshot()
-	return &h.res
+	return finish(), nil
 }
 
 // ---- tenants ------------------------------------------------------------
@@ -378,17 +320,18 @@ func (h *svcHarness) finish() *SvcResult {
 // (nonces, retransmission and backoff, re-attach, ledger replay, aliasing)
 // is the session's, and the system carries it.
 type svcTenant struct {
-	h     *svcHarness
-	i     int
-	id    uint64
-	rng   *rand.Rand
-	s     *svc.Session
-	hosts []topology.NodeID
+	sys       *svcsys.System
+	i         int
+	id        uint64 // i+1
+	rng       *rand.Rand
+	s         *svc.Session
+	hosts     []topology.NodeID
+	horizonMS int64
+	granted   map[[2]uint64]cell.VCI // (tenant, nonce) -> VCI, fleet-wide: the double-grant check
 
-	calls    uint64 // calls started: the low half of each call's trace id
-	busy     bool   // a call is in flight
-	op       proto.Kind
-	deadline time.Time
+	calls uint64 // calls started: the low half of each call's trace id
+	busy  bool   // a call is in flight
+	op    proto.Kind
 
 	vanishAtMS int64 // 0: never vanishes
 	byeSent    bool
@@ -397,32 +340,32 @@ type svcTenant struct {
 	grants int64 // fresh opens granted (reopens are in the session's stats)
 }
 
-func newSvcTenant(h *svcHarness, i int, hosts []topology.NodeID, seed int64) *svcTenant {
-	t := &svcTenant{h: h, i: i, id: uint64(i + 1), rng: rand.New(rand.NewSource(seed)), hosts: hosts}
-	t.s = svc.NewSession(svc.ClientConfig{
-		Tenant: t.id, Timeout: svcTimeoutMS * time.Millisecond, Retries: svcMaxAttempts,
-	}, rand.New(rand.NewSource(t.rng.Int63())))
-	h.sys.Join(t.s)
+func newSvcTenant(sys *svcsys.System, i int, hosts []topology.NodeID, s SvcSchedule, granted map[[2]uint64]cell.VCI) *svcTenant {
+	t := &svcTenant{sys: sys, i: i, id: uint64(i + 1), rng: rand.New(rand.NewSource(s.Seed + int64(i)*7919)),
+		hosts: hosts, horizonMS: s.HorizonMS, granted: granted}
+	t.s = svc.NewSession(svc.ClientConfig{Tenant: t.id, Timeout: 40 * time.Millisecond, Retries: 10},
+		rand.New(rand.NewSource(t.rng.Int63())))
+	if i < s.Vanish {
+		// Vanishing tenants stop cold somewhere in the middle third.
+		t.vanishAtMS = s.HorizonMS/3 + t.rng.Int63n(s.HorizonMS/3)
+	}
+	sys.Join(t.s)
 	return t
 }
 
 // step is one virtual millisecond of tenant life.
 func (t *svcTenant) step() {
-	sys := t.h.sys
-	if t.vanishAtMS > 0 && sys.NowMS() >= t.vanishAtMS {
-		sys.Leave(t.i) // stops cold: no bye, no further frame
+	if t.vanishAtMS > 0 && t.sys.NowMS() >= t.vanishAtMS {
+		t.sys.Leave(t.i) // stops cold: no bye, no further frame
 		return
 	}
 	switch {
-	case sys.NowMS() >= t.h.s.HorizonMS && !t.byeSent:
+	case t.sys.NowMS() >= t.horizonMS && !t.byeSent:
 		// Wind-down: the session-wide bye closes everything still open,
 		// abandoning whatever call is in flight.
 		t.byeSent = true
 		t.call(svc.Op{Kind: proto.KindBye})
-	case t.busy:
-		if !sys.Now().Before(t.deadline) {
-			t.apply(sys.Expire(t.i))
-		}
+	case t.busy: // the system retransmits and times the call out
 	case t.calls == 0:
 		t.call(svc.Op{Kind: proto.KindHello})
 	case !t.byeSent:
@@ -444,7 +387,7 @@ func (t *svcTenant) plan() {
 		return
 	case len(open) > 0 && t.rng.Float64() < 0.3:
 		// Fire-and-forget traffic on a held circuit.
-		if err := t.h.sys.Traffic(t.i, open[t.rng.Intn(len(open))], 1+t.rng.Intn(4)); err != nil {
+		if err := t.sys.Traffic(t.i, open[t.rng.Intn(len(open))], 1+t.rng.Intn(4)); err != nil {
 			panic(err) // session-built frames cannot fail to encode
 		}
 		return
@@ -468,43 +411,34 @@ func (t *svcTenant) plan() {
 func (t *svcTenant) call(op svc.Op) {
 	t.calls++
 	t.busy, t.op = true, op.Kind
-	t.apply(t.h.sys.Call(t.i, op, t.id<<32|t.calls))
+	t.sys.Call(t.i, op, t.id<<32|t.calls)
 }
 
-// onStep takes the step a delivered server frame produced; a non-nil
-// Violation aborts the run (double-grant is checked here, where grants
-// are observed).
+// onStep takes the step a delivery or an expiry produced (the system
+// already sent its frame). A non-nil Violation aborts the run: grants are
+// observed here, so double-grant is checked here. A finished call frees
+// the tenant to plan the next one; a failed call's server-side effects,
+// if any, are cleaned by bye or lease GC: that is the point.
 func (t *svcTenant) onStep(st svc.Step) *Violation {
-	if !t.busy {
-		return nil // counted by the session as an orphan, or not ours
-	}
 	if a := st.Answer; a != nil && a.Kind == proto.KindVCReply && a.Accept {
 		key, got := [2]uint64{t.id, a.Initiator}, cell.VCI(a.Depth)
-		if prev, ok := t.h.grants[key]; ok && prev != got {
-			return &Violation{Slot: t.h.sys.NowMS(), Invariant: "double-grant",
+		if prev, ok := t.granted[key]; ok && prev != got {
+			return &Violation{Slot: t.sys.NowMS(), Invariant: "double-grant",
 				Detail: fmt.Sprintf("tenant %d nonce %d granted VCI %d then %d", t.id, a.Initiator, prev, got)}
 		}
-		t.h.grants[key] = got
+		t.granted[key] = got
 	}
-	t.apply(st)
+	if !st.Done {
+		return nil
+	}
+	t.busy = false
+	switch {
+	case st.Err != nil:
+	case t.op == proto.KindVCRequest:
+		t.grants++
+	case t.op == proto.KindBye:
+		t.done = true
+		t.sys.Leave(t.i)
+	}
 	return nil
-}
-
-// apply takes one session step (the system already sent its frame): a
-// finished call frees the tenant to plan the next one.
-func (t *svcTenant) apply(st svc.Step) {
-	t.deadline = st.Deadline
-	if st.Done {
-		// A failed call's server-side effects, if any, are cleaned by bye
-		// or lease GC: that is the point.
-		t.busy = false
-		switch {
-		case st.Err != nil:
-		case t.op == proto.KindVCRequest:
-			t.grants++
-		case t.op == proto.KindBye:
-			t.done = true
-			t.h.sys.Leave(t.i)
-		}
-	}
 }

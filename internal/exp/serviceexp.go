@@ -39,7 +39,9 @@ func init() {
 // e32Flows is the full-run flow budget (the ISSUE-8 acceptance floor).
 const e32Flows = 100_000
 
-func runE32(seed int64) ([]*metrics.Table, error) {
+// serviceLAN is the service experiments' network: a 4×4 torus, three
+// hosts per switch, 128-slot frames.
+func serviceLAN(seed int64) (*core.LAN, error) {
 	g, err := topology.Torus(4, 4, 10)
 	if err != nil {
 		return nil, err
@@ -47,16 +49,22 @@ func runE32(seed int64) ([]*metrics.Table, error) {
 	if err := topology.AttachHosts(g, 3, 1); err != nil {
 		return nil, err
 	}
-	lan, err := core.New(core.Config{Topology: g, FrameSlots: 128, Seed: seed})
+	return core.New(core.Config{Topology: g, FrameSlots: 128, Seed: seed})
+}
+
+// serviceSystem is the service composed over serviceLAN on a fault-free
+// network: incarnation 1, 8 circuits and 4 guaranteed cells/frame per
+// tenant.
+func serviceSystem(seed int64) (*svcsys.System, error) {
+	lan, err := serviceLAN(seed)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := svcsys.New(svc.Config{
-		LAN:                    lan,
-		MaxVCsPerTenant:        8,
-		MaxGuaranteedPerTenant: 4,
-		Incarnation:            1,
-	}, ctrlnet.Config{})
+	return svcsys.New(svc.Config{LAN: lan, MaxVCsPerTenant: 8, MaxGuaranteedPerTenant: 4, Incarnation: 1}, ctrlnet.Config{})
+}
+
+func runE32(seed int64) ([]*metrics.Table, error) {
+	sys, err := serviceSystem(seed)
 	if err != nil {
 		return nil, err
 	}

@@ -22,13 +22,13 @@ import (
 // emission) must cost NOTHING until it is switched on: with tracing
 // disabled the request hot path must allocate exactly what it did before
 // the tracing PR (the PR 9 baseline, pinned at 9 allocs per
-// open+close pair by svc's hot-path test), and the E32 setup-rate harness
-// must run at full speed. With tracing fully on, the overhead is measured
-// and reported — the operator's price list, not a claim.
+// open+close pair by svc's hot-path test), and E32's tenant fleet over
+// loopback UDP must run at full speed. With tracing fully on, the overhead
+// is measured and reported — the operator's price list, not a claim.
 //
 // Alloc counts are exact in a quiet process (an2bench runs experiments
 // sequentially); the throughput arm is wall-clock and therefore reported,
-// not byte-compared, like E32 itself.
+// not byte-compared.
 
 func init() {
 	register(&Experiment{
@@ -90,7 +90,7 @@ func runE34(seed int64) ([]*metrics.Table, error) {
 	}
 
 	t2 := metrics.NewTable(
-		fmt.Sprintf("E34b — E32 setup-rate harness ablation (%d tenants, %d flows over loopback UDP)",
+		fmt.Sprintf("E34b — tenant-churn setup-rate ablation (%d tenants, %d flows over loopback UDP)",
 			offRep.Tenants, offRep.Flows),
 		"metric", "value")
 	t2.AddRow("VC setups/sec (tracing disabled)", fmt.Sprintf("%.0f", offRep.SetupPerSec))
@@ -218,14 +218,7 @@ func (c *countWriter) Write(p []byte) (int, error) {
 // the server and every tenant client). Returns the workload report, the
 // spans emitted across both processes, and the server's slot count.
 func e34Workload(seed int64, traced bool) (*workload.TenantsReport, int64, int64, error) {
-	g, err := topology.Torus(4, 4, 10)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if err := topology.AttachHosts(g, 3, 1); err != nil {
-		return nil, 0, 0, err
-	}
-	lan, err := core.New(core.Config{Topology: g, FrameSlots: 128, Seed: seed})
+	lan, err := serviceLAN(seed)
 	if err != nil {
 		return nil, 0, 0, err
 	}

@@ -1,27 +1,18 @@
 // Package svcsys composes the VC service once, as a deterministic system
 // on one virtual clock: a LAN, the server over it (alive or killed), the
-// tenant sessions, and the datagrams in flight between them, threaded
-// through one seeded fault engine. It takes the shape of a distributed
-// system in the model-checking sense — host actions plus a network — and
-// keeps time in the model, not in the host: nothing here reads the wall
-// clock, sleeps or spawns.
+// tenant sessions, and the datagrams in flight, threaded through one
+// seeded fault engine. It is host actions plus a network, with time in the
+// model: nothing here reads the wall clock, sleeps or spawns.
 //
-// One Tick is one virtual millisecond, in this order:
+// One Tick is one virtual millisecond:
+//  1. datagrams due at the server are served (to a dead server, they vanish);
+//  2. datagrams due at tenants go to their sessions in (time, send order);
+//  3. tenants in node order take the driver's host actions (Call, Traffic),
+//     then Expire if the session's deadline has passed;
+//  4. the LAN advances StepSlots slots, and a living server sweeps.
 //
-//  1. Datagrams due at the server are served; datagrams to a dead server
-//     vanish.
-//  2. Datagrams due at tenants go to their sessions in (time, send order);
-//     each resulting step's frame is sent, and the step goes back to the
-//     driver.
-//  3. The driver's host actions run (Call, Expire, Traffic), tenants in
-//     node order.
-//  4. The LAN advances StepSlots slots, and a living server sweeps its
-//     leases and orphans.
-//
-// Every frame a session asks to send goes out on the tick it was decided
-// and arrives, unless the engine loses or delays it, in step 1 or 2 of the
-// next tick; a server reply arrives in step 2 of the tick that served the
-// request.
+// A frame a session asks for is sent at once, so a request sent in step 3
+// is served in step 1 of the next tick and answered in its step 2.
 package svcsys
 
 import (
@@ -44,71 +35,50 @@ const (
 	tenantBase = topology.NodeID(100) // tenant i is node tenantBase+i
 )
 
-// datagram is one delivery in flight; seq breaks ties between equal
-// arrival times in send order.
-type datagram struct {
-	seq int64
-	d   ctrlnet.Delivery
-}
-
 // System is the composed service. It is not safe for concurrent use.
 type System struct {
 	lan   *core.LAN
-	cfg   svc.Config // the living (or last) incarnation's configuration
+	cfg   svc.Config // the last incarnation's configuration
 	srv   *svc.Server
 	alive bool
 	net   *ctrlnet.Net
 
-	sessions []*svc.Session // tenant i is node tenantBase+i
-	gone     []bool         // tenant i's host has left: it acts and hears nothing
+	sessions []*svc.Session // nil once the host has left
 
 	nowMS              int64
-	seq                int64
-	toServer, toTenant []datagram
+	toServer, toTenant []ctrlnet.Delivery // in send order
 }
 
-// New composes a system around a server built from server, over
-// server.LAN, with control datagrams in both directions threaded through a
-// fault engine built from faults. The system supplies the server's
-// Transport, Node and Now; everything else in server (incarnation,
-// leases, quotas, the flight recorder) is the caller's. The clock starts
-// at 0 ms.
+// New composes a system around a server built from server over
+// server.LAN, its datagrams threaded through a fault engine built from
+// faults. The system supplies the server's Transport, Node and Now. The
+// clock starts at 0 ms.
 func New(server svc.Config, faults ctrlnet.Config) (*System, error) {
 	net, err := ctrlnet.New(faults)
-	if err != nil {
-		return nil, err
+	s := &System{lan: server.LAN, cfg: server, net: net}
+	s.cfg.Transport, s.cfg.Node, s.cfg.Now = serverPort{s}, serverNode, s.Now
+	if err == nil {
+		s.srv, err = svc.NewServer(s.cfg)
 	}
-	s := &System{lan: server.LAN, net: net}
-	server.Transport, server.Node, server.Now = serverPort{s}, serverNode, s.Now
-	s.cfg = server
-	srv, err := svc.NewServer(s.cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.srv, s.alive = srv, true
-	return s, nil
+	s.alive = err == nil
+	return s, err
 }
 
 // Join adds a tenant host running sess and returns its index.
 func (s *System) Join(sess *svc.Session) int {
 	s.sessions = append(s.sessions, sess)
-	s.gone = append(s.gone, false)
 	return len(s.sessions) - 1
 }
 
-// Leave takes tenant i's host away — a crash without goodbye, or a host
-// done for good: it takes no further actions, and frames to it vanish.
-func (s *System) Leave(i int) { s.gone[i] = true }
+// Leave takes tenant i's host away for good: it acts no more, and frames
+// to it vanish.
+func (s *System) Leave(i int) { s.sessions[i] = nil }
 
 // NowMS is the virtual clock in milliseconds.
 func (s *System) NowMS() int64 { return s.nowMS }
 
-// Now is the virtual clock as a time: the one clock the server and every
-// session read.
+// Now is the virtual clock, the one the server and every session read.
 func (s *System) Now() time.Time { return time.UnixMilli(s.nowMS) }
-
-// LAN returns the network the service allocates on.
-func (s *System) LAN() *core.LAN { return s.lan }
 
 // Server returns the living incarnation, or the last one killed.
 func (s *System) Server() *svc.Server { return s.srv }
@@ -119,18 +89,17 @@ func (s *System) Alive() bool { return s.alive }
 // Kill stops the server process: datagrams to it vanish until Restart.
 func (s *System) Kill() { s.alive = false }
 
-// Restart boots the next incarnation over the same LAN, which adopts the
-// circuits the dead one left open as orphans. Its incarnation number and
-// span seed are each one past the last.
+// Restart boots the next incarnation over the same LAN (it adopts what
+// the dead one left open as orphans), its incarnation number and span seed
+// each one past the last.
 func (s *System) Restart() error {
 	s.cfg.Incarnation = s.srv.Incarnation() + 1
 	s.cfg.SpanSeed++
 	srv, err := svc.NewServer(s.cfg)
-	if err != nil {
-		return err
+	if err == nil {
+		s.srv, s.alive = srv, true
 	}
-	s.srv, s.alive = srv, true
-	return nil
+	return err
 }
 
 // Call starts op on tenant i's session and sends its first frame.
@@ -138,45 +107,38 @@ func (s *System) Call(i int, op svc.Op, trace uint64) svc.Step {
 	return s.send(i, s.sessions[i].Call(s.Now(), op, trace))
 }
 
-// Expire tells tenant i's session its deadline passed and sends the
-// retransmission, if any.
-func (s *System) Expire(i int) svc.Step {
-	return s.send(i, s.sessions[i].Expire(s.Now()))
-}
-
 // Traffic sends a fire-and-forget frame queueing cells on the circuit
 // tenant i holds as vc.
 func (s *System) Traffic(i int, vc cell.VCI, cells int) error {
 	wire, err := s.sessions[i].Traffic(s.Now(), vc, cells)
-	if err == nil {
-		s.transmit(tenantBase+topology.NodeID(i), serverNode, wire)
-	}
+	s.send(i, svc.Step{Send: wire}) // nil on error: nothing sent
 	return err
 }
 
-// Tick runs one virtual millisecond (see the package comment). reply
-// receives each step a delivered frame produced, after its frame was sent;
-// returning false ends the tick there, with the clock unmoved. act runs
-// each present tenant's host actions. Tick reports whether the tick ran to
-// its end.
-func (s *System) Tick(reply func(i int, st svc.Step) bool, act func(i int)) bool {
-	for _, m := range s.due(&s.toServer) {
+// Tick runs one virtual millisecond. step receives every step a delivery
+// or an expiry produced; false ends the tick there, the clock unmoved, and
+// Tick reports false. act runs a present tenant's host actions.
+func (s *System) Tick(step func(i int, st svc.Step) bool, act func(i int)) bool {
+	for _, d := range s.due(&s.toServer) {
 		if s.alive {
-			s.srv.ServeOne(m.d)
+			s.srv.ServeOne(d)
 		}
 	}
-	for _, m := range s.due(&s.toTenant) {
-		i := int(m.d.To - tenantBase)
-		if i < 0 || i >= len(s.sessions) || s.gone[i] {
-			continue
-		}
-		if !reply(i, s.send(i, s.sessions[i].Reply(s.Now(), m.d.Wire))) {
+	for _, d := range s.due(&s.toTenant) {
+		i := int(d.To - tenantBase)
+		if i >= 0 && i < len(s.sessions) && s.sessions[i] != nil && !step(i, s.send(i, s.sessions[i].Reply(s.Now(), d.Wire))) {
 			return false
 		}
 	}
 	for i := range s.sessions {
-		if !s.gone[i] {
+		if s.sessions[i] != nil {
 			act(i)
+		}
+		// An idle session, or one whose deadline is ahead, ignores Expire.
+		if sess := s.sessions[i]; sess != nil {
+			if st := sess.Expire(s.Now()); (st.Send != nil || st.Done) && !step(i, s.send(i, st)) {
+				return false
+			}
 		}
 	}
 	s.lan.Run(StepSlots)
@@ -187,9 +149,8 @@ func (s *System) Tick(reply func(i int, st svc.Step) bool, act func(i int)) bool
 	return true
 }
 
-// Settle ends a run at ms: every datagram in flight is lost, the clock
-// jumps to ms, and a living server sweeps once before the LAN advances one
-// tick's slots.
+// Settle ends a run at ms: what is in flight is lost, the clock jumps to
+// ms, and a living server sweeps before the LAN advances one tick.
 func (s *System) Settle(ms int64) {
 	s.net.Flush()
 	s.toServer, s.toTenant = nil, nil
@@ -207,43 +168,31 @@ func (s *System) send(i int, st svc.Step) svc.Step {
 	return st
 }
 
-// transmit threads one frame through the fault engine and queues what
-// survives for its arrival tick.
+// transmit threads one frame through the fault engine.
 func (s *System) transmit(from, to topology.NodeID, wire []byte) {
 	q := &s.toTenant
 	if to == serverNode {
 		q = &s.toServer
 	}
-	for _, d := range s.net.Transmit(from, to, wire, s.nowMS*1000) {
-		s.seq++
-		*q = append(*q, datagram{s.seq, d})
-	}
+	*q = append(*q, s.net.Transmit(from, to, wire, s.nowMS*1000)...)
 }
 
-// due removes from *q every datagram due by now and returns them in
-// (time, seq) order.
-func (s *System) due(q *[]datagram) []datagram {
-	nowUS := s.nowMS * 1000
-	var due, rest []datagram
-	for _, m := range *q {
-		if m.d.AtUS <= nowUS {
-			due = append(due, m)
+// due removes the datagrams due by now from *q, in (time, send order).
+func (s *System) due(q *[]ctrlnet.Delivery) []ctrlnet.Delivery {
+	var due, rest []ctrlnet.Delivery
+	for _, d := range *q {
+		if d.AtUS <= s.nowMS*1000 {
+			due = append(due, d)
 		} else {
-			rest = append(rest, m)
+			rest = append(rest, d)
 		}
 	}
 	*q = rest
-	slices.SortFunc(due, func(a, b datagram) int {
-		if c := cmp.Compare(a.d.AtUS, b.d.AtUS); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
+	slices.SortStableFunc(due, func(a, b ctrlnet.Delivery) int { return cmp.Compare(a.AtUS, b.AtUS) })
 	return due
 }
 
-// serverPort is the server's Transport: every reply it sends goes into the
-// system's network toward the tenants.
+// serverPort is the server's Transport into the system's network.
 type serverPort struct{ s *System }
 
 func (p serverPort) Send(from, to topology.NodeID, wire []byte, _ int64) ([]ctrlnet.Delivery, error) {

@@ -33,6 +33,7 @@ func newSystem(t *testing.T) *System {
 	return s
 }
 
+// join adds a session that waits 10 ms per attempt, 3 attempts a call.
 func join(s *System, tenant uint64) int {
 	return s.Join(svc.NewSession(svc.ClientConfig{Tenant: tenant, Timeout: 10 * time.Millisecond, Retries: 3},
 		rand.New(rand.NewSource(int64(tenant)))))
@@ -69,32 +70,30 @@ func TestTickOrder(t *testing.T) {
 	if len(got) != 1 || got[0] != 1 {
 		t.Fatalf("hello answered at %v ms, want [1]", got)
 	}
-	if slot := s.LAN().Snapshot().Slot; slot != 3*StepSlots {
+	if slot := s.lan.Snapshot().Slot; slot != 3*StepSlots {
 		t.Fatalf("LAN at slot %d after 3 ticks, want %d", slot, 3*StepSlots)
 	}
 }
 
-// Datagrams to a killed server vanish; a restart is the next incarnation,
-// and a session that knew the old one re-attaches to it.
+// Datagrams to a killed server vanish, and the system times the call out;
+// a restart is the next incarnation, and a session that knew the old one
+// re-attaches to it.
 func TestKillRestart(t *testing.T) {
 	s := newSystem(t)
 	i := join(s, 1)
 	var last svc.Step
-	reply := func(_ int, st svc.Step) bool { last = st; return true }
-	s.Call(i, svc.Op{Kind: proto.KindHello}, 0)
-	s.Tick(reply, idle)
-	s.Tick(reply, idle)
-	if !last.Done || last.Err != nil {
-		t.Fatalf("hello: %+v", last)
+	step := func(_ int, st svc.Step) bool { last = st; return true }
+	last = s.Call(i, svc.Op{Kind: proto.KindHello}, 0)
+	for !last.Done {
+		s.Tick(step, idle)
+	}
+	if last.Err != nil {
+		t.Fatalf("hello: %v", last.Err)
 	}
 	s.Kill()
 	last = s.Call(i, svc.Op{Kind: proto.KindLease}, 0)
 	for !last.Done {
-		s.Tick(reply, func(int) {
-			if !s.Now().Before(last.Deadline) {
-				last = s.Expire(i)
-			}
-		})
+		s.Tick(step, idle)
 	}
 	if !errors.Is(last.Err, svc.ErrRPCTimeout) {
 		t.Fatalf("lease to a dead server: %v, want a timeout", last.Err)
@@ -107,13 +106,13 @@ func TestKillRestart(t *testing.T) {
 	}
 	last = s.Call(i, svc.Op{Kind: proto.KindLease}, 0)
 	for !last.Done {
-		s.Tick(reply, idle)
+		s.Tick(step, idle)
 	}
 	if last.Err != nil {
 		t.Fatalf("lease after restart: %v", last.Err)
 	}
-	if st := s.sessions[i].Stats(); st.Reattaches != 1 {
-		t.Fatalf("re-attaches = %d, want 1", st.Reattaches)
+	if st := s.sessions[i].Stats(); st.Reattaches != 1 || st.Retransmits != 2 {
+		t.Fatalf("re-attaches %d, retransmits %d; want 1 and 2 (the lease to the dead server)", st.Reattaches, st.Retransmits)
 	}
 }
 

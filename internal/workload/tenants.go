@@ -18,15 +18,16 @@ import (
 )
 
 // This file is the service-mode workload: a fleet of tenant sessions
-// hammering one VC service over the socket control plane, the way hosts
-// on the paper's LAN hammer bandwidth central with circuit requests. Each
-// tenant runs on its own loopback UDP endpoint and churns flows —
-// open a circuit (guaranteed or best-effort), maybe push traffic, close
-// it — while the harness measures what a service operator would: VC setup
-// rate, admission latency, and whether one greedy tenant can degrade the
-// others (it must not: quotas confine it).
+// hammering one VC service, the way hosts on the paper's LAN hammer
+// bandwidth central with circuit requests. Each tenant churns flows — open
+// a circuit (guaranteed or best-effort), maybe push traffic, close it —
+// while the harness measures what a service operator would: admissions,
+// refusals, and whether one greedy tenant can degrade the others (it must
+// not: quotas confine it). RunTenants drives the fleet over loopback UDP
+// on the wall clock, which adds set-up rate and latency; DriveTenants
+// drives the same fleet on the composed service's virtual clock.
 
-// TenantsConfig configures one workload run against a live server.
+// TenantsConfig configures one workload run.
 type TenantsConfig struct {
 	// ServerAddr is the server's UDP listen address; the server's
 	// transport node id is 0.
@@ -77,8 +78,7 @@ const (
 	trafficCells   = 8
 )
 
-// serverNode is the server's transport id; tenant i's endpoint is
-// baseNode+i.
+// Over UDP the server is transport node serverNode, tenant i baseNode+i.
 const (
 	serverNode = topology.NodeID(0)
 	baseNode   = topology.NodeID(1000)
@@ -100,17 +100,13 @@ type TenantsReport struct {
 	// RefusedBy counts refusals by server reason code.
 	RefusedBy map[int32]int64
 
-	// Setup summarizes admission latency: wall µs from sending
-	// vc-request to holding the reply, over every flow (admitted or
-	// refused — a refusal is also an answer).
-	Setup metrics.Summary
-	// ElapsedSec is the whole run's wall time; SetupPerSec is
-	// Flows/ElapsedSec — the service's sustained VC setup rate.
-	ElapsedSec  float64
+	// Setup summarizes admission latency: µs from sending vc-request to
+	// holding the reply, over every flow (admitted or refused — a refusal
+	// is also an answer). SetupPerSec is Flows over the run's wall time —
+	// the service's sustained VC setup rate.
+	Setup       metrics.Summary
 	SetupPerSec float64
 
-	// PerTenantAdmitted[i] is tenant i+1's admitted count.
-	PerTenantAdmitted []int64
 	// FairnessX1000 is Jain's index over the LIGHT tenants' admitted
 	// counts (the aggressor excluded: its refusals are the point).
 	FairnessX1000 int
@@ -123,19 +119,13 @@ type TenantsReport struct {
 
 	TrafficCells int64
 
-	// Resilience aggregates, summed from each client's ClientStats.
-	Retransmits       int64
-	Reattaches        int64
-	ReattachVCs       int64
-	ReattachFailedVCs int64
-	OrphanReplies     int64
-	// ReattachedTenants counts tenants that completed ≥1 re-attach;
-	// LastReattachAt is the latest re-attach completion across the fleet
-	// (measured against the kill instant it bounds the unavailability
-	// window); ReattachUS summarizes each tenant's last re-attach
-	// duration in µs.
+	// ClientStats sums the sessions' resilience accounting; its last
+	// re-attach is the fleet's latest (measured against the kill instant,
+	// it bounds the unavailability window). ReattachedTenants counts the
+	// tenants that completed one, and ReattachUS summarizes each one's
+	// last re-attach duration in µs.
+	svc.ClientStats
 	ReattachedTenants int
-	LastReattachAt    time.Time
 	ReattachUS        metrics.Summary
 }
 
@@ -155,108 +145,162 @@ func (c TenantsConfig) withDefaults() TenantsConfig {
 	return c
 }
 
-// tenantTally is one session's private accounting, merged after the run
-// (metrics.Histogram is not thread-safe, so each worker owns one).
-type tenantTally struct {
-	flows        int64
-	admittedBE   int64
-	admittedGtd  int64
-	refused      int64
-	refusedBy    map[int32]int64
-	gtdRequested int64
-	traffic      int64
-	setupUS      metrics.Histogram
-	stats        svc.ClientStats
-	err          error
+// tenant is one tenant's workload as a machine both drivers run: next
+// names the call to make, and done books its outcome. It owns the
+// tenant's flow draw — endpoints and rate from its own seeded stream, a
+// fifth of the flows guaranteed — and its private tally, merged after the
+// run (metrics.Histogram is not thread-safe, so each worker owns one).
+type tenant struct {
+	i      int
+	client svc.ClientConfig  // the session's configuration
+	rng    *rand.Rand        // the flow draw
+	hosts  []topology.NodeID // the roster, once hello returns it
+	budget int               // transient failures still to absorb
+
+	flows, flow int      // this tenant's share, and the next flow's index
+	op          svc.Op   // the call in flight (Kind 0: none)
+	vc          cell.VCI // the admitted circuit to close next (0: none)
+	push        bool     // push traffic on vc before closing it
+	bye         bool     // the session is over
+
+	admittedBE, admittedGtd, refused, gtdRequested, traffic int64
+	refusedBy                                               map[int32]int64
+	setupUS                                                 metrics.Histogram
+	stats                                                   svc.ClientStats
+	err                                                     error
 }
 
-func newTallies(n int) []*tenantTally {
-	ts := make([]*tenantTally, n)
+// newTenants builds the fleet. Each share of the flows is rounded up, so
+// the run never lands under the requested total (the E32 acceptance floor
+// is a hard >= 1e5).
+func newTenants(cfg TenantsConfig) []*tenant {
+	ts := make([]*tenant, cfg.Tenants)
 	for i := range ts {
-		ts[i] = &tenantTally{refusedBy: make(map[int32]int64)}
+		ts[i] = &tenant{i: i, rng: rand.New(rand.NewSource(cfg.Seed + int64(i)*7919)),
+			flows: (cfg.Flows + cfg.Tenants - 1) / cfg.Tenants, refusedBy: make(map[int32]int64),
+			client: svc.ClientConfig{Tenant: uint64(i + 1), Timeout: cfg.Timeout, Retries: cfg.Retries,
+				RetryCap: cfg.RetryCap, Seed: cfg.Seed + int64(i)*6151 + 1}}
+		if cfg.Survivable {
+			ts[i].budget = survivalBudget
+		}
 	}
 	return ts
 }
 
-// flowMix draws tenant i's flows: its own seeded stream of endpoints and
-// guaranteed rates, the same under either driver.
-type flowMix struct {
-	rng       *rand.Rand
-	hosts     []topology.NodeID
-	aggressor bool
-}
-
-func newFlowMix(cfg TenantsConfig, i int, hosts []topology.NodeID) (*flowMix, error) {
-	if len(hosts) < 2 {
-		return nil, fmt.Errorf("roster has %d hosts", len(hosts))
-	}
-	return &flowMix{rand.New(rand.NewSource(cfg.Seed + int64(i)*7919)), hosts, i == 0}, nil
-}
-
-// next draws one flow's endpoints and rate (0: best-effort).
-func (m *flowMix) next() (src, dst topology.NodeID, rate int) {
-	src = m.hosts[m.rng.Intn(len(m.hosts))]
-	dst = m.hosts[m.rng.Intn(len(m.hosts))]
-	for dst == src {
-		dst = m.hosts[m.rng.Intn(len(m.hosts))]
-	}
-	if m.rng.Float64() < guaranteedFrac {
-		rate = 1
-		if m.aggressor {
-			rate = aggressorRate
-		}
-	}
-	return src, dst, rate
-}
-
-// record books one open's definitive outcome — admitted (err nil) or
-// refused — with its admission latency, and reports whether it was
-// admitted. Any other error is not an outcome and is not booked.
-func (t *tenantTally) record(rate int, err error, setupUS int64) bool {
-	t.setupUS.Observe(setupUS)
-	t.flows++
-	if rate > 0 {
-		t.gtdRequested++
-	}
-	var ref *svc.Refused
+// next returns the call to make next, or false once the tenant is done. A
+// KindTraffic op pushes trafficCells cells on op.VC, fire-and-forget.
+func (t *tenant) next() (svc.Op, bool) {
 	switch {
-	case errors.As(err, &ref):
-		t.refused++
-		t.refusedBy[ref.Code]++
-		return false
-	case rate > 0:
-		t.admittedGtd++
-	default:
-		t.admittedBE++
-	}
-	return true
-}
-
-// clientConfig is tenant i's session configuration under either driver.
-func clientConfig(cfg TenantsConfig, i int) svc.ClientConfig {
-	return svc.ClientConfig{
-		Tenant:  uint64(i + 1),
-		Timeout: cfg.Timeout, Retries: cfg.Retries, RetryCap: cfg.RetryCap,
-		Seed: cfg.Seed + int64(i)*6151 + 1,
-	}
-}
-
-// report aggregates the tallies.
-func report(tallies []*tenantTally) (*TenantsReport, error) {
-	rep := &TenantsReport{
-		Tenants:           len(tallies),
-		RefusedBy:         make(map[int32]int64),
-		PerTenantAdmitted: make([]int64, len(tallies)),
-	}
-	merged := &metrics.Histogram{}
-	reattachUS := &metrics.Histogram{}
-	var lightAdmitted []int64
-	var aggReq, aggAdm, lightReq, lightAdm int64
-	for i, tally := range tallies {
-		if tally.err != nil {
-			return nil, fmt.Errorf("workload: tenant %d: %w", i+1, tally.err)
+	case t.err != nil || t.bye:
+		return svc.Op{}, false
+	case t.hosts == nil:
+		t.op = svc.Op{Kind: proto.KindHello}
+	case t.push:
+		t.op = svc.Op{Kind: proto.KindTraffic, VC: t.vc}
+	case t.vc != 0:
+		t.op = svc.Op{Kind: proto.KindVCClose, VC: t.vc}
+	case t.flow < t.flows:
+		src := t.hosts[t.rng.Intn(len(t.hosts))]
+		dst := t.hosts[t.rng.Intn(len(t.hosts))]
+		for dst == src {
+			dst = t.hosts[t.rng.Intn(len(t.hosts))]
 		}
-		cs := tally.stats
+		rate := 0
+		if t.rng.Float64() < guaranteedFrac {
+			rate = 1
+			if t.i == 0 {
+				rate = aggressorRate
+			}
+		}
+		t.op = svc.Op{Kind: proto.KindVCRequest, Src: src, Dst: dst, Rate: rate}
+	default:
+		t.op = svc.Op{Kind: proto.KindBye}
+	}
+	return t.op, true
+}
+
+// done books the outcome of the call next named: the roster a hello
+// returned, the circuit an open was granted, the call's latency in µs and
+// its error. While the survival budget lasts, a failure other than a
+// refusal can mean "the server is restarting" and is absorbed: a hello is
+// retried, an open's flow slot is redrawn, and a traffic push, close or
+// bye is skipped (bye, or failing that lease expiry, closes what the
+// session still holds). Any other failure ends the tenant. Only definitive
+// outcomes count as flows and latency samples: a retried outage attempt
+// is unavailability, not admission.
+func (t *tenant) done(hosts []topology.NodeID, vc cell.VCI, us int64, err error) {
+	op := t.op
+	t.op = svc.Op{}
+	var ref *svc.Refused
+	refused := errors.As(err, &ref)
+	if err != nil && !refused && t.budget > 0 {
+		t.budget--
+		t.push = false
+		if op.Kind == proto.KindVCClose {
+			t.vc = 0
+		}
+		t.bye = op.Kind == proto.KindBye
+		return
+	}
+	switch op.Kind {
+	case proto.KindHello:
+		if err == nil && len(hosts) < 2 {
+			err = fmt.Errorf("roster has %d hosts", len(hosts))
+		}
+		t.hosts = hosts
+	case proto.KindVCRequest:
+		if err != nil && !refused {
+			break
+		}
+		t.setupUS.Observe(us)
+		if op.Rate > 0 {
+			t.gtdRequested++
+		}
+		switch {
+		case refused:
+			t.refused++
+			t.refusedBy[ref.Code]++
+		case op.Rate > 0:
+			t.admittedGtd++
+		default:
+			t.admittedBE++
+		}
+		if !refused {
+			t.vc, t.push = vc, t.flow%trafficEvery == 0
+		}
+		t.flow++
+		err = nil
+	case proto.KindTraffic:
+		t.push = false
+		if err == nil {
+			t.traffic += trafficCells
+		}
+	case proto.KindVCClose:
+		// A retried close may land after the nonce cache slid past it: the
+		// server then answers unknown-vc for a VC that IS closed.
+		t.vc = 0
+		if refused && ref.Code == svc.RefuseUnknownVC {
+			err = nil
+		}
+	case proto.KindBye:
+		t.bye = true
+	}
+	if err != nil {
+		t.err = fmt.Errorf("%v (flow %d): %w", op.Kind, t.flow, err)
+	}
+}
+
+// report aggregates the tenants' tallies.
+func report(ts []*tenant) (*TenantsReport, error) {
+	rep := &TenantsReport{Tenants: len(ts), RefusedBy: make(map[int32]int64)}
+	var setup, reattachUS metrics.Histogram
+	var light []int64
+	var lightReq, lightAdm int64
+	for i, t := range ts {
+		if t.err != nil {
+			return nil, fmt.Errorf("workload: tenant %d: %w", i+1, t.err)
+		}
+		cs := t.stats
 		rep.Retransmits += cs.Retransmits
 		rep.Reattaches += cs.Reattaches
 		rep.ReattachVCs += cs.ReattachVCs
@@ -266,42 +310,38 @@ func report(tallies []*tenantTally) (*TenantsReport, error) {
 			rep.ReattachedTenants++
 			reattachUS.Observe(cs.LastReattachDur.Microseconds())
 			if cs.LastReattachAt.After(rep.LastReattachAt) {
-				rep.LastReattachAt = cs.LastReattachAt
+				rep.LastReattachAt, rep.LastReattachDur = cs.LastReattachAt, cs.LastReattachDur
 			}
 		}
-		rep.Flows += tally.flows
-		rep.AdmittedBE += tally.admittedBE
-		rep.AdmittedGtd += tally.admittedGtd
-		rep.Refused += tally.refused
-		for code, n := range tally.refusedBy {
+		rep.Flows += t.admittedBE + t.admittedGtd + t.refused
+		rep.AdmittedBE += t.admittedBE
+		rep.AdmittedGtd += t.admittedGtd
+		rep.Refused += t.refused
+		for code, n := range t.refusedBy {
 			rep.RefusedBy[code] += n
 		}
-		rep.TrafficCells += tally.traffic
-		rep.PerTenantAdmitted[i] = tally.admittedBE + tally.admittedGtd
-		merged.Merge(&tally.setupUS)
-		if i == 0 {
-			aggReq, aggAdm = tally.gtdRequested, tally.admittedGtd
-		} else {
-			lightReq += tally.gtdRequested
-			lightAdm += tally.admittedGtd
-			lightAdmitted = append(lightAdmitted, rep.PerTenantAdmitted[i])
+		rep.TrafficCells += t.traffic
+		setup.Merge(&t.setupUS)
+		if i > 0 {
+			lightReq += t.gtdRequested
+			lightAdm += t.admittedGtd
+			light = append(light, t.admittedBE+t.admittedGtd)
 		}
 	}
-	rep.Setup = merged.Summarize()
-	rep.ReattachUS = reattachUS.Summarize()
-	rep.FairnessX1000 = svc.JainX1000(lightAdmitted)
-	if aggReq > 0 {
-		rep.AggressorGtdAdmitRate = float64(aggAdm) / float64(aggReq)
-	}
-	if lightReq > 0 {
-		rep.LightGtdAdmitRate = float64(lightAdm) / float64(lightReq)
-	}
+	rep.Setup, rep.ReattachUS = setup.Summarize(), reattachUS.Summarize()
+	rep.FairnessX1000 = svc.JainX1000(light)
+	rep.AggressorGtdAdmitRate = ratio(ts[0].admittedGtd, ts[0].gtdRequested)
+	rep.LightGtdAdmitRate = ratio(lightAdm, lightReq)
 	return rep, nil
 }
 
-// perTenant rounds the per-tenant share up so the run never lands under
-// the requested total (the E32 acceptance floor is a hard >= 1e5).
-func perTenant(cfg TenantsConfig) int { return (cfg.Flows + cfg.Tenants - 1) / cfg.Tenants }
+// ratio is n/of, or 0 when of is 0.
+func ratio(n, of int64) float64 {
+	if of == 0 {
+		return 0
+	}
+	return float64(n) / float64(of)
+}
 
 // RunTenants runs the workload to completion against a live server over
 // loopback UDP, one goroutine per tenant, and aggregates the report.
@@ -310,168 +350,31 @@ func RunTenants(cfg TenantsConfig) (*TenantsReport, error) {
 	if cfg.ServerAddr == "" {
 		return nil, errors.New("workload: no server address")
 	}
-	flows := perTenant(cfg)
-	tallies := newTallies(cfg.Tenants)
+	ts := newTenants(cfg)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for i, tally := range tallies {
+	for _, t := range ts {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tally.err = runTenant(cfg, i, flows, tally)
+			if err := runTenant(cfg, t); err != nil {
+				t.err = err
+			}
 		}()
 	}
 	wg.Wait()
-	rep, err := report(tallies)
+	rep, err := report(ts)
 	if err != nil {
 		return nil, err
 	}
-	rep.ElapsedSec = time.Since(start).Seconds()
-	if rep.ElapsedSec > 0 {
-		rep.SetupPerSec = float64(rep.Flows) / rep.ElapsedSec
-	}
+	rep.SetupPerSec = float64(rep.Flows) / time.Since(start).Seconds()
 	return rep, nil
 }
 
-// DriveTenants runs the same workload on sys, the composed service on its
-// virtual clock: cfg.Tenants sessions join sys and churn their flows tick
-// by tick, with no socket, goroutine or wall clock, so a run replays to
-// the byte. The flow mix, the tally and the report are RunTenants'; the
-// report's wall-clock fields (ElapsedSec, SetupPerSec) stay zero and Setup
-// is in virtual µs. ServerAddr, DropProb, Survivable, Spans and Ring do
-// not apply: faults are sys's, and a failed call other than a refusal
-// ends the run.
-func DriveTenants(sys *svcsys.System, cfg TenantsConfig) (*TenantsReport, error) {
-	cfg = cfg.withDefaults()
-	tallies := newTallies(cfg.Tenants)
-	ts := make([]*simTenant, cfg.Tenants)
-	for i, tally := range tallies {
-		ccfg := clientConfig(cfg, i)
-		sess := svc.NewSession(ccfg, rand.New(rand.NewSource(ccfg.Seed)))
-		ts[i] = &simTenant{sys: sys, i: sys.Join(sess), sess: sess, cfg: cfg, tally: tally, flows: perTenant(cfg)}
-	}
-	left, failed := len(ts), false
-	reply := func(i int, st svc.Step) bool { ts[i].step(st); return true }
-	act := func(i int) {
-		t := ts[i]
-		t.act()
-		if t.tally.err != nil || t.op == opDone {
-			sys.Leave(i)
-			left--
-			failed = failed || t.tally.err != nil
-		}
-	}
-	for left > 0 && !failed {
-		sys.Tick(reply, act)
-	}
-	for _, t := range ts {
-		t.tally.stats = t.sess.Stats()
-	}
-	return report(tallies)
-}
-
-// What a simulated tenant's call in flight is for.
-const (
-	opIdle = iota
-	opHello
-	opOpen
-	opClose
-	opBye
-	opDone // bye answered: the tenant is finished
-)
-
-var opNames = [...]string{opHello: "hello", opOpen: "open", opClose: "close", opBye: "bye"}
-
-// simTenant is one tenant of DriveTenants: runTenant's loop as a machine
-// the system steps, one call at a time.
-type simTenant struct {
-	sys   *svcsys.System
-	i     int
-	sess  *svc.Session
-	cfg   TenantsConfig
-	tally *tenantTally
-	mix   *flowMix // nil until hello returns the roster
-
-	flows, next int // this tenant's share, and the next flow's index
-	op          int // the call in flight, opIdle or opDone
-	deadline    time.Time
-	rate        int      // the open in flight's rate
-	sentMS      int64    // and when it was sent
-	vc          cell.VCI // the admitted circuit to close next (0: none)
-	push        bool     // whether to push traffic on vc first
-}
-
-// act is the tenant's host action for one tick: retransmit on a passed
-// deadline, or start its next call.
-func (t *simTenant) act() {
-	switch {
-	case t.op == opDone || t.tally.err != nil:
-	case t.op != opIdle:
-		if !t.sys.Now().Before(t.deadline) {
-			t.step(t.sys.Expire(t.i))
-		}
-	case t.mix == nil:
-		t.call(opHello, svc.Op{Kind: proto.KindHello})
-	case t.vc != 0:
-		if t.push {
-			if t.tally.err = t.sys.Traffic(t.i, t.vc, trafficCells); t.tally.err != nil {
-				return
-			}
-			t.tally.traffic += trafficCells
-		}
-		t.call(opClose, svc.Op{Kind: proto.KindVCClose, VC: t.vc})
-	case t.next < t.flows:
-		src, dst, rate := t.mix.next()
-		t.rate, t.sentMS = rate, t.sys.NowMS()
-		t.call(opOpen, svc.Op{Kind: proto.KindVCRequest, Src: src, Dst: dst, Rate: rate})
-	default:
-		t.call(opBye, svc.Op{Kind: proto.KindBye})
-	}
-}
-
-func (t *simTenant) call(op int, o svc.Op) {
-	t.op = op
-	t.step(t.sys.Call(t.i, o, 0))
-}
-
-// step takes one session step and, when it finishes the call, books the
-// outcome the way runTenant does.
-func (t *simTenant) step(st svc.Step) {
-	t.deadline = st.Deadline
-	if !st.Done {
-		return
-	}
-	op := t.op
-	t.op = opIdle
-	var ref *svc.Refused
-	switch {
-	case op == opOpen && (st.Err == nil || errors.As(st.Err, &ref)):
-		if t.tally.record(t.rate, st.Err, (t.sys.NowMS()-t.sentMS)*1000) {
-			t.vc, t.push = cell.VCI(st.Answer.Depth), t.next%trafficEvery == 0
-		}
-		t.next++
-	case op == opClose:
-		t.vc = 0
-		if err := closed(st.Err); err != nil {
-			t.tally.err = fmt.Errorf("close flow %d: %w", t.next-1, err)
-		}
-	case st.Err != nil:
-		t.tally.err = fmt.Errorf("%s: %w", opNames[op], st.Err)
-	case op == opHello:
-		hosts := make([]topology.NodeID, 0, len(st.Answer.Links))
-		for _, l := range st.Answer.Links {
-			hosts = append(hosts, topology.NodeID(l.A))
-		}
-		t.mix, t.tally.err = newFlowMix(t.cfg, t.i, hosts)
-	case op == opBye:
-		t.op = opDone
-	}
-}
-
-// runTenant is one tenant session: its own socket, its own client, its
-// own share of the flow budget.
-func runTenant(cfg TenantsConfig, i, flows int, tally *tenantTally) error {
-	self := baseNode + topology.NodeID(i)
+// runTenant drives one tenant over its own socket and client, on the wall
+// clock.
+func runTenant(cfg TenantsConfig, t *tenant) error {
+	self := baseNode + topology.NodeID(t.i)
 	udp, err := ctrlnet.NewUDP(ctrlnet.UDPConfig{
 		Local: map[topology.NodeID]string{self: "127.0.0.1:0"},
 		Peers: map[topology.NodeID]string{serverNode: cfg.ServerAddr},
@@ -483,7 +386,7 @@ func runTenant(cfg TenantsConfig, i, flows int, tally *tenantTally) error {
 	if cfg.DropProb > 0 {
 		f, ferr := ctrlnet.Faulty(udp, ctrlnet.Config{
 			DropProb: cfg.DropProb,
-			Seed:     cfg.Seed + int64(i)*104729 + 1,
+			Seed:     cfg.Seed + int64(t.i)*104729 + 1,
 		})
 		if ferr != nil {
 			udp.Close()
@@ -492,99 +395,87 @@ func runTenant(cfg TenantsConfig, i, flows int, tally *tenantTally) error {
 		tr = f
 	}
 	defer tr.Close()
-	ccfg := clientConfig(cfg, i)
+	ccfg := t.client
 	ccfg.Transport, ccfg.Self, ccfg.Server = tr, self, serverNode
 	ccfg.Spans, ccfg.Ring = cfg.Spans, cfg.Ring
-	ccfg.SpanSeed = uint64(cfg.Seed) + uint64(i)*0x9E37 + 1
+	ccfg.SpanSeed = uint64(cfg.Seed) + uint64(t.i)*0x9E37 + 1
 	cl, err := svc.NewClient(ccfg)
 	if err != nil {
 		return err
 	}
 	defer cl.Close()
-	defer func() { tally.stats = cl.Stats() }()
-
-	budget := 0
-	if cfg.Survivable {
-		budget = survivalBudget
-	}
-	// transient reports whether a failed op may be retried: anything that
-	// is not a server refusal — retry exhaustion, a failed re-attach —
-	// can mean "the server is restarting", and a survivable run waits it
-	// out on the tenant's budget.
-	transient := func(err error) bool {
-		var ref *svc.Refused
-		if err == nil || errors.As(err, &ref) {
-			return false
-		}
-		if budget <= 0 {
-			return false
-		}
-		budget--
-		return true
-	}
-
-	var hosts []topology.NodeID
-	for {
-		hosts, err = cl.Hello()
-		if err == nil {
-			break
-		}
-		if !transient(err) {
-			return fmt.Errorf("hello: %w", err)
-		}
-	}
-	mix, err := newFlowMix(cfg, i, hosts)
-	if err != nil {
-		return err
-	}
-	for f := 0; f < flows; f++ {
-		src, dst, rate := mix.next()
+	for op, ok := t.next(); ok; op, ok = t.next() {
+		var hosts []topology.NodeID
+		var vc cell.VCI
 		t0 := time.Now()
-		vc, err := cl.Open(src, dst, rate)
-		var ref *svc.Refused
-		if err != nil && !errors.As(err, &ref) {
-			if transient(err) {
-				f-- // retry this flow slot once the server is back
-				continue
-			}
-			return fmt.Errorf("open flow %d: %w", f, err)
+		switch op.Kind {
+		case proto.KindHello:
+			hosts, err = cl.Hello()
+		case proto.KindVCRequest:
+			vc, err = cl.Open(op.Src, op.Dst, op.Rate)
+		case proto.KindTraffic:
+			err = cl.Traffic(op.VC, trafficCells)
+		case proto.KindVCClose:
+			err = cl.CloseVC(op.VC)
+		case proto.KindBye:
+			err = cl.Bye()
 		}
-		// Only definitive outcomes count as flows (and as latency samples):
-		// a retried outage attempt is unavailability, not admission.
-		if !tally.record(rate, err, time.Since(t0).Microseconds()) {
-			continue
-		}
-		if f%trafficEvery == 0 {
-			if err := cl.Traffic(vc, trafficCells); err != nil {
-				if !transient(err) {
-					return err
-				}
-			} else {
-				tally.traffic += trafficCells
-			}
-		}
-		if err := closed(cl.CloseVC(vc)); err != nil {
-			// A close lost to an outage is safe to skip: bye (or, failing
-			// that, lease expiry) closes everything the session still holds.
-			if !transient(err) {
-				return fmt.Errorf("close flow %d: %w", f, err)
-			}
-		}
+		t.done(hosts, vc, time.Since(t0).Microseconds(), err)
 	}
-	if err := cl.Bye(); err != nil && !transient(err) {
-		return err
-	}
+	t.stats = cl.Stats()
 	return nil
 }
 
-// closed tolerates the one benign race retries create: a close whose
-// first reply was lost retries, and the retry may land after the cache
-// window slid — the server then answers unknown-vc for a VC that IS
-// closed. Every other refusal is a real failure.
-func closed(err error) error {
-	var ref *svc.Refused
-	if errors.As(err, &ref) && ref.Code == svc.RefuseUnknownVC {
-		return nil
+// DriveTenants runs the same workload on sys, the composed service on its
+// virtual clock: cfg.Tenants sessions join sys and churn their flows tick
+// by tick, with no socket, goroutine or wall clock, so a run replays to
+// the byte. The tenants and the report are RunTenants'; the report's
+// SetupPerSec stays zero and Setup is in virtual µs.
+// ServerAddr, DropProb, Spans and Ring do not apply: faults are sys's.
+func DriveTenants(sys *svcsys.System, cfg TenantsConfig) (*TenantsReport, error) {
+	cfg = cfg.withDefaults()
+	ts := newTenants(cfg)
+	sessions := make([]*svc.Session, len(ts))
+	for i, t := range ts {
+		sessions[i] = svc.NewSession(t.client, rand.New(rand.NewSource(t.client.Seed)))
+		sys.Join(sessions[i])
 	}
-	return err
+	sentMS := make([]int64, len(ts))
+	step := func(i int, st svc.Step) bool {
+		if st.Done {
+			var hosts []topology.NodeID
+			var vc cell.VCI
+			if a := st.Answer; a != nil {
+				vc = cell.VCI(a.Depth)
+				for _, l := range a.Links {
+					hosts = append(hosts, topology.NodeID(l.A))
+				}
+			}
+			ts[i].done(hosts, vc, (sys.NowMS()-sentMS[i])*1000, st.Err)
+		}
+		return true
+	}
+	left := len(ts)
+	act := func(i int) {
+		if ts[i].op.Kind != 0 {
+			return // the system retransmits and times the call out
+		}
+		op, ok := ts[i].next()
+		for ok && op.Kind == proto.KindTraffic {
+			ts[i].done(nil, 0, 0, sys.Traffic(i, op.VC, trafficCells))
+			op, ok = ts[i].next()
+		}
+		if !ok {
+			ts[i].stats = sessions[i].Stats()
+			sys.Leave(i)
+			left--
+			return
+		}
+		sentMS[i] = sys.NowMS()
+		sys.Call(i, op, 0)
+	}
+	for left > 0 {
+		sys.Tick(step, act)
+	}
+	return report(ts)
 }
