@@ -55,13 +55,15 @@ type System struct {
 // clock starts at 0 ms.
 func New(server svc.Config, faults ctrlnet.Config) (*System, error) {
 	net, err := ctrlnet.New(faults)
-	s := &System{lan: server.LAN, cfg: server, net: net}
-	s.cfg.Transport, s.cfg.Node, s.cfg.Now = serverPort{s}, serverNode, s.Now
-	if err == nil {
-		s.srv, err = svc.NewServer(s.cfg)
+	if err != nil {
+		return nil, err
 	}
-	s.alive = err == nil
-	return s, err
+	s := &System{lan: server.LAN, cfg: server, net: net, alive: true}
+	s.cfg.Transport, s.cfg.Node, s.cfg.Now = serverPort{s}, serverNode, s.Now
+	if s.srv, err = svc.NewServer(s.cfg); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // Join adds a tenant host running sess and returns its index.

@@ -290,8 +290,9 @@ func (t *tenant) done(hosts []topology.NodeID, vc cell.VCI, us int64, err error)
 	}
 }
 
-// report aggregates the tenants' tallies.
-func report(ts []*tenant) (*TenantsReport, error) {
+// report aggregates the tenants' tallies; elapsed is the run's wall time
+// (0: not measured).
+func report(ts []*tenant, elapsed time.Duration) (*TenantsReport, error) {
 	rep := &TenantsReport{Tenants: len(ts), RefusedBy: make(map[int32]int64)}
 	var setup, reattachUS metrics.Histogram
 	var light []int64
@@ -332,6 +333,9 @@ func report(ts []*tenant) (*TenantsReport, error) {
 	rep.FairnessX1000 = svc.JainX1000(light)
 	rep.AggressorGtdAdmitRate = ratio(ts[0].admittedGtd, ts[0].gtdRequested)
 	rep.LightGtdAdmitRate = ratio(lightAdm, lightReq)
+	if elapsed > 0 {
+		rep.SetupPerSec = float64(rep.Flows) / elapsed.Seconds()
+	}
 	return rep, nil
 }
 
@@ -363,12 +367,7 @@ func RunTenants(cfg TenantsConfig) (*TenantsReport, error) {
 		}()
 	}
 	wg.Wait()
-	rep, err := report(ts)
-	if err != nil {
-		return nil, err
-	}
-	rep.SetupPerSec = float64(rep.Flows) / time.Since(start).Seconds()
-	return rep, nil
+	return report(ts, time.Since(start))
 }
 
 // runTenant drives one tenant over its own socket and client, on the wall
@@ -477,5 +476,5 @@ func DriveTenants(sys *svcsys.System, cfg TenantsConfig) (*TenantsReport, error)
 	for left > 0 {
 		sys.Tick(step, act)
 	}
-	return report(ts)
+	return report(ts, 0)
 }
