@@ -242,7 +242,16 @@ func RunSvc(s SvcSchedule) (*SvcResult, error) {
 	grants := make(map[[2]uint64]cell.VCI)
 	tenants := make([]*svcTenant, s.Tenants)
 	for i := range tenants {
-		tenants[i] = newSvcTenant(sys, i, lan.Topology().Hosts(), s, grants)
+		t := &svcTenant{sys: sys, i: i, id: uint64(i + 1), rng: rand.New(rand.NewSource(s.Seed + int64(i)*7919)),
+			hosts: lan.Topology().Hosts(), horizonMS: s.HorizonMS, granted: grants}
+		t.s = svc.NewSession(svc.ClientConfig{Tenant: t.id, Timeout: 40 * time.Millisecond, Retries: 10},
+			rand.New(rand.NewSource(t.rng.Int63())))
+		if i < s.Vanish {
+			// Vanishing tenants stop cold somewhere in the middle third.
+			t.vanishAtMS = s.HorizonMS/3 + t.rng.Int63n(s.HorizonMS/3)
+		}
+		sys.Join(t.s)
+		tenants[i] = t
 	}
 	finish := func() *SvcResult {
 		res.FinalStats = sys.Server().Stats()
@@ -338,19 +347,6 @@ type svcTenant struct {
 	done       bool // bye acknowledged (or refused-stale: same thing)
 
 	grants int64 // fresh opens granted (reopens are in the session's stats)
-}
-
-func newSvcTenant(sys *svcsys.System, i int, hosts []topology.NodeID, s SvcSchedule, granted map[[2]uint64]cell.VCI) *svcTenant {
-	t := &svcTenant{sys: sys, i: i, id: uint64(i + 1), rng: rand.New(rand.NewSource(s.Seed + int64(i)*7919)),
-		hosts: hosts, horizonMS: s.HorizonMS, granted: granted}
-	t.s = svc.NewSession(svc.ClientConfig{Tenant: t.id, Timeout: 40 * time.Millisecond, Retries: 10},
-		rand.New(rand.NewSource(t.rng.Int63())))
-	if i < s.Vanish {
-		// Vanishing tenants stop cold somewhere in the middle third.
-		t.vanishAtMS = s.HorizonMS/3 + t.rng.Int63n(s.HorizonMS/3)
-	}
-	sys.Join(t.s)
-	return t
 }
 
 // step is one virtual millisecond of tenant life.

@@ -46,7 +46,7 @@ type System struct {
 	sessions []*svc.Session // nil once the host has left
 
 	nowMS              int64
-	toServer, toTenant []ctrlnet.Delivery // in send order
+	toServer, toTenant []ctrlnet.Delivery
 }
 
 // New composes a system around a server built from server over
@@ -127,8 +127,11 @@ func (s *System) Tick(step func(i int, st svc.Step) bool, act func(i int)) bool 
 		}
 	}
 	for _, d := range s.due(&s.toTenant) {
-		i := int(d.To - tenantBase)
-		if i >= 0 && i < len(s.sessions) && s.sessions[i] != nil && !step(i, s.send(i, s.sessions[i].Reply(s.Now(), d.Wire))) {
+		i := int(d.To - tenantBase) // the server answers only its tenants
+		if s.sessions[i] == nil {
+			continue // the host left: the frame vanishes
+		}
+		if !step(i, s.send(i, s.sessions[i].Reply(s.Now(), d.Wire))) {
 			return false
 		}
 	}
@@ -180,17 +183,16 @@ func (s *System) transmit(from, to topology.NodeID, wire []byte) {
 }
 
 // due removes the datagrams due by now from *q, in (time, send order).
+// The queue is kept in send order among equal arrival times, so a stable
+// sort by arrival time puts the due ones first.
 func (s *System) due(q *[]ctrlnet.Delivery) []ctrlnet.Delivery {
-	var due, rest []ctrlnet.Delivery
-	for _, d := range *q {
-		if d.AtUS <= s.nowMS*1000 {
-			due = append(due, d)
-		} else {
-			rest = append(rest, d)
-		}
+	slices.SortStableFunc(*q, func(a, b ctrlnet.Delivery) int { return cmp.Compare(a.AtUS, b.AtUS) })
+	n := 0
+	for n < len(*q) && (*q)[n].AtUS <= s.nowMS*1000 {
+		n++
 	}
-	*q = rest
-	slices.SortStableFunc(due, func(a, b ctrlnet.Delivery) int { return cmp.Compare(a.AtUS, b.AtUS) })
+	due := (*q)[:n:n]
+	*q = (*q)[n:]
 	return due
 }
 
