@@ -7,7 +7,7 @@
 // One Tick is one virtual millisecond:
 //  1. datagrams due at the server are served (to a dead server, they vanish);
 //  2. datagrams due at tenants go to their sessions in (time, send order);
-//  3. tenants in node order take the driver's host actions (Call, Traffic),
+//  3. tenants in node order take the caller's host actions (Call, Traffic),
 //     then Expire if the session's deadline has passed;
 //  4. the LAN advances StepSlots slots, and a living server sweeps.
 //

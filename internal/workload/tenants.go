@@ -145,11 +145,12 @@ func (c TenantsConfig) withDefaults() TenantsConfig {
 	return c
 }
 
-// tenant is one tenant's workload as a machine both drivers run: next
-// names the call to make, and done books its outcome. It owns the
-// tenant's flow draw — endpoints and rate from its own seeded stream, a
-// fifth of the flows guaranteed — and its private tally, merged after the
-// run (metrics.Histogram is not thread-safe, so each worker owns one).
+// tenant is one tenant's workload as a machine that RunTenants and
+// DriveTenants both run: next names the call to make, and done books its
+// outcome. It owns the tenant's flow draw — endpoints and rate from its
+// own seeded stream, a fifth of the flows guaranteed — and its private
+// tally, merged after the run (metrics.Histogram is not thread-safe, so
+// each worker owns one).
 type tenant struct {
 	i      int
 	client svc.ClientConfig  // the session's configuration
