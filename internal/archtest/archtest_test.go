@@ -1,19 +1,24 @@
 // Package archtest states the repository's architecture rules as facts
 // about Go syntax trees and checks them under go test. A rule is a function
 // from parsed files to its violations: most read the non-test files under
-// internal/, a few the whole repository. Each test runs its rule on the
-// tree as it is, which must be clean, and on the tree with one file
-// replaced by a small in-memory source that breaks the rule, which must be
-// caught. Parsing works on syntax, so a rename, a renamed import or a
-// reformat cannot slip past a rule the way it slips past a grep.
+// internal/, a few also cmd/ or the identifiers of the repository's test
+// files. Each test runs its rule on the tree as it is, which must be clean,
+// and on the tree with one file replaced by a small in-memory source that
+// breaks the rule, which must be caught. Parsing works on syntax, so a
+// renamed import or a reformat cannot slip past a rule the way it slips
+// past a grep.
 package archtest
 
 import (
+	"errors"
 	"go/ast"
 	"go/parser"
+	"go/scanner"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -21,21 +26,26 @@ import (
 	"testing"
 )
 
-// source is one parsed file; path is relative to internal/ (or, for the
-// whole-repository rules, to the repository root), with slashes.
+// source is one Go file; path is relative to internal/ (or, for the
+// whole-repository rules, to the repository root), with slashes. A non-test
+// file under internal/ or cmd/ is parsed (file); a test file is only
+// scanned (file is nil): the rules that read tests need no more than its
+// identifiers and the names of its top-level Test functions.
 type source struct {
-	path string
-	file *ast.File
+	path   string
+	file   *ast.File
+	idents []string // the distinct identifiers, sorted
+	tests  []string // test files: the top-level func Test… names
 }
 
 // root is the repository root, seen from this package's directory.
 const root = "../.."
 
-// repo parses every Go file in the repository, tests included, once per
-// test binary; paths are relative to the repository root.
+// repo loads, once per test binary, every non-test Go file under internal/
+// and cmd/ and every test file in the repository, one file per CPU at a
+// time; paths are relative to the repository root.
 var repo = sync.OnceValues(func() ([]source, error) {
-	var out []source
-	fset := token.NewFileSet()
+	var paths []string
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -43,21 +53,87 @@ var repo = sync.OnceValues(func() ([]source, error) {
 		if d.IsDir() && p != root && strings.HasPrefix(d.Name(), ".") {
 			return filepath.SkipDir
 		}
-		if d.IsDir() || !strings.HasSuffix(p, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
+		rel, err := filepath.Rel(root, p)
+		if err != nil || d.IsDir() {
 			return err
 		}
-		rel, err := filepath.Rel(root, p)
-		out = append(out, source{filepath.ToSlash(rel), f})
-		return err
+		rel = filepath.ToSlash(rel)
+		code := strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/")
+		if strings.HasSuffix(rel, "_test.go") || code && strings.HasSuffix(rel, ".go") {
+			paths = append(paths, rel)
+		}
+		return nil
 	})
-	return out, err
+	out := make([]source, len(paths))
+	errs := make([]error, len(paths)+1)
+	errs[len(paths)] = err
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for range runtime.GOMAXPROCS(0) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				src, err := os.ReadFile(filepath.Join(root, paths[i]))
+				if err == nil {
+					out[i], err = load(paths[i], src)
+				}
+				errs[i] = err
+			}
+		}()
+	}
+	for i := range paths {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	return out, errors.Join(errs...)
 })
 
-// repoFiles is every Go file in the repository.
+// load parses a non-test file, or scans a test file, at path.
+func load(path string, src []byte) (source, error) {
+	s := source{path: path}
+	if !strings.HasSuffix(path, "_test.go") {
+		f, err := parser.ParseFile(token.NewFileSet(), path, src, parser.SkipObjectResolution)
+		if err != nil {
+			return s, err
+		}
+		s.file = f
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				s.idents = append(s.idents, id.Name)
+			}
+			return true
+		})
+	} else {
+		var sc scanner.Scanner
+		var errs scanner.ErrorList
+		sc.Init(token.NewFileSet().AddFile(path, -1, len(src)), src, errs.Add, 0)
+		depth, fn := 0, false // brace depth; the last token was a top-level func
+		for _, tok, lit := sc.Scan(); tok != token.EOF; _, tok, lit = sc.Scan() {
+			switch tok {
+			case token.LBRACE:
+				depth++
+			case token.RBRACE:
+				depth--
+			case token.IDENT:
+				s.idents = append(s.idents, lit)
+				if fn && strings.HasPrefix(lit, "Test") {
+					s.tests = append(s.tests, lit)
+				}
+			}
+			fn = tok == token.FUNC && depth == 0
+		}
+		if err := errs.Err(); err != nil {
+			return s, err
+		}
+	}
+	slices.Sort(s.idents)
+	s.idents = slices.Compact(s.idents)
+	return s, nil
+}
+
+// repoFiles is every loaded file of the repository.
 func repoFiles(t *testing.T) []source {
 	t.Helper()
 	files, err := repo()
@@ -72,23 +148,24 @@ func parsed(t *testing.T) []source {
 	t.Helper()
 	var out []source
 	for _, s := range repoFiles(t) {
-		if rel, ok := strings.CutPrefix(s.path, "internal/"); ok && !strings.HasSuffix(rel, "_test.go") {
-			out = append(out, source{rel, s.file})
+		if rel, ok := strings.CutPrefix(s.path, "internal/"); ok && s.file != nil {
+			s.path = rel
+			out = append(out, s)
 		}
 	}
 	return out
 }
 
 // with returns files with the file at path replaced by (or, if there is
-// none, extended with) the parse of src.
+// none, extended with) src, loaded as load does.
 func with(t *testing.T, files []source, path, src string) []source {
 	t.Helper()
-	f, err := parser.ParseFile(token.NewFileSet(), path, src, parser.SkipObjectResolution)
+	s, err := load(path, []byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := slices.DeleteFunc(slices.Clone(files), func(s source) bool { return s.path == path })
-	return append(out, source{path, f})
+	return append(out, s)
 }
 
 // importName is the name under which f refers to the package at path, or

@@ -18,8 +18,9 @@ import (
 // machine. The last rule keeps the docs' test citations true.
 
 // removedIdents are names of knobs, engines and helpers that were deleted
-// because a simpler mechanism does their job; none may be declared or used
-// again anywhere under internal/ or cmd/, tests included.
+// because a simpler mechanism does their job. No identifier anywhere under
+// internal/ or cmd/, tests included, may contain one: a name built on a
+// removed one (NewConcurrentRunner, fromGuaranteedQ) brings it back too.
 var removedIdents = []string{
 	// One engine per job: stepping, reconfiguration and recovery.
 	"EventDriven", "StepGroups", "WallTimeout", "newQuiesce", "NewConcurrent",
@@ -33,13 +34,25 @@ var removedIdents = []string{
 // removedPackages are deleted packages that must not be imported again.
 var removedPackages = []string{"repro/internal/eventsim", "repro/internal/faultsim"}
 
-// removedKnobViolations: no file under internal/ or cmd/ (tests included)
-// names a removed identifier, imports a removed package, or declares a
-// Workers field in a type named Config.
+// removedKnobViolations: no identifier in a file under internal/ or cmd/
+// (tests included) contains a removed name, and no non-test file there
+// imports a removed package (a test file that did would not build) or
+// declares a Workers field in a type named Config. Comments and strings
+// are free to name what was removed.
 func removedKnobViolations(files []source) []string {
 	var v []string
 	for _, s := range files {
 		if !strings.HasPrefix(s.path, "internal/") && !strings.HasPrefix(s.path, "cmd/") {
+			continue
+		}
+		for _, id := range s.idents {
+			for _, r := range removedIdents {
+				if strings.Contains(id, r) {
+					v = append(v, s.path+": names removed identifier "+r+" ("+id+")")
+				}
+			}
+		}
+		if s.file == nil {
 			continue
 		}
 		for _, pkg := range removedPackages {
@@ -47,14 +60,12 @@ func removedKnobViolations(files []source) []string {
 				v = append(v, s.path+": imports removed package "+pkg)
 			}
 		}
+		if _, ok := slices.BinarySearch(s.idents, "Workers"); !ok {
+			continue
+		}
 		ast.Inspect(s.file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.Ident:
-				if slices.Contains(removedIdents, n.Name) {
-					v = append(v, s.path+": names removed identifier "+n.Name)
-				}
-			case *ast.TypeSpec:
-				if st, ok := n.Type.(*ast.StructType); ok && n.Name.Name == "Config" && hasField(st, "Workers") {
+			if ts, ok := n.(*ast.TypeSpec); ok {
+				if st, ok := ts.Type.(*ast.StructType); ok && ts.Name.Name == "Config" && hasField(st, "Workers") {
 					v = append(v, s.path+": Config declares the removed Workers knob")
 				}
 			}
@@ -98,11 +109,20 @@ func TestRemovedKnobsStayRemoved(t *testing.T) {
 		{"the fast-forward returns in a command", "cmd/an2sim/ff.go",
 			"package main\n\nfunc fastForward(n *net) { n.FastForward(100) }\n",
 			"names removed identifier FastForward"},
+		{"a name built on a removed one", "internal/reconfig/runner.go",
+			"package reconfig\n\nfunc NewConcurrentRunner() {}\n",
+			"names removed identifier NewConcurrent (NewConcurrentRunner)"},
+		{"a removed queue returns under a suffix in a test", "internal/switchnode/q_test.go",
+			"package switchnode\n\nvar fromGuaranteedQ []int\n",
+			"names removed identifier fromGuaranteed (fromGuaranteedQ)"},
 		{"a deleted package is imported under another name", "internal/exp/old.go",
 			"package exp\n\nimport es \"repro/internal/eventsim\"\n\nvar _ = es.Run\n",
 			"imports removed package repro/internal/eventsim"},
 		{"a Workers field outside a Config", "internal/workload/pool.go",
 			"package workload\n\ntype pool struct{ Workers int }\n",
+			""},
+		{"a comment may recall the removed engine", "internal/simnet/doc_test.go",
+			"package simnet\n\n// The EventDriven engine was deleted.\nvar _ = \"FastForward\"\n",
 			""},
 	})
 	entries, err := os.ReadDir(root)
@@ -132,6 +152,9 @@ var linksOfFiles = []string{"routing/routing.go", "routing/weighted.go", "routin
 func admissionViolations(files []source) []string {
 	var v []string
 	for _, s := range files {
+		if !strings.HasPrefix(s.path, "routing/") && !slices.Contains(linksOfFiles, s.path) {
+			continue
+		}
 		if strings.HasPrefix(s.path, "routing/") && importName(s.file, "container/heap") != "" {
 			v = append(v, s.path+": imports container/heap")
 		}
@@ -269,8 +292,9 @@ func TestCompleteAdoptsTheList(t *testing.T) {
 }
 
 // scheduleViolations: a reservation is a word scan. No struct type in a
-// non-test schedule file stores [][]int; the frame schedule is flat slot
-// arrays plus per-port free-slot sets.
+// non-test schedule file stores a slice of slices of integers ([][]int,
+// [][]int16, [][]uint64, ...); the frame schedule is flat slot arrays plus
+// per-port free-slot sets.
 func scheduleViolations(files []source) []string {
 	var v []string
 	for _, s := range files {
@@ -287,7 +311,7 @@ func scheduleViolations(files []source) []string {
 			}
 			ast.Inspect(ts.Type, func(n ast.Node) bool {
 				if isIntMatrix(n) {
-					v = append(v, s.path+": struct "+ts.Name.Name+" stores [][]int")
+					v = append(v, s.path+": struct "+ts.Name.Name+" stores a [][]int matrix")
 				}
 				return true
 			})
@@ -307,17 +331,23 @@ func isIntMatrix(n ast.Node) bool {
 		return false
 	}
 	id, ok := inner.Elt.(*ast.Ident)
-	return ok && id.Name == "int"
+	return ok && (strings.HasPrefix(id.Name, "int") || strings.HasPrefix(id.Name, "uint"))
 }
 
 func TestScheduleIsFlat(t *testing.T) {
 	checkRule(t, scheduleViolations, []mutation{
 		{"slices of slices come back", "schedule/matrix.go",
 			"package schedule\n\ntype Schedule struct {\n\tslots [][]int\n}\n",
-			"struct Schedule stores [][]int"},
+			"struct Schedule stores a [][]int matrix"},
 		{"nested in a field's struct", "schedule/nested.go",
 			"package schedule\n\ntype port struct {\n\tfree struct{ rows map[int][][]int }\n}\n",
-			"struct port stores [][]int"},
+			"struct port stores a [][]int matrix"},
+		{"per-slot rows as narrow integers", "schedule/rows.go",
+			"package schedule\n\ntype Schedule struct {\n\toutOf, inOf [][]int16\n}\n",
+			"struct Schedule stores a [][]int matrix"},
+		{"a free-slot set per port and frame", "schedule/sets.go",
+			"package schedule\n\ntype Schedule struct {\n\tfree [][]uint64\n}\n",
+			"struct Schedule stores a [][]int matrix"},
 		{"a function may return the Figure 2 matrix", "schedule/fig2.go",
 			"package schedule\n\nfunc (s *Schedule) Reservations() [][]int { return nil }\n",
 			""},
@@ -487,14 +517,7 @@ var backticked = regexp.MustCompile("`([^`\n]*)`")
 func citationViolations(docs map[string]string, files []source) []string {
 	var tests []string
 	for _, s := range files {
-		if !strings.HasSuffix(s.path, "_test.go") {
-			continue
-		}
-		for _, d := range s.file.Decls {
-			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Test") {
-				tests = append(tests, fn.Name.Name)
-			}
-		}
+		tests = append(tests, s.tests...)
 	}
 	names := make([]string, 0, len(docs))
 	for d := range docs {
