@@ -340,7 +340,7 @@ func herdArm(seed int64, noJitter bool) (peak int, total int64, err error) {
 	}
 	act := func(i int) {
 		if sends[i] == 0 {
-			step(i, sys.Call(i, svc.Op{Kind: proto.KindHello}, 0))
+			sys.Call(i, svc.Op{Kind: proto.KindHello}, 0)
 		}
 	}
 	for left > 0 {

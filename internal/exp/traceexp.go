@@ -22,7 +22,7 @@ import (
 // emission) must cost NOTHING until it is switched on: with tracing
 // disabled the request hot path must allocate exactly what it did before
 // the tracing PR (the PR 9 baseline, pinned at 9 allocs per
-// open+close pair by svc's hot-path test), and E32's tenant fleet over
+// open+close pair by svc's hot-path test), and E34's 64-tenant fleet over
 // loopback UDP must run at full speed. With tracing fully on, the overhead
 // is measured and reported — the operator's price list, not a claim.
 //
@@ -213,7 +213,7 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// e34Workload is one E32-shaped run — 64 tenants over loopback UDP —
+// e34Workload is E32's workload run over loopback UDP (64 tenants),
 // with tracing either fully off or fully on (spans + recorder in both
 // the server and every tenant client). Returns the workload report, the
 // spans emitted across both processes, and the server's slot count.

@@ -7,8 +7,8 @@
 // One Tick is one virtual millisecond:
 //  1. datagrams due at the server are served (to a dead server, they vanish);
 //  2. datagrams due at tenants go to their sessions in (time, send order);
-//  3. tenants in node order take the caller's host actions (Call, Traffic),
-//     then Expire if the session's deadline has passed;
+//  3. tenants in node order take the caller's host actions (Call, Traffic)
+//     and Expire if the session's deadline has passed;
 //  4. the LAN advances StepSlots slots, and a living server sweeps.
 //
 // A frame a session asks for is sent at once, so a request sent in step 3
@@ -44,6 +44,7 @@ type System struct {
 	net   *ctrlnet.Net
 
 	sessions []*svc.Session // nil once the host has left
+	stepped  []svc.Step     // the acting tenant's steps from Call and Expire
 
 	nowMS              int64
 	toServer, toTenant []ctrlnet.Delivery
@@ -66,11 +67,8 @@ func New(server svc.Config, faults ctrlnet.Config) (*System, error) {
 	return s, nil
 }
 
-// Join adds a tenant host running sess and returns its index.
-func (s *System) Join(sess *svc.Session) int {
-	s.sessions = append(s.sessions, sess)
-	return len(s.sessions) - 1
-}
+// Join adds a tenant host running sess; tenants are numbered from 0.
+func (s *System) Join(sess *svc.Session) { s.sessions = append(s.sessions, sess) }
 
 // Leave takes tenant i's host away for good: it acts no more, and frames
 // to it vanish.
@@ -104,22 +102,25 @@ func (s *System) Restart() error {
 	return err
 }
 
-// Call starts op on tenant i's session and sends its first frame.
-func (s *System) Call(i int, op svc.Op, trace uint64) svc.Step {
-	return s.send(i, s.sessions[i].Call(s.Now(), op, trace))
+// Call, a host action for tenant i, starts op on its session and sends
+// the first frame. Tick hands the call's step to the driver once act
+// returns, so even a call that finishes at once is booked.
+func (s *System) Call(i int, op svc.Op, trace uint64) {
+	s.stepped = append(s.stepped, s.send(i, s.sessions[i].Call(s.Now(), op, trace)))
 }
 
-// Traffic sends a fire-and-forget frame queueing cells on the circuit
-// tenant i holds as vc.
+// Traffic, a host action, sends a fire-and-forget frame queueing cells on
+// the circuit tenant i holds as vc.
 func (s *System) Traffic(i int, vc cell.VCI, cells int) error {
 	wire, err := s.sessions[i].Traffic(s.Now(), vc, cells)
 	s.send(i, svc.Step{Send: wire}) // nil on error: nothing sent
 	return err
 }
 
-// Tick runs one virtual millisecond. step receives every step a delivery
-// or an expiry produced; false ends the tick there, the clock unmoved, and
-// Tick reports false. act runs a present tenant's host actions.
+// Tick runs one virtual millisecond. step receives every step a delivery,
+// a call or an expiry produced; false ends the tick there, the clock
+// unmoved, and Tick reports false. act runs a present tenant's host
+// actions.
 func (s *System) Tick(step func(i int, st svc.Step) bool, act func(i int)) bool {
 	for _, d := range s.due(&s.toServer) {
 		if s.alive {
@@ -127,11 +128,8 @@ func (s *System) Tick(step func(i int, st svc.Step) bool, act func(i int)) bool 
 		}
 	}
 	for _, d := range s.due(&s.toTenant) {
-		i := int(d.To - tenantBase) // the server answers only its tenants
-		if s.sessions[i] == nil {
-			continue // the host left: the frame vanishes
-		}
-		if !step(i, s.send(i, s.sessions[i].Reply(s.Now(), d.Wire))) {
+		// The server answers only tenants; a frame to a host that left vanishes.
+		if i := int(d.To - tenantBase); s.sessions[i] != nil && !step(i, s.send(i, s.sessions[i].Reply(s.Now(), d.Wire))) {
 			return false
 		}
 	}
@@ -141,10 +139,16 @@ func (s *System) Tick(step func(i int, st svc.Step) bool, act func(i int)) bool 
 		}
 		// An idle session, or one whose deadline is ahead, ignores Expire.
 		if sess := s.sessions[i]; sess != nil {
-			if st := sess.Expire(s.Now()); (st.Send != nil || st.Done) && !step(i, s.send(i, st)) {
+			if st := sess.Expire(s.Now()); st.Send != nil || st.Done {
+				s.stepped = append(s.stepped, s.send(i, st))
+			}
+		}
+		for _, st := range s.stepped {
+			if !step(i, st) {
 				return false
 			}
 		}
+		s.stepped = s.stepped[:0]
 	}
 	s.lan.Run(StepSlots)
 	if s.alive {
@@ -185,14 +189,13 @@ func (s *System) transmit(from, to topology.NodeID, wire []byte) {
 // due removes the datagrams due by now from *q, in (time, send order).
 // The queue is kept in send order among equal arrival times, so a stable
 // sort by arrival time puts the due ones first.
-func (s *System) due(q *[]ctrlnet.Delivery) []ctrlnet.Delivery {
+func (s *System) due(q *[]ctrlnet.Delivery) (due []ctrlnet.Delivery) {
 	slices.SortStableFunc(*q, func(a, b ctrlnet.Delivery) int { return cmp.Compare(a.AtUS, b.AtUS) })
 	n := 0
 	for n < len(*q) && (*q)[n].AtUS <= s.nowMS*1000 {
 		n++
 	}
-	due := (*q)[:n:n]
-	*q = (*q)[n:]
+	due, *q = (*q)[:n:n], (*q)[n:]
 	return due
 }
 

@@ -2,7 +2,9 @@ package svcsys
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -33,42 +35,45 @@ func newSystem(t *testing.T) *System {
 	return s
 }
 
-// join adds a session that waits 10 ms per attempt, 3 attempts a call.
+// join adds a session that waits 10 ms per attempt, 3 attempts a call,
+// and returns its tenant index.
 func join(s *System, tenant uint64) int {
-	return s.Join(svc.NewSession(svc.ClientConfig{Tenant: tenant, Timeout: 10 * time.Millisecond, Retries: 3},
+	s.Join(svc.NewSession(svc.ClientConfig{Tenant: tenant, Timeout: 10 * time.Millisecond, Retries: 3},
 		rand.New(rand.NewSource(int64(tenant)))))
+	return len(s.sessions) - 1
 }
 
 func idle(int) {}
 
-// A request sent in a tick's host actions is served in step 1 of the next
-// tick and its reply reaches the session in step 2 of that same tick; the
-// LAN advances StepSlots slots per tick.
+// A call's step reaches the driver right after the act that made it; the
+// request is served in step 1 of the next tick and its reply reaches the
+// session in step 2 of that same tick; the LAN advances StepSlots slots per
+// tick.
 func TestTickOrder(t *testing.T) {
 	s := newSystem(t)
 	i := join(s, 1)
-	var got []int64
-	reply := func(j int, st svc.Step) bool {
-		if j != i || !st.Done || st.Err != nil {
+	var got []string
+	step := func(j int, st svc.Step) bool {
+		if j != i || st.Err != nil {
 			t.Fatalf("tenant %d step %+v", j, st)
 		}
-		got = append(got, s.NowMS())
+		got = append(got, fmt.Sprintf("%d ms: sent %t, done %t", s.NowMS(), st.Send != nil, st.Done))
 		return true
 	}
 	act := func(j int) {
 		if s.NowMS() == 0 {
-			if st := s.Call(j, svc.Op{Kind: proto.KindHello}, 0); st.Send == nil {
-				t.Fatal("hello sent no frame")
-			}
+			s.Call(j, svc.Op{Kind: proto.KindHello}, 0)
+			got = append(got, "called")
 		}
 	}
 	for range 3 {
-		if !s.Tick(reply, act) {
+		if !s.Tick(step, act) {
 			t.Fatal("tick cut short")
 		}
 	}
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("hello answered at %v ms, want [1]", got)
+	want := []string{"called", "0 ms: sent true, done false", "1 ms: sent false, done true"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("steps %q, want %q", got, want)
 	}
 	if slot := s.lan.Snapshot().Slot; slot != 3*StepSlots {
 		t.Fatalf("LAN at slot %d after 3 ticks, want %d", slot, 3*StepSlots)
@@ -83,18 +88,18 @@ func TestKillRestart(t *testing.T) {
 	i := join(s, 1)
 	var last svc.Step
 	step := func(_ int, st svc.Step) bool { last = st; return true }
-	last = s.Call(i, svc.Op{Kind: proto.KindHello}, 0)
-	for !last.Done {
-		s.Tick(step, idle)
+	call := func(k proto.Kind) {
+		act := func(j int) { s.Call(j, svc.Op{Kind: k}, 0) }
+		for last = (svc.Step{}); !last.Done; act = idle {
+			s.Tick(step, act)
+		}
 	}
+	call(proto.KindHello)
 	if last.Err != nil {
 		t.Fatalf("hello: %v", last.Err)
 	}
 	s.Kill()
-	last = s.Call(i, svc.Op{Kind: proto.KindLease}, 0)
-	for !last.Done {
-		s.Tick(step, idle)
-	}
+	call(proto.KindLease)
 	if !errors.Is(last.Err, svc.ErrRPCTimeout) {
 		t.Fatalf("lease to a dead server: %v, want a timeout", last.Err)
 	}
@@ -104,10 +109,7 @@ func TestKillRestart(t *testing.T) {
 	if got := s.Server().Incarnation(); got != 2 {
 		t.Fatalf("restart is incarnation %d, want 2", got)
 	}
-	last = s.Call(i, svc.Op{Kind: proto.KindLease}, 0)
-	for !last.Done {
-		s.Tick(step, idle)
-	}
+	call(proto.KindLease)
 	if last.Err != nil {
 		t.Fatalf("lease after restart: %v", last.Err)
 	}
@@ -120,13 +122,39 @@ func TestKillRestart(t *testing.T) {
 func TestLeave(t *testing.T) {
 	s := newSystem(t)
 	a, b := join(s, 1), join(s, 2)
-	s.Call(a, svc.Op{Kind: proto.KindHello}, 0)
-	s.Call(b, svc.Op{Kind: proto.KindHello}, 0)
+	var heard []string
+	step := func(j int, st svc.Step) bool {
+		heard = append(heard, fmt.Sprintf("%d done %t", j, st.Done))
+		return true
+	}
+	s.Tick(step, func(j int) { s.Call(j, svc.Op{Kind: proto.KindHello}, 0) })
 	s.Leave(a)
-	var heard []int
-	s.Tick(func(j int, _ svc.Step) bool { heard = append(heard, j); return true },
-		func(j int) { heard = append(heard, -1-j) })
-	if len(heard) != 2 || heard[0] != b || heard[1] != -1-b {
-		t.Fatalf("events %v, want only tenant %d's", heard, b)
+	heard = nil
+	s.Tick(step, func(j int) { heard = append(heard, fmt.Sprintf("%d acts", j)) })
+	if want := []string{fmt.Sprintf("%d done true", b), fmt.Sprintf("%d acts", b)}; !slices.Equal(heard, want) {
+		t.Fatalf("events %q, want %q", heard, want)
+	}
+}
+
+// A call that finishes at once reaches the driver through Tick like any
+// other, so no driver can lose it.
+func TestCallFinishedAtOnceReachesDriver(t *testing.T) {
+	s := newSystem(t)
+	join(s, 1)
+	var done []error
+	step := func(_ int, st svc.Step) bool {
+		if st.Done {
+			done = append(done, st.Err)
+		}
+		return true
+	}
+	act := func(j int) {
+		if s.NowMS() == 0 { // a kind no frame can carry: the call fails to encode
+			s.Call(j, svc.Op{Kind: proto.Kind(255)}, 0)
+		}
+	}
+	s.Tick(step, act)
+	if len(done) != 1 || !errors.Is(done[0], proto.ErrKind) {
+		t.Fatalf("finished calls %v, want one proto.ErrKind in the tick that made it", done)
 	}
 }

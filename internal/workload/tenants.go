@@ -66,28 +66,26 @@ type TenantsConfig struct {
 	Ring  *obs.Ring
 }
 
-// The flow mix. A fifth of the flows ask for a guaranteed rate: 1
-// cell/frame from a light tenant, aggressorRate from the aggressor — far
-// over any fair share, so it slams into its quota while the light tenants
-// are admitted. Every trafficEvery-th admitted flow pushes trafficCells
-// cells before it closes.
 const (
+	// The flow mix. A fifth of the flows ask for a guaranteed rate: 1
+	// cell/frame from a light tenant, aggressorRate from the aggressor —
+	// far over any fair share, so it slams into its quota while the light
+	// tenants are admitted. Every trafficEvery-th admitted flow pushes
+	// trafficCells cells before it closes.
 	guaranteedFrac = 0.2
 	aggressorRate  = 8
 	trafficEvery   = 4
 	trafficCells   = 8
-)
 
-// Over UDP the server is transport node serverNode, tenant i baseNode+i.
-const (
+	// Over UDP the server is transport node serverNode, tenant i baseNode+i.
 	serverNode = topology.NodeID(0)
 	baseNode   = topology.NodeID(1000)
-)
 
-// survivalBudget bounds how many transient flow failures one tenant
-// absorbs before giving up: enough to ride out a restart, small enough
-// that a permanently dead server still fails the run.
-const survivalBudget = 64
+	// survivalBudget bounds how many transient flow failures one tenant
+	// absorbs before giving up: enough to ride out a restart, small enough
+	// that a permanently dead server still fails the run.
+	survivalBudget = 64
+)
 
 // TenantsReport is what the run measured.
 type TenantsReport struct {
