@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/cell"
+	"repro/internal/metrics"
 	"repro/internal/routing"
 	"repro/internal/switchnode"
 	"repro/internal/topology"
@@ -25,6 +26,11 @@ type trajectory struct {
 	byVC   map[cell.VCI]int64
 	hosts  []HostStats
 	util   map[topology.LinkID]float64
+	// hostIDs names hosts[i]; class is every circuit's class. Neither is
+	// hashed: they let TestLatencyMatchesTrace rebuild the latencies from
+	// the events.
+	hostIDs []topology.NodeID
+	class   map[cell.VCI]cell.Class
 }
 
 // observeTrajectory collects a finished run's observables.
@@ -34,19 +40,24 @@ func observeTrajectory(n *Network, tr *CollectTracer, hosts []topology.NodeID) t
 		net:    n.Stats(),
 		byVC:   make(map[cell.VCI]int64),
 		util:   n.LinkUtilization(),
+		class:  make(map[cell.VCI]cell.Class),
 	}
 	for _, c := range n.Circuits() {
 		res.byVC[c.VC] = n.DeliveredByVC(c.VC)
+		res.class[c.VC] = c.Class
 	}
 	for _, id := range hosts {
 		hs, _ := n.HostStats(id)
 		res.hosts = append(res.hosts, *hs)
+		res.hostIDs = append(res.hostIDs, id)
 	}
 	return res
 }
 
 // hash digests the trajectory in a canonical order (maps sorted by key,
-// latency histograms sample by sample).
+// latency histograms as their samples in ascending order: a distribution,
+// not a recording order — the per-cell order is in the trace already, see
+// TestLatencyMatchesTrace).
 func (tr trajectory) hash() string {
 	h := sha256.New()
 	for _, ev := range tr.events {
@@ -64,9 +75,9 @@ func (tr trajectory) hash() string {
 	for i, hs := range tr.hosts {
 		fmt.Fprintf(h, "host %d sent %d recv %d ooo %d pkts %d corrupt %d pktlat %v\n", i,
 			hs.CellsSent, hs.CellsReceived, hs.OutOfOrder, hs.PacketsReassembled,
-			hs.PacketsCorrupt, hs.PacketLatency.Tail(0))
+			hs.PacketsCorrupt, ascending(&hs.PacketLatency))
 		for _, class := range []cell.Class{cell.BestEffort, cell.Guaranteed} {
-			fmt.Fprintf(h, "  class %d lat %v\n", class, hs.LatencyByClass[class].Tail(0))
+			fmt.Fprintf(h, "  class %d lat %v\n", class, ascending(hs.LatencyByClass[class]))
 		}
 	}
 	links := make([]topology.LinkID, 0, len(tr.util))
@@ -319,7 +330,11 @@ func radix16Scenario(t *testing.T) trajectory {
 // host stats and link utilization. The fourth scenario (mixedlatency_test.go)
 // was captured the same way at parent commit 8180892 (PR 20), before links
 // became arrival-slot calendars: it is the one where send order and arrival
-// order differ.
+// order differ. The hash later switched from printing each latency
+// histogram in recording order to printing it in ascending order, and the
+// four hashes were re-pinned on the sample-keeping histogram, before it
+// became a count histogram; TestLatencyMatchesTrace shows the recording
+// order is redundant with the hashed trace.
 func TestGoldenTrajectories(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -328,10 +343,10 @@ func TestGoldenTrajectories(t *testing.T) {
 		// minIdle guards the scenario's idle-path coverage.
 		minIdle int64
 	}{
-		{"line-mixed-linkfault", lineScenario, "c07b4580a5b296673924a9dd21420c49", 0},
-		{"fattree-r6-idle-pod", podIdleScenario, "c32f643ae808106c4f254367ea067f04", 1},
-		{"fattree-r16-kill-reroute-restore", radix16Scenario, "fad8173e232ee3048642f301133b9ee5", 1},
-		{"torus-mixed-latency-faults", mixedLatencyScenario, "b2eb2c88e1745c58f19396bf39f215c4", 0},
+		{"line-mixed-linkfault", lineScenario, "1bc01ab549c36df506297b466b5a4f62", 0},
+		{"fattree-r6-idle-pod", podIdleScenario, "616def48abd8e3c950a477ecb7e717bf", 1},
+		{"fattree-r16-kill-reroute-restore", radix16Scenario, "61e275f7fc059c3f34a3ee9b5944aa1c", 1},
+		{"torus-mixed-latency-faults", mixedLatencyScenario, "1d9c95f5a429720b31d78a1d22f95a0e", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := tc.run(t)
@@ -340,6 +355,64 @@ func TestGoldenTrajectories(t *testing.T) {
 			}
 			if h := got.hash(); h != tc.golden {
 				t.Fatalf("trajectory hash %s, golden %s (%d events, %+v)", h, tc.golden, len(got.events), got.net)
+			}
+		})
+	}
+}
+
+// TestLatencyMatchesTrace rebuilds every hashed host's per-class cell
+// latencies from the trace — deliver slot minus inject slot, matched by
+// (VC, Seq) — and requires the same multiset the host's histogram holds.
+// It is why the golden hash may print the histograms as distributions.
+func TestLatencyMatchesTrace(t *testing.T) {
+	for _, sc := range []struct {
+		name string
+		run  func(*testing.T) trajectory
+	}{
+		{"line", lineScenario},
+		{"fattree-r6", podIdleScenario},
+		{"fattree-r16", radix16Scenario},
+		{"torus-mixed-latency", mixedLatencyScenario},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			tr := sc.run(t)
+			type key struct {
+				vc  uint32
+				seq uint64
+			}
+			type hostClass struct {
+				host  int32
+				class cell.Class
+			}
+			injected := make(map[key]int64)
+			rebuilt := make(map[hostClass][]int64)
+			for _, ev := range tr.events {
+				switch ev.Kind {
+				case TraceInject:
+					injected[key{ev.VC, ev.Seq}] = ev.Slot
+				case TraceDeliver:
+					at, ok := injected[key{ev.VC, ev.Seq}]
+					if !ok {
+						t.Fatalf("deliver without inject: %+v", ev)
+					}
+					k := hostClass{ev.Node, tr.class[cell.VCI(ev.VC)]}
+					rebuilt[k] = append(rebuilt[k], ev.Slot-at)
+				}
+			}
+			cells := 0
+			for i, hs := range tr.hosts {
+				for _, class := range []cell.Class{cell.BestEffort, cell.Guaranteed} {
+					want := rebuilt[hostClass{int32(tr.hostIDs[i]), class}]
+					sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
+					got := ascending(hs.LatencyByClass[class])
+					if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+						t.Fatalf("host %d class %d: histogram %v, trace %v", tr.hostIDs[i], class, got, want)
+					}
+					cells += len(got)
+				}
+			}
+			if cells == 0 {
+				t.Fatal("no latencies compared")
 			}
 		})
 	}
@@ -363,4 +436,11 @@ func TestSameSeedRepeatable(t *testing.T) {
 	if !reflect.DeepEqual(a.util, b.util) || !reflect.DeepEqual(a.byVC, b.byVC) {
 		t.Fatal("same-seed link utilization or per-VC delivery differs")
 	}
+}
+
+// ascending returns a histogram's samples in ascending order.
+func ascending(h *metrics.Histogram) []int64 {
+	s := h.Tail(0)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	return s
 }
