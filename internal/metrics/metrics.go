@@ -5,9 +5,10 @@
 //
 // The repo's instrumentation is split in two by concurrency contract:
 //
-//   - This package is single-goroutine and exact. Its types keep every
-//     sample, so quantiles are true order statistics — but nothing here
-//     may be shared between goroutines. Experiments record into metrics
+//   - This package is single-goroutine and exact. Its types keep exact
+//     per-value counts, not every sample — a run's histogram costs its
+//     distinct values, not its length — so quantiles are still true order
+//     statistics; but nothing here may be shared between goroutines. Experiments record into metrics
 //     only from the goroutine that steps the simulation (or after the
 //     goroutines they started join), which is why every experiment table
 //     is built post-hoc.
@@ -26,54 +27,127 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
+// denseCap bounds a histogram's dense count array: values in [0, denseCap)
+// are counted by index, every other value in the sparse map. 4096 slots of
+// latency cover every cell path the experiments build, at most 32 KiB per
+// histogram.
+const denseCap = 1 << 12
+
 // Histogram records a distribution of int64 samples (typically latencies in
-// cell slots). The zero value is ready to use.
+// cell slots) as exact per-value counts: memory grows with the number of
+// distinct values, not with the number of samples. The zero value is ready
+// to use.
 type Histogram struct {
-	samples []int64
-	sorted  bool
-	sum     int64
-	max     int64
-	min     int64
+	// dense[v] counts the samples equal to v, for 0 ≤ v < len(dense); it
+	// grows on demand up to denseCap entries.
+	dense []int64
+	// sparse counts every other value: negatives and values ≥ denseCap.
+	// keys is its key set in ascending order while keysFresh holds.
+	sparse    map[int64]int64
+	keys      []int64
+	keysFresh bool
+	n         int
+	sum       int64
+	max       int64
+	min       int64
 }
 
 // Observe records one sample.
 func (h *Histogram) Observe(v int64) {
-	if len(h.samples) == 0 {
-		h.min, h.max = v, v
+	if uint64(v) < uint64(len(h.dense)) {
+		h.dense[v]++
 	} else {
-		if v < h.min {
-			h.min = v
+		h.addSlow(v, 1)
+	}
+	if h.n == 0 {
+		h.min, h.max = v, v
+	} else if v < h.min {
+		h.min = v
+	} else if v > h.max {
+		h.max = v
+	}
+	h.n++
+	h.sum += v
+}
+
+// addSlow counts c samples of v where the dense array does not reach v
+// yet: it grows the array when v is below denseCap and uses the sparse map
+// otherwise.
+func (h *Histogram) addSlow(v, c int64) {
+	if v >= 0 && v < denseCap {
+		if v >= int64(len(h.dense)) {
+			grown := make([]int64, min(max(v+1, 2*int64(len(h.dense)), 64), denseCap))
+			copy(grown, h.dense)
+			h.dense = grown
 		}
-		if v > h.max {
-			h.max = v
+		h.dense[v] += c
+		return
+	}
+	if h.sparse == nil {
+		h.sparse = make(map[int64]int64)
+	}
+	if _, ok := h.sparse[v]; !ok {
+		h.keysFresh = false
+	}
+	h.sparse[v] += c
+}
+
+// sortedKeys returns the sparse map's keys in ascending order.
+func (h *Histogram) sortedKeys() []int64 {
+	if !h.keysFresh {
+		h.keys = h.keys[:0]
+		for k := range h.sparse {
+			h.keys = append(h.keys, k)
+		}
+		slices.Sort(h.keys)
+		h.keysFresh = true
+	}
+	return h.keys
+}
+
+// ascend calls f with each distinct value and its count, in ascending
+// value order, until f returns false.
+func (h *Histogram) ascend(f func(v, c int64) bool) {
+	keys := h.sortedKeys()
+	i := 0
+	for ; i < len(keys) && keys[i] < 0; i++ {
+		if !f(keys[i], h.sparse[keys[i]]) {
+			return
 		}
 	}
-	h.samples = append(h.samples, v)
-	h.sum += v
-	h.sorted = false
+	for v, c := range h.dense {
+		if c != 0 && !f(int64(v), c) {
+			return
+		}
+	}
+	for ; i < len(keys); i++ {
+		if !f(keys[i], h.sparse[keys[i]]) {
+			return
+		}
+	}
 }
 
 // Count returns the number of samples recorded.
-func (h *Histogram) Count() int { return len(h.samples) }
+func (h *Histogram) Count() int { return h.n }
 
 // Sum returns the sum of all samples.
 func (h *Histogram) Sum() int64 { return h.sum }
 
 // Mean returns the arithmetic mean, or 0 with no samples.
 func (h *Histogram) Mean() float64 {
-	if len(h.samples) == 0 {
+	if h.n == 0 {
 		return 0
 	}
-	return float64(h.sum) / float64(len(h.samples))
+	return float64(h.sum) / float64(h.n)
 }
 
 // Min returns the smallest sample, or 0 with no samples.
 func (h *Histogram) Min() int64 {
-	if len(h.samples) == 0 {
+	if h.n == 0 {
 		return 0
 	}
 	return h.min
@@ -81,76 +155,106 @@ func (h *Histogram) Min() int64 {
 
 // Max returns the largest sample, or 0 with no samples.
 func (h *Histogram) Max() int64 {
-	if len(h.samples) == 0 {
+	if h.n == 0 {
 		return 0
 	}
 	return h.max
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) using nearest-rank
-// interpolation, or 0 with no samples.
+// Quantile returns the q-quantile (0 ≤ q ≤ 1) by the nearest-rank rule —
+// the ⌈q·n⌉-th smallest sample — or 0 with no samples.
 func (h *Histogram) Quantile(q float64) int64 {
-	if len(h.samples) == 0 {
+	if h.n == 0 {
 		return 0
 	}
-	if !h.sorted {
-		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
-		h.sorted = true
-	}
 	if q <= 0 {
-		return h.samples[0]
+		return h.min
 	}
 	if q >= 1 {
-		return h.samples[len(h.samples)-1]
+		return h.max
 	}
-	idx := int(math.Ceil(q*float64(len(h.samples)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return h.samples[idx]
+	rank := max(int64(math.Ceil(q*float64(h.n))), 1)
+	var at int64
+	h.ascend(func(v, c int64) bool {
+		at = v
+		rank -= c
+		return rank > 0
+	})
+	return at
 }
 
 // StdDev returns the population standard deviation of the samples.
 func (h *Histogram) StdDev() float64 {
-	n := len(h.samples)
-	if n == 0 {
+	if h.n == 0 {
 		return 0
 	}
 	mean := h.Mean()
 	var ss float64
-	for _, v := range h.samples {
+	h.ascend(func(v, c int64) bool {
 		d := float64(v) - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
+		ss += float64(c) * d * d
+		return true
+	})
+	return math.Sqrt(ss / float64(h.n))
 }
 
-// Reset discards all samples.
+// Reset discards all samples, keeping the storage for reuse.
 func (h *Histogram) Reset() {
-	h.samples = h.samples[:0]
-	h.sum, h.min, h.max = 0, 0, 0
-	h.sorted = false
+	clear(h.dense)
+	clear(h.sparse)
+	h.keys, h.keysFresh = h.keys[:0], false
+	h.n, h.sum, h.min, h.max = 0, 0, 0, 0
 }
 
 // Merge folds the samples of other into h.
 func (h *Histogram) Merge(other *Histogram) {
-	for _, v := range other.samples {
-		h.Observe(v)
+	if other.n == 0 {
+		return
+	}
+	if h.n == 0 || other.min < h.min {
+		h.min = other.min
+	}
+	if h.n == 0 || other.max > h.max {
+		h.max = other.max
+	}
+	h.n += other.n
+	h.sum += other.sum
+	for v, c := range other.dense {
+		if c == 0 {
+			continue
+		}
+		if v < len(h.dense) {
+			h.dense[v] += c
+		} else {
+			h.addSlow(int64(v), c)
+		}
+	}
+	for v, c := range other.sparse {
+		h.addSlow(v, c)
 	}
 }
 
-// Tail returns a copy of the samples recorded at index from or later, in
-// recording order. Note Quantile sorts the samples in place, so callers
-// pairing Tail with a recorded start index must not interleave Quantile
-// calls between the capture and the read.
+// Tail returns the samples in ascending order, without the first from of
+// them.
 func (h *Histogram) Tail(from int) []int64 {
-	if from < 0 {
-		from = 0
-	}
-	if from >= len(h.samples) {
+	from = max(from, 0)
+	if from >= h.n {
 		return nil
 	}
-	return append([]int64(nil), h.samples[from:]...)
+	out := make([]int64, 0, h.n-from)
+	skip := int64(from)
+	h.ascend(func(v, c int64) bool {
+		if skip >= c {
+			skip -= c
+			return true
+		}
+		for c -= skip; c > 0; c-- {
+			out = append(out, v)
+		}
+		skip = 0
+		return true
+	})
+	return out
 }
 
 // Summary is a compact snapshot of a histogram for reporting.
