@@ -194,20 +194,25 @@ func AppendSegments(dst []Cell, vc VCI, class Class, packet []byte) ([]Cell, err
 		return dst, fmt.Errorf("%w: %d", ErrVCIRange, vc)
 	}
 	// The cells' payloads are packet + pad + trailer, the trailer occupying
-	// the last bytes of the last cell.
+	// the last bytes of the last cell. The CRC runs over the bytes just
+	// copied into the cells, not over packet: crc32's table dispatch is an
+	// indirect call, through which packet would escape and a caller's stack
+	// buffer move to the heap on every send.
 	nCells := CellsForPacketLen(len(packet))
 	dst = slices.Grow(dst, nCells)
+	var crc uint32
 	for off := 0; off < nCells*PayloadSize; off += PayloadSize {
 		dst = append(dst, Cell{VC: vc, Class: class})
 		if off < len(packet) {
-			copy(dst[len(dst)-1].Payload[:], packet[off:])
+			payload := dst[len(dst)-1].Payload[:]
+			crc = crc32.Update(crc, crc32.IEEETable, payload[:copy(payload, packet[off:])])
 		}
 	}
 	last := &dst[len(dst)-1]
 	last.EndOfPacket = true
 	trailer := last.Payload[PayloadSize-trailerSize:]
 	binary.BigEndian.PutUint16(trailer[0:2], uint16(len(packet)))
-	binary.BigEndian.PutUint32(trailer[4:8], crc32.ChecksumIEEE(packet))
+	binary.BigEndian.PutUint32(trailer[4:8], crc)
 	return dst, nil
 }
 

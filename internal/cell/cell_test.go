@@ -2,7 +2,9 @@ package cell
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -283,6 +285,46 @@ func TestCellsForPacketLen(t *testing.T) {
 		if got := CellsForPacketLen(c.n); got != c.want {
 			t.Errorf("CellsForPacketLen(%d) = %d, want %d", c.n, got, c.want)
 		}
+	}
+}
+
+// The trailer CRC is computed over the cells' copies of the packet, piece
+// by piece; it must equal the CRC-32 of the packet itself at every length
+// around a cell boundary and at the longest packet.
+func TestAppendSegmentsTrailerCRC(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	lens := []int{0, 1, 40, 41, MaxPacketLen}
+	for k := 1; k <= 4; k++ {
+		lens = append(lens, k*PayloadSize-1, k*PayloadSize, k*PayloadSize+1)
+	}
+	for _, n := range lens {
+		pkt := make([]byte, n)
+		rng.Read(pkt)
+		cells, err := AppendSegments(nil, 3, Guaranteed, pkt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trailer := cells[len(cells)-1].Payload[PayloadSize-trailerSize:]
+		if got, want := binary.BigEndian.Uint32(trailer[4:8]), crc32.ChecksumIEEE(pkt); got != want {
+			t.Fatalf("len %d: trailer CRC %#x, want %#x", n, got, want)
+		}
+	}
+}
+
+// A sender's packet may live on its stack: AppendSegments does not let it
+// escape, so segmenting into a queue with room allocates nothing.
+func TestAppendSegmentsStackPacketNoAlloc(t *testing.T) {
+	dst := make([]Cell, 0, 4)
+	allocs := testing.AllocsPerRun(100, func() {
+		var pkt [40]byte
+		pkt[0] = byte(cap(dst))
+		var err error
+		if dst, err = AppendSegments(dst[:0], 1, BestEffort, pkt[:]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendSegments from a stack buffer: %.2f allocs, want 0", allocs)
 	}
 }
 

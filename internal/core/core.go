@@ -331,7 +331,9 @@ func (l *LAN) Run(slots int64) { l.net.Run(slots) }
 // Slot returns the data-plane slot count.
 func (l *LAN) Slot() int64 { return l.net.Slot() }
 
-// Packets returns and clears packets reassembled at a host.
+// Packets returns and clears packets reassembled at a host. The batch,
+// its packets included, stays valid until the next Packets call for the
+// same host, which reuses its storage; copy a packet to keep it longer.
 func (l *LAN) Packets(host topology.NodeID) [][]byte { return l.net.Packets(host) }
 
 // HostStats returns a host's counters.

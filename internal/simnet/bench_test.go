@@ -78,8 +78,9 @@ func BenchmarkNetworkStep(b *testing.B) {
 // sources beforehand, so the measured call is Step alone — injection,
 // delivery, eight busy switches, departures and credit return. With packets
 // instead of raw cells the destination also reassembles; the allocation
-// allowed per reassembled packet is the copy Packets hands out (in practice
-// far fewer: the copies share slabs).
+// allowed per reassembled packet is the growth of the never-polled batch the
+// packets collect in (in practice far fewer: it grows by doubling).
+// TestSlotAllocationFreeWithPackets pins a polled host at zero.
 func TestStepAllocationFree(t *testing.T) {
 	for _, packets := range []bool{false, true} {
 		n, fill := saturatedLine(t, packets)

@@ -172,24 +172,36 @@ type HostStats struct {
 // host is the endpoint state that is not per circuit (that lives in
 // Circuit): counters and the reassembled packets awaiting Packets.
 type host struct {
-	id      topology.NodeID
-	stats   HostStats
-	packets [][]byte
-	// slab is where reassembled packets are copied to be handed out: one
-	// allocation holds many packets, each a full slice expression so that
-	// appending to one cannot reach its neighbour.
-	slab []byte
+	id    topology.NodeID
+	stats HostStats
+	// filling collects the packets reassembled since the last Packets
+	// call; polled is the batch that call returned. Packets hands filling
+	// out and swaps the two, so a host polled regularly reuses the same
+	// two batches and allocates nothing.
+	filling, polled batch
+}
+
+// batch is a run of reassembled packets: their bytes back to back in buf,
+// packet i ending at ends[i]. views is filled only when Packets hands the
+// batch out, once buf has stopped growing, so no view refers to an array
+// buf has outgrown.
+type batch struct {
+	buf   []byte
+	ends  []int
+	views [][]byte
 }
 
 // keep copies a reassembled packet out of the reassembler's buffer (which
-// the circuit's next cell reuses) into the host's slab.
+// the circuit's next cell reuses) into the filling batch.
 func (h *host) keep(pkt []byte) {
-	if len(pkt) > cap(h.slab)-len(h.slab) {
-		h.slab = make([]byte, 0, max(4096, len(pkt)))
-	}
-	at := len(h.slab)
-	h.slab = append(h.slab, pkt...)
-	h.packets = append(h.packets, h.slab[at:len(h.slab):len(h.slab)])
+	h.filling.buf = append(h.filling.buf, pkt...)
+	h.filling.ends = append(h.filling.ends, len(h.filling.buf))
+}
+
+// dwarfs reports whether b's storage is much larger than out's contents —
+// a batch left over from an unpolled stretch, which reuse would pin.
+func (b *batch) dwarfs(out *batch) bool {
+	return cap(b.buf) > 4*len(out.buf)+4096 || cap(b.ends) > 4*len(out.ends)+512
 }
 
 // flight is a cell in transit on a link.
@@ -484,17 +496,32 @@ func (n *Network) HostStats(id topology.NodeID) (*HostStats, bool) {
 	return &h.stats, true
 }
 
-// Packets returns and clears the packets reassembled at a host.
+// Packets returns and clears the packets reassembled at a host, in
+// reassembly order. The batch, its packets included, stays valid until the
+// next Packets call for the same host, which reuses its storage: a caller
+// that keeps a packet longer copies it.
 func (n *Network) Packets(id topology.NodeID) [][]byte {
 	h, ok := n.hosts[id]
-	if !ok || len(h.packets) == 0 {
+	if !ok || len(h.filling.ends) == 0 {
 		return nil
 	}
-	out := h.packets
-	// A host polled regularly collects about as many packets each time:
-	// start the next batch at this one's size instead of regrowing to it.
-	h.packets = make([][]byte, 0, len(out))
-	return out
+	out := &h.filling
+	start := 0
+	for _, end := range out.ends {
+		out.views = append(out.views, out.buf[start:end:end])
+		start = end
+	}
+	// The batch returned last time is reclaimed to fill next, unless an
+	// unpolled stretch left it far larger than a batch now is: then it is
+	// dropped so that the memory goes back.
+	next := h.polled
+	if next.dwarfs(out) {
+		next = batch{}
+	}
+	clear(next.views)
+	next.buf, next.ends, next.views = next.buf[:0], next.ends[:0], next.views[:0]
+	h.polled, h.filling = *out, next
+	return h.polled.views
 }
 
 // vcList is a list of circuits in ascending VCI. Each entry carries its VCI
