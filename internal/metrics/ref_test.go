@@ -40,6 +40,8 @@ func (h *refHistogram) Observe(v int64) {
 
 func (h *refHistogram) Count() int { return len(h.samples) }
 
+func (h *refHistogram) Sum() int64 { return h.sum }
+
 func (h *refHistogram) Mean() float64 {
 	if len(h.samples) == 0 {
 		return 0
@@ -154,35 +156,39 @@ func histValue(rng *rand.Rand) int64 {
 	return v
 }
 
+// accessors is what both histograms answer.
+type accessors interface {
+	Count() int
+	Sum() int64
+	Min() int64
+	Max() int64
+	Mean() float64
+	Quantile(q float64) int64
+}
+
+// histView is every exactly comparable answer of a histogram whose samples
+// in ascending order are asc.
+type histView struct {
+	Count                int
+	Sum, Min, Max        int64
+	Mean                 float64
+	Quantiles            []int64
+	Ascending, UpperHalf []int64
+}
+
+func view(h accessors, asc, upper []int64) histView {
+	v := histView{Count: h.Count(), Sum: h.Sum(), Min: h.Min(), Max: h.Max(), Mean: h.Mean(), Ascending: asc, UpperHalf: upper}
+	for _, q := range []float64{-1, 0, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1, 2} {
+		v.Quantiles = append(v.Quantiles, h.Quantile(q))
+	}
+	return v
+}
+
 // checkHistogram compares every accessor of h with the reference's.
 func checkHistogram(h *Histogram, r *refHistogram) error {
-	type vals struct {
-		Count         int
-		Sum           int64
-		Min, Max      int64
-		Mean          float64
-		Quantiles     []int64
-		Tail, TailMid []int64
-	}
-	qs := []float64{-1, 0, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1, 2}
-	get := func(count int, sum, mn, mx int64, mean float64, quant func(float64) int64, tail, mid []int64) vals {
-		v := vals{Count: count, Sum: sum, Min: mn, Max: mx, Mean: mean, Tail: tail, TailMid: mid}
-		for _, q := range qs {
-			v.Quantiles = append(v.Quantiles, quant(q))
-		}
-		return v
-	}
 	asc := r.ascending()
-	var mid []int64
-	if len(asc) > len(asc)/2 {
-		mid = asc[len(asc)/2:]
-	}
-	if len(asc) == 0 {
-		asc = nil
-	}
-	want := get(r.Count(), r.sum, r.Min(), r.Max(), r.Mean(), r.Quantile, asc, mid)
-	got := get(h.Count(), h.Sum(), h.Min(), h.Max(), h.Mean(), h.Quantile, h.Tail(0), h.Tail(h.Count()/2))
-	if !reflect.DeepEqual(got, want) {
+	want := view(r, asc, asc[len(asc)/2:])
+	if got := view(h, h.Tail(0), h.Tail(h.Count()/2)); !reflect.DeepEqual(got, want) {
 		return fmt.Errorf("accessors %+v, reference %+v", got, want)
 	}
 	// StdDev sums per distinct value, the reference per sample: the two
