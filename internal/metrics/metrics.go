@@ -8,10 +8,10 @@
 //   - This package is single-goroutine and exact. Its types keep exact
 //     per-value counts, not every sample — a run's histogram costs its
 //     distinct values, not its length — so quantiles are still true order
-//     statistics; but nothing here may be shared between goroutines. Experiments record into metrics
-//     only from the goroutine that steps the simulation (or after the
-//     goroutines they started join), which is why every experiment table
-//     is built post-hoc.
+//     statistics; but nothing here may be shared between goroutines.
+//     Experiments record into metrics only from the goroutine that steps
+//     the simulation (or after the goroutines they started join), which is
+//     why every experiment table is built post-hoc.
 //
 //   - Package obs is the live, sharded collector. Its Registry hands out
 //     cache-line-padded sharded counters/gauges/histograms that writers
@@ -46,14 +46,14 @@ type Histogram struct {
 	// grows on demand up to denseCap entries.
 	dense []int64
 	// sparse counts every other value: negatives and values ≥ denseCap.
-	// keys is its key set in ascending order while keysFresh holds.
-	sparse    map[int64]int64
-	keys      []int64
-	keysFresh bool
-	n         int
-	sum       int64
-	max       int64
-	min       int64
+	// keys is its key set in ascending order when it is as long as sparse
+	// (a key is never deleted but by Reset, which empties both).
+	sparse map[int64]int64
+	keys   []int64
+	n      int
+	sum    int64
+	max    int64
+	min    int64
 }
 
 // Observe records one sample.
@@ -90,21 +90,17 @@ func (h *Histogram) addSlow(v, c int64) {
 	if h.sparse == nil {
 		h.sparse = make(map[int64]int64)
 	}
-	if _, ok := h.sparse[v]; !ok {
-		h.keysFresh = false
-	}
 	h.sparse[v] += c
 }
 
 // sortedKeys returns the sparse map's keys in ascending order.
 func (h *Histogram) sortedKeys() []int64 {
-	if !h.keysFresh {
+	if len(h.keys) != len(h.sparse) {
 		h.keys = h.keys[:0]
 		for k := range h.sparse {
 			h.keys = append(h.keys, k)
 		}
 		slices.Sort(h.keys)
-		h.keysFresh = true
 	}
 	return h.keys
 }
@@ -202,7 +198,7 @@ func (h *Histogram) StdDev() float64 {
 func (h *Histogram) Reset() {
 	clear(h.dense)
 	clear(h.sparse)
-	h.keys, h.keysFresh = h.keys[:0], false
+	h.keys = h.keys[:0]
 	h.n, h.sum, h.min, h.max = 0, 0, 0, 0
 }
 
