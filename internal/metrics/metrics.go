@@ -46,14 +46,14 @@ type Histogram struct {
 	// grows on demand up to denseCap entries.
 	dense []int64
 	// sparse counts every other value: negatives and values ≥ denseCap.
-	// keys is its key set in ascending order when it is as long as sparse
-	// (a key is never deleted but by Reset, which empties both).
-	sparse map[int64]int64
-	keys   []int64
-	n      int
-	sum    int64
-	max    int64
-	min    int64
+	// keys is its key set in ascending order while keysFresh holds.
+	sparse    map[int64]int64
+	keys      []int64
+	keysFresh bool
+	n         int
+	sum       int64
+	max       int64
+	min       int64
 }
 
 // Observe records one sample.
@@ -90,17 +90,21 @@ func (h *Histogram) addSlow(v, c int64) {
 	if h.sparse == nil {
 		h.sparse = make(map[int64]int64)
 	}
+	if _, ok := h.sparse[v]; !ok {
+		h.keysFresh = false
+	}
 	h.sparse[v] += c
 }
 
 // sortedKeys returns the sparse map's keys in ascending order.
 func (h *Histogram) sortedKeys() []int64 {
-	if len(h.keys) != len(h.sparse) {
+	if !h.keysFresh {
 		h.keys = h.keys[:0]
 		for k := range h.sparse {
 			h.keys = append(h.keys, k)
 		}
 		slices.Sort(h.keys)
+		h.keysFresh = true
 	}
 	return h.keys
 }
@@ -198,7 +202,7 @@ func (h *Histogram) StdDev() float64 {
 func (h *Histogram) Reset() {
 	clear(h.dense)
 	clear(h.sparse)
-	h.keys = h.keys[:0]
+	h.keys, h.keysFresh = h.keys[:0], false
 	h.n, h.sum, h.min, h.max = 0, 0, 0, 0
 }
 
