@@ -1,12 +1,12 @@
 // Package archtest states the repository's architecture rules as facts
 // about Go syntax trees and checks them under go test. A rule is a function
 // from parsed files to its violations: most read the non-test files under
-// internal/, a few also cmd/ or the identifiers of the repository's test
-// files. Each test runs its rule on the tree as it is, which must be clean,
-// and on the tree with one file replaced by a small in-memory source that
-// breaks the rule, which must be caught. Parsing works on syntax, so a
-// renamed import or a reformat cannot slip past a rule the way it slips
-// past a grep.
+// internal/, a few also the rest of the module's non-test files or the
+// identifiers of the repository's test files. Each test runs its rule on
+// the tree as it is, which must be clean, and on the tree with one file
+// replaced by a small in-memory source that breaks the rule, which must be
+// caught. Parsing works on syntax, so a renamed import or a reformat
+// cannot slip past a rule the way it slips past a grep.
 package archtest
 
 import (
@@ -28,9 +28,9 @@ import (
 
 // source is one Go file; path is relative to internal/ (or, for the
 // whole-repository rules, to the repository root), with slashes. A non-test
-// file under internal/ or cmd/ is parsed (file); a test file is only
-// scanned (file is nil): the rules that read tests need no more than its
-// identifiers and the names of its top-level Test functions.
+// file is parsed (file); a test file is only scanned (file is nil): the
+// rules that read tests need no more than its identifiers and the names of
+// its top-level Test functions.
 type source struct {
 	path   string
 	file   *ast.File
@@ -41,9 +41,8 @@ type source struct {
 // root is the repository root, seen from this package's directory.
 const root = "../.."
 
-// repo loads, once per test binary, every non-test Go file under internal/
-// and cmd/ and every test file in the repository, one file per CPU at a
-// time; paths are relative to the repository root.
+// repo loads, once per test binary, every Go file in the repository, one
+// file per CPU at a time; paths are relative to the repository root.
 var repo = sync.OnceValues(func() ([]source, error) {
 	var paths []string
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
@@ -57,10 +56,8 @@ var repo = sync.OnceValues(func() ([]source, error) {
 		if err != nil || d.IsDir() {
 			return err
 		}
-		rel = filepath.ToSlash(rel)
-		code := strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/")
-		if strings.HasSuffix(rel, "_test.go") || code && strings.HasSuffix(rel, ".go") {
-			paths = append(paths, rel)
+		if strings.HasSuffix(rel, ".go") {
+			paths = append(paths, filepath.ToSlash(rel))
 		}
 		return nil
 	})

@@ -143,15 +143,18 @@ func TestRemovedKnobsStayRemoved(t *testing.T) {
 
 // linksOfFiles are the set-up and fault-path files that must walk the
 // topology's adjacency in place rather than copy it with LinksOf.
-var linksOfFiles = []string{"routing/routing.go", "routing/weighted.go", "routing/incremental.go",
+var linksOfFiles = []string{"routing/routing.go", "routing/weighted.go",
 	"simnet/simnet.go", "core/core.go", "recovery/recovery.go"}
 
 // admissionViolations: admission is a lookup. No non-test routing file
 // keys a map by routeState or imports container/heap (per-request search
-// state), and no set-up or fault-path file calls LinksOf.
+// state), and no set-up or fault-path file calls LinksOf; a listed file
+// that no longer exists is reported.
 func admissionViolations(files []source) []string {
 	var v []string
+	found := map[string]bool{}
 	for _, s := range files {
+		found[s.path] = true
 		if !strings.HasPrefix(s.path, "routing/") && !slices.Contains(linksOfFiles, s.path) {
 			continue
 		}
@@ -171,6 +174,11 @@ func admissionViolations(files []source) []string {
 			}
 			return true
 		})
+	}
+	for _, p := range linksOfFiles {
+		if !found[p] {
+			v = append(v, p+": missing (the rule names it)")
+		}
 	}
 	return v
 }
@@ -201,6 +209,10 @@ func TestAdmissionIsALookup(t *testing.T) {
 			"package exp\n\nfunc degree(g graph, n int) int { return len(g.LinksOf(n)) }\n",
 			""},
 	})
+	gone := slices.DeleteFunc(parsed(t), func(s source) bool { return s.path == "recovery/recovery.go" })
+	if v := admissionViolations(gone); !slices.Contains(v, "recovery/recovery.go: missing (the rule names it)") {
+		t.Fatalf("a named file that no longer exists was not reported: %q", v)
+	}
 }
 
 // method returns the body of the method name on receiver *recv in f.

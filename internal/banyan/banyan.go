@@ -60,9 +60,6 @@ func New(n int, seed int64) (*Banyan, error) {
 // N returns the port count.
 func (b *Banyan) N() int { return b.n }
 
-// Stages returns the stage count (log2 N).
-func (b *Banyan) Stages() int { return b.stages }
-
 // Crosspoints returns the hardware cost in 2×2-element crosspoints:
 // (N/2)·log2(N) elements of 4 crosspoints each — the N log N scaling the
 // paper cites (a crossbar is N²).
@@ -128,17 +125,4 @@ func (b *Banyan) Route(dest []int) []bool {
 		}
 	}
 	return granted
-}
-
-// PathWires returns the sequence of wire ids the (input, output) path
-// uses, one per stage — for verifying the unique-path property in tests.
-func (b *Banyan) PathWires(input, output int) []int {
-	wires := make([]int, b.stages)
-	v := input
-	for s := 0; s < b.stages; s++ {
-		bit := b.stages - 1 - s
-		v = (v &^ (1 << bit)) | (output & (1 << bit))
-		wires[s] = s<<16 | v
-	}
-	return wires
 }

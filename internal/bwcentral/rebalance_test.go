@@ -95,8 +95,8 @@ func TestRebalancePreservesAccounting(t *testing.T) {
 		}
 	}
 	for _, l := range g.Links() {
-		if c.Reserved(l.ID) != 0 {
-			t.Fatalf("link %d retains %d after full release", l.ID, c.Reserved(l.ID))
+		if c.reserved[l.ID] != 0 {
+			t.Fatalf("link %d retains %d after full release", l.ID, c.reserved[l.ID])
 		}
 	}
 }

@@ -74,7 +74,7 @@ func TestMinimumLatencyThroughFabric(t *testing.T) {
 // uniform traffic — the result that made CICQ attractive.
 func TestFullThroughput(t *testing.T) {
 	s := mustNew(t, Config{N: 16, CrosspointDepth: 1})
-	res := drive(s, workload.NewPermutation(16, 1.0, 3), 500, 5000)
+	res := drive(s, workload.NewTranspose(16, 1.0, 3), 500, 5000)
 	if res.Throughput < 0.99 {
 		t.Fatalf("permutation throughput %.4f, want ~1.0", res.Throughput)
 	}

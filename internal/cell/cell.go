@@ -174,17 +174,11 @@ func Unmarshal(b []byte) (Cell, error) {
 	return c, nil
 }
 
-// Segment splits a packet into cells for the given circuit, appending an
-// AAL5-style trailer (length + CRC-32) and padding to a whole number of
-// cells. The final cell has EndOfPacket set. Segment never returns an empty
-// slice for a valid packet: a zero-length packet still produces one cell
-// carrying only the trailer.
-func Segment(vc VCI, class Class, packet []byte) ([]Cell, error) {
-	return AppendSegments(nil, vc, class, packet)
-}
-
-// AppendSegments is Segment writing the packet's cells onto the end of dst
-// (a sender's queue) instead of into a fresh slice; it returns the extended
+// AppendSegments splits a packet into cells for the given circuit,
+// appending an AAL5-style trailer (length + CRC-32) and padding to a whole
+// number of cells, and writes the cells onto the end of dst (a sender's
+// queue). The final cell has EndOfPacket set; a zero-length packet still
+// produces one cell carrying only the trailer. It returns the extended
 // slice, or dst unchanged with an error.
 func AppendSegments(dst []Cell, vc VCI, class Class, packet []byte) ([]Cell, error) {
 	if len(packet) > MaxPacketLen {
@@ -216,9 +210,9 @@ func AppendSegments(dst []Cell, vc VCI, class Class, packet []byte) ([]Cell, err
 	return dst, nil
 }
 
-// maxReassemblyLen is the payload of the longest packet Segment produces:
-// a reassembly that reaches it without an end-of-packet cell can never
-// complete.
+// maxReassemblyLen is the payload of the longest packet AppendSegments
+// produces: a reassembly that reaches it without an end-of-packet cell can
+// never complete.
 const maxReassemblyLen = (MaxPacketLen + trailerSize + PayloadSize - 1) / PayloadSize * PayloadSize
 
 // Reassembler rebuilds the packets of one virtual circuit from its cells,
@@ -282,8 +276,8 @@ func (r *Reassembler) Partial() bool { return len(r.buf) > 0 }
 // rerouted).
 func (r *Reassembler) Reset() { r.buf = r.buf[:0] }
 
-// CellsForPacketLen reports how many cells Segment will produce for a
-// packet of n bytes. It is useful for sizing buffers and for workload math.
+// CellsForPacketLen reports how many cells AppendSegments will produce for
+// a packet of n bytes. It is useful for sizing buffers and for workload math.
 func CellsForPacketLen(n int) int {
 	return (n + trailerSize + PayloadSize - 1) / PayloadSize
 }

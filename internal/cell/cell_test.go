@@ -80,12 +80,12 @@ func TestSegmentReassembleRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 39, 40, 41, 47, 48, 49, 1000, 1500, MaxPacketLen} {
 		pkt := make([]byte, n)
 		rng.Read(pkt)
-		cells, err := Segment(42, BestEffort, pkt)
+		cells, err := AppendSegments(nil, 42, BestEffort, pkt)
 		if err != nil {
-			t.Fatalf("Segment(%d bytes): %v", n, err)
+			t.Fatalf("AppendSegments(%d bytes): %v", n, err)
 		}
 		if want := CellsForPacketLen(n); len(cells) != want {
-			t.Errorf("Segment(%d bytes) = %d cells, want %d", n, len(cells), want)
+			t.Errorf("AppendSegments(%d bytes) = %d cells, want %d", n, len(cells), want)
 		}
 		for i, c := range cells {
 			got, done, err := r.Add(&c)
@@ -109,10 +109,10 @@ func TestSegmentReassembleRoundTrip(t *testing.T) {
 }
 
 func TestSegmentRejectsOversized(t *testing.T) {
-	if _, err := Segment(1, BestEffort, make([]byte, MaxPacketLen+1)); err == nil {
+	if _, err := AppendSegments(nil, 1, BestEffort, make([]byte, MaxPacketLen+1)); err == nil {
 		t.Error("oversized packet accepted")
 	}
-	if _, err := Segment(maxVCI+1, BestEffort, []byte("x")); !errors.Is(err, ErrVCIRange) {
+	if _, err := AppendSegments(nil, maxVCI+1, BestEffort, []byte("x")); !errors.Is(err, ErrVCIRange) {
 		t.Errorf("err = %v, want ErrVCIRange", err)
 	}
 }
@@ -120,11 +120,11 @@ func TestSegmentRejectsOversized(t *testing.T) {
 func TestReassemblerInterleavesCircuits(t *testing.T) {
 	pktA := bytes.Repeat([]byte("a"), 300)
 	pktB := bytes.Repeat([]byte("b"), 300)
-	cellsA, err := Segment(1, BestEffort, pktA)
+	cellsA, err := AppendSegments(nil, 1, BestEffort, pktA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cellsB, err := Segment(2, BestEffort, pktB)
+	cellsB, err := AppendSegments(nil, 2, BestEffort, pktB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestReassemblerBoundsUnmarkedCells(t *testing.T) {
 		}
 	}
 	// A well-formed packet right after is reassembled normally.
-	cells, err := Segment(3, BestEffort, []byte("after"))
+	cells, err := AppendSegments(nil, 3, BestEffort, []byte("after"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestReassemblerBoundsUnmarkedCells(t *testing.T) {
 }
 
 func TestReassemblerDetectsCorruptPayload(t *testing.T) {
-	cells, err := Segment(9, BestEffort, bytes.Repeat([]byte("z"), 100))
+	cells, err := AppendSegments(nil, 9, BestEffort, bytes.Repeat([]byte("z"), 100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestReassemblerDetectsCorruptPayload(t *testing.T) {
 }
 
 func TestReassemblerDetectsBogusLength(t *testing.T) {
-	cells, err := Segment(9, BestEffort, []byte("hello"))
+	cells, err := AppendSegments(nil, 9, BestEffort, []byte("hello"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestReassemblerDetectsBogusLength(t *testing.T) {
 }
 
 func TestReassemblerReset(t *testing.T) {
-	cells, err := Segment(5, BestEffort, bytes.Repeat([]byte("q"), 200))
+	cells, err := AppendSegments(nil, 5, BestEffort, bytes.Repeat([]byte("q"), 200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestQuickSegmentIdentity(t *testing.T) {
 			data = data[:MaxPacketLen]
 		}
 		vc := VCI(vcRaw % maxVCI)
-		cells, err := Segment(vc, BestEffort, data)
+		cells, err := AppendSegments(nil, vc, BestEffort, data)
 		if err != nil {
 			return false
 		}
@@ -332,7 +332,7 @@ func BenchmarkSegment1500(b *testing.B) {
 	pkt := make([]byte, 1500)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Segment(1, BestEffort, pkt); err != nil {
+		if _, err := AppendSegments(nil, 1, BestEffort, pkt); err != nil {
 			b.Fatal(err)
 		}
 	}

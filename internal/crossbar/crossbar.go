@@ -14,9 +14,9 @@ import (
 	"repro/internal/matching"
 )
 
-// Crossbar is an N×N space-division fabric. It is configured with a
-// matching each slot and transfers at most one cell per input and per
-// output.
+// Crossbar is an N×N space-division fabric. It is configured one
+// connection at a time each slot and transfers at most one cell per input
+// and per output.
 type Crossbar struct {
 	n int
 	// config[i] is the output input i is connected to this slot, or -1.
@@ -71,7 +71,7 @@ func (c *Crossbar) connect(i, j int) {
 
 // OutputBusyWords returns the connected-output bitset (bit j set iff
 // output j is connected this slot). The slice is owned by the crossbar:
-// read-only, valid until the next Reset/Configure/ConnectOne.
+// read-only, valid until the next Reset/ConnectOne.
 func (c *Crossbar) OutputBusyWords() []uint64 { return c.busyWords }
 
 // ConnectedInputWords returns the connected-input bitset (bit i set iff
@@ -85,32 +85,11 @@ var (
 	ErrNotConnected = errors.New("crossbar: input not connected to output")
 )
 
-// Configure sets the slot's connection pattern from a matching. It rejects
-// matchings that would connect an output twice — the hardware invariant the
-// grant phase of PIM maintains. A rejected matching leaves the connections
-// made before the offending pair, consistently recorded; Reset clears them.
-func (c *Crossbar) Configure(m matching.Matching) error {
-	if len(m) != c.n {
-		return fmt.Errorf("%w: %d for %d×%d fabric", ErrSizeMismatch, len(m), c.n, c.n)
-	}
-	c.Reset()
-	for i, j := range m {
-		if j < 0 {
-			continue
-		}
-		if j >= c.n {
-			return fmt.Errorf("%w: output %d", ErrSizeMismatch, j)
-		}
-		if c.OutputBusy(j) {
-			return fmt.Errorf("%w: output %d", ErrOutputBusy, j)
-		}
-		c.connect(i, j)
-	}
-	return nil
-}
-
-// ConnectOne adds a single connection (used for guaranteed slots, where the
-// frame schedule — not a matching — drives the fabric).
+// ConnectOne adds a single connection: the switch connects the frame
+// schedule's guaranteed pairs, then the best-effort matching's. It rejects
+// a second connection of an input or an output, the hardware invariant the
+// grant phase of PIM maintains; a rejected connection leaves the earlier
+// ones, consistently recorded, and Reset clears them.
 func (c *Crossbar) ConnectOne(input, output int) error {
 	if input < 0 || input >= c.n || output < 0 || output >= c.n {
 		return fmt.Errorf("%w: %d->%d", ErrSizeMismatch, input, output)
@@ -136,11 +115,6 @@ func (c *Crossbar) Connected(input int) int {
 // OutputBusy reports whether output j is connected this slot.
 func (c *Crossbar) OutputBusy(output int) bool {
 	return output >= 0 && output < c.n && c.busyWords[output/64]&(1<<(uint(output)%64)) != 0
-}
-
-// InputFree reports whether input i is unconnected this slot.
-func (c *Crossbar) InputFree(input int) bool {
-	return input >= 0 && input < c.n && c.config[input] < 0
 }
 
 // Transfer moves a cell from input to output, which must be connected this

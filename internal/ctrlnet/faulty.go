@@ -41,6 +41,9 @@ type FaultyTransport struct {
 	// timers tracks in-flight delayed forwards so Close can stop them.
 	timers map[*time.Timer]struct{}
 	closed bool
+	// afterFunc arms a delayed forward: time.AfterFunc, or a test's hook
+	// that fires it on the test's own schedule.
+	afterFunc func(time.Duration, func()) *time.Timer
 }
 
 // Faulty wraps inner with the fault engine configured by cfg. The engine
@@ -51,9 +54,10 @@ func Faulty(inner Transport, cfg Config) (*FaultyTransport, error) {
 		return nil, err
 	}
 	f := &FaultyTransport{
-		inner:  inner,
-		eng:    eng,
-		timers: make(map[*time.Timer]struct{}),
+		inner:     inner,
+		eng:       eng,
+		timers:    make(map[*time.Timer]struct{}),
+		afterFunc: time.AfterFunc,
 	}
 	f.waiter, _ = inner.(Waiter)
 	return f, nil
@@ -97,7 +101,7 @@ func (f *FaultyTransport) forwardLater(d Delivery, after time.Duration) {
 		return
 	}
 	var t *time.Timer
-	t = time.AfterFunc(after, func() {
+	t = f.afterFunc(after, func() {
 		f.mu.Lock()
 		delete(f.timers, t)
 		dead := f.closed

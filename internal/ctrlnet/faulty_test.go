@@ -96,21 +96,30 @@ func TestFaultyReorderHeldThenReleased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Delayed forwards wait for the test to fire them, not for a timer
+	// that could beat the checks below.
+	var armed []func()
+	f.afterFunc = func(after time.Duration, fire func()) *time.Timer {
+		if after <= 0 {
+			t.Errorf("delayed forward armed with %v", after)
+		}
+		armed = append(armed, fire)
+		tm := time.NewTimer(time.Hour)
+		tm.Stop()
+		return tm
+	}
 	_, _ = f.Send(1, 2, []byte("first"), 10)
-	if got := sink.count(); got != 0 {
-		t.Fatalf("held message forwarded immediately (%d)", got)
+	if got := sink.count(); got != 0 || len(armed) != 0 {
+		t.Fatalf("held message forwarded (%d) or armed (%d) immediately", got, len(armed))
 	}
 	// The next message on the link releases the held one BEHIND it: the
 	// second goes out inline, the first follows a tick later (its release
 	// stamp is bumped past the releaser, which the wrapper sleeps out).
 	_, _ = f.Send(1, 2, []byte("second"), 20)
-	if got := sink.count(); got != 1 {
-		t.Fatalf("releaser forwarded %d, want 1 inline", got)
+	if got := sink.count(); got != 1 || len(armed) != 1 {
+		t.Fatalf("releaser forwarded %d inline and armed %d, want 1 and 1", got, len(armed))
 	}
-	deadline := time.Now().Add(time.Second)
-	for sink.count() < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	armed[0]()
 	if got := sink.count(); got != 2 {
 		t.Fatalf("forwarded %d, want releaser + released = 2", got)
 	}

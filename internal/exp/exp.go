@@ -51,12 +51,6 @@ func All() []*Experiment {
 	return out
 }
 
-// Lookup finds an experiment by ID.
-func Lookup(id string) (*Experiment, bool) {
-	e, ok := registry[id]
-	return e, ok
-}
-
 // reportedSlots accumulates the simulated-slot count experiments declare
 // via ReportSlots since the last TakeSlots. an2bench runs one experiment at
 // a time; the tests run them in parallel, hence the atomic.

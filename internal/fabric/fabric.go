@@ -77,32 +77,11 @@ func NewPartition(g *topology.Graph) (*Partition, error) {
 	return p, nil
 }
 
-// NumPods returns the pod count.
-func (p *Partition) NumPods() int { return len(p.pods) }
-
 // Pod returns pod i's switches (ascending NodeID). Callers must not mutate.
 func (p *Partition) Pod(i int) []topology.NodeID { return p.pods[i] }
 
 // Spines returns the spine switches (ascending NodeID).
 func (p *Partition) Spines() []topology.NodeID { return p.spines }
-
-// PodOf maps a switch to its pod, or -1 for spines and unknown nodes.
-func (p *Partition) PodOf(n topology.NodeID) int {
-	if pd, ok := p.podOf[n]; ok {
-		return pd
-	}
-	return -1
-}
-
-// IsSpine reports whether n is a spine switch.
-func (p *Partition) IsSpine(n topology.NodeID) bool { return p.spine[n] }
-
-// InterPod reports whether the link crosses pod boundaries. In a fat-tree
-// every link is intra-pod (edge-agg), agg-spine, or a host link, so
-// inter-pod means exactly one endpoint is a spine.
-func (p *Partition) InterPod(l topology.Link) bool {
-	return p.spine[l.A] != p.spine[l.B]
-}
 
 // TouchedPods returns the (sorted) pods the trigger switches belong to and
 // whether any trigger is a spine.

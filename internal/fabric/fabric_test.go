@@ -37,8 +37,8 @@ func TestPartitionFromLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NumPods() != 4 {
-		t.Fatalf("NumPods = %d, want 4", p.NumPods())
+	if len(p.pods) != 4 {
+		t.Fatalf("%d pods, want 4", len(p.pods))
 	}
 	for pd := 0; pd < 4; pd++ {
 		want := append(append([]topology.NodeID{}, info.Edges[pd]...), info.Aggs[pd]...)
@@ -49,10 +49,10 @@ func TestPartitionFromLabels(t *testing.T) {
 	if !reflect.DeepEqual(p.Spines(), info.Spines) {
 		t.Fatalf("spines = %v, want %v", p.Spines(), info.Spines)
 	}
-	if got := p.PodOf(info.Edges[2][1]); got != 2 {
-		t.Fatalf("PodOf(edge in pod 2) = %d", got)
+	if got := p.podOf[info.Edges[2][1]]; got != 2 {
+		t.Fatalf("edge in pod 2 labelled pod %d", got)
 	}
-	if !p.IsSpine(info.Spines[3]) || p.PodOf(info.Spines[3]) != -1 {
+	if _, inPod := p.podOf[info.Spines[3]]; !p.spine[info.Spines[3]] || inPod {
 		t.Fatal("spine misclassified")
 	}
 	// Unlabeled graphs are rejected.
@@ -296,7 +296,7 @@ func TestFabricEscalatesOnInterPodFault(t *testing.T) {
 	if !ok {
 		t.Fatal("no agg-spine link where expected")
 	}
-	if !n.Part.InterPod(link) {
+	if n.Part.spine[link.A] == n.Part.spine[link.B] {
 		t.Fatal("agg-spine link not classified inter-pod")
 	}
 	loop, err := recovery.New(recovery.Config{

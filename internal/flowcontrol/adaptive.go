@@ -82,7 +82,6 @@ type Allocator struct {
 	ceiling int
 
 	lastSent map[cell.VCI]uint64
-	adjusts  int64
 }
 
 // NewAllocator creates an allocator over the link's circuits. pool is the
@@ -110,9 +109,6 @@ func NewAllocator(l *Link, pool, floor, ceiling int) (*Allocator, error) {
 	}, nil
 }
 
-// Adjusts returns how many re-allocations have been performed.
-func (a *Allocator) Adjusts() int64 { return a.adjusts }
-
 // Rebalance re-divides the pool by demand observed since the last call:
 // every circuit gets the floor; the remaining budget is dealt to circuits
 // in order of demand (cells sent since last rebalance), each topped up
@@ -122,7 +118,6 @@ func (a *Allocator) Rebalance() {
 	if len(circuits) == 0 {
 		return
 	}
-	a.adjusts++
 	demand := make(map[cell.VCI]int, len(circuits))
 	total := 0
 	for _, vc := range circuits {
@@ -187,13 +182,4 @@ func (a *Allocator) Rebalance() {
 			_, _ = a.link.SetCapacity(vc, want[vc])
 		}
 	}
-}
-
-// TotalAllocated sums the current per-circuit allocations.
-func (a *Allocator) TotalAllocated() int {
-	total := 0
-	for _, vc := range a.link.rrOrder {
-		total += a.link.Capacity(vc)
-	}
-	return total
 }

@@ -73,9 +73,6 @@ func TestAllocatorValidation(t *testing.T) {
 		t.Fatalf("defaults: floor=%d ceiling=%d", a.floor, a.ceiling)
 	}
 	a.Rebalance() // no circuits: no-op
-	if a.Adjusts() != 0 {
-		t.Fatal("empty rebalance counted")
-	}
 }
 
 func TestAllocatorShiftsToDemand(t *testing.T) {
@@ -118,8 +115,12 @@ func TestAllocatorShiftsToDemand(t *testing.T) {
 		}
 	}
 	// The pool is respected.
-	if got := a.TotalAllocated(); got > pool {
-		t.Fatalf("allocated %d exceeds pool %d", got, pool)
+	total := 0
+	for _, vc := range l.rrOrder {
+		total += l.Capacity(vc)
+	}
+	if total > pool {
+		t.Fatalf("allocated %d exceeds pool %d", total, pool)
 	}
 }
 

@@ -1,17 +1,16 @@
-package flowcontrol_test
+package flowcontrol
 
 import (
 	"fmt"
 
 	"repro/internal/cell"
-	"repro/internal/flowcontrol"
 )
 
 // Figure 4's protocol on one link: a circuit with a round-trip of credits
 // runs at full link rate and never drops a cell, even when its output is
 // congested for a while.
 func ExampleLink() {
-	l, _ := flowcontrol.NewLink(5) // 5-slot propagation each way
+	l, _ := NewLink(5) // 5-slot propagation each way
 	rtt := int(l.RoundTripSlots())
 	fmt.Println("round trip:", rtt, "slots")
 
@@ -21,11 +20,11 @@ func ExampleLink() {
 	}
 	// Congest the output for a while: cells accumulate downstream but
 	// never beyond the allocation.
-	l.Block(1)
+	l.blocked[1] = true
 	for s := 0; s < 50; s++ {
 		l.Step()
 	}
-	l.Unblock(1)
+	delete(l.blocked, 1)
 	delivered := 0
 	for s := 0; s < 200; s++ {
 		delivered += len(l.Step())

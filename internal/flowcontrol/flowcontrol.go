@@ -71,7 +71,7 @@ type Link struct {
 	// after the marker carry the new epoch.
 	downEpoch map[cell.VCI]uint32
 	// blocked marks circuits whose downstream output is congested: the
-	// downstream cannot forward their cells (fault injection for tests).
+	// downstream cannot forward their cells (fault injection: tests set it).
 	blocked map[cell.VCI]bool
 
 	// resync markers in flight (upstream->downstream), and replies.
@@ -190,13 +190,6 @@ func (l *Link) Inject(vc cell.VCI, c cell.Cell) error {
 	l.pending[vc] = append(l.pending[vc], c)
 	return nil
 }
-
-// Block marks a circuit's downstream output as congested: its cells
-// accumulate in the downstream buffer instead of being forwarded.
-func (l *Link) Block(vc cell.VCI) { l.blocked[vc] = true }
-
-// Unblock clears congestion for a circuit.
-func (l *Link) Unblock(vc cell.VCI) { delete(l.blocked, vc) }
 
 // LoseNextCredit makes the next credit sent vanish in transit (fault
 // injection).

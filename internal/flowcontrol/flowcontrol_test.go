@@ -109,12 +109,12 @@ func TestCreditLosslessness(t *testing.T) {
 	injectN(t, l, 1, 500)
 	injectN(t, l, 2, 500)
 	// Congest circuit 1's output for a while.
-	l.Block(1)
+	l.blocked[1] = true
 	total := 0
 	for s := 0; s < 300; s++ {
 		total += len(l.Step())
 	}
-	l.Unblock(1)
+	delete(l.blocked, 1)
 	for s := 0; s < 3000; s++ {
 		total += len(l.Step())
 	}
@@ -133,7 +133,7 @@ func TestBlockedCircuitDoesNotAffectOthers(t *testing.T) {
 	l := mustLink(t, 2)
 	open(t, l, 1, 5)
 	open(t, l, 2, 5)
-	l.Block(1)
+	l.blocked[1] = true
 	injectN(t, l, 1, 100)
 	injectN(t, l, 2, 100)
 	delivered2 := 0

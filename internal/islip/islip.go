@@ -85,12 +85,6 @@ func New(n, iters int, seed int64) *Scheduler {
 // Name implements sched.Scheduler.
 func (s *Scheduler) Name() string { return "islip" }
 
-// Pointers returns copies of the grant and accept pointer arrays — the
-// desynchronization state experiments inspect.
-func (s *Scheduler) Pointers() (grant, accept []int) {
-	return append([]int(nil), s.grant...), append([]int(nil), s.accpt...)
-}
-
 // Schedule implements sched.Scheduler: it runs up to the iteration budget
 // of request/grant/accept rounds, retaining matches across rounds, and
 // returns the resulting conflict-free matching. The result's Match aliases

@@ -100,7 +100,7 @@ func TestPointerDesynchronization(t *testing.T) {
 		}
 	}
 	// Desynchronized means: all grant pointers distinct.
-	grant, _ := s.Pointers()
+	grant := s.grant
 	seen := make([]bool, n)
 	for _, g := range grant {
 		if seen[g] {
@@ -145,14 +145,14 @@ func TestNoStarvationOnAdversarialPattern(t *testing.T) {
 // Seeded construction randomizes initial pointers but stays deterministic.
 func TestSeededInitialPointers(t *testing.T) {
 	a, b := New(16, 1, 5), New(16, 1, 5)
-	ga, _ := a.Pointers()
-	gb, _ := b.Pointers()
+	ga := a.grant
+	gb := b.grant
 	for p := range ga {
 		if ga[p] != gb[p] {
 			t.Fatal("same seed produced different initial pointers")
 		}
 	}
-	zero, _ := New(16, 1, 0).Pointers()
+	zero := New(16, 1, 0).grant
 	for _, g := range zero {
 		if g != 0 {
 			t.Fatal("seed 0 must start pointers at 0")

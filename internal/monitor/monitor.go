@@ -198,12 +198,6 @@ func (s *Skeptic) decay(nowUS int64) {
 // correct ping acknowledgment at the given time.
 type FaultFunc func(nowUS int64) bool
 
-// AlwaysGood is a healthy link.
-func AlwaysGood(int64) bool { return true }
-
-// AlwaysBad is a severed link.
-func AlwaysBad(int64) bool { return false }
-
 // Flapping models an intermittent fault: the link alternates goodUS of
 // health with badUS of failure.
 func Flapping(goodUS, badUS int64) FaultFunc {

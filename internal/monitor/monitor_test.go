@@ -6,7 +6,7 @@ import (
 
 func TestHealthyLinkNeverTransitions(t *testing.T) {
 	s := New(Config{Skeptical: true})
-	res := Drive(s, AlwaysGood, 1000, 10_000_000)
+	res := Drive(s, func(int64) bool { return true }, 1000, 10_000_000) // healthy
 	if res.Reconfigurations != 0 {
 		t.Fatalf("healthy link caused %d reconfigurations", res.Reconfigurations)
 	}
@@ -17,7 +17,7 @@ func TestHealthyLinkNeverTransitions(t *testing.T) {
 
 func TestSeveredLinkGoesDownOnce(t *testing.T) {
 	s := New(Config{Skeptical: true, FailThreshold: 3})
-	res := Drive(s, AlwaysBad, 1000, 10_000_000)
+	res := Drive(s, func(int64) bool { return false }, 1000, 10_000_000) // severed
 	if res.Reconfigurations != 1 {
 		t.Fatalf("severed link caused %d reconfigurations, want 1 (down)", res.Reconfigurations)
 	}

@@ -52,14 +52,6 @@ func NewRegistry(shards int) *Registry {
 	}
 }
 
-// Shards returns the shard count (0 on a nil registry).
-func (r *Registry) Shards() int {
-	if r == nil {
-		return 0
-	}
-	return r.shards
-}
-
 // ident renders the canonical identity of name plus label pairs
 // ("name" or `name{k="v",k2="v2"}`, labels sorted by key).
 func ident(name string, labels []string) string {

@@ -34,9 +34,6 @@ func TestNilRegistryIsFullyDisabled(t *testing.T) {
 	if h.Quantile(0.99) != 0 || h.Buckets() != nil {
 		t.Fatal("nil histogram must read zero")
 	}
-	if r.Shards() != 0 {
-		t.Fatal("nil registry has 0 shards")
-	}
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil || sb.Len() != 0 {
 		t.Fatalf("nil registry exposition must be empty, got %q err %v", sb.String(), err)
@@ -47,8 +44,8 @@ func TestRegistryShardRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{-3, 1}, {0, 1}, {1, 1}, {2, 2}, {3, 4}, {4, 4}, {7, 8}, {8, 8}, {9, 16},
 	} {
-		if got := NewRegistry(tc.in).Shards(); got != tc.want {
-			t.Errorf("NewRegistry(%d).Shards() = %d, want %d", tc.in, got, tc.want)
+		if got := NewRegistry(tc.in).shards; got != tc.want {
+			t.Errorf("NewRegistry(%d) has %d shards, want %d", tc.in, got, tc.want)
 		}
 	}
 }

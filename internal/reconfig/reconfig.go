@@ -418,15 +418,3 @@ func (r *Runner) components() [][]topology.NodeID {
 func equalRecs(a, b []LinkRec) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0] || slices.Equal(a, b))
 }
-
-// ExpectedLinks computes the ground-truth live topology the views should
-// converge to (live links with at least one live endpoint pair).
-func (r *Runner) ExpectedLinks() []LinkRec {
-	set := make(map[LinkRec]bool)
-	for _, s := range r.switches {
-		for _, rec := range r.own[s] {
-			set[rec] = true
-		}
-	}
-	return recSet(set)
-}

@@ -295,9 +295,6 @@ func (l *Loop) Incidents() []Incident {
 // BelievesLinkDead reports the loop's current belief about a link.
 func (l *Loop) BelievesLinkDead(id topology.LinkID) bool { return l.believedDeadLinks[id] }
 
-// BelievesSwitchDead reports the loop's current belief about a switch.
-func (l *Loop) BelievesSwitchDead(id topology.NodeID) bool { return l.believedDeadNodes[id] }
-
 // Quiescent reports whether the loop has no repair work pending and no
 // circuit crossing a believed-dead component — the state a finished
 // recovery converges to.

@@ -197,7 +197,7 @@ func TestSwitchCrashAndReboot(t *testing.T) {
 	if !sawUp {
 		t.Fatal("switch reboot never believed")
 	}
-	if loop.BelievesSwitchDead(b) {
+	if loop.believedDeadNodes[b] {
 		t.Fatal("loop still believes rebooted switch dead")
 	}
 	// Circuits settled on the surviving branch through c.

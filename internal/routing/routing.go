@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/cell"
 	"repro/internal/topology"
 )
 
@@ -348,42 +347,6 @@ func (r *Router) path(src, sSrc, dst, sDst topology.NodeID, pred []int32, goal i
 	return out
 }
 
-// IsLegal reports whether the switch portion of path obeys up*/down*.
-func (r *Router) IsLegal(path []topology.NodeID) bool {
-	wentDown := false
-	for i := 0; i+1 < len(path); i++ {
-		l, ok := r.g.LinkBetween(path[i], path[i+1])
-		if !ok || !r.usable(l.ID) {
-			return false
-		}
-		up := r.up(l.ID)
-		if up == topology.None {
-			continue // host links are not oriented
-		}
-		goingUp := up == path[i+1]
-		if wentDown && goingUp {
-			return false
-		}
-		if !goingUp {
-			wentDown = true
-		}
-	}
-	return true
-}
-
-// PathLinks resolves a node path to its link sequence.
-func (r *Router) PathLinks(path []topology.NodeID) ([]topology.Link, error) {
-	out := make([]topology.Link, 0, max(len(path)-1, 0))
-	for i := 0; i+1 < len(path); i++ {
-		l, ok := r.g.LinkBetween(path[i], path[i+1])
-		if !ok {
-			return nil, fmt.Errorf("routing: no link %d-%d in path", path[i], path[i+1])
-		}
-		out = append(out, l)
-	}
-	return out, nil
-}
-
 // directedLink identifies one direction of a link, the unit of buffer
 // ownership in the dependency analysis.
 type directedLink struct {
@@ -447,40 +410,4 @@ func DependencyCycle(g *topology.Graph, routes [][]topology.NodeID) []topology.N
 		}
 	}
 	return nil
-}
-
-// Table is a line card's routing table: it maps a cell's virtual circuit
-// id to the output port the cell should leave the switch on (paper §2).
-// The zero value is ready to use.
-type Table struct {
-	entries map[cell.VCI]int
-}
-
-// Set installs or replaces the entry for vc.
-func (t *Table) Set(vc cell.VCI, outputPort int) {
-	if t.entries == nil {
-		t.entries = make(map[cell.VCI]int)
-	}
-	t.entries[vc] = outputPort
-}
-
-// Lookup returns the output port for vc.
-func (t *Table) Lookup(vc cell.VCI) (int, bool) {
-	p, ok := t.entries[vc]
-	return p, ok
-}
-
-// Delete removes the entry for vc (idempotent).
-func (t *Table) Delete(vc cell.VCI) { delete(t.entries, vc) }
-
-// Len returns the number of installed circuits.
-func (t *Table) Len() int { return len(t.entries) }
-
-// Circuits returns the installed VCIs (unsorted).
-func (t *Table) Circuits() []cell.VCI {
-	out := make([]cell.VCI, 0, len(t.entries))
-	for vc := range t.entries {
-		out = append(out, vc)
-	}
-	return out
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/cell"
 	"repro/internal/topology"
 )
 
@@ -320,56 +319,6 @@ func TestIsLegalRejectsDownThenUp(t *testing.T) {
 	}
 	if r.IsLegal([]topology.NodeID{n1, n2}) {
 		t.Fatal("path over missing link accepted")
-	}
-}
-
-func TestPathLinks(t *testing.T) {
-	g, err := topology.Line(3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := mustRouter(t, g, 0)
-	path, err := r.ShortestLegal(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	links, err := r.PathLinks(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(links) != 2 {
-		t.Fatalf("links = %v", links)
-	}
-	if _, err := r.PathLinks([]topology.NodeID{0, 2}); err == nil {
-		t.Error("phantom link accepted")
-	}
-}
-
-func TestRoutingTable(t *testing.T) {
-	var tbl Table
-	if _, ok := tbl.Lookup(5); ok {
-		t.Fatal("empty table hit")
-	}
-	tbl.Set(5, 3)
-	tbl.Set(9, 1)
-	if p, ok := tbl.Lookup(5); !ok || p != 3 {
-		t.Fatal("lookup wrong")
-	}
-	tbl.Set(5, 7) // replace
-	if p, _ := tbl.Lookup(5); p != 7 {
-		t.Fatal("replace failed")
-	}
-	if tbl.Len() != 2 || len(tbl.Circuits()) != 2 {
-		t.Fatal("len wrong")
-	}
-	tbl.Delete(5)
-	tbl.Delete(5) // idempotent
-	if _, ok := tbl.Lookup(5); ok || tbl.Len() != 1 {
-		t.Fatal("delete failed")
-	}
-	var vc cell.VCI = 9
-	if p, _ := tbl.Lookup(vc); p != 1 {
-		t.Fatal("remaining entry wrong")
 	}
 }
 

@@ -36,24 +36,3 @@ func ExampleSchedule_Insert() {
 	// place 3->2 in slot 3
 	// place 3->4 in slot 1
 }
-
-// Nested frames bound jitter to a subframe: eight cells per 128-slot
-// frame, re-ordering restricted to 16-slot units.
-func ExampleNested() {
-	nest, _ := schedule.NewNested(4, 128, 16)
-	if err := nest.Insert(0, 0, 8); err != nil {
-		fmt.Println(err)
-		return
-	}
-	flat, err := nest.Flatten()
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Printf("cells/frame: %d\n", flat.Reservations()[0][0])
-	fmt.Printf("max gap: %d slots (one per 16-slot subframe)\n",
-		schedule.MaxGap(flat.At, 128, 0, 0))
-	// Output:
-	// cells/frame: 8
-	// max gap: 16 slots (one per 16-slot subframe)
-}

@@ -135,103 +135,6 @@ func TestRelayoutEmptyAndUnknown(t *testing.T) {
 	}
 }
 
-func TestNestedFramesJitter(t *testing.T) {
-	const n, frame, sub = 4, 128, 16
-	// Flat schedule: 8 cells/frame for (0,0), inserted into the full
-	// frame (they land wherever insertion puts them — typically packed at
-	// the front, worst-case jitter ~ the whole frame).
-	flat, err := New(n, frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := flat.InsertK(0, 0, 8); err != nil {
-		t.Fatal(err)
-	}
-	flatGap := MaxGap(flat.At, frame, 0, 0)
-
-	nest, err := NewNested(n, frame, sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nest.Subframes() != frame/sub {
-		t.Fatalf("Subframes = %d", nest.Subframes())
-	}
-	if err := nest.Insert(0, 0, 8); err != nil {
-		t.Fatal(err)
-	}
-	nestGap := MaxGap(nest.At, frame, 0, 0)
-	// 8 cells over 8 subframes of 16 slots: one per subframe, so the gap
-	// is bounded by ~2 subframes; the flat layout packs all 8 cells into
-	// the first 8 slots, giving a gap of ~frame.
-	if nestGap > 2*sub {
-		t.Fatalf("nested max gap %d exceeds two subframes (%d)", nestGap, 2*sub)
-	}
-	if flatGap <= nestGap {
-		t.Fatalf("nested frames did not reduce jitter: flat %d, nested %d", flatGap, nestGap)
-	}
-}
-
-func TestNestedUnevenDistribution(t *testing.T) {
-	nest, err := NewNested(4, 64, 16) // 4 subframes
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 6 cells across 4 subframes: two subframes get 2, two get 1.
-	if err := nest.Insert(1, 2, 6); err != nil {
-		t.Fatal(err)
-	}
-	counts := make([]int, 4)
-	for t2 := 0; t2 < 64; t2++ {
-		if nest.At(t2, 1) == 2 {
-			counts[t2/16]++
-		}
-	}
-	total := 0
-	for _, c := range counts {
-		if c < 1 || c > 2 {
-			t.Fatalf("subframe distribution %v not even", counts)
-		}
-		total += c
-	}
-	if total != 6 {
-		t.Fatalf("scheduled %d cells, want 6", total)
-	}
-}
-
-func TestNestedValidation(t *testing.T) {
-	if _, err := NewNested(4, 100, 17); err == nil {
-		t.Error("non-dividing subframe accepted")
-	}
-	if _, err := NewNested(4, 0, 1); err == nil {
-		t.Error("zero frame accepted")
-	}
-	nest, err := NewNested(2, 8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Over-commit one subframe pair: 2 subframes of 4 slots each = max 8
-	// cells per (input) row; 9 must fail.
-	if err := nest.Insert(0, 0, 9); err == nil {
-		t.Error("overcommitted nested insert accepted")
-	}
-	if nest.At(-1, 0) != -1 || nest.At(999, 0) != -1 {
-		t.Error("out-of-range At should be -1")
-	}
-}
-
-func TestMaxGapEdgeCases(t *testing.T) {
-	s, _ := New(2, 10)
-	if g := MaxGap(s.At, 10, 0, 0); g != 0 {
-		t.Fatalf("empty pair gap = %d, want 0", g)
-	}
-	if _, err := s.Insert(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if g := MaxGap(s.At, 10, 0, 0); g != 10 {
-		t.Fatalf("single-cell gap = %d, want frame size", g)
-	}
-}
-
 func BenchmarkRelayoutPacked(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	s, err := New(16, 128)
@@ -253,4 +156,15 @@ func BenchmarkRelayoutPacked(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// SlotConns returns the connections active in slot t.
+func (s *Schedule) SlotConns(t int) []Conn {
+	var out []Conn
+	for i, j := range s.row(t) {
+		if j >= 0 {
+			out = append(out, Conn{Input: i, Output: int(j)})
+		}
+	}
+	return out
 }

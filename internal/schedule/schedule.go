@@ -122,8 +122,7 @@ func New(n, slots int) (*Schedule, error) {
 // FromAssignments builds a schedule from explicit slot assignments:
 // at(slot, input) returns the output input sends to in that slot, or -1.
 // It validates that every slot is a partial permutation. Use it to install
-// an externally computed layout (e.g. a flattened nested schedule) into a
-// switch.
+// an externally computed layout into a switch.
 func FromAssignments(n, slots int, at func(slot, input int) int) (*Schedule, error) {
 	s, err := New(n, slots)
 	if err != nil {
@@ -184,25 +183,6 @@ func (s *Schedule) CountAt(t int) int { return int(s.count[t]) }
 // next insertion or removal.
 func (s *Schedule) InputsAt(t int) []uint64 {
 	return s.inputs[t*s.words : (t+1)*s.words]
-}
-
-// InputAt returns the input sending to output j in slot t, or -1.
-func (s *Schedule) InputAt(t, output int) int {
-	if t < 0 || t >= s.slots || output < 0 || output >= s.n {
-		return -1
-	}
-	return int(s.inOf[t*s.n+output])
-}
-
-// SlotConns returns the connections active in slot t.
-func (s *Schedule) SlotConns(t int) []Conn {
-	var out []Conn
-	for i, j := range s.row(t) {
-		if j >= 0 {
-			out = append(out, Conn{Input: i, Output: int(j)})
-		}
-	}
-	return out
 }
 
 // row returns slot t's outputs by input (outOf's slot t).
@@ -401,15 +381,6 @@ func (s *Schedule) Remove(p, q int) error {
 	return fmt.Errorf("%w: %d->%d", ErrNotFound, p, q)
 }
 
-// RemoveAll deletes every scheduled cell of the pair, returning the count.
-func (s *Schedule) RemoveAll(p, q int) int {
-	n := 0
-	for s.Remove(p, q) == nil {
-		n++
-	}
-	return n
-}
-
 // Reservations returns the matrix of cells/frame currently scheduled:
 // m[i][j] = cells per frame from input i to output j (Figure 2's top
 // table).
@@ -490,14 +461,4 @@ func (s *Schedule) Validate() error {
 		}
 	}
 	return nil
-}
-
-// FreePairs reports, for slot t, whether input i and output j are both
-// unreserved — the condition for a best-effort cell to use the slot
-// (paper §4).
-func (s *Schedule) FreePairs(t, input, output int) bool {
-	if t < 0 || t >= s.slots || input < 0 || input >= s.n || output < 0 || output >= s.n {
-		return false
-	}
-	return has(s.freeSlots(s.freeIn, input), t) && has(s.freeSlots(s.freeOut, output), t)
 }

@@ -165,8 +165,8 @@ func TestRemove(t *testing.T) {
 	if got := s.Reservations()[1][0]; got != 1 {
 		t.Fatalf("after remove, reservation = %d, want 1", got)
 	}
-	if n := s.RemoveAll(1, 0); n != 1 {
-		t.Fatalf("RemoveAll = %d, want 1", n)
+	if err := s.Remove(1, 0); err != nil { // the second cell
+		t.Fatal(err)
 	}
 	if err := s.Remove(1, 0); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("remove absent err = %v", err)

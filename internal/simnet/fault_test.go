@@ -211,14 +211,14 @@ func TestRestoreSwitchReplaysReservations(t *testing.T) {
 		t.Fatalf("reservations at b = %d, want 2", sum)
 	}
 	n.KillSwitch(b)
-	if n.SwitchAlive(b) {
+	if !n.deadNodes[b] {
 		t.Fatal("b alive after kill")
 	}
 	if sum := reservationSum(swB); sum != 0 {
 		t.Fatalf("crash kept %d reservations", sum)
 	}
 	n.RestoreSwitch(b)
-	if !n.SwitchAlive(b) {
+	if n.deadNodes[b] {
 		t.Fatal("b dead after restore")
 	}
 	if sum := reservationSum(swB); sum != 2 {
@@ -453,7 +453,7 @@ func TestRestoreSwitchDoubleRestoreIdempotent(t *testing.T) {
 	if snap := n.Snapshot(); snap != beforeSnap {
 		t.Fatalf("double restore changed accounting: %+v -> %+v", beforeSnap, snap)
 	}
-	if !n.SwitchAlive(b) {
+	if n.deadNodes[b] {
 		t.Fatal("switch dead after double restore")
 	}
 }

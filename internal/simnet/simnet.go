@@ -1265,12 +1265,6 @@ func (n *Network) ProbeLink(id topology.LinkID) bool {
 	return !n.deadNodes[l.A] && !n.deadNodes[l.B]
 }
 
-// SwitchAlive reports whether a switch exists and is not killed.
-func (n *Network) SwitchAlive(id topology.NodeID) bool {
-	_, ok := n.switches[id]
-	return ok && !n.deadNodes[id]
-}
-
 // LastLinkChangeSlot returns the slot of the link's most recent kill or
 // restore — the hardware-truth timestamp recovery experiments measure
 // detection lag against. ok is false if the link never changed state.
@@ -1293,16 +1287,6 @@ func (n *Network) Circuits() []*Circuit {
 		out[i] = e.c
 	}
 	return out
-}
-
-// DeliveredByVC returns the number of cells delivered to the destination
-// host on the open circuit vc so far (0 for unknown circuits: the count is
-// freed with the circuit).
-func (n *Network) DeliveredByVC(vc cell.VCI) int64 {
-	if c, err := n.find(vc); err == nil {
-		return c.delivered
-	}
-	return 0
 }
 
 // TotalBufferedCells returns every cell buffered inside live switches,

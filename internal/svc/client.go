@@ -362,13 +362,6 @@ func (c *Client) publish(tc *traceCtx) {
 	}
 }
 
-// DumpRecorder writes the client's flight recorder to path — the hook an
-// embedder calls from its own panic/teardown paths. Returns the event
-// count written (0 without a configured ring).
-func (c *Client) DumpRecorder(path string) (int, error) {
-	return c.ring.DumpFile(path)
-}
-
 // Hello announces the session and returns the host roster.
 func (c *Client) Hello() ([]topology.NodeID, error) {
 	rep, err := c.call(Op{Kind: proto.KindHello})
@@ -380,13 +373,6 @@ func (c *Client) Hello() ([]topology.NodeID, error) {
 		hosts = append(hosts, topology.NodeID(l.A))
 	}
 	return hosts, nil
-}
-
-// Lease sends one explicit lease heartbeat, re-attaching if the session
-// is stale.
-func (c *Client) Lease() error {
-	_, err := c.call(Op{Kind: proto.KindLease})
-	return err
 }
 
 // Open requests a circuit: rate > 0 asks for that many guaranteed

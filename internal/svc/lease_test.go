@@ -393,9 +393,9 @@ func TestClientOrphanReplyCounting(t *testing.T) {
 	if got := cl.Stats().OrphanReplies; got != 0 {
 		t.Fatalf("OrphanReplies = %d before any call read them", got)
 	}
-	// The lease is never answered: it times out after reading the batch.
-	if err := cl.Lease(); !errors.Is(err, ErrRPCTimeout) {
-		t.Fatalf("unanswered lease: %v, want ErrRPCTimeout", err)
+	// The hello is never answered: it times out after reading the batch.
+	if _, err := cl.Hello(); !errors.Is(err, ErrRPCTimeout) {
+		t.Fatalf("unanswered hello: %v, want ErrRPCTimeout", err)
 	}
 	if got := cl.Stats().OrphanReplies; got != 2 {
 		t.Fatalf("OrphanReplies = %d, want 2 (garbage + late dup; other-tenant reply excluded)", got)

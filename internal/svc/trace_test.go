@@ -544,7 +544,7 @@ func TestClientClosedEndsCall(t *testing.T) {
 		t.Fatalf("call sat out %v after its transport closed", waited)
 	}
 	cl.Close()
-	if err := cl.Lease(); !errors.Is(err, ErrClientDone) {
+	if _, err := cl.Hello(); !errors.Is(err, ErrClientDone) {
 		t.Fatalf("call on a closed client: %v, want ErrClientDone", err)
 	}
 }

@@ -221,9 +221,8 @@ func (s *Switch) Stats() Stats { return s.stats }
 func (s *Switch) Frame() *schedule.Schedule { return s.frame }
 
 // SetFrame replaces the guaranteed frame schedule with an externally
-// computed one of the same dimensions — how a relayout (packed/spread) or
-// a flattened nested schedule is installed. The switch applies it at the
-// next slot boundary.
+// computed one of the same dimensions — how a relayout (packed/spread) is
+// installed. The switch applies it at the next slot boundary.
 func (s *Switch) SetFrame(f *schedule.Schedule) error {
 	if f == nil || f.N() != s.n || f.Slots() != s.frame.Slots() {
 		return fmt.Errorf("switchnode: frame must be %d ports × %d slots", s.n, s.frame.Slots())

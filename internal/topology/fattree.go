@@ -207,11 +207,6 @@ func FatTree(cfg FatTreeConfig) (*Graph, *FatTreeInfo, error) {
 	return g, &info, nil
 }
 
-// NumSwitches returns the switch count of the described fabric.
-func (info *FatTreeInfo) NumSwitches() int {
-	return info.Config.Pods*(info.EdgesPerPod+info.AggsPerPod) + len(info.Spines)
-}
-
 // Bisection returns the fabric's bisection ratio as computed from the
 // graph: the minimum over pods of min(uplink capacity / host capacity) at
 // the edge and aggregation layers, counting live links accepted by filter

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 )
 
@@ -170,17 +169,6 @@ func (g *Graph) AddSwitchPorts(name string, ports int) (NodeID, error) {
 		return None, fmt.Errorf("topology: switch %q needs ports >= 1, got %d", name, ports)
 	}
 	return g.addNode(Switch, name, ports), nil
-}
-
-// SetFabricRole labels a node with its pod and tier. The generator uses it
-// while building; it is exported so loaders and tests can relabel.
-func (g *Graph) SetFabricRole(n NodeID, pod int, tier Tier) error {
-	if !g.valid(n) {
-		return fmt.Errorf("%w: %d", ErrNoSuchNode, n)
-	}
-	g.nodes[n].Pod = pod
-	g.nodes[n].Tier = tier
-	return nil
 }
 
 // AddHost adds a host with two ports (AN1 hosts have links to two
@@ -644,16 +632,6 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 		}
 	}
 	return nil
-}
-
-// Degrees returns a sorted slice of switch degrees (diagnostic).
-func (g *Graph) Degrees() []int {
-	var out []int
-	for _, s := range g.Switches() {
-		out = append(out, len(g.SwitchNeighbors(s)))
-	}
-	sort.Ints(out)
-	return out
 }
 
 // randPerm is a tiny helper for generators.

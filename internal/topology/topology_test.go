@@ -225,8 +225,8 @@ func TestTorusGenerator(t *testing.T) {
 	if g.NumNodes() != 12 || g.NumLinks() != 24 {
 		t.Fatalf("Torus(3,4): %d nodes %d links, want 12/24", g.NumNodes(), g.NumLinks())
 	}
-	for _, d := range g.Degrees() {
-		if d != 4 {
+	for _, s := range g.Switches() {
+		if d := len(g.SwitchNeighbors(s)); d != 4 {
 			t.Fatalf("torus degree %d, want 4", d)
 		}
 	}

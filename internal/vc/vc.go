@@ -55,13 +55,10 @@ const (
 // the routing entry is installed — so cells buffered during the setup race
 // stay ahead of cells that arrive after the entry exists.
 type swState struct {
-	state     map[cell.VCI]entryState
-	readyAt   map[cell.VCI]int64
-	queue     map[cell.VCI][]cell.Cell
-	lastUsed  map[cell.VCI]int64
-	pageOuts  int
-	pageIns   int
-	installed int
+	state    map[cell.VCI]entryState
+	readyAt  map[cell.VCI]int64
+	queue    map[cell.VCI][]cell.Cell
+	lastUsed map[cell.VCI]int64
 }
 
 func newSwState() *swState {
@@ -135,24 +132,6 @@ func (ch *Chain) Delivered() []cell.Cell {
 	return out
 }
 
-// EntryState reports the routing-entry state for vc at switch i (0-based),
-// for tests and inspection.
-func (ch *Chain) EntryState(i int, vc cell.VCI) string {
-	if i < 0 || i >= len(ch.switches) {
-		return "no-such-switch"
-	}
-	switch ch.switches[i].state[vc] {
-	case entryInstalling:
-		return "installing"
-	case entryInstalled:
-		return "installed"
-	case entryPagedOut:
-		return "paged-out"
-	default:
-		return "none"
-	}
-}
-
 // ErrNoCircuit reports data sent on a circuit with no setup.
 var ErrNoCircuit = errors.New("vc: no setup sent for circuit")
 
@@ -175,21 +154,6 @@ func (ch *Chain) SendData(vc cell.VCI, seq uint64) {
 	})
 }
 
-// Teardown removes the circuit's entries everywhere, releasing buffers.
-// (AN2 drains a circuit before teardown; cells still buffered for it are
-// counted as drops so misuse is visible.)
-func (ch *Chain) Teardown(vc cell.VCI) {
-	for _, sw := range ch.switches {
-		if n := len(sw.queue[vc]); n > 0 {
-			ch.stats.Drops += int64(n)
-		}
-		delete(sw.state, vc)
-		delete(sw.readyAt, vc)
-		delete(sw.queue, vc)
-		delete(sw.lastUsed, vc)
-	}
-}
-
 // Step advances one slot.
 func (ch *Chain) Step() {
 	now := ch.slot
@@ -202,7 +166,6 @@ func (ch *Chain) Step() {
 			}
 			delete(sw.readyAt, vc)
 			sw.state[vc] = entryInstalled
-			sw.installed++
 			sw.lastUsed[vc] = now
 		}
 	}
@@ -248,7 +211,6 @@ func (ch *Chain) Step() {
 			for vc, last := range sw.lastUsed {
 				if sw.state[vc] == entryInstalled && now-last > ch.cfg.IdleTimeout && len(sw.queue[vc]) == 0 {
 					sw.state[vc] = entryPagedOut
-					sw.pageOuts++
 					ch.stats.PageOuts++
 				}
 			}
@@ -286,7 +248,6 @@ func (ch *Chain) arrive(i int, c cell.Cell, now int64) {
 		// downstream switches page back in too.
 		sw.state[c.VC] = entryInstalling
 		sw.readyAt[c.VC] = now + ch.cfg.ProcDelay
-		sw.pageIns++
 		ch.stats.PageIns++
 		ch.inflight = append(ch.inflight, flight{
 			arrive: now + ch.cfg.ProcDelay + ch.cfg.LinkLatency,
@@ -317,13 +278,3 @@ func (ch *Chain) Run(n int64) {
 		ch.Step()
 	}
 }
-
-// SwitchPageOuts returns how many page-outs switch i performed.
-func (ch *Chain) SwitchPageOuts(i int) int { return ch.switches[i].pageOuts }
-
-// SwitchPageIns returns how many page-ins switch i performed.
-func (ch *Chain) SwitchPageIns(i int) int { return ch.switches[i].pageIns }
-
-// Installs returns how many entry installs switch i performed (setup plus
-// page-ins).
-func (ch *Chain) Installs(i int) int { return ch.switches[i].installed }

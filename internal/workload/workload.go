@@ -203,48 +203,10 @@ func (b *Bursty) geometric() int {
 	return k
 }
 
-// Permutation sends, every slot with probability Load, input i's cell to
-// output perm[i] — zero output contention, the friendliest possible
-// pattern (any scheduler achieves 100%).
-type Permutation struct {
-	n    int
-	load float64
-	perm []int
-	rng  *rand.Rand
-	buf  []Arrival
-}
-
-// NewPermutation creates a fixed-permutation pattern.
-func NewPermutation(n int, load float64, seed int64) *Permutation {
-	rng := rand.New(rand.NewSource(seed))
-	return &Permutation{n: n, load: load, perm: rng.Perm(n), rng: rng}
-}
-
-// Name implements Pattern.
-func (p *Permutation) Name() string { return fmt.Sprintf("permutation(%.2f)", p.load) }
-
-// Slot implements Pattern.
-func (p *Permutation) Slot(t int64) []Arrival {
-	p.buf = p.buf[:0]
-	for i := 0; i < p.n; i++ {
-		if p.rng.Float64() >= p.load {
-			continue
-		}
-		j := p.perm[i]
-		p.buf = append(p.buf, Arrival{
-			Input:  i,
-			Output: j,
-			Cell:   cell.Cell{VC: vcFor(p.n, i, j), Stamp: cell.Stamp{EnqueuedAt: t}},
-		})
-	}
-	return p.buf
-}
-
 // Transpose sends input i's cells to output (i + N/2) mod N with the given
 // load — a fixed worst-ish-case permutation used in switch-scheduling
-// studies. Like Permutation it has zero output contention, but its fixed
-// structure exercises schedulers' bias (and blocks badly in multistage
-// fabrics).
+// studies. It has zero output contention, but its fixed structure
+// exercises schedulers' bias (and blocks badly in multistage fabrics).
 type Transpose struct {
 	n    int
 	load float64
@@ -381,8 +343,6 @@ func patternPorts(p Pattern) int {
 	case *Hotspot:
 		return v.n
 	case *Bursty:
-		return v.n
-	case *Permutation:
 		return v.n
 	case *Transpose:
 		return v.n

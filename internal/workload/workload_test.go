@@ -73,20 +73,6 @@ func TestBurstyBurstsAreSingleDestination(t *testing.T) {
 	}
 }
 
-func TestPermutationNoContention(t *testing.T) {
-	p := NewPermutation(8, 1.0, 4)
-	seen := map[int]int{}
-	for _, a := range p.Slot(0) {
-		if prev, dup := seen[a.Output]; dup {
-			t.Fatalf("outputs collide: inputs %d and %d -> %d", prev, a.Input, a.Output)
-		}
-		seen[a.Output] = a.Input
-	}
-	if len(seen) != 8 {
-		t.Fatalf("full-load permutation generated %d arrivals, want 8", len(seen))
-	}
-}
-
 // Experiment E2 (Karol et al. 1987): FIFO input queueing saturates at
 // 2-sqrt(2) = 58.6% under uniform traffic. Offered load 1.0, throughput
 // must land near 0.586 — and well below the per-VC result.
@@ -166,7 +152,6 @@ func TestPatternNames(t *testing.T) {
 		NewUniform(4, 0.5, 1),
 		NewHotspot(4, 0.5, 0.3, 0, 1),
 		NewBursty(4, 0.5, 4, 1),
-		NewPermutation(4, 0.5, 1),
 		NewTranspose(4, 0.5, 1),
 		NewLogDiagonal(4, 0.5, 1),
 	} {
