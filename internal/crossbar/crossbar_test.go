@@ -107,6 +107,36 @@ func TestConnectOne(t *testing.T) {
 	}
 }
 
+// TestConfigureRejectsBadMatchings: a scheduler's matching applied pair by
+// pair through ConnectOne is refused where it is not a matching of this
+// fabric — an input beyond the port count, an output used twice, an output
+// out of range.
+func TestConfigureRejectsBadMatchings(t *testing.T) {
+	apply := func(xb *Crossbar, m []int) error {
+		for i, j := range m {
+			if j < 0 {
+				continue
+			}
+			if err := xb.ConnectOne(i, j); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	xb := New(4)
+	if err := apply(xb, []int{-1, -1, -1, -1, 0}); !errors.Is(err, ErrSizeMismatch) {
+		t.Fatalf("size mismatch err = %v", err)
+	}
+	xb.Reset()
+	if err := apply(xb, []int{1, -1, 1, -1}); !errors.Is(err, ErrOutputBusy) {
+		t.Fatalf("dup output err = %v", err)
+	}
+	xb.Reset()
+	if err := apply(xb, []int{9, -1, -1, -1}); !errors.Is(err, ErrSizeMismatch) {
+		t.Fatalf("oob output err = %v", err)
+	}
+}
+
 func TestSlotParallelism(t *testing.T) {
 	// A full permutation moves N cells in one slot.
 	const n = 16
