@@ -55,8 +55,13 @@ type Scheduler interface {
 // behaviour exactly: constructing it with the switch seed and budget
 // yields the same random stream, and therefore the same matchings, as the
 // pre-interface switch.
+//
+// The engine and its random source are built on the first Schedule call: a
+// source is ≈5 KB, most switches of a large fabric never match, and the
+// stream depends on the seed and the draws alone.
 type PIM struct {
 	eng   *pim.Sequential
+	seed  int64
 	iters int
 }
 
@@ -66,7 +71,7 @@ func NewPIM(seed int64, iters int) *PIM {
 	if iters < 0 {
 		iters = 0
 	}
-	return &PIM{eng: pim.NewSequential(rand.New(rand.NewSource(seed))), iters: iters}
+	return &PIM{seed: seed, iters: iters}
 }
 
 // Name implements Scheduler.
@@ -74,6 +79,9 @@ func (p *PIM) Name() string { return "pim" }
 
 // Schedule implements Scheduler.
 func (p *PIM) Schedule(r *matching.Requests) Result {
+	if p.eng == nil {
+		p.eng = pim.NewSequential(rand.New(rand.NewSource(p.seed)))
+	}
 	res := p.eng.Match(r, p.iters)
 	matched := 0
 	for _, added := range res.NewMatches {

@@ -57,13 +57,12 @@ func (s *Schedule) Relayout(policy Layout) (*Schedule, error) {
 		if err != nil {
 			return nil, err
 		}
-		for t := 0; t < s.slots; t++ {
-			for i, j := range s.row(t) {
-				if j >= 0 {
-					out.place(t, i, int(j))
-					out.rowLoad[i]++
-					out.colLoad[j]++
-				}
+		for k, j := range s.outOf {
+			if j >= 0 {
+				i := k % s.n
+				out.place(k/s.n, i, int(j))
+				out.rowLoad[i]++
+				out.colLoad[j]++
 			}
 		}
 		return out, nil

@@ -126,11 +126,15 @@ func (r *refSchedule) reservations() [][]int {
 }
 
 // refOp is one operation of a differential run: insert (one cell, with its
-// trace), insertK (k cells, steps only) or remove, on the pair (p, q).
+// trace), insertK (k cells, steps only) or remove, on the pair (p, q), or
+// none, which only compares the two frames.
 type refOp struct {
-	kind    int // 0 insert, 1 insertK, 2 remove
+	kind    int // 0 insert, 1 insertK, 2 remove, 3 none
 	p, q, k int
 }
+
+// noOp compares a frame with its reference without changing either.
+var noOp = refOp{kind: 3}
 
 // checkAgainstRef applies op to both schedules and reports the first
 // difference: the operation's outcome (error, steps, moves, the slot a
@@ -232,8 +236,9 @@ func randomOp(rng *rand.Rand, r *refSchedule) refOp {
 // operation, the same chosen slot, Steps and Moves and the same frame seen
 // through every read accessor. The frame sizes cover a partial last word (6,
 // 100), exactly whole words (128, 1024) and one word (16); the switch sizes
-// one input word (4, 16, 24) and two (70). The first half of each run only
-// inserts, and every run must reach the swap path.
+// one input word (4, 16, 24) and two (70). The fresh frame is compared
+// before the first operation. The first half of each run only inserts, and
+// every run must reach the swap path.
 func TestScheduleMatchesReference(t *testing.T) {
 	for _, n := range []int{4, 16, 24, 70} {
 		for _, slots := range []int{6, 16, 100, 128, 1024} {
@@ -244,6 +249,9 @@ func TestScheduleMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				r := newRef(n, slots)
+				if _, err := checkAgainstRef(s, r, noOp); err != nil {
+					t.Fatalf("fresh frame: %v", err)
+				}
 				ops := 600
 				if n*slots > 16*1024 {
 					ops = 300
@@ -273,11 +281,13 @@ func TestScheduleMatchesReference(t *testing.T) {
 // FuzzScheduleMatchesReference runs the differential check on an arbitrary
 // operation sequence: the first two bytes pick the switch and frame size,
 // then every three bytes are one operation (kind, p, q; k is 1 plus the top
-// three bits of p's byte), up to 64 operations.
+// three bits of p's byte), up to 64 operations. The fresh frame is compared
+// before the first operation.
 func FuzzScheduleMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 1, 1, 2, 0, 0})
 	f.Add([]byte{3, 2, 1, 5, 9, 0, 3, 3, 2, 5, 9, 1, 200, 7})
 	f.Add([]byte{1, 4, 1, 0x31, 0x02, 1, 0x73, 0x05, 0, 1, 2, 2, 0x31, 0x02})
+	f.Add([]byte{3, 6, 2, 1, 2, 0, 1, 2, 2, 1, 2, 2, 1, 2})
 	sizes := []int{2, 4, 16, 24, 70}
 	frames := []int{1, 3, 6, 16, 64, 100, 128}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -290,6 +300,9 @@ func FuzzScheduleMatchesReference(f *testing.F) {
 			t.Fatal(err)
 		}
 		r := newRef(n, slots)
+		if _, err := checkAgainstRef(s, r, noOp); err != nil {
+			t.Fatalf("fresh frame: %v", err)
+		}
 		for k, b := 0, data[2:]; len(b) >= 3 && k < 64; k, b = k+1, b[3:] {
 			op := refOp{kind: int(b[0]) % 3, p: int(b[1]) % n, q: int(b[2]) % n, k: 1 + int(b[1]>>5)}
 			if _, err := checkAgainstRef(s, r, op); err != nil {

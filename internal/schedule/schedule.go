@@ -55,7 +55,9 @@ type Trace struct {
 // inOf, what a switch stepping the slot reads), and per port, the set of
 // slots where the port is free (freeIn, freeOut, what an insertion or
 // removal searches). Both are maintained at the two mutation points,
-// place and unplace.
+// place and unplace. A frame that has never held a cell has neither: the
+// first place allocates them (grow), and the readers answer for an empty
+// frame until then.
 type Schedule struct {
 	n     int
 	slots int
@@ -95,28 +97,36 @@ func New(n, slots int) (*Schedule, error) {
 	if slots < 1 {
 		return nil, fmt.Errorf("schedule: frame size %d", slots)
 	}
-	s := &Schedule{
+	return &Schedule{
 		n:         n,
 		slots:     slots,
-		outOf:     make([]int16, slots*n),
-		inOf:      make([]int16, slots*n),
 		slotWords: (slots + 63) / 64,
 		rowLoad:   make([]int, n),
 		colLoad:   make([]int, n),
-		count:     make([]int32, slots),
 		words:     (n + 63) / 64,
+	}, nil
+}
+
+// grow allocates the slot arrays, the per-slot counts and input sets, and
+// the per-port free-slot sets of an empty frame, once: most switches never
+// hold a reservation, and a frame of 24 ports × 128 slots is 15 KB.
+func (s *Schedule) grow() {
+	if s.outOf != nil {
+		return
 	}
-	s.inputs = make([]uint64, slots*s.words)
+	s.outOf = make([]int16, s.slots*s.n)
+	s.inOf = make([]int16, s.slots*s.n)
 	for k := range s.outOf {
 		s.outOf[k] = -1
 		s.inOf[k] = -1
 	}
-	s.freeIn = make([]uint64, n*s.slotWords)
+	s.count = make([]int32, s.slots)
+	s.inputs = make([]uint64, s.slots*s.words)
+	s.freeIn = make([]uint64, s.n*s.slotWords)
 	for k := range s.freeIn {
 		s.freeIn[k] = s.frameMask(k % s.slotWords)
 	}
 	s.freeOut = slices.Clone(s.freeIn)
-	return s, nil
 }
 
 // FromAssignments builds a schedule from explicit slot assignments:
@@ -137,7 +147,7 @@ func FromAssignments(n, slots int, at func(slot, input int) int) (*Schedule, err
 			if j >= n {
 				return nil, fmt.Errorf("%w: slot %d input %d -> %d", ErrBadPort, t, i, j)
 			}
-			if s.inOf[t*n+j] >= 0 {
+			if s.inOf != nil && s.inOf[t*n+j] >= 0 {
 				return nil, fmt.Errorf("schedule: slot %d output %d assigned twice", t, j)
 			}
 			s.place(t, i, j)
@@ -169,21 +179,33 @@ func (s *Schedule) Load(input, output int) (rowLoad, colLoad int) {
 
 // At returns the output input i sends to in slot t, or -1.
 func (s *Schedule) At(t, input int) int {
-	if t < 0 || t >= s.slots || input < 0 || input >= s.n {
+	if t < 0 || t >= s.slots || input < 0 || input >= s.n || s.outOf == nil {
 		return -1
 	}
 	return int(s.outOf[t*s.n+input])
 }
 
 // CountAt returns the number of connections scheduled in slot t.
-func (s *Schedule) CountAt(t int) int { return int(s.count[t]) }
+func (s *Schedule) CountAt(t int) int {
+	if s.count == nil {
+		return 0
+	}
+	return int(s.count[t])
+}
 
 // InputsAt returns the inputs connected in slot t as a bitset (bit i set iff
 // At(t, i) >= 0). The slice aliases the schedule: read-only, valid until the
 // next insertion or removal.
 func (s *Schedule) InputsAt(t int) []uint64 {
+	if s.inputs == nil {
+		return noInputs[:s.words]
+	}
 	return s.inputs[t*s.words : (t+1)*s.words]
 }
+
+// noInputs is the input set of every slot of a frame that has never held a
+// cell, as wide as the widest switch New accepts. Nothing writes to it.
+var noInputs [(math.MaxInt16 + 63) / 64]uint64
 
 // row returns slot t's outputs by input (outOf's slot t).
 func (s *Schedule) row(t int) []int16 { return s.outOf[t*s.n : (t+1)*s.n] }
@@ -235,6 +257,9 @@ func (s *Schedule) insert(P, Q int, moves *[]Move) (steps int, err error) {
 	if P < 0 || P >= s.n || Q < 0 || Q >= s.n {
 		return 0, fmt.Errorf("%w: %d->%d", ErrBadPort, P, Q)
 	}
+	// An empty frame has a free slot for any pair, so this allocates only
+	// for an insertion that places a cell.
+	s.grow()
 	if s.rowLoad[P]+1 > s.slots || s.colLoad[Q]+1 > s.slots {
 		return 0, fmt.Errorf("%w: %d->%d (row %d, col %d, frame %d)",
 			ErrOvercommit, P, Q, s.rowLoad[P], s.colLoad[Q], s.slots)
@@ -313,8 +338,10 @@ func (s *Schedule) insert(P, Q int, moves *[]Move) (steps int, err error) {
 }
 
 // place and unplace are the only two mutation points of the slot arrays,
-// the per-slot counts and input sets, and the per-port free-slot sets.
+// the per-slot counts and input sets, and the per-port free-slot sets; the
+// first place allocates them.
 func (s *Schedule) place(t, i, j int) {
+	s.grow()
 	s.outOf[t*s.n+i] = int16(j)
 	s.inOf[t*s.n+j] = int16(i)
 	s.total++
@@ -365,6 +392,10 @@ func (s *Schedule) Remove(p, q int) error {
 	if p < 0 || p >= s.n || q < 0 || q >= s.n {
 		return fmt.Errorf("%w: %d->%d", ErrBadPort, p, q)
 	}
+	if s.total == 0 {
+		// An empty frame may have no free-slot sets to search.
+		return fmt.Errorf("%w: %d->%d", ErrNotFound, p, q)
+	}
 	freeP := s.freeSlots(s.freeIn, p)
 	for w := s.slotWords - 1; w >= 0; w-- {
 		for busy := ^freeP[w] & s.frameMask(w); busy != 0; {
@@ -403,6 +434,18 @@ func (s *Schedule) Reservations() [][]int {
 // the frame where the port is unconnected, and the row/column loads and the
 // frame total match the placed connections. It allocates nothing.
 func (s *Schedule) Validate() error {
+	if s.outOf == nil {
+		// Nothing was ever placed: no cell is counted anywhere.
+		if s.total != 0 {
+			return fmt.Errorf("schedule: frame total %d, placed 0", s.total)
+		}
+		for i := 0; i < s.n; i++ {
+			if s.rowLoad[i] != 0 || s.colLoad[i] != 0 {
+				return fmt.Errorf("schedule: port %d loads row %d, col %d, placed 0", i, s.rowLoad[i], s.colLoad[i])
+			}
+		}
+		return nil
+	}
 	total := 0
 	for t := 0; t < s.slots; t++ {
 		placed, marked := 0, 0

@@ -2,8 +2,10 @@ package schedule
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -393,23 +395,53 @@ func TestValidateCatchesSlotSetDrift(t *testing.T) {
 }
 
 // TestNewFootprint pins what one empty frame costs: fabric_sparse's LAN
-// builds 720 of these (16 ports, 128 slots) at boot and keeps them live.
-// Slices of per-slot rows cost ≈33 KiB each.
+// builds 720 of these (16 ports, 128 slots) at boot and keeps them live, and
+// most never hold a reservation. An empty frame has no slot arrays and no
+// free-slot sets; slices of per-slot rows cost ≈33 KiB each, and the flat
+// arrays allocated at New ≈11 KiB.
 func TestNewFootprint(t *testing.T) {
-	const reps = 64
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < reps; i++ {
+	per := allocatedPer(t, func() {
 		s, err := New(16, 128)
 		if err != nil {
 			t.Fatal(err)
 		}
 		footprintSink = s
+	})
+	if per > 1<<10 {
+		t.Errorf("New(16, 128) allocates %d bytes, budget %d", per, 1<<10)
+	}
+}
+
+// TestFirstInsertFootprint pins what a frame costs once it holds a cell: the
+// first insertion allocates the flat slot arrays and free-slot sets, once.
+func TestFirstInsertFootprint(t *testing.T) {
+	per := allocatedPer(t, func() {
+		s, err := New(16, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Insert(3, 5); err != nil {
+			t.Fatal(err)
+		}
+		footprintSink = s
+	})
+	if per > 11<<10 {
+		t.Errorf("New(16, 128) and one Insert allocate %d bytes, budget %d", per, 11<<10)
+	}
+}
+
+// allocatedPer returns the bytes one call of f allocates, averaged over 64
+// calls.
+func allocatedPer(t *testing.T, f func()) uint64 {
+	t.Helper()
+	const reps = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reps; i++ {
+		f()
 	}
 	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / reps; per > 11<<10 {
-		t.Errorf("New(16, 128) allocates %d bytes, budget %d", per, 11<<10)
-	}
+	return (after.TotalAlloc - before.TotalAlloc) / reps
 }
 
 var footprintSink *Schedule
@@ -431,4 +463,138 @@ func BenchmarkSlepianDuguidInsert16(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestUntouchedFrameMatchesEmptied checks that a frame that never held a
+// cell, which has no slot arrays, reads the same as one that held cells and
+// gave them all back: every accessor, Validate, Reservations, BusySlots,
+// Relayout under each layout, FromAssignments with no assignment, and the
+// slot the next insertion takes.
+func TestUntouchedFrameMatchesEmptied(t *testing.T) {
+	for _, dims := range [][2]int{{4, 6}, {16, 128}, {70, 100}} {
+		n, slots := dims[0], dims[1]
+		fresh, err := New(n, slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		emptied, err := New(n, slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two reservations per input, each half a frame: rows and columns
+		// fill, so later cells take the swap path.
+		for i := 0; i < n; i++ {
+			for _, d := range []int{1, 2} {
+				if _, err := emptied.InsertK(i, (i+d)%n, slots/2); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := 0; i < n; i++ {
+			for _, d := range []int{1, 2} {
+				for c := 0; c < slots/2; c++ {
+					if err := emptied.Remove(i, (i+d)%n); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		if fresh.outOf != nil || emptied.outOf == nil {
+			t.Fatalf("%dx%d: slot arrays: untouched %v, emptied %v; want only the emptied frame's",
+				n, slots, fresh.outOf != nil, emptied.outOf != nil)
+		}
+		if err := sameFrame(fresh, emptied); err != nil {
+			t.Fatalf("%dx%d: %v", n, slots, err)
+		}
+		for _, f := range []*Schedule{fresh, emptied} {
+			if err := f.Validate(); err != nil {
+				t.Fatalf("%dx%d: %v", n, slots, err)
+			}
+			if got := f.BusySlots(); got != 0 {
+				t.Fatalf("%dx%d: BusySlots = %d", n, slots, got)
+			}
+			if err := f.Remove(0, 1); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("%dx%d: Remove on an empty frame: %v", n, slots, err)
+			}
+		}
+		for _, l := range []Layout{LayoutAsInserted, LayoutPacked, LayoutSpread} {
+			a, err := fresh.Relayout(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := emptied.Relayout(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameFrame(a, b); err != nil {
+				t.Fatalf("%dx%d %v: %v", n, slots, l, err)
+			}
+			if err := sameFrame(a, fresh); err != nil {
+				t.Fatalf("%dx%d %v against the untouched frame: %v", n, slots, l, err)
+			}
+		}
+		none, err := FromAssignments(n, slots, func(int, int) int { return -1 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameFrame(none, emptied); err != nil {
+			t.Fatalf("%dx%d FromAssignments: %v", n, slots, err)
+		}
+		trFresh, errFresh := fresh.Insert(n-1, 0)
+		trEmptied, errEmptied := emptied.Insert(n-1, 0)
+		if errFresh != nil || errEmptied != nil || !reflect.DeepEqual(trFresh, trEmptied) {
+			t.Fatalf("%dx%d: next insertion %+v (%v), emptied %+v (%v)", n, slots, trFresh, errFresh, trEmptied, errEmptied)
+		}
+		if err := sameFrame(fresh, emptied); err != nil {
+			t.Fatalf("%dx%d after the next insertion: %v", n, slots, err)
+		}
+	}
+}
+
+// sameFrame reports the first read accessor on which a and b differ.
+func sameFrame(a, b *Schedule) error {
+	if a.N() != b.N() || a.Slots() != b.Slots() || a.Cells() != b.Cells() {
+		return fmt.Errorf("dimensions %dx%d, %d cells; other %dx%d, %d cells", a.N(), a.Slots(), a.Cells(), b.N(), b.Slots(), b.Cells())
+	}
+	n, slots := a.N(), a.Slots()
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			ra, ca := a.Load(i, j)
+			rb, cb := b.Load(i, j)
+			if ra != rb || ca != cb {
+				return fmt.Errorf("Load(%d, %d) = %d, %d; other %d, %d", i, j, ra, ca, rb, cb)
+			}
+		}
+	}
+	for t := -1; t <= slots; t++ {
+		for i := -1; i <= n; i++ {
+			if x, y := a.At(t, i), b.At(t, i); x != y {
+				return fmt.Errorf("At(%d, %d) = %d, other %d", t, i, x, y)
+			}
+			if x, y := a.InputAt(t, i), b.InputAt(t, i); x != y {
+				return fmt.Errorf("InputAt(%d, %d) = %d, other %d", t, i, x, y)
+			}
+			for _, j := range []int{i, i + 1} {
+				if x, y := a.FreePairs(t, i, j), b.FreePairs(t, i, j); x != y {
+					return fmt.Errorf("FreePairs(%d, %d, %d) = %v, other %v", t, i, j, x, y)
+				}
+			}
+		}
+		if t < 0 || t >= slots {
+			continue
+		}
+		if x, y := a.CountAt(t), b.CountAt(t); x != y {
+			return fmt.Errorf("CountAt(%d) = %d, other %d", t, x, y)
+		}
+		if x, y := a.InputsAt(t), b.InputsAt(t); !reflect.DeepEqual(x, y) {
+			return fmt.Errorf("InputsAt(%d) = %x, other %x", t, x, y)
+		}
+	}
+	if x, y := a.Reservations(), b.Reservations(); !reflect.DeepEqual(x, y) {
+		return fmt.Errorf("Reservations = %v, other %v", x, y)
+	}
+	if x, y := a.BusySlots(), b.BusySlots(); x != y {
+		return fmt.Errorf("BusySlots = %d, other %d", x, y)
+	}
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cell"
@@ -508,4 +509,56 @@ func TestLinkAddedAfterNewGrowsCalendar(t *testing.T) {
 	if u := n.LinkUtilization()[long]; u == 0 {
 		t.Fatal("the added link carried nothing")
 	}
+}
+
+// TestSwitchStateBuiltOnFirstUse pins what a sleeping switch costs. On a
+// radix-8 fat-tree carrying one guaranteed and one best-effort circuit, only
+// the switches holding a reservation have frame slot arrays, and only those
+// that ran a matching have a PIM engine: every other switch has neither.
+func TestSwitchStateBuiltOnFirstUse(t *testing.T) {
+	n, _, _, info, path := fatTreeNet(t, topology.FatTreeConfig{Radix: 8, Pods: 8})
+	h := func(pod, i int) topology.NodeID { return info.Hosts[pod][i] }
+	gtdPath, bePath := path(h(0, 0), h(1, 0)), path(h(2, 0), h(3, 1))
+	if _, err := n.OpenGuaranteed(10, gtdPath, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.OpenBestEffort(1, bePath); err != nil {
+		t.Fatal(err)
+	}
+	for slot := 0; slot < 200; slot++ {
+		for _, vc := range []cell.VCI{1, 10} {
+			if slot%4 == 0 {
+				if err := n.Send(vc, [cell.PayloadSize]byte{byte(vc), byte(slot)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		n.Step()
+	}
+	n.Run(200)
+	for _, vc := range []cell.VCI{1, 10} {
+		if n.DeliveredByVC(vc) == 0 {
+			t.Fatalf("circuit %d delivered nothing", vc)
+		}
+	}
+	on := func(p []topology.NodeID, id topology.NodeID) bool { return slices.Contains(p[1:len(p)-1], id) }
+	withArrays, withEngine := 0, 0
+	for _, id := range n.switchOrder {
+		sw := n.switches[id]
+		arrays, engine := n.builtOnFirstUse(id)
+		reserved, matched := sw.Frame().Cells() > 0, sw.Stats().PIMIterationsTotal > 0
+		if arrays != reserved || reserved != on(gtdPath, id) {
+			t.Errorf("switch %d: slot arrays %v, holds a reservation %v, on the guaranteed path %v", id, arrays, reserved, on(gtdPath, id))
+		}
+		if engine != matched || matched != on(bePath, id) {
+			t.Errorf("switch %d: PIM engine %v, ran a matching %v, on the best-effort path %v", id, engine, matched, on(bePath, id))
+		}
+		if arrays {
+			withArrays++
+		}
+		if engine {
+			withEngine++
+		}
+	}
+	t.Logf("%d switches: %d with slot arrays, %d with a PIM engine", len(n.switchOrder), withArrays, withEngine)
 }

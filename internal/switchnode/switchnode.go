@@ -139,7 +139,8 @@ type Switch struct {
 	// cells leave from the guaranteed pool, every other connected input's
 	// from the best-effort buffer.
 	gtdIn []uint64
-	// deps backs the slice returned by Step, reused across slots.
+	// deps backs the slice returned by Step, reused across slots. The first
+	// Step that holds a cell makes it, n wide.
 	deps []Departure
 
 	// Observability handles (nil when Config.Obs is nil — every call on
@@ -186,7 +187,6 @@ func New(cfg Config) (*Switch, error) {
 		occGtd:  make([]uint64, matching.WordsFor(cfg.N)),
 		reqs:    matching.NewRequests(cfg.N),
 		gtdIn:   make([]uint64, matching.WordsFor(cfg.N)),
-		deps:    make([]Departure, 0, cfg.N),
 
 		obsShard:     cfg.Shard,
 		obsDeparted:  cfg.Obs.Counter("switch_departed_cells_total"),
@@ -506,6 +506,9 @@ func (s *Switch) Step() []Departure {
 	}
 
 	// Phase 3: transfer, in input order.
+	if s.deps == nil {
+		s.deps = make([]Departure, 0, s.n)
+	}
 	out := s.deps[:0]
 	for w, word := range s.xb.ConnectedInputWords() {
 		for ; word != 0; word &= word - 1 {

@@ -1,6 +1,7 @@
 package switchnode
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/cell"
@@ -21,6 +22,26 @@ func TestDefaults(t *testing.T) {
 		t.Fatalf("default frame = %d, want 1024", s.Frame().Slots())
 	}
 }
+
+// TestSwitchNewFootprint pins what a switch costs before it carries a cell:
+// fabric_sparse's LAN builds 720 of these (24 ports, 128-slot frames), and
+// about 1 % of them ever switch one. The frame's slot arrays, the PIM
+// engine and its random source, and the departure list are built on first
+// use; built at New they came to ≈29 KB.
+func TestSwitchNewFootprint(t *testing.T) {
+	const reps = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reps; i++ {
+		footprintSink = newSwitch(t, Config{N: 24, FrameSlots: 128, Seed: int64(i)})
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / reps; per > 8<<10 {
+		t.Errorf("New(24 ports, 128 slots) allocates %d bytes, budget %d", per, 8<<10)
+	}
+}
+
+var footprintSink *Switch
 
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{N: -1}); err == nil {
