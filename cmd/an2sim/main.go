@@ -60,10 +60,9 @@ func run(args []string) error {
 		seed       = fs.Int64("seed", 1, "random seed")
 		traceFile  = fs.String("trace", "", "write a JSONL event trace to this file")
 		traceHops  = fs.Bool("trace-hops", false, "with -trace, also record per-switch hop events (enables an2trace's full latency decomposition)")
-		obsFlag    = fs.Bool("obs", false, "collect live instruments even without an export surface")
-		httpAddr   = fs.String("http", "", "serve /metrics, /debug/vars and /debug/pprof on this address (implies -obs)")
+		httpAddr   = fs.String("http", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 		hold       = fs.Bool("hold", false, "with -http, keep serving after the run ends (stop with Ctrl-C)")
-		metricsOut = fs.String("metrics-out", "", "write the final Prometheus exposition to this file (implies -obs)")
+		metricsOut = fs.String("metrics-out", "", "write the final Prometheus exposition to this file")
 		serveAddr  = fs.String("serve", "", "service mode: run a multi-tenant VC server on this UDP address (e.g. 127.0.0.1:4720) instead of a scripted run")
 		serveFor   = fs.Duration("serve-duration", 0, "with -serve, stop after this long (default: until Ctrl-C)")
 		maxVCs     = fs.Int("max-vcs", 32, "with -serve, per-tenant open-VC quota")
@@ -113,7 +112,7 @@ func run(args []string) error {
 		tracer = jt
 	}
 	var reg *obs.Registry
-	if *obsFlag || *httpAddr != "" || *metricsOut != "" {
+	if *httpAddr != "" || *metricsOut != "" {
 		reg = obs.NewRegistry(len(g.Switches()))
 		reg.PublishExpvar("an2")
 	}

@@ -13,7 +13,7 @@ import (
 func TestShortSimulation(t *testing.T) {
 	err := run([]string{
 		"-topology", "src", "-switches", "9", "-hosts", "8",
-		"-circuits", "4", "-guaranteed", "1", "-slots", "2000", "-frame", "64",
+		"-circuits", "4", "-guaranteed", "1", "-rate", "4", "-slots", "2000", "-frame", "64",
 	})
 	if err != nil {
 		t.Fatal(err)

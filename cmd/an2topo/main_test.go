@@ -38,6 +38,15 @@ func TestFatTreeKind(t *testing.T) {
 	}
 }
 
+func TestRoot(t *testing.T) {
+	if err := run([]string{"-family", "ring", "-switches", "6", "-root", "3"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-family", "ring", "-switches", "6", "-hosts", "6", "-root", "7"}); err == nil {
+		t.Fatal("a host accepted as the orientation root")
+	}
+}
+
 func TestUnknownFamily(t *testing.T) {
 	if err := run([]string{"-family", "hypercube9000"}); err == nil {
 		t.Fatal("unknown family accepted")

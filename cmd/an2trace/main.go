@@ -34,8 +34,7 @@
 // written to the named file; load it in Perfetto (ui.perfetto.dev) or
 // chrome://tracing to see data-plane cells (pid 1, one track per VC) and
 // control-plane recovery spans (pid 2, one track per incident) on a single
-// correlated timeline. -slotus sets the microseconds per cell slot used
-// for that conversion (default 10, matching the recovery loop's SlotUS).
+// correlated timeline, at 10 µs per cell slot (the recovery loop's SlotUS).
 //
 // The latency decomposition needs per-hop events (an2sim -trace-hops or
 // simnet.Config.TraceHops); without them the report still shows totals,
@@ -57,6 +56,10 @@ import (
 	"repro/internal/svc"
 )
 
+// slotUS is the cell slot time, in microseconds, that -chrome timestamps
+// assume: recovery.Config.SlotUS's default.
+const slotUS = 10
+
 func main() {
 	if err := run(os.Stdout, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "an2trace:", err)
@@ -68,7 +71,6 @@ func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("an2trace", flag.ContinueOnError)
 	var (
 		chrome   = fs.String("chrome", "", "convert to Chrome trace_event JSON at this path (Perfetto-loadable)")
-		slotUS   = fs.Int64("slotus", 10, "microseconds per cell slot for -chrome timestamps")
 		top      = fs.Int("top", 10, "contended output ports to show (0 hides the table)")
 		jsonFlag = fs.Bool("json", false, "emit the analysis as JSON instead of tables")
 		merge    = fs.Bool("merge", false, "merge a client and a server span stream (exactly two file args) into clock offsets, latency decomposition, and unavailability windows")
@@ -130,7 +132,7 @@ func run(w io.Writer, args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := obs.WriteChromeTrace(f, events, *slotUS); err != nil {
+		if err := obs.WriteChromeTrace(f, events, slotUS); err != nil {
 			f.Close()
 			return err
 		}

@@ -25,6 +25,7 @@ var exportAllowList = map[string]string{
 	"chaos.SvcShrink":          "an entry point of the chaos harness, which CI runs through go test",
 	"schedule.FromAssignments": "switchnode's reference-model test installs a rotated frame with it",
 	"switchnode.BufferedVC":    "switchnode's reference-model test compares it, and simnet's reroute test reads a backlog with it",
+	"topology.LinksOf":         "routing's, simnet's and topology's tests check the Ports walk against this copy",
 	"crossbar.Transferred": "its counter sits in Transfer on the switch step, and deleting it moves " +
 		"bench's countWriter.Write to a slow alignment; goes with ROADMAP item 10(a)",
 }

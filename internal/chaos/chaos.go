@@ -82,9 +82,9 @@ type Schedule struct {
 	// reconfiguration round (its Seed field is ignored; Schedule.Seed is
 	// used). Bursts raise DropProb above this floor.
 	Faults ctrlnet.Config
-	// Hardening tunes the retransmission/watchdog layer. The zero value
-	// uses reconfig's defaults; UnsafeNoDupGuard reintroduces the
-	// duplicate-receipt bug the harness exists to catch.
+	// Hardening tunes the watchdog layer. The zero value uses reconfig's
+	// defaults; UnsafeNoDupGuard reintroduces the duplicate-receipt bug
+	// the harness exists to catch.
 	Hardening reconfig.Hardening
 	// RetriggerBudget bounds total watchdog re-triggers across the run.
 	// With the protocol intact retransmission absorbs nearly everything
@@ -113,78 +113,46 @@ func (s Schedule) String() string {
 	return b.String()
 }
 
-// GenConfig tunes Generate. The zero value uses the defaults below.
-type GenConfig struct {
-	Horizon     int64   // default 3000
-	Grace       int64   // default 800
-	MinOutages  int     // default 2
-	MaxOutages  int     // default 4
-	BurstProb   float64 // chance an outage carries a control burst (default 0.4)
-	BurstDrop   float64 // burst drop probability (default 0.35)
-	DropProb    float64 // baseline control loss (default 0.20)
-	DupProb     float64 // default 0.10
-	ReorderProb float64 // default 0.10
-}
-
-func (c GenConfig) withDefaults() GenConfig {
-	if c.Horizon <= 0 {
-		c.Horizon = 3000
-	}
-	if c.Grace <= 0 {
-		c.Grace = 800
-	}
-	if c.MinOutages <= 0 {
-		c.MinOutages = 2
-	}
-	if c.MaxOutages < c.MinOutages {
-		c.MaxOutages = c.MinOutages + 2
-	}
-	if c.BurstProb == 0 {
-		c.BurstProb = 0.4
-	}
-	if c.BurstDrop == 0 {
-		c.BurstDrop = 0.35
-	}
-	if c.DropProb == 0 {
-		c.DropProb = 0.20
-	}
-	if c.DupProb == 0 {
-		c.DupProb = 0.10
-	}
-	if c.ReorderProb == 0 {
-		c.ReorderProb = 0.10
-	}
-	return c
-}
+// A generated schedule runs 3000 slots, the last 800 of them quiet, and
+// has 2–4 outages, each carrying a 35% control-loss burst with chance 0.4,
+// over baseline control loss of 20% with 10% duplication and 10%
+// reordering.
+const (
+	genHorizon     = 3000
+	genGrace       = 800
+	genMinOutages  = 2
+	genMaxOutages  = 4
+	genBurstProb   = 0.4
+	genBurstDrop   = 0.35
+	genDropProb    = 0.20
+	genDupProb     = 0.10
+	genReorderProb = 0.10
+)
 
 // Generate builds a random schedule from the seed: 2–4 overlapping
 // outages on victim links and switches, some carrying control-loss
 // bursts, all healed by Horizon-Grace so the end-state invariants are
-// fair. The same (seed, cfg) always yields the same schedule.
-func Generate(seed int64, cfg GenConfig) Schedule {
-	cfg = cfg.withDefaults()
+// fair. The same seed always yields the same schedule.
+func Generate(seed int64) Schedule {
 	rng := rand.New(rand.NewSource(seed ^ 0x5DEECE66D))
 	s := Schedule{
 		Seed:            seed,
-		Horizon:         cfg.Horizon,
-		Grace:           cfg.Grace,
+		Horizon:         genHorizon,
+		Grace:           genGrace,
 		RetriggerBudget: 4,
 		Faults: ctrlnet.Config{
-			DropProb:    cfg.DropProb,
-			DupProb:     cfg.DupProb,
-			ReorderProb: cfg.ReorderProb,
+			DropProb:    genDropProb,
+			DupProb:     genDupProb,
+			ReorderProb: genReorderProb,
 		},
 	}
 	links := victimLinks()
-	n := cfg.MinOutages + rng.Intn(cfg.MaxOutages-cfg.MinOutages+1)
-	lastStart := cfg.Horizon - cfg.Grace - 700
+	n := genMinOutages + rng.Intn(genMaxOutages-genMinOutages+1)
+	lastStart := int64(genHorizon - genGrace - 700)
 	for i := 0; i < n; i++ {
 		start := 200 + rng.Int63n(lastStart-200+1)
 		dur := 100 + rng.Int63n(400)
-		end := start + dur
-		if max := cfg.Horizon - cfg.Grace; end > max {
-			end = max
-		}
+		end := min(start+dur, genHorizon-genGrace)
 		o := Outage{Start: start, End: end, Link: -1, Node: -1}
 		if rng.Float64() < 0.25 {
 			o.Switch = true
@@ -192,8 +160,8 @@ func Generate(seed int64, cfg GenConfig) Schedule {
 		} else {
 			o.Link = links[rng.Intn(len(links))]
 		}
-		if rng.Float64() < cfg.BurstProb {
-			o.Burst = cfg.BurstDrop
+		if rng.Float64() < genBurstProb {
+			o.Burst = genBurstDrop
 		}
 		s.Outages = append(s.Outages, o)
 	}

@@ -14,7 +14,7 @@ func TestChaosSuitePasses(t *testing.T) {
 		seeds = 4
 	}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		s := Generate(seed, GenConfig{})
+		s := Generate(seed)
 		res, err := Run(s)
 		if err != nil {
 			t.Fatalf("seed %d: harness error: %v", seed, err)
@@ -34,7 +34,7 @@ func TestChaosSuitePasses(t *testing.T) {
 // The same schedule must replay to the same world, byte for byte: every
 // reproducer the shrinker prints depends on this.
 func TestChaosRunDeterministic(t *testing.T) {
-	s := Generate(42, GenConfig{})
+	s := Generate(42)
 	r1, err1 := Run(s)
 	r2, err2 := Run(s)
 	if err1 != nil || err2 != nil {
@@ -50,7 +50,7 @@ func TestChaosRunDeterministic(t *testing.T) {
 
 // Generate is a pure function of its seed.
 func TestGenerateDeterministic(t *testing.T) {
-	a, b := Generate(7, GenConfig{}), Generate(7, GenConfig{})
+	a, b := Generate(7), Generate(7)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different schedules:\n%s\n%s", a, b)
 	}
@@ -76,7 +76,7 @@ func TestChaosCatchesDupGuardRemoval(t *testing.T) {
 	}
 	var failing *Schedule
 	for seed := int64(1); seed <= 30; seed++ {
-		s := Generate(seed, GenConfig{})
+		s := Generate(seed)
 		s.Hardening.UnsafeNoDupGuard = true
 		res, err := Run(s)
 		if err != nil {
@@ -130,7 +130,7 @@ func TestChaosCatchesDupGuardRemoval(t *testing.T) {
 // a driver that tried candidates in another order, adopted them by another
 // rule or spent its budget differently would move one or the other.
 func TestShrinkPinnedSchedule(t *testing.T) {
-	s := Generate(1, GenConfig{})
+	s := Generate(1)
 	s.Hardening.UnsafeNoDupGuard = true
 	min, v, runs, err := Shrink(s)
 	if err != nil {
@@ -149,7 +149,7 @@ func TestShrinkPinnedSchedule(t *testing.T) {
 }
 
 func TestShrinkRejectsPassingSchedule(t *testing.T) {
-	s := Generate(1, GenConfig{})
+	s := Generate(1)
 	if _, _, _, err := Shrink(s); err == nil {
 		t.Fatal("Shrink accepted a schedule that does not fail")
 	}

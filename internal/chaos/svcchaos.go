@@ -125,37 +125,29 @@ func (s SvcSchedule) String() string {
 	return b.String()
 }
 
-// SvcGenConfig tunes GenerateSvc: the churn phase and the wind-down (zero:
-// SvcSchedule's defaults).
-type SvcGenConfig struct {
-	HorizonMS, GraceMS int64
-}
-
 // A generated schedule has the default 8 tenants and 400 ms leases, up to
 // 2 tenants vanishing, 1–2 server kills, an even chance of an extra
 // control brownout, and baseline control loss of 10% with 5% duplication
 // and 5% reordering.
 const (
-	genMaxVanish   = 2
-	genMinKills    = 1
-	genMaxKills    = 2
-	genBurstProb   = 0.5
-	genDropProb    = 0.10
-	genDupProb     = 0.05
-	genReorderProb = 0.05
+	svcGenMaxVanish   = 2
+	svcGenMinKills    = 1
+	svcGenMaxKills    = 2
+	svcGenBurstProb   = 0.5
+	svcGenDropProb    = 0.10
+	svcGenDupProb     = 0.05
+	svcGenReorderProb = 0.05
 )
 
 // GenerateSvc builds a random service schedule from the seed: 1–2 server
 // kills and possibly a control-loss burst, every outage over before the
 // wind-down so the end-state invariants are fair.
-func GenerateSvc(seed int64, cfg SvcGenConfig) SvcSchedule {
+func GenerateSvc(seed int64) SvcSchedule {
 	rng := rand.New(rand.NewSource(seed ^ 0x51CE995))
 	s := SvcSchedule{
-		Seed:      seed,
-		HorizonMS: cfg.HorizonMS,
-		GraceMS:   cfg.GraceMS,
-		Vanish:    rng.Intn(genMaxVanish + 1),
-		Faults:    ctrlnet.Config{DropProb: genDropProb, DupProb: genDupProb, ReorderProb: genReorderProb},
+		Seed:   seed,
+		Vanish: rng.Intn(svcGenMaxVanish + 1),
+		Faults: ctrlnet.Config{DropProb: svcGenDropProb, DupProb: svcGenDupProb, ReorderProb: svcGenReorderProb},
 	}.withDefaults()
 	// An outage starts in [300, horizon-600] ms, lasts 100 ms plus up to
 	// spread, and ends by horizon-200 ms.
@@ -164,10 +156,10 @@ func GenerateSvc(seed int64, cfg SvcGenConfig) SvcSchedule {
 		end := min(start+100+rng.Int63n(spread), s.HorizonMS-200)
 		return SvcOutage{Kill: kill, StartMS: start, EndMS: end}
 	}
-	for kills := genMinKills + rng.Intn(genMaxKills-genMinKills+1); kills > 0; kills-- {
+	for kills := svcGenMinKills + rng.Intn(svcGenMaxKills-svcGenMinKills+1); kills > 0; kills-- {
 		s.Outages = append(s.Outages, outage(true, 200))
 	}
-	if rng.Float64() < genBurstProb {
+	if rng.Float64() < svcGenBurstProb {
 		s.Outages = append(s.Outages, outage(false, 150))
 	}
 	return s

@@ -3,6 +3,7 @@ package chaos
 import (
 	"testing"
 
+	"repro/internal/ctrlnet"
 	"repro/internal/obs"
 	"repro/internal/svc"
 )
@@ -15,7 +16,7 @@ func TestSvcChaosGeneratedSchedulesHold(t *testing.T) {
 		t.Skip("service chaos sweep is long")
 	}
 	for seed := int64(1); seed <= 6; seed++ {
-		s := GenerateSvc(seed, SvcGenConfig{})
+		s := GenerateSvc(seed)
 		res, err := RunSvc(s)
 		if err != nil {
 			t.Fatalf("seed %d: harness: %v", seed, err)
@@ -183,9 +184,12 @@ func TestSvcChaosRecorderSurvivesRestart(t *testing.T) {
 // Determinism: equal schedules produce identical results, down to the
 // tenant-observed counters and the flight recorder's every span (the
 // server's one clock is the virtual one). Without this, shrinking is
-// meaningless.
+// meaningless. The schedule is what GenerateSvc draws for seed 5 over a
+// 1200 ms churn phase and a 500 ms wind-down, short enough to run twice.
 func TestSvcChaosDeterministic(t *testing.T) {
-	s := GenerateSvc(5, SvcGenConfig{HorizonMS: 1200, GraceMS: 500})
+	s := SvcSchedule{Seed: 5, HorizonMS: 1200, GraceMS: 500, Vanish: 1,
+		Faults:  ctrlnet.Config{DropProb: 0.10, DupProb: 0.05, ReorderProb: 0.05},
+		Outages: []SvcOutage{{Kill: true, StartMS: 501, EndMS: 608}}}
 	a, err := RunSvc(s)
 	if err != nil {
 		t.Fatal(err)

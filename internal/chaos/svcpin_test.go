@@ -72,7 +72,7 @@ func TestSvcChaosPinned(t *testing.T) {
 		"0e24f47b8ab1134471206be14e08e8f6", "0ec23acbe3301211d7ba9d15479f4b43",
 	} {
 		seed := int64(i + 1)
-		cases = append(cases, pin{fmt.Sprintf("generated-%d", seed), GenerateSvc(seed, SvcGenConfig{}), want})
+		cases = append(cases, pin{fmt.Sprintf("generated-%d", seed), GenerateSvc(seed), want})
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

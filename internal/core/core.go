@@ -26,6 +26,10 @@ import (
 	"repro/internal/topology"
 )
 
+// ingressWindow is the best-effort credit window, in cells, at each
+// source.
+const ingressWindow = 32
+
 // Config configures a LAN.
 type Config struct {
 	// Topology is the network graph; it must contain at least one switch
@@ -38,9 +42,6 @@ type Config struct {
 	// by bandwidth central for admission (default: half the frame, so
 	// best-effort always has headroom).
 	LinkCapacityCellsPerFrame int
-	// IngressWindow is the best-effort credit window at each source
-	// (default 32 cells).
-	IngressWindow int
 	// PIMIterations is the per-slot matching budget (default 3).
 	PIMIterations int
 	// Policy is bandwidth central's route heuristic (default MinHop).
@@ -129,9 +130,6 @@ func New(cfg Config) (*LAN, error) {
 	if cfg.LinkCapacityCellsPerFrame == 0 {
 		cfg.LinkCapacityCellsPerFrame = cfg.FrameSlots / 2
 	}
-	if cfg.IngressWindow == 0 {
-		cfg.IngressWindow = 32
-	}
 	switches := cfg.Topology.Switches()
 	if len(switches) == 0 {
 		return nil, errors.New("core: topology has no switches")
@@ -143,7 +141,7 @@ func New(cfg Config) (*LAN, error) {
 			PIMIterations: cfg.PIMIterations,
 			Seed:          cfg.Seed,
 		},
-		IngressWindow: cfg.IngressWindow,
+		IngressWindow: ingressWindow,
 		Tracer:        cfg.Tracer,
 		TraceHops:     cfg.TraceHops,
 		Obs:           cfg.Obs,

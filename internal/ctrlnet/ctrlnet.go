@@ -27,17 +27,14 @@
 //     checksum path for real and otherwise behaves as a loss.
 //   - Bursts: windows of virtual time in which every message is dropped
 //     (a control-plane brownout).
-//   - Partitions: windows in which a specific pair of nodes cannot
-//     exchange messages in either direction.
 //
 // Fault decisions are made in a fixed precedence order per message:
-// partition, then burst, then drop, then corrupt, then delay, then
-// reorder, then duplicate. The first four short-circuit: a partitioned,
-// burst-dropped, or dropped message rolls no further faults, and a
-// corrupted message is delivered mutilated but is never additionally
-// delayed, duplicated, or held for reordering — one link-level mishap per
-// message, which keeps each fault's observed rate equal to its configured
-// probability. Whatever the decision, a message HELD from an earlier
+// burst, then drop, then corrupt, then delay, then reorder, then
+// duplicate. The first three short-circuit: a burst-dropped or dropped
+// message rolls no further faults, and a corrupted message is delivered
+// mutilated but is never additionally delayed, duplicated, or held for
+// reordering — one link-level mishap per message, which keeps each
+// fault's observed rate equal to its configured probability. Whatever the decision, a message HELD from an earlier
 // reorder on the same directed link is released by the next Transmit on
 // that link: the "released behind the next message" contract holds even
 // when that next message is itself destroyed (see TestHeldReleasedOnEveryOutcome).
@@ -56,7 +53,7 @@ import (
 )
 
 // Config sets the per-message fault probabilities (each in [0,1]) and the
-// windows of structural outage. The zero value is a perfectly reliable,
+// windows of total loss. The zero value is a perfectly reliable,
 // in-order channel.
 type Config struct {
 	// DropProb is the chance a message is silently lost.
@@ -69,14 +66,10 @@ type Config struct {
 	// CorruptProb is the chance one bit of the wire image flips.
 	CorruptProb float64
 	// DelayProb is the chance a message takes extra latency, uniform in
-	// [1, MaxExtraDelayUS].
+	// [1, maxExtraDelayUS].
 	DelayProb float64
-	// MaxExtraDelayUS bounds delay/duplicate jitter (default 40 µs).
-	MaxExtraDelayUS int64
 	// Bursts are total-loss windows in virtual time.
 	Bursts []Window
-	// Partitions cut node pairs (both directions) for a window.
-	Partitions []Partition
 	// Seed drives every fault decision.
 	Seed int64
 	// Obs, if set, counts offered and destroyed control messages into the
@@ -86,6 +79,9 @@ type Config struct {
 	Obs *obs.Registry
 }
 
+// maxExtraDelayUS bounds delay and duplicate jitter.
+const maxExtraDelayUS = 40
+
 // Window is a half-open virtual-time interval [FromUS, ToUS).
 type Window struct {
 	FromUS, ToUS int64
@@ -93,12 +89,6 @@ type Window struct {
 
 // Contains reports whether t lies in the window.
 func (w Window) Contains(t int64) bool { return t >= w.FromUS && t < w.ToUS }
-
-// Partition blocks all messages between A and B during the window.
-type Partition struct {
-	Window
-	A, B topology.NodeID
-}
 
 // Delivery is one wire image the channel hands the receiver To, at AtUS.
 // RecvUS is the receiver's wall clock at socket receive, in µs since the
@@ -114,19 +104,18 @@ type Delivery struct {
 
 // Stats counts the injector's decisions.
 type Stats struct {
-	Sent             int64 // messages offered to the channel
-	Dropped          int64 // lost to DropProb
-	BurstDropped     int64 // lost to a burst window
-	PartitionDropped int64 // lost to a partition
-	Duplicated       int64
-	Reordered        int64
-	Delayed          int64
-	Corrupted        int64
+	Sent         int64 // messages offered to the channel
+	Dropped      int64 // lost to DropProb
+	BurstDropped int64 // lost to a burst window
+	Duplicated   int64
+	Reordered    int64
+	Delayed      int64
+	Corrupted    int64
 }
 
 // Lost returns every message the channel destroyed outright (corrupted
 // messages are delivered, then rejected by the receiver's CRC).
-func (s Stats) Lost() int64 { return s.Dropped + s.BurstDropped + s.PartitionDropped }
+func (s Stats) Lost() int64 { return s.Dropped + s.BurstDropped }
 
 type pairKey struct {
 	from, to topology.NodeID
@@ -167,9 +156,6 @@ func New(cfg Config) (*Net, error) {
 			return nil, fmt.Errorf("ctrlnet: %s = %v outside [0,1]", p.name, p.v)
 		}
 	}
-	if cfg.MaxExtraDelayUS <= 0 {
-		cfg.MaxExtraDelayUS = 40
-	}
 	return &Net{
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
@@ -182,19 +168,6 @@ func New(cfg Config) (*Net, error) {
 // Stats returns the decision counters so far.
 func (n *Net) Stats() Stats { return n.stats }
 
-// partitioned reports whether from↔to is cut at time t.
-func (n *Net) partitioned(from, to topology.NodeID, t int64) bool {
-	for _, p := range n.cfg.Partitions {
-		if !p.Contains(t) {
-			continue
-		}
-		if (p.A == from && p.B == to) || (p.A == to && p.B == from) {
-			return true
-		}
-	}
-	return false
-}
-
 // inBurst reports whether t falls in a total-loss window.
 func (n *Net) inBurst(t int64) bool {
 	for _, b := range n.cfg.Bursts {
@@ -206,7 +179,7 @@ func (n *Net) inBurst(t int64) bool {
 }
 
 // jitterUS draws a positive extra latency.
-func (n *Net) jitterUS() int64 { return 1 + n.rng.Int63n(n.cfg.MaxExtraDelayUS) }
+func (n *Net) jitterUS() int64 { return 1 + n.rng.Int63n(maxExtraDelayUS) }
 
 // Transmit offers one wire message nominally arriving at arriveUS and
 // returns what the channel actually delivers (possibly nothing, possibly
@@ -233,12 +206,6 @@ func (n *Net) Transmit(from, to topology.NodeID, wire []byte, arriveUS int64) []
 		}
 	}
 
-	if n.partitioned(from, to, arriveUS) {
-		n.stats.PartitionDropped++
-		n.obsLost.Inc(0)
-		release(arriveUS)
-		return out
-	}
 	if n.inBurst(arriveUS) {
 		n.stats.BurstDropped++
 		n.obsLost.Inc(0)

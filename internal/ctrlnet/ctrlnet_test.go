@@ -182,11 +182,10 @@ func TestFlushReleasesHeld(t *testing.T) {
 	}
 }
 
-func TestBurstAndPartitionWindows(t *testing.T) {
+func TestBurstWindows(t *testing.T) {
 	n, err := New(Config{
-		Bursts:     []Window{{FromUS: 100, ToUS: 200}},
-		Partitions: []Partition{{Window: Window{FromUS: 300, ToUS: 400}, A: 0, B: 1}},
-		Seed:       1,
+		Bursts: []Window{{FromUS: 100, ToUS: 200}},
+		Seed:   1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -198,14 +197,8 @@ func TestBurstAndPartitionWindows(t *testing.T) {
 	if len(n.Transmit(0, 1, w, 250)) != 1 {
 		t.Fatal("message outside burst lost")
 	}
-	if len(n.Transmit(1, 0, w, 350)) != 0 {
-		t.Fatal("message inside partition delivered (reverse direction)")
-	}
-	if len(n.Transmit(2, 1, w, 350)) != 1 {
-		t.Fatal("partition cut an unrelated pair")
-	}
 	s := n.Stats()
-	if s.BurstDropped != 1 || s.PartitionDropped != 1 {
+	if s.BurstDropped != 1 {
 		t.Fatalf("window counters wrong: %+v", s)
 	}
 }

@@ -28,8 +28,8 @@ func faultCounters(s Stats) Stats {
 }
 
 // TestDecisionOrder pins the documented per-message fault precedence:
-// partition > burst > drop > corrupt > delay > reorder > duplicate, with
-// the first four short-circuiting the rest. Each case forces a combination
+// burst > drop > corrupt > delay > reorder > duplicate, with the first
+// three short-circuiting the rest. Each case forces a combination
 // of probabilities to 1 so the winner is deterministic regardless of seed.
 func TestDecisionOrder(t *testing.T) {
 	cases := []struct {
@@ -40,13 +40,6 @@ func TestDecisionOrder(t *testing.T) {
 		wantCounts [2]int
 		wantStats  Stats
 	}{
-		{
-			name: "partition beats burst beats drop",
-			cfg: Config{DropProb: 1, Bursts: []Window{{0, 100}},
-				Partitions: []Partition{{Window: Window{0, 100}, A: 0, B: 1}}},
-			wantCounts: [2]int{0, 0},
-			wantStats:  Stats{PartitionDropped: 2},
-		},
 		{
 			name:       "burst beats drop",
 			cfg:        Config{DropProb: 1, Bursts: []Window{{0, 100}}},
@@ -134,7 +127,7 @@ func TestCorruptNotDelayedOrHeld(t *testing.T) {
 // TestHeldReleasedOnEveryOutcome is the regression test for the held-
 // message stall: a reordered (held) message must be released by the NEXT
 // Transmit on its link even when that next message is itself destroyed by
-// a drop, a burst window, or a partition — previously it sat in the hold
+// a drop or a burst window — previously it sat in the hold
 // buffer until Flush, silently stretching one reorder into an unbounded
 // delay.
 func TestHeldReleasedOnEveryOutcome(t *testing.T) {
@@ -168,18 +161,6 @@ func TestHeldReleasedOnEveryOutcome(t *testing.T) {
 		check(t, n, 150)
 		if s := n.Stats(); s.Reordered != 1 || s.BurstDropped != 1 {
 			t.Fatalf("stats %+v, want 1 reorder + 1 burst drop", s)
-		}
-	})
-
-	t.Run("hold then partition-drop", func(t *testing.T) {
-		n, err := New(Config{ReorderProb: 1,
-			Partitions: []Partition{{Window: Window{100, 200}, A: 1, B: 0}}, Seed: 11})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, n, 150)
-		if s := n.Stats(); s.Reordered != 1 || s.PartitionDropped != 1 {
-			t.Fatalf("stats %+v, want 1 reorder + 1 partition drop", s)
 		}
 	})
 

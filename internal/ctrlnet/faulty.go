@@ -21,8 +21,7 @@ import (
 //
 // Fault semantics over an asynchronous inner transport:
 //
-//   - Dropped (and burst/partition-dropped) messages are simply not
-//     forwarded.
+//   - Dropped (and burst-dropped) messages are simply not forwarded.
 //   - Corrupted messages forward the mutilated image; the receiver's CRC
 //     rejects it.
 //   - Delayed and duplicated images forward after their extra latency in

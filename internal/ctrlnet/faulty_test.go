@@ -70,7 +70,7 @@ func TestFaultyDeterministicAcrossRuns(t *testing.T) {
 
 func TestFaultyDuplicatesArriveLater(t *testing.T) {
 	sink := &sinkTransport{}
-	f, err := Faulty(sink, Config{DupProb: 1, MaxExtraDelayUS: 100, Seed: 1})
+	f, err := Faulty(sink, Config{DupProb: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestFaultyDuplicatesArriveLater(t *testing.T) {
 	if got := sink.count(); got != 1 {
 		t.Fatalf("immediate forwards = %d, want 1 (dup is delayed)", got)
 	}
-	// The duplicate's extra latency is wall time (≤100µs); allow slack.
+	// The duplicate's extra latency is wall time (≤40µs); allow slack.
 	deadline := time.Now().Add(time.Second)
 	for sink.count() < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -136,15 +136,26 @@ func TestFaultyReorderHeldThenReleased(t *testing.T) {
 
 func TestFaultyCloseStopsDelayedForwards(t *testing.T) {
 	sink := &sinkTransport{}
-	f, err := Faulty(sink, Config{DelayProb: 1, MaxExtraDelayUS: 500_000, Seed: 9})
+	f, err := Faulty(sink, Config{DelayProb: 1, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The delayed forward's timer waits an hour, not its ≤40 µs, so only
+	// Close or the test can fire it.
+	var fire func()
+	var timer *time.Timer
+	f.afterFunc = func(_ time.Duration, f func()) *time.Timer {
+		fire, timer = f, time.AfterFunc(time.Hour, f)
+		return timer
 	}
 	_, _ = f.Send(1, 2, []byte("slow"), 0)
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond)
+	if timer == nil || timer.Stop() {
+		t.Fatal("Close left the delayed forward armed")
+	}
+	fire() // a timer that fired just as Close ran
 	if got := sink.count(); got != 0 {
 		t.Fatalf("delayed forward escaped Close (%d)", got)
 	}

@@ -49,8 +49,7 @@ type UDP struct {
 	recvd   int64
 	rejects int64
 
-	settle time.Duration
-	wg     sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // UDPConfig configures one transport endpoint (one process's view).
@@ -65,9 +64,6 @@ type UDPConfig struct {
 	// envelopes (last sender address wins), which is how a server reaches
 	// tenants on ephemeral ports without any roster.
 	Peers map[topology.NodeID]string
-	// SettleWait bounds how long Flush waits for in-flight datagrams
-	// before declaring the channel quiescent (default 20ms).
-	SettleWait time.Duration
 }
 
 // Waiter is the optional blocking side of a Transport: Wait parks until a
@@ -85,6 +81,9 @@ const (
 	udpEnvVersion = 1
 	udpEnvSize    = 18
 	udpMaxPayload = 65507 - udpEnvSize // IPv4 UDP maximum less the envelope
+	// udpSettle bounds how long Flush waits for in-flight datagrams
+	// before declaring the channel quiescent.
+	udpSettle = 20 * time.Millisecond
 )
 
 // ErrClosed reports use of a closed transport.
@@ -98,13 +97,9 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 	if len(cfg.Local) == 0 {
 		return nil, errors.New("ctrlnet: UDP endpoint hosts no nodes")
 	}
-	if cfg.SettleWait <= 0 {
-		cfg.SettleWait = 20 * time.Millisecond
-	}
 	u := &UDP{
-		conns:  make(map[topology.NodeID]*net.UDPConn),
-		peers:  make(map[topology.NodeID]*net.UDPAddr),
-		settle: cfg.SettleWait,
+		conns: make(map[topology.NodeID]*net.UDPConn),
+		peers: make(map[topology.NodeID]*net.UDPAddr),
 	}
 	u.cond = sync.NewCond(&u.mu)
 	for id, addr := range cfg.Local {
@@ -291,7 +286,7 @@ func (u *UDP) Wait(d time.Duration) []Delivery {
 // Flush implements Transport: give datagrams still crossing the kernel a
 // settle period to land, then report what arrived. Empty means quiescent
 // (or lost — this is UDP; the caller's retransmission layer owns that).
-func (u *UDP) Flush() []Delivery { return u.Wait(u.settle) }
+func (u *UDP) Flush() []Delivery { return u.Wait(udpSettle) }
 
 // Close implements Transport: close every socket and stop the receive
 // loops. Safe to call more than once.

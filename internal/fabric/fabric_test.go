@@ -181,9 +181,18 @@ type fabricRun struct {
 // 100, and runs 200 more slots.
 func runLeafKillScenario(t *testing.T) fabricRun {
 	t.Helper()
+	// NewNet, with a tracer on the network.
+	g, info, err := topology.FatTree(topology.FatTreeConfig{Radix: 8, Pods: 4, HostsPerEdge: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := NewPartition(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tracer := &simnet.CollectTracer{}
-	n, err := NewNet(NetConfig{
-		Fabric:        topology.FatTreeConfig{Radix: 8, Pods: 4, HostsPerEdge: 1},
+	sim, err := simnet.New(simnet.Config{
+		Topology:      g,
 		Switch:        switchnode.Config{FrameSlots: 32, Discipline: switchnode.DisciplinePerVC, Seed: 5},
 		IngressWindow: 16,
 		Tracer:        tracer,
@@ -191,6 +200,7 @@ func runLeafKillScenario(t *testing.T) fabricRun {
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := &Net{G: g, Info: info, Part: part, Sim: sim}
 	router, err := n.Router(nil)
 	if err != nil {
 		t.Fatal(err)

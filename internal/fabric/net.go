@@ -14,9 +14,8 @@ type NetConfig struct {
 	Fabric topology.FatTreeConfig
 	// Switch configures every switch (see simnet.Config.Switch).
 	Switch switchnode.Config
-	// IngressWindow / Tracer / Obs pass through to simnet.
+	// IngressWindow / Obs pass through to simnet.
 	IngressWindow int
-	Tracer        simnet.Tracer
 	Obs           *obs.Registry
 }
 
@@ -46,7 +45,6 @@ func NewNet(cfg NetConfig) (*Net, error) {
 		Topology:      g,
 		Switch:        cfg.Switch,
 		IngressWindow: cfg.IngressWindow,
-		Tracer:        cfg.Tracer,
 		Obs:           cfg.Obs,
 	})
 	if err != nil {

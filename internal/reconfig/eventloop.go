@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -25,7 +24,7 @@ import (
 //
 // Run and RunScoped use a private loss-free channel. RunOver threads every
 // message through a caller's transport — package ctrlnet's fault injector
-// drops, duplicates, reorders, delays, bit-corrupts and partitions them
+// drops, duplicates, reorders, delays, bit-corrupts and burst-drops them
 // from one seeded RNG, exactly as the paper's §2/§6 control plane, which
 // shares links with the data plane, can misbehave — and layers protocol
 // hardening on top of the pure machine:
@@ -43,33 +42,40 @@ import (
 // CRC rejection is real here: a corrupted wire image fails
 // proto.DecodeHeader at the receiver and is counted in CRCRejects.
 
-// Hardening tunes the retransmission and watchdog layer.
-type Hardening struct {
-	// RetxTimeoutUS is the initial retransmission timeout for invites
-	// awaiting their ack — a single round-trip exchange (default 60 µs,
-	// a few link round-trips).
-	RetxTimeoutUS int64
-	// RetxMaxUS caps the invite backoff (default 480 µs).
-	RetxMaxUS int64
-	// ReportRetxUS is the initial retransmission timeout for a report
+// The hardening layer's timers and bounds. RunOver arms the timers; Run
+// and RunScoped, whose channel cannot lose a message, arm none and run
+// unbounded.
+const (
+	// retxTimeoutUS is the initial retransmission timeout for invites
+	// awaiting their ack — a single round-trip exchange (a few link
+	// round-trips). It is shorter than a radix-24 neighbour's processing
+	// queue, so on a fat-tree it should follow the live degree.
+	retxTimeoutUS = 60
+	// retxMaxUS caps the invite backoff.
+	retxMaxUS = 480
+	// reportRetxUS is the initial retransmission timeout for a report
 	// awaiting its implicit ack, the parent's distribute. That wait
 	// legitimately spans the whole tree's collection and distribution, so
-	// it runs on a slower clock than the invite round-trip (default
-	// 600 µs; backoff capped at 2×).
-	ReportRetxUS int64
+	// it runs on a slower clock than the invite round-trip (backoff
+	// capped at 2×).
+	reportRetxUS = 600
+	// maxRetriggersPerNode caps watchdog re-triggers so a permanently
+	// partitioned node cannot spin forever.
+	maxRetriggersPerNode = 8
+	// maxVirtualUS bounds the run in virtual time; past it the run stops
+	// and reports Converged=false.
+	maxVirtualUS = 1_000_000
+	// maxEvents is a safety valve on total processed events.
+	maxEvents = 1 << 21
+)
+
+// Hardening tunes the watchdog layer.
+type Hardening struct {
 	// WatchdogUS is how long a node may sit in the same incomplete
 	// configuration before re-triggering (default 15000 µs — comfortably
 	// above the deepest retransmission-repair chain, so it fires only for
 	// pathologies retransmission cannot fix).
 	WatchdogUS int64
-	// MaxRetriggersPerNode caps watchdog re-triggers so a permanently
-	// partitioned node cannot spin forever (default 8).
-	MaxRetriggersPerNode int
-	// MaxVirtualUS bounds the run in virtual time; past it the run stops
-	// and reports Converged=false (default 1_000_000 µs).
-	MaxVirtualUS int64
-	// MaxEvents is a safety valve on total processed events (default 1<<21).
-	MaxEvents int
 	// UnsafeNoDupGuard disables the duplicate-invite re-accept guard in
 	// the machine. It exists ONLY so the chaos harness can verify it
 	// catches a reintroduced protocol bug; never set it otherwise.
@@ -77,26 +83,8 @@ type Hardening struct {
 }
 
 func (h Hardening) withDefaults() Hardening {
-	if h.RetxTimeoutUS <= 0 {
-		h.RetxTimeoutUS = 60
-	}
-	if h.RetxMaxUS <= 0 {
-		h.RetxMaxUS = 480
-	}
-	if h.ReportRetxUS <= 0 {
-		h.ReportRetxUS = 600
-	}
 	if h.WatchdogUS <= 0 {
 		h.WatchdogUS = 15000
-	}
-	if h.MaxRetriggersPerNode <= 0 {
-		h.MaxRetriggersPerNode = 8
-	}
-	if h.MaxVirtualUS <= 0 {
-		h.MaxVirtualUS = 1_000_000
-	}
-	if h.MaxEvents <= 0 {
-		h.MaxEvents = 1 << 21
 	}
 	return h
 }
@@ -218,9 +206,7 @@ func (r *Runner) runLossFree(triggers []Trigger, region Region) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	// A run that cannot lose a message terminates on its own: no bounds.
-	h := Hardening{MaxVirtualUS: math.MaxInt64, MaxEvents: math.MaxInt}
-	ur, err := r.run(triggers, region, chn, h, false)
+	ur, err := r.run(triggers, region, chn, Hardening{}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -248,10 +234,11 @@ type evloop struct {
 	r   *Runner
 	chn ctrlnet.Transport
 	h   Hardening
-	// repair arms the retransmission and watchdog timers. Run and
-	// RunScoped leave it off: their channel cannot lose a message, and a
-	// timer that fires anyway (the invite timeout is shorter than a
-	// high-radix neighbor's processing queue) would only add messages.
+	// repair arms the retransmission and watchdog timers and bounds the
+	// run. Run and RunScoped leave it off: their channel cannot lose a
+	// message, so the run terminates on its own, and a timer that fires
+	// anyway (the invite timeout is shorter than a high-radix neighbor's
+	// processing queue) would only add messages.
 	repair bool
 	nodes  map[topology.NodeID]*unode
 	order  []topology.NodeID // the participants, sorted
@@ -297,7 +284,7 @@ func (lp *evloop) emitFor(st *unode) emitFunc {
 			return // out-of-region or dead neighbor: the link is down
 		}
 		m.from = st.id
-		m.vtime = st.vclock + lp.r.cfg.LinkDelayUS
+		m.vtime = st.vclock + linkDelayUS
 		if !sameMessage(m, lp.sent) {
 			wire, err := encodeMessage(m)
 			if err != nil {
@@ -337,7 +324,7 @@ func (lp *evloop) handle(st *unode, atUS int64, m message) {
 	if atUS > st.vclock {
 		st.vclock = atUS
 	}
-	st.vclock += lp.r.cfg.ProcessDelayUS
+	st.vclock += processDelayUS
 	st.mc.handle(m, st.emit)
 	lp.postHandle(st)
 }
@@ -378,9 +365,9 @@ func (lp *evloop) postHandle(st *unode) {
 	st.retxForPhase = ph
 	switch ph {
 	case phaseInvite:
-		st.retxTimeout = lp.h.RetxTimeoutUS
+		st.retxTimeout = retxTimeoutUS
 	case phaseReport:
-		st.retxTimeout = lp.h.ReportRetxUS
+		st.retxTimeout = reportRetxUS
 	default:
 		// phaseChildren: the children's own timers repair their
 		// subtrees; nothing for this node to retransmit.
@@ -455,12 +442,12 @@ func (r *Runner) newLoop(triggers []Trigger, region Region, chn ctrlnet.Transpor
 }
 
 // run processes events until the queue and the channel are both empty (or
-// a bound in Hardening is hit) and sums up the result.
+// a bound of a repairing run is hit) and sums up the result.
 func (lp *evloop) run() (*UnreliableResult, error) {
-	r, chn, h := lp.r, lp.chn, lp.h
+	r, chn := lp.r, lp.chn
 	// A blocking transport means real messages with real latencies: the
 	// virtual clock must not outrun the wall clock, or the runner would
-	// burn its retransmission timers (and the whole MaxVirtualUS budget)
+	// burn its retransmission timers (and the whole maxVirtualUS budget)
 	// at CPU speed before a single datagram crosses the kernel. Timer
 	// events are therefore paced 1 virtual µs = 1 wall µs, waiting on the
 	// transport meanwhile. The in-memory Net is synchronous (no Waiter)
@@ -504,7 +491,7 @@ func (lp *evloop) run() (*UnreliableResult, error) {
 			}
 		}
 		processed++
-		if ev.atUS > h.MaxVirtualUS || processed > h.MaxEvents {
+		if lp.repair && (ev.atUS > maxVirtualUS || processed > maxEvents) {
 			break
 		}
 		st := lp.nodes[ev.node]
@@ -539,9 +526,9 @@ func (lp *evloop) run() (*UnreliableResult, error) {
 			ur.Retransmits++
 			st.mc.retransmit(st.emit)
 			st.retxTimeout *= 2
-			maxTO := h.RetxMaxUS
+			maxTO := int64(retxMaxUS)
 			if st.retxForPhase == phaseReport {
-				maxTO = 2 * h.ReportRetxUS
+				maxTO = 2 * reportRetxUS
 			}
 			if st.retxTimeout > maxTO {
 				st.retxTimeout = maxTO
@@ -557,7 +544,7 @@ func (lp *evloop) run() (*UnreliableResult, error) {
 				lp.postHandle(st)
 				continue
 			}
-			if st.retriggers >= h.MaxRetriggersPerNode {
+			if st.retriggers >= maxRetriggersPerNode {
 				continue // give up: permanently stuck (e.g. partitioned)
 			}
 			st.retriggers++

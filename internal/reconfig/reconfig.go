@@ -26,7 +26,7 @@
 // a private loss-free channel, which measures fault-free convergence but
 // is NOT a protocol assumption; RunOver threads every message through a
 // caller's transport — package ctrlnet's fault injector (loss,
-// duplication, reordering, delay, corruption, partition) or real sockets
+// duplication, reordering, delay, corruption, loss bursts) or real sockets
 // — and layers on retransmission with backoff plus a stall watchdog. The
 // model checker (modelcheck_test.go) explores message interleavings
 // exhaustively, including bounded loss and duplication.
@@ -105,6 +105,16 @@ type Trigger struct {
 	AtUS int64
 }
 
+// The virtual costs of one message.
+const (
+	// processDelayUS is the software cost of handling one message
+	// (line-card processor work).
+	processDelayUS = 5
+	// linkDelayUS is the control-message latency of one hop (propagation
+	// plus serialization).
+	linkDelayUS = 10
+)
+
 // Config configures a reconfiguration run.
 type Config struct {
 	// Topology is the network; only its switch subgraph participates.
@@ -115,12 +125,6 @@ type Config struct {
 	// DeadNodes marks switches that are down: they run no process and
 	// their links are dead.
 	DeadNodes map[topology.NodeID]bool
-	// ProcessDelayUS is the software cost of handling one message
-	// (default 5 µs — line-card processor work).
-	ProcessDelayUS int64
-	// LinkDelayUS is the control-message latency of one hop (default
-	// 10 µs — propagation plus serialization).
-	LinkDelayUS int64
 	// BaseEpoch initializes every switch's stored epoch. Real switches
 	// remember the largest tag they have seen across reconfigurations;
 	// callers that model a long-lived network pass the last winning
@@ -201,12 +205,6 @@ var ErrNoTopology = errors.New("reconfig: nil topology")
 func New(cfg Config) (*Runner, error) {
 	if cfg.Topology == nil {
 		return nil, ErrNoTopology
-	}
-	if cfg.ProcessDelayUS == 0 {
-		cfg.ProcessDelayUS = 5
-	}
-	if cfg.LinkDelayUS == 0 {
-		cfg.LinkDelayUS = 10
 	}
 	r := &Runner{
 		cfg: cfg,

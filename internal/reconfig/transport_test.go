@@ -2,7 +2,6 @@ package reconfig
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/ctrlnet"
 	"repro/internal/topology"
@@ -28,7 +27,7 @@ func TestReconfigOverUDPLoopback(t *testing.T) {
 	for _, s := range r.LiveSwitches() {
 		local[s] = "127.0.0.1:0"
 	}
-	tr, err := ctrlnet.NewUDP(ctrlnet.UDPConfig{Local: local, SettleWait: 50 * time.Millisecond})
+	tr, err := ctrlnet.NewUDP(ctrlnet.UDPConfig{Local: local})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,9 +44,6 @@ type Config struct {
 	// skeptics and the reconfiguration protocol run in (default 10 µs per
 	// slot — a 53-byte cell at ~42 Mb/s).
 	SlotUS int64
-	// ProbeIntervalSlots is how often each link is pinged (default 1:
-	// every slot, the densest signal the skeptics can get).
-	ProbeIntervalSlots int64
 	// Skeptic tunes the per-link skeptics. The zero value uses monitor's
 	// defaults (100 ms base proving period — very long in slot time; real
 	// loops set BaseWaitUS to tens of slots' worth of µs).
@@ -79,16 +76,8 @@ type Config struct {
 	// launch, so a caller (the chaos harness) may vary rates between
 	// ticks — e.g. a control-loss burst — and stay deterministic.
 	CtrlFaults *ctrlnet.Config
-	// CtrlTransport, when non-nil, carries every reconfiguration round's
-	// control messages instead of a per-round fault-injected channel — the
-	// pluggable path that lets a recovery loop speak across real sockets
-	// (ctrlnet.UDP) to switches hosted by another process. Takes
-	// precedence over CtrlFaults; the loop never closes it (the caller
-	// owns its lifecycle), and per-round seed derivation does not apply —
-	// the transport's own behavior (real or injected) is the fault model.
-	CtrlTransport ctrlnet.Transport
-	// CtrlHardening tunes the retransmission/watchdog layer used when
-	// CtrlFaults or CtrlTransport is set. Zero value = defaults.
+	// CtrlHardening tunes the watchdog layer used when CtrlFaults is set.
+	// Zero value = defaults.
 	CtrlHardening reconfig.Hardening
 	// Obs, if set, receives the loop's live instruments: probe/detection/
 	// reroute counters and the per-round watchdog-retry time series. Share
@@ -111,9 +100,6 @@ type Scoper interface {
 func (c Config) withDefaults() Config {
 	if c.SlotUS <= 0 {
 		c.SlotUS = 10
-	}
-	if c.ProbeIntervalSlots <= 0 {
-		c.ProbeIntervalSlots = 1
 	}
 	if c.RetrySlots <= 0 {
 		c.RetrySlots = 64
@@ -307,10 +293,8 @@ func (l *Loop) Quiescent() bool {
 // it never moves cells).
 func (l *Loop) Tick() {
 	slot := l.net.Slot()
-	if slot%l.cfg.ProbeIntervalSlots == 0 {
-		if changed := l.probe(slot); len(changed) > 0 {
-			l.react(slot, changed)
-		}
+	if changed := l.probe(slot); len(changed) > 0 {
+		l.react(slot, changed)
 	}
 	if l.repairAtSlot >= 0 && slot >= l.repairAtSlot {
 		l.repair(slot)
@@ -478,9 +462,9 @@ func (l *Loop) runReconfig(triggers []reconfig.Trigger) int64 {
 	}
 	region, spine := l.scopeRegion(runner, triggers)
 	var res *reconfig.Result
-	ctrlRetries := int64(-1)  // >= 0 marks a round run over the faulty channel
-	tr := l.cfg.CtrlTransport // caller-supplied: its behavior IS the fault model
-	if tr == nil && l.cfg.CtrlFaults != nil {
+	ctrlRetries := int64(-1) // >= 0 marks a round run over the faulty channel
+	var tr ctrlnet.Transport
+	if l.cfg.CtrlFaults != nil {
 		// Unreliable control plane: re-read the shared fault config (the
 		// chaos harness varies rates between ticks) and give the round its
 		// own deterministic seed.

@@ -24,6 +24,10 @@ import "fmt"
 // switch j of every pod, so pods <= r. Total switches = pods*(E+A) + A*S;
 // total hosts = pods*E*h.
 
+// fatTreeLinkLatency is the propagation delay of every fabric link, in
+// slots.
+const fatTreeLinkLatency = 1
+
 // FatTreeConfig parametrizes FatTree. Zero-valued fields take defaults.
 type FatTreeConfig struct {
 	// Radix is the port count of every switch in the fabric. Required,
@@ -37,9 +41,6 @@ type FatTreeConfig struct {
 	// Oversub is the edge oversubscription ratio h:u (1 = full bisection,
 	// 2 = 2:1, ...). Default 1. Must be >= 1.
 	Oversub float64
-	// LinkLatency is the propagation delay of every fabric link in slots.
-	// Default 1.
-	LinkLatency int64
 	// Hosts disables host attachment when false... default true via
 	// NoHosts: set NoHosts to build the switch fabric only.
 	NoHosts bool
@@ -90,9 +91,6 @@ func (cfg FatTreeConfig) resolve() (FatTreeConfig, FatTreeInfo, error) {
 	}
 	if cfg.Pods < 1 || cfg.Pods > cfg.Radix {
 		return cfg, info, fmt.Errorf("topology: FatTree pods must be 1..radix (%d), got %d", cfg.Radix, cfg.Pods)
-	}
-	if cfg.LinkLatency == 0 {
-		cfg.LinkLatency = 1
 	}
 	ceilDiv := func(a int, o float64) int {
 		k := int(float64(a) / o)
@@ -167,7 +165,7 @@ func FatTree(cfg FatTreeConfig) (*Graph, *FatTreeInfo, error) {
 		// Intra-pod bipartite wiring: edge i -- agg j for all i, j.
 		for _, e := range info.Edges[p] {
 			for _, a := range info.Aggs[p] {
-				if _, err := g.Connect(e, a, cfg.LinkLatency); err != nil {
+				if _, err := g.Connect(e, a, fatTreeLinkLatency); err != nil {
 					return nil, nil, fmt.Errorf("topology: FatTree pod %d wiring: %w", p, err)
 				}
 			}
@@ -182,7 +180,7 @@ func FatTree(cfg FatTreeConfig) (*Graph, *FatTreeInfo, error) {
 			}
 			info.Spines = append(info.Spines, id)
 			for p := 0; p < cfg.Pods; p++ {
-				if _, err := g.Connect(info.Aggs[p][j], id, cfg.LinkLatency); err != nil {
+				if _, err := g.Connect(info.Aggs[p][j], id, fatTreeLinkLatency); err != nil {
 					return nil, nil, fmt.Errorf("topology: FatTree spine s%d.%d: %w", j, k, err)
 				}
 			}
@@ -196,7 +194,7 @@ func FatTree(cfg FatTreeConfig) (*Graph, *FatTreeInfo, error) {
 				for m := 0; m < cfg.HostsPerEdge; m++ {
 					h := g.AddHost(fmt.Sprintf("p%de%dh%d", p, i, m))
 					g.nodes[h].Pod = p
-					if _, err := g.Connect(h, e, cfg.LinkLatency); err != nil {
+					if _, err := g.Connect(h, e, fatTreeLinkLatency); err != nil {
 						return nil, nil, fmt.Errorf("topology: FatTree host p%de%dh%d: %w", p, i, m, err)
 					}
 					info.Hosts[p] = append(info.Hosts[p], h)
@@ -224,11 +222,11 @@ func (info *FatTreeInfo) Bisection(g *Graph, filter LinkFilter) float64 {
 	for p := range info.Pods {
 		hostLinks, edgeUp, aggUp := 0, 0, 0
 		for _, e := range info.Edges[p] {
-			for _, l := range g.LinksOf(e) {
-				if !filter(l) {
+			for _, lid := range g.Ports(e) {
+				if lid < 0 || !filter(g.links[lid]) {
 					continue
 				}
-				if n, _ := g.Node(l.Other(e)); n.Kind == Host {
+				if n, _ := g.Node(g.links[lid].Other(e)); n.Kind == Host {
 					hostLinks++
 				} else {
 					edgeUp++
@@ -236,11 +234,11 @@ func (info *FatTreeInfo) Bisection(g *Graph, filter LinkFilter) float64 {
 			}
 		}
 		for _, a := range info.Aggs[p] {
-			for _, l := range g.LinksOf(a) {
-				if !filter(l) {
+			for _, lid := range g.Ports(a) {
+				if lid < 0 || !filter(g.links[lid]) {
 					continue
 				}
-				if _, tier := kindOf(l.Other(a)); tier == TierSpine {
+				if _, tier := kindOf(g.links[lid].Other(a)); tier == TierSpine {
 					aggUp++
 				}
 			}

@@ -256,7 +256,12 @@ func AttachHosts(g *Graph, hostsPerSwitch int, latency int64) error {
 			name := fmt.Sprintf("h%d.%d", s, i)
 			h := g.AddHost(name)
 			if _, err := g.Connect(h, s, latency); err != nil {
-				used := len(g.LinksOf(s))
+				used := 0
+				for _, lid := range g.Ports(s) {
+					if lid >= 0 {
+						used++
+					}
+				}
 				return fmt.Errorf("topology: AttachHosts: switch %q out of ports attaching host %d of %d (%d of %d ports in use): %w",
 					sn.Name, i+1, hostsPerSwitch, used, sn.NumPorts(), err)
 			}

@@ -311,7 +311,7 @@ func (g *Graph) Hosts() []NodeID {
 // Ports returns node n's port table: element p is the link on port p, or -1
 // for a free port (nil for an unknown node). The slice is the graph's own —
 // callers must not modify it. Together with LinkRef it is the adjacency walk
-// that allocates nothing; LinksOf copies.
+// that allocates nothing.
 func (g *Graph) Ports(n NodeID) []LinkID {
 	if !g.valid(n) {
 		return nil
@@ -325,6 +325,7 @@ func (g *Graph) Ports(n NodeID) []LinkID {
 func (g *Graph) LinkRef(id LinkID) *Link { return &g.links[id] }
 
 // LinksOf returns the links attached to node n, in port order (a copy).
+// Only tests call it, as the reference the Ports walk is checked against.
 func (g *Graph) LinksOf(n NodeID) []Link {
 	var out []Link
 	for _, lid := range g.Ports(n) {
@@ -337,10 +338,12 @@ func (g *Graph) LinksOf(n NodeID) []Link {
 
 // Neighbors returns the node ids adjacent to n, in port order.
 func (g *Graph) Neighbors(n NodeID) []NodeID {
-	links := g.LinksOf(n)
-	out := make([]NodeID, 0, len(links))
-	for _, l := range links {
-		out = append(out, l.Other(n))
+	ports := g.Ports(n)
+	out := make([]NodeID, 0, len(ports))
+	for _, lid := range ports {
+		if lid >= 0 {
+			out = append(out, g.links[lid].Other(n))
+		}
 	}
 	return out
 }
