@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 )
 
 // Event is one observable event from any plane of the system. It is the
@@ -66,6 +67,63 @@ type Event struct {
 	Trace  uint64 `json:"trace,omitempty"`
 	Span   uint64 `json:"span,omitempty"`
 	Parent uint64 `json:"parent,omitempty"`
+}
+
+// AppendJSON appends the event's JSON encoding to dst and returns the
+// extended slice. The bytes are exactly json.Marshal's (same key order,
+// same omitempty rules, same string escaping), without reflection or an
+// allocation when dst has room: it is the one encoder of Event, used by
+// every span sink and dump path. FuzzEventAppendJSONMatchesMarshal holds
+// it to json.Marshal.
+func (ev *Event) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"slot":`...)
+	dst = strconv.AppendInt(dst, ev.Slot, 10)
+	dst = append(dst, `,"kind":`...)
+	dst = appendJSONString(dst, ev.Kind)
+	dst = appendUint(dst, `,"vc":`, uint64(ev.VC))
+	dst = appendInt(dst, `,"node":`, int64(ev.Node))
+	dst = appendInt(dst, `,"link":`, int64(ev.Link))
+	dst = appendUint(dst, `,"seq":`, ev.Seq)
+	dst = appendUint(dst, `,"epoch":`, ev.Epoch)
+	dst = appendInt(dst, `,"incident":`, ev.Incident)
+	dst = appendInt(dst, `,"dur":`, ev.Dur)
+	dst = appendInt(dst, `,"wall_us":`, ev.WallUS)
+	dst = appendUint(dst, `,"trace":`, ev.Trace)
+	dst = appendUint(dst, `,"span":`, ev.Span)
+	dst = appendUint(dst, `,"parent":`, ev.Parent)
+	return append(dst, '}')
+}
+
+// appendInt appends key and v, or nothing when v is zero (omitempty).
+func appendInt(dst []byte, key string, v int64) []byte {
+	if v == 0 {
+		return dst
+	}
+	return strconv.AppendInt(append(dst, key...), v, 10)
+}
+
+// appendUint is appendInt for unsigned fields.
+func appendUint(dst []byte, key string, v uint64) []byte {
+	if v == 0 {
+		return dst
+	}
+	return strconv.AppendUint(append(dst, key...), v, 10)
+}
+
+// appendJSONString appends s as a JSON string. Every kind is printable
+// ASCII that needs no escape and is copied as is; anything else (quotes,
+// backslashes, the HTML characters json.Marshal escapes, control bytes,
+// non-ASCII) goes through json.Marshal so the escaping stays its own.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // ReadJSONL decodes a JSONL event stream (the format simnet.JSONLTracer

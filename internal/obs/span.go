@@ -2,11 +2,9 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"io"
 	"os"
 	"sync"
-	"sync/atomic"
 )
 
 // SpanWriter emits service spans as JSONL — the same format ReadJSONL
@@ -18,8 +16,9 @@ import (
 // returns after one pointer comparison, so callers thread it through
 // unconditionally, like a nil Registry handle.
 type SpanWriter struct {
-	mu sync.Mutex
-	w  *bufio.Writer
+	mu  sync.Mutex
+	w   *bufio.Writer
+	buf []byte // one encoded line, reused under mu
 }
 
 // NewSpanWriter wraps w in a buffered, locked JSONL span emitter.
@@ -27,19 +26,16 @@ func NewSpanWriter(w io.Writer) *SpanWriter {
 	return &SpanWriter{w: bufio.NewWriterSize(w, 1<<16)}
 }
 
-// Emit appends one span. Marshal errors cannot occur for Event (plain
-// scalar fields); write errors surface on Flush.
+// Emit appends one span. It encodes into the writer's own line buffer, so
+// it allocates nothing once that buffer has grown to a line; write errors
+// surface on Flush.
 func (sw *SpanWriter) Emit(ev *Event) {
 	if sw == nil {
 		return
 	}
-	b, err := json.Marshal(ev)
-	if err != nil {
-		return
-	}
 	sw.mu.Lock()
-	sw.w.Write(b)
-	sw.w.WriteByte('\n')
+	sw.buf = append(ev.AppendJSON(sw.buf[:0]), '\n')
+	sw.w.Write(sw.buf)
 	sw.mu.Unlock()
 }
 
@@ -53,29 +49,28 @@ func (sw *SpanWriter) Flush() error {
 	return sw.w.Flush()
 }
 
-// Ring is the incident flight recorder: a fixed-size lock-free ring of
-// the most recent spans. Both the service client and server keep one even
-// when full span emission is off, and dump it on panic, drain, a shed
+// Ring is the incident flight recorder: the most recent spans, kept by
+// value in at most n slots. Both the service client and server keep one
+// even when full span emission is off, and dump it on panic, drain, a shed
 // watermark crossing, or a refusal-rate trigger — so a post-mortem of a
 // chaos kill does not require having had tracing enabled.
 //
-// Writers pay one atomic increment and one pointer store, never block,
-// and never see each other's cache lines for the counter vs. the slots.
-// Readers (Snapshot, the dump paths) are best-effort: under concurrent
-// writes a snapshot is each slot's latest fully-published span, which is
-// exactly what a flight recorder wants. A nil *Ring is the disabled
-// state — Put returns after one pointer comparison.
+// The slots grow by append as spans arrive, so a new ring costs its
+// header and nothing more; once full, Put overwrites the oldest slot in
+// place and allocates nothing. One mutex orders writers and readers, so a
+// snapshot holds whole spans, each writer's in the order it put them. A
+// nil *Ring is the disabled state — Put returns after one pointer
+// comparison.
 type Ring struct {
-	pos   atomic.Uint64
-	slots []atomic.Pointer[Event]
+	mu    sync.Mutex
+	n     int     // capacity
+	old   int     // index of the oldest span once full
+	slots []Event // len < n until full
 }
 
 // NewRing creates a recorder holding the last n spans (minimum 1).
 func NewRing(n int) *Ring {
-	if n < 1 {
-		n = 1
-	}
-	return &Ring{slots: make([]atomic.Pointer[Event], n)}
+	return &Ring{n: max(n, 1)}
 }
 
 // Put records one span, overwriting the oldest when full. The event is
@@ -84,8 +79,20 @@ func (r *Ring) Put(ev Event) {
 	if r == nil {
 		return
 	}
-	i := r.pos.Add(1) - 1
-	r.slots[i%uint64(len(r.slots))].Store(&ev)
+	r.mu.Lock()
+	if len(r.slots) < r.n {
+		if len(r.slots) == cap(r.slots) { // double, but never past n
+			grown := make([]Event, len(r.slots), min(max(2*len(r.slots), 16), r.n))
+			r.slots = grown[:copy(grown, r.slots)]
+		}
+		r.slots = append(r.slots, ev)
+	} else {
+		r.slots[r.old] = ev
+		if r.old++; r.old == r.n {
+			r.old = 0
+		}
+	}
+	r.mu.Unlock()
 }
 
 // Len reports how many spans the ring currently holds.
@@ -93,50 +100,36 @@ func (r *Ring) Len() int {
 	if r == nil {
 		return 0
 	}
-	n := r.pos.Load()
-	if n > uint64(len(r.slots)) {
-		return len(r.slots)
-	}
-	return int(n)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.slots)
 }
 
-// Snapshot returns the recorded spans, oldest first (best-effort under
-// concurrent writers). Nil on a nil or empty ring.
+// Snapshot returns the recorded spans, oldest first. Nil on a nil or
+// empty ring.
 func (r *Ring) Snapshot() []Event {
 	if r == nil {
 		return nil
 	}
-	pos := r.pos.Load()
-	n := uint64(len(r.slots))
-	start := uint64(0)
-	if pos > n {
-		start = pos - n
-	}
-	out := make([]Event, 0, pos-start)
-	for i := start; i < pos; i++ {
-		if ev := r.slots[i%n].Load(); ev != nil {
-			out = append(out, *ev)
-		}
-	}
-	if len(out) == 0 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.slots) == 0 {
 		return nil
 	}
-	return out
+	out := make([]Event, 0, len(r.slots))
+	out = append(out, r.slots[r.old:]...)
+	return append(out, r.slots[:r.old]...)
 }
 
 // DumpJSONL writes the snapshot as JSONL and returns the span count.
 func (r *Ring) DumpJSONL(w io.Writer) (int, error) {
 	evs := r.Snapshot()
-	bw := bufio.NewWriter(w)
+	var b []byte
 	for i := range evs {
-		b, err := json.Marshal(&evs[i])
-		if err != nil {
-			return i, err
-		}
-		bw.Write(b)
-		bw.WriteByte('\n')
+		b = append(evs[i].AppendJSON(b), '\n')
 	}
-	return len(evs), bw.Flush()
+	_, err := w.Write(b)
+	return len(evs), err
 }
 
 // DumpFile writes the snapshot to path (created or truncated) and

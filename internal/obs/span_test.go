@@ -2,11 +2,14 @@ package obs
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestSpanWriterRoundTrip(t *testing.T) {
@@ -128,25 +131,77 @@ func TestRingDumpFileDecodes(t *testing.T) {
 	}
 }
 
+// Writers race a reader: every span a snapshot holds must be whole (its
+// fields agree with each other), and each writer's spans must appear in
+// the order it put them.
 func TestRingConcurrentWriters(t *testing.T) {
 	r := NewRing(64)
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	check := func(snap []Event) {
+		last := map[uint64]uint64{}
+		for _, ev := range snap {
+			if ev.Span != ev.Trace<<32|ev.Seq || ev.WallUS != int64(ev.Seq)*3 || ev.Kind != KindSvcHandle {
+				t.Errorf("torn span %+v", ev)
+				return
+			}
+			if n, ok := last[ev.Trace]; ok && ev.Seq <= n {
+				t.Errorf("writer %d: span %d after %d", ev.Trace, ev.Seq, n)
+				return
+			}
+			last[ev.Trace] = ev.Seq
+		}
+	}
+	for g := uint64(0); g < 8; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				r.Put(Event{Kind: KindSvcHandle, Trace: uint64(g), Seq: uint64(i)})
+			for i := uint64(0); i < 1000; i++ {
+				r.Put(Event{Kind: KindSvcHandle, Trace: g, Seq: i, Span: g<<32 | i, WallUS: int64(i) * 3})
 				if i%100 == 0 {
-					r.Snapshot()
+					check(r.Snapshot())
 				}
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
 	snap := r.Snapshot()
 	if len(snap) != 64 {
 		t.Fatalf("final snapshot %d spans, want 64", len(snap))
+	}
+	check(snap)
+}
+
+// The encoder and the recorder cost nothing per span once warm, and a
+// new ring costs no more than the pointer array it replaced: tracing adds
+// no set-up work and no allocation to the request path.
+func TestTracingAllocatesNothing(t *testing.T) {
+	ev := Event{Kind: KindSvcHandle, WallUS: 1_700_000_000_000_000, Dur: 12,
+		Trace: 77, Span: 78, Parent: 76, Node: 3, Epoch: 1, Seq: 4}
+	sw := NewSpanWriter(io.Discard)
+	if a := testing.AllocsPerRun(1000, func() { sw.Emit(&ev) }); a != 0 {
+		t.Errorf("SpanWriter.Emit = %.2f allocs, want 0", a)
+	}
+	r := NewRing(1024)
+	for i := 0; i < 1024; i++ {
+		r.Put(ev)
+	}
+	if cap(r.slots) != 1024 {
+		t.Errorf("full ring of 1024 has %d slots", cap(r.slots))
+	}
+	if a := testing.AllocsPerRun(1000, func() { r.Put(ev) }); a != 0 {
+		t.Errorf("Ring.Put on a full ring = %.2f allocs, want 0", a)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n = 100
+	rings := make([]*Ring, n)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := range rings {
+		rings[i] = NewRing(1024)
+	}
+	runtime.ReadMemStats(&m1)
+	if b, limit := (m1.TotalAlloc-m0.TotalAlloc)/n, 8<<10+uint64(unsafe.Sizeof(Ring{})); b > limit {
+		t.Errorf("NewRing(1024) allocates %d bytes, want <= %d", b, limit)
 	}
 }
 

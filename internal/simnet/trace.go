@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -53,10 +52,10 @@ type Tracer interface {
 	Trace(TraceEvent)
 }
 
-// JSONLTracer writes one JSON object per line.
+// JSONLTracer writes one JSON object per line, in obs.Event's encoding.
 type JSONLTracer struct {
 	w   io.Writer
-	enc *json.Encoder
+	buf []byte // one encoded line, reused
 	n   int64
 	err error
 }
@@ -65,15 +64,16 @@ var _ Tracer = (*JSONLTracer)(nil)
 
 // NewJSONLTracer creates a tracer writing JSON lines to w.
 func NewJSONLTracer(w io.Writer) *JSONLTracer {
-	return &JSONLTracer{w: w, enc: json.NewEncoder(w)}
+	return &JSONLTracer{w: w}
 }
 
-// Trace implements Tracer. Encoding errors are sticky and reported by Err.
+// Trace implements Tracer. Write errors are sticky and reported by Err.
 func (t *JSONLTracer) Trace(ev TraceEvent) {
 	if t.err != nil {
 		return
 	}
-	if err := t.enc.Encode(ev); err != nil {
+	t.buf = append(ev.AppendJSON(t.buf[:0]), '\n')
+	if _, err := t.w.Write(t.buf); err != nil {
 		t.err = fmt.Errorf("simnet: trace: %w", err)
 		return
 	}

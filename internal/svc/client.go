@@ -47,6 +47,7 @@ type Client struct {
 	sp       *spanner
 	ring     *obs.Ring
 	obsOpLat map[proto.Kind]*obs.Histogram
+	tc       traceCtx // the current operation's trace, reset per call under mu
 }
 
 // traceCtx is one logical operation's trace: a trace id shared by every
@@ -174,7 +175,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		self:          cfg.Self,
 		server:        cfg.Server,
 		tenant:        cfg.Tenant,
-		s:             NewSession(cfg, rand.New(rand.NewSource(seed))),
+		s:             NewSession(cfg, rand.New(&lazySource{seed: seed})),
 		obsOrphans:    reg.Counter("svc_client_orphan_replies"),
 		obsRetrans:    reg.Counter("svc_client_retransmits_total"),
 		obsReattach:   reg.Counter("svc_reattach_total"),
@@ -194,6 +195,24 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	return c, nil
 }
+
+// lazySource is a client's backoff-jitter source, seeded on its first
+// draw: seeding a math/rand source costs tens of microseconds, and a
+// session that is never refused or timed out never draws. It draws what
+// rand.NewSource(seed) would.
+type lazySource struct {
+	seed int64
+	src  rand.Source
+}
+
+func (l *lazySource) Int63() int64 {
+	if l.src == nil {
+		l.src = rand.NewSource(l.seed)
+	}
+	return l.src.Int63()
+}
+
+func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }
 
 // Close ends the session handle: later calls fail with ErrClientDone, and
 // a call in flight fails so at its next wake-up. It does not close the
@@ -223,9 +242,9 @@ func (c *Client) call(op Op) (proto.Message, error) {
 	if c.closed.Load() {
 		return proto.Message{}, ErrClientDone
 	}
-	tc := c.startOp(op.Kind)
-	defer c.endOp(tc)
 	now := time.Now()
+	tc := c.startOp(op.Kind, now)
+	defer c.endOp(tc)
 	st := c.note(tc, now, c.s.Call(now, op, tc.id()))
 	var batch []ctrlnet.Delivery
 	for {
@@ -269,12 +288,14 @@ func (c *Client) call(op Op) (proto.Message, error) {
 }
 
 // startOp opens one logical operation's trace (nil when tracing is off):
-// a fresh trace id, a root span, and a wall-clock start.
-func (c *Client) startOp(op proto.Kind) *traceCtx {
+// a fresh trace id, a root span, and the call's wall-clock start. The
+// trace lives in the client, which runs one call at a time.
+func (c *Client) startOp(op proto.Kind, now time.Time) *traceCtx {
 	if c.sp == nil {
 		return nil
 	}
-	return &traceCtx{trace: c.sp.next(), root: c.sp.next(), op: op, start: time.Now()}
+	c.tc = traceCtx{trace: c.sp.next(), root: c.sp.next(), op: op, start: now}
+	return &c.tc
 }
 
 // id is the trace id to stamp on the operation's frames (0: untraced).

@@ -241,3 +241,19 @@ func TestBackoffJitterBounds(t *testing.T) {
 		}
 	}
 }
+
+// A client seeds its jitter source on the first draw, and then draws
+// exactly what a source seeded at construction would.
+func TestLazyJitterSourceMatchesSeeded(t *testing.T) {
+	cfg := ClientConfig{Timeout: 100 * time.Millisecond, RetryCap: 800 * time.Millisecond}
+	lazy := &lazySource{seed: 7}
+	got, want := NewSession(cfg, rand.New(lazy)), NewSession(cfg, rand.New(rand.NewSource(7)))
+	if lazy.src != nil {
+		t.Fatal("jitter source seeded before its first draw")
+	}
+	for attempt := 1; attempt <= 200; attempt++ {
+		if g, w := got.backoff(attempt%8), want.backoff(attempt%8); g != w {
+			t.Fatalf("draw %d: %v, want %v", attempt, g, w)
+		}
+	}
+}

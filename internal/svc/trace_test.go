@@ -3,6 +3,7 @@ package svc
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -319,6 +320,26 @@ func TestTracedBackoffFirstRetryAtTimeout(t *testing.T) {
 // layer existed (9 allocations, measured on the pre-tracing tree with
 // this exact probe).
 func TestRequestHotPathAllocsUnchanged(t *testing.T) {
+	if avg := hotPathAllocs(t, Config{}, false); avg > 9.0 {
+		t.Fatalf("open+close handle pair = %.2f allocs, want <= 9 (the pre-tracing baseline)", avg)
+	}
+}
+
+// Fully traced (span writer, flight recorder, traced frames), the pair
+// still costs the untraced 9: the six server spans it emits are encoded
+// into the writer's buffer and copied into the ring's slots.
+func TestTracedHotPathAllocsUnchanged(t *testing.T) {
+	cfg := Config{Spans: obs.NewSpanWriter(io.Discard), Ring: obs.NewRing(1024), SpanSeed: 1}
+	if avg := hotPathAllocs(t, cfg, true); avg > 9.0 {
+		t.Fatalf("traced open+close handle pair = %.2f allocs, want <= 9 (the untraced pair)", avg)
+	}
+}
+
+// hotPathAllocs drives open+close pairs straight into a server built
+// from cfg's tracing sinks and returns the allocations per pair; traced
+// frames carry a trace context.
+func hotPathAllocs(t *testing.T, cfg Config, traced bool) float64 {
+	t.Helper()
 	g, err := topology.Torus(3, 3, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +355,8 @@ func TestRequestHotPathAllocsUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(Config{LAN: lan, Transport: net, Node: 0, Incarnation: 7})
+	cfg.LAN, cfg.Transport, cfg.Node, cfg.Incarnation = lan, net, 0, 7
+	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,23 +364,26 @@ func TestRequestHotPathAllocsUnchanged(t *testing.T) {
 	hello, _ := proto.Marshal(&proto.Message{Kind: proto.KindHello, Epoch: 1, Initiator: 1, VTimeUS: time.Now().UnixMicro()})
 	srv.ServeOne(ctrlnet.Delivery{From: 100, To: 0, Wire: hello})
 	nonce := uint64(2)
-	avg := testing.AllocsPerRun(2000, func() {
+	return testing.AllocsPerRun(2000, func() {
 		nonce++
-		req, _ := proto.Marshal(&proto.Message{
+		req := proto.Message{
 			Kind: proto.KindVCRequest, Epoch: 1, Initiator: nonce, From: 7,
 			VTimeUS: time.Now().UnixMicro(),
 			Links:   []proto.LinkRec{{A: int32(hosts[0]), B: int32(hosts[1])}},
-		})
-		srv.ServeOne(ctrlnet.Delivery{From: 100, To: 0, Wire: req})
-		cls, _ := proto.Marshal(&proto.Message{
+		}
+		cls := proto.Message{
 			Kind: proto.KindVCClose, Epoch: 1, Initiator: nonce + 1_000_000, From: 7,
 			VTimeUS: time.Now().UnixMicro(), Depth: int32(1),
-		})
-		srv.ServeOne(ctrlnet.Delivery{From: 100, To: 0, Wire: cls})
+		}
+		if traced {
+			req.TraceID, req.Span = nonce, 2*nonce+1
+			cls.TraceID, cls.Span = nonce, 2*nonce+2
+		}
+		wire, _ := proto.Marshal(&req)
+		srv.ServeOne(ctrlnet.Delivery{From: 100, To: 0, Wire: wire})
+		wire, _ = proto.Marshal(&cls)
+		srv.ServeOne(ctrlnet.Delivery{From: 100, To: 0, Wire: wire})
 	})
-	if avg > 9.0 {
-		t.Fatalf("open+close handle pair = %.2f allocs, want <= 9 (the pre-tracing baseline)", avg)
-	}
 }
 
 // Entering drain and crossing the refusal-rate threshold each dump the
