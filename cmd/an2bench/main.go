@@ -1,7 +1,7 @@
 // Command an2bench regenerates every experiment in the AN2 reproduction
-// (the registry in internal/exp, currently E1–E31; `-list` enumerates it):
-// the paper's figures, worked examples, and quantitative claims, printed
-// as tables. E30 exercises the datacenter-fabric layer — fat-trees from
+// (the registry in internal/exp, E1–E34; `-list` enumerates it): the
+// paper's figures, worked examples, and quantitative claims, printed as
+// tables. E30 exercises the datacenter-fabric layer — fat-trees from
 // topology.FatTree recovered hierarchically via fabric.Partition; E31
 // measures the wake-set slot engine.
 //
@@ -16,12 +16,12 @@
 //	an2bench -run E2 -cpuprofile cpu.pprof -memprofile mem.pprof -trace run.trace
 //
 // With -json the output is one JSON array of objects, each carrying the
-// experiment id, title, claim, wall time in milliseconds, its tables as
-// header/row string matrices, and — for experiments that report their
-// simulated-slot count via exp.ReportSlots — the total slots simulated
-// ("slots") and the achieved stepping rate ("slots_per_sec"). This is the
-// format future sessions use to track a benchmark trajectory across
-// commits.
+// experiment id, title, claim, seed, wall time in milliseconds and its
+// tables as header/row string matrices. The tables are the results: under
+// one seed they replay byte for byte, except the wall-clock columns of
+// E29 and E31 and the loopback-service arms E33a/b. The wall time (and the
+// "(En in …)" footer of the text output) only says how long the run took;
+// it is not a measurement, which is the bench program's job.
 package main
 
 import (
@@ -53,18 +53,14 @@ type jsonTable struct {
 	Rows    [][]string `json:"rows"`
 }
 
-// jsonResult is one experiment's -json record. Slots/SlotsPerSec are only
-// present for experiments that declare their simulated-slot count via
-// exp.ReportSlots.
+// jsonResult is one experiment's -json record.
 type jsonResult struct {
-	ID          string      `json:"id"`
-	Title       string      `json:"title"`
-	Claim       string      `json:"claim"`
-	Seed        int64       `json:"seed"`
-	WallMillis  int64       `json:"wall_ms"`
-	Slots       int64       `json:"slots,omitempty"`
-	SlotsPerSec float64     `json:"slots_per_sec,omitempty"`
-	Tables      []jsonTable `json:"tables"`
+	ID         string      `json:"id"`
+	Title      string      `json:"title"`
+	Claim      string      `json:"claim"`
+	Seed       int64       `json:"seed"`
+	WallMillis int64       `json:"wall_ms"`
+	Tables     []jsonTable `json:"tables"`
 }
 
 func run(w io.Writer, args []string) error {
@@ -145,23 +141,16 @@ func run(w io.Writer, args []string) error {
 			fmt.Fprintf(w, "### %s — %s\n", e.ID, e.Title)
 			fmt.Fprintf(w, "    paper: %s\n\n", e.Claim)
 		}
-		exp.TakeSlots() // discard strays from earlier experiments
 		start := time.Now()
 		tables, err := e.Run(*seed)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		elapsed := time.Since(start)
-		slots := exp.TakeSlots()
-		var rate float64
-		if slots > 0 && elapsed > 0 {
-			rate = float64(slots) / elapsed.Seconds()
-		}
 		if *jsonFlag {
 			r := jsonResult{
 				ID: e.ID, Title: e.Title, Claim: e.Claim,
 				Seed: *seed, WallMillis: elapsed.Milliseconds(),
-				Slots: slots, SlotsPerSec: rate,
 			}
 			for _, t := range tables {
 				r.Tables = append(r.Tables, jsonTable{
@@ -173,12 +162,7 @@ func run(w io.Writer, args []string) error {
 			for _, t := range tables {
 				fmt.Fprintln(w, t.String())
 			}
-			if slots > 0 {
-				fmt.Fprintf(w, "(%s in %v — %d slots, %.0f slots/sec)\n\n",
-					e.ID, elapsed.Round(time.Millisecond), slots, rate)
-			} else {
-				fmt.Fprintf(w, "(%s in %v)\n\n", e.ID, elapsed.Round(time.Millisecond))
-			}
+			fmt.Fprintf(w, "(%s in %v)\n\n", e.ID, elapsed.Round(time.Millisecond))
 		}
 		ran++
 	}

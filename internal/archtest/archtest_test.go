@@ -193,14 +193,22 @@ func pkgSelector(f *ast.File, e ast.Expr, pkgPath string) (sel string, ok bool) 
 	return s.Sel.Name, true
 }
 
+// readsClock returns "time.Now" or "time.Since" if e is one of them, as
+// f names the time package.
+func readsClock(f *ast.File, e ast.Expr) (string, bool) {
+	if sel, ok := pkgSelector(f, e, "time"); ok && (sel == "Now" || sel == "Since") {
+		return "time." + sel, true
+	}
+	return "", false
+}
+
 // goroutineAllowList holds the only non-test files under internal/ that
-// may contain a go statement: socket I/O, a load generator and the two
-// loopback-service experiments' Serve launchers. No goroutine is a
+// may contain a go statement: socket I/O, a load generator and the
+// loopback-service experiment's Serve launcher. No goroutine is a
 // simulation clock.
 var goroutineAllowList = []string{
 	"ctrlnet/udp.go",
 	"exp/surviveexp.go",
-	"exp/traceexp.go",
 	"workload/tenants.go",
 }
 
@@ -253,8 +261,8 @@ func serverMachineViolations(files []source) []string {
 				if !ok {
 					return true
 				}
-				if sel, ok := pkgSelector(s.file, e, "time"); ok && (sel == "Now" || sel == "Since") {
-					v = append(v, s.path+": reads the clock: time."+sel)
+				if clock, ok := readsClock(s.file, e); ok {
+					v = append(v, s.path+": reads the clock: "+clock)
 				}
 				for _, pkg := range []string{"repro/internal/obs", "repro/internal/ctrlnet"} {
 					if sel, ok := pkgSelector(s.file, e, pkg); ok {
@@ -272,8 +280,8 @@ func serverMachineViolations(files []source) []string {
 			found[s.path] = true
 			ast.Inspect(s.file, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok {
-					if sel, ok := pkgSelector(s.file, call.Fun, "time"); ok && (sel == "Now" || sel == "Since") {
-						v = append(v, s.path+": calls time."+sel+" (the shell's one clock is Config.Now)")
+					if clock, ok := readsClock(s.file, call.Fun); ok {
+						v = append(v, s.path+": calls "+clock+" (the shell's one clock is Config.Now)")
 					}
 				}
 				return true
@@ -283,6 +291,49 @@ func serverMachineViolations(files []source) []string {
 	for _, p := range []string{"svc/server.go", "svc/svc.go"} {
 		if !found[p] {
 			v = append(v, p+": missing (the rule names it)")
+		}
+	}
+	return v
+}
+
+// experimentClockAllowList holds the only non-test files under
+// internal/exp that may read the clock: E29's memMeasure and E31's
+// best-of-3 report wall times, and E33a/b run a loopback-UDP service on
+// the wall clock. Every other experiment's table replays byte for byte
+// under one seed; wall-clock measurement is bench's job. The list only
+// shrinks.
+var experimentClockAllowList = []string{
+	"exp/obsexp.go",
+	"exp/speedexp.go",
+	"exp/surviveexp.go",
+}
+
+// experimentClockViolations: no non-test file under internal/exp outside
+// the allow-list refers to time.Now or time.Since, and every listed file
+// still does (a stale entry is a violation, as on the goroutine list).
+func experimentClockViolations(files []source) []string {
+	var v []string
+	reads := map[string]bool{}
+	for _, s := range files {
+		if !strings.HasPrefix(s.path, "exp/") {
+			continue
+		}
+		listed := slices.Contains(experimentClockAllowList, s.path)
+		ast.Inspect(s.file, func(n ast.Node) bool {
+			if e, ok := n.(ast.Expr); ok {
+				if clock, ok := readsClock(s.file, e); ok {
+					reads[s.path] = true
+					if !listed {
+						v = append(v, s.path+": reads the clock: "+clock)
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, p := range experimentClockAllowList {
+		if !reads[p] {
+			v = append(v, p+": on the clock allow-list but reads no clock")
 		}
 	}
 	return v
@@ -374,6 +425,23 @@ func TestServerMachineRule(t *testing.T) {
 			"calls time.Now"},
 		{"the shell defaults Config.Now to the wall clock", shell,
 			"package svc\n\nimport \"time\"\n\nfunc defaults(c *Config) { c.Now = time.Now }\n",
+			""},
+	})
+}
+
+func TestExperimentsReadNoClock(t *testing.T) {
+	checkRule(t, experimentClockViolations, []mutation{
+		{"a new experiment times itself", "exp/rateexp.go",
+			"package exp\n\nimport \"time\"\n\nfunc stamp() int64 { return time.Now().UnixMicro() }\n",
+			"exp/rateexp.go: reads the clock: time.Now"},
+		{"a clock read through a renamed import", "exp/traceexp.go",
+			"package exp\n\nimport clock \"time\"\n\nfunc age(t clock.Time) clock.Duration { return clock.Since(t) }\n",
+			"exp/traceexp.go: reads the clock: time.Since"},
+		{"an allow-listed file stops reading the clock", "exp/speedexp.go",
+			"package exp\n\nimport \"time\"\n\nconst period = time.Millisecond\n",
+			"exp/speedexp.go: on the clock allow-list"},
+		{"a fixed clock is no clock read", "exp/traceexp.go",
+			"package exp\n\nimport \"time\"\n\nvar epoch = time.Unix(1, 0)\n",
 			""},
 	})
 }

@@ -131,7 +131,7 @@ type heldMsg struct {
 // order.
 type Net struct {
 	cfg   Config
-	rng   *rand.Rand
+	rng   *rand.Rand // seeded on the first fault decision; see draw
 	stats Stats
 	// held stores at most one reordered message per directed link,
 	// released behind the next message on that link (or by Flush).
@@ -158,7 +158,6 @@ func New(cfg Config) (*Net, error) {
 	}
 	return &Net{
 		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		held:    make(map[pairKey]heldMsg),
 		obsSent: cfg.Obs.Counter("ctrl_msgs_total", "kind", "sent"),
 		obsLost: cfg.Obs.Counter("ctrl_msgs_total", "kind", "lost"),
@@ -178,8 +177,22 @@ func (n *Net) inBurst(t int64) bool {
 	return false
 }
 
+// draw returns the fault source, seeding it on first use: seeding a
+// math/rand source costs microseconds and kilobytes, and a loss-free
+// channel (every core.New boots over one) never draws. It draws what a
+// source seeded in New would.
+func (n *Net) draw() *rand.Rand {
+	if n.rng == nil {
+		n.seed()
+	}
+	return n.rng
+}
+
+// seed is out of line so that draw inlines into every fault decision.
+func (n *Net) seed() { n.rng = rand.New(rand.NewSource(n.cfg.Seed)) }
+
 // jitterUS draws a positive extra latency.
-func (n *Net) jitterUS() int64 { return 1 + n.rng.Int63n(maxExtraDelayUS) }
+func (n *Net) jitterUS() int64 { return 1 + n.draw().Int63n(maxExtraDelayUS) }
 
 // Transmit offers one wire message nominally arriving at arriveUS and
 // returns what the channel actually delivers (possibly nothing, possibly
@@ -212,28 +225,28 @@ func (n *Net) Transmit(from, to topology.NodeID, wire []byte, arriveUS int64) []
 		release(arriveUS)
 		return out
 	}
-	if n.cfg.DropProb > 0 && n.rng.Float64() < n.cfg.DropProb {
+	if n.cfg.DropProb > 0 && n.draw().Float64() < n.cfg.DropProb {
 		n.stats.Dropped++
 		n.obsLost.Inc(0)
 		release(arriveUS)
 		return out
 	}
-	if n.cfg.CorruptProb > 0 && n.rng.Float64() < n.cfg.CorruptProb {
+	if n.cfg.CorruptProb > 0 && n.draw().Float64() < n.cfg.CorruptProb {
 		n.stats.Corrupted++
 		bad := append([]byte(nil), wire...)
 		if len(bad) > 0 {
-			bit := n.rng.Intn(len(bad) * 8)
+			bit := n.draw().Intn(len(bad) * 8)
 			bad[bit/8] ^= 1 << (bit % 8)
 		}
 		out = append(out, Delivery{From: from, To: to, Wire: bad, AtUS: arriveUS})
 		release(arriveUS)
 		return out
 	}
-	if n.cfg.DelayProb > 0 && n.rng.Float64() < n.cfg.DelayProb {
+	if n.cfg.DelayProb > 0 && n.draw().Float64() < n.cfg.DelayProb {
 		n.stats.Delayed++
 		arriveUS += n.jitterUS()
 	}
-	if n.cfg.ReorderProb > 0 && n.rng.Float64() < n.cfg.ReorderProb {
+	if n.cfg.ReorderProb > 0 && n.draw().Float64() < n.cfg.ReorderProb {
 		if _, busy := n.held[key]; !busy {
 			n.stats.Reordered++
 			n.held[key] = heldMsg{wire: append([]byte(nil), wire...), atUS: arriveUS}
@@ -241,7 +254,7 @@ func (n *Net) Transmit(from, to topology.NodeID, wire []byte, arriveUS int64) []
 		}
 	}
 	out = append(out, Delivery{From: from, To: to, Wire: wire, AtUS: arriveUS})
-	if n.cfg.DupProb > 0 && n.rng.Float64() < n.cfg.DupProb {
+	if n.cfg.DupProb > 0 && n.draw().Float64() < n.cfg.DupProb {
 		n.stats.Duplicated++
 		out = append(out, Delivery{From: from, To: to, Wire: append([]byte(nil), wire...), AtUS: arriveUS + n.jitterUS()})
 	}

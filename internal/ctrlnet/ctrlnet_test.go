@@ -33,6 +33,27 @@ func TestReliableByDefault(t *testing.T) {
 	}
 }
 
+// A loss-free channel never draws a fault decision, so it never seeds its
+// source: New costs the Net and its held-message map, two allocations fewer
+// than with the source seeded at construction. Every core.New boots over
+// such a channel.
+func TestLossFreeChannelSeedsNothing(t *testing.T) {
+	if a := testing.AllocsPerRun(100, func() { New(Config{}) }); a != 2 {
+		t.Fatalf("New(Config{}) makes %v allocations, want 2", a)
+	}
+	n, err := New(Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := wireMsg(t, 7)
+	for i := 0; i < 100; i++ {
+		n.Transmit(0, 1, w, int64(i))
+	}
+	if n.rng != nil {
+		t.Fatal("a loss-free channel seeded its fault source")
+	}
+}
+
 // Transmit's aliasing contract, on which a sender offering one image to
 // several receivers relies: a clean delivery is the sent image itself, and
 // corrupted, duplicated and held deliveries are copies. So corrupting one

@@ -8,7 +8,6 @@ package exp
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/metrics"
 )
@@ -50,26 +49,6 @@ func All() []*Experiment {
 	})
 	return out
 }
-
-// reportedSlots accumulates the simulated-slot count experiments declare
-// via ReportSlots since the last TakeSlots. an2bench runs one experiment at
-// a time; the tests run them in parallel, hence the atomic.
-var reportedSlots atomic.Int64
-
-// ReportSlots adds n simulated slots to the current experiment's tally.
-// Experiments that drive a simnet.Network (directly or through fabric /
-// workload) call it so an2bench can report slots/sec per experiment; an
-// experiment that never reports simply shows no rate.
-func ReportSlots(n int64) {
-	if n > 0 {
-		reportedSlots.Add(n)
-	}
-}
-
-// TakeSlots returns the slots reported since the last call and resets the
-// tally. an2bench calls it once before each experiment (discarding strays)
-// and once after (the experiment's count).
-func TakeSlots() int64 { return reportedSlots.Swap(0) }
 
 // idOrder sorts E2 before E10.
 func idOrder(id string) int {

@@ -131,7 +131,6 @@ func runE30One(seed int64, pods int, hier bool) (*e30Row, error) {
 	if !loop.Quiescent() {
 		return nil, fmt.Errorf("E30: loop not quiescent (pods=%d hier=%v)", pods, hier)
 	}
-	ReportSlots(n.Sim.Slot())
 	st := loop.Stats()
 	row := &e30Row{
 		switches:   len(n.G.Switches()),

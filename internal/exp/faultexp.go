@@ -96,7 +96,6 @@ func runE22(seed int64) ([]*metrics.Table, error) {
 			}
 			n.Step()
 		}
-		ReportSlots(e22Slots)
 		var lagSlots, lagN int64
 		for _, inc := range loop.Incidents() {
 			if inc.HardwareSlot >= 0 {

@@ -80,7 +80,6 @@ func runE32(seed int64) ([]*metrics.Table, error) {
 		return nil, err
 	}
 	st := sys.Server().Stats()
-	ReportSlots(sys.NowMS() * svcsys.StepSlots)
 
 	t1 := metrics.NewTable(
 		fmt.Sprintf("E32a — service protocol (%d tenants, %d flows, %d virtual ms)", rep.Tenants, rep.Flows, sys.NowMS()),

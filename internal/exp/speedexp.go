@@ -207,7 +207,6 @@ func runSpeedCase(t *metrics.Table, name string, build func() (*speedNet, error)
 	sn.n.Run(warm)
 	idle0 := sn.n.Stats().IdleStepsSkipped
 	rate := timeRun(sn.n, timedSlots, reps)
-	ReportSlots(warm + timedSlots*reps)
 
 	switchSlots := float64(int64(sn.total) * timedSlots * reps)
 	stepped := 1 - float64(sn.n.Stats().IdleStepsSkipped-idle0)/switchSlots

@@ -194,7 +194,6 @@ func runE33(seed int64) ([]*metrics.Table, error) {
 		return nil, err
 	}
 	st2 := srv2.Stats()
-	ReportSlots(st1.Steps + st2.Steps)
 
 	unavailMS := int64(-1)
 	if rep.ReattachedTenants > 0 {
