@@ -113,7 +113,7 @@ func run(args []string) error {
 	}
 	var reg *obs.Registry
 	if *httpAddr != "" || *metricsOut != "" {
-		reg = obs.NewRegistry(len(g.Switches()))
+		reg = obs.NewRegistry()
 		reg.PublishExpvar("an2")
 	}
 	if *httpAddr != "" {

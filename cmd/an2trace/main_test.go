@@ -212,7 +212,7 @@ func TestChromeConversion(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doc struct {
-		TraceEvents []struct {
+		Events []struct {
 			Ph  string `json:"ph"`
 			Pid int64  `json:"pid"`
 		} `json:"traceEvents"`
@@ -221,7 +221,7 @@ func TestChromeConversion(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dataSpans, ctrlEvents int
-	for _, ev := range doc.TraceEvents {
+	for _, ev := range doc.Events {
 		if ev.Pid == 1 && ev.Ph == "X" {
 			dataSpans++
 		}

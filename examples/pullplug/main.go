@@ -13,69 +13,83 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/topology"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run plays the demo, writing its narration to w.
+func run(w io.Writer) error {
 	rng := rand.New(rand.NewSource(7))
 	g, err := topology.SRCLike(rng, 4, 8, 12, 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	lan, err := core.New(core.Config{Topology: g, FrameSlots: 128, Seed: 7})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	hosts := g.Hosts()
 	src, dst := hosts[0], hosts[len(hosts)-1]
 	vc, err := lan.OpenBestEffort(src, dst)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	path, _ := lan.CircuitPath(vc)
-	fmt.Printf("streaming on circuit %d over %v\n", vc, path)
+	fmt.Fprintf(w, "streaming on circuit %d over %v\n", vc, path)
 
-	send := func(n int, tag byte) {
+	send := func(n int, tag byte) error {
 		for i := 0; i < n; i++ {
 			pkt := make([]byte, 400)
 			pkt[0] = tag
 			if err := lan.SendPacket(vc, pkt); err != nil {
-				log.Fatal(err)
+				return err
 			}
 			lan.Run(32)
 		}
+		return nil
 	}
 
 	// Stream a while...
-	send(40, 'a')
+	if err := send(40, 'a'); err != nil {
+		return err
+	}
 	stats, _ := lan.HostStats(dst)
 	beforeCells := stats.CellsReceived
-	fmt.Printf("before the plug: %d cells delivered, %d lost\n",
+	fmt.Fprintf(w, "before the plug: %d cells delivered, %d lost\n",
 		beforeCells, lan.NetStats().DroppedInFlight)
 
 	// ...then pull the plug on a switch in the middle of the path.
 	victim := path[1+len(path[1:len(path)-1])/2]
 	node, _ := g.Node(victim)
-	fmt.Printf("\n*** pulling the plug on switch %q ***\n\n", node.Name)
+	fmt.Fprintf(w, "\n*** pulling the plug on switch %q ***\n\n", node.Name)
 	report, err := lan.PullPlug(victim)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("reconfiguration converged in %d µs (budget: 200,000 µs)\n", report.ReconfigTimeUS)
-	fmt.Printf("circuits rerouted: %d, unroutable: %d\n", report.Rerouted, report.Unroutable)
+	fmt.Fprintf(w, "reconfiguration converged in %d µs (budget: 200,000 µs)\n", report.ReconfigTimeUS)
+	fmt.Fprintf(w, "circuits rerouted: %d, unroutable: %d\n", report.Rerouted, report.Unroutable)
 	newPath, _ := lan.CircuitPath(vc)
-	fmt.Printf("new route: %v\n", newPath)
+	fmt.Fprintf(w, "new route: %v\n", newPath)
 
 	// The stream continues without interruption.
-	send(40, 'b')
+	if err := send(40, 'b'); err != nil {
+		return err
+	}
 	lan.Run(4_000)
 	ns := lan.NetStats()
-	fmt.Printf("\nafter the plug: %d cells delivered (+%d), %d cells died with the switch\n",
+	fmt.Fprintf(w, "\nafter the plug: %d cells delivered (+%d), %d cells died with the switch\n",
 		stats.CellsReceived, stats.CellsReceived-beforeCells, ns.DroppedInFlight)
 	pkts := lan.Packets(dst)
 	var a, b int
@@ -87,8 +101,9 @@ func main() {
 			b++
 		}
 	}
-	fmt.Printf("packets reassembled: %d before-tag + %d after-tag\n", a, b)
+	fmt.Fprintf(w, "packets reassembled: %d before-tag + %d after-tag\n", a, b)
 	if report.ReconfigTimeUS < 200_000 && b > 0 {
-		fmt.Println("\ndemo verdict: service survived the plug — as the paper promises.")
+		fmt.Fprintln(w, "\ndemo verdict: service survived the plug — as the paper promises.")
 	}
+	return nil
 }

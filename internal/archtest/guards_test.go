@@ -29,6 +29,9 @@ var removedIdents = []string{
 	"FastForward", "ReplaySince", "ObserveN", "ApplySteady", "ShiftStamps", "steadySignature",
 	// The switch's per-class bookkeeping that the crossbar state replaced.
 	"fromGuaranteed", "fromBestEffort", "outBusy",
+	// Per-writer instrument shards (every instrument is one set of atomic
+	// words) and simnet's second name for obs.Event.
+	"Shard", "TraceEvent",
 }
 
 // removedPackages are deleted packages that must not be imported again.
@@ -118,6 +121,12 @@ func TestRemovedKnobsStayRemoved(t *testing.T) {
 		{"a deleted package is imported under another name", "internal/exp/old.go",
 			"package exp\n\nimport es \"repro/internal/eventsim\"\n\nvar _ = es.Run\n",
 			"imports removed package repro/internal/eventsim"},
+		{"a writer shard returns to the switch config", "internal/switchnode/obs.go",
+			"package switchnode\n\ntype obsConfig struct{ Shard int }\n",
+			"names removed identifier Shard"},
+		{"simnet's event alias returns", "cmd/an2sim/trace.go",
+			"package main\n\nimport \"repro/internal/simnet\"\n\nvar _ simnet.TraceEvent\n",
+			"names removed identifier TraceEvent"},
 		{"a Workers field outside a Config", "internal/workload/pool.go",
 			"package workload\n\ntype pool struct{ Workers int }\n",
 			""},

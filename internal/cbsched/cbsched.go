@@ -102,7 +102,7 @@ func New(cfg Config) (*Switch, error) {
 		xpq:    make([][][]cell.Cell, cfg.N),
 		inPtr:  make([]int, cfg.N),
 		outPtr: make([]int, cfg.N),
-		obsOcc: cfg.Obs.Series("cbsched_crosspoint_cells", 0),
+		obsOcc: cfg.Obs.Series("cbsched_crosspoint_cells"),
 	}
 	for i := 0; i < cfg.N; i++ {
 		s.voq[i] = make([][]cell.Cell, cfg.N)

@@ -233,7 +233,7 @@ func RunObserved(s Schedule, tracer simnet.Tracer, reg *obs.Registry) (*Result, 
 		ctrl.DropProb = burstDropAt(s, f.net.Slot())
 		if ctrl.DropProb != prevDrop {
 			slot := f.net.Slot()
-			ev := simnet.TraceEvent{Kind: obs.KindChaosBurst, Node: -1, Link: -1,
+			ev := obs.Event{Kind: obs.KindChaosBurst, Node: -1, Link: -1,
 				Seq: uint64(ctrl.DropProb * 1000)}
 			if ctrl.DropProb > prevDrop {
 				burstStart = slot

@@ -408,11 +408,11 @@ func (t *svcTenant) call(op svc.Op) {
 // the tenant to plan the next one; a failed call's server-side effects,
 // if any, are cleaned by bye or lease GC: that is the point.
 func (t *svcTenant) onStep(st svc.Step) *Violation {
-	if a := st.Answer; a != nil && a.Kind == proto.KindVCReply && a.Accept {
-		key, got := [2]uint64{t.id, a.Initiator}, cell.VCI(a.Depth)
+	if got := svc.Decode(st.Answer).VC; got != 0 {
+		key := [2]uint64{t.id, st.Answer.Initiator}
 		if prev, ok := t.granted[key]; ok && prev != got {
 			return &Violation{Slot: t.sys.NowMS(), Invariant: "double-grant",
-				Detail: fmt.Sprintf("tenant %d nonce %d granted VCI %d then %d", t.id, a.Initiator, prev, got)}
+				Detail: fmt.Sprintf("tenant %d nonce %d granted VCI %d then %d", t.id, key[1], prev, got)}
 		}
 		t.granted[key] = got
 	}

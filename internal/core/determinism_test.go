@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cell"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/internal/topology"
 )
@@ -69,7 +70,7 @@ func TestPullPlugDeterministic(t *testing.T) {
 	type outcome struct {
 		report PlugReport
 		paths  map[cell.VCI][]topology.NodeID
-		trace  []simnet.TraceEvent
+		trace  []obs.Event
 	}
 	pull := func() outcome {
 		g, err := topology.SRCLike(rand.New(rand.NewSource(3)), 4, 6, 10, 1)

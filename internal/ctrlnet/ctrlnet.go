@@ -203,7 +203,7 @@ func (n *Net) jitterUS() int64 { return 1 + n.draw().Int63n(maxExtraDelayUS) }
 // keep a delivered image for as long as it likes.
 func (n *Net) Transmit(from, to topology.NodeID, wire []byte, arriveUS int64) []Delivery {
 	n.stats.Sent++
-	n.obsSent.Inc(0)
+	n.obsSent.Inc()
 	key := pairKey{from, to}
 	var out []Delivery
 
@@ -221,13 +221,13 @@ func (n *Net) Transmit(from, to topology.NodeID, wire []byte, arriveUS int64) []
 
 	if n.inBurst(arriveUS) {
 		n.stats.BurstDropped++
-		n.obsLost.Inc(0)
+		n.obsLost.Inc()
 		release(arriveUS)
 		return out
 	}
 	if n.cfg.DropProb > 0 && n.draw().Float64() < n.cfg.DropProb {
 		n.stats.Dropped++
-		n.obsLost.Inc(0)
+		n.obsLost.Inc()
 		release(arriveUS)
 		return out
 	}

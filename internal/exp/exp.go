@@ -7,6 +7,8 @@ package exp
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sort"
 
 	"repro/internal/metrics"
@@ -59,4 +61,21 @@ func idOrder(id string) int {
 		}
 	}
 	return n
+}
+
+// allocsOf runs f and returns the heap allocations and bytes it made.
+// It measures like testing.AllocsPerRun: one P and the collector parked,
+// so the MemStats deltas count f and not concurrent GC workers. The
+// runtime still adds an allocation now and then (under 1 % of runs of
+// E29's probes), never removes one, so callers take the least of several
+// runs.
+func allocsOf(f func()) (mallocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -85,11 +86,11 @@ var headlines = map[string]func(t *testing.T, rows map[string]string){
 // runs it. Either way the headlines above are checked on the tables the
 // run produced.
 //
-// E34 counts the process's mallocs around its probe, so nothing else may
-// allocate meanwhile. Its subtest is the one that does not call
-// t.Parallel: it runs to completion inside this function's loop, while
-// every sibling is still parked in t.Parallel, which releases them only
-// once this function returns.
+// E29 and E34 count the process's mallocs around their probes, so
+// nothing else may allocate meanwhile. Their subtests are the ones that do
+// not call t.Parallel: they run to completion inside this function's
+// loop, while every sibling is still parked in t.Parallel, which releases
+// them only once this function returns.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		// Restored by Cleanup, not defer: the parallel subtests run after
@@ -101,7 +102,7 @@ func TestAllExperimentsRun(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			if e.ID != "E34" {
+			if e.ID != "E29" && e.ID != "E34" {
 				t.Parallel()
 			}
 			tables, err := e.Run(42)
@@ -167,6 +168,32 @@ func TestQuickExperimentsDeterministic(t *testing.T) {
 				t.Errorf("%s: table %d differs across identical seeds", id, i)
 			}
 		}
+	}
+}
+
+// E29 counts allocations like E34a (one P, the collector parked), so its
+// allocs/slot column replays exactly at one seed; only its wall times
+// differ run to run.
+func TestE29AllocsDeterministic(t *testing.T) {
+	column := func() []string {
+		tables, err := runE29(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var col []string
+		for _, tb := range tables {
+			k := slices.Index(tb.Headers(), "allocs/slot")
+			if k < 0 {
+				t.Fatalf("%s has no allocs/slot column", tb.Title())
+			}
+			for _, row := range tb.Rows() {
+				col = append(col, row[0]+" "+row[k])
+			}
+		}
+		return col
+	}
+	if a, b := column(), column(); !slices.Equal(a, b) {
+		t.Fatalf("allocs/slot differs across identical seeds:\n%v\n%v", a, b)
 	}
 }
 

@@ -3,7 +3,7 @@ package exp
 import (
 	"fmt"
 	"io"
-	"runtime"
+	"math"
 	"time"
 
 	"repro/internal/cell"
@@ -23,30 +23,36 @@ import (
 // per-VC switch) with instruments off vs on, and a 3×3-torus network run
 // with instruments off / counters only / full JSONL tracing including
 // per-hop events. Reported per mode: wall time, heap allocations and
-// bytes per slot, and the work done — which must be bit-identical across
+// bytes per slot (each the least of three runs), and the work done — which must be bit-identical across
 // modes, because observation must never perturb the simulation.
 
 func init() {
 	register(&Experiment{
 		ID:    "E29",
 		Title: "Observability overhead ablation: disabled / counters / full tracing",
-		Claim: "a disabled obs registry costs nothing on the hot path (nil-handle no-ops, zero allocations); sharded counters stay within a few percent; only full JSONL tracing with hop events buys its insight with measurable time, and no mode changes simulation results",
+		Claim: "a disabled obs registry costs nothing on the hot path (nil-handle no-ops, zero allocations); counters stay within a few percent; only full JSONL tracing with hop events buys its insight with measurable time, and no mode changes simulation results",
 		Run:   runE29,
 		Quick: true,
 	})
 }
 
-// memMeasure runs f and returns its wall time plus the heap allocations
-// and bytes it performed.
+// memMeasure runs f three times and returns the least of each reading:
+// the wall time, and the heap allocations and bytes allocsOf counts.
 func memMeasure(f func() error) (wall time.Duration, mallocs, bytes uint64, err error) {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	err = f()
-	wall = time.Since(start)
-	runtime.ReadMemStats(&after)
-	return wall, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, err
+	wall, mallocs, bytes = math.MaxInt64, math.MaxUint64, math.MaxUint64
+	for range 3 {
+		var w time.Duration
+		m, b := allocsOf(func() {
+			start := time.Now()
+			err = f()
+			w = time.Since(start)
+		})
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		wall, mallocs, bytes = min(wall, w), min(mallocs, m), min(bytes, b)
+	}
+	return wall, mallocs, bytes, nil
 }
 
 // runE29Switch drives the E2 fixture once with the given registry and
@@ -123,21 +129,25 @@ func runE29(seed int64) ([]*metrics.Table, error) {
 	const switchSlots = warmupSlots + runSlots
 	var baseTP float64
 	for _, mode := range []struct {
-		name string
-		reg  *obs.Registry
+		name     string
+		counters bool
 	}{
-		{"disabled", nil},
-		{"counters", obs.NewRegistry(1)},
+		{"disabled", false},
+		{"counters", true},
 	} {
 		var tp float64
 		wall, mallocs, bytes, err := memMeasure(func() (err error) {
-			tp, err = runE29Switch(seed, mode.reg)
+			var reg *obs.Registry
+			if mode.counters {
+				reg = obs.NewRegistry()
+			}
+			tp, err = runE29Switch(seed, reg)
 			return err
 		})
 		if err != nil {
 			return nil, err
 		}
-		if mode.reg == nil {
+		if !mode.counters {
 			baseTP = tp
 		} else if tp != baseTP {
 			return nil, fmt.Errorf("E29: counters changed throughput: %v vs %v", tp, baseTP)
@@ -150,39 +160,38 @@ func runE29(seed int64) ([]*metrics.Table, error) {
 		"mode", "delivered", "wall-ms", "allocs/slot", "bytes/slot", "trace-events")
 	var baseDelivered int64
 	for _, mode := range []struct {
-		name string
-		reg  *obs.Registry
-		hops bool
+		name           string
+		counters, hops bool
 	}{
-		{"disabled", nil, false},
-		{"counters", obs.NewRegistry(9), false},
-		{"full-trace", obs.NewRegistry(9), true},
+		{"disabled", false, false},
+		{"counters", true, false},
+		{"full-trace", true, true},
 	} {
-		var tracer simnet.Tracer
-		var jt *simnet.JSONLTracer
-		if mode.hops {
-			jt = simnet.NewJSONLTracer(io.Discard)
-			tracer = jt
-		}
-		var delivered int64
+		var delivered, events int64
 		wall, mallocs, bytes, err := memMeasure(func() (err error) {
-			delivered, err = runE29Net(seed, mode.reg, tracer, mode.hops)
+			var reg *obs.Registry
+			if mode.counters {
+				reg = obs.NewRegistry()
+			}
+			var tracer simnet.Tracer
+			var jt *simnet.JSONLTracer
+			if mode.hops {
+				jt = simnet.NewJSONLTracer(io.Discard)
+				tracer = jt
+			}
+			delivered, err = runE29Net(seed, reg, tracer, mode.hops)
+			if err == nil && jt != nil {
+				events, err = jt.Events(), jt.Err()
+			}
 			return err
 		})
 		if err != nil {
 			return nil, err
 		}
-		if mode.name == "disabled" {
+		if !mode.counters {
 			baseDelivered = delivered
 		} else if delivered != baseDelivered {
 			return nil, fmt.Errorf("E29: %s changed delivery: %d vs %d", mode.name, delivered, baseDelivered)
-		}
-		events := int64(0)
-		if jt != nil {
-			if jt.Err() != nil {
-				return nil, jt.Err()
-			}
-			events = jt.Events()
 		}
 		nt.AddRow(mode.name, delivered, float64(wall.Microseconds())/1000,
 			float64(mallocs)/6000, float64(bytes)/6000, events)

@@ -61,7 +61,7 @@ func runE33(seed int64) ([]*metrics.Table, error) {
 		orphanGrace = 750 * time.Millisecond
 		outage      = 250 * time.Millisecond
 	)
-	reg := obs.NewRegistry(1)
+	reg := obs.NewRegistry()
 	// Both processes' span streams, captured in memory exactly as
 	// -trace-spans would write them to disk: one client stream for the
 	// whole tenant fleet, one server stream shared by both incarnations.
@@ -129,7 +129,7 @@ func runE33(seed int64) ([]*metrics.Table, error) {
 	}()
 
 	// Kill once roughly a third of the flow budget has been admitted or
-	// refused: obs counters are sharded atomics, safe to poll mid-serve.
+	// refused: obs counters are atomic words, safe to poll mid-serve.
 	reqBE := reg.Counter("svc_requests_total", "class", "best-effort")
 	reqGtd := reg.Counter("svc_requests_total", "class", "guaranteed")
 	killFloor := int64(e33Flows / 3)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
-	"runtime/debug"
 	"time"
 
 	"repro/internal/core"
@@ -143,20 +141,13 @@ func e34AllocsPerPair(seed int64, withSpans, withRing, tracedFrames bool) (float
 		wire, _ = proto.Marshal(cls)
 		srv.ServeOne(ctrlnet.Delivery{From: 100, To: 0, Wire: wire})
 	}
-	// Measure like testing.AllocsPerRun does: one P and the collector
-	// parked, so the Mallocs delta counts only the request path and not
-	// concurrent GC workers.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	run := func(n int) uint64 {
-		runtime.GC()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for i := 0; i < n; i++ {
-			pair()
-		}
-		runtime.ReadMemStats(&m1)
-		return m1.Mallocs - m0.Mallocs
+		mallocs, _ := allocsOf(func() {
+			for i := 0; i < n; i++ {
+				pair()
+			}
+		})
+		return mallocs
 	}
 	const n = 500
 	run(200) // warmup: caches, nonce window, span buffers

@@ -11,6 +11,7 @@ import (
 	"repro/internal/cell"
 	"repro/internal/ctrlnet"
 	"repro/internal/monitor"
+	"repro/internal/obs"
 	"repro/internal/reconfig"
 	"repro/internal/recovery"
 	"repro/internal/simnet"
@@ -168,7 +169,7 @@ func TestScopedRoundSize(t *testing.T) {
 
 // fabricRun is everything observable from one recovered-fabric scenario.
 type fabricRun struct {
-	events    []simnet.TraceEvent
+	events    []obs.Event
 	net       simnet.NetStats
 	loop      recovery.Stats
 	incidents []recovery.Incident

@@ -13,11 +13,10 @@
 //     the simulation (or after the goroutines they started join), which is
 //     why every experiment table is built post-hoc.
 //
-//   - Package obs is the live, sharded collector. Its Registry hands out
-//     cache-line-padded sharded counters/gauges/histograms that writers
-//     update concurrently (each writer its own shard, reads sum all
-//     shards), plus slot-clock ring-buffer series, at the price of
-//     power-of-two histogram resolution. It is safe to scrape from another
+//   - Package obs is the live collector. Its Registry hands out
+//     counters/gauges/histograms made of atomic words that writers update
+//     concurrently and readers load directly, plus slot-clock ring-buffer
+//     series, at the price of power-of-two histogram resolution. It is safe to scrape from another
 //     goroutine while the simulation runs and free when disabled (nil
 //     registry, single-branch no-ops).
 //

@@ -12,7 +12,7 @@ func TestWriteChromeTraceCorrelatedTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doc struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
+		Events []chromeEvent `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("output is not valid JSON: %v", err)
@@ -20,7 +20,7 @@ func TestWriteChromeTraceCorrelatedTimeline(t *testing.T) {
 
 	var cellSpans, outageSpans, hwInstants, detects int
 	var outage chromeEvent
-	for _, ev := range doc.TraceEvents {
+	for _, ev := range doc.Events {
 		switch {
 		case ev.Ph == "X" && ev.Name == "cell":
 			cellSpans++
@@ -57,7 +57,7 @@ func TestWriteChromeTraceCorrelatedTimeline(t *testing.T) {
 
 	// Both planes share one timebase: the kill instant sits at the outage
 	// span's start.
-	for _, ev := range doc.TraceEvents {
+	for _, ev := range doc.Events {
 		if ev.Cat == "hardware" && ev.TS != outage.TS {
 			t.Fatalf("hardware instant ts %d != outage start %d", ev.TS, outage.TS)
 		}
@@ -74,13 +74,13 @@ func TestWriteChromeTraceDefaultsAndLeftovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doc struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
+		Events []chromeEvent `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
 	var inflight, unknown bool
-	for _, ev := range doc.TraceEvents {
+	for _, ev := range doc.Events {
 		if ev.Name == "in-flight" && ev.TS == 30 {
 			inflight = true
 		}

@@ -3,10 +3,10 @@
 // control plane (reconfig, recovery, ctrlnet, chaos) with two instruments.
 //
 // The first is a Registry of labeled counters, gauges, histograms and
-// slot-clock ring-buffer time series. Counters and histograms are sharded:
-// each writer (a switch, a control loop, a service session) adds
-// into its own cache-line-padded slot with a single atomic, so the hot
-// path never contends, and export sums the shards. The whole registry is
+// slot-clock ring-buffer time series. A counter is one atomic word and a
+// histogram one count, one sum and its bucket words: every writer (a
+// switch, a control loop, a service session) adds with single atomics, and
+// a live exporter reads the same words. The whole registry is
 // optional — a nil *Registry hands out nil instrument handles, and every
 // method on a nil handle returns after one pointer comparison: no
 // allocation, no atomic, no map lookup. Packages therefore thread
@@ -15,7 +15,7 @@
 // costs nothing measurable (experiment E29 quantifies it).
 //
 // The second is a correlated event model: Event is the one trace record
-// shared by every plane (simnet aliases its TraceEvent to it). Beyond the
+// shared by every plane (simnet's Tracer receives it). Beyond the
 // data-plane fields (slot, kind, VC, node, link, seq) an Event carries the
 // span fields Epoch (the reconfiguration epoch in force), Incident (the
 // recovery loop's incident id) and Dur (a span length in slots), so a
@@ -34,7 +34,7 @@ import (
 )
 
 // Event is one observable event from any plane of the system. It is the
-// span model shared by simnet (which aliases TraceEvent to it), recovery,
+// span model shared by simnet's tracers, recovery,
 // chaos and the offline analyzers; field types are primitive on purpose so
 // this package stays dependency-free and importable from everywhere.
 type Event struct {

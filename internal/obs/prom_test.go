@@ -7,16 +7,16 @@ import (
 )
 
 func populated() *Registry {
-	r := NewRegistry(4)
-	r.Counter("cells_total", "kind", "inject").Add(0, 10)
-	r.Counter("cells_total", "kind", "deliver").Add(1, 9)
-	r.Counter("aaa_first").Inc(0)
+	r := NewRegistry()
+	r.Counter("cells_total", "kind", "inject").Add(10)
+	r.Counter("cells_total", "kind", "deliver").Add(9)
+	r.Counter("aaa_first").Inc()
 	r.Gauge("slot").Set(500)
 	h := r.Histogram("latency_slots")
 	for _, v := range []int64{1, 2, 2, 5, 9} {
-		h.Observe(0, v)
+		h.Observe(v)
 	}
-	s := r.Series("occupancy", 8, "node", "1")
+	s := r.Series("occupancy", "node", "1")
 	s.Record(499, 3)
 	s.Record(500, 4)
 	return r
@@ -63,11 +63,11 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 // land in; untraced histograms expose byte-identically to before (the CI
 // golden exposition has no exemplars).
 func TestPrometheusExemplars(t *testing.T) {
-	r := NewRegistry(2)
+	r := NewRegistry()
 	h := r.Histogram("svc_op_latency_us", "op", "open")
-	h.ObserveEx(0, 3, 0xabcdef) // traced -> exemplar on le="3"
-	h.ObserveEx(0, 100, 0)      // trace 0 -> plain Observe
-	h.Observe(0, 5000)          // untraced
+	h.ObserveEx(3, 0xabcdef) // traced -> exemplar on le="3"
+	h.ObserveEx(100, 0)      // trace 0 -> plain Observe
+	h.Observe(5000)          // untraced
 	var buf strings.Builder
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)

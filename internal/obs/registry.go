@@ -20,11 +20,8 @@ import (
 // guarded by a single pointer check. Instrument updates are safe under
 // concurrent writers (service sessions, control loops) and concurrent readers (a
 // live HTTP exporter): counters and histograms add atomically into
-// per-shard padded slots, series take a small mutex.
+// their words, series take a small mutex.
 type Registry struct {
-	shards int
-	mask   int
-
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
@@ -32,19 +29,9 @@ type Registry struct {
 	series   map[string]*Series
 }
 
-// NewRegistry creates a registry whose sharded instruments have at least
-// the given number of shards (rounded up to a power of two, minimum 1).
-// Size it to the widest writer pool that will update it — extra writers
-// wrap around and share slots, which stays correct (adds are atomic) but
-// can contend.
-func NewRegistry(shards int) *Registry {
-	if shards < 1 {
-		shards = 1
-	}
-	n := 1 << bits.Len(uint(shards-1))
+// NewRegistry creates an empty registry.
+func NewRegistry() *Registry {
 	return &Registry{
-		shards:   n,
-		mask:     n - 1,
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
@@ -77,19 +64,10 @@ func ident(name string, labels []string) string {
 	return b.String()
 }
 
-// pad64 spaces a shard's hot word onto its own cache line so independent
-// writers never false-share.
-type pad64 struct {
-	v int64
-	_ [7]int64
-}
-
-// Counter is a monotone sharded counter. The zero shard is the
-// conventional home for single-goroutine writers.
+// Counter is a monotone counter: one atomic word.
 type Counter struct {
-	id    string
-	mask  int
-	slots []pad64
+	id string
+	v  int64
 }
 
 // Counter returns the counter for name+labels, creating it on first use.
@@ -105,32 +83,28 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	if c, ok := r.counters[id]; ok {
 		return c
 	}
-	c := &Counter{id: id, mask: r.mask, slots: make([]pad64, r.shards)}
+	c := &Counter{id: id}
 	r.counters[id] = c
 	return c
 }
 
-// Add adds delta into the writer's shard. No-op on a nil handle.
-func (c *Counter) Add(shard int, delta int64) {
+// Add adds delta. No-op on a nil handle.
+func (c *Counter) Add(delta int64) {
 	if c == nil {
 		return
 	}
-	atomic.AddInt64(&c.slots[shard&c.mask].v, delta)
+	atomic.AddInt64(&c.v, delta)
 }
 
-// Inc adds one into the writer's shard. No-op on a nil handle.
-func (c *Counter) Inc(shard int) { c.Add(shard, 1) }
+// Inc adds one. No-op on a nil handle.
+func (c *Counter) Inc() { c.Add(1) }
 
-// Value sums the shards (0 on a nil handle).
+// Value loads the count (0 on a nil handle).
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	var sum int64
-	for i := range c.slots {
-		sum += atomic.LoadInt64(&c.slots[i].v)
-	}
-	return sum
+	return atomic.LoadInt64(&c.v)
 }
 
 // Gauge is a last-value instrument (slot number, cells in flight, ...).
@@ -177,14 +151,6 @@ func (g *Gauge) Value() int64 {
 // produce without ever allocating on observe.
 const histBuckets = 44
 
-// histShard is one writer's bucket array, padded like pad64.
-type histShard struct {
-	count   int64
-	sum     int64
-	buckets [histBuckets]int64
-	_       [6]int64
-}
-
 // exemplar is one concrete traced sample kept per histogram bucket, so
 // a slow bucket in the exposition links to a trace id an operator can
 // pull up with an2trace.
@@ -200,8 +166,9 @@ type exemplar struct {
 // bucket, exposed in OpenMetrics exemplar syntax by WritePrometheus.
 type Histogram struct {
 	id        string
-	mask      int
-	slots     []histShard
+	count     int64
+	sum       int64
+	buckets   [histBuckets]int64
 	exemplars [histBuckets]atomic.Pointer[exemplar]
 }
 
@@ -217,7 +184,7 @@ func (r *Registry) Histogram(name string, labels ...string) *Histogram {
 	if h, ok := r.hists[id]; ok {
 		return h
 	}
-	h := &Histogram{id: id, mask: r.mask, slots: make([]histShard, r.shards)}
+	h := &Histogram{id: id}
 	r.hists[id] = h
 	return h
 }
@@ -234,16 +201,14 @@ func bucketOf(v int64) int {
 	return b
 }
 
-// Observe records one sample into the writer's shard. No-op on a nil
-// handle.
-func (h *Histogram) Observe(shard int, v int64) {
+// Observe records one sample. No-op on a nil handle.
+func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	s := &h.slots[shard&h.mask]
-	atomic.AddInt64(&s.count, 1)
-	atomic.AddInt64(&s.sum, v)
-	atomic.AddInt64(&s.buckets[bucketOf(v)], 1)
+	atomic.AddInt64(&h.count, 1)
+	atomic.AddInt64(&h.sum, v)
+	atomic.AddInt64(&h.buckets[bucketOf(v)], 1)
 }
 
 // ObserveEx records one sample like Observe and, if trace is nonzero,
@@ -251,11 +216,11 @@ func (h *Histogram) Observe(shard int, v int64) {
 // that landed there. The exemplar store allocates, so untraced hot paths
 // should call Observe; with trace == 0 this is exactly Observe. No-op on
 // a nil handle.
-func (h *Histogram) ObserveEx(shard int, v int64, trace uint64) {
+func (h *Histogram) ObserveEx(v int64, trace uint64) {
 	if h == nil {
 		return
 	}
-	h.Observe(shard, v)
+	h.Observe(v)
 	if trace != 0 {
 		h.exemplars[bucketOf(v)].Store(&exemplar{trace: trace, v: v})
 	}
@@ -274,41 +239,31 @@ func (h *Histogram) Exemplar(bucket int) (trace uint64, v int64, ok bool) {
 	return e.trace, e.v, true
 }
 
-// Count sums the sample counts across shards (0 on a nil handle).
+// Count loads the sample count (0 on a nil handle).
 func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	var n int64
-	for i := range h.slots {
-		n += atomic.LoadInt64(&h.slots[i].count)
-	}
-	return n
+	return atomic.LoadInt64(&h.count)
 }
 
-// Sum sums the samples across shards (0 on a nil handle).
+// Sum loads the sum of the samples (0 on a nil handle).
 func (h *Histogram) Sum() int64 {
 	if h == nil {
 		return 0
 	}
-	var n int64
-	for i := range h.slots {
-		n += atomic.LoadInt64(&h.slots[i].sum)
-	}
-	return n
+	return atomic.LoadInt64(&h.sum)
 }
 
-// Buckets returns the merged bucket counts, index k covering
+// Buckets returns a copy of the bucket counts, index k covering
 // 2^(k-1) <= v < 2^k (index 0: v <= 0). Nil on a nil handle.
 func (h *Histogram) Buckets() []int64 {
 	if h == nil {
 		return nil
 	}
 	out := make([]int64, histBuckets)
-	for i := range h.slots {
-		for k := 0; k < histBuckets; k++ {
-			out[k] += atomic.LoadInt64(&h.slots[i].buckets[k])
-		}
+	for k := range out {
+		out[k] = atomic.LoadInt64(&h.buckets[k])
 	}
 	return out
 }

@@ -12,15 +12,15 @@ func TestNilRegistryIsFullyDisabled(t *testing.T) {
 	c := r.Counter("cells", "kind", "inject")
 	g := r.Gauge("slot")
 	h := r.Histogram("latency")
-	s := r.Series("occupancy", 16, "node", "3")
+	s := r.Series("occupancy", "node", "3")
 	if c != nil || g != nil || h != nil || s != nil {
 		t.Fatalf("nil registry must hand out nil instruments, got %v %v %v %v", c, g, h, s)
 	}
 	// Every method on a nil handle must be a safe no-op.
-	c.Add(0, 5)
-	c.Inc(3)
+	c.Add(5)
+	c.Inc()
 	g.Set(7)
-	h.Observe(1, 42)
+	h.Observe(42)
 	s.Record(10, 2)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil instruments must read zero")
@@ -40,18 +40,8 @@ func TestNilRegistryIsFullyDisabled(t *testing.T) {
 	}
 }
 
-func TestRegistryShardRounding(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{-3, 1}, {0, 1}, {1, 1}, {2, 2}, {3, 4}, {4, 4}, {7, 8}, {8, 8}, {9, 16},
-	} {
-		if got := NewRegistry(tc.in).shards; got != tc.want {
-			t.Errorf("NewRegistry(%d) has %d shards, want %d", tc.in, got, tc.want)
-		}
-	}
-}
-
 func TestInstrumentIdentity(t *testing.T) {
-	r := NewRegistry(4)
+	r := NewRegistry()
 	a := r.Counter("cells", "kind", "inject", "vc", "3")
 	b := r.Counter("cells", "vc", "3", "kind", "inject") // label order irrelevant
 	if a != b {
@@ -63,24 +53,13 @@ func TestInstrumentIdentity(t *testing.T) {
 	if r.Gauge("x") != r.Gauge("x") || r.Histogram("x") != r.Histogram("x") {
 		t.Fatal("gauges/histograms must dedupe by identity")
 	}
-	if r.Series("x", 8) != r.Series("x", 99) {
-		t.Fatal("series must dedupe by identity (capacity ignored after first use)")
-	}
-}
-
-func TestCounterShardsSum(t *testing.T) {
-	r := NewRegistry(4)
-	c := r.Counter("n")
-	for shard := 0; shard < 9; shard++ { // deliberately beyond shard count
-		c.Add(shard, int64(shard+1))
-	}
-	if got := c.Value(); got != 45 {
-		t.Fatalf("Value = %d, want 45", got)
+	if r.Series("x") != r.Series("x") {
+		t.Fatal("series must dedupe by identity")
 	}
 }
 
 func TestGauge(t *testing.T) {
-	g := NewRegistry(1).Gauge("slot")
+	g := NewRegistry().Gauge("slot")
 	g.Set(41)
 	g.Set(42)
 	if g.Value() != 42 {
@@ -89,11 +68,11 @@ func TestGauge(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	h := NewRegistry(2).Histogram("lat")
+	h := NewRegistry().Histogram("lat")
 	samples := []int64{0, 1, 1, 2, 3, 4, 7, 8, 100, 1 << 50}
 	var sum int64
-	for i, v := range samples {
-		h.Observe(i, v)
+	for _, v := range samples {
+		h.Observe(v)
 		sum += v
 	}
 	if h.Count() != int64(len(samples)) {
@@ -137,43 +116,83 @@ func TestBucketOfMatchesBitsLen(t *testing.T) {
 }
 
 // TestRegistryRaceHammer hammers one registry from N goroutines through
-// every instrument type at once — the sharded-collector contract the
-// simnet worker pool relies on. Run under -race (CI does).
+// every instrument type at once while they export it mid-flight — the
+// contract the service server, its clients and a live /metrics scrape rely
+// on. Run under -race (CI does).
 func TestRegistryRaceHammer(t *testing.T) {
 	const workers = 8
 	const iters = 2000
-	r := NewRegistry(workers)
+	r := NewRegistry()
+	done := make(chan struct{})
+	scraped := make(chan int)
+	go func() {
+		// A live exporter scrapes while the writers run.
+		n := 0
+		for {
+			select {
+			case <-done:
+				scraped <- n
+				return
+			default:
+			}
+			var sb strings.Builder
+			if err := r.WritePrometheus(&sb); err != nil {
+				t.Error(err)
+			}
+			n++
+		}
+	}()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(shard int) {
+		go func(w int) {
 			defer wg.Done()
 			// Constructors race with constructors and with writers.
 			c := r.Counter("hammer_cells")
 			h := r.Histogram("hammer_lat")
 			g := r.Gauge("hammer_slot")
-			s := r.Series("hammer_occ", 64)
+			s := r.Series("hammer_occ")
 			for i := 0; i < iters; i++ {
-				c.Inc(shard)
-				h.Observe(shard, int64(i%37))
+				c.Inc()
+				h.Observe(int64(i % 37))
 				g.Set(int64(i))
-				s.Record(int64(i), int64(shard))
+				s.Record(int64(i), int64(w))
 				if i%101 == 0 {
-					// Readers race with writers: export mid-flight.
+					// Readers race with writers.
 					_ = c.Value()
 					_ = h.Quantile(0.99)
-					var sb strings.Builder
-					_ = r.WritePrometheus(&sb)
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	close(done)
+	if n := <-scraped; n == 0 {
+		t.Fatal("the exporter never scraped")
+	}
+	var sum int64
+	for i := 0; i < iters; i++ {
+		sum += int64(i % 37)
+	}
 	if got := r.Counter("hammer_cells").Value(); got != workers*iters {
 		t.Fatalf("counter = %d, want %d", got, workers*iters)
 	}
-	if got := r.Histogram("hammer_lat").Count(); got != workers*iters {
+	h := r.Histogram("hammer_lat")
+	if got := h.Count(); got != workers*iters {
 		t.Fatalf("histogram count = %d, want %d", got, workers*iters)
+	}
+	if got := h.Sum(); got != workers*sum {
+		t.Fatalf("histogram sum = %d, want %d", got, workers*sum)
+	}
+	var inBuckets int64
+	for _, c := range h.Buckets() {
+		inBuckets += c
+	}
+	if inBuckets != workers*iters {
+		t.Fatalf("histogram buckets hold %d samples, want %d", inBuckets, workers*iters)
+	}
+	if slots, _ := r.Series("hammer_occ").Samples(); len(slots) != seriesCapacity {
+		t.Fatalf("series retained %d samples, want %d", len(slots), seriesCapacity)
 	}
 }
 
@@ -185,19 +204,19 @@ func BenchmarkDisabledCounter(b *testing.B) {
 	h := r.Histogram("y")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Inc(0)
-		h.Observe(0, int64(i))
+		c.Inc()
+		h.Observe(int64(i))
 	}
 }
 
-// BenchmarkEnabledCounter measures the enabled hot path (one atomic add
-// into a private cache line).
+// BenchmarkEnabledCounter measures the enabled hot path (one atomic add,
+// every writer on the same word).
 func BenchmarkEnabledCounter(b *testing.B) {
-	c := NewRegistry(8).Counter("x")
+	c := NewRegistry().Counter("x")
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			c.Inc(1)
+			c.Inc()
 		}
 	})
 }

@@ -2,7 +2,7 @@ package obs
 
 import "sync"
 
-// Series is a slot-clock ring-buffer time series: the last Capacity
+// Series is a slot-clock ring-buffer time series: the last seriesCapacity
 // (slot, value) samples of some instantaneous quantity — a port's
 // occupancy, a circuit's credit window, a scheduler's per-slot matching
 // iterations, the recovery loop's retry count. Writers call Record once
@@ -21,14 +21,12 @@ type sample struct {
 	val  int64
 }
 
-// DefaultSeriesCapacity is used when Series is asked for with cap <= 0.
-const DefaultSeriesCapacity = 1024
+// seriesCapacity is the number of samples every series retains.
+const seriesCapacity = 1024
 
-// Series returns the ring-buffer series for name+labels, creating it with
-// the given capacity on first use (capacity <= 0 uses
-// DefaultSeriesCapacity; later calls ignore the capacity argument).
-// Returns nil on a nil registry.
-func (r *Registry) Series(name string, capacity int, labels ...string) *Series {
+// Series returns the ring-buffer series for name+labels, creating it on
+// first use. Returns nil on a nil registry.
+func (r *Registry) Series(name string, labels ...string) *Series {
 	if r == nil {
 		return nil
 	}
@@ -38,10 +36,7 @@ func (r *Registry) Series(name string, capacity int, labels ...string) *Series {
 	if s, ok := r.series[id]; ok {
 		return s
 	}
-	if capacity <= 0 {
-		capacity = DefaultSeriesCapacity
-	}
-	s := &Series{id: id, buf: make([]sample, capacity)}
+	s := &Series{id: id, buf: make([]sample, seriesCapacity)}
 	r.series[id] = s
 	return s
 }

@@ -2,43 +2,29 @@ package obs
 
 import "testing"
 
+// TestSeriesRingBuffer fills a series past its fixed capacity: the oldest
+// samples are evicted and the rest come back oldest-first.
 func TestSeriesRingBuffer(t *testing.T) {
-	r := NewRegistry(1)
-	s := r.Series("occ", 4, "node", "2")
+	s := NewRegistry().Series("occ", "node", "2")
 	if _, _, ok := s.Last(); ok {
 		t.Fatal("empty series must report not-ok")
 	}
-	for slot := int64(0); slot < 6; slot++ {
+	const extra = 5
+	for slot := int64(0); slot < seriesCapacity+extra; slot++ {
 		s.Record(slot, slot*10)
 	}
 	slots, vals := s.Samples()
-	wantSlots := []int64{2, 3, 4, 5}
-	wantVals := []int64{20, 30, 40, 50}
-	if len(slots) != 4 {
-		t.Fatalf("retained %d samples, want 4", len(slots))
+	if len(slots) != seriesCapacity {
+		t.Fatalf("retained %d samples, want %d", len(slots), seriesCapacity)
 	}
 	for i := range slots {
-		if slots[i] != wantSlots[i] || vals[i] != wantVals[i] {
+		if want := int64(i + extra); slots[i] != want || vals[i] != want*10 {
 			t.Fatalf("sample %d = (%d,%d), want (%d,%d)",
-				i, slots[i], vals[i], wantSlots[i], wantVals[i])
+				i, slots[i], vals[i], want, want*10)
 		}
 	}
 	slot, v, ok := s.Last()
-	if !ok || slot != 5 || v != 50 {
-		t.Fatalf("Last = (%d,%d,%v), want (5,50,true)", slot, v, ok)
-	}
-}
-
-func TestSeriesDefaultCapacity(t *testing.T) {
-	s := NewRegistry(1).Series("x", 0)
-	for i := int64(0); i < DefaultSeriesCapacity+5; i++ {
-		s.Record(i, i)
-	}
-	slots, _ := s.Samples()
-	if len(slots) != DefaultSeriesCapacity {
-		t.Fatalf("retained %d, want %d", len(slots), DefaultSeriesCapacity)
-	}
-	if slots[0] != 5 {
-		t.Fatalf("oldest retained slot = %d, want 5", slots[0])
+	if want := int64(seriesCapacity + extra - 1); !ok || slot != want || v != want*10 {
+		t.Fatalf("Last = (%d,%d,%v), want (%d,%d,true)", slot, v, ok, want, want*10)
 	}
 }

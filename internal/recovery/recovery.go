@@ -261,7 +261,7 @@ func New(cfg Config) (*Loop, error) {
 		l.obsDetections = reg.Counter("recovery_detections_total")
 		l.obsReroutes = reg.Counter("recovery_reroutes_total")
 		l.obsFailed = reg.Counter("recovery_failed_reroutes_total")
-		l.obsRetries = reg.Series("recovery_watchdog_retries", 0)
+		l.obsRetries = reg.Series("recovery_watchdog_retries")
 	}
 	return l, nil
 }
@@ -309,7 +309,7 @@ func (l *Loop) probe(slot int64) []topology.Link {
 	for _, link := range l.links {
 		sk := l.skeptics[link.ID]
 		l.stats.Probes++
-		l.obsProbes.Inc(0)
+		l.obsProbes.Inc()
 		if l.net.ProbeLink(link.ID) {
 			sk.PingOK(nowUS)
 		} else {
@@ -346,13 +346,13 @@ func (l *Loop) react(slot int64, changed []topology.Link) {
 			Kind: kind, Link: link.ID, Node: -1,
 			HardwareSlot: hw, DetectSlot: slot, RepairSlot: -1,
 		})
-		l.net.EmitEvent(simnet.TraceEvent{
-			Kind: simnet.TraceRecoveryDetect, Node: -1, Link: int32(link.ID),
+		l.net.EmitEvent(obs.Event{
+			Kind: obs.KindRecoveryDetect, Node: -1, Link: int32(link.ID),
 			Seq:      uint64(len(l.incidents)),
 			Incident: int64(len(l.incidents)), Epoch: l.epoch,
 		})
 		l.stats.Detections++
-		l.obsDetections.Inc(0)
+		l.obsDetections.Inc()
 	}
 	l.refreshNodeBeliefs(slot)
 
@@ -416,13 +416,13 @@ func (l *Loop) refreshNodeBeliefs(slot int64) {
 			Kind: kind, Link: -1, Node: s,
 			HardwareSlot: hw, DetectSlot: slot, RepairSlot: -1,
 		})
-		l.net.EmitEvent(simnet.TraceEvent{
-			Kind: simnet.TraceRecoveryDetect, Node: int32(s), Link: -1,
+		l.net.EmitEvent(obs.Event{
+			Kind: obs.KindRecoveryDetect, Node: int32(s), Link: -1,
 			Seq:      uint64(len(l.incidents)),
 			Incident: int64(len(l.incidents)), Epoch: l.epoch,
 		})
 		l.stats.Detections++
-		l.obsDetections.Inc(0)
+		l.obsDetections.Inc()
 	}
 }
 
@@ -521,13 +521,13 @@ func (l *Loop) runReconfig(triggers []reconfig.Trigger) int64 {
 	// pass waits exactly that long, and the span [Slot, Slot+Dur] is what
 	// the Chrome timeline draws.
 	delaySlots := (res.MaxCompletionUS + l.cfg.SlotUS - 1) / l.cfg.SlotUS
-	l.net.EmitEvent(simnet.TraceEvent{
-		Kind: simnet.TraceRecoveryReconfig, Node: -1, Link: -1,
+	l.net.EmitEvent(obs.Event{
+		Kind: obs.KindRecoveryReconfig, Node: -1, Link: -1,
 		Seq: uint64(res.MaxCompletionUS), Dur: delaySlots,
 		Incident: int64(len(l.incidents)), Epoch: l.epoch,
 	})
 	if ctrlRetries >= 0 {
-		l.net.EmitEvent(simnet.TraceEvent{
+		l.net.EmitEvent(obs.Event{
 			Kind: obs.KindCtrlRound, Node: -1, Link: -1,
 			Seq: uint64(ctrlRetries), Dur: delaySlots,
 			Incident: int64(len(l.incidents)), Epoch: l.epoch,
@@ -643,9 +643,9 @@ func (l *Loop) repair(slot int64) {
 			}
 			rerouted++
 			l.stats.Reroutes++
-			l.obsReroutes.Inc(0)
-			l.net.EmitEvent(simnet.TraceEvent{
-				Kind: simnet.TraceRecoveryReroute, VC: uint32(c.VC),
+			l.obsReroutes.Inc()
+			l.net.EmitEvent(obs.Event{
+				Kind: obs.KindRecoveryReroute, VC: uint32(c.VC),
 				Node: -1, Link: -1, Seq: uint64(slot),
 				Incident: serving, Epoch: l.epoch,
 			})
@@ -656,7 +656,7 @@ func (l *Loop) repair(slot int64) {
 			}
 		}
 		l.stats.FailedReroutes += int64(failed)
-		l.obsFailed.Add(0, int64(failed))
+		l.obsFailed.Add(int64(failed))
 	}
 	// Close the incidents this pass served.
 	var stillOpen []int
@@ -677,8 +677,8 @@ func (l *Loop) repair(slot int64) {
 		// The closing event carries the whole incident on its span fields:
 		// Dur is the outage window (the number E27 reports), Seq the
 		// circuits moved — an2trace rebuilds the incident from this alone.
-		l.net.EmitEvent(simnet.TraceEvent{
-			Kind: simnet.TraceRecoveryRepair,
+		l.net.EmitEvent(obs.Event{
+			Kind: obs.KindRecoveryRepair,
 			Node: int32(inc.Node), Link: int32(inc.Link),
 			Seq: uint64(inc.Rerouted), Incident: int64(idx + 1),
 			Dur: inc.OutageSlots(), Epoch: l.epoch,
@@ -686,8 +686,8 @@ func (l *Loop) repair(slot int64) {
 	}
 	l.openIncidents = stillOpen
 	if failed > 0 {
-		l.net.EmitEvent(simnet.TraceEvent{
-			Kind: simnet.TraceRecoveryRetry, Node: -1, Link: -1,
+		l.net.EmitEvent(obs.Event{
+			Kind: obs.KindRecoveryRetry, Node: -1, Link: -1,
 			Seq: uint64(failed), Incident: serving, Epoch: l.epoch,
 		})
 		l.scheduleRepair(slot + l.cfg.RetrySlots)

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cell"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/routing"
 	"repro/internal/switchnode"
 	"repro/internal/topology"
@@ -21,7 +22,7 @@ import (
 // the hosts the scenario names, and link utilization. Two runs are "the
 // same" iff all of it matches.
 type trajectory struct {
-	events []TraceEvent
+	events []obs.Event
 	net    NetStats
 	byVC   map[cell.VCI]int64
 	hosts  []HostStats
@@ -322,7 +323,7 @@ func radix16Scenario(t *testing.T) trajectory {
 // commit 1681f3a (PR 12) running the flat engine — event-driven stepping
 // off, no step groups, one worker (GOMAXPROCS=1), i.e. every live switch
 // visited every slot, quiescent ones through StepIdle — where PR 7's
-// engine-vs-engine tests (TestWakeSetMatchesFlat, …PodSharded,
+// engine-vs-engine tests (TestWakeSetMatchesFlat and its per-pod variant,
 // TestWakeSetRadix16FaultReconfig, TestParallelStepMatchesSequential…)
 // had pinned flat, wake-set, grouped and parallel stepping byte-identical
 // on exactly these scenarios. The single engine must land on the same
@@ -388,9 +389,9 @@ func TestLatencyMatchesTrace(t *testing.T) {
 			rebuilt := make(map[hostClass][]int64)
 			for _, ev := range tr.events {
 				switch ev.Kind {
-				case TraceInject:
+				case obs.KindInject:
 					injected[key{ev.VC, ev.Seq}] = ev.Slot
-				case TraceDeliver:
+				case obs.KindDeliver:
 					at, ok := injected[key{ev.VC, ev.Seq}]
 					if !ok {
 						t.Fatalf("deliver without inject: %+v", ev)

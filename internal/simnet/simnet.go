@@ -70,8 +70,8 @@ type Config struct {
 	// Obs, if set, receives live instrument updates: cell counters,
 	// per-class latency histograms, per-switch occupancy and per-VC
 	// credit-window time series, matching-iteration stats. The registry is
-	// shared with the switches (each gets its build-order index as its
-	// writer shard) and with any control loops watching the same network.
+	// shared with the switches and with any control loops watching the
+	// same network.
 	// Nil disables all of it at the cost of one pointer check per site.
 	Obs *obs.Registry
 }
@@ -377,7 +377,6 @@ func New(cfg Config) (*Network, error) {
 		sc.N = len(cfg.Topology.Ports(s))
 		sc.Seed = cfg.Switch.Seed + int64(s)*7919
 		sc.Obs = cfg.Obs
-		sc.Shard = idx
 		sw, err := switchnode.New(sc)
 		if err != nil {
 			return nil, fmt.Errorf("simnet: switch %d: %w", s, err)
@@ -413,10 +412,10 @@ func New(cfg Config) (*Network, error) {
 		n.obsInFlight = reg.Gauge("net_inflight_cells")
 		n.obsOcc = make([]*obs.Series, len(n.switchOrder))
 		for idx, s := range n.switchOrder {
-			n.obsOcc[idx] = reg.Series("switch_occupancy_cells", 0,
+			n.obsOcc[idx] = reg.Series("switch_occupancy_cells",
 				"node", fmt.Sprint(int64(s)))
 		}
-		n.obsMatch = reg.Series("net_match_iterations_per_slot", 0)
+		n.obsMatch = reg.Series("net_match_iterations_per_slot")
 	}
 	n.initWake()
 	return n, nil
@@ -710,7 +709,7 @@ func (n *Network) open(c *Circuit, path []topology.NodeID) (*Circuit, error) {
 		n.slots = append(n.slots, c)
 	}
 	n.circOrder.insert(at, c)
-	n.trace(TraceOpen, c.VC, path[0], -1, 0)
+	n.trace(obs.KindOpen, c.VC, path[0], -1, 0)
 	return c, nil
 }
 
@@ -754,7 +753,7 @@ func (n *Network) CloseCircuit(vc cell.VCI) error {
 	}
 	n.slots[c.slot] = nil
 	n.freeSlots = append(n.freeSlots, c.slot)
-	n.trace(TraceClose, vc, -1, -1, 0)
+	n.trace(obs.KindClose, vc, -1, -1, 0)
 	return nil
 }
 
@@ -831,8 +830,8 @@ func (n *Network) KillLink(id topology.LinkID) {
 	}
 	n.deadLinks[id] = true
 	n.lastLinkChange[id] = n.slot
-	n.trace(TraceKillLink, 0, -1, id, 0)
-	n.dropFlights(func(f *flight) bool { return f.link == id }, &n.stats.DroppedInFlight, TraceDropFault)
+	n.trace(obs.KindKillLink, 0, -1, id, 0)
+	n.dropFlights(func(f *flight) bool { return f.link == id }, &n.stats.DroppedInFlight, obs.KindDropFault)
 }
 
 // RestoreLink revives a link. Restoring a live link is a no-op.
@@ -842,7 +841,7 @@ func (n *Network) RestoreLink(id topology.LinkID) {
 	}
 	n.deadLinks[id] = false
 	n.lastLinkChange[id] = n.slot
-	n.trace(TraceRestore, 0, -1, id, 0)
+	n.trace(obs.KindRestoreLink, 0, -1, id, 0)
 }
 
 // KillSwitch fails a switch: it stops forwarding; its buffered cells are
@@ -862,15 +861,15 @@ func (n *Network) KillSwitch(id topology.NodeID) {
 	n.wakeIdx(idx)
 	n.swState[idx] = swDead
 	n.removeActive(idx)
-	n.trace(TraceKillNode, 0, id, -1, 0)
+	n.trace(obs.KindKillNode, 0, id, -1, 0)
 	if purged := sw.Purge(); purged > 0 {
 		n.stats.DroppedInFlight += int64(purged)
-		n.trace(TracePurge, 0, id, -1, uint64(purged))
+		n.trace(obs.KindPurge, 0, id, -1, uint64(purged))
 	}
 	if err := sw.ResetFrame(); err != nil {
 		panic(err) // the switch's own dimensions; only a bug fails them
 	}
-	n.dropFlights(func(f *flight) bool { return f.to == id }, &n.stats.DroppedInFlight, TraceDropFault)
+	n.dropFlights(func(f *flight) bool { return f.to == id }, &n.stats.DroppedInFlight, obs.KindDropFault)
 }
 
 // RestoreSwitch revives a dead switch, the pair to RestoreLink. The switch
@@ -891,7 +890,7 @@ func (n *Network) RestoreSwitch(id topology.NodeID) {
 	idx := n.orderIdx[id]
 	n.swState[idx] = swAwake
 	n.insertActive(idx)
-	n.trace(TraceRestoreNode, 0, id, -1, 0)
+	n.trace(obs.KindRestoreNode, 0, id, -1, 0)
 	for _, e := range n.circOrder {
 		c := e.c
 		if c.Class != cell.Guaranteed {
@@ -944,12 +943,12 @@ func (n *Network) Reroute(vc cell.VCI, newPath []topology.NodeID) error {
 		}
 		if purged := n.switchByIdx[h.idx].PurgeVC(vc); purged > 0 {
 			n.stats.DroppedReroute += int64(purged)
-			n.trace(TracePurge, vc, h.node, -1, uint64(purged))
+			n.trace(obs.KindPurge, vc, h.node, -1, uint64(purged))
 		}
 	}
 	// In-flight cells of this circuit cannot follow the new ports either.
-	n.dropFlights(func(f *flight) bool { return f.c.VC == vc }, &n.stats.DroppedReroute, TraceDropRoute)
-	n.trace(TraceReroute, vc, -1, -1, 0)
+	n.dropFlights(func(f *flight) bool { return f.c.VC == vc }, &n.stats.DroppedReroute, obs.KindDropRoute)
+	n.trace(obs.KindReroute, vc, -1, -1, 0)
 	n.bind(c, newPath, r)
 	// Reset ingress window accounting: outstanding cells were dropped.
 	// (Callers modeling the credit protocol follow up with ResyncIngress.)
@@ -1064,7 +1063,7 @@ func (n *Network) applyDepartures(idx int, now int64) {
 		}
 		n.send(now+h.linkLatency, &d.Cell, h.next, h.nextIdx, h.linkID).c.Stamp.Hop++
 		if n.cfg.TraceHops {
-			n.trace(TraceHop, d.Cell.VC, h.node, h.linkID, d.Cell.Stamp.Seq)
+			n.trace(obs.KindHop, d.Cell.VC, h.node, h.linkID, d.Cell.Stamp.Seq)
 		}
 		// First-switch departure returns an ingress credit.
 		if k == 0 && c.Class == cell.BestEffort && c.window > 0 {
@@ -1079,11 +1078,11 @@ func (n *Network) applyDepartures(idx int, now int64) {
 // with a registry configured, so none of the handles are nil.
 func (n *Network) observeSlot(now int64) {
 	if d := n.stats.DroppedInFlight - n.obsPrevDropF; d > 0 {
-		n.obsDropF.Add(0, d)
+		n.obsDropF.Add(d)
 		n.obsPrevDropF += d
 	}
 	if d := n.stats.DroppedReroute - n.obsPrevDropR; d > 0 {
-		n.obsDropR.Add(0, d)
+		n.obsDropR.Add(d)
 		n.obsPrevDropR += d
 	}
 	n.obsSlot.Set(n.slot)
@@ -1106,7 +1105,7 @@ func (n *Network) observeSlot(now int64) {
 			continue
 		}
 		if c.obsCredit == nil {
-			c.obsCredit = n.cfg.Obs.Series("circuit_credit_in_use", 0,
+			c.obsCredit = n.cfg.Obs.Series("circuit_credit_in_use",
 				"vc", fmt.Sprint(uint32(c.VC)))
 		}
 		c.obsCredit.Record(now, int64(c.inUse))
@@ -1151,8 +1150,8 @@ func (n *Network) inject(c *Circuit, now int64) {
 	// network).
 	f.c.Stamp.EnqueuedAt = now
 	c.src.stats.CellsSent++
-	n.obsInjected.Inc(0)
-	n.trace(TraceInject, c.VC, first.node, c.firstLink, f.c.Stamp.Seq)
+	n.obsInjected.Inc()
+	n.trace(obs.KindInject, c.VC, first.node, c.firstLink, f.c.Stamp.Seq)
 }
 
 // deliver hands a cell to the destination host of its circuit.
@@ -1161,14 +1160,14 @@ func (n *Network) deliver(c *Circuit, cl *cell.Cell, now int64) {
 	h.stats.CellsReceived++
 	n.stats.DeliveredCells++
 	c.delivered++
-	n.obsDelivered.Inc(0)
+	n.obsDelivered.Inc()
 	latency := now - cl.Stamp.EnqueuedAt
 	if c.Class == cell.Guaranteed {
-		n.obsLatG.Observe(0, latency)
+		n.obsLatG.Observe(latency)
 	} else {
-		n.obsLatBE.Observe(0, latency)
+		n.obsLatBE.Observe(latency)
 	}
-	n.trace(TraceDeliver, c.VC, h.id, -1, cl.Stamp.Seq)
+	n.trace(obs.KindDeliver, c.VC, h.id, -1, cl.Stamp.Seq)
 	c.lat.Observe(latency)
 	if c.gotAny && cl.Stamp.Seq != c.lastSeq+1 {
 		h.stats.OutOfOrder++
@@ -1328,7 +1327,7 @@ func (n *Network) ResyncIngress(vc cell.VCI) error {
 		}
 	})
 	c.inUse = outstanding
-	n.trace(TraceResync, vc, -1, -1, uint64(outstanding))
+	n.trace(obs.KindResync, vc, -1, -1, uint64(outstanding))
 	return nil
 }
 

@@ -9,47 +9,15 @@ import (
 	"repro/internal/topology"
 )
 
-// TraceEvent is one observable network event, for debugging and for
-// offline analysis of simulation runs. It is an alias of obs.Event — the
-// span model shared by every plane — so a tracer attached here also sees
-// the recovery loop's and the chaos harness's events with their Epoch /
-// Incident / Dur correlation fields, and the obs analyzers (Analyze,
-// WriteChromeTrace) consume simnet traces directly.
-type TraceEvent = obs.Event
-
-// Trace event kinds, re-exported from obs under their historical names
-// (the JSONL vocabulary is shared across all planes; see obs.AllKinds).
-const (
-	TraceInject    = obs.KindInject    // cell left its source host
-	TraceDeliver   = obs.KindDeliver   // cell reached its destination host
-	TraceHop       = obs.KindHop       // cell departed a switch (Config.TraceHops)
-	TraceDropFault = obs.KindDropFault // cell died on a failed link/switch
-	TraceDropRoute = obs.KindDropRoute // cell discarded by a reroute
-	TraceOpen      = obs.KindOpen      // circuit established
-	TraceClose     = obs.KindClose     // circuit torn down
-	TraceReroute   = obs.KindReroute   // circuit moved to a new path
-	TraceKillLink  = obs.KindKillLink
-	TraceKillNode  = obs.KindKillNode
-	TraceRestore   = obs.KindRestoreLink
-	// Fault-path accounting events.
-	TraceRestoreNode = obs.KindRestoreNode // crashed switch brought back
-	TracePurge       = obs.KindPurge       // buffered cells drained (Seq = count)
-	TraceResync      = obs.KindResync      // ingress credit window resynced
-	// TraceRecovery event family: emitted by the recovery control loop
-	// (internal/recovery) via EmitEvent, so a single trace stream
-	// shows hardware faults, the loop's beliefs, and the data-plane
-	// consequences on one timeline.
-	TraceRecoveryDetect   = obs.KindRecoveryDetect   // skeptic believed a transition
-	TraceRecoveryReconfig = obs.KindRecoveryReconfig // reconfiguration round done
-	TraceRecoveryReroute  = obs.KindRecoveryReroute  // circuit moved by the loop
-	TraceRecoveryRepair   = obs.KindRecoveryRepair   // incident closed (Dur = outage slots)
-	TraceRecoveryRetry    = obs.KindRecoveryRetry    // repair pass left circuits stranded
-)
-
 // Tracer receives trace events. Implementations must be fast; they run
-// inside the simulation loop.
+// inside the simulation loop. An event is an obs.Event, the span model
+// shared by every plane, so a tracer attached here also sees the recovery
+// loop's and the chaos harness's events with their Epoch / Incident / Dur
+// correlation fields, and the obs analyzers (Analyze, WriteChromeTrace)
+// consume simnet traces directly. Its Kind is one of obs's Kind* names
+// (see obs.AllKinds).
 type Tracer interface {
-	Trace(TraceEvent)
+	Trace(obs.Event)
 }
 
 // JSONLTracer writes one JSON object per line, in obs.Event's encoding.
@@ -68,7 +36,7 @@ func NewJSONLTracer(w io.Writer) *JSONLTracer {
 }
 
 // Trace implements Tracer. Write errors are sticky and reported by Err.
-func (t *JSONLTracer) Trace(ev TraceEvent) {
+func (t *JSONLTracer) Trace(ev obs.Event) {
 	if t.err != nil {
 		return
 	}
@@ -88,13 +56,13 @@ func (t *JSONLTracer) Err() error { return t.err }
 
 // CollectTracer buffers events in memory (tests and small runs).
 type CollectTracer struct {
-	Events []TraceEvent
+	Events []obs.Event
 }
 
 var _ Tracer = (*CollectTracer)(nil)
 
 // Trace implements Tracer.
-func (t *CollectTracer) Trace(ev TraceEvent) { t.Events = append(t.Events, ev) }
+func (t *CollectTracer) Trace(ev obs.Event) { t.Events = append(t.Events, ev) }
 
 // Count returns how many events of the kind were recorded.
 func (t *CollectTracer) Count(kind string) int {
@@ -113,7 +81,7 @@ func (t *CollectTracer) Count(kind string) int {
 // ordered timeline across planes. The event's
 // Slot is overwritten with the network's current slot so the stream stays
 // totally ordered.
-func (n *Network) EmitEvent(ev TraceEvent) {
+func (n *Network) EmitEvent(ev obs.Event) {
 	if n.cfg.Tracer == nil {
 		return
 	}
@@ -126,7 +94,7 @@ func (n *Network) trace(kind string, vc cell.VCI, node topology.NodeID, link top
 	if n.cfg.Tracer == nil {
 		return
 	}
-	n.cfg.Tracer.Trace(TraceEvent{
+	n.cfg.Tracer.Trace(obs.Event{
 		Slot: n.slot,
 		Kind: kind,
 		VC:   uint32(vc),

@@ -29,13 +29,13 @@ func TestCollectTracerRecordsLifecycle(t *testing.T) {
 	if err := n.CloseCircuit(5); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Count(TraceOpen) != 1 || tr.Count(TraceClose) != 1 {
-		t.Fatalf("open=%d close=%d", tr.Count(TraceOpen), tr.Count(TraceClose))
+	if tr.Count(obs.KindOpen) != 1 || tr.Count(obs.KindClose) != 1 {
+		t.Fatalf("open=%d close=%d", tr.Count(obs.KindOpen), tr.Count(obs.KindClose))
 	}
-	if tr.Count(TraceInject) != 10 || tr.Count(TraceDeliver) != 10 {
-		t.Fatalf("inject=%d deliver=%d", tr.Count(TraceInject), tr.Count(TraceDeliver))
+	if tr.Count(obs.KindInject) != 10 || tr.Count(obs.KindDeliver) != 10 {
+		t.Fatalf("inject=%d deliver=%d", tr.Count(obs.KindInject), tr.Count(obs.KindDeliver))
 	}
-	if tr.Count(TraceDropFault) != 0 {
+	if tr.Count(obs.KindDropFault) != 0 {
 		t.Fatal("phantom drops")
 	}
 	// Events carry monotone slots.
@@ -66,10 +66,10 @@ func TestTraceFaultEvents(t *testing.T) {
 	link, _ := n.cfg.Topology.LinkBetween(path[1], path[2])
 	n.KillLink(link.ID)
 	n.RestoreLink(link.ID)
-	if tr.Count(TraceKillLink) != 1 || tr.Count(TraceRestore) != 1 {
+	if tr.Count(obs.KindKillLink) != 1 || tr.Count(obs.KindRestoreLink) != 1 {
 		t.Fatal("kill/restore not traced")
 	}
-	if tr.Count(TraceDropFault) == 0 {
+	if tr.Count(obs.KindDropFault) == 0 {
 		t.Fatal("in-flight drop not traced")
 	}
 }
@@ -100,7 +100,7 @@ func TestJSONLTracer(t *testing.T) {
 	sc := bufio.NewScanner(&buf)
 	lines := 0
 	for sc.Scan() {
-		var ev TraceEvent
+		var ev obs.Event
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("line %d: %v", lines, err)
 		}
@@ -124,9 +124,9 @@ func TestTraceKindsRoundTrip(t *testing.T) {
 	}
 	var first bytes.Buffer
 	jt := NewJSONLTracer(&first)
-	var want []TraceEvent
+	var want []obs.Event
 	for i, kind := range obs.AllKinds {
-		ev := TraceEvent{
+		ev := obs.Event{
 			Slot:     int64(100 + i),
 			Kind:     kind,
 			VC:       uint32(i),
@@ -185,7 +185,7 @@ func TestTraceKindsRoundTrip(t *testing.T) {
 func TestTraceOmitEmpty(t *testing.T) {
 	var buf bytes.Buffer
 	jt := NewJSONLTracer(&buf)
-	jt.Trace(TraceEvent{Slot: 7, Kind: TraceInject, VC: 3, Node: 1, Link: 2, Seq: 9})
+	jt.Trace(obs.Event{Slot: 7, Kind: obs.KindInject, VC: 3, Node: 1, Link: 2, Seq: 9})
 	line := buf.String()
 	for _, forbidden := range []string{"epoch", "incident", "dur", "wall_us", "trace", "span", "parent"} {
 		if bytes.Contains([]byte(line), []byte(forbidden)) {
@@ -198,11 +198,11 @@ func TestTraceOmitEmpty(t *testing.T) {
 // instead of silently miscounting later events.
 func TestJSONLTracerStickyError(t *testing.T) {
 	jt := NewJSONLTracer(failWriter{})
-	jt.Trace(TraceEvent{Kind: TraceInject})
+	jt.Trace(obs.Event{Kind: obs.KindInject})
 	if jt.Err() == nil {
 		t.Fatal("write error not recorded")
 	}
-	jt.Trace(TraceEvent{Kind: TraceDeliver})
+	jt.Trace(obs.Event{Kind: obs.KindDeliver})
 	if jt.Events() != 0 {
 		t.Fatalf("events counted despite error: %d", jt.Events())
 	}

@@ -135,7 +135,7 @@ func TestEngineInvariantCatchesViolations(t *testing.T) {
 // Switch.Buffered, which must read what summing both classes over every port
 // reads, slot by slot, on switches that fill and drain.
 func TestOccupancySeriesIsPerPortSum(t *testing.T) {
-	reg := obs.NewRegistry(1)
+	reg := obs.NewRegistry()
 	n, _, _, path := lineNet(t, 3, 1, Config{Obs: reg, Switch: switchnode.Config{FrameSlots: 8}})
 	if _, err := n.OpenBestEffort(1, path); err != nil {
 		t.Fatal(err)

@@ -236,11 +236,11 @@ func (c *Client) Incarnation() int32 {
 // call runs one operation to completion: the machine decides, and the
 // client sends what it asks, waits in the transport until the next reply
 // or the step's deadline, and hands the machine what happened.
-func (c *Client) call(op Op) (proto.Message, error) {
+func (c *Client) call(op Op) (Answer, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed.Load() {
-		return proto.Message{}, ErrClientDone
+		return Answer{}, ErrClientDone
 	}
 	now := time.Now()
 	tc := c.startOp(op.Kind, now)
@@ -250,7 +250,7 @@ func (c *Client) call(op Op) (proto.Message, error) {
 	for {
 		if st.Send != nil {
 			if _, err := c.tr.Send(c.self, c.server, st.Send, 0); err != nil {
-				return proto.Message{}, err
+				return Answer{}, err
 			}
 			st.Send = nil
 		}
@@ -259,11 +259,7 @@ func (c *Client) call(op Op) (proto.Message, error) {
 			for _, d := range batch {
 				c.s.Reply(now, d.Wire)
 			}
-			var rep proto.Message
-			if st.Answer != nil {
-				rep = *st.Answer
-			}
-			return rep, st.Err
+			return Decode(st.Answer), st.Err
 		}
 		if len(batch) > 0 {
 			st = c.note(tc, now, c.s.Reply(now, batch[0].Wire))
@@ -278,11 +274,11 @@ func (c *Client) call(op Op) (proto.Message, error) {
 		batch = c.waiter.Wait(st.Deadline.Sub(now))
 		now = time.Now()
 		if c.closed.Load() {
-			return proto.Message{}, ErrClientDone
+			return Answer{}, ErrClientDone
 		}
 		if len(batch) == 0 && now.Before(st.Deadline) {
 			// Wait returns early with nothing only once the transport closed.
-			return proto.Message{}, ctrlnet.ErrClosed
+			return Answer{}, ctrlnet.ErrClosed
 		}
 	}
 }
@@ -318,7 +314,7 @@ func (c *Client) endOp(tc *traceCtx) {
 	durUS := time.Since(tc.start).Microseconds()
 	c.sp.emit(&obs.Event{Kind: obs.KindSvcOp, WallUS: tc.start.UnixMicro(), Dur: durUS,
 		Trace: tc.trace, Span: tc.root, Epoch: c.tenant, Seq: uint64(tc.attempts)})
-	c.obsOpLat[tc.op].ObserveEx(0, durUS, tc.trace)
+	c.obsOpLat[tc.op].ObserveEx(durUS, tc.trace)
 }
 
 // note records one machine step: in a traced operation, a recv span for
@@ -329,13 +325,9 @@ func (c *Client) note(tc *traceCtx, now time.Time, st Step) Step {
 	if tc != nil {
 		us := now.UnixMicro()
 		if a := st.Answer; a != nil {
-			var code uint64
-			if !a.Accept && a.Kind == proto.KindVCReply {
-				code = uint64(a.Depth)
-			}
 			c.sp.emit(&obs.Event{Kind: obs.KindSvcRecv, WallUS: us,
 				Trace: tc.trace, Span: a.Span, Parent: tc.root,
-				Node: a.From, Epoch: c.tenant, Seq: code})
+				Node: a.From, Epoch: c.tenant, Seq: uint64(Decode(a).Refusal)})
 		}
 		if st.Send != nil {
 			tc.attempts++
@@ -367,14 +359,14 @@ func (c *Client) noteBackoff(tc *traceCtx, now time.Time) {
 func (c *Client) publish(tc *traceCtx) {
 	now, was := c.s.Stats(), c.seen
 	c.seen = now
-	c.obsOrphans.Add(0, now.OrphanReplies-was.OrphanReplies)
-	c.obsRetrans.Add(0, now.Retransmits-was.Retransmits)
-	c.obsReattFail.Add(0, now.ReattachFailedVCs-was.ReattachFailedVCs)
+	c.obsOrphans.Add(now.OrphanReplies - was.OrphanReplies)
+	c.obsRetrans.Add(now.Retransmits - was.Retransmits)
+	c.obsReattFail.Add(now.ReattachFailedVCs - was.ReattachFailedVCs)
 	if now.Reattaches == was.Reattaches {
 		return
 	}
-	c.obsReattach.Add(0, now.Reattaches-was.Reattaches)
-	c.obsReattLatUS.ObserveEx(0, now.LastReattachDur.Microseconds(), tc.id())
+	c.obsReattach.Add(now.Reattaches - was.Reattaches)
+	c.obsReattLatUS.ObserveEx(now.LastReattachDur.Microseconds(), tc.id())
 	if tc != nil {
 		c.sp.emit(&obs.Event{Kind: obs.KindSvcReattach,
 			WallUS: now.LastReattachAt.Add(-now.LastReattachDur).UnixMicro(),
@@ -385,15 +377,8 @@ func (c *Client) publish(tc *traceCtx) {
 
 // Hello announces the session and returns the host roster.
 func (c *Client) Hello() ([]topology.NodeID, error) {
-	rep, err := c.call(Op{Kind: proto.KindHello})
-	if err != nil {
-		return nil, err
-	}
-	hosts := make([]topology.NodeID, 0, len(rep.Links))
-	for _, l := range rep.Links {
-		hosts = append(hosts, topology.NodeID(l.A))
-	}
-	return hosts, nil
+	ans, err := c.call(Op{Kind: proto.KindHello})
+	return ans.Hosts, err
 }
 
 // Open requests a circuit: rate > 0 asks for that many guaranteed
@@ -403,11 +388,8 @@ func (c *Client) Hello() ([]topology.NodeID, error) {
 // restarts: re-attach re-opens the circuit and aliases this VCI to the
 // new one.
 func (c *Client) Open(src, dst topology.NodeID, rate int) (cell.VCI, error) {
-	rep, err := c.call(Op{Kind: proto.KindVCRequest, Src: src, Dst: dst, Rate: rate})
-	if err != nil {
-		return 0, err
-	}
-	return cell.VCI(rep.Depth), nil
+	ans, err := c.call(Op{Kind: proto.KindVCRequest, Src: src, Dst: dst, Rate: rate})
+	return ans.VC, err
 }
 
 // CloseVC tears down one of this tenant's circuits.

@@ -105,6 +105,34 @@ type Step struct {
 	Err  error
 }
 
+// Answer is what a server's answer tells the application: a hello's host
+// roster, the circuit an accepted vc-reply names, the code of a refused
+// one. Decode is the one reader of where the wire carries them: the
+// roster in Links[].A, the VCI and the code in Depth.
+type Answer struct {
+	Hosts   []topology.NodeID // a hello's roster
+	VC      cell.VCI          // an accepted vc-reply's circuit (0: none; circuits number from 1)
+	Refusal int32             // a refused vc-reply's code (0: not refused)
+}
+
+// Decode reads a Step's Answer; nil decodes to the zero Answer.
+func Decode(m *proto.Message) Answer {
+	var a Answer
+	switch {
+	case m == nil:
+	case m.Kind == proto.KindHello:
+		a.Hosts = make([]topology.NodeID, len(m.Links))
+		for i, l := range m.Links {
+			a.Hosts[i] = topology.NodeID(l.A)
+		}
+	case m.Kind == proto.KindVCReply && m.Accept:
+		a.VC = cell.VCI(m.Depth)
+	case m.Kind == proto.KindVCReply:
+		a.Refusal = m.Depth
+	}
+	return a
+}
+
 // NewSession builds the machine from cfg's session fields (Tenant,
 // Timeout, Retries, RetryCap, NoJitter, defaulted as NewClient defaults
 // them). rng draws the backoff jitter.

@@ -519,7 +519,7 @@ func (s *Server) serve(d ctrlnet.Delivery, backlog int) {
 	}
 	if timed {
 		durUS := s.cfg.Now().Sub(now).Microseconds()
-		s.obsHandleLat.ObserveEx(0, durUS, m.TraceID)
+		s.obsHandleLat.ObserveEx(durUS, m.TraceID)
 		if traced {
 			s.span(obs.KindSvcHandle, m, now.UnixMicro(), durUS, uint64(m.Kind))
 		}
@@ -547,21 +547,21 @@ func (s *Server) publish() {
 		return
 	}
 	now, was := &s.stats, &s.seen
-	s.obsRequests.Add(0, now.Requests-now.RequestsGtd-(was.Requests-was.RequestsGtd))
-	s.obsReqGtd.Add(0, now.RequestsGtd-was.RequestsGtd)
-	s.obsAdmitBE.Add(0, now.AdmittedBE-was.AdmittedBE)
-	s.obsAdmitGtd.Add(0, now.AdmittedGtd-was.AdmittedGtd)
-	s.obsTraffic.Add(0, now.TrafficCells-was.TrafficCells)
-	s.obsTrafficRefused.Add(0, now.TrafficRefused-was.TrafficRefused)
-	s.obsReplays.Add(0, now.Replays-was.Replays)
-	s.obsRenewals.Add(0, now.LeaseRenewals-was.LeaseRenewals)
-	s.obsExpired.Add(0, now.LeaseExpired-was.LeaseExpired)
-	s.obsGCVCs.Add(0, now.LeaseGCVCs-was.LeaseGCVCs)
-	s.obsShed.Add(0, now.Shed-was.Shed)
-	s.obsReclaimed.Add(0, now.OrphansReclaimed-was.OrphansReclaimed)
+	s.obsRequests.Add(now.Requests - now.RequestsGtd - (was.Requests - was.RequestsGtd))
+	s.obsReqGtd.Add(now.RequestsGtd - was.RequestsGtd)
+	s.obsAdmitBE.Add(now.AdmittedBE - was.AdmittedBE)
+	s.obsAdmitGtd.Add(now.AdmittedGtd - was.AdmittedGtd)
+	s.obsTraffic.Add(now.TrafficCells - was.TrafficCells)
+	s.obsTrafficRefused.Add(now.TrafficRefused - was.TrafficRefused)
+	s.obsReplays.Add(now.Replays - was.Replays)
+	s.obsRenewals.Add(now.LeaseRenewals - was.LeaseRenewals)
+	s.obsExpired.Add(now.LeaseExpired - was.LeaseExpired)
+	s.obsGCVCs.Add(now.LeaseGCVCs - was.LeaseGCVCs)
+	s.obsShed.Add(now.Shed - was.Shed)
+	s.obsReclaimed.Add(now.OrphansReclaimed - was.OrphansReclaimed)
 	for _, code := range refusalCodes {
 		n := now.RefusedBy[code]
-		s.obsRefused[code].Add(0, n-s.seenRefused[code])
+		s.obsRefused[code].Add(n - s.seenRefused[code])
 		s.seenRefused[code] = n
 	}
 	*was = *now
@@ -582,7 +582,7 @@ func (s *Server) dumpRecorder(trigger uint64, m *proto.Message) {
 		return
 	}
 	if _, err := s.cfg.Ring.DumpFile(s.cfg.DumpPath + "." + dumpTriggerNames[trigger]); err == nil {
-		s.obsDumps.Inc(0)
+		s.obsDumps.Inc()
 	}
 }
 

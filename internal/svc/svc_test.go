@@ -92,7 +92,7 @@ func hello(t *testing.T, s *Server, ln *loopNet, from topology.NodeID, tenant ui
 }
 
 func TestAdmissionQuotaAndIdempotency(t *testing.T) {
-	reg := obs.NewRegistry(1)
+	reg := obs.NewRegistry()
 	s, ln, hosts := directServer(t, reg)
 	src, dst := hosts[0], hosts[1]
 	hello(t, s, ln, 9, 42)
@@ -271,7 +271,7 @@ func TestTenantZeroCannotDriveOrphan(t *testing.T) {
 // The live gauges move with every served message, not only on idle ticks:
 // ServeOne never ticks.
 func TestLiveGaugesFollowServedMessages(t *testing.T) {
-	reg := obs.NewRegistry(1)
+	reg := obs.NewRegistry()
 	s, ln, hosts := directServer(t, reg)
 	hello(t, s, ln, 9, 42)
 	vc := openVC(t, s, ln, 9, 42, 1, hosts[0], hosts[1])
@@ -288,7 +288,7 @@ func TestLiveGaugesFollowServedMessages(t *testing.T) {
 // the LAN) are counted, never dropped silently: queued + refused is what
 // the tenant offered.
 func TestTrafficRefusedCounted(t *testing.T) {
-	reg := obs.NewRegistry(1)
+	reg := obs.NewRegistry()
 	s, ln, hosts := directServer(t, reg)
 	hello(t, s, ln, 9, 5)
 	vc := openVC(t, s, ln, 9, 5, 1, hosts[0], hosts[1])
@@ -348,7 +348,7 @@ func TestJainFairness(t *testing.T) {
 func TestConcurrentTenantsOverUDP(t *testing.T) {
 	lan := testLAN(t)
 	hosts := lan.Topology().Hosts()
-	reg := obs.NewRegistry(1)
+	reg := obs.NewRegistry()
 
 	serverTr, err := ctrlnet.NewUDP(ctrlnet.UDPConfig{
 		Local: map[topology.NodeID]string{0: "127.0.0.1:0"},

@@ -391,7 +391,7 @@ func hotPathAllocs(t *testing.T, cfg Config, traced bool) float64 {
 func TestRecorderDumpTriggers(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "recorder.jsonl")
-	reg := obs.NewRegistry(1)
+	reg := obs.NewRegistry()
 	lan := testLAN(t)
 	ln := &loopNet{}
 	s, err := NewServer(Config{

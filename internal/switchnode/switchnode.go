@@ -82,12 +82,10 @@ type Config struct {
 	// reserve with Reserve.
 	FrameSlots int
 	// Obs, when non-nil, receives per-slot instrument updates (cells
-	// switched, matching iterations). Shard is this switch's writer shard
-	// in the registry — simnet assigns each switch its build-order index
-	// so concurrent switches in one Step never contend on a cache line.
-	// A nil Obs costs one pointer check per instrument site.
-	Obs   *obs.Registry
-	Shard int
+	// switched, matching iterations); every switch sharing a registry adds
+	// into the same instruments. A nil Obs costs one pointer check per
+	// instrument site.
+	Obs *obs.Registry
 }
 
 // Departure is a cell leaving the switch in a slot.
@@ -145,7 +143,6 @@ type Switch struct {
 
 	// Observability handles (nil when Config.Obs is nil — every call on
 	// them is then a single-branch no-op).
-	obsShard     int
 	obsDeparted  *obs.Counter
 	obsMatchIter *obs.Histogram
 	obsMatched   *obs.Histogram
@@ -188,7 +185,6 @@ func New(cfg Config) (*Switch, error) {
 		reqs:    matching.NewRequests(cfg.N),
 		gtdIn:   make([]uint64, matching.WordsFor(cfg.N)),
 
-		obsShard:     cfg.Shard,
 		obsDeparted:  cfg.Obs.Counter("switch_departed_cells_total"),
 		obsMatchIter: cfg.Obs.Histogram("switch_match_iterations"),
 		obsMatched:   cfg.Obs.Histogram("switch_matched_pairs"),
@@ -491,8 +487,8 @@ func (s *Switch) Step() []Departure {
 	if any {
 		res := s.matcher.Schedule(s.reqs)
 		s.stats.PIMIterationsTotal += int64(res.Iterations)
-		s.obsMatchIter.Observe(s.obsShard, int64(res.Iterations))
-		s.obsMatched.Observe(s.obsShard, int64(res.Matched))
+		s.obsMatchIter.Observe(int64(res.Iterations))
+		s.obsMatched.Observe(int64(res.Matched))
 		// Only an input that requested can be matched.
 		for w, word := range s.reqs.Rows() {
 			for ; word != 0; word &= word - 1 {
@@ -546,7 +542,7 @@ func (s *Switch) Step() []Departure {
 	if len(out) == 0 {
 		return nil
 	}
-	s.obsDeparted.Add(s.obsShard, int64(len(out)))
+	s.obsDeparted.Add(int64(len(out)))
 	return out
 }
 

@@ -441,15 +441,8 @@ func DriveTenants(sys *svcsys.System, cfg TenantsConfig) (*TenantsReport, error)
 	sentMS := make([]int64, len(ts))
 	step := func(i int, st svc.Step) bool {
 		if st.Done {
-			var hosts []topology.NodeID
-			var vc cell.VCI
-			if a := st.Answer; a != nil {
-				vc = cell.VCI(a.Depth)
-				for _, l := range a.Links {
-					hosts = append(hosts, topology.NodeID(l.A))
-				}
-			}
-			ts[i].done(hosts, vc, (sys.NowMS()-sentMS[i])*1000, st.Err)
+			ans := svc.Decode(st.Answer)
+			ts[i].done(ans.Hosts, ans.VC, (sys.NowMS()-sentMS[i])*1000, st.Err)
 		}
 		return true
 	}
