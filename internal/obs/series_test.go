@@ -28,3 +28,25 @@ func TestSeriesRingBuffer(t *testing.T) {
 		t.Fatalf("Last = (%d,%d,%v), want (%d,%d,true)", slot, v, ok, want, want*10)
 	}
 }
+
+// TestSeriesDefaultCapacity checks that every series keeps the default
+// seriesCapacity samples, whatever its labels, and that the series of one
+// registry fill and evict independently of each other.
+func TestSeriesDefaultCapacity(t *testing.T) {
+	r := NewRegistry()
+	bare, labelled := r.Series("x"), r.Series("x", "node", "1")
+	for i := int64(0); i < seriesCapacity+5; i++ {
+		bare.Record(i, i)
+	}
+	labelled.Record(7, 70)
+	slots, _ := bare.Samples()
+	if len(slots) != seriesCapacity {
+		t.Fatalf("retained %d, want %d", len(slots), seriesCapacity)
+	}
+	if slots[0] != 5 {
+		t.Fatalf("oldest retained slot = %d, want 5", slots[0])
+	}
+	if slots, vals := labelled.Samples(); len(slots) != 1 || slots[0] != 7 || vals[0] != 70 {
+		t.Fatalf("labelled series = (%v,%v), want ([7],[70])", slots, vals)
+	}
+}
